@@ -11,9 +11,10 @@
 //   2. frontier maintenance: steady-state FrontierTracker::advance() over
 //      a large tracked set must be allocation-free (asserted == 0) and
 //      O(1) — the cached-argmin slot design.
-//   3. a live ShardCluster frontier exchange: groups actually send and
-//      receive kFrontier frames over the simulated wire, and every group
-//      ends up observing every remote shard's frontier.
+//   3. a live frontier exchange: a 4-group psim::PartitionedCluster run
+//      sequentially (threads=1) publishes and ingests frontier records at
+//      its window barriers, and every group ends up observing every remote
+//      group's frontier.  These counts are seed-pure ("_deterministic").
 //
 // This binary links bench/common/alloc_hook.cpp, which REPLACES the global
 // operator new/delete — that is why it is excluded from the *_main.cpp
@@ -26,8 +27,8 @@
 
 #include "common/alloc_hook.hpp"
 #include "common/harness.hpp"
+#include "psim/partitioned.hpp"
 #include "shard/admission.hpp"
-#include "shard/cluster.hpp"
 #include "shard/directory.hpp"
 #include "shard/frontier.hpp"
 
@@ -147,11 +148,10 @@ void frontier_scale(bench::JsonMetrics& out) {
 
 void cluster_exchange(bench::JsonMetrics& out) {
   std::printf("-- live cluster frontier exchange --\n");
-  shard::ShardClusterParams params;
+  psim::PartitionedClusterParams params;
   params.seed = 1;
-  params.shard_count = 4;
-  params.group_count = 2;
-  shard::ShardCluster cluster(params);
+  params.group_count = 4;
+  psim::PartitionedCluster cluster(params);
   cluster.start();
   for (core::ObjectId id = 1; id <= 8; ++id) {
     if (!cluster.register_object(light_spec(id)).ok()) {
@@ -159,33 +159,28 @@ void cluster_exchange(bench::JsonMetrics& out) {
       std::exit(1);
     }
   }
-  cluster.run_for(millis(500));
-  for (int round = 0; round < 5; ++round) {
-    cluster.exchange_frontiers();
-    cluster.run_for(millis(100));
-  }
+  (void)cluster.run_for(seconds(1), 1);
 
-  double sent = 0;
-  double received = 0;
+  const auto published = static_cast<double>(cluster.frontier_records_published());
+  const auto ingested = static_cast<double>(cluster.frontier_records_ingested());
   std::size_t observed = 0;
-  for (shard::GroupId g = 0; g < cluster.group_count(); ++g) {
-    sent += static_cast<double>(cluster.primary(g).frontier_frames_sent());
-    received += static_cast<double>(cluster.primary(g).frontier_frames_received());
-    for (shard::ShardId s = 0; s < params.shard_count; ++s) {
-      if (cluster.directory().group_of_shard(s) == g) continue;
-      if (cluster.observed_frontier(g, s) > TimePoint::zero()) ++observed;
+  for (std::uint32_t g = 0; g < cluster.group_count(); ++g) {
+    for (std::uint32_t s = 0; s < cluster.group_count(); ++s) {
+      if (s == g) continue;
+      if (cluster.service(g).acting_primary().peer_frontier(s) > TimePoint::zero()) ++observed;
     }
   }
-  std::printf("  frontier frames: %.0f sent, %.0f received; %zu remote shards observed\n",
-              sent, received, observed);
-  if (received == 0 || observed == 0) {
-    std::fprintf(stderr, "FAIL: no kFrontier frames crossed the wire\n");
+  std::printf("  frontier records: %.0f published, %.0f ingested; %zu remote frontiers observed\n",
+              published, ingested, observed);
+  const std::size_t pairs = std::size_t{cluster.group_count()} * (cluster.group_count() - 1);
+  if (ingested == 0 || observed != pairs) {
+    std::fprintf(stderr, "FAIL: only %zu of %zu remote frontiers observed\n", observed, pairs);
     std::exit(1);
   }
 
-  out.add("cluster_frontier_frames_sent", sent);
-  out.add("cluster_frontier_frames_received", received);
-  out.add("cluster_remote_shards_observed", static_cast<double>(observed));
+  out.add("cluster_frontier_records_published_deterministic", published);
+  out.add("cluster_frontier_records_ingested_deterministic", ingested);
+  out.add("cluster_remote_frontiers_observed_deterministic", static_cast<double>(observed));
 }
 
 }  // namespace
@@ -194,7 +189,7 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_shard.json";
   bench::banner("shard scale-out",
                 "1M-object directory admits at flat per-registration cost; "
-                "frontier upkeep is allocation-free; kFrontier frames flow");
+                "frontier upkeep is allocation-free; frontier records flow");
 
   bench::JsonMetrics out("shard");
   registration_scale(out);

@@ -120,9 +120,10 @@ void ActiveReplicationService::on_follower_message(std::size_t follower_idx,
                                                    xkernel::Message& msg,
                                                    const xkernel::MsgAttrs& /*attrs*/) {
   const auto decoded = wire::decode(msg.contents());
-  if (!decoded || decoded->type != wire::MsgType::kActivePrepare) return;
+  const auto* prepare_msg = decoded ? std::get_if<wire::ActivePrepare>(&*decoded) : nullptr;
+  if (prepare_msg == nullptr) return;
   Follower& f = *followers_[follower_idx];
-  const wire::ActivePrepare& prepare = *decoded->active_prepare;
+  const wire::ActivePrepare& prepare = *prepare_msg;
   const bool already_applied = prepare.sequence < f.next_to_apply;
   if (!already_applied) {
     f.holdback.emplace(prepare.sequence, prepare);
@@ -157,12 +158,13 @@ void ActiveReplicationService::apply_in_order(Follower& f) {
 void ActiveReplicationService::on_leader_message(xkernel::Message& msg,
                                                  const xkernel::MsgAttrs& attrs) {
   const auto decoded = wire::decode(msg.contents());
-  if (!decoded || decoded->type != wire::MsgType::kActiveAck) return;
+  const auto* ack = decoded ? std::get_if<wire::ActiveAck>(&*decoded) : nullptr;
+  if (ack == nullptr) return;
   auto follower_it = follower_by_node_.find(attrs.src.node);
   if (follower_it == follower_by_node_.end()) return;
   const std::size_t idx = follower_it->second;
 
-  auto it = pending_.find(decoded->active_ack->sequence);
+  auto it = pending_.find(ack->sequence);
   if (it == pending_.end()) return;  // already completed
   PendingWrite& w = it->second;
   ++acks_received_;

@@ -57,9 +57,9 @@ void HealthFeed::emit() {
     }
     line += ",\"queue\":" + std::to_string(r.staged_update_count());
     line += ",\"shed\":" + std::to_string(r.updates_shed());
-    // Sharded deployments: the peer-shard frontiers this replica has
-    // merged so far (single-group runs never receive kFrontier frames and
-    // emit nothing, keeping pre-shard feed lines byte-identical).
+    // Partitioned deployments: the peer-group frontiers this replica has
+    // ingested so far (single-group runs never ingest one and emit
+    // nothing, keeping pre-shard feed lines byte-identical).
     if (!r.peer_frontiers().empty()) {
       line += ",\"frontiers\":[";
       bool first_front = true;

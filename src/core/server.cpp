@@ -1113,16 +1113,6 @@ void ReplicaServer::handle_message(xkernel::Message& msg, const xkernel::MsgAttr
   }
   const net::Endpoint from = attrs.src;
 
-  // Cross-shard frontier frames bypass epoch fencing entirely: sender and
-  // receiver are primaries of DIFFERENT groups, so their epochs are
-  // unrelated incarnation counters — fencing on them would both drop valid
-  // frontiers and let a peer group's higher epoch depose this primary.
-  // The monotone merge in handle_frontier makes stale frames harmless.
-  if (decoded->type == wire::MsgType::kFrontier) {
-    handle_frontier(*decoded->frontier, from);
-    return;
-  }
-
   // ---- epoch fencing ----
   // Traffic stamped with a LOWER epoch comes from a deposed primary (or a
   // not-yet-repointed backup) and is rejected outright; epoch 0 is the
@@ -1131,20 +1121,20 @@ void ReplicaServer::handle_message(xkernel::Message& msg, const xkernel::MsgAttr
   const std::uint64_t msg_epoch = wire::epoch_of(*decoded);
   if (config_.epoch_fencing && msg_epoch != 0 && msg_epoch < epoch_) {
     ++epoch_rejections_;
+    const char* type_name = wire::msg_type_name(wire::type_of(*decoded));
     telemetry::Hub& hub = sim_.telemetry();
     if (hub.enabled()) {
       hub.registry().counter("core.epoch.rejected").add();
       hub.record(hub.current_span(), node(), telemetry::EventKind::kInstant, rtpb_track(node()),
                  "epoch-reject",
-                 std::string(wire::msg_type_name(decoded->type)) + " epoch " +
-                     std::to_string(msg_epoch) + " < " + std::to_string(epoch_));
+                 std::string(type_name) + " epoch " + std::to_string(msg_epoch) + " < " +
+                     std::to_string(epoch_));
     }
-    RTPB_DEBUG("rtpb", "%s from node%u fenced: epoch %llu < %llu",
-               wire::msg_type_name(decoded->type), from.node,
+    RTPB_DEBUG("rtpb", "%s from node%u fenced: epoch %llu < %llu", type_name, from.node,
                static_cast<unsigned long long>(msg_epoch),
                static_cast<unsigned long long>(epoch_));
-    if (decoded->type == wire::MsgType::kPing) {
-      send_to(from, wire::encode(wire::PingAck{decoded->ping->seq, epoch_}));
+    if (const auto* ping = std::get_if<wire::Ping>(&*decoded)) {
+      send_to(from, wire::encode(wire::PingAck{ping->seq, epoch_}));
     }
     return;
   }
@@ -1167,54 +1157,18 @@ void ReplicaServer::handle_message(xkernel::Message& msg, const xkernel::MsgAttr
     ps->second.detector->note_traffic();
   }
 
-  switch (decoded->type) {
-    case wire::MsgType::kUpdate:
-      handle_update(*decoded->update, from);
-      break;
-    case wire::MsgType::kUpdateBatch:
-      handle_update_batch(*decoded->update_batch, from);
-      break;
-    case wire::MsgType::kUpdateAck:
-      handle_update_ack(*decoded->update_ack, from);
-      break;
-    case wire::MsgType::kRetransmitRequest:
-      handle_retransmit_request(*decoded->retransmit, from);
-      break;
-    case wire::MsgType::kPing:
-      handle_ping(*decoded->ping, from);
-      break;
-    case wire::MsgType::kPingAck:
-      handle_ping_ack(*decoded->ping_ack, from);
-      break;
-    case wire::MsgType::kStateTransfer:
-      handle_state_transfer(*decoded->state_transfer, from);
-      break;
-    case wire::MsgType::kStateTransferAck:
-      handle_state_transfer_ack(*decoded->state_transfer_ack, from);
-      break;
-    case wire::MsgType::kResyncRequest:
-      handle_resync_request(*decoded->resync_request, from);
-      break;
-    case wire::MsgType::kStateDelta:
-      handle_state_delta(*decoded->state_delta, from);
-      break;
-    case wire::MsgType::kConstraintDowngrade:
-      handle_constraint_downgrade(*decoded->constraint_downgrade, from);
-      break;
-    case wire::MsgType::kConstraintRestore:
-      handle_constraint_restore(*decoded->constraint_restore, from);
-      break;
-    case wire::MsgType::kFrontier:
-      break;  // dispatched before epoch fencing; unreachable here
-    case wire::MsgType::kActivePrepare:
-    case wire::MsgType::kActiveAck:
-      // Active-replication traffic never targets an RTPB replica.
-      RTPB_WARN("rtpb", "unexpected active-replication message; dropped");
-      break;
-  }
+  std::visit([&](auto& m) { handle(m, from); }, *decoded);
 }
 
-void ReplicaServer::handle_update(const wire::Update& u, net::Endpoint from) {
+void ReplicaServer::handle(const wire::ActivePrepare& /*p*/, net::Endpoint /*from*/) {
+  RTPB_WARN("rtpb", "unexpected active-replication message; dropped");
+}
+
+void ReplicaServer::handle(const wire::ActiveAck& /*a*/, net::Endpoint /*from*/) {
+  RTPB_WARN("rtpb", "unexpected active-replication message; dropped");
+}
+
+void ReplicaServer::handle(const wire::Update& u, net::Endpoint from) {
   telemetry::Hub& hub = sim_.telemetry();
   if (role_ != Role::kBackup) {
     // Role guard: a primary must never apply (or ack) an update stream.
@@ -1289,7 +1243,7 @@ void ReplicaServer::handle_update(const wire::Update& u, net::Endpoint from) {
   maybe_checkpoint();
 }
 
-void ReplicaServer::handle_update_batch(wire::UpdateBatch& b, net::Endpoint from) {
+void ReplicaServer::handle(wire::UpdateBatch& b, net::Endpoint from) {
   // Entries apply strictly in batch order, each through the single-update
   // path so role guards, staleness accounting, watchdogs and (in ack mode)
   // per-object acks behave exactly as for kUpdate frames.
@@ -1301,11 +1255,11 @@ void ReplicaServer::handle_update_batch(wire::UpdateBatch& b, net::Endpoint from
     u.retransmission = false;
     u.value = std::move(entry.value);
     u.epoch = b.epoch;
-    handle_update(u, from);
+    handle(u, from);
   }
 }
 
-void ReplicaServer::handle_update_ack(const wire::UpdateAck& a, net::Endpoint from) {
+void ReplicaServer::handle(const wire::UpdateAck& a, net::Endpoint from) {
   if (role_ != Role::kPrimary) return;
   auto it = peer_state_.find(from.node);
   if (it == peer_state_.end()) return;  // ack from a node we no longer replicate to
@@ -1318,7 +1272,7 @@ void ReplicaServer::handle_update_ack(const wire::UpdateAck& a, net::Endpoint fr
          from.node);
 }
 
-void ReplicaServer::handle_retransmit_request(const wire::RetransmitRequest& r,
+void ReplicaServer::handle(const wire::RetransmitRequest& r,
                                               net::Endpoint /*from*/) {
   if (role_ != Role::kPrimary) return;
   if (!store_.contains(r.object)) return;
@@ -1343,16 +1297,16 @@ void ReplicaServer::handle_retransmit_request(const wire::RetransmitRequest& r,
   }
 }
 
-void ReplicaServer::handle_ping(const wire::Ping& p, net::Endpoint from) {
+void ReplicaServer::handle(const wire::Ping& p, net::Endpoint from) {
   send_to(from, wire::encode(wire::PingAck{p.seq, epoch_}));
 }
 
-void ReplicaServer::handle_ping_ack(const wire::PingAck& p, net::Endpoint from) {
+void ReplicaServer::handle(const wire::PingAck& p, net::Endpoint from) {
   auto it = peer_state_.find(from.node);
   if (it != peer_state_.end() && it->second.detector) it->second.detector->on_ping_ack(p.seq);
 }
 
-void ReplicaServer::handle_state_transfer(const wire::StateTransfer& st, net::Endpoint from) {
+void ReplicaServer::handle(const wire::StateTransfer& st, net::Endpoint from) {
   telemetry::Hub& hub = sim_.telemetry();
   if (role_ != Role::kBackup) {
     // Role guard: a primary never takes state from another primary.
@@ -1425,7 +1379,7 @@ void ReplicaServer::handle_state_transfer(const wire::StateTransfer& st, net::En
   maybe_checkpoint();
 }
 
-void ReplicaServer::handle_state_transfer_ack(const wire::StateTransferAck& ack,
+void ReplicaServer::handle(const wire::StateTransferAck& ack,
                                               net::Endpoint from) {
   if (role_ != Role::kPrimary) return;
   auto it = pending_transfers_.find(ack.transfer_id);
@@ -1446,7 +1400,7 @@ void ReplicaServer::handle_state_transfer_ack(const wire::StateTransferAck& ack,
   }
 }
 
-void ReplicaServer::handle_constraint_downgrade(const wire::ConstraintDowngrade& d,
+void ReplicaServer::handle(const wire::ConstraintDowngrade& d,
                                                 net::Endpoint from) {
   (void)from;
   telemetry::Hub& hub = sim_.telemetry();
@@ -1485,7 +1439,7 @@ void ReplicaServer::handle_constraint_downgrade(const wire::ConstraintDowngrade&
   }
 }
 
-void ReplicaServer::handle_constraint_restore(const wire::ConstraintRestore& rs,
+void ReplicaServer::handle(const wire::ConstraintRestore& rs,
                                               net::Endpoint from) {
   (void)from;
   telemetry::Hub& hub = sim_.telemetry();
@@ -1519,42 +1473,13 @@ void ReplicaServer::handle_constraint_restore(const wire::ConstraintRestore& rs,
 }
 
 // ---------------------------------------------------------------------------
-// Cross-shard frontier exchange (sharded scale-out).
+// Cross-group frontier (parallel scale-out).
 // ---------------------------------------------------------------------------
 
-void ReplicaServer::add_frontier_peer(net::Endpoint peer) {
-  if (std::find(frontier_peers_.begin(), frontier_peers_.end(), peer) == frontier_peers_.end()) {
-    frontier_peers_.push_back(peer);
-  }
-}
-
-void ReplicaServer::announce_frontier(std::uint32_t shard, TimePoint stable_ts) {
-  if (crashed_ || frontier_peers_.empty()) return;
-  wire::Frontier f;
-  f.shard = shard;
-  f.stable_ts = stable_ts;
-  f.epoch = epoch_;
-  // Encode once; each peer's copy shares the body buffer.
-  xkernel::Message frame{wire::encode(f)};
-  for (const net::Endpoint& peer : frontier_peers_) send_to(peer, frame);
-  ++frontier_frames_sent_;
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    hub.registry().counter("core.shard.frontier_sent").add();
-  }
-}
-
-void ReplicaServer::ingest_frontier(const wire::Frontier& f) {
+void ReplicaServer::ingest_frontier(const FrontierRecord& f) {
   if (crashed_) return;
-  handle_frontier(f, endpoint());
-}
-
-void ReplicaServer::handle_frontier(const wire::Frontier& f, net::Endpoint from) {
-  (void)from;
-  ++frontier_frames_received_;
-  // Monotone merge: a frontier only ever advances, so duplicated, delayed
-  // or reordered frames (and frames from a deposed peer primary) can never
-  // drag the view backwards.
+  // Monotone merge: a frontier only ever advances, so a repeated or stale
+  // record can never drag the view backwards.
   TimePoint& have = peer_frontiers_[f.shard];
   have = std::max(have, f.stable_ts);
   telemetry::Hub& hub = sim_.telemetry();
@@ -1799,7 +1724,7 @@ void ReplicaServer::request_resync() {
   });
 }
 
-void ReplicaServer::handle_resync_request(const wire::ResyncRequest& rq, net::Endpoint from) {
+void ReplicaServer::handle(const wire::ResyncRequest& rq, net::Endpoint from) {
   telemetry::Hub& hub = sim_.telemetry();
   if (role_ != Role::kPrimary) {
     ++role_rejections_;
@@ -1866,14 +1791,14 @@ void ReplicaServer::handle_resync_request(const wire::ResyncRequest& rq, net::En
   arm_transfer_retry();
 }
 
-void ReplicaServer::handle_state_delta(wire::StateDelta& sd, net::Endpoint from) {
+void ReplicaServer::handle(wire::StateDelta& sd, net::Endpoint from) {
   telemetry::Hub& hub = sim_.telemetry();
   if (role_ != Role::kBackup) {
     ++role_rejections_;
     if (hub.enabled()) hub.registry().counter("core.role_rejected").add();
     return;
   }
-  // Identical discipline to handle_state_transfer: re-peer on an unknown
+  // Identical discipline to the kStateTransfer handler: re-peer on an unknown
   // sender, share the per-sender transfer-id reorder guard (deltas and
   // full transfers are totally ordered against each other), version-gate
   // every apply, always ack.

@@ -56,6 +56,14 @@ enum class Role { kPrimary, kBackup };
   return r == Role::kPrimary ? "primary" : "backup";
 }
 
+/// One group's stable-timestamp frontier: the minimum origin timestamp its
+/// successor backup has applied over the group's objects.  A cross-group
+/// constraint δ_ij holds at t when t − F ≤ δ_ij on both home groups.
+struct FrontierRecord {
+  std::uint32_t shard = 0;
+  TimePoint stable_ts{};
+};
+
 class ReplicaServer {
  public:
   struct Hooks {
@@ -111,31 +119,17 @@ class ReplicaServer {
   }
   void clear_object_loss_probability(ObjectId id) { object_loss_override_.erase(id); }
 
-  // ---- cross-shard frontier exchange (sharded scale-out) ----
-  /// Register a peer SHARD primary (a different primary-backup group) to
-  /// receive this group's stable-timestamp frontiers.  Distinct from
-  /// add_peer(): frontier peers get no updates, heartbeats or transfers.
-  void add_frontier_peer(net::Endpoint peer);
-  /// Broadcast `shard`'s stable-timestamp frontier to every frontier peer.
-  /// Explicitly driven (no internal timer) so single-group deployments
-  /// that never call it keep byte-identical traffic.
-  void announce_frontier(std::uint32_t shard, TimePoint stable_ts);
-  /// Parallel scale-out: apply a cross-group frontier record delivered
-  /// out-of-band by the parallel driver's window-barrier exchange (no
-  /// simulated frame — peer groups live in DIFFERENT simulators, so the
-  /// record cannot travel through this group's network).  Identical
-  /// monotone merge to a received kFrontier frame, and counted in
-  /// frontier_frames_received().  Dropped while crashed, like any frame.
-  void ingest_frontier(const wire::Frontier& f);
-  /// Latest frontier received for `shard` (monotone merge of kFrontier
-  /// frames); TimePoint::zero() if none seen.
+  // ---- cross-group frontier (parallel scale-out) ----
+  /// Apply a peer group's stable-timestamp frontier, delivered out-of-band
+  /// by the parallel driver's window-barrier exchange (peer groups live in
+  /// DIFFERENT simulators, so the record never crosses this group's
+  /// network).  Merged monotonically, so a stale or repeated record is
+  /// harmless.  Dropped while crashed, like any frame.
+  void ingest_frontier(const FrontierRecord& f);
+  /// Latest frontier ingested for `shard`; TimePoint::zero() if none.
   [[nodiscard]] TimePoint peer_frontier(std::uint32_t shard) const;
   [[nodiscard]] const std::map<std::uint32_t, TimePoint>& peer_frontiers() const {
     return peer_frontiers_;
-  }
-  [[nodiscard]] std::uint64_t frontier_frames_sent() const { return frontier_frames_sent_; }
-  [[nodiscard]] std::uint64_t frontier_frames_received() const {
-    return frontier_frames_received_;
   }
 
   /// Primary: the backup(s) updates replicate to.  The first entry is the
@@ -315,22 +309,24 @@ class ReplicaServer {
   };
 
   void handle_message(xkernel::Message& msg, const xkernel::MsgAttrs& attrs);
-  void handle_update(const wire::Update& u, net::Endpoint from);
-  /// Applies the coalesced entries strictly in order.  Non-const: entry
-  /// values are moved out rather than copied.
-  void handle_update_batch(wire::UpdateBatch& b, net::Endpoint from);
-  void handle_update_ack(const wire::UpdateAck& a, net::Endpoint from);
-  void handle_retransmit_request(const wire::RetransmitRequest& r, net::Endpoint from);
-  void handle_ping(const wire::Ping& p, net::Endpoint from);
-  void handle_ping_ack(const wire::PingAck& p, net::Endpoint from);
-  void handle_state_transfer(const wire::StateTransfer& st, net::Endpoint from);
-  void handle_state_transfer_ack(const wire::StateTransferAck& ack, net::Endpoint from);
-  void handle_resync_request(const wire::ResyncRequest& rq, net::Endpoint from);
-  /// Non-const: entry values are moved into the store rather than copied.
-  void handle_state_delta(wire::StateDelta& sd, net::Endpoint from);
-  void handle_constraint_downgrade(const wire::ConstraintDowngrade& d, net::Endpoint from);
-  void handle_constraint_restore(const wire::ConstraintRestore& rs, net::Endpoint from);
-  void handle_frontier(const wire::Frontier& f, net::Endpoint from);
+  /// One handler per decoded message type (handle_message visits the
+  /// decoded variant).  The non-const overloads move entry values out
+  /// rather than copying them; batch entries are applied strictly in order.
+  void handle(const wire::Update& u, net::Endpoint from);
+  void handle(wire::UpdateBatch& b, net::Endpoint from);
+  void handle(const wire::UpdateAck& a, net::Endpoint from);
+  void handle(const wire::RetransmitRequest& r, net::Endpoint from);
+  void handle(const wire::Ping& p, net::Endpoint from);
+  void handle(const wire::PingAck& p, net::Endpoint from);
+  void handle(const wire::StateTransfer& st, net::Endpoint from);
+  void handle(const wire::StateTransferAck& ack, net::Endpoint from);
+  void handle(const wire::ResyncRequest& rq, net::Endpoint from);
+  void handle(wire::StateDelta& sd, net::Endpoint from);
+  void handle(const wire::ConstraintDowngrade& d, net::Endpoint from);
+  void handle(const wire::ConstraintRestore& rs, net::Endpoint from);
+  /// Active-replication traffic never targets an RTPB replica: dropped.
+  void handle(const wire::ActivePrepare& p, net::Endpoint from);
+  void handle(const wire::ActiveAck& a, net::Endpoint from);
 
   void send_to(net::Endpoint to, Bytes payload);
   /// Fan-out building block: the message is taken by value, so sending one
@@ -430,9 +426,7 @@ class ReplicaServer {
 
   std::vector<net::Endpoint> peers_;  ///< replication order; [0] = successor
   std::map<net::NodeId, PeerState> peer_state_;
-  /// Peer SHARD primaries subscribed to this group's frontiers, and the
-  /// monotone-merged frontiers received from them (keyed by shard index).
-  std::vector<net::Endpoint> frontier_peers_;
+  /// Monotone-merged frontiers ingested from peer groups, by shard index.
   std::map<std::uint32_t, TimePoint> peer_frontiers_;
   /// Per-object §5 loss-injection overrides (shard-targeted chaos verbs).
   std::map<ObjectId, double> object_loss_override_;
@@ -527,8 +521,6 @@ class ReplicaServer {
   std::uint64_t acks_sent_ = 0;
   std::uint64_t epoch_rejections_ = 0;
   std::uint64_t role_rejections_ = 0;
-  std::uint64_t frontier_frames_sent_ = 0;
-  std::uint64_t frontier_frames_received_ = 0;
   std::uint64_t cross_epoch_applies_ = 0;
   std::uint64_t step_downs_ = 0;
   std::uint64_t recovery_lost_updates_ = 0;

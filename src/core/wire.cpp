@@ -1,5 +1,7 @@
 #include "core/wire.hpp"
 
+#include <type_traits>
+
 namespace rtpb::core::wire {
 
 const char* msg_type_name(MsgType t) {
@@ -16,7 +18,6 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kUpdateBatch: return "UPDATE_BATCH";
     case MsgType::kConstraintDowngrade: return "CONSTRAINT_DOWNGRADE";
     case MsgType::kConstraintRestore: return "CONSTRAINT_RESTORE";
-    case MsgType::kFrontier: return "FRONTIER";
     case MsgType::kResyncRequest: return "RESYNC_REQUEST";
     case MsgType::kStateDelta: return "STATE_DELTA";
   }
@@ -66,6 +67,81 @@ ObjectSpec decode_spec(ByteReader& r) {
   return s;
 }
 
+// kStateTransfer and kStateDelta share one layout and differ only in tag.
+
+template <class M>
+std::size_t transfer_size(const M& m) {
+  std::size_t total = kTag + kU64 /*transfer id*/ + kU32 /*entry count*/ +
+                      kU32 /*constraint count*/ + kU64 /*epoch*/;
+  for (const auto& e : m.entries) total += encoded_size(e);
+  total += m.constraints.size() * (kU32 + kU32 + kU64);
+  return total;
+}
+
+template <class M>
+Bytes encode_transfer(const M& m) {
+  ByteWriter w(transfer_size(m));
+  w.u8(static_cast<std::uint8_t>(m.kType));
+  w.u64(m.transfer_id);
+  w.u32(static_cast<std::uint32_t>(m.entries.size()));
+  for (const auto& e : m.entries) {
+    encode_spec(w, e.spec);
+    w.duration(e.update_period);
+    w.u64(e.version);
+    w.timepoint(e.timestamp);
+    w.bytes(e.value);
+  }
+  w.u32(static_cast<std::uint32_t>(m.constraints.size()));
+  for (const auto& c : m.constraints) {
+    w.u32(c.first);
+    w.u32(c.second);
+    w.duration(c.delta);
+  }
+  w.u64(m.epoch);
+  return std::move(w).take();
+}
+
+/// Body of a transfer-shaped frame (the tag already consumed); nullopt on
+/// any malformation, including forged entry or constraint counts.
+template <class M>
+std::optional<AnyMessage> decode_transfer(ByteReader& r) {
+  M m;
+  m.transfer_id = r.u64();
+  const std::uint32_t n = r.u32();
+  // Every entry carries at least a minimal spec (52 bytes) plus
+  // period/version/timestamp and an empty value prefix.
+  constexpr std::size_t kMinEntry = (kU32 + kLenPrefix + kU32 + 5 * kU64) + 3 * kU64 +
+                                    kLenPrefix;
+  if (!r.ok() || static_cast<std::size_t>(n) * kMinEntry > r.remaining()) {
+    return std::nullopt;
+  }
+  m.entries.reserve(n);
+  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+    StateEntry e;
+    e.spec = decode_spec(r);
+    e.update_period = r.duration();
+    e.version = r.u64();
+    e.timestamp = r.timepoint();
+    e.value = r.bytes();
+    m.entries.push_back(std::move(e));
+  }
+  const std::uint32_t nc = r.u32();
+  constexpr std::size_t kMinConstraint = kU32 + kU32 + kU64;
+  if (!r.ok() || static_cast<std::size_t>(nc) * kMinConstraint > r.remaining()) {
+    return std::nullopt;
+  }
+  for (std::uint32_t i = 0; i < nc && r.ok(); ++i) {
+    InterObjectConstraint c;
+    c.first = r.u32();
+    c.second = r.u32();
+    c.delta = r.duration();
+    m.constraints.push_back(c);
+  }
+  m.epoch = r.u64();
+  if (!r.ok() || !r.at_end() || m.entries.size() != n) return std::nullopt;
+  return m;
+}
+
 }  // namespace
 
 std::size_t encoded_size(const Update& m) {
@@ -82,21 +158,8 @@ std::size_t encoded_size(const UpdateBatch& m) {
   return total;
 }
 
-std::size_t encoded_size(const StateTransfer& m) {
-  std::size_t total = kTag + kU64 /*transfer id*/ + kU32 /*entry count*/ +
-                      kU32 /*constraint count*/ + kU64 /*epoch*/;
-  for (const auto& e : m.entries) total += encoded_size(e);
-  total += m.constraints.size() * (kU32 + kU32 + kU64);
-  return total;
-}
-
-std::size_t encoded_size(const StateDelta& m) {
-  std::size_t total = kTag + kU64 /*transfer id*/ + kU32 /*entry count*/ +
-                      kU32 /*constraint count*/ + kU64 /*epoch*/;
-  for (const auto& e : m.entries) total += encoded_size(e);
-  total += m.constraints.size() * (kU32 + kU32 + kU64);
-  return total;
-}
+std::size_t encoded_size(const StateTransfer& m) { return transfer_size(m); }
+std::size_t encoded_size(const StateDelta& m) { return transfer_size(m); }
 
 std::size_t encoded_size(const ActivePrepare& m) {
   return kTag + kU64 /*sequence*/ + kU32 /*object*/ + kU64 /*timestamp*/ +
@@ -105,7 +168,7 @@ std::size_t encoded_size(const ActivePrepare& m) {
 
 Bytes encode(const Update& m) {
   ByteWriter w(encoded_size(m));
-  w.u8(static_cast<std::uint8_t>(MsgType::kUpdate));
+  w.u8(static_cast<std::uint8_t>(m.kType));
   w.u32(m.object);
   w.u64(m.version);
   w.timepoint(m.timestamp);
@@ -117,7 +180,7 @@ Bytes encode(const Update& m) {
 
 Bytes encode(const UpdateBatch& m) {
   ByteWriter w(encoded_size(m));
-  w.u8(static_cast<std::uint8_t>(MsgType::kUpdateBatch));
+  w.u8(static_cast<std::uint8_t>(m.kType));
   w.u32(static_cast<std::uint32_t>(m.entries.size()));
   for (const auto& e : m.entries) {
     w.u32(e.object);
@@ -131,7 +194,7 @@ Bytes encode(const UpdateBatch& m) {
 
 Bytes encode(const UpdateAck& m) {
   ByteWriter w(kTag + kU32 + kU64 + kU64);
-  w.u8(static_cast<std::uint8_t>(MsgType::kUpdateAck));
+  w.u8(static_cast<std::uint8_t>(m.kType));
   w.u32(m.object);
   w.u64(m.version);
   w.u64(m.epoch);
@@ -140,7 +203,7 @@ Bytes encode(const UpdateAck& m) {
 
 Bytes encode(const RetransmitRequest& m) {
   ByteWriter w(kTag + kU32 + kU64 + kU64);
-  w.u8(static_cast<std::uint8_t>(MsgType::kRetransmitRequest));
+  w.u8(static_cast<std::uint8_t>(m.kType));
   w.u32(m.object);
   w.u64(m.have_version);
   w.u64(m.epoch);
@@ -149,7 +212,7 @@ Bytes encode(const RetransmitRequest& m) {
 
 Bytes encode(const Ping& m) {
   ByteWriter w(kTag + kU64 + kU64);
-  w.u8(static_cast<std::uint8_t>(MsgType::kPing));
+  w.u8(static_cast<std::uint8_t>(m.kType));
   w.u64(m.seq);
   w.u64(m.epoch);
   return std::move(w).take();
@@ -157,37 +220,17 @@ Bytes encode(const Ping& m) {
 
 Bytes encode(const PingAck& m) {
   ByteWriter w(kTag + kU64 + kU64);
-  w.u8(static_cast<std::uint8_t>(MsgType::kPingAck));
+  w.u8(static_cast<std::uint8_t>(m.kType));
   w.u64(m.seq);
   w.u64(m.epoch);
   return std::move(w).take();
 }
 
-Bytes encode(const StateTransfer& m) {
-  ByteWriter w(encoded_size(m));
-  w.u8(static_cast<std::uint8_t>(MsgType::kStateTransfer));
-  w.u64(m.transfer_id);
-  w.u32(static_cast<std::uint32_t>(m.entries.size()));
-  for (const auto& e : m.entries) {
-    encode_spec(w, e.spec);
-    w.duration(e.update_period);
-    w.u64(e.version);
-    w.timepoint(e.timestamp);
-    w.bytes(e.value);
-  }
-  w.u32(static_cast<std::uint32_t>(m.constraints.size()));
-  for (const auto& c : m.constraints) {
-    w.u32(c.first);
-    w.u32(c.second);
-    w.duration(c.delta);
-  }
-  w.u64(m.epoch);
-  return std::move(w).take();
-}
+Bytes encode(const StateTransfer& m) { return encode_transfer(m); }
 
 Bytes encode(const StateTransferAck& m) {
   ByteWriter w(kTag + kU64 + kU64);
-  w.u8(static_cast<std::uint8_t>(MsgType::kStateTransferAck));
+  w.u8(static_cast<std::uint8_t>(m.kType));
   w.u64(m.transfer_id);
   w.u64(m.epoch);
   return std::move(w).take();
@@ -195,7 +238,7 @@ Bytes encode(const StateTransferAck& m) {
 
 Bytes encode(const ConstraintDowngrade& m) {
   ByteWriter w(kTag + kU32 + 3 * kU64 /*durations*/ + kU64 /*qos_seq*/ + kU64 /*epoch*/);
-  w.u8(static_cast<std::uint8_t>(MsgType::kConstraintDowngrade));
+  w.u8(static_cast<std::uint8_t>(m.kType));
   w.u32(m.object);
   w.duration(m.delta_primary);
   w.duration(m.delta_backup);
@@ -207,7 +250,7 @@ Bytes encode(const ConstraintDowngrade& m) {
 
 Bytes encode(const ConstraintRestore& m) {
   ByteWriter w(kTag + kU32 + 2 * kU64 /*durations*/ + kU64 /*qos_seq*/ + kU64 /*epoch*/);
-  w.u8(static_cast<std::uint8_t>(MsgType::kConstraintRestore));
+  w.u8(static_cast<std::uint8_t>(m.kType));
   w.u32(m.object);
   w.duration(m.delta_backup);
   w.duration(m.update_period);
@@ -216,18 +259,9 @@ Bytes encode(const ConstraintRestore& m) {
   return std::move(w).take();
 }
 
-Bytes encode(const Frontier& m) {
-  ByteWriter w(kTag + kU32 + kU64 /*stable_ts*/ + kU64 /*epoch*/);
-  w.u8(static_cast<std::uint8_t>(MsgType::kFrontier));
-  w.u32(m.shard);
-  w.timepoint(m.stable_ts);
-  w.u64(m.epoch);
-  return std::move(w).take();
-}
-
 Bytes encode(const ResyncRequest& m) {
   ByteWriter w(kTag + kU32 + m.have.size() * (kU32 + kU64 + kU64) + kU64 /*epoch*/);
-  w.u8(static_cast<std::uint8_t>(MsgType::kResyncRequest));
+  w.u8(static_cast<std::uint8_t>(m.kType));
   w.u32(static_cast<std::uint32_t>(m.have.size()));
   for (const auto& e : m.have) {
     w.u32(e.object);
@@ -238,31 +272,11 @@ Bytes encode(const ResyncRequest& m) {
   return std::move(w).take();
 }
 
-Bytes encode(const StateDelta& m) {
-  ByteWriter w(encoded_size(m));
-  w.u8(static_cast<std::uint8_t>(MsgType::kStateDelta));
-  w.u64(m.transfer_id);
-  w.u32(static_cast<std::uint32_t>(m.entries.size()));
-  for (const auto& e : m.entries) {
-    encode_spec(w, e.spec);
-    w.duration(e.update_period);
-    w.u64(e.version);
-    w.timepoint(e.timestamp);
-    w.bytes(e.value);
-  }
-  w.u32(static_cast<std::uint32_t>(m.constraints.size()));
-  for (const auto& c : m.constraints) {
-    w.u32(c.first);
-    w.u32(c.second);
-    w.duration(c.delta);
-  }
-  w.u64(m.epoch);
-  return std::move(w).take();
-}
+Bytes encode(const StateDelta& m) { return encode_transfer(m); }
 
 Bytes encode(const ActivePrepare& m) {
   ByteWriter w(encoded_size(m));
-  w.u8(static_cast<std::uint8_t>(MsgType::kActivePrepare));
+  w.u8(static_cast<std::uint8_t>(m.kType));
   w.u64(m.sequence);
   w.u32(m.object);
   w.timepoint(m.timestamp);
@@ -272,7 +286,7 @@ Bytes encode(const ActivePrepare& m) {
 
 Bytes encode(const ActiveAck& m) {
   ByteWriter w(kTag + kU64);
-  w.u8(static_cast<std::uint8_t>(MsgType::kActiveAck));
+  w.u8(static_cast<std::uint8_t>(m.kType));
   w.u64(m.sequence);
   return std::move(w).take();
 }
@@ -280,10 +294,7 @@ Bytes encode(const ActiveAck& m) {
 std::optional<AnyMessage> decode(std::span<const std::uint8_t> data) {
   if (data.empty()) return std::nullopt;
   ByteReader r(data);
-  AnyMessage out;
-  const auto raw_type = r.u8();
-  out.type = static_cast<MsgType>(raw_type);
-  switch (out.type) {
+  switch (static_cast<MsgType>(r.u8())) {
     case MsgType::kUpdate: {
       Update m;
       m.object = r.u32();
@@ -293,8 +304,7 @@ std::optional<AnyMessage> decode(std::span<const std::uint8_t> data) {
       m.value = r.bytes();
       m.epoch = r.u64();
       if (!r.ok() || !r.at_end()) return std::nullopt;
-      out.update = std::move(m);
-      return out;
+      return m;
     }
     case MsgType::kUpdateBatch: {
       UpdateBatch m;
@@ -319,8 +329,7 @@ std::optional<AnyMessage> decode(std::span<const std::uint8_t> data) {
       // A truncated entry list, an entry count that disagrees with the
       // payload, or trailing bytes all fail here.
       if (!r.ok() || !r.at_end() || m.entries.size() != n) return std::nullopt;
-      out.update_batch = std::move(m);
-      return out;
+      return m;
     }
     case MsgType::kUpdateAck: {
       UpdateAck m;
@@ -328,8 +337,7 @@ std::optional<AnyMessage> decode(std::span<const std::uint8_t> data) {
       m.version = r.u64();
       m.epoch = r.u64();
       if (!r.ok() || !r.at_end()) return std::nullopt;
-      out.update_ack = m;
-      return out;
+      return m;
     }
     case MsgType::kRetransmitRequest: {
       RetransmitRequest m;
@@ -337,58 +345,30 @@ std::optional<AnyMessage> decode(std::span<const std::uint8_t> data) {
       m.have_version = r.u64();
       m.epoch = r.u64();
       if (!r.ok() || !r.at_end()) return std::nullopt;
-      out.retransmit = m;
-      return out;
+      return m;
     }
     case MsgType::kPing: {
       Ping m;
       m.seq = r.u64();
       m.epoch = r.u64();
       if (!r.ok() || !r.at_end()) return std::nullopt;
-      out.ping = m;
-      return out;
+      return m;
     }
     case MsgType::kPingAck: {
       PingAck m;
       m.seq = r.u64();
       m.epoch = r.u64();
       if (!r.ok() || !r.at_end()) return std::nullopt;
-      out.ping_ack = m;
-      return out;
+      return m;
     }
-    case MsgType::kStateTransfer: {
-      StateTransfer m;
-      m.transfer_id = r.u64();
-      const std::uint32_t n = r.u32();
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        StateEntry e;
-        e.spec = decode_spec(r);
-        e.update_period = r.duration();
-        e.version = r.u64();
-        e.timestamp = r.timepoint();
-        e.value = r.bytes();
-        m.entries.push_back(std::move(e));
-      }
-      const std::uint32_t nc = r.u32();
-      for (std::uint32_t i = 0; i < nc && r.ok(); ++i) {
-        InterObjectConstraint c;
-        c.first = r.u32();
-        c.second = r.u32();
-        c.delta = r.duration();
-        m.constraints.push_back(c);
-      }
-      m.epoch = r.u64();
-      if (!r.ok() || !r.at_end()) return std::nullopt;
-      out.state_transfer = std::move(m);
-      return out;
-    }
+    case MsgType::kStateTransfer:
+      return decode_transfer<StateTransfer>(r);
     case MsgType::kStateTransferAck: {
       StateTransferAck m;
       m.transfer_id = r.u64();
       m.epoch = r.u64();
       if (!r.ok() || !r.at_end()) return std::nullopt;
-      out.state_transfer_ack = m;
-      return out;
+      return m;
     }
     case MsgType::kConstraintDowngrade: {
       ConstraintDowngrade m;
@@ -399,8 +379,7 @@ std::optional<AnyMessage> decode(std::span<const std::uint8_t> data) {
       m.qos_seq = r.u64();
       m.epoch = r.u64();
       if (!r.ok() || !r.at_end()) return std::nullopt;
-      out.constraint_downgrade = m;
-      return out;
+      return m;
     }
     case MsgType::kConstraintRestore: {
       ConstraintRestore m;
@@ -410,17 +389,7 @@ std::optional<AnyMessage> decode(std::span<const std::uint8_t> data) {
       m.qos_seq = r.u64();
       m.epoch = r.u64();
       if (!r.ok() || !r.at_end()) return std::nullopt;
-      out.constraint_restore = m;
-      return out;
-    }
-    case MsgType::kFrontier: {
-      Frontier m;
-      m.shard = r.u32();
-      m.stable_ts = r.timepoint();
-      m.epoch = r.u64();
-      if (!r.ok() || !r.at_end()) return std::nullopt;
-      out.frontier = m;
-      return out;
+      return m;
     }
     case MsgType::kResyncRequest: {
       ResyncRequest m;
@@ -441,47 +410,10 @@ std::optional<AnyMessage> decode(std::span<const std::uint8_t> data) {
       }
       m.epoch = r.u64();
       if (!r.ok() || !r.at_end() || m.have.size() != n) return std::nullopt;
-      out.resync_request = std::move(m);
-      return out;
+      return m;
     }
-    case MsgType::kStateDelta: {
-      StateDelta m;
-      m.transfer_id = r.u64();
-      const std::uint32_t n = r.u32();
-      // Every entry carries at least a minimal spec (52 bytes) plus
-      // period/version/timestamp and an empty value prefix.
-      constexpr std::size_t kMinEntry = (kU32 + kLenPrefix + kU32 + 5 * kU64) + 3 * kU64 +
-                                        kLenPrefix;
-      if (!r.ok() || static_cast<std::size_t>(n) * kMinEntry > r.remaining()) {
-        return std::nullopt;
-      }
-      m.entries.reserve(n);
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        StateEntry e;
-        e.spec = decode_spec(r);
-        e.update_period = r.duration();
-        e.version = r.u64();
-        e.timestamp = r.timepoint();
-        e.value = r.bytes();
-        m.entries.push_back(std::move(e));
-      }
-      const std::uint32_t nc = r.u32();
-      constexpr std::size_t kMinConstraint = kU32 + kU32 + kU64;
-      if (!r.ok() || static_cast<std::size_t>(nc) * kMinConstraint > r.remaining()) {
-        return std::nullopt;
-      }
-      for (std::uint32_t i = 0; i < nc && r.ok(); ++i) {
-        InterObjectConstraint c;
-        c.first = r.u32();
-        c.second = r.u32();
-        c.delta = r.duration();
-        m.constraints.push_back(c);
-      }
-      m.epoch = r.u64();
-      if (!r.ok() || !r.at_end() || m.entries.size() != n) return std::nullopt;
-      out.state_delta = std::move(m);
-      return out;
-    }
+    case MsgType::kStateDelta:
+      return decode_transfer<StateDelta>(r);
     case MsgType::kActivePrepare: {
       ActivePrepare m;
       m.sequence = r.u64();
@@ -489,51 +421,33 @@ std::optional<AnyMessage> decode(std::span<const std::uint8_t> data) {
       m.timestamp = r.timepoint();
       m.value = r.bytes();
       if (!r.ok() || !r.at_end()) return std::nullopt;
-      out.active_prepare = std::move(m);
-      return out;
+      return m;
     }
     case MsgType::kActiveAck: {
       ActiveAck m;
       m.sequence = r.u64();
       if (!r.ok() || !r.at_end()) return std::nullopt;
-      out.active_ack = m;
-      return out;
+      return m;
     }
   }
   return std::nullopt;
 }
 
+MsgType type_of(const AnyMessage& m) {
+  return std::visit([](const auto& msg) { return msg.kType; }, m);
+}
+
 std::uint64_t epoch_of(const AnyMessage& m) {
-  // Every per-type optional is checked before the dereference: a
-  // hand-constructed or partially-populated AnyMessage (sabotage and fuzz
-  // tests build these) must yield the epoch-0 bootstrap wildcard, not UB.
-  switch (m.type) {
-    case MsgType::kUpdate: return m.update ? m.update->epoch : 0;
-    case MsgType::kUpdateBatch: return m.update_batch ? m.update_batch->epoch : 0;
-    case MsgType::kUpdateAck: return m.update_ack ? m.update_ack->epoch : 0;
-    case MsgType::kRetransmitRequest: return m.retransmit ? m.retransmit->epoch : 0;
-    case MsgType::kPing: return m.ping ? m.ping->epoch : 0;
-    case MsgType::kPingAck: return m.ping_ack ? m.ping_ack->epoch : 0;
-    case MsgType::kStateTransfer: return m.state_transfer ? m.state_transfer->epoch : 0;
-    case MsgType::kStateTransferAck:
-      return m.state_transfer_ack ? m.state_transfer_ack->epoch : 0;
-    case MsgType::kConstraintDowngrade:
-      return m.constraint_downgrade ? m.constraint_downgrade->epoch : 0;
-    case MsgType::kConstraintRestore:
-      return m.constraint_restore ? m.constraint_restore->epoch : 0;
-    case MsgType::kFrontier:
-      // Cross-GROUP traffic: the carried epoch belongs to another
-      // primary-backup group and must never fence here.
-      return 0;
-    case MsgType::kResyncRequest:
-      // Always the bootstrap wildcard — a rejoiner's recovered epoch may
-      // predate a failover it slept through (see the struct comment).
-      return 0;
-    case MsgType::kStateDelta: return m.state_delta ? m.state_delta->epoch : 0;
-    case MsgType::kActivePrepare:
-    case MsgType::kActiveAck: return 0;
-  }
-  return 0;
+  return std::visit(
+      [](const auto& msg) -> std::uint64_t {
+        using M = std::decay_t<decltype(msg)>;
+        // Always the bootstrap wildcard: a rejoiner's recovered epoch may
+        // predate a failover it slept through (see the struct comment).
+        if constexpr (std::is_same_v<M, ResyncRequest>) return 0;
+        else if constexpr (requires { msg.epoch; }) return msg.epoch;
+        else return 0;  // the active-replication baseline carries none
+      },
+      m);
 }
 
 }  // namespace rtpb::core::wire

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "core/types.hpp"
@@ -31,8 +32,7 @@ enum class MsgType : std::uint8_t {
   // Runtime QoS renegotiation (graceful degradation under overload):
   kConstraintDowngrade = 11,  ///< primary → backups/client: loosened window
   kConstraintRestore = 12,    ///< primary → backups/client: original window back
-  // Sharded scale-out: cross-shard temporal-consistency exchange.
-  kFrontier = 13,             ///< shard primary → peer shard primaries
+  // 13 is retired: it must not decode, and must not be reused.
   // Durable crash recovery: incremental rejoin of a restarted peer.
   kResyncRequest = 14,        ///< rejoining backup → primary: durable version vector
   kStateDelta = 15,           ///< primary → rejoining backup: dirty objects only
@@ -47,8 +47,12 @@ enum class MsgType : std::uint8_t {
 // (bootstrap: a freshly recruited standby that has not yet learned the
 // cluster epoch) and is never fenced.  The field sits last in each struct
 // so aggregate initializers written before epochs existed stay valid.
+//
+// Each message struct names its own tag (kType): encode() writes it and
+// logging reads it, so a decoded message carries no separate type field.
 
 struct Update {
+  static constexpr MsgType kType = MsgType::kUpdate;
   ObjectId object = kInvalidObject;
   std::uint64_t version = 0;      ///< per-object sequence number
   TimePoint timestamp{};          ///< T_i^P: finish time of the client update
@@ -58,12 +62,14 @@ struct Update {
 };
 
 struct UpdateAck {
+  static constexpr MsgType kType = MsgType::kUpdateAck;
   ObjectId object = kInvalidObject;
   std::uint64_t version = 0;
   std::uint64_t epoch = 0;
 };
 
 struct RetransmitRequest {
+  static constexpr MsgType kType = MsgType::kRetransmitRequest;
   ObjectId object = kInvalidObject;
   std::uint64_t have_version = 0;  ///< newest version the backup holds
   std::uint64_t epoch = 0;
@@ -84,16 +90,19 @@ struct UpdateBatchEntry {
 /// event and epoch field are paid once per frame instead of once per
 /// object.  The receiver applies entries strictly in order.
 struct UpdateBatch {
+  static constexpr MsgType kType = MsgType::kUpdateBatch;
   std::vector<UpdateBatchEntry> entries;
   std::uint64_t epoch = 0;
 };
 
 struct Ping {
+  static constexpr MsgType kType = MsgType::kPing;
   std::uint64_t seq = 0;
   std::uint64_t epoch = 0;
 };
 
 struct PingAck {
+  static constexpr MsgType kType = MsgType::kPingAck;
   std::uint64_t seq = 0;
   std::uint64_t epoch = 0;
 };
@@ -110,6 +119,7 @@ struct StateEntry {
 };
 
 struct StateTransfer {
+  static constexpr MsgType kType = MsgType::kStateTransfer;
   std::uint64_t transfer_id = 0;
   std::vector<StateEntry> entries;
   std::vector<InterObjectConstraint> constraints;
@@ -117,6 +127,7 @@ struct StateTransfer {
 };
 
 struct StateTransferAck {
+  static constexpr MsgType kType = MsgType::kStateTransferAck;
   std::uint64_t transfer_id = 0;
   std::uint64_t epoch = 0;
 };
@@ -130,6 +141,7 @@ struct StateTransferAck {
 /// per-object monotone renegotiation counter: downgrades and restores can
 /// reorder on a lossy link, so receivers apply only seq-newer changes.
 struct ConstraintDowngrade {
+  static constexpr MsgType kType = MsgType::kConstraintDowngrade;
   ObjectId object = kInvalidObject;
   Duration delta_primary{};   ///< unchanged δ_iP, echoed for the client
   Duration delta_backup{};    ///< loosened δ_iB
@@ -141,26 +153,12 @@ struct ConstraintDowngrade {
 /// The overload cleared (with hysteresis): the original constraint is
 /// re-admitted and replicas tighten back.
 struct ConstraintRestore {
+  static constexpr MsgType kType = MsgType::kConstraintRestore;
   ObjectId object = kInvalidObject;
   Duration delta_backup{};    ///< original δ_iB, restored
   Duration update_period{};   ///< restored transmission period r_i
   std::uint64_t qos_seq = 0;
   std::uint64_t epoch = 0;
-};
-
-/// Sharded scale-out: one shard's stable-timestamp frontier — the minimum
-/// origin timestamp over the shard's objects as known at its primary.  A
-/// cross-shard constraint δ_ij between shards A and B holds at time t when
-/// t − F_A ≤ δ_ij and t − F_B ≤ δ_ij, so each shard primary only needs the
-/// peer shards' frontiers, not their object tables.  Receivers merge
-/// monotonically (a frontier never moves backwards), which makes stale or
-/// reordered frames harmless — and is why this is the one message type
-/// exempt from epoch fencing: sender and receiver live in DIFFERENT
-/// primary-backup groups whose epochs are unrelated incarnation counters.
-struct Frontier {
-  std::uint32_t shard = 0;
-  TimePoint stable_ts{};
-  std::uint64_t epoch = 0;  ///< sender's group epoch; informational only
 };
 
 /// One (object, version, qos_seq) triple of a rejoining replica's
@@ -181,6 +179,7 @@ struct ResyncEntry {
 /// recovered epoch may predate a failover that happened while it was
 /// down, and a fenced resync request would strand it forever.
 struct ResyncRequest {
+  static constexpr MsgType kType = MsgType::kResyncRequest;
   std::vector<ResyncEntry> have;
   std::uint64_t epoch = 0;
 };
@@ -194,6 +193,7 @@ struct ResyncRequest {
 /// machinery) with kStateTransfer, so the per-sender reorder guard
 /// totally orders deltas and full transfers.
 struct StateDelta {
+  static constexpr MsgType kType = MsgType::kStateDelta;
   std::uint64_t transfer_id = 0;
   std::vector<StateEntry> entries;
   std::vector<InterObjectConstraint> constraints;
@@ -203,6 +203,7 @@ struct StateDelta {
 /// Active baseline: a write stamped with a global sequence number; every
 /// replica applies writes in sequence order.
 struct ActivePrepare {
+  static constexpr MsgType kType = MsgType::kActivePrepare;
   std::uint64_t sequence = 0;
   ObjectId object = kInvalidObject;
   TimePoint timestamp{};
@@ -210,6 +211,7 @@ struct ActivePrepare {
 };
 
 struct ActiveAck {
+  static constexpr MsgType kType = MsgType::kActiveAck;
   std::uint64_t sequence = 0;
 };
 
@@ -226,14 +228,11 @@ struct ActiveAck {
 [[nodiscard]] Bytes encode(const StateTransferAck& m);
 [[nodiscard]] Bytes encode(const ConstraintDowngrade& m);
 [[nodiscard]] Bytes encode(const ConstraintRestore& m);
-[[nodiscard]] Bytes encode(const Frontier& m);
 [[nodiscard]] Bytes encode(const ResyncRequest& m);
 [[nodiscard]] Bytes encode(const StateDelta& m);
 [[nodiscard]] Bytes encode(const ActivePrepare& m);
 [[nodiscard]] Bytes encode(const ActiveAck& m);
 
-/// Decoded message (one alternative set).  decode() returns nullopt on a
-/// malformed buffer — the caller drops it, as UDP consumers must.
 /// Exact on-the-wire size of each message — the ByteWriter reserve used by
 /// the corresponding encode(), asserted by the allocation-counting bench.
 [[nodiscard]] std::size_t encoded_size(const Update& m);
@@ -242,29 +241,22 @@ struct ActiveAck {
 [[nodiscard]] std::size_t encoded_size(const StateDelta& m);
 [[nodiscard]] std::size_t encoded_size(const ActivePrepare& m);
 
-struct AnyMessage {
-  MsgType type{};
-  std::optional<Update> update;
-  std::optional<UpdateBatch> update_batch;
-  std::optional<UpdateAck> update_ack;
-  std::optional<RetransmitRequest> retransmit;
-  std::optional<Ping> ping;
-  std::optional<PingAck> ping_ack;
-  std::optional<StateTransfer> state_transfer;
-  std::optional<StateTransferAck> state_transfer_ack;
-  std::optional<ConstraintDowngrade> constraint_downgrade;
-  std::optional<ConstraintRestore> constraint_restore;
-  std::optional<Frontier> frontier;
-  std::optional<ResyncRequest> resync_request;
-  std::optional<StateDelta> state_delta;
-  std::optional<ActivePrepare> active_prepare;
-  std::optional<ActiveAck> active_ack;
-};
+/// A decoded message: exactly one of the message structs.
+using AnyMessage =
+    std::variant<Update, UpdateBatch, UpdateAck, RetransmitRequest, Ping, PingAck, StateTransfer,
+                 StateTransferAck, ConstraintDowngrade, ConstraintRestore, ResyncRequest,
+                 StateDelta, ActivePrepare, ActiveAck>;
 
+/// Decode one frame.  Returns nullopt on a malformed buffer or an unknown
+/// tag — the caller drops it, as UDP consumers must.
 [[nodiscard]] std::optional<AnyMessage> decode(std::span<const std::uint8_t> data);
 
+/// The tag of the message `m` holds.
+[[nodiscard]] MsgType type_of(const AnyMessage& m);
+
 /// The replication epoch stamped on a decoded message, or 0 for message
-/// types that do not carry one (the active-replication baseline).
+/// types that do not carry one (the active-replication baseline) and for
+/// a ResyncRequest, which always travels as the bootstrap wildcard.
 [[nodiscard]] std::uint64_t epoch_of(const AnyMessage& m);
 
 }  // namespace rtpb::core::wire

@@ -24,7 +24,7 @@ GroupPartition::GroupPartition(std::uint32_t id, core::RtpbService& service,
 
 void GroupPartition::connect(GroupPartition& from, GroupPartition& to) {
   RTPB_EXPECTS(from.id_ != to.id_);
-  auto queue = std::make_unique<SpscQueue<core::wire::Frontier>>(to.queue_capacity_);
+  auto queue = std::make_unique<SpscQueue<core::FrontierRecord>>(to.queue_capacity_);
   from.outbound_.push_back(queue.get());
   to.inbound_.push_back({from.id_, std::move(queue)});
 }
@@ -47,7 +47,7 @@ void GroupPartition::wire_mesh(const std::vector<std::unique_ptr<GroupPartition>
 void GroupPartition::track(core::ObjectId id) {
   tracked_.push_back(id);
   // Frontier starts at the epoch origin: nothing has been made stable
-  // for this object yet (same convention as ShardCluster).
+  // for this object yet.
   frontier_.track(id, TimePoint::zero());
 }
 
@@ -55,7 +55,7 @@ void GroupPartition::begin_window(TimePoint /*start*/) {
   // Drain peers' publishes from the previous window, ascending source id.
   // The driver's barrier ordered those pushes before this drain.
   for (Inbound& in : inbound_) {
-    while (std::optional<core::wire::Frontier> f = in.queue->pop()) {
+    while (std::optional<core::FrontierRecord> f = in.queue->pop()) {
       service_.acting_primary().ingest_frontier(*f);
       ++records_ingested_;
     }
@@ -79,10 +79,8 @@ void GroupPartition::end_window(TimePoint /*horizon*/) {
   // and peers' merge is monotone so a repeat carries no information.
   if (f == TimePoint::max() || f <= last_published_) return;
   last_published_ = f;
-  core::wire::Frontier record;
-  record.shard = id_;
-  record.stable_ts = f;
-  for (SpscQueue<core::wire::Frontier>* q : outbound_) {
+  const core::FrontierRecord record{id_, f};
+  for (SpscQueue<core::FrontierRecord>* q : outbound_) {
     const bool pushed = q->push(record);
     // At most one publish per window per source; queues are sized far
     // above the worst backlog a slow consumer window could leave.
@@ -142,14 +140,20 @@ core::AdmissionResult PartitionedCluster::register_object_in(std::uint32_t group
   core::AdmissionResult r = services_[group]->register_object(spec);
   if (r.ok()) {
     partitions_[group]->track(spec.id);
-    ++registered_;
+    home_[spec.id] = group;
   }
   return r;
 }
 
 core::AdmissionStatus PartitionedCluster::add_constraint(const core::InterObjectConstraint& c) {
-  const std::uint32_t ga = directory_.group_of(c.first);
-  const std::uint32_t gb = directory_.group_of(c.second);
+  const auto ia = home_.find(c.first);
+  const auto ib = home_.find(c.second);
+  if (ia == home_.end() || ib == home_.end()) {
+    return Error<core::AdmissionError>{core::AdmissionError::kUnknownObject,
+                                       "inter-object constraint names unregistered object"};
+  }
+  const std::uint32_t ga = ia->second;
+  const std::uint32_t gb = ib->second;
   if (ga == gb) return services_[ga]->add_constraint(c);
 
   // Cross-group: dry-run both sides before either commits (a committed
@@ -173,13 +177,13 @@ core::AdmissionStatus PartitionedCluster::add_constraint(const core::InterObject
 
 bool PartitionedCluster::cross_constraint_satisfied(const core::InterObjectConstraint& c,
                                                     TimePoint at) const {
-  const std::uint32_t ga = directory_.group_of(c.first);
-  const std::uint32_t gb = directory_.group_of(c.second);
-  const TimePoint fa = partitions_[ga]->frontier_tracker().frontier();
-  const TimePoint fb = partitions_[gb]->frontier_tracker().frontier();
-  // An untracked partition (no objects) imposes nothing.
-  if (fa != TimePoint::max() && at - fa > c.delta) return false;
-  if (fb != TimePoint::max() && at - fb > c.delta) return false;
+  for (const core::ObjectId id : {c.first, c.second}) {
+    const auto it = home_.find(id);
+    if (it == home_.end()) continue;
+    const TimePoint f = partitions_[it->second]->frontier_tracker().frontier();
+    // An untracked partition (no objects) imposes nothing.
+    if (f != TimePoint::max() && at - f > c.delta) return false;
+  }
   return true;
 }
 

@@ -1,24 +1,22 @@
 // Partitioned RTPB cluster: one primary-backup GROUP per partition, each
 // with its OWN simulator, advanced in parallel by the conservative driver.
 //
-// This is the scale-out counterpart of shard::ShardCluster.  There every
-// group shares one simulator and one event queue — correct, but serial by
-// construction.  Here each group is a full core::RtpbService (own
-// Simulator, Network, NameService, Metrics, RNG stream, trace recorder),
-// so the groups are independent event streams that the ParallelDriver can
-// advance on separate threads inside ℓ-wide lookahead windows.
+// This is the repository's one multi-group deployment.  Each group is a
+// full core::RtpbService (own Simulator, Network, NameService, Metrics, RNG
+// stream, trace recorder), so the groups are independent event streams
+// that the ParallelDriver can advance on separate threads inside ℓ-wide
+// lookahead windows; threads=1 is the sequential reference run.
 //
-// Cross-group coupling is exactly what the sharded design already reduced
-// it to: stable-timestamp frontiers.  Because peer groups live in
-// different simulators, frontier records cannot travel through a
-// simulated link; instead each partition publishes its frontier into
-// per-pair SPSC queues at window end and drains its peers' queues —
-// always in ascending source-group order — at the next window begin,
-// feeding ReplicaServer::ingest_frontier.  The driver runs each window as
-// two barrier-separated phases (drain+advance, then publish), so a record
-// published in window k is drained in window k+1 by every peer and
-// crosses in [ℓ, 2ℓ]: the same staleness envelope the link bound ℓ
-// already budgets for in-simulator frontier frames.
+// Cross-group coupling is only the stable-timestamp frontier (see
+// shard/frontier.hpp).  Because peer groups live in different simulators,
+// frontier records cannot travel through a simulated link; instead each
+// partition publishes its frontier into per-pair SPSC queues at window end
+// and drains its peers' queues — always in ascending source-group order —
+// at the next window begin, feeding ReplicaServer::ingest_frontier.  The
+// driver runs each window as two barrier-separated phases (drain+advance,
+// then publish), so a record published in window k is drained in window
+// k+1 by every peer and crosses in [ℓ, 2ℓ]: the staleness envelope the
+// link bound ℓ already budgets for.
 //
 // Determinism: every partition's event stream is a pure function of its
 // (seed, window schedule, ingested frontier sequence), and all three are
@@ -26,12 +24,12 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/service.hpp"
-#include "core/wire.hpp"
 #include "psim/driver.hpp"
 #include "psim/spsc.hpp"
 #include "shard/directory.hpp"
@@ -74,7 +72,7 @@ class GroupPartition final : public PartitionTask {
  private:
   struct Inbound {
     std::uint32_t source = 0;
-    std::unique_ptr<SpscQueue<core::wire::Frontier>> queue;
+    std::unique_ptr<SpscQueue<core::FrontierRecord>> queue;
   };
 
   /// Directed edge: `from`'s worker produces into a queue owned (and
@@ -91,7 +89,7 @@ class GroupPartition final : public PartitionTask {
   TimePoint last_published_{};
 
   std::vector<Inbound> inbound_;                      ///< sorted by source id
-  std::vector<SpscQueue<core::wire::Frontier>*> outbound_;  ///< peers' inbound queues
+  std::vector<SpscQueue<core::FrontierRecord>*> outbound_;  ///< peers' inbound queues
 
   std::uint64_t records_published_ = 0;
   std::uint64_t records_ingested_ = 0;
@@ -136,10 +134,13 @@ class PartitionedCluster {
 
   /// Same-group constraints go to that group's admission; cross-group
   /// constraints decompose into per-side caps (shard/admission.hpp) with
-  /// a dry-run pre-flight on both sides before either commits.  Control
-  /// plane only — never call from inside the parallel region.
+  /// a dry-run pre-flight on both sides before either commits.  Objects
+  /// route to the group they were registered in, wherever that was; an
+  /// unregistered id is kUnknownObject.  Control plane only — never call
+  /// from inside the parallel region.
   core::AdmissionStatus add_constraint(const core::InterObjectConstraint& c);
-  /// Frontier arithmetic over the partitions' local trackers.
+  /// Frontier arithmetic over the home partitions' local trackers.  An
+  /// unregistered object, like an empty partition, constrains nothing.
   [[nodiscard]] bool cross_constraint_satisfied(const core::InterObjectConstraint& c,
                                                 TimePoint at) const;
 
@@ -176,7 +177,8 @@ class PartitionedCluster {
   std::vector<std::unique_ptr<core::RtpbService>> services_;
   std::vector<std::unique_ptr<GroupPartition>> partitions_;
   std::vector<core::InterObjectConstraint> cross_;
-  std::uint64_t registered_ = 0;
+  /// Group each admitted object was placed in (hash home or explicit).
+  std::map<core::ObjectId, std::uint32_t> home_;
   bool started_ = false;
 };
 

@@ -14,7 +14,7 @@
 // capping that object's transmission period at δ_ij — and the runtime
 // check becomes frontier arithmetic (each shard's stable-timestamp
 // frontier must stay within δ_ij of now; see shard/frontier.hpp and the
-// kFrontier wire exchange).  If the second side's cap fails admission the
+// psim::PartitionedCluster frontier exchange).  If the second side's cap fails admission the
 // first side's cap is rolled back, so a rejected constraint leaves no
 // residue.
 #pragma once
@@ -29,9 +29,9 @@ namespace rtpb::shard {
 
 /// The decomposition of a cross-shard constraint δ_ij: one SELF-PAIR
 /// period cap per side (see the header comment for why this is sound).
-/// Every consumer — ShardedAdmission, ShardCluster, the parallel
-/// PartitionedCluster — derives its caps through this one function so the
-/// two halves of a decomposed constraint can never drift apart.
+/// Both consumers — ShardedAdmission and the parallel PartitionedCluster —
+/// derive their caps through this one function so the two halves of a
+/// decomposed constraint can never drift apart.
 struct CrossShardCaps {
   core::InterObjectConstraint first;   ///< cap on c.first's home shard
   core::InterObjectConstraint second;  ///< cap on c.second's home shard

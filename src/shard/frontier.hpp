@@ -6,7 +6,7 @@
 // inter-object constraints δ_ij reduce to frontier arithmetic: at time t
 // the pair (i ∈ A, j ∈ B) satisfies δ_ij whenever t − F_A ≤ δ_ij and
 // t − F_B ≤ δ_ij, so shards exchange one timestamp instead of object
-// tables (wire::Frontier frames).
+// tables (core::FrontierRecord).
 //
 // Amortised O(1) per advance, zero steady-state allocations: values live
 // in a flat slot vector; the cached minimum is only rescanned when the

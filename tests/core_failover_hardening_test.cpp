@@ -48,32 +48,32 @@ TEST(EpochWire, EpochRoundTripsOnEveryMessageType) {
     u.version = 9;
     u.epoch = 41;
     const auto d = wire::decode(wire::encode(u));
-    ASSERT_TRUE(d && d->update);
-    EXPECT_EQ(d->update->epoch, 41u);
+    ASSERT_TRUE(d && std::holds_alternative<wire::Update>(*d));
+    EXPECT_EQ(std::get<wire::Update>(*d).epoch, 41u);
     EXPECT_EQ(wire::epoch_of(*d), 41u);
   }
   {
     const auto d = wire::decode(wire::encode(wire::UpdateAck{3, 9, 42}));
-    ASSERT_TRUE(d && d->update_ack);
-    EXPECT_EQ(d->update_ack->epoch, 42u);
+    ASSERT_TRUE(d && std::holds_alternative<wire::UpdateAck>(*d));
+    EXPECT_EQ(std::get<wire::UpdateAck>(*d).epoch, 42u);
     EXPECT_EQ(wire::epoch_of(*d), 42u);
   }
   {
     const auto d = wire::decode(wire::encode(wire::RetransmitRequest{3, 9, 43}));
-    ASSERT_TRUE(d && d->retransmit);
-    EXPECT_EQ(d->retransmit->epoch, 43u);
+    ASSERT_TRUE(d && std::holds_alternative<wire::RetransmitRequest>(*d));
+    EXPECT_EQ(std::get<wire::RetransmitRequest>(*d).epoch, 43u);
     EXPECT_EQ(wire::epoch_of(*d), 43u);
   }
   {
     const auto d = wire::decode(wire::encode(wire::Ping{7, 44}));
-    ASSERT_TRUE(d && d->ping);
-    EXPECT_EQ(d->ping->epoch, 44u);
+    ASSERT_TRUE(d && std::holds_alternative<wire::Ping>(*d));
+    EXPECT_EQ(std::get<wire::Ping>(*d).epoch, 44u);
     EXPECT_EQ(wire::epoch_of(*d), 44u);
   }
   {
     const auto d = wire::decode(wire::encode(wire::PingAck{7, 45}));
-    ASSERT_TRUE(d && d->ping_ack);
-    EXPECT_EQ(d->ping_ack->epoch, 45u);
+    ASSERT_TRUE(d && std::holds_alternative<wire::PingAck>(*d));
+    EXPECT_EQ(std::get<wire::PingAck>(*d).epoch, 45u);
     EXPECT_EQ(wire::epoch_of(*d), 45u);
   }
   {
@@ -81,14 +81,14 @@ TEST(EpochWire, EpochRoundTripsOnEveryMessageType) {
     st.transfer_id = 11;
     st.epoch = 46;
     const auto d = wire::decode(wire::encode(st));
-    ASSERT_TRUE(d && d->state_transfer);
-    EXPECT_EQ(d->state_transfer->epoch, 46u);
+    ASSERT_TRUE(d && std::holds_alternative<wire::StateTransfer>(*d));
+    EXPECT_EQ(std::get<wire::StateTransfer>(*d).epoch, 46u);
     EXPECT_EQ(wire::epoch_of(*d), 46u);
   }
   {
     const auto d = wire::decode(wire::encode(wire::StateTransferAck{11, 47}));
-    ASSERT_TRUE(d && d->state_transfer_ack);
-    EXPECT_EQ(d->state_transfer_ack->epoch, 47u);
+    ASSERT_TRUE(d && std::holds_alternative<wire::StateTransferAck>(*d));
+    EXPECT_EQ(std::get<wire::StateTransferAck>(*d).epoch, 47u);
     EXPECT_EQ(wire::epoch_of(*d), 47u);
   }
 }
@@ -100,10 +100,10 @@ TEST(EpochWire, ActiveReplicationMessagesCarryNoEpoch) {
   p.sequence = 5;
   p.object = 1;
   const auto d = wire::decode(wire::encode(p));
-  ASSERT_TRUE(d && d->active_prepare);
+  ASSERT_TRUE(d && std::holds_alternative<wire::ActivePrepare>(*d));
   EXPECT_EQ(wire::epoch_of(*d), 0u);
   const auto a = wire::decode(wire::encode(wire::ActiveAck{5}));
-  ASSERT_TRUE(a && a->active_ack);
+  ASSERT_TRUE(a && std::holds_alternative<wire::ActiveAck>(*a));
   EXPECT_EQ(wire::epoch_of(*a), 0u);
 }
 

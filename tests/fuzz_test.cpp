@@ -26,11 +26,13 @@ TEST(WireFuzz, RandomBytesNeverCrashDecoder) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.uniform(0, 255));
     const auto decoded = core::wire::decode(junk);
     if (decoded) {
-      // If it decoded, the tag must be a known one (1..15: kUpdate through
-      // kStateDelta).
-      const auto t = static_cast<std::uint8_t>(decoded->type);
+      // If it decoded, the tag byte must be one of the 14 live tags (1..15
+      // with the retired 13 excluded) and name the decoded message.
+      const std::uint8_t t = junk.front();
       EXPECT_GE(t, 1);
       EXPECT_LE(t, 15);
+      EXPECT_NE(t, 13);
+      EXPECT_EQ(t, static_cast<std::uint8_t>(core::wire::type_of(*decoded)));
     }
   }
 }
@@ -65,7 +67,7 @@ TEST(WireFuzz, SingleByteMutationsEitherFailOrKeepType) {
     // other single-byte flip must still decode as an Update or fail —
     // never crash or misattribute the payload length.
     if (decoded && pos != 0) {
-      EXPECT_EQ(decoded->type, core::wire::MsgType::kUpdate);
+      EXPECT_EQ(core::wire::type_of(*decoded), core::wire::MsgType::kUpdate);
     }
   }
 }
@@ -91,11 +93,11 @@ TEST(WireFuzz, UpdateBatchMutationsNeverCrashOrMisparse) {
       mutated[pos] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
     }
     const auto decoded = core::wire::decode(mutated);
-    if (decoded && decoded->type == core::wire::MsgType::kUpdateBatch) {
+    if (decoded && core::wire::type_of(*decoded) == core::wire::MsgType::kUpdateBatch) {
       // If it still parsed as a batch, the entry list must be internally
       // consistent — the decoder never hands back a half-read frame.
-      ASSERT_TRUE(decoded->update_batch.has_value());
-      EXPECT_LE(decoded->update_batch->entries.size(), mutated.size() / 24 + 1);
+      EXPECT_LE(std::get<core::wire::UpdateBatch>(*decoded).entries.size(),
+                mutated.size() / 24 + 1);
     }
   }
 }
@@ -148,9 +150,8 @@ TEST(WireFuzz, UpdateBatchRoundTripPreservesEveryField) {
   batch.epoch = 0xDEADBEEFULL;
   const auto decoded = core::wire::decode(core::wire::encode(batch));
   ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->type, core::wire::MsgType::kUpdateBatch);
-  ASSERT_TRUE(decoded->update_batch.has_value());
-  const auto& rt = *decoded->update_batch;
+  ASSERT_EQ(core::wire::type_of(*decoded), core::wire::MsgType::kUpdateBatch);
+  const auto& rt = std::get<core::wire::UpdateBatch>(*decoded);
   EXPECT_EQ(rt.epoch, batch.epoch);
   ASSERT_EQ(rt.entries.size(), batch.entries.size());
   for (std::size_t i = 0; i < rt.entries.size(); ++i) {
@@ -171,14 +172,14 @@ TEST(WireFuzz, ConstraintFramesRoundTripPreservesEveryField) {
   down.epoch = 4;
   const auto d = core::wire::decode(core::wire::encode(down));
   ASSERT_TRUE(d.has_value());
-  ASSERT_EQ(d->type, core::wire::MsgType::kConstraintDowngrade);
-  ASSERT_TRUE(d->constraint_downgrade.has_value());
-  EXPECT_EQ(d->constraint_downgrade->object, down.object);
-  EXPECT_EQ(d->constraint_downgrade->delta_primary, down.delta_primary);
-  EXPECT_EQ(d->constraint_downgrade->delta_backup, down.delta_backup);
-  EXPECT_EQ(d->constraint_downgrade->update_period, down.update_period);
-  EXPECT_EQ(d->constraint_downgrade->qos_seq, down.qos_seq);
-  EXPECT_EQ(d->constraint_downgrade->epoch, down.epoch);
+  ASSERT_EQ(core::wire::type_of(*d), core::wire::MsgType::kConstraintDowngrade);
+  const auto& dd = std::get<core::wire::ConstraintDowngrade>(*d);
+  EXPECT_EQ(dd.object, down.object);
+  EXPECT_EQ(dd.delta_primary, down.delta_primary);
+  EXPECT_EQ(dd.delta_backup, down.delta_backup);
+  EXPECT_EQ(dd.update_period, down.update_period);
+  EXPECT_EQ(dd.qos_seq, down.qos_seq);
+  EXPECT_EQ(dd.epoch, down.epoch);
 
   core::wire::ConstraintRestore rest;
   rest.object = 9;
@@ -188,13 +189,13 @@ TEST(WireFuzz, ConstraintFramesRoundTripPreservesEveryField) {
   rest.epoch = 4;
   const auto r = core::wire::decode(core::wire::encode(rest));
   ASSERT_TRUE(r.has_value());
-  ASSERT_EQ(r->type, core::wire::MsgType::kConstraintRestore);
-  ASSERT_TRUE(r->constraint_restore.has_value());
-  EXPECT_EQ(r->constraint_restore->object, rest.object);
-  EXPECT_EQ(r->constraint_restore->delta_backup, rest.delta_backup);
-  EXPECT_EQ(r->constraint_restore->update_period, rest.update_period);
-  EXPECT_EQ(r->constraint_restore->qos_seq, rest.qos_seq);
-  EXPECT_EQ(r->constraint_restore->epoch, rest.epoch);
+  ASSERT_EQ(core::wire::type_of(*r), core::wire::MsgType::kConstraintRestore);
+  const auto& rr = std::get<core::wire::ConstraintRestore>(*r);
+  EXPECT_EQ(rr.object, rest.object);
+  EXPECT_EQ(rr.delta_backup, rest.delta_backup);
+  EXPECT_EQ(rr.update_period, rest.update_period);
+  EXPECT_EQ(rr.qos_seq, rest.qos_seq);
+  EXPECT_EQ(rr.epoch, rest.epoch);
 }
 
 TEST(WireFuzz, ConstraintTruncationsNeverDecode) {
@@ -234,8 +235,9 @@ TEST(WireFuzz, ConstraintMutationsKeepTypeOrFail) {
     const auto decoded = core::wire::decode(mutated);
     if (pos != 0) {
       ASSERT_TRUE(decoded.has_value()) << "pos=" << pos;
-      EXPECT_EQ(decoded->type, use_down ? core::wire::MsgType::kConstraintDowngrade
-                                        : core::wire::MsgType::kConstraintRestore);
+      EXPECT_EQ(core::wire::type_of(*decoded), use_down
+                                                   ? core::wire::MsgType::kConstraintDowngrade
+                                                   : core::wire::MsgType::kConstraintRestore);
     }
   }
 }
@@ -247,9 +249,8 @@ TEST(WireFuzz, ResyncRequestRoundTripPreservesEveryField) {
   }
   const auto decoded = core::wire::decode(core::wire::encode(rq));
   ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->type, core::wire::MsgType::kResyncRequest);
-  ASSERT_TRUE(decoded->resync_request.has_value());
-  const auto& rt = *decoded->resync_request;
+  ASSERT_EQ(core::wire::type_of(*decoded), core::wire::MsgType::kResyncRequest);
+  const auto& rt = std::get<core::wire::ResyncRequest>(*decoded);
   ASSERT_EQ(rt.have.size(), rq.have.size());
   for (std::size_t i = 0; i < rt.have.size(); ++i) {
     EXPECT_EQ(rt.have[i].object, rq.have[i].object);
@@ -318,9 +319,8 @@ TEST(WireFuzz, StateDeltaRoundTripPreservesEveryField) {
   const core::wire::StateDelta sd = sample_delta();
   const auto decoded = core::wire::decode(core::wire::encode(sd));
   ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->type, core::wire::MsgType::kStateDelta);
-  ASSERT_TRUE(decoded->state_delta.has_value());
-  const auto& rt = *decoded->state_delta;
+  ASSERT_EQ(core::wire::type_of(*decoded), core::wire::MsgType::kStateDelta);
+  const auto& rt = std::get<core::wire::StateDelta>(*decoded);
   EXPECT_EQ(rt.transfer_id, sd.transfer_id);
   EXPECT_EQ(rt.epoch, sd.epoch);
   ASSERT_EQ(rt.entries.size(), sd.entries.size());
@@ -359,11 +359,10 @@ TEST(WireFuzz, StateDeltaMutationsNeverCrashOrMisparse) {
       mutated[pos] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
     }
     const auto decoded = core::wire::decode(mutated);
-    if (decoded && decoded->type == core::wire::MsgType::kStateDelta) {
+    if (decoded && core::wire::type_of(*decoded) == core::wire::MsgType::kStateDelta) {
       // If it still parsed as a delta, the entry list must be internally
       // consistent — never a half-read frame.
-      ASSERT_TRUE(decoded->state_delta.has_value());
-      EXPECT_LE(decoded->state_delta->entries.size(), mutated.size());
+      EXPECT_LE(std::get<core::wire::StateDelta>(*decoded).entries.size(), mutated.size());
     }
   }
 }

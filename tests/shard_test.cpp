@@ -1,7 +1,8 @@
 // Sharded scale-out layer: directory placement, frontier tracking,
-// per-shard admission with cross-shard constraint decomposition, the live
-// ShardCluster kFrontier exchange — and the digest-purity regression that
-// pins shards=1 chaos runs to the exact pre-sharding trace digests.
+// per-shard admission with cross-shard constraint decomposition — and the
+// digest-purity regression that pins shards=1 chaos runs to the exact
+// pre-sharding trace digests.  The live multi-group exchange is covered by
+// the PartitionedCluster tests in psim_test.cpp.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,7 +10,6 @@
 
 #include "chaos/harness.hpp"
 #include "shard/admission.hpp"
-#include "shard/cluster.hpp"
 #include "shard/directory.hpp"
 #include "shard/frontier.hpp"
 
@@ -214,106 +214,6 @@ TEST(ShardedAdmission, ExplicitRemoveConstraintRestoresBothSides) {
   EXPECT_TRUE(admission.cross_constraints().empty());
   EXPECT_EQ(admission.update_period(i), millis(39));
   EXPECT_EQ(admission.update_period(j), millis(39));
-}
-
-// ---- live cluster --------------------------------------------------------
-
-ShardClusterParams small_cluster() {
-  ShardClusterParams params;
-  params.seed = 7;
-  params.shard_count = 4;
-  params.group_count = 2;
-  return params;
-}
-
-TEST(ShardCluster, FrontierFramesCrossTheWire) {
-  ShardCluster cluster(small_cluster());
-  cluster.start();
-  std::size_t registered = 0;
-  for (core::ObjectId id = 1; id <= 12 && registered < 8; ++id) {
-    if (cluster.register_object(spec(id)).ok()) ++registered;
-  }
-  ASSERT_GE(registered, 4u);
-  cluster.run_for(millis(500));
-  cluster.exchange_frontiers();
-  cluster.run_for(millis(100));
-
-  std::uint64_t sent = 0;
-  std::uint64_t received = 0;
-  std::size_t remote_observed = 0;
-  for (GroupId g = 0; g < cluster.group_count(); ++g) {
-    sent += cluster.primary(g).frontier_frames_sent();
-    received += cluster.primary(g).frontier_frames_received();
-    for (ShardId s = 0; s < cluster.params().shard_count; ++s) {
-      if (cluster.directory().group_of_shard(s) == g) continue;
-      if (cluster.objects_of_shard(s).empty()) continue;
-      // Learned over the wire, not by local computation.
-      if (cluster.observed_frontier(g, s) > TimePoint::zero()) ++remote_observed;
-    }
-  }
-  EXPECT_GT(sent, 0u);
-  EXPECT_GT(received, 0u);
-  EXPECT_GT(remote_observed, 0u);
-
-  // After half a second of replication every populated shard's stable
-  // frontier has moved off the epoch origin.
-  for (ShardId s = 0; s < cluster.params().shard_count; ++s) {
-    if (cluster.objects_of_shard(s).empty()) continue;
-    EXPECT_GT(cluster.local_frontier(s), TimePoint::zero()) << "shard " << s;
-    EXPECT_LT(cluster.local_frontier(s), cluster.simulator().now()) << "shard " << s;
-  }
-}
-
-TEST(ShardCluster, CrossGroupConstraintChecksBothSidesBeforeCommitting) {
-  ShardCluster cluster(small_cluster());
-  cluster.start();
-  // Find one admitted object in each group.
-  core::ObjectId in_g0 = 0;
-  core::ObjectId in_g1 = 0;
-  for (core::ObjectId id = 1; id <= 32 && (in_g0 == 0 || in_g1 == 0); ++id) {
-    const GroupId g = cluster.directory().group_of(id);
-    if ((g == 0 && in_g0 != 0) || (g == 1 && in_g1 != 0)) continue;
-    if (!cluster.register_object(spec(id)).ok()) continue;
-    (g == 0 ? in_g0 : in_g1) = id;
-  }
-  ASSERT_NE(in_g0, 0u);
-  ASSERT_NE(in_g1, 0u);
-
-  // Rejection before anything commits: the partner is unknown, so neither
-  // group may be left holding a one-sided cap.
-  EXPECT_FALSE(cluster.add_constraint({in_g0, 9999, millis(15)}).ok());
-  EXPECT_TRUE(cluster.primary(0).admission().constraints().empty());
-  EXPECT_TRUE(cluster.cross_constraints().empty());
-
-  ASSERT_TRUE(cluster.add_constraint({in_g0, in_g1, millis(15)}).ok());
-  ASSERT_EQ(cluster.cross_constraints().size(), 1u);
-  EXPECT_LE(cluster.primary(0).admission().update_period(in_g0), millis(15));
-  EXPECT_LE(cluster.primary(1).admission().update_period(in_g1), millis(15));
-
-  // The runtime form of δ_ij: after replication both frontiers are within
-  // a generous delta of now, but not within a one-nanosecond delta.
-  cluster.run_for(millis(500));
-  cluster.exchange_frontiers();
-  const auto& c = cluster.cross_constraints().front();
-  const TimePoint now = cluster.simulator().now();
-  EXPECT_TRUE(cluster.cross_constraint_satisfied({c.first, c.second, seconds(10)}, now));
-  EXPECT_FALSE(cluster.cross_constraint_satisfied({c.first, c.second, nanos(1)}, now));
-}
-
-TEST(ShardCluster, SameGroupConstraintDelegatesToThatGroup) {
-  ShardCluster cluster(small_cluster());
-  cluster.start();
-  std::vector<core::ObjectId> g0_ids;
-  for (core::ObjectId id = 1; id <= 64 && g0_ids.size() < 2; ++id) {
-    if (cluster.directory().group_of(id) != 0) continue;
-    if (cluster.register_object(spec(id)).ok()) g0_ids.push_back(id);
-  }
-  ASSERT_EQ(g0_ids.size(), 2u);
-  ASSERT_TRUE(cluster.add_constraint({g0_ids[0], g0_ids[1], millis(15)}).ok());
-  // A same-group pair is a directly-enforced pair constraint, not a
-  // frontier-checked cross-group one.
-  EXPECT_TRUE(cluster.cross_constraints().empty());
-  EXPECT_EQ(cluster.primary(0).admission().constraints().size(), 1u);
 }
 
 // ---- chaos digest purity -------------------------------------------------

@@ -131,7 +131,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--current") {
       current_path = next();
     } else if (arg == "--max-regression") {
-      max_regression_pct = std::strtod(next(), nullptr);
+      const char* text = next();
+      char* end = nullptr;
+      max_regression_pct = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !std::isfinite(max_regression_pct) ||
+          max_regression_pct < 0.0) {
+        std::fprintf(stderr, "bench_report: --max-regression needs a non-negative number, got '%s'\n",
+                     text);
+        return 2;
+      }
     } else if (arg == "--stable-only") {
       stable_only = true;
     } else {
