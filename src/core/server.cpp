@@ -234,8 +234,7 @@ void ReplicaServer::remove_peer(net::NodeId peer) {
     // §4.4: "If the backup is dead, the primary cancels the ping messages
     // as well as update events for each registered object."  With N peers
     // this applies once the LAST backup is gone.
-    for (auto& [id, task] : update_tasks_) cpu_.remove_task(task.task);
-    update_tasks_.clear();
+    for (auto& [id, rec] : objects_) drop_update_task(rec);
   }
 }
 
@@ -258,9 +257,8 @@ void ReplicaServer::crash() {
   // diffs the recovered image against this snapshot to feed the
   // durable-recovery oracle (recovery_lost_updates() must stay 0).
   if (storage_ != nullptr) {
-    acked_at_crash_.clear();
     store_.for_each(
-        [this](const ObjectState& s) { acked_at_crash_[s.spec.id] = s.version; });
+        [this](const ObjectState& s) { objects_[s.spec.id].version_at_crash = s.version; });
   }
   crashed_ = true;
   cpu_.stop();
@@ -273,8 +271,10 @@ void ReplicaServer::crash() {
   qos_tick_.cancel();
   batch_flush_.cancel();
   staged_updates_.clear();
-  for (auto& [id, w] : watchdogs_) w.timer.cancel();
-  for (auto& [id, a] : ack_state_) a.timeout.cancel();
+  for (auto& [id, rec] : objects_) {
+    rec.watchdog.cancel();
+    rec.ack_timeout.cancel();
+  }
   network_.set_node_up(node(), false);
   flight(sim_, telemetry::FlightKind::kCrash, node(), 0, 0, epoch_);
   // A crash fault is one of the post-mortem triggers: dump the ring so the
@@ -319,7 +319,7 @@ AdmissionResult ReplicaServer::register_object(const ObjectSpec& spec) {
 
   // One periodic update-transmission task per admitted object (§4.3).
   sync_update_tasks();
-  replicate_registration(spec.id);
+  if (!peers_.empty()) begin_transfer({spec.id}, peers_, /*delta=*/false);
   RTPB_INFO("rtpb", "admitted object %u (r=%s)", spec.id,
             admission_->update_period(spec.id).to_string().c_str());
   return result;
@@ -335,18 +335,7 @@ AdmissionStatus ReplicaServer::add_constraint(const InterObjectConstraint& c) {
 
     // Replicate the constraint table to the backups (acked + retried like
     // a registration, with no object entries).
-    if (!peers_.empty()) {
-      const std::uint64_t tid = mint_transfer_id();
-      PendingTransfer& pending = pending_transfers_[tid];
-      for (const net::Endpoint& peer : peers_) pending.awaiting.insert(peer.node);
-      wire::StateTransfer st;
-      st.transfer_id = tid;
-      st.constraints = replicated_constraints_;
-      st.epoch = epoch_;
-      xkernel::Message frame{wire::encode(st)};
-      for (const net::Endpoint& peer : peers_) send_to(peer, frame);
-      arm_transfer_retry();
-    }
+    if (!peers_.empty()) begin_transfer({}, peers_, /*delta=*/false);
   }
   return status;
 }
@@ -407,29 +396,31 @@ void ReplicaServer::sync_update_tasks() {
   if (role_ != Role::kPrimary || peers_.empty()) return;
   if (config_.update_scheduling == UpdateScheduling::kCoupled) return;  // per-write sends
   for (const auto& [id, period] : admission_->update_periods()) {
-    auto it = update_tasks_.find(id);
-    if (it != update_tasks_.end() && it->second.period == period) continue;
-    if (it != update_tasks_.end()) cpu_.remove_task(it->second.task);
+    ObjectRecord& rec = objects_[id];
+    if (rec.task != sched::kInvalidTask && rec.task_period == period) continue;
+    drop_update_task(rec);
 
     sched::TaskSpec task;
     task.name = "xmit-" + std::to_string(id);
     task.period = period;
     task.wcet = store_.contains(id) ? store_.get(id).spec.update_exec : millis(1);
     const ObjectId obj = id;
-    const sched::TaskId tid = cpu_.add_task(task, [this, obj](const sched::JobInfo& job) {
+    rec.task = cpu_.add_task(task, [this, obj](const sched::JobInfo& job) {
       send_update(obj, /*retransmission=*/false, &job);
     });
-    update_tasks_[id] = UpdateTaskState{tid, period};
+    rec.task_period = period;
   }
   // Drop tasks for objects no longer admitted.
-  for (auto it = update_tasks_.begin(); it != update_tasks_.end();) {
-    if (!admission_->update_periods().contains(it->first)) {
-      cpu_.remove_task(it->second.task);
-      it = update_tasks_.erase(it);
-    } else {
-      ++it;
-    }
+  for (auto& [id, rec] : objects_) {
+    if (!admission_->update_periods().contains(id)) drop_update_task(rec);
   }
+}
+
+void ReplicaServer::drop_update_task(ObjectRecord& rec) {
+  if (rec.task == sched::kInvalidTask) return;
+  cpu_.remove_task(rec.task);
+  rec.task = sched::kInvalidTask;
+  rec.task_period = {};
 }
 
 void ReplicaServer::send_update(ObjectId id, bool retransmission, const sched::JobInfo* job,
@@ -469,10 +460,7 @@ void ReplicaServer::send_update(ObjectId id, bool retransmission, const sched::J
   // per-object override (shard-targeted chaos verbs) takes precedence;
   // bernoulli(0) draws nothing, so unused overrides leave the rng stream —
   // and with it the trace digest — untouched.
-  const auto loss_it = object_loss_override_.find(id);
-  const double loss_p =
-      loss_it != object_loss_override_.end() ? loss_it->second : config_.update_loss_probability;
-  if (rng_.bernoulli(loss_p)) {
+  if (rng_.bernoulli(record(id).loss_override.value_or(config_.update_loss_probability))) {
     ++updates_loss_injected_;
     if (hub.enabled()) {
       hub.registry().counter("core.primary.loss_injected").add();
@@ -531,7 +519,6 @@ void ReplicaServer::flush_staged_updates() {
   if (batch.entries.empty()) return;
   batch.epoch = epoch_;
   ++update_frames_sent_;
-  updates_batched_ += batch.entries.size();
   telemetry::Hub& hub = sim_.telemetry();
   // The frame carries several updates but a stack event attaches to one
   // span: the first coalesced update stands in for the frame (its span
@@ -603,16 +590,15 @@ void ReplicaServer::shed_staged_updates() {
 }
 
 void ReplicaServer::arm_ack_timeout(ObjectId id, std::uint64_t version) {
-  auto task_it = update_tasks_.find(id);
+  ObjectRecord& rec = objects_[id];
   const Duration period =
-      task_it != update_tasks_.end() ? task_it->second.period : config_.ping_period;
-  AckState& ack = ack_state_[id];
+      rec.task != sched::kInvalidTask ? rec.task_period : config_.ping_period;
   // An armed deadline sticks: re-arming on every periodic send (one per
   // period, deadline two periods out) would postpone it forever and the
   // ack path would never retransmit while the stream flows.  The pending
   // deadline checks the version it was armed with; the next send arms a
   // fresh one, so every version eventually faces its deadline.
-  if (ack.timeout.pending()) return;
+  if (rec.ack_timeout.pending()) return;
   // Fixed mode: the historical period × ack_timeout_periods.  Adaptive
   // mode adds the current RTO on top of one period, so a throttled or
   // latency-inflated link stretches the deadline instead of triggering a
@@ -621,7 +607,7 @@ void ReplicaServer::arm_ack_timeout(ObjectId id, std::uint64_t version) {
   if (config_.adaptive_timeouts && degrade_ && degrade_->rtt().has_sample()) {
     deadline = std::max(deadline, period + degrade_->rtt().rto());
   }
-  ack.timeout = sim_.schedule_after(deadline, [this, id, version] {
+  rec.ack_timeout = sim_.schedule_after(deadline, [this, id, version] {
     // Retransmit only to the peers still behind: one fast backup's ack
     // must not cancel retransmission for a backup that never received the
     // update (the old shared acked_version slot did exactly that).
@@ -652,22 +638,34 @@ Duration ReplicaServer::effective_update_interval(ObjectId id) const {
   return admission_->update_period(id);
 }
 
-void ReplicaServer::replicate_registration(ObjectId id) {
-  if (peers_.empty()) return;
+void ReplicaServer::begin_transfer(std::vector<ObjectId> ids,
+                                   const std::vector<net::Endpoint>& targets, bool delta) {
   const std::uint64_t tid = mint_transfer_id();
   PendingTransfer& pending = pending_transfers_[tid];
-  pending.ids = {id};
-  for (const net::Endpoint& peer : peers_) pending.awaiting.insert(peer.node);
-
-  wire::StateTransfer st;
-  st.transfer_id = tid;
-  st.entries.push_back(state_entry_for(id));
-  st.constraints = replicated_constraints_;
-  st.epoch = epoch_;
-
-  xkernel::Message frame{wire::encode(st)};
-  for (const net::Endpoint& peer : peers_) send_to(peer, frame);
+  pending.ids = std::move(ids);
+  for (const net::Endpoint& peer : targets) pending.awaiting.insert(peer.node);
+  pending.delta = delta;
+  send_transfer(tid, pending);
   arm_transfer_retry();
+}
+
+void ReplicaServer::send_transfer(std::uint64_t transfer_id, const PendingTransfer& pending) {
+  // A retry re-encodes from the live store under the SAME transfer id, so
+  // the receiver's per-sender reorder guard treats it exactly like the
+  // original.
+  std::vector<wire::StateEntry> entries;
+  entries.reserve(pending.ids.size());
+  for (ObjectId id : pending.ids) {
+    if (store_.contains(id)) entries.push_back(state_entry_for(id));
+  }
+  xkernel::Message frame{
+      pending.delta ? wire::encode(wire::StateDelta{transfer_id, std::move(entries),
+                                                    replicated_constraints_, epoch_})
+                    : wire::encode(wire::StateTransfer{transfer_id, std::move(entries),
+                                                       replicated_constraints_, epoch_})};
+  for (const net::Endpoint& peer : peers_) {
+    if (pending.awaiting.contains(peer.node)) send_to(peer, frame);
+  }
 }
 
 Duration ReplicaServer::transfer_retry_delay() {
@@ -705,36 +703,7 @@ void ReplicaServer::retry_pending_registrations() {
       it = pending_transfers_.erase(it);
       continue;
     }
-    if (pending.delta) {
-      // Incremental-rejoin retry: re-encode the dirty set as a kStateDelta
-      // with the SAME transfer id, so the receiver's per-sender reorder
-      // guard treats the retry exactly like the original.
-      wire::StateDelta sd;
-      sd.transfer_id = it->first;
-      for (ObjectId id : pending.ids) {
-        if (store_.contains(id)) sd.entries.push_back(state_entry_for(id));
-      }
-      sd.constraints = replicated_constraints_;
-      sd.epoch = epoch_;
-      xkernel::Message frame{wire::encode(sd)};
-      for (const net::Endpoint& peer : peers_) {
-        if (pending.awaiting.contains(peer.node)) send_to(peer, frame);
-      }
-      ++it;
-      continue;
-    }
-    wire::StateTransfer st;
-    st.transfer_id = it->first;
-    for (ObjectId id : pending.ids) {
-      if (store_.contains(id)) st.entries.push_back(state_entry_for(id));
-    }
-    st.constraints = replicated_constraints_;
-    st.epoch = epoch_;
-    xkernel::Message frame{wire::encode(st)};
-    // Only peers that have not acknowledged yet need the retry.
-    for (const net::Endpoint& peer : peers_) {
-      if (pending.awaiting.contains(peer.node)) send_to(peer, frame);
-    }
+    send_transfer(it->first, pending);
     ++it;
   }
   if (pending_transfers_.empty()) {
@@ -780,8 +749,6 @@ void ReplicaServer::promote() {
          "promote");
   flight(sim_, telemetry::FlightKind::kEpoch, node(), 0, 0, epoch_);
   clear_peers();  // the old primary is gone
-  for (auto& [id, w] : watchdogs_) w.timer.cancel();
-  watchdogs_.clear();
 
   // Rewrite the name file to point clients at us (§4.4).
   names_.publish(service_name_, endpoint());
@@ -810,11 +777,14 @@ void ReplicaServer::promote() {
   // the loosened constraint survives the failover.  The original specs
   // were only known to the dead primary — the downgraded QoS becomes the
   // admitted one here.  Seed our seq counter above every seq we applied
-  // so our own future notices are never discarded as stale.
-  for (const auto& [id, seq] : qos_applied_seq_) {
-    next_qos_seq_ = std::max(next_qos_seq_, seq + 1);
+  // so our own future notices are never discarded as stale.  The backup
+  // watchdogs stop here.
+  for (auto& [id, rec] : objects_) {
+    next_qos_seq_ = std::max(next_qos_seq_, rec.qos_applied_seq + 1);
+    rec.watchdog.cancel();
+    rec.watchdog_period = {};
+    rec.downgrade.reset();
   }
-  downgrades_.clear();
   arm_qos_tick();
 
   RTPB_INFO("rtpb", "backup promoted to primary at %s (epoch %llu)",
@@ -849,13 +819,13 @@ void ReplicaServer::step_down(std::uint64_t new_epoch) {
   // as an ORPHANED backup: its store may hold a divergent suffix the new
   // primary never saw, so it must not rejoin the chain until a state
   // transfer from the new primary re-peers it.
-  for (auto& [id, task] : update_tasks_) cpu_.remove_task(task.task);
-  update_tasks_.clear();
-  for (auto& [id, a] : ack_state_) a.timeout.cancel();
-  ack_state_.clear();
+  for (auto& [id, rec] : objects_) {
+    drop_update_task(rec);
+    rec.ack_timeout.cancel();
+    rec.downgrade.reset();
+  }
   transfer_retry_.cancel();
   qos_tick_.cancel();
-  downgrades_.clear();
   batch_flush_.cancel();
   staged_updates_.clear();
   pending_transfers_.clear();
@@ -893,7 +863,7 @@ void ReplicaServer::qos_tick() {
     // any conditions — is about to violate.  Renegotiate BEFORE that
     // happens so the violation-to-be is inside an announced window.
     for (const ObjectId id : store_.ids()) {
-      if (downgrades_.contains(id)) continue;
+      if (qos_downgrade_active(id)) continue;
       const ObjectSpec& spec = store_.get(id).spec;
       const Duration window = spec.window();
       if (window <= Duration::zero()) continue;
@@ -914,22 +884,21 @@ void ReplicaServer::qos_tick() {
   // period so restore can never flap within one detector cycle) AND the
   // backup has genuinely caught back up into the original window.
   const Duration hold = std::max(config_.degrade_restore_hold, config_.ping_period);
-  for (auto it = downgrades_.begin(); it != downgrades_.end();) {
-    const ObjectId id = it->first;
-    const QosState& qos = it->second;
+  std::size_t active = 0;
+  for (auto& [id, rec] : objects_) {
+    if (!rec.downgrade) continue;
+    const QosState& qos = *rec.downgrade;
     const bool calm = !degrade_->overloaded(now) && degrade_->calm_for(now) >= hold;
     const bool aged = now - qos.since >= hold;
     const bool caught_up =
         store_.contains(id) &&
         metrics_.current_distance(id) + qos.original.client_period < qos.original.window();
-    ++it;  // restore_object erases the entry
-    if (calm && aged && caught_up) restore_object(id);
+    if (!(calm && aged && caught_up) || !restore_object(id)) ++active;
   }
 
   telemetry::Hub& hub = sim_.telemetry();
   if (hub.enabled()) {
-    hub.registry().gauge("core.degrade.active_downgrades")
-        .set(static_cast<double>(downgrades_.size()));
+    hub.registry().gauge("core.degrade.active_downgrades").set(static_cast<double>(active));
     hub.registry().gauge("core.degrade.overloaded")
         .set(degrade_->overloaded(now) ? 1.0 : 0.0);
   }
@@ -938,9 +907,8 @@ void ReplicaServer::qos_tick() {
 
 bool ReplicaServer::downgrade_object(ObjectId id) {
   RTPB_EXPECTS(role_ == Role::kPrimary);
-  if (!store_.contains(id) || downgrades_.contains(id) || !admission_) return false;
+  if (!store_.contains(id) || qos_downgrade_active(id) || !admission_) return false;
   const ObjectSpec original = store_.get(id).spec;
-  const Duration original_period = admission_->update_period(id);
 
   // Loosen δ_iB by degrade_window_factor windows, then run the result
   // through admission (falling back to its §4.2 suggestion machinery if
@@ -968,14 +936,11 @@ bool ReplicaServer::downgrade_object(ObjectId id) {
   metrics_.track_object(id, loosened.window(), loosened.client_period);
   sync_update_tasks();
 
-  QosState qos;
-  qos.original = original;
-  qos.original_period = original_period;
-  qos.qos_seq = next_qos_seq_++;
-  qos.since = sim_.now();
-  downgrades_[id] = qos;
-  qos_applied_seq_[id] = qos.qos_seq;
-  qos_notice_at_[id] = sim_.now();
+  ObjectRecord& rec = objects_[id];
+  const std::uint64_t seq = next_qos_seq_++;
+  rec.downgrade = QosState{original, seq, sim_.now()};
+  rec.qos_applied_seq = seq;
+  rec.qos_notice_at = sim_.now();
   ++downgrades_sent_;
 
   wire::ConstraintDowngrade d;
@@ -983,7 +948,7 @@ bool ReplicaServer::downgrade_object(ObjectId id) {
   d.delta_primary = loosened.delta_primary;
   d.delta_backup = loosened.delta_backup;
   d.update_period = admission_->update_period(id);
-  d.qos_seq = qos.qos_seq;
+  d.qos_seq = seq;
   d.epoch = epoch_;
   xkernel::Message frame{wire::encode(d)};
   for (const net::Endpoint& peer : peers_) send_to(peer, frame);
@@ -1001,15 +966,14 @@ bool ReplicaServer::downgrade_object(ObjectId id) {
   }
   flight(sim_, telemetry::FlightKind::kQosDowngrade, node(), id, 0, epoch_, 0,
          loosened.window().nanos() / 1'000'000);
-  if (hooks_.on_qos_changed) hooks_.on_qos_changed(id, loosened);
   return true;
 }
 
 bool ReplicaServer::restore_object(ObjectId id) {
   RTPB_EXPECTS(role_ == Role::kPrimary);
-  auto it = downgrades_.find(id);
-  if (it == downgrades_.end() || !store_.contains(id) || !admission_) return false;
-  const ObjectSpec original = it->second.original;
+  if (!qos_downgrade_active(id) || !store_.contains(id) || !admission_) return false;
+  ObjectRecord& rec = objects_[id];
+  const ObjectSpec original = rec.downgrade->original;
 
   admission_->remove(id);
   const AdmissionResult result = admission_->admit(original);
@@ -1027,9 +991,9 @@ bool ReplicaServer::restore_object(ObjectId id) {
   sync_update_tasks();
 
   const std::uint64_t seq = next_qos_seq_++;
-  downgrades_.erase(it);
-  qos_applied_seq_[id] = seq;
-  qos_notice_at_[id] = sim_.now();
+  rec.downgrade.reset();
+  rec.qos_applied_seq = seq;
+  rec.qos_notice_at = sim_.now();
   ++restores_sent_;
 
   wire::ConstraintRestore rs;
@@ -1052,13 +1016,21 @@ bool ReplicaServer::restore_object(ObjectId id) {
   }
   flight(sim_, telemetry::FlightKind::kQosRestore, node(), id, 0, epoch_, 0,
          original.window().nanos() / 1'000'000);
-  if (hooks_.on_qos_changed) hooks_.on_qos_changed(id, original);
   return true;
 }
 
+const ReplicaServer::ObjectRecord& ReplicaServer::record(ObjectId id) const {
+  static const ObjectRecord kNone;
+  const auto it = objects_.find(id);
+  return it != objects_.end() ? it->second : kNone;
+}
+
+bool ReplicaServer::qos_downgrade_active(ObjectId id) const {
+  return record(id).downgrade.has_value();
+}
+
 TimePoint ReplicaServer::qos_last_notice_at(ObjectId id) const {
-  auto it = qos_notice_at_.find(id);
-  return it != qos_notice_at_.end() ? it->second : TimePoint::zero();
+  return record(id).qos_notice_at;
 }
 
 void ReplicaServer::recruit_backup(net::Endpoint new_backup) {
@@ -1068,19 +1040,7 @@ void ReplicaServer::recruit_backup(net::Endpoint new_backup) {
     add_peer(new_backup);
   }
 
-  const std::uint64_t tid = mint_transfer_id();
-  std::vector<ObjectId> ids = store_.ids();
-  PendingTransfer& pending = pending_transfers_[tid];
-  pending.ids = ids;
-  pending.awaiting.insert(new_backup.node);
-
-  wire::StateTransfer st;
-  st.transfer_id = tid;
-  for (ObjectId id : ids) st.entries.push_back(state_entry_for(id));
-  st.constraints = replicated_constraints_;
-  st.epoch = epoch_;
-  send_to(new_backup, wire::encode(st));
-  arm_transfer_retry();
+  begin_transfer(store_.ids(), {new_backup}, /*delta=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -1306,7 +1266,18 @@ void ReplicaServer::handle(const wire::PingAck& p, net::Endpoint from) {
   if (it != peer_state_.end() && it->second.detector) it->second.detector->on_ping_ack(p.seq);
 }
 
-void ReplicaServer::handle(const wire::StateTransfer& st, net::Endpoint from) {
+void ReplicaServer::handle(wire::StateTransfer& st, net::Endpoint from) {
+  apply_transfer(st.transfer_id, st.entries, st.constraints, st.epoch, /*delta=*/false, from);
+}
+
+void ReplicaServer::handle(wire::StateDelta& sd, net::Endpoint from) {
+  apply_transfer(sd.transfer_id, sd.entries, sd.constraints, sd.epoch, /*delta=*/true, from);
+}
+
+void ReplicaServer::apply_transfer(std::uint64_t transfer_id,
+                                   std::vector<wire::StateEntry>& entries,
+                                   std::vector<InterObjectConstraint>& constraints,
+                                   std::uint64_t epoch, bool delta, net::Endpoint from) {
   telemetry::Hub& hub = sim_.telemetry();
   if (role_ != Role::kBackup) {
     // Role guard: a primary never takes state from another primary.
@@ -1322,60 +1293,62 @@ void ReplicaServer::handle(const wire::StateTransfer& st, net::Endpoint from) {
                    [&](const net::Endpoint& e) { return e.node == from.node; }) != peers_.end();
   if (!known_peer) follow_new_primary(from);
 
-  // Reorder guard: per-sender transfer ids are monotone.  Object entries
+  // Reorder guard: per-sender transfer ids are monotone, and deltas and
+  // full transfers are totally ordered against each other.  Object entries
   // are safe to apply idempotently from ANY transfer (versions gate the
-  // store), but the constraint table and watchdog expectations are
-  // last-writer-wins snapshots — a delayed retry of an older transfer
-  // must not clobber the newer state we already hold.
+  // store), but the constraint table, adopted specs and watchdog
+  // expectations are last-writer-wins snapshots — a delayed retry of an
+  // older transfer must not clobber the newer state we already hold.
   std::uint64_t& high_water = transfer_high_water_[from.node];
-  const bool newest = st.transfer_id > high_water;
-  if (newest) high_water = st.transfer_id;
+  const bool newest = transfer_id > high_water;
+  if (newest) high_water = transfer_id;
   if (hub.enabled()) {
-    hub.registry().counter("core.backup.state_transfers").add();
-    if (!newest) hub.registry().counter("core.backup.state_transfers_stale").add();
+    const std::string counter = delta ? "core.backup.state_deltas" : "core.backup.state_transfers";
+    hub.registry().counter(counter).add();
+    if (!newest) hub.registry().counter(counter + "_stale").add();
     hub.record(hub.current_span(), node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-               "state-transfer",
-               std::to_string(st.entries.size()) + " entries" + (newest ? "" : " (stale id)"));
+               delta ? "state-delta" : "state-transfer",
+               std::to_string(entries.size()) + " entries" + (newest ? "" : " (stale id)"));
   }
-  for (const auto& entry : st.entries) {
-    if (!store_.contains(entry.spec.id)) {
+  for (wire::StateEntry& entry : entries) {
+    const ObjectId id = entry.spec.id;
+    if (!store_.contains(id)) {
       if (!durable_log_insert(entry.spec)) return;  // fail-stopped
       store_.insert(entry.spec);
-      metrics_.track_object(entry.spec.id, entry.spec.window(), entry.spec.client_period);
+      metrics_.track_object(id, entry.spec.window(), entry.spec.client_period);
     } else if (newest) {
       // A rejoiner may hold a stale spec (e.g. its recovered image
       // predates a QoS downgrade the sender still runs under): the
       // sender's spec is the admitted one, adopt it like the constraint
-      // table — a last-writer-wins snapshot behind the reorder guard.
-      store_.update_spec(entry.spec.id, entry.spec);
-      metrics_.track_object(entry.spec.id, entry.spec.window(), entry.spec.client_period);
+      // table.
+      store_.update_spec(id, entry.spec);
+      metrics_.track_object(id, entry.spec.window(), entry.spec.client_period);
     }
     if (entry.version > 0) {
-      if (entry.version > store_.get(entry.spec.id).version &&
-          !durable_log_update(entry.spec.id, entry.version, entry.timestamp, entry.value)) {
+      if (entry.version > store_.get(id).version &&
+          !durable_log_update(id, entry.version, entry.timestamp, entry.value)) {
         return;  // fail-stopped: no apply, no ack
       }
-      if (store_.apply(entry.spec.id, entry.version, entry.timestamp, entry.value, sim_.now())) {
-        if (st.epoch != 0 && st.epoch < epoch_) {
+      if (store_.apply(id, entry.version, entry.timestamp, std::move(entry.value), sim_.now())) {
+        if (epoch != 0 && epoch < epoch_) {
           ++cross_epoch_applies_;
           if (hub.enabled()) hub.registry().counter("core.epoch.cross_epoch_applies").add();
         }
-        metrics_.on_backup_apply(entry.spec.id, entry.timestamp, sim_.now());
+        metrics_.on_backup_apply(id, entry.timestamp, sim_.now());
       }
     }
     if (newest) {
-      WatchdogState& w = watchdogs_[entry.spec.id];
-      w.expected_period = entry.update_period;
-      arm_watchdog(entry.spec.id);
+      objects_[id].watchdog_period = entry.update_period;
+      arm_watchdog(id);
     }
   }
-  if (newest) replicated_constraints_ = st.constraints;
-  // A full transfer also satisfies a pending resync (the fallback path).
+  if (newest) replicated_constraints_ = std::move(constraints);
+  // Any transfer satisfies a pending resync (a full one is the fallback).
   resync_pending_ = false;
   resync_retry_.cancel();
   // Always ack — even a stale transfer id — so the sender's retry loop
   // terminates.
-  send_to(from, wire::encode(wire::StateTransferAck{st.transfer_id, epoch_}));
+  send_to(from, wire::encode(wire::StateTransferAck{transfer_id, epoch_}));
   maybe_checkpoint();
 }
 
@@ -1396,7 +1369,6 @@ void ReplicaServer::handle(const wire::StateTransferAck& ack,
     // replication machinery.
     sync_update_tasks();
     start_heartbeat();
-    if (hooks_.on_backup_recruited) hooks_.on_backup_recruited();
   }
 }
 
@@ -1413,9 +1385,9 @@ void ReplicaServer::handle(const wire::ConstraintDowngrade& d,
   // Reorder guard: per-object renegotiation seqs are monotone.  A delayed
   // duplicate of an older downgrade (or a downgrade arriving after the
   // restore that undid it) must not clobber the newer QoS.
-  std::uint64_t& applied = qos_applied_seq_[d.object];
-  if (d.qos_seq <= applied) return;
-  applied = d.qos_seq;
+  ObjectRecord& rec = objects_[d.object];
+  if (d.qos_seq <= rec.qos_applied_seq) return;
+  rec.qos_applied_seq = d.qos_seq;
   next_qos_seq_ = std::max(next_qos_seq_, d.qos_seq + 1);
 
   ObjectSpec spec = store_.get(d.object).spec;
@@ -1423,10 +1395,9 @@ void ReplicaServer::handle(const wire::ConstraintDowngrade& d,
   spec.delta_backup = d.delta_backup;
   store_.update_spec(d.object, spec);
   metrics_.track_object(d.object, spec.window(), spec.client_period);
-  WatchdogState& w = watchdogs_[d.object];
-  w.expected_period = d.update_period;
+  rec.watchdog_period = d.update_period;
   arm_watchdog(d.object);
-  qos_notice_at_[d.object] = sim_.now();
+  rec.qos_notice_at = sim_.now();
   ++downgrades_received_;
   RTPB_INFO("rtpb", "backup@node%u applied QoS downgrade: object %u window %s (seq %llu)", node(),
             d.object, spec.window().to_string().c_str(),
@@ -1449,19 +1420,18 @@ void ReplicaServer::handle(const wire::ConstraintRestore& rs,
     return;
   }
   if (!store_.contains(rs.object)) return;
-  std::uint64_t& applied = qos_applied_seq_[rs.object];
-  if (rs.qos_seq <= applied) return;
-  applied = rs.qos_seq;
+  ObjectRecord& rec = objects_[rs.object];
+  if (rs.qos_seq <= rec.qos_applied_seq) return;
+  rec.qos_applied_seq = rs.qos_seq;
   next_qos_seq_ = std::max(next_qos_seq_, rs.qos_seq + 1);
 
   ObjectSpec spec = store_.get(rs.object).spec;
   spec.delta_backup = rs.delta_backup;
   store_.update_spec(rs.object, spec);
   metrics_.track_object(rs.object, spec.window(), spec.client_period);
-  WatchdogState& w = watchdogs_[rs.object];
-  w.expected_period = rs.update_period;
+  rec.watchdog_period = rs.update_period;
   arm_watchdog(rs.object);
-  qos_notice_at_[rs.object] = sim_.now();
+  rec.qos_notice_at = sim_.now();
   RTPB_INFO("rtpb", "backup@node%u applied QoS restore: object %u window %s (seq %llu)", node(),
             rs.object, spec.window().to_string().c_str(),
             static_cast<unsigned long long>(rs.qos_seq));
@@ -1497,12 +1467,11 @@ TimePoint ReplicaServer::peer_frontier(std::uint32_t shard) const {
 
 void ReplicaServer::arm_watchdog(ObjectId id) {
   if (role_ != Role::kBackup) return;
-  auto it = watchdogs_.find(id);
-  if (it == watchdogs_.end()) return;
-  WatchdogState& w = it->second;
-  if (w.expected_period <= Duration::zero()) return;
-  w.timer.cancel();
-  w.timer = sim_.schedule_after(w.expected_period * config_.watchdog_factor, [this, id] {
+  auto it = objects_.find(id);
+  if (it == objects_.end() || it->second.watchdog_period <= Duration::zero()) return;
+  ObjectRecord& rec = it->second;
+  rec.watchdog.cancel();
+  rec.watchdog = sim_.schedule_after(rec.watchdog_period * config_.watchdog_factor, [this, id] {
     if (crashed_ || role_ != Role::kBackup) return;
     const auto state = store_.find(id);
     if (!state) return;
@@ -1625,33 +1594,36 @@ void ReplicaServer::restart() {
   epoch_ = rec.epoch;
   next_transfer_id_ = rec.next_transfer_id;
 
-  // Durable-recovery oracle: every version the dead incarnation's store
-  // held (= could have acked) must be in the recovered image.  Under
-  // log-before-apply this count stays 0; a torn WAL tail only ever holds
-  // writes that were never applied or acked.
-  for (const auto& [id, acked_version] : acked_at_crash_) {
-    std::uint64_t have = 0;
-    if (const auto s = store_.find(id)) have = s->version;
-    if (have < acked_version) recovery_lost_updates_ += acked_version - have;
-  }
-  acked_at_crash_.clear();
-
   // Shed every trace of the dead incarnation's runtime machinery.  The
   // CPU restart below re-arms all registered tasks, so the old update
-  // tasks must be removed from the scheduler first.
-  for (auto& [id, task] : update_tasks_) cpu_.remove_task(task.task);
-  update_tasks_.clear();
-  ack_state_.clear();
+  // tasks must be removed from the scheduler first; the timers were
+  // cancelled at crash().
+  for (auto& [id, r] : objects_) {
+    drop_update_task(r);
+    r.ack_timeout = {};
+    r.watchdog = {};
+    r.watchdog_period = {};
+    r.downgrade.reset();
+    // QoS renegotiation is not durable: the recovered specs are whatever
+    // the WAL image holds, which predates any notice this incarnation
+    // applied.  Claiming the old seqs in the resync vector would hide a
+    // spec-stale object from the dirty set — report 0 and re-learn.
+    r.qos_applied_seq = 0;
+    // Kept: loss_override is fault-injection state the chaos harness
+    // owns, and qos_notice_at is what the no-silent-violation oracle reads.
+
+    // Durable-recovery oracle: every version the dead incarnation's store
+    // held (= could have acked) must be in the recovered image, and an
+    // object missing from it lost them all.  Under log-before-apply this
+    // count stays 0; a torn WAL tail only ever holds writes that were
+    // never applied or acked.
+    const std::uint64_t have = store_.contains(id) ? store_.get(id).version : 0;
+    if (have < r.version_at_crash) recovery_lost_updates_ += r.version_at_crash - have;
+    r.version_at_crash = 0;
+  }
   staged_updates_.clear();
-  watchdogs_.clear();  // timers were cancelled at crash()
   pending_transfers_.clear();
   transfer_high_water_.clear();
-  downgrades_.clear();
-  // QoS renegotiation is not durable: the recovered specs are whatever
-  // the WAL image holds, which predates any notice this incarnation
-  // applied.  Claiming the old seqs in the resync vector would hide a
-  // spec-stale object from the dirty set — report 0 and re-learn.
-  qos_applied_seq_.clear();
   clear_peers();
 
   // The rejoiner always comes back as an ORPHANED, non-successor backup —
@@ -1704,9 +1676,7 @@ void ReplicaServer::request_resync() {
   }
   wire::ResyncRequest rq;
   store_.for_each([this, &rq](const ObjectState& s) {
-    const auto q = qos_applied_seq_.find(s.spec.id);
-    rq.have.push_back(wire::ResyncEntry{
-        s.spec.id, s.version, q != qos_applied_seq_.end() ? q->second : 0});
+    rq.have.push_back(wire::ResyncEntry{s.spec.id, s.version, record(s.spec.id).qos_applied_seq});
   });
   // Deliberately the epoch-0 bootstrap wildcard (see wire.hpp): the
   // recovered epoch may be stale and a fenced resync would strand us.
@@ -1740,10 +1710,8 @@ void ReplicaServer::handle(const wire::ResyncRequest& rq, net::Endpoint from) {
   std::vector<ObjectId> dirty;
   store_.for_each([&](const ObjectState& s) {
     const auto it = have.find(s.spec.id);
-    const auto q = qos_applied_seq_.find(s.spec.id);
-    const std::uint64_t qos_here = q != qos_applied_seq_.end() ? q->second : 0;
     if (it == have.end() || it->second->version < s.version ||
-        it->second->qos_seq < qos_here) {
+        it->second->qos_seq < record(s.spec.id).qos_applied_seq) {
       dirty.push_back(s.spec.id);
     }
   });
@@ -1763,17 +1731,6 @@ void ReplicaServer::handle(const wire::ResyncRequest& rq, net::Endpoint from) {
     add_peer(from);
   }
 
-  const std::uint64_t tid = mint_transfer_id();
-  PendingTransfer& pending = pending_transfers_[tid];
-  pending.ids = dirty;
-  pending.awaiting.insert(from.node);
-  pending.delta = true;
-
-  wire::StateDelta sd;
-  sd.transfer_id = tid;
-  for (ObjectId id : dirty) sd.entries.push_back(state_entry_for(id));
-  sd.constraints = replicated_constraints_;
-  sd.epoch = epoch_;
   ++resync_deltas_sent_;
   delta_entries_sent_ += dirty.size();
   if (hub.enabled()) {
@@ -1787,72 +1744,7 @@ void ReplicaServer::handle(const wire::ResyncRequest& rq, net::Endpoint from) {
   }
   RTPB_INFO("rtpb", "primary@node%u resyncs node%u incrementally: %zu/%zu object(s) dirty",
             node(), from.node, dirty.size(), store_.size());
-  send_to(from, wire::encode(sd));
-  arm_transfer_retry();
-}
-
-void ReplicaServer::handle(wire::StateDelta& sd, net::Endpoint from) {
-  telemetry::Hub& hub = sim_.telemetry();
-  if (role_ != Role::kBackup) {
-    ++role_rejections_;
-    if (hub.enabled()) hub.registry().counter("core.role_rejected").add();
-    return;
-  }
-  // Identical discipline to the kStateTransfer handler: re-peer on an unknown
-  // sender, share the per-sender transfer-id reorder guard (deltas and
-  // full transfers are totally ordered against each other), version-gate
-  // every apply, always ack.
-  const bool known_peer =
-      std::find_if(peers_.begin(), peers_.end(),
-                   [&](const net::Endpoint& e) { return e.node == from.node; }) != peers_.end();
-  if (!known_peer) follow_new_primary(from);
-
-  std::uint64_t& high_water = transfer_high_water_[from.node];
-  const bool newest = sd.transfer_id > high_water;
-  if (newest) high_water = sd.transfer_id;
-  if (hub.enabled()) {
-    hub.registry().counter("core.backup.state_deltas").add();
-    if (!newest) hub.registry().counter("core.backup.state_deltas_stale").add();
-    hub.record(hub.current_span(), node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-               "state-delta",
-               std::to_string(sd.entries.size()) + " entries" + (newest ? "" : " (stale id)"));
-  }
-  for (wire::StateEntry& entry : sd.entries) {
-    if (!store_.contains(entry.spec.id)) {
-      if (!durable_log_insert(entry.spec)) return;  // fail-stopped
-      store_.insert(entry.spec);
-      metrics_.track_object(entry.spec.id, entry.spec.window(), entry.spec.client_period);
-    } else if (newest) {
-      // Adopt the sender's (possibly QoS-downgraded) spec — see the
-      // full-transfer handler.
-      store_.update_spec(entry.spec.id, entry.spec);
-      metrics_.track_object(entry.spec.id, entry.spec.window(), entry.spec.client_period);
-    }
-    if (entry.version > 0) {
-      if (entry.version > store_.get(entry.spec.id).version &&
-          !durable_log_update(entry.spec.id, entry.version, entry.timestamp, entry.value)) {
-        return;  // fail-stopped: no apply, no ack
-      }
-      if (store_.apply(entry.spec.id, entry.version, entry.timestamp, std::move(entry.value),
-                       sim_.now())) {
-        if (sd.epoch != 0 && sd.epoch < epoch_) {
-          ++cross_epoch_applies_;
-          if (hub.enabled()) hub.registry().counter("core.epoch.cross_epoch_applies").add();
-        }
-        metrics_.on_backup_apply(entry.spec.id, entry.timestamp, sim_.now());
-      }
-    }
-    if (newest) {
-      WatchdogState& w = watchdogs_[entry.spec.id];
-      w.expected_period = entry.update_period;
-      arm_watchdog(entry.spec.id);
-    }
-  }
-  if (newest) replicated_constraints_ = sd.constraints;
-  resync_pending_ = false;
-  resync_retry_.cancel();
-  send_to(from, wire::encode(wire::StateTransferAck{sd.transfer_id, epoch_}));
-  maybe_checkpoint();
+  begin_transfer(std::move(dirty), {from}, /*delta=*/true);
 }
 
 // ---------------------------------------------------------------------------

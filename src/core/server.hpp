@@ -69,9 +69,6 @@ class ReplicaServer {
   struct Hooks {
     /// Fired when this (backup) server promotes itself to primary.
     std::function<void()> on_promoted;
-    /// Fired on the new primary when a recruited backup acknowledged the
-    /// full state transfer and replication is re-established.
-    std::function<void()> on_backup_recruited;
     /// Fired on a backup that detected the primary's death but is NOT the
     /// designated successor (multi-backup deployments): it should re-peer
     /// with the new primary once the name service is rewritten.
@@ -80,10 +77,6 @@ class ReplicaServer {
     /// stepped down (split-brain resolution): the hosting service should
     /// deactivate this replica's client application.
     std::function<void()> on_deposed;
-    /// Fired on the primary when it renegotiates an object's QoS at
-    /// runtime (downgrade or restore) — the paper's client notification;
-    /// the spec passed is the now-admitted one.
-    std::function<void(ObjectId, const ObjectSpec&)> on_qos_changed;
   };
 
   ReplicaServer(sim::Simulator& sim, net::Network& network, NameService& names,
@@ -115,9 +108,9 @@ class ReplicaServer {
   /// rest of the workload replicates cleanly.
   void set_object_loss_probability(ObjectId id, double p) {
     RTPB_EXPECTS(p >= 0.0 && p <= 1.0);
-    object_loss_override_[id] = p;
+    objects_[id].loss_override = p;
   }
-  void clear_object_loss_probability(ObjectId id) { object_loss_override_.erase(id); }
+  void clear_object_loss_probability(ObjectId id) { objects_[id].loss_override.reset(); }
 
   // ---- cross-group frontier (parallel scale-out) ----
   /// Apply a peer group's stable-timestamp frontier, delivered out-of-band
@@ -195,7 +188,6 @@ class ReplicaServer {
   /// Backup: whether this replica promotes itself when the primary dies
   /// (the designated successor) or defers via Hooks::on_primary_lost.
   void set_successor(bool is_successor) { successor_ = is_successor; }
-  [[nodiscard]] bool is_successor() const { return successor_; }
   /// Backup (non-successor, after failover): forget the dead primary and
   /// follow `new_primary` instead; restarts the heartbeat.
   void follow_new_primary(net::Endpoint new_primary);
@@ -214,9 +206,7 @@ class ReplicaServer {
   bool restore_object(ObjectId id);
   /// Whether `id` currently runs under a downgraded constraint issued by
   /// THIS replica as primary.
-  [[nodiscard]] bool qos_downgrade_active(ObjectId id) const {
-    return downgrades_.contains(id);
-  }
+  [[nodiscard]] bool qos_downgrade_active(ObjectId id) const;
   /// When the last QoS notice (downgrade or restore) for `id` was sent
   /// (primary) or received (backup); TimePoint::zero() if never.
   [[nodiscard]] TimePoint qos_last_notice_at(ObjectId id) const;
@@ -259,8 +249,6 @@ class ReplicaServer {
   /// Wire frames carrying update payloads (kUpdate + kUpdateBatch).  With
   /// batching on this lags updates_sent(): many updates ride one frame.
   [[nodiscard]] std::uint64_t update_frames_sent() const { return update_frames_sent_; }
-  /// Updates that went out inside a kUpdateBatch frame.
-  [[nodiscard]] std::uint64_t updates_batched() const { return updates_batched_; }
   [[nodiscard]] std::uint64_t updates_loss_injected() const { return updates_loss_injected_; }
   [[nodiscard]] std::uint64_t updates_applied() const { return updates_applied_; }
   [[nodiscard]] std::uint64_t stale_updates() const { return stale_updates_; }
@@ -284,21 +272,49 @@ class ReplicaServer {
   [[nodiscard]] TimePoint promoted_at() const { return promoted_at_; }
 
  private:
-  struct UpdateTaskState {
+  /// Primary-side record of an active downgrade: the original spec to
+  /// restore, and when the downgrade was issued.
+  struct QosState {
+    ObjectSpec original;
+    std::uint64_t qos_seq = 0;
+    TimePoint since{};
+  };
+  /// Everything this replica tracks per object besides its ObjectState.
+  /// It lives beside store_, not in it: restart() replaces the store
+  /// wholesale and ObjectStore hands out copies, and timer handles must
+  /// not travel with either.  A default record means "nothing tracked".
+  struct ObjectRecord {
+    /// Primary: the update-transmission task (§4.3) and the period it was
+    /// added with; kInvalidTask when none runs.
     sched::TaskId task = sched::kInvalidTask;
-    Duration period{};
+    Duration task_period{};
+    /// Primary, ack_every_update mode.  Which versions each peer acked
+    /// lives in PeerState — one shared slot let the fastest backup's ack
+    /// cancel retransmission for peers that never received the update.
+    sim::EventHandle ack_timeout;
+    /// Backup: the watchdog, armed only while watchdog_period > 0.
+    Duration watchdog_period{};
+    sim::EventHandle watchdog;
+    /// Primary: the active downgrade, if any.
+    std::optional<QosState> downgrade;
+    /// Newest renegotiation seq applied (backup-side reorder guard;
+    /// carried into a promotion so a new primary's notices stay newer).
+    std::uint64_t qos_applied_seq = 0;
+    /// When the last QoS notice was sent or received.
+    TimePoint qos_notice_at{};
+    /// §5 loss-injection override (shard-targeted chaos verbs).
+    std::optional<double> loss_override;
+    /// Store version at the instant of crash() — everything the replica
+    /// could have acked.  restart() diffs the recovered image against it
+    /// to feed the durable-recovery oracle.  Storage attached only.
+    std::uint64_t version_at_crash = 0;
   };
-  /// Primary-side per-object ack-timeout handle (ack_every_update mode).
-  /// Which versions each peer acknowledged lives in PeerState — a shared
-  /// slot here let the fastest backup's ack cancel retransmission for
-  /// peers that never received the update.
-  struct AckState {
-    sim::EventHandle timeout;
-  };
-  /// Backup-side per-object watchdog.
-  struct WatchdogState {
-    Duration expected_period{};
-    sim::EventHandle timer;
+  /// Registrations / state transfers not yet acknowledged by every peer.
+  struct PendingTransfer {
+    std::vector<ObjectId> ids;
+    std::set<net::NodeId> awaiting;
+    std::uint32_t attempts = 0;  ///< retries so far (capped by transfer_retry_limit)
+    bool delta = false;          ///< encoded as kStateDelta, not kStateTransfer
   };
   /// Per-peer replication state (the tentpole 1→N generalisation): each
   /// backup gets its own acked-version table and failure detector.
@@ -318,10 +334,17 @@ class ReplicaServer {
   void handle(const wire::RetransmitRequest& r, net::Endpoint from);
   void handle(const wire::Ping& p, net::Endpoint from);
   void handle(const wire::PingAck& p, net::Endpoint from);
-  void handle(const wire::StateTransfer& st, net::Endpoint from);
+  void handle(wire::StateTransfer& st, net::Endpoint from);
   void handle(const wire::StateTransferAck& ack, net::Endpoint from);
   void handle(const wire::ResyncRequest& rq, net::Endpoint from);
   void handle(wire::StateDelta& sd, net::Endpoint from);
+  /// The one apply body behind both transfer frames: re-peer on an unknown
+  /// sender, the per-sender transfer-id reorder guard, version-gated
+  /// applies (values moved out of `entries`), always ack.  `delta` only
+  /// picks the telemetry names.
+  void apply_transfer(std::uint64_t transfer_id, std::vector<wire::StateEntry>& entries,
+                      std::vector<InterObjectConstraint>& constraints, std::uint64_t epoch,
+                      bool delta, net::Endpoint from);
   void handle(const wire::ConstraintDowngrade& d, net::Endpoint from);
   void handle(const wire::ConstraintRestore& rs, net::Endpoint from);
   /// Active-replication traffic never targets an RTPB replica: dropped.
@@ -345,8 +368,18 @@ class ReplicaServer {
   /// Reconcile CPU update tasks with admission's current period table
   /// (periods move under compressed scheduling and constraint tightening).
   void sync_update_tasks();
-  /// Replicate a new registration to all peers (retried until acked).
-  void replicate_registration(ObjectId id);
+  /// Remove `rec`'s update-transmission task from the CPU, if it has one.
+  void drop_update_task(ObjectRecord& rec);
+  /// `id`'s record, or a default one if none exists (never inserts).
+  [[nodiscard]] const ObjectRecord& record(ObjectId id) const;
+  /// Start an acked transfer of `ids` (and the constraint table) to
+  /// `targets`, retried until every target acks: mint the id (which can
+  /// fail-stop), send, arm the retry.
+  void begin_transfer(std::vector<ObjectId> ids, const std::vector<net::Endpoint>& targets,
+                      bool delta);
+  /// Encode `pending` as a kStateTransfer or kStateDelta from the live
+  /// store and send it to the peers still awaiting it.
+  void send_transfer(std::uint64_t transfer_id, const PendingTransfer& pending);
   void retry_pending_registrations();
   void arm_watchdog(ObjectId id);
   /// The interval at which the backup should expect updates for `id`: the
@@ -421,6 +454,8 @@ class ReplicaServer {
   std::unique_ptr<xkernel::FragLite> frag_;  ///< null when fragmentation is off
   sched::Cpu cpu_;
   ObjectStore store_;
+  /// One record per object ever seen, in ascending id order.
+  std::map<ObjectId, ObjectRecord> objects_;
   std::unique_ptr<AdmissionController> admission_;
   Hooks hooks_;
 
@@ -428,43 +463,27 @@ class ReplicaServer {
   std::map<net::NodeId, PeerState> peer_state_;
   /// Monotone-merged frontiers ingested from peer groups, by shard index.
   std::map<std::uint32_t, TimePoint> peer_frontiers_;
-  /// Per-object §5 loss-injection overrides (shard-targeted chaos verbs).
-  std::map<ObjectId, double> object_loss_override_;
   /// Stopped detectors of former peers.  Destroying a FailureDetector from
   /// inside its own peer-dead callback would free the executing object;
   /// parking it here keeps teardown safe and deterministic.
   std::vector<std::unique_ptr<FailureDetector>> retired_detectors_;
   std::vector<InterObjectConstraint> replicated_constraints_;
-  std::map<ObjectId, UpdateTaskState> update_tasks_;
-  std::map<ObjectId, AckState> ack_state_;
   /// Objects whose update transmissions fell due inside the open batch
   /// window, in staging order (dedup'd: a second send of the same object
   /// before the flush collapses onto the staged entry, which reads the
   /// store at flush time and so carries the newest version anyway).
   std::vector<ObjectId> staged_updates_;
   sim::EventHandle batch_flush_;
-  std::map<ObjectId, WatchdogState> watchdogs_;
   /// Highest transfer id applied per sender: a reordered older transfer
   /// must not clobber newer constraint tables / watchdog periods.
   std::map<net::NodeId, std::uint64_t> transfer_high_water_;
 
-  /// Registrations / state transfers not yet acknowledged by every peer.
-  struct PendingTransfer {
-    std::vector<ObjectId> ids;
-    std::set<net::NodeId> awaiting;
-    std::uint32_t attempts = 0;  ///< retries so far (capped by transfer_retry_limit)
-    bool delta = false;          ///< retry re-encodes kStateDelta, not kStateTransfer
-  };
   std::map<std::uint64_t, PendingTransfer> pending_transfers_;
   std::uint64_t next_transfer_id_ = 1;
   sim::EventHandle transfer_retry_;
 
   // ---- durability & crash recovery state ----
   store::DurableStore* storage_ = nullptr;  ///< null = in-memory replica
-  /// Store versions at the instant of crash() — everything the replica
-  /// could have acked.  restart() diffs the recovered state against this
-  /// to feed the durable-recovery oracle.
-  std::map<ObjectId, std::uint64_t> acked_at_crash_;
   sim::EventHandle resync_retry_;
   std::uint32_t resync_attempts_ = 0;
   bool resync_pending_ = false;
@@ -487,20 +506,6 @@ class ReplicaServer {
   std::unique_ptr<DegradationController> degrade_;
   /// Backoff for pending-transfer retries (seeded jitter drawn from rng_).
   std::optional<BackoffPolicy> transfer_backoff_;
-  /// Primary-side record of each active downgrade: the original spec and
-  /// period to restore, and when the downgrade was issued.
-  struct QosState {
-    ObjectSpec original;
-    Duration original_period{};
-    std::uint64_t qos_seq = 0;
-    TimePoint since{};
-  };
-  std::map<ObjectId, QosState> downgrades_;
-  /// Per-object newest renegotiation seq applied (backup-side reorder
-  /// guard; carried into a promotion so a new primary's notices stay
-  /// seq-newer).
-  std::map<ObjectId, std::uint64_t> qos_applied_seq_;
-  std::map<ObjectId, TimePoint> qos_notice_at_;
   std::uint64_t next_qos_seq_ = 1;
   sim::EventHandle qos_tick_;
 
@@ -512,7 +517,6 @@ class ReplicaServer {
   std::uint64_t transfer_give_ups_ = 0;
   std::uint64_t updates_sent_ = 0;
   std::uint64_t update_frames_sent_ = 0;
-  std::uint64_t updates_batched_ = 0;
   std::uint64_t updates_loss_injected_ = 0;
   std::uint64_t updates_applied_ = 0;
   std::uint64_t stale_updates_ = 0;

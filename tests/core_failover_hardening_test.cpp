@@ -285,6 +285,155 @@ TEST(TransferReorder, LateOldTransferCannotClobberNewerConstraints) {
   EXPECT_LE(service.backup().admission().update_period(1), millis(30));
 }
 
+// The reorder guard is shared by kStateTransfer and kStateDelta: one
+// per-sender id sequence orders both.  In the two cases below a frame is
+// held back by a reorder fault on the primary's own link (the guard is
+// keyed on the sender node) and lands after a newer frame of the other
+// type.  It must not roll back the constraint table or a spec the backup
+// already adopted, and it must still be acked.
+
+/// Written every 5 s: never dirty in a sub-second window.
+ObjectSpec cold_spec(ObjectId id) {
+  ObjectSpec s = make_spec(id);
+  s.client_period = seconds(5);
+  s.delta_primary = seconds(5);
+  s.delta_backup = seconds(15);
+  return s;
+}
+
+/// Objects 1, 2 and 4 hot, 3 cold; ping_period 500 ms, so transfer retries
+/// come 1 s after the original, well after a held-back frame lands.  QoS
+/// changes only when a test asks for one.
+ServiceParams reorder_params(std::uint64_t seed) {
+  ServiceParams p = make_params(seed);
+  p.durable = true;
+  p.config.ping_period = millis(500);
+  p.config.degradation_enabled = false;
+  return p;
+}
+
+void register_reorder_workload(RtpbService& service) {
+  for (ObjectId id : {1u, 2u, 4u}) ASSERT_TRUE(service.register_object(make_spec(id)).ok());
+  ASSERT_TRUE(service.register_object(cold_spec(3)).ok());
+}
+
+/// Until clear_link(), every frame on the primary↔backup link is delayed
+/// by a random 0–300 ms outside FIFO order, so later frames can overtake
+/// it.
+void hold_back_link(RtpbService& service) {
+  net::LinkFaults hold;
+  hold.reorder_probability = 1.0;
+  hold.reorder_extra = millis(300);
+  service.network().set_faults(service.primary().node(), service.backup().node(), hold);
+}
+
+void clear_link(RtpbService& service) {
+  service.network().set_faults(service.primary().node(), service.backup().node(),
+                               net::LinkFaults{});
+}
+
+std::uint64_t counter(RtpbService& service, const char* name) {
+  return service.simulator().telemetry().registry().counter(name).value();
+}
+
+/// After failover the promoted backup enforces exactly the replicated
+/// constraint table it held.
+void expect_constraint_survives_failover(RtpbService& service) {
+  service.crash_primary();
+  service.run_for(seconds(3));
+  ASSERT_EQ(service.backup().role(), Role::kPrimary);
+  EXPECT_EQ(service.backup().admission().constraints().size(), 1u);
+  EXPECT_LE(service.backup().admission().update_period(1), millis(30));
+}
+
+TEST(TransferReorder, LateOldDeltaCannotClobberNewerTransfer) {
+  RtpbService service(reorder_params(38));
+  service.simulator().telemetry().enable();
+  service.start();
+  register_reorder_workload(service);
+  service.run_for(seconds(8));  // cold object 3 reaches the backup
+
+  // The backup restarts and asks for a resync over a held-back link: the
+  // kStateDelta answering it carries the hot objects at their current
+  // (original) specs and an empty constraint table.
+  service.crash_backup();
+  service.run_for(millis(600));
+  hold_back_link(service);
+  service.restart_backup(0);
+  for (int ms = 0; ms < 400 && service.primary().resync_deltas_sent() == 0; ++ms) {
+    service.run_for(millis(1));
+  }
+  ASSERT_EQ(service.primary().resync_deltas_sent(), 1u);
+  clear_link(service);
+
+  // Newer state overtakes it on the clean link: a full transfer carrying
+  // the constraint table, and a downgrade of hot object 4.
+  ASSERT_TRUE(service.add_constraint({1, 2, millis(30)}).ok());
+  ASSERT_TRUE(service.primary().downgrade_object(4));
+  const Duration downgraded = service.primary().store().find(4)->spec.window();
+  service.run_for(millis(5));
+  const std::uint64_t newest = service.backup().highest_transfer_applied(service.primary().node());
+  ASSERT_GT(newest, 0u);
+  ASSERT_EQ(service.backup().store().find(4)->spec.window(), downgraded);
+  ASSERT_EQ(counter(service, "core.backup.state_deltas"), 0u);
+
+  // The held-back delta lands (before any retry could): stale, so the
+  // backup applies neither its spec nor its constraint table, but acks it.
+  service.run_for(millis(400));
+  EXPECT_EQ(counter(service, "core.backup.state_deltas"), 1u);
+  EXPECT_EQ(counter(service, "core.backup.state_deltas_stale"), 1u);
+  EXPECT_EQ(service.primary().pending_transfer_count(), 0u);
+  EXPECT_EQ(service.backup().store().find(4)->spec.window(), downgraded);
+  EXPECT_EQ(service.backup().highest_transfer_applied(service.primary().node()), newest);
+  expect_constraint_survives_failover(service);
+}
+
+TEST(TransferReorder, LateOldTransferCannotClobberNewerDelta) {
+  RtpbService service(reorder_params(39));
+  service.simulator().telemetry().enable();
+  service.start();
+  register_reorder_workload(service);
+  service.run_for(seconds(4));
+
+  // Object 5's registration travels as a full transfer on a held-back
+  // link: it carries object 5's original spec and an empty constraint
+  // table.
+  hold_back_link(service);
+  ASSERT_TRUE(service.register_object(make_spec(5)).ok());
+  clear_link(service);
+  const std::uint64_t transfer_id = service.backup().highest_transfer_applied(
+                                        service.primary().node()) + 1;
+
+  // Newer state overtakes it: the constraint table, then a resync whose
+  // kStateDelta brings object 5 (unknown to the backup until now), then a
+  // downgrade of object 5.
+  ASSERT_TRUE(service.add_constraint({1, 2, millis(30)}).ok());
+  service.run_for(millis(5));
+  service.backup().request_resync();
+  service.run_for(millis(10));
+  ASSERT_EQ(service.primary().resync_deltas_sent(), 1u);
+  ASSERT_TRUE(service.backup().store().contains(5));
+  ASSERT_TRUE(service.primary().downgrade_object(5));
+  const Duration downgraded = service.primary().store().find(5)->spec.window();
+  service.run_for(millis(5));
+  ASSERT_EQ(service.backup().store().find(5)->spec.window(), downgraded);
+  ASSERT_EQ(service.backup().highest_transfer_applied(service.primary().node()),
+            transfer_id + 2);
+  ASSERT_EQ(counter(service, "core.backup.state_transfers_stale"), 0u);
+
+  // The held-back registration lands: stale, so neither object 5's
+  // original spec nor the empty constraint table is applied, but it is
+  // acked, which settles its pending transfer before any retry.
+  ASSERT_EQ(service.primary().pending_transfer_count(), 1u);
+  service.run_for(millis(400));
+  EXPECT_EQ(counter(service, "core.backup.state_transfers_stale"), 1u);
+  EXPECT_EQ(service.primary().pending_transfer_count(), 0u);
+  EXPECT_EQ(service.backup().store().find(5)->spec.window(), downgraded);
+  EXPECT_EQ(service.backup().highest_transfer_applied(service.primary().node()),
+            transfer_id + 2);
+  expect_constraint_survives_failover(service);
+}
+
 // ---------------------------------------------------------------------------
 // Admission frame budget ℓ.
 // ---------------------------------------------------------------------------

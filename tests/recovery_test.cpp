@@ -395,5 +395,65 @@ TEST(Recovery, QosDowngradeSurvivesBackupCrashRestart) {
   EXPECT_EQ(service.backup().recovery_lost_updates(), 0u);
 }
 
+TEST(Recovery, RestartShedsPerObjectStateButKeepsNoticeTime) {
+  // A primary in ack mode, with cold object 3 downgraded, crashes and
+  // restarts.  restart() must drop every object's update task, ack
+  // timeout, downgrade and applied QoS seq; the last QoS notice time is
+  // kept because the no-silent-violation oracle reads it.
+  ServiceParams p = make_params();
+  p.config.ack_every_update = true;
+  p.config.degrade_restore_hold = seconds(60);
+  RtpbService service(p);
+  service.start();
+  register_mixed_workload(service);
+  service.run_for(seconds(8));
+
+  ReplicaServer& rejoiner = service.primary();
+  const Duration original = cold_spec(3).window();
+  ASSERT_TRUE(rejoiner.downgrade_object(3));
+  const Duration downgraded = rejoiner.store().find(3)->spec.window();
+  ASSERT_GT(downgraded, original);
+  const TimePoint notice_at = rejoiner.qos_last_notice_at(3);
+  ASSERT_GT(notice_at, TimePoint::zero());
+  service.run_for(millis(100));
+
+  service.crash_primary();
+  service.run_for(seconds(1));  // the successor promotes
+  ReplicaServer& acting = service.acting_primary();
+  ASSERT_EQ(&acting, &service.backup());
+  ASSERT_EQ(acting.store().find(3)->spec.window(), downgraded);
+
+  // Cut the rejoiner off so its first resync request is lost: until a
+  // transfer re-peers it, a leftover update task would send updates to
+  // the primary it now follows, and a leftover watchdog would NACK.
+  service.network().set_loss_probability(rejoiner.node(), acting.node(), 1.0);
+  service.restart_primary();
+  EXPECT_FALSE(rejoiner.qos_downgrade_active(3));
+  EXPECT_EQ(rejoiner.qos_last_notice_at(3), notice_at);
+  EXPECT_EQ(rejoiner.store().find(3)->spec.window(), original);  // QoS is not durable
+  const std::uint64_t updates = rejoiner.updates_sent();
+  const std::uint64_t nacks = rejoiner.retransmit_requests_sent();
+  service.run_for(millis(150));
+  EXPECT_EQ(rejoiner.resync_requests_sent(), 1u);
+  EXPECT_EQ(rejoiner.updates_sent(), updates);
+  EXPECT_EQ(rejoiner.retransmit_requests_sent(), nacks);
+
+  // The retried resync lands.  The successor's client twin rewrote every
+  // object at promotion, so the rejoiner is behind on all of them and gets
+  // a full transfer; it adopts the downgraded spec the acting primary runs
+  // under.  (QosDowngradeSurvivesBackupCrashRestart covers the delta case,
+  // where only the reported QoS seq 0 makes the object dirty.)
+  service.network().set_loss_probability(rejoiner.node(), acting.node(), 0.0);
+  service.run_for(millis(400));
+  EXPECT_EQ(acting.resync_fulls_sent() + acting.resync_deltas_sent(), 1u);
+  EXPECT_EQ(rejoiner.role(), Role::kBackup);
+  EXPECT_GT(rejoiner.highest_transfer_applied(acting.node()), 0u);
+  EXPECT_EQ(rejoiner.store().find(3)->spec.window(), downgraded);
+  EXPECT_FALSE(rejoiner.qos_downgrade_active(3));
+  EXPECT_EQ(rejoiner.qos_last_notice_at(3), notice_at);
+  EXPECT_EQ(rejoiner.updates_sent(), updates);
+  EXPECT_EQ(rejoiner.recovery_lost_updates(), 0u);
+}
+
 }  // namespace
 }  // namespace rtpb::core
