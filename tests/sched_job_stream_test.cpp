@@ -1,0 +1,114 @@
+// Pins the exact job stream every scheduling policy produces on seeded
+// random workloads: periodic tasks with random periods, deadlines and
+// phases, tasks added and removed while the CPU runs, and background
+// one-shot jobs.  Each policy's full JobInfo sequence (task, index,
+// release, start, finish, miss) is folded into one FNV-1a digest.
+//
+// The constants were recorded from the linear-scan dispatcher.  Any change
+// to how the CPU picks, preempts or retires jobs that moves a single job
+// shows up here, under whichever policy it affects.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "sched/cpu.hpp"
+#include "util/rng.hpp"
+
+namespace rtpb::sched {
+namespace {
+
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void mix(const JobInfo& j) {
+    mix(j.task);
+    mix(j.index);
+    mix(static_cast<std::uint64_t>(j.release.nanos()));
+    mix(static_cast<std::uint64_t>(j.start.nanos()));
+    mix(static_cast<std::uint64_t>(j.finish.nanos()));
+    mix(j.deadline_missed ? 1U : 0U);
+  }
+};
+
+TaskSpec random_task(Rng& rng) {
+  const std::int64_t period_us = rng.uniform(1'000, 20'000);
+  TaskSpec t;
+  t.period = micros(period_us);
+  t.wcet = micros(rng.uniform(10, period_us / 6));
+  if (rng.bernoulli(0.3)) t.deadline = micros(rng.uniform(period_us / 2, period_us));
+  t.phase = micros(rng.uniform(0, period_us));
+  return t;
+}
+
+/// Runs one seeded workload under `policy`, folding every completed job
+/// into `fnv`.  Returns the number of jobs folded.
+std::size_t fold_job_stream(Policy policy, std::uint64_t seed, Fnv& fnv) {
+  Rng rng(seed);
+  sim::Simulator sim;
+  Cpu cpu(sim, policy);
+  std::size_t jobs = 0;
+  const auto record = [&](const JobInfo& j) {
+    fnv.mix(j);
+    ++jobs;
+  };
+
+  std::vector<TaskId> live;
+  for (int i = 0; i < 10; ++i) live.push_back(cpu.add_task(random_task(rng), record));
+  cpu.start(TimePoint::zero());
+
+  // Mutations land at random instants, often while a job holds the CPU.
+  for (int k = 0; k < 40; ++k) {
+    const TimePoint at = TimePoint::zero() + micros(rng.uniform(0, 1'000'000));
+    const std::int64_t op = rng.uniform(0, 2);
+    const TaskSpec spec = random_task(rng);
+    const auto pick = static_cast<std::size_t>(rng.uniform(0, 1'000));
+    const Duration exec = micros(rng.uniform(50, 3'000));
+    sim.schedule_at(at, [&, op, spec, pick, exec] {
+      if (op == 0) {
+        live.push_back(cpu.add_task(spec, record));
+      } else if (op == 1 && !live.empty()) {
+        const std::size_t victim = pick % live.size();
+        cpu.remove_task(live[victim]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      } else {
+        cpu.submit_job("bg", exec, record);
+      }
+    });
+  }
+  sim.run_until(TimePoint::zero() + millis(1'500));
+  return jobs;
+}
+
+std::uint64_t job_stream_digest(Policy policy) {
+  Fnv fnv;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    EXPECT_GT(fold_job_stream(policy, seed, fnv), 1'000u)
+        << policy_name(policy) << " seed " << seed;
+  }
+  return fnv.h;
+}
+
+TEST(CpuJobStream, EdfIsPinned) {
+  EXPECT_EQ(job_stream_digest(Policy::kEdf), 0xa45714f8f3b30902ULL);
+}
+
+TEST(CpuJobStream, RateMonotonicIsPinned) {
+  EXPECT_EQ(job_stream_digest(Policy::kRateMonotonic), 0xb2b0a660470a7322ULL);
+}
+
+TEST(CpuJobStream, DcsSrIsPinned) {
+  EXPECT_EQ(job_stream_digest(Policy::kDcsSr), 0xd0ba49db6e7d7582ULL);
+}
+
+TEST(CpuJobStream, FifoIsPinned) {
+  EXPECT_EQ(job_stream_digest(Policy::kFifo), 0x8e1928f8483f4e1cULL);
+}
+
+}  // namespace
+}  // namespace rtpb::sched
