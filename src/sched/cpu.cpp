@@ -67,6 +67,7 @@ TaskId Cpu::submit_job(std::string name, Duration exec, JobCallback on_complete)
 
   auto [it, inserted] = tasks_.emplace(id, std::move(task));
   RTPB_ASSERT(inserted);
+  heap_push(it->second);
   dispatch();
   return id;
 }
@@ -74,13 +75,15 @@ TaskId Cpu::submit_job(std::string name, Duration exec, JobCallback on_complete)
 void Cpu::remove_task(TaskId id) {
   auto it = tasks_.find(id);
   if (it == tasks_.end()) return;
-  it->second.release_event.cancel();
-  if (running_ == id) {
+  Task& task = it->second;
+  task.release_event.cancel();
+  if (running_ == &task) {
     // Abort the running job: charge busy time up to now, no callback.
     completion_event_.cancel();
     busy_time_ += sim_.now() - running_since_;
-    running_ = kInvalidTask;
+    running_ = nullptr;
   }
+  if (task.heap_pos != kNotReady) heap_erase(task);
   tasks_.erase(it);
   if (policy_ == Policy::kDcsSr) respecialize();
   if (started_) dispatch();
@@ -100,6 +103,7 @@ void Cpu::respecialize() {
     task.tracker = std::make_unique<PhaseVarianceTracker>(task.effective_period);
     ++i;
   }
+  heap_rebuild();
 }
 
 void Cpu::start(TimePoint at) {
@@ -116,29 +120,27 @@ void Cpu::start(TimePoint at) {
 void Cpu::stop() {
   if (!started_) return;
   for (auto& [id, task] : tasks_) task.release_event.cancel();
-  if (running_ != kInvalidTask) {
+  if (running_ != nullptr) {
     completion_event_.cancel();
     busy_time_ += sim_.now() - running_since_;
-    running_ = kInvalidTask;
+    running_ = nullptr;
   }
   started_ = false;
 }
 
 void Cpu::arm_release(Task& task) {
-  const TaskId id = task.spec.id;
-  task.release_event = sim_.schedule_at(task.next_release, [this, id] { on_release(id); });
+  // remove_task() and stop() cancel this event, so `task` outlives it.
+  task.release_event =
+      sim_.schedule_at(task.next_release, [this, &task] { on_release(task); });
 }
 
-void Cpu::on_release(TaskId id) {
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) return;
-  Task& task = it->second;
-
+void Cpu::on_release(Task& task) {
   Job job;
   job.index = task.next_index++;
   job.release = sim_.now();
   job.remaining = task.spec.wcet;
   task.backlog.push_back(job);
+  if (task.backlog.size() == 1) heap_push(task);
   if (sim_.trace().enabled()) {
     sim_.trace().record(sim_.now(), sim::TraceCategory::kCpu, "job-release",
                         name_ + " " + task.spec.name + " #" + std::to_string(job.index));
@@ -158,17 +160,20 @@ void Cpu::on_release(TaskId id) {
 }
 
 void Cpu::on_completion() {
-  RTPB_ASSERT(running_ != kInvalidTask);
-  auto it = tasks_.find(running_);
-  RTPB_ASSERT(it != tasks_.end());
-  Task& task = it->second;
+  RTPB_ASSERT(running_ != nullptr);
+  Task& task = *running_;
   RTPB_ASSERT(!task.backlog.empty());
 
   busy_time_ += sim_.now() - running_since_;
-  running_ = kInvalidTask;
+  running_ = nullptr;
 
   Job job = task.backlog.front();
   task.backlog.pop_front();
+  if (task.backlog.empty()) {
+    heap_erase(task);
+  } else {
+    heap_fix(task.heap_pos);  // EDF and FIFO key on the head job's release
+  }
 
   JobInfo info;
   info.task = task.spec.id;
@@ -195,10 +200,20 @@ void Cpu::on_completion() {
                task.spec.name + " #" + std::to_string(info.index) +
                    (info.deadline_missed ? " MISSED" : ""));
   }
+  // Move the callback out rather than copy it (a capturing lambda may live
+  // on the heap): it must survive the retire below and a callback that
+  // removes its own task.  It goes back only if the task still exists;
+  // task ids are never reused.
   const bool retire = task.one_shot && task.backlog.empty();
-  auto on_complete = task.on_complete;  // survives the erase below
-  if (retire) tasks_.erase(it);
-  if (on_complete) on_complete(info);
+  JobCallback on_complete = std::move(task.on_complete);
+  if (retire) tasks_.erase(info.task);
+  if (on_complete) {
+    on_complete(info);
+    if (!retire) {
+      auto again = tasks_.find(info.task);
+      if (again != tasks_.end()) again->second.on_complete = std::move(on_complete);
+    }
+  }
 
   dispatch();
 }
@@ -227,32 +242,81 @@ bool Cpu::higher_priority(const Task& a, const Task& b) const {
   return a.spec.id < b.spec.id;
 }
 
-Cpu::Task* Cpu::pick_ready() {
-  Task* best = nullptr;
-  for (auto& [id, task] : tasks_) {
-    if (task.backlog.empty()) continue;
-    if (best == nullptr || higher_priority(task, *best)) best = &task;
+Cpu::Task* Cpu::pick_ready() { return ready_.empty() ? nullptr : ready_.front(); }
+
+void Cpu::heap_place(std::size_t pos, Task* task) {
+  ready_[pos] = task;
+  task->heap_pos = pos;
+}
+
+bool Cpu::sift_up(std::size_t pos) {
+  Task* const task = ready_[pos];
+  const std::size_t from = pos;
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!higher_priority(*task, *ready_[parent])) break;
+    heap_place(pos, ready_[parent]);
+    pos = parent;
   }
-  return best;
+  heap_place(pos, task);
+  return pos != from;
+}
+
+void Cpu::sift_down(std::size_t pos) {
+  Task* const task = ready_[pos];
+  const std::size_t n = ready_.size();
+  for (std::size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    if (child + 1 < n && higher_priority(*ready_[child + 1], *ready_[child])) ++child;
+    if (!higher_priority(*ready_[child], *task)) break;
+    heap_place(pos, ready_[child]);
+    pos = child;
+  }
+  heap_place(pos, task);
+}
+
+void Cpu::heap_fix(std::size_t pos) {
+  if (!sift_up(pos)) sift_down(pos);
+}
+
+void Cpu::heap_push(Task& task) {
+  ready_.push_back(&task);
+  sift_up(ready_.size() - 1);
+}
+
+void Cpu::heap_erase(Task& task) {
+  const std::size_t pos = task.heap_pos;
+  RTPB_ASSERT(pos < ready_.size() && ready_[pos] == &task);
+  task.heap_pos = kNotReady;
+  Task* const last = ready_.back();
+  ready_.pop_back();
+  if (last == &task) return;
+  heap_place(pos, last);
+  heap_fix(pos);
+}
+
+void Cpu::heap_rebuild() {
+  ready_.clear();
+  for (auto& [id, task] : tasks_) {
+    task.heap_pos = kNotReady;
+    if (!task.backlog.empty()) heap_push(task);
+  }
 }
 
 void Cpu::dispatch() {
   if (!started_) return;
 
   // Charge the running job for the time it has had the CPU.
-  const TaskId prev = running_;
+  Task* const prev = running_;
   bool prev_unfinished = false;
-  if (running_ != kInvalidTask) {
-    auto it = tasks_.find(running_);
-    RTPB_ASSERT(it != tasks_.end());
-    Job& job = it->second.backlog.front();
+  if (running_ != nullptr) {
+    Job& job = running_->backlog.front();
     const Duration used = sim_.now() - running_since_;
     job.remaining -= used;
     RTPB_ASSERT(job.remaining >= Duration::zero());
     prev_unfinished = job.remaining > Duration::zero();
     busy_time_ += used;
     completion_event_.cancel();
-    running_ = kInvalidTask;
+    running_ = nullptr;
   }
 
   Task* next = pick_ready();
@@ -275,10 +339,10 @@ void Cpu::dispatch() {
       slice_name_ = next->spec.name + " #" + std::to_string(slice_index_);
       hub.record(telemetry::kNoSpan, 0, telemetry::EventKind::kBegin, name_, slice_name_);
     }
-    if (prev != kInvalidTask && prev_unfinished && next != nullptr && next->spec.id != prev) {
+    if (prev != nullptr && prev_unfinished && next != nullptr && next != prev) {
       hub.registry().counter("sched.preemptions").add();
       hub.record(telemetry::kNoSpan, 0, telemetry::EventKind::kInstant, name_, "preempt",
-                 next->spec.name + " preempts task " + std::to_string(prev));
+                 next->spec.name + " preempts task " + std::to_string(prev->spec.id));
     }
   }
 
@@ -293,7 +357,7 @@ void Cpu::dispatch() {
                           name_ + " " + next->spec.name + " #" + std::to_string(job.index));
     }
   }
-  running_ = next->spec.id;
+  running_ = next;
   running_since_ = sim_.now();
   completion_event_ = sim_.schedule_after(job.remaining, [this] { on_completion(); });
 }
@@ -329,7 +393,7 @@ double Cpu::busy_fraction() const {
   const Duration elapsed = sim_.now() - started_at_;
   if (elapsed <= Duration::zero()) return 0.0;
   Duration busy = busy_time_;
-  if (running_ != kInvalidTask) busy += sim_.now() - running_since_;
+  if (running_ != nullptr) busy += sim_.now() - running_since_;
   return busy.ratio(elapsed);
 }
 

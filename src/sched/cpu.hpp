@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sched/analysis.hpp"
 #include "sched/phase_variance.hpp"
@@ -65,7 +66,9 @@ class Cpu {
 
   [[nodiscard]] Policy policy() const { return policy_; }
   /// The task whose job currently holds the CPU (kInvalidTask when idle).
-  [[nodiscard]] TaskId running() const { return running_; }
+  [[nodiscard]] TaskId running() const {
+    return running_ != nullptr ? running_->spec.id : kInvalidTask;
+  }
   [[nodiscard]] std::size_t task_count() const { return tasks_.size(); }
   [[nodiscard]] bool has_task(TaskId id) const { return tasks_.contains(id); }
 
@@ -93,6 +96,8 @@ class Cpu {
     bool started = false;
   };
 
+  static constexpr std::size_t kNotReady = static_cast<std::size_t>(-1);
+
   struct Task {
     TaskSpec spec;
     JobCallback on_complete;
@@ -103,10 +108,11 @@ class Cpu {
     std::uint64_t next_index = 0;
     TimePoint next_release{};
     sim::EventHandle release_event;
+    std::size_t heap_pos = kNotReady;  ///< index in ready_, kNotReady when backlog is empty
   };
 
   void arm_release(Task& task);
-  void on_release(TaskId id);
+  void on_release(Task& task);
   void on_completion();
   /// Charge the running job for CPU time since it was last resumed, then
   /// re-pick the highest-priority ready job and (re)schedule completion.
@@ -116,15 +122,36 @@ class Cpu {
   [[nodiscard]] bool higher_priority(const Task& a, const Task& b) const;
   void respecialize();
 
+  // Ready heap.  ready_ is a binary heap over the tasks whose backlog is
+  // non-empty, ordered by higher_priority(); the running task stays in it
+  // because its head job is still in the backlog.  higher_priority() is a
+  // strict total order (ties fall to the unique TaskId), so the top is
+  // exactly the task a scan of tasks_ would pick.  A task's key changes
+  // only where its backlog head or effective period does, and each of
+  // those places updates the heap: on_release (empty -> one job: push),
+  // submit_job (push), on_completion (pop_front: erase if now empty, else
+  // re-sift), remove_task (erase) and respecialize (every DCS period
+  // moves: rebuild).  Task pointers stay valid because std::map nodes
+  // never move.
+  void heap_push(Task& task);
+  void heap_erase(Task& task);
+  /// Restore heap order around position `pos` after its key changed.
+  void heap_fix(std::size_t pos);
+  void heap_rebuild();
+  bool sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
+  void heap_place(std::size_t pos, Task* task);
+
   sim::Simulator& sim_;
   Policy policy_;
   std::string name_;
   std::map<TaskId, Task> tasks_;  // ordered: deterministic iteration
+  std::vector<Task*> ready_;      // binary heap, top = highest priority
   TaskId next_id_ = 1;
   bool started_ = false;
   TimePoint started_at_{};
 
-  TaskId running_ = kInvalidTask;
+  Task* running_ = nullptr;  // task whose head job holds the CPU
   TimePoint running_since_{};
   sim::EventHandle completion_event_;
 

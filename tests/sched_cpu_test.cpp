@@ -120,6 +120,48 @@ TEST(Cpu, RemoveTaskStopsReleases) {
   EXPECT_FALSE(cpu.has_task(id));
 }
 
+TEST(Cpu, CompletionCallbackMayRemoveItsOwnTask) {
+  sim::Simulator sim;
+  Cpu cpu(sim, Policy::kRateMonotonic);
+  int count = 0;
+  TaskId self = kInvalidTask;
+  self = cpu.add_task(make_task(millis(10), millis(1)), [&](const JobInfo& j) {
+    ++count;
+    if (j.index == 2) cpu.remove_task(self);
+  });
+  int other = 0;
+  cpu.add_task(make_task(millis(7), millis(1)), [&](const JobInfo&) { ++other; });
+  cpu.start(TimePoint::zero());
+  sim.run_until(TimePoint::zero() + millis(100));
+  EXPECT_EQ(count, 3);
+  EXPECT_FALSE(cpu.has_task(self));
+  EXPECT_EQ(other, 15);  // releases at 0, 7, ..., 98
+}
+
+TEST(Cpu, CompletionCallbackMayRemoveAnotherReadyTask) {
+  sim::Simulator sim;
+  Cpu cpu(sim, Policy::kRateMonotonic);
+  std::vector<std::pair<TaskId, TimePoint>> finishes;
+  const auto log = [&](const JobInfo& j) { finishes.emplace_back(j.task, j.finish); };
+  // All three release at 0; RM runs a, then b, then c.  a's first
+  // completion removes b while b is the next ready task.
+  TaskId b = kInvalidTask;
+  const TaskId a = cpu.add_task(make_task(millis(10), millis(2)), [&](const JobInfo& j) {
+    log(j);
+    if (j.index == 0) cpu.remove_task(b);
+  });
+  b = cpu.add_task(make_task(millis(20), millis(3)), log);
+  const TaskId c = cpu.add_task(make_task(millis(40), millis(1)), log);
+  cpu.start(TimePoint::zero());
+  sim.run_until(TimePoint::zero() + millis(30));
+  EXPECT_FALSE(cpu.has_task(b));
+  ASSERT_EQ(finishes.size(), 4u);
+  EXPECT_EQ(finishes[0], std::make_pair(a, TimePoint::zero() + millis(2)));
+  EXPECT_EQ(finishes[1], std::make_pair(c, TimePoint::zero() + millis(3)));
+  EXPECT_EQ(finishes[2], std::make_pair(a, TimePoint::zero() + millis(12)));
+  EXPECT_EQ(finishes[3], std::make_pair(a, TimePoint::zero() + millis(22)));
+}
+
 TEST(Cpu, AddTaskWhileRunning) {
   sim::Simulator sim;
   Cpu cpu(sim, Policy::kRateMonotonic);
