@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/rtpb.hpp"
+#include "protocol_facts.hpp"
 
 namespace rtpb::core {
 namespace {
@@ -272,6 +273,8 @@ TEST(TransferRetry, BackoffLadderCapsAndSuspectsTheSilentPeer) {
   params.config.ping_max_misses = 1000000;   // heartbeat never declares
   params.config.transfer_retry_limit = 3;    // short ladder for the test
   RtpbService service(params);
+  telemetry::Hub& hub = service.simulator().telemetry();
+  hub.enable();
   service.start();
   service.run_for(millis(50));
 
@@ -287,6 +290,8 @@ TEST(TransferRetry, BackoffLadderCapsAndSuspectsTheSilentPeer) {
   EXPECT_GE(service.primary().transfer_give_ups(), 1u);
   EXPECT_TRUE(service.primary().peers().empty())
       << "the silent peer must be suspected down and removed";
+  EXPECT_EQ(facts::counter(hub, "core.degrade.transfer_give_ups"),
+            facts::sum(service, &ReplicaServer::transfer_give_ups));
 }
 
 TEST(TransferRetry, HealthyTransferNeverHitsTheCap) {

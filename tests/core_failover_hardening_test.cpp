@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "protocol_facts.hpp"
+
 namespace rtpb::core {
 namespace {
 
@@ -113,6 +115,8 @@ TEST(EpochWire, ActiveReplicationMessagesCarryNoEpoch) {
 
 TEST(EpochFencing, DrillPromotionFencesAndDeposesTheOldPrimary) {
   RtpbService service(make_params(31));
+  telemetry::Hub& hub = service.simulator().telemetry();
+  hub.enable();
   service.start();
   ASSERT_TRUE(service.register_object(make_spec(1)).ok());
   service.run_for(seconds(1));
@@ -132,12 +136,22 @@ TEST(EpochFencing, DrillPromotionFencesAndDeposesTheOldPrimary) {
   EXPECT_EQ(service.primary().step_downs(), 1u);
   EXPECT_EQ(service.primary().epoch(), 2u);  // adopted the epoch that deposed it
   EXPECT_EQ(service.primaries_alive(), 1u);
+
+  // Each fact is reported once per occurrence on every path.
+  const std::uint64_t rejected = facts::sum(service, &ReplicaServer::epoch_rejections);
+  EXPECT_EQ(facts::counter(hub, "core.epoch.rejected"), rejected);
+  EXPECT_EQ(facts::events(hub, "epoch-reject"), rejected);
+  EXPECT_EQ(facts::sum(service, &ReplicaServer::step_downs), 1u);
+  EXPECT_EQ(facts::counter(hub, "core.epoch.step_downs"), 1u);
+  EXPECT_EQ(facts::events(hub, "step-down"), 1u);
 }
 
 TEST(EpochFencing, RoleGuardAloneProtectsTheStoreWithFencingOff) {
   ServiceParams params = make_params(32);
   params.config.epoch_fencing = false;
   RtpbService service(params);
+  telemetry::Hub& hub = service.simulator().telemetry();
+  hub.enable();
   service.start();
   ASSERT_TRUE(service.register_object(make_spec(1)).ok());
   service.run_for(seconds(1));
@@ -155,6 +169,12 @@ TEST(EpochFencing, RoleGuardAloneProtectsTheStoreWithFencingOff) {
   EXPECT_EQ(service.backup().updates_applied(), applied_before);
   service.for_each_replica(
       [](const ReplicaServer& r) { EXPECT_EQ(r.cross_epoch_applies(), 0u); });
+  // Only rejected updates record an event; rejected transfers and QoS
+  // notices are counted but silent.
+  const std::uint64_t rejected = facts::sum(service, &ReplicaServer::role_rejections);
+  EXPECT_EQ(facts::counter(hub, "core.role_rejected"), rejected);
+  EXPECT_GT(facts::events(hub, "update-role-reject"), 0u);
+  EXPECT_LE(facts::events(hub, "update-role-reject"), rejected);
 }
 
 TEST(EpochFencing, PartitionedPrimaryIsDeposedThroughTheSurvivingBackup) {
@@ -382,6 +402,7 @@ TEST(TransferReorder, LateOldDeltaCannotClobberNewerTransfer) {
   service.run_for(millis(400));
   EXPECT_EQ(counter(service, "core.backup.state_deltas"), 1u);
   EXPECT_EQ(counter(service, "core.backup.state_deltas_stale"), 1u);
+  EXPECT_EQ(facts::events(service.simulator().telemetry(), "state-delta"), 1u);
   EXPECT_EQ(service.primary().pending_transfer_count(), 0u);
   EXPECT_EQ(service.backup().store().find(4)->spec.window(), downgraded);
   EXPECT_EQ(service.backup().highest_transfer_applied(service.primary().node()), newest);

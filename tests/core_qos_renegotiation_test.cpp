@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rtpb.hpp"
+#include "protocol_facts.hpp"
 
 namespace rtpb::core {
 namespace {
@@ -85,6 +86,8 @@ TEST(QosRenegotiation, DowngradeDuringPendingTransferRidesTheTransfer) {
   // retried transfer carried.
   params.config.degrade_restore_hold = seconds(60);
   RtpbService service(params);
+  telemetry::Hub& hub = service.simulator().telemetry();
+  hub.enable();
   service.start();
   service.run_for(millis(50));
 
@@ -104,6 +107,14 @@ TEST(QosRenegotiation, DowngradeDuringPendingTransferRidesTheTransfer) {
 
   ASSERT_TRUE(service.backups().front()->store().contains(1));
   EXPECT_EQ(backup_window(service, 1), downgraded);
+
+  // Updates that outran the retried registration were dropped as unknown;
+  // stale_updates() counts those drops and the version-stale ones alike.
+  const std::uint64_t unknown = facts::counter(hub, "core.backup.unknown_object");
+  EXPECT_GT(unknown, 0u);
+  EXPECT_EQ(facts::events(hub, "update-unknown"), unknown);
+  EXPECT_EQ(facts::sum(service, &ReplicaServer::stale_updates),
+            unknown + facts::counter(hub, "core.backup.stale"));
 }
 
 TEST(QosRenegotiation, StaleEpochDowngradeIsFencedAfterFailover) {
@@ -112,6 +123,8 @@ TEST(QosRenegotiation, StaleEpochDowngradeIsFencedAfterFailover) {
   // carries the stale epoch and must be fenced — a zombie may not loosen
   // the new primary's constraints.
   RtpbService service(make_params(203));
+  telemetry::Hub& hub = service.simulator().telemetry();
+  hub.enable();
   service.start();
   ASSERT_TRUE(service.register_object(make_spec(1)).ok());
   service.run_for(seconds(1));
@@ -123,6 +136,8 @@ TEST(QosRenegotiation, StaleEpochDowngradeIsFencedAfterFailover) {
 
   ASSERT_TRUE(old_primary.downgrade_object(1));  // stale-epoch notice
   const std::uint64_t fenced_before = promoted.epoch_rejections();
+  const std::uint64_t counted_before = facts::counter(hub, "core.epoch.rejected");
+  const std::uint64_t events_before = facts::events(hub, "epoch-reject");
   service.run_for(millis(100));
 
   EXPECT_EQ(promoted.qos_downgrades_received(), 0u)
@@ -130,6 +145,11 @@ TEST(QosRenegotiation, StaleEpochDowngradeIsFencedAfterFailover) {
   EXPECT_EQ(promoted.store().find(1)->spec.window(), before);
   EXPECT_GT(promoted.epoch_rejections(), fenced_before)
       << "the fence (not luck) must have rejected it";
+  // Only the promoted replica fences (the old primary is at the lower
+  // epoch), so its getter delta is the whole registry and event delta.
+  const std::uint64_t fenced = promoted.epoch_rejections() - fenced_before;
+  EXPECT_EQ(facts::counter(hub, "core.epoch.rejected") - counted_before, fenced);
+  EXPECT_EQ(facts::events(hub, "epoch-reject") - events_before, fenced);
 }
 
 TEST(QosRenegotiation, RestoreWaitsOutTheHoldAndNeverFlaps) {

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "protocol_facts.hpp"
 #include "psim/barrier.hpp"
 #include "psim/driver.hpp"
 #include "psim/partitioned.hpp"
@@ -295,6 +296,7 @@ TEST(PartitionedCluster, DigestsAreThreadCountInvariant) {
 
 TEST(PartitionedCluster, FrontiersCrossAtWindowBarriers) {
   PartitionedCluster cluster(cluster_params(3));
+  for (std::uint32_t g = 0; g < 3; ++g) cluster.service(g).simulator().telemetry().enable();
   cluster.start();
   core::ObjectId next = 1;
   for (std::uint32_t g = 0; g < 3; ++g) {
@@ -315,6 +317,15 @@ TEST(PartitionedCluster, FrontiersCrossAtWindowBarriers) {
     }
   }
   EXPECT_EQ(groups_with_peer_view, 3u);
+  // Every ingested record is one registry count and one event, per group.
+  std::uint64_t counted = 0;
+  for (std::uint32_t g = 0; g < 3; ++g) {
+    telemetry::Hub& hub = cluster.service(g).simulator().telemetry();
+    const std::uint64_t received = facts::counter(hub, "core.shard.frontier_received");
+    EXPECT_EQ(facts::events(hub, "frontier-recv"), received);
+    counted += received;
+  }
+  EXPECT_EQ(counted, cluster.frontier_records_ingested());
 }
 
 TEST(PartitionedCluster, PerWindowIngestCountsAreThreadCountInvariant) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "protocol_facts.hpp"
 #include "store/device.hpp"
 
 namespace rtpb::core {
@@ -72,6 +73,8 @@ TEST(Recovery, DurabilityIsDigestPure) {
 
 TEST(Recovery, BackupRestartResyncsIncrementally) {
   RtpbService service(make_params());
+  telemetry::Hub& hub = service.simulator().telemetry();
+  hub.enable();
   service.start();
   register_mixed_workload(service);
   // Run past the cold objects' 5 s write (plus a transmission period) so
@@ -105,6 +108,17 @@ TEST(Recovery, BackupRestartResyncsIncrementally) {
   const auto primary_v = service.primary().read(1)->version;
   EXPECT_GE(service.backup().read(1)->version + 20, primary_v);
   EXPECT_EQ(service.primaries_alive(), 1u);
+
+  // The rejoin's facts agree across getters, registry and events.
+  EXPECT_EQ(facts::counter(hub, "core.store.recoveries"), 1u);
+  EXPECT_EQ(facts::events(hub, "restart"), 1u);
+  EXPECT_EQ(facts::sum(service, &ReplicaServer::resync_requests_sent),
+            facts::counter(hub, "core.store.resync_requests"));
+  EXPECT_EQ(facts::counter(hub, "core.store.resync_deltas"), 1u);
+  EXPECT_EQ(facts::events(hub, "resync-delta"), 1u);
+  EXPECT_EQ(facts::counter(hub, "core.store.delta_entries"), 2u);
+  EXPECT_EQ(facts::counter(hub, "core.backup.state_deltas"), 1u);
+  EXPECT_EQ(facts::events(hub, "state-delta"), 1u);
 }
 
 TEST(Recovery, EmptyVectorFallsBackToFullTransfer) {
@@ -164,6 +178,8 @@ TEST(Recovery, PrimaryRestartRejoinsAsBackup) {
 
 TEST(Recovery, TornWalWriteFailStopsAndRecoversCleanly) {
   RtpbService service(make_params());
+  telemetry::Hub& hub = service.simulator().telemetry();
+  hub.enable();
   service.start();
   register_mixed_workload(service);
   service.run_for(seconds(1));
@@ -175,6 +191,9 @@ TEST(Recovery, TornWalWriteFailStopsAndRecoversCleanly) {
   service.run_for(millis(600));
   EXPECT_TRUE(service.backup().crashed());
   EXPECT_EQ(service.wal_device(1)->torn_appends(), 1u);
+  // A fail-stop has no getter and no event: the registry counter is its
+  // only report.
+  EXPECT_EQ(facts::counter(hub, "core.store.fail_stops"), 1u);
 
   service.restart_backup(0);
   service.run_for(seconds(1));

@@ -2,7 +2,11 @@
 # Digest golden test: re-runs fixed chaos and explorer sweeps and diffs
 # their per-seed result lines (trace digests, oracle verdicts, counts)
 # against the files recorded in tests/golden/.  Any behaviour change in
-# the replication path moves a digest and fails this test.
+# the replication path moves a digest and fails this test.  Two chaos runs
+# also write every observability artifact (metrics registry, JSONL event
+# stream, Chrome trace, post-mortem, health feed): the metrics JSON is
+# pinned verbatim and the other four by cksum, so a change to what the
+# observer plane reports fails it too.
 #
 #   tools/digest_golden.sh TOOLS_DIR GOLDEN_DIR            check
 #   tools/digest_golden.sh --record TOOLS_DIR GOLDEN_DIR   re-record
@@ -44,4 +48,25 @@ check chaos_multibackup_overload_restart \
   "$tools/chaos_main" --seeds 16 --backups 2 --overload --crash-restart
 check chaos_sharded "$tools/chaos_main" --seeds 8 --shards 4 --threads 4 --objects 8
 check explore_default sh -c "\"$tools/explore_main\" | grep trajectories"
+
+# artifacts NAME CHAOS_ARGS...: one chaos run writing every observability
+# artifact into a scratch directory; pins NAME_metrics.txt (the registry
+# JSON) and NAME_cksum.txt (cksum of the other four files).
+artifacts() {
+  art=$1
+  shift
+  dir=$(mktemp -d)
+  "$tools/chaos_main" "$@" --flight-recorder --jsonl-out "$dir/events.jsonl" \
+    --trace-out "$dir/trace.json" --metrics-out "$dir/metrics.json" \
+    --postmortem "$dir/postmortem.jsonl" --health-out "$dir/health.jsonl" > /dev/null
+  check "${art}_metrics" cat "$dir/metrics.json"
+  check "${art}_cksum" sh -c "cd \"$dir\" && for f in events.jsonl trace.json postmortem.jsonl health.jsonl; do echo \"\$(cksum < \$f) \$f\"; done"
+  rm -rf "$dir"
+}
+
+# Batched: shed, QoS downgrade/restore, resync, crash, NACK and batch paths.
+artifacts artifacts_batch --seed 7 --backups 2 --overload --crash-restart
+# One kUpdate frame per update: loss-injected and retransmission events.
+artifacts artifacts_no_batch --seed 7 --backups 2 --overload --crash-restart \
+  --no-batch
 exit $status
