@@ -49,9 +49,12 @@ LatencyHistogram& Registry::histogram(const std::string& name) {
 
 void Registry::clear() {
   const std::lock_guard<std::mutex> guard(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
+  for (auto& [name, c] : counters_) c->value_.store(0, std::memory_order_relaxed);
+  for (auto& [name, g] : gauges_) g->value_.store(0.0, std::memory_order_relaxed);
+  for (auto& [name, h] : histograms_) {
+    const std::lock_guard<SpinLock> samples_guard(h->lock_);
+    h->samples_.clear();
+  }
 }
 
 namespace {
@@ -200,7 +203,10 @@ SpanId Hub::begin_span(std::uint64_t object, std::uint64_t version, std::uint64_
     span_order_.pop_front();
     auto it = spans_.find(victim);
     if (it != spans_.end()) {
-      by_key_.erase({it->second.object, it->second.version});
+      // Either lookup may already point at a newer span for the same key
+      // (versions are re-minted after a failover); leave those alone.
+      auto key = by_key_.find({it->second.object, it->second.version});
+      if (key != by_key_.end() && key->second == victim) by_key_.erase(key);
       auto lt = latest_.find(it->second.object);
       if (lt != latest_.end() && lt->second == victim) latest_.erase(lt);
       spans_.erase(it);

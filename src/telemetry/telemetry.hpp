@@ -80,6 +80,7 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
+  friend class Registry;  // clear() zeroes in place
   const bool* enabled_;
   std::atomic<std::uint64_t> value_{0};
 };
@@ -93,6 +94,7 @@ class Gauge {
   [[nodiscard]] double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
+  friend class Registry;
   const bool* enabled_;
   std::atomic<double> value_{0.0};
 };
@@ -117,6 +119,7 @@ class LatencyHistogram {
   [[nodiscard]] SampleSet samples() const { return snapshot(); }
 
  private:
+  friend class Registry;
   const bool* enabled_;
   mutable SpinLock lock_;
   SampleSet samples_;
@@ -156,6 +159,9 @@ class Registry {
   /// snapshotted under the registry mutex, then rendered outside it.
   [[nodiscard]] std::string to_json() const;
 
+  /// Zero every instrument in place: counters and gauges to 0, histogram
+  /// samples dropped.  Instruments are never destroyed, so references
+  /// handed out earlier stay valid.
   void clear();
 
  private:

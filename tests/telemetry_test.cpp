@@ -45,6 +45,28 @@ TEST(TelemetryRegistry, SameNameReturnsSameInstrument) {
   EXPECT_EQ(hub.registry().counter("core.primary.writes").value(), 5u);
 }
 
+TEST(TelemetryRegistry, ClearZeroesHeldInstrumentsInPlace) {
+  Hub hub;
+  hub.enable();
+  Counter& c = hub.registry().counter("core.primary.writes");
+  Gauge& g = hub.registry().gauge("core.epoch");
+  LatencyHistogram& h = hub.registry().histogram("core.backup.apply_latency_ms");
+  c.add(4);
+  g.set(2.0);
+  h.record_ms(1.0);
+  hub.clear();
+  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(g.value(), 0.0);
+  EXPECT_TRUE(h.samples().empty());
+  // The held references still name the registry's instruments.
+  c.add(3);
+  g.set(5.0);
+  h.record_ms(2.0);
+  EXPECT_EQ(hub.registry().counter("core.primary.writes").value(), 3u);
+  EXPECT_EQ(hub.registry().gauge("core.epoch").value(), 5.0);
+  EXPECT_EQ(hub.registry().histogram("core.backup.apply_latency_ms").samples().count(), 1u);
+}
+
 TEST(TelemetryRegistry, JsonNestsAlongDots) {
   Hub hub;
   hub.enable();
@@ -145,6 +167,17 @@ TEST(TelemetryHub, SpanEvictionIsFifoAndCleansLookups) {
   EXPECT_EQ(hub.latest_span(2), s3);
   EXPECT_EQ(hub.spans_started(), 3u) << "eviction must not unwind the started count";
   EXPECT_EQ(s1, hub.spans_started() - 2);  // ids stay monotone
+}
+
+TEST(TelemetryHub, EvictionKeepsANewerSpanForTheSameKey) {
+  // A failover can re-mint a version the hub already holds a span for;
+  // evicting the older span must not unmap the newer one.
+  Hub hub;
+  hub.enable(/*event_capacity=*/64, /*span_capacity=*/2);
+  hub.begin_span(1, 5);
+  const SpanId again = hub.begin_span(1, 5);
+  hub.begin_span(2, 1);  // evicts the first (1, 5) span
+  EXPECT_EQ(hub.span_for(1, 5), again);
 }
 
 TEST(TelemetryHub, EventRetentionIsBounded) {
