@@ -1,40 +1,161 @@
 #include "core/server.hpp"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 
 #include "util/log.hpp"
 
 namespace rtpb::core {
 
 namespace {
-std::string rtpb_track(net::NodeId n) { return "node" + std::to_string(n) + "/rtpb"; }
+using telemetry::FlightKind;
 
-std::string obj_tag(ObjectId id, std::uint64_t version) {
-  return "obj" + std::to_string(id) + " v" + std::to_string(version);
+/// What a fact's flight record carries in `arg`.
+enum class Arg : std::uint8_t { kZero, kOne, kValue };
+
+/// Where one fact goes besides its per-kind total.
+struct Sinks {
+  const char* counter = nullptr;    ///< registry counter (kinds may share one)
+  const char* event = nullptr;      ///< Hub event; describe() formats its detail
+  std::optional<FlightKind> flight{};  ///< flight record kind
+  Arg arg = Arg::kZero;             ///< the flight record's arg
+  const char* label = nullptr;      ///< the flight record's label
+  const char* histogram = nullptr;  ///< registry histogram sampling `value`
+  const char* gauge = nullptr;      ///< registry gauge set to `value`
+  /// `value` is a duration in ns: histograms and gauges take it in ms,
+  /// flight args in whole ms.
+  bool duration = false;
+  bool sums = false;          ///< counters add `value`, not 1
+  std::optional<Fact> also{};  ///< a fact this one also counts as
+};
+
+constexpr Sinks sinks_of(Fact f) {
+  switch (f) {
+    case Fact::kWrite: return {.counter = "core.primary.writes", .event = "write",
+                               .histogram = "core.primary.write_response_ms", .duration = true};
+    case Fact::kWriteRelease: return {.event = "write-release"};
+    case Fact::kWriteStart: return {.event = "write-start"};
+    case Fact::kXmitRelease: return {.event = "xmit-release"};
+    case Fact::kXmitStart: return {.event = "xmit-start"};
+    case Fact::kUpdateSend: return {.counter = "core.primary.update_sends", .event = "update-send",
+                                    .flight = FlightKind::kUpdateSend};
+    case Fact::kRetransmit: return {.counter = "core.primary.retransmissions",
+                                    .event = "update-retx", .flight = FlightKind::kUpdateSend,
+                                    .arg = Arg::kOne};
+    case Fact::kLossInjected: return {.counter = "core.primary.loss_injected",
+                                      .event = "update-loss-injected"};
+    case Fact::kUpdateFrame: return {};
+    case Fact::kBatchFrame: return {.counter = "core.primary.batch_frames", .event = "batch-send",
+                                    .flight = FlightKind::kUpdateBatch, .arg = Arg::kValue,
+                                    .histogram = "core.primary.batch_entries"};
+    case Fact::kShed: return {.counter = "core.degrade.shed", .event = "update-shed",
+                              .flight = FlightKind::kShed, .arg = Arg::kValue, .duration = true};
+    case Fact::kRetxRequest: return {.counter = "core.primary.retransmit_requests",
+                                     .event = "retx-request"};
+    case Fact::kAckReceived: return {.flight = FlightKind::kAck, .arg = Arg::kValue};
+    case Fact::kTransferGiveUp: return {.counter = "core.degrade.transfer_give_ups"};
+    case Fact::kQosDowngrade: return {.counter = "core.degrade.downgrades",
+                                      .event = "qos-downgrade", .flight = FlightKind::kQosDowngrade,
+                                      .arg = Arg::kValue, .duration = true};
+    case Fact::kQosRestore: return {.counter = "core.degrade.restores", .event = "qos-restore",
+                                    .flight = FlightKind::kQosRestore, .arg = Arg::kValue,
+                                    .duration = true};
+    case Fact::kPromote: return {.counter = "core.failovers", .event = "promote",
+                                 .flight = FlightKind::kRoleChange, .arg = Arg::kOne,
+                                 .label = "promote", .gauge = "core.epoch"};
+    case Fact::kStepDown: return {.counter = "core.epoch.step_downs", .event = "step-down"};
+    case Fact::kDemoted: return {.flight = FlightKind::kRoleChange, .label = "step-down"};
+    case Fact::kEpochChange: return {.flight = FlightKind::kEpoch};
+    case Fact::kCrash: return {.flight = FlightKind::kCrash};
+    case Fact::kEpochReject: return {.counter = "core.epoch.rejected", .event = "epoch-reject"};
+    case Fact::kUpdateRoleReject: return {.counter = "core.role_rejected",
+                                          .event = "update-role-reject"};
+    case Fact::kRoleReject: return {.counter = "core.role_rejected"};
+    case Fact::kApply: return {.counter = "core.backup.applies", .event = "update-apply",
+                               .flight = FlightKind::kUpdateApply,
+                               .histogram = "core.backup.apply_latency_ms", .duration = true};
+    case Fact::kStaleUpdate: return {.counter = "core.backup.stale", .event = "update-stale"};
+    case Fact::kUnknownObject: return {.counter = "core.backup.unknown_object",
+                                       .event = "update-unknown"};
+    case Fact::kCrossEpochApply: return {.counter = "core.epoch.cross_epoch_applies"};
+    case Fact::kAckSent: return {};
+    case Fact::kNack: return {.counter = "core.backup.nacks", .event = "watchdog-nack",
+                              .flight = FlightKind::kRetransmitReq};
+    case Fact::kDowngradeReceived: return {.counter = "core.degrade.downgrades_received",
+                                           .event = "qos-downgrade-recv", .duration = true};
+    case Fact::kRestoreReceived: return {.counter = "core.degrade.restores_received",
+                                         .event = "qos-restore-recv"};
+    case Fact::kStateTransfer: return {.counter = "core.backup.state_transfers",
+                                       .event = "state-transfer"};
+    case Fact::kStaleTransfer: return {.counter = "core.backup.state_transfers_stale",
+                                       .event = "state-transfer", .also = Fact::kStateTransfer};
+    case Fact::kStateDelta: return {.counter = "core.backup.state_deltas", .event = "state-delta"};
+    case Fact::kStaleDelta: return {.counter = "core.backup.state_deltas_stale",
+                                    .event = "state-delta", .also = Fact::kStateDelta};
+    case Fact::kFrontier: return {.counter = "core.shard.frontier_received",
+                                  .event = "frontier-recv"};
+    case Fact::kWalRecord: return {.counter = "core.store.wal_records"};
+    case Fact::kCheckpoint: return {.counter = "core.store.checkpoints"};
+    case Fact::kFailStop: return {.counter = "core.store.fail_stops"};
+    case Fact::kWalReplay: return {.counter = "core.store.replayed_wal_records", .sums = true};
+    case Fact::kTornWalTail: return {.counter = "core.store.torn_wal_tails"};
+    case Fact::kTornCheckpointTail: return {.counter = "core.store.torn_checkpoint_tails"};
+    case Fact::kRestart: return {.counter = "core.store.recoveries", .event = "restart",
+                                 .flight = FlightKind::kRoleChange, .arg = Arg::kValue,
+                                 .label = "restart"};
+    case Fact::kLostUpdates: return {.sums = true};
+    case Fact::kResyncRequest: return {.counter = "core.store.resync_requests"};
+    case Fact::kResyncFull: return {.counter = "core.store.resync_fulls"};
+    case Fact::kResyncDelta: return {.counter = "core.store.resync_deltas",
+                                     .event = "resync-delta"};
+    case Fact::kDeltaEntries: return {.counter = "core.store.delta_entries", .sums = true};
+    case Fact::kSmoothedRtt: return {.gauge = "core.degrade.rtt_ms", .duration = true};
+    case Fact::kRto: return {.gauge = "core.degrade.rto_ms", .duration = true};
+    case Fact::kBackoffLevel: return {.gauge = "core.degrade.backoff_level"};
+    case Fact::kActiveDowngrades: return {.gauge = "core.degrade.active_downgrades"};
+    case Fact::kOverloaded: return {.gauge = "core.degrade.overloaded"};
+    case Fact::kCount: break;
+  }
+  return {};
 }
 
-std::string peer_counter(net::NodeId peer, const char* what) {
-  return "core.primary.peer.node" + std::to_string(peer) + "." + what;
-}
+/// The sink table, indexed by Fact.
+constexpr std::array<Sinks, kFacts> kSinks = [] {
+  std::array<Sinks, kFacts> table{};
+  for (std::size_t i = 0; i < kFacts; ++i) table[i] = sinks_of(static_cast<Fact>(i));
+  return table;
+}();
 
-/// Flight-recorder hook: one enabled-branch when the recorder is off, one
-/// O(1) ring write when on.  `label` must be a string literal.
-void flight(sim::Simulator& sim, telemetry::FlightKind kind, std::uint32_t node,
-            std::uint64_t object = 0, std::uint64_t version = 0, std::uint64_t epoch = 0,
-            std::uint64_t span = 0, std::int64_t arg = 0, const char* label = nullptr) {
-  telemetry::FlightRecorder& fr = sim.telemetry().flight_recorder();
-  if (!fr.enabled()) return;
-  telemetry::FlightRecord r;
-  r.at = sim.now();
-  r.span = span;
-  r.object = object;
-  r.version = version;
-  r.epoch = epoch;
-  r.arg = arg;
-  r.label = label;
-  r.node = node;
-  r.kind = kind;
-  fr.record(r);
+/// The Hub event detail of fact `f`, formatted from its fields.
+std::string describe(Fact f, std::uint64_t object, std::uint64_t version, std::uint64_t epoch,
+                     std::int64_t value) {
+  using std::to_string;
+  const std::string obj = "obj" + to_string(object);
+  switch (f) {
+    case Fact::kWriteStart: case Fact::kXmitStart: return {};
+    case Fact::kQosRestore: case Fact::kRestoreReceived: return obj;
+    case Fact::kBatchFrame: case Fact::kStateTransfer: case Fact::kStateDelta:
+      return to_string(value) + " entries";
+    case Fact::kStaleTransfer: case Fact::kStaleDelta:
+      return to_string(value) + " entries (stale id)";
+    case Fact::kShed: return obj + " slack " + nanos(value).to_string();
+    case Fact::kQosDowngrade: case Fact::kDowngradeReceived:
+      return obj + " window " + nanos(value).to_string();
+    case Fact::kNack: return obj + " v" + to_string(version) + " held";
+    case Fact::kRetxRequest: return obj + " v" + to_string(version) + " held by backup";
+    case Fact::kPromote: return "epoch " + to_string(epoch);
+    case Fact::kStepDown: return "deposed by epoch " + to_string(value);
+    case Fact::kEpochReject:  // value: the fenced message type; version: its epoch
+      return std::string(wire::msg_type_name(static_cast<wire::MsgType>(value))) + " epoch " +
+             to_string(version) + " < " + to_string(epoch);
+    case Fact::kRestart:  // value: WAL records; version: checkpoints
+      return to_string(value) + " wal records on " + to_string(version) + " checkpoint(s)";
+    case Fact::kResyncDelta:  // value: dirty objects; version: store size; object: peer
+      return to_string(value) + "/" + to_string(version) + " dirty to node" + to_string(object);
+    case Fact::kFrontier: return "shard" + to_string(value);
+    default: return obj + " v" + to_string(version);
+  }
 }
 }  // namespace
 
@@ -50,7 +171,8 @@ ReplicaServer::ReplicaServer(sim::Simulator& sim, net::Network& network, NameSer
       service_name_(std::move(service_name)),
       stack_(network),
       cpu_(sim, config.cpu_policy, std::string(role_name(role)) + "-cpu"),
-      rng_(sim.rng().fork()) {
+      rng_(sim.rng().fork()),
+      track_("node" + std::to_string(node()) + "/rtpb") {
   // The initial primary is epoch 1; backups start at 0 ("unknown") and
   // learn the cluster epoch from the first accepted message.  Epoch-0
   // traffic is never fenced, so a fresh standby can bootstrap.
@@ -76,6 +198,60 @@ ReplicaServer::ReplicaServer(sim::Simulator& sim, net::Network& network, NameSer
 }
 
 ReplicaServer::~ReplicaServer() = default;
+
+// ---------------------------------------------------------------------------
+// Fact sinks.  The totals always count; registry instruments are resolved
+// on first use while the Hub is on, and nothing is resolved while it is off.
+// ---------------------------------------------------------------------------
+
+void ReplicaServer::emit(Fact f, ObjectId object, std::uint64_t version, telemetry::SpanId span,
+                         std::int64_t value, std::optional<TimePoint> at) {
+  const auto i = static_cast<std::size_t>(f);
+  const Sinks& s = kSinks[i];
+  const std::uint64_t n = s.sums ? static_cast<std::uint64_t>(value) : 1;
+  const TimePoint when = at.value_or(sim_.now());
+  add(f, n);
+  if (s.also) add(*s.also, n);
+  telemetry::Hub& hub = sim_.telemetry();
+  if (hub.enabled()) {
+    const double sample = s.duration ? nanos(value).millis() : static_cast<double>(value);
+    if (s.histogram != nullptr) {
+      if (histograms_[i] == nullptr) histograms_[i] = &hub.registry().histogram(s.histogram);
+      histograms_[i]->record_ms(sample);
+    }
+    if (s.gauge != nullptr) {
+      if (gauges_[i] == nullptr) gauges_[i] = &hub.registry().gauge(s.gauge);
+      gauges_[i]->set(sample);
+    }
+    if (s.event != nullptr) {
+      hub.record_at(when, span, node(), telemetry::EventKind::kInstant, track_, s.event,
+                    describe(f, object, version, epoch_, value));
+    }
+  }
+  telemetry::FlightRecorder& fr = hub.flight_recorder();
+  if (!s.flight || !fr.enabled()) return;
+  const std::int64_t arg = s.arg == Arg::kValue ? (s.duration ? value / 1'000'000 : value)
+                                                 : static_cast<std::int64_t>(s.arg == Arg::kOne);
+  fr.record({when, span, object, version, epoch_, arg, s.label, node(), *s.flight});
+}
+
+void ReplicaServer::add(Fact f, std::uint64_t n) {
+  const auto i = static_cast<std::size_t>(f);
+  facts_[i] += n;
+  telemetry::Hub& hub = sim_.telemetry();
+  if (kSinks[i].counter == nullptr || !hub.enabled()) return;
+  if (counters_[i] == nullptr) counters_[i] = &hub.registry().counter(kSinks[i].counter);
+  counters_[i]->add(n);
+}
+
+void ReplicaServer::count_peer(net::NodeId peer, telemetry::Counter*& slot, const char* what) {
+  telemetry::Hub& hub = sim_.telemetry();
+  if (!hub.enabled()) return;
+  if (slot == nullptr) {
+    slot = &hub.registry().counter("core.primary.peer.node" + std::to_string(peer) + "." + what);
+  }
+  slot->add();
+}
 
 void ReplicaServer::add_peer(net::Endpoint peer) {
   RTPB_EXPECTS(peer.node != net::kInvalidNode);
@@ -171,11 +347,8 @@ Duration ReplicaServer::derived_ack_timeout() const {
 void ReplicaServer::on_rtt_sample(Duration rtt) {
   if (!degrade_) return;
   degrade_->on_rtt_sample(sim_.now(), rtt);
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    hub.registry().gauge("core.degrade.rtt_ms").set(degrade_->rtt().srtt().millis());
-    hub.registry().gauge("core.degrade.rto_ms").set(degrade_->rtt().rto().millis());
-  }
+  emit(Fact::kSmoothedRtt, 0, 0, telemetry::kNoSpan, degrade_->rtt().srtt().nanos());
+  emit(Fact::kRto, 0, 0, telemetry::kNoSpan, degrade_->rtt().rto().nanos());
   if (!config_.adaptive_timeouts) return;
   const Duration rto = degrade_->rtt().rto();
   if (rto <= Duration::zero()) return;
@@ -200,8 +373,8 @@ void ReplicaServer::on_peer_dead(net::NodeId peer) {
   // Primary: drop just this backup from the replication set.  The erase is
   // deferred one event because we are inside the dying detector's own
   // callback.
-  if (sim_.telemetry().enabled()) {
-    sim_.telemetry().registry().counter(peer_counter(peer, "dead")).add();
+  if (auto ps = peer_state_.find(peer); ps != peer_state_.end()) {
+    count_peer(peer, ps->second.dead, "dead");
   }
   sim_.schedule_after(Duration::zero(), [this, peer] { remove_peer(peer); });
 }
@@ -276,7 +449,7 @@ void ReplicaServer::crash() {
     rec.ack_timeout.cancel();
   }
   network_.set_node_up(node(), false);
-  flight(sim_, telemetry::FlightKind::kCrash, node(), 0, 0, epoch_);
+  emit(Fact::kCrash);
   // A crash fault is one of the post-mortem triggers: dump the ring so the
   // artifact shows what led up to it (first trigger wins).
   sim_.telemetry().flight_recorder().trigger_dump(
@@ -357,23 +530,14 @@ void ReplicaServer::local_write(ObjectId id, Bytes value, const sched::JobInfo& 
   metrics_.record_response(info.finish - info.release);
   metrics_.on_primary_write(id, info.finish);
 
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    // Mint the causal span for this update version, back-dated with the
-    // sensing job's scheduling history so the span's first hops show how
-    // long the write waited for the CPU.
-    const std::uint64_t version = store_.get(id).version;
-    const telemetry::SpanId span = hub.begin_span(id, version, epoch_);
-    hub.registry().counter("core.primary.writes").add();
-    hub.registry().histogram("core.primary.write_response_ms").record(info.finish - info.release);
-    const std::string track = rtpb_track(node());
-    hub.record_at(info.release, span, node(), telemetry::EventKind::kInstant, track,
-                  "write-release", obj_tag(id, version));
-    hub.record_at(info.start, span, node(), telemetry::EventKind::kInstant, track,
-                  "write-start");
-    hub.record_at(info.finish, span, node(), telemetry::EventKind::kInstant, track, "write",
-                  obj_tag(id, version));
-  }
+  // Mint the causal span for this update version (none while the Hub is
+  // off), back-dated with the sensing job's scheduling history so the
+  // span's first hops show how long the write waited for the CPU.
+  const std::uint64_t version = store_.get(id).version;
+  const telemetry::SpanId span = sim_.telemetry().begin_span(id, version, epoch_);
+  emit(Fact::kWriteRelease, id, version, span, 0, info.release);
+  emit(Fact::kWriteStart, id, version, span, 0, info.start);
+  emit(Fact::kWrite, id, version, span, (info.finish - info.release).nanos(), info.finish);
 
   // Window-consistent baseline: each write immediately queues its own
   // transmission job (coupled), instead of the decoupled periodic tasks.
@@ -429,31 +593,16 @@ void ReplicaServer::send_update(ObjectId id, bool retransmission, const sched::J
   const ObjectState& state = store_.get(id);
   if (state.version == 0) return;  // nothing written yet
 
-  ++updates_sent_;
-  if (retransmission) ++retransmissions_;
-
   telemetry::Hub& hub = sim_.telemetry();
-  const telemetry::SpanId span =
-      hub.enabled() ? hub.span_for(id, state.version) : telemetry::kNoSpan;
+  const telemetry::SpanId span = hub.span_for(id, state.version);
   // Everything pushed synchronously below (FRAGLITE → UDPLITE → IPLITE →
   // SIMETH → the link) records against this update's span.
   telemetry::ScopedSpan span_scope(hub, span);
-  if (hub.enabled()) {
-    const std::string track = rtpb_track(node());
-    if (job != nullptr && span != telemetry::kNoSpan) {
-      hub.record_at(job->release, span, node(), telemetry::EventKind::kInstant, track,
-                    "xmit-release", obj_tag(id, state.version));
-      hub.record_at(job->start, span, node(), telemetry::EventKind::kInstant, track,
-                    "xmit-start");
-    }
-    hub.registry()
-        .counter(retransmission ? "core.primary.retransmissions" : "core.primary.update_sends")
-        .add();
-    hub.record(span, node(), telemetry::EventKind::kInstant, track,
-               retransmission ? "update-retx" : "update-send", obj_tag(id, state.version));
+  if (job != nullptr && span != telemetry::kNoSpan) {
+    emit(Fact::kXmitRelease, id, state.version, span, 0, job->release);
+    emit(Fact::kXmitStart, id, state.version, span, 0, job->start);
   }
-  flight(sim_, telemetry::FlightKind::kUpdateSend, node(), id, state.version, epoch_, span,
-         retransmission ? 1 : 0);
+  emit(retransmission ? Fact::kRetransmit : Fact::kUpdateSend, id, state.version, span);
 
   // §5 methodology: loss injected on the update stream itself (the paper's
   // "probability of message loss from the primary to the backup").  A
@@ -461,12 +610,7 @@ void ReplicaServer::send_update(ObjectId id, bool retransmission, const sched::J
   // bernoulli(0) draws nothing, so unused overrides leave the rng stream —
   // and with it the trace digest — untouched.
   if (rng_.bernoulli(record(id).loss_override.value_or(config_.update_loss_probability))) {
-    ++updates_loss_injected_;
-    if (hub.enabled()) {
-      hub.registry().counter("core.primary.loss_injected").add();
-      hub.record(span, node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-                 "update-loss-injected", obj_tag(id, state.version));
-    }
+    emit(Fact::kLossInjected, id, state.version, span);
   } else if (config_.batch_updates && !retransmission && targets == nullptr) {
     // Stage for the open batch window instead of sending immediately.  The
     // staged entry is just the object id — the flush reads the store, so a
@@ -486,7 +630,7 @@ void ReplicaServer::send_update(ObjectId id, bool retransmission, const sched::J
     u.retransmission = retransmission;
     u.value = state.value;
     u.epoch = epoch_;
-    ++update_frames_sent_;
+    emit(Fact::kUpdateFrame);
     // Encode once; each peer's copy shares the body buffer.
     xkernel::Message frame{wire::encode(u)};
     const std::vector<net::Endpoint>& dst = targets != nullptr ? *targets : peers_;
@@ -518,26 +662,16 @@ void ReplicaServer::flush_staged_updates() {
   staged_updates_.clear();
   if (batch.entries.empty()) return;
   batch.epoch = epoch_;
-  ++update_frames_sent_;
   telemetry::Hub& hub = sim_.telemetry();
   // The frame carries several updates but a stack event attaches to one
   // span: the first coalesced update stands in for the frame (its span
   // threads write → udp-push → net-deliver → apply; siblings still get
   // their own apply events at the backup).
   const telemetry::SpanId span =
-      hub.enabled() ? hub.span_for(batch.entries.front().object, batch.entries.front().version)
-                    : telemetry::kNoSpan;
+      hub.span_for(batch.entries.front().object, batch.entries.front().version);
   telemetry::ScopedSpan span_scope(hub, span);
-  if (hub.enabled()) {
-    hub.registry().counter("core.primary.batch_frames").add();
-    hub.registry().histogram("core.primary.batch_entries").record_ms(
-        static_cast<double>(batch.entries.size()));
-    hub.record(span, node(), telemetry::EventKind::kInstant, rtpb_track(node()), "batch-send",
-               std::to_string(batch.entries.size()) + " entries");
-  }
-  flight(sim_, telemetry::FlightKind::kUpdateBatch, node(), batch.entries.front().object,
-         batch.entries.front().version, epoch_, span,
-         static_cast<std::int64_t>(batch.entries.size()));
+  emit(Fact::kBatchFrame, batch.entries.front().object, batch.entries.front().version, span,
+       static_cast<std::int64_t>(batch.entries.size()));
   xkernel::Message frame{wire::encode(batch)};
   for (const net::Endpoint& peer : peers_) send_to(peer, frame);
 }
@@ -573,15 +707,7 @@ void ReplicaServer::shed_staged_updates() {
   for (const auto& [slack, id] : by_slack) {
     const Duration period = store_.get(id).spec.client_period;
     if (!keep.empty() && slack > period * 2) {
-      ++updates_shed_;
-      if (hub.enabled()) {
-        hub.registry().counter("core.degrade.shed").add();
-        hub.record(hub.latest_span(id), node(), telemetry::EventKind::kInstant,
-                   rtpb_track(node()), "update-shed",
-                   "obj" + std::to_string(id) + " slack " + slack.to_string());
-      }
-      flight(sim_, telemetry::FlightKind::kShed, node(), id, 0, epoch_, hub.latest_span(id),
-             slack.nanos() / 1'000'000);
+      emit(Fact::kShed, id, 0, hub.latest_span(id), slack.nanos());
       continue;
     }
     keep.push_back(id);
@@ -683,7 +809,6 @@ void ReplicaServer::arm_transfer_retry() {
 
 void ReplicaServer::retry_pending_registrations() {
   if (crashed_ || peers_.empty() || pending_transfers_.empty()) return;
-  telemetry::Hub& hub = sim_.telemetry();
   for (auto it = pending_transfers_.begin(); it != pending_transfers_.end();) {
     PendingTransfer& pending = it->second;
     ++pending.attempts;
@@ -694,10 +819,9 @@ void ReplicaServer::retry_pending_registrations() {
       // up and report the silent peer as suspected-down — the same path a
       // heartbeat declaration takes (deferred remove_peer on a primary).
       for (const net::NodeId n : pending.awaiting) {
-        ++transfer_give_ups_;
+        emit(Fact::kTransferGiveUp);
         RTPB_WARN("rtpb", "transfer %llu to node%u unacked after %u attempts; suspecting peer",
                   static_cast<unsigned long long>(it->first), n, pending.attempts - 1);
-        if (hub.enabled()) hub.registry().counter("core.degrade.transfer_give_ups").add();
         on_peer_dead(n);
       }
       it = pending_transfers_.erase(it);
@@ -712,9 +836,8 @@ void ReplicaServer::retry_pending_registrations() {
   }
   transfer_retry_ =
       sim_.schedule_after(transfer_retry_delay(), [this] { retry_pending_registrations(); });
-  if (hub.enabled() && transfer_backoff_) {
-    hub.registry().gauge("core.degrade.backoff_level")
-        .set(static_cast<double>(transfer_backoff_->level()));
+  if (transfer_backoff_) {
+    emit(Fact::kBackoffLevel, 0, 0, telemetry::kNoSpan, transfer_backoff_->level());
   }
 }
 
@@ -736,18 +859,8 @@ void ReplicaServer::promote() {
     sim_.trace().record(sim_.now(), sim::TraceCategory::kService, "promote",
                         "node" + std::to_string(node()) + " epoch" + std::to_string(epoch_));
   }
-  {
-    telemetry::Hub& hub = sim_.telemetry();
-    if (hub.enabled()) {
-      hub.registry().counter("core.failovers").add();
-      hub.registry().gauge("core.epoch").set(static_cast<double>(epoch_));
-      hub.record(telemetry::kNoSpan, node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-                 "promote", "epoch " + std::to_string(epoch_));
-    }
-  }
-  flight(sim_, telemetry::FlightKind::kRoleChange, node(), 0, 0, epoch_, 0, /*arg=*/1,
-         "promote");
-  flight(sim_, telemetry::FlightKind::kEpoch, node(), 0, 0, epoch_);
+  emit(Fact::kPromote, 0, 0, telemetry::kNoSpan, static_cast<std::int64_t>(epoch_));
+  emit(Fact::kEpochChange);
   clear_peers();  // the old primary is gone
 
   // Rewrite the name file to point clients at us (§4.4).
@@ -795,7 +908,6 @@ void ReplicaServer::promote() {
 
 void ReplicaServer::step_down(std::uint64_t new_epoch) {
   RTPB_EXPECTS(role_ == Role::kPrimary);
-  ++step_downs_;
   RTPB_INFO("rtpb", "primary@node%u deposed: saw epoch %llu > own %llu; stepping down", node(),
             static_cast<unsigned long long>(new_epoch),
             static_cast<unsigned long long>(epoch_));
@@ -803,18 +915,12 @@ void ReplicaServer::step_down(std::uint64_t new_epoch) {
     sim_.trace().record(sim_.now(), sim::TraceCategory::kService, "step-down",
                         "node" + std::to_string(node()) + " epoch" + std::to_string(new_epoch));
   }
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    hub.registry().counter("core.epoch.step_downs").add();
-    hub.record(telemetry::kNoSpan, node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-               "step-down", "deposed by epoch " + std::to_string(new_epoch));
-  }
+  emit(Fact::kStepDown, 0, 0, telemetry::kNoSpan, static_cast<std::int64_t>(new_epoch));
   role_ = Role::kBackup;
   epoch_ = new_epoch;
   durable_log_meta();
-  flight(sim_, telemetry::FlightKind::kRoleChange, node(), 0, 0, epoch_, 0, /*arg=*/0,
-         "step-down");
-  flight(sim_, telemetry::FlightKind::kEpoch, node(), 0, 0, epoch_);
+  emit(Fact::kDemoted);
+  emit(Fact::kEpochChange);
   // Tear down the primary-side machinery.  The deposed replica stays up
   // as an ORPHANED backup: its store may hold a divergent suffix the new
   // primary never saw, so it must not rejoin the chain until a state
@@ -896,12 +1002,8 @@ void ReplicaServer::qos_tick() {
     if (!(calm && aged && caught_up) || !restore_object(id)) ++active;
   }
 
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    hub.registry().gauge("core.degrade.active_downgrades").set(static_cast<double>(active));
-    hub.registry().gauge("core.degrade.overloaded")
-        .set(degrade_->overloaded(now) ? 1.0 : 0.0);
-  }
+  emit(Fact::kActiveDowngrades, 0, 0, telemetry::kNoSpan, static_cast<std::int64_t>(active));
+  emit(Fact::kOverloaded, 0, 0, telemetry::kNoSpan, degrade_->overloaded(now) ? 1 : 0);
   arm_qos_tick();
 }
 
@@ -941,7 +1043,6 @@ bool ReplicaServer::downgrade_object(ObjectId id) {
   rec.downgrade = QosState{original, seq, sim_.now()};
   rec.qos_applied_seq = seq;
   rec.qos_notice_at = sim_.now();
-  ++downgrades_sent_;
 
   wire::ConstraintDowngrade d;
   d.object = id;
@@ -957,15 +1058,7 @@ bool ReplicaServer::downgrade_object(ObjectId id) {
             original.window().to_string().c_str(), loosened.window().to_string().c_str(),
             d.update_period.to_string().c_str(),
             static_cast<unsigned long long>(d.qos_seq));
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    hub.registry().counter("core.degrade.downgrades").add();
-    hub.record(telemetry::kNoSpan, node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-               "qos-downgrade",
-               "obj" + std::to_string(id) + " window " + loosened.window().to_string());
-  }
-  flight(sim_, telemetry::FlightKind::kQosDowngrade, node(), id, 0, epoch_, 0,
-         loosened.window().nanos() / 1'000'000);
+  emit(Fact::kQosDowngrade, id, 0, telemetry::kNoSpan, loosened.window().nanos());
   return true;
 }
 
@@ -994,7 +1087,6 @@ bool ReplicaServer::restore_object(ObjectId id) {
   rec.downgrade.reset();
   rec.qos_applied_seq = seq;
   rec.qos_notice_at = sim_.now();
-  ++restores_sent_;
 
   wire::ConstraintRestore rs;
   rs.object = id;
@@ -1008,14 +1100,7 @@ bool ReplicaServer::restore_object(ObjectId id) {
   RTPB_INFO("rtpb", "QoS restore: object %u window back to %s (r=%s, seq %llu)", id,
             original.window().to_string().c_str(), rs.update_period.to_string().c_str(),
             static_cast<unsigned long long>(seq));
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    hub.registry().counter("core.degrade.restores").add();
-    hub.record(telemetry::kNoSpan, node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-               "qos-restore", "obj" + std::to_string(id));
-  }
-  flight(sim_, telemetry::FlightKind::kQosRestore, node(), id, 0, epoch_, 0,
-         original.window().nanos() / 1'000'000);
+  emit(Fact::kQosRestore, id, 0, telemetry::kNoSpan, original.window().nanos());
   return true;
 }
 
@@ -1080,18 +1165,11 @@ void ReplicaServer::handle_message(xkernel::Message& msg, const xkernel::MsgAttr
   // that ack is the depose notice a zombie primary steps down on.
   const std::uint64_t msg_epoch = wire::epoch_of(*decoded);
   if (config_.epoch_fencing && msg_epoch != 0 && msg_epoch < epoch_) {
-    ++epoch_rejections_;
-    const char* type_name = wire::msg_type_name(wire::type_of(*decoded));
-    telemetry::Hub& hub = sim_.telemetry();
-    if (hub.enabled()) {
-      hub.registry().counter("core.epoch.rejected").add();
-      hub.record(hub.current_span(), node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-                 "epoch-reject",
-                 std::string(type_name) + " epoch " + std::to_string(msg_epoch) + " < " +
-                     std::to_string(epoch_));
-    }
-    RTPB_DEBUG("rtpb", "%s from node%u fenced: epoch %llu < %llu", type_name, from.node,
-               static_cast<unsigned long long>(msg_epoch),
+    const wire::MsgType type = wire::type_of(*decoded);
+    emit(Fact::kEpochReject, 0, msg_epoch, sim_.telemetry().current_span(),
+         static_cast<std::int64_t>(type));
+    RTPB_DEBUG("rtpb", "%s from node%u fenced: epoch %llu < %llu", wire::msg_type_name(type),
+               from.node, static_cast<unsigned long long>(msg_epoch),
                static_cast<unsigned long long>(epoch_));
     if (const auto* ping = std::get_if<wire::Ping>(&*decoded)) {
       send_to(from, wire::encode(wire::PingAck{ping->seq, epoch_}));
@@ -1134,22 +1212,12 @@ void ReplicaServer::handle(const wire::Update& u, net::Endpoint from) {
     // Role guard: a primary must never apply (or ack) an update stream.
     // Reachable when fencing is off — a deposed old primary keeps sending
     // after this replica was promoted over it.
-    ++role_rejections_;
-    if (hub.enabled()) {
-      hub.registry().counter("core.role_rejected").add();
-      hub.record(hub.current_span(), node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-                 "update-role-reject", obj_tag(u.object, u.version));
-    }
+    emit(Fact::kUpdateRoleReject, u.object, u.version, hub.current_span());
     return;
   }
   if (!store_.contains(u.object)) {
     // Registration hasn't reached us yet; the acked transfer will retry.
-    ++stale_updates_;
-    if (hub.enabled()) {
-      hub.registry().counter("core.backup.unknown_object").add();
-      hub.record(hub.current_span(), node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-                 "update-unknown", obj_tag(u.object, u.version));
-    }
+    emit(Fact::kUnknownObject, u.object, u.version, hub.current_span());
     return;
   }
   // Log-before-apply (backup side): the version must be durable before
@@ -1161,13 +1229,11 @@ void ReplicaServer::handle(const wire::Update& u, net::Endpoint from) {
   }
   const bool applied = store_.apply(u.object, u.version, u.timestamp, u.value, sim_.now());
   if (applied) {
-    ++updates_applied_;
     if (u.epoch != 0 && u.epoch < epoch_) {
       // Only reachable with fencing disabled: we just applied state from
       // a deposed primary's incarnation.  The chaos no-cross-epoch-apply
       // oracle trips on this counter.
-      ++cross_epoch_applies_;
-      if (hub.enabled()) hub.registry().counter("core.epoch.cross_epoch_applies").add();
+      emit(Fact::kCrossEpochApply);
     }
     metrics_.on_backup_apply(u.object, u.timestamp, sim_.now());
     // Temporal-slack SLO sample: staleness at apply vs the negotiated
@@ -1177,27 +1243,12 @@ void ReplicaServer::handle(const wire::Update& u, net::Endpoint from) {
       slo.observe(u.object, sim_.now(), sim_.now() - u.timestamp,
                   metrics_.window_of(u.object));
     }
-    flight(sim_, telemetry::FlightKind::kUpdateApply, node(), u.object, u.version, epoch_,
-           hub.enabled() ? hub.span_for(u.object, u.version) : 0);
-  } else {
-    ++stale_updates_;
   }
-  if (hub.enabled()) {
-    const telemetry::SpanId span = hub.span_for(u.object, u.version);
-    if (applied) {
-      hub.registry().counter("core.backup.applies").add();
-      hub.registry().histogram("core.backup.apply_latency_ms").record(sim_.now() - u.timestamp);
-      hub.record(span, node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-                 "update-apply", obj_tag(u.object, u.version));
-    } else {
-      hub.registry().counter("core.backup.stale").add();
-      hub.record(span, node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-                 "update-stale", obj_tag(u.object, u.version));
-    }
-  }
+  emit(applied ? Fact::kApply : Fact::kStaleUpdate, u.object, u.version,
+       hub.span_for(u.object, u.version), (sim_.now() - u.timestamp).nanos());
   arm_watchdog(u.object);
   if (config_.ack_every_update) {
-    ++acks_sent_;
+    emit(Fact::kAckSent);
     send_to(from, wire::encode(wire::UpdateAck{u.object, u.version, epoch_}));
   }
   maybe_checkpoint();
@@ -1225,11 +1276,8 @@ void ReplicaServer::handle(const wire::UpdateAck& a, net::Endpoint from) {
   if (it == peer_state_.end()) return;  // ack from a node we no longer replicate to
   std::uint64_t& acked = it->second.acked[a.object];
   acked = std::max(acked, a.version);
-  if (sim_.telemetry().enabled()) {
-    sim_.telemetry().registry().counter(peer_counter(from.node, "acks")).add();
-  }
-  flight(sim_, telemetry::FlightKind::kAck, node(), a.object, a.version, epoch_, 0,
-         from.node);
+  count_peer(from.node, it->second.acks, "acks");
+  emit(Fact::kAckReceived, a.object, a.version, telemetry::kNoSpan, from.node);
 }
 
 void ReplicaServer::handle(const wire::RetransmitRequest& r,
@@ -1237,13 +1285,8 @@ void ReplicaServer::handle(const wire::RetransmitRequest& r,
   if (role_ != Role::kPrimary) return;
   if (!store_.contains(r.object)) return;
   if (store_.get(r.object).version <= r.have_version) return;  // backup is current
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    hub.registry().counter("core.primary.retransmit_requests").add();
-    hub.record(hub.span_for(r.object, store_.get(r.object).version), node(),
-               telemetry::EventKind::kInstant, rtpb_track(node()), "retx-request",
-               obj_tag(r.object, r.have_version) + " held by backup");
-  }
+  emit(Fact::kRetxRequest, r.object, r.have_version,
+       sim_.telemetry().span_for(r.object, store_.get(r.object).version));
   // Serving a retransmission costs CPU like a regular transmission, but at
   // background priority: it must not perturb the admitted periodic tasks.
   const ObjectId id = r.object;
@@ -1278,11 +1321,9 @@ void ReplicaServer::apply_transfer(std::uint64_t transfer_id,
                                    std::vector<wire::StateEntry>& entries,
                                    std::vector<InterObjectConstraint>& constraints,
                                    std::uint64_t epoch, bool delta, net::Endpoint from) {
-  telemetry::Hub& hub = sim_.telemetry();
   if (role_ != Role::kBackup) {
     // Role guard: a primary never takes state from another primary.
-    ++role_rejections_;
-    if (hub.enabled()) hub.registry().counter("core.role_rejected").add();
+    emit(Fact::kRoleReject);
     return;
   }
   // Re-peer: a transfer from a node we do not follow is a recruitment —
@@ -1302,14 +1343,10 @@ void ReplicaServer::apply_transfer(std::uint64_t transfer_id,
   std::uint64_t& high_water = transfer_high_water_[from.node];
   const bool newest = transfer_id > high_water;
   if (newest) high_water = transfer_id;
-  if (hub.enabled()) {
-    const std::string counter = delta ? "core.backup.state_deltas" : "core.backup.state_transfers";
-    hub.registry().counter(counter).add();
-    if (!newest) hub.registry().counter(counter + "_stale").add();
-    hub.record(hub.current_span(), node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-               delta ? "state-delta" : "state-transfer",
-               std::to_string(entries.size()) + " entries" + (newest ? "" : " (stale id)"));
-  }
+  const Fact fact = delta ? (newest ? Fact::kStateDelta : Fact::kStaleDelta)
+                          : (newest ? Fact::kStateTransfer : Fact::kStaleTransfer);
+  emit(fact, 0, transfer_id, sim_.telemetry().current_span(),
+       static_cast<std::int64_t>(entries.size()));
   for (wire::StateEntry& entry : entries) {
     const ObjectId id = entry.spec.id;
     if (!store_.contains(id)) {
@@ -1330,10 +1367,7 @@ void ReplicaServer::apply_transfer(std::uint64_t transfer_id,
         return;  // fail-stopped: no apply, no ack
       }
       if (store_.apply(id, entry.version, entry.timestamp, std::move(entry.value), sim_.now())) {
-        if (epoch != 0 && epoch < epoch_) {
-          ++cross_epoch_applies_;
-          if (hub.enabled()) hub.registry().counter("core.epoch.cross_epoch_applies").add();
-        }
+        if (epoch != 0 && epoch < epoch_) emit(Fact::kCrossEpochApply);
         metrics_.on_backup_apply(id, entry.timestamp, sim_.now());
       }
     }
@@ -1372,74 +1406,43 @@ void ReplicaServer::handle(const wire::StateTransferAck& ack,
   }
 }
 
-void ReplicaServer::handle(const wire::ConstraintDowngrade& d,
-                                                net::Endpoint from) {
-  (void)from;
-  telemetry::Hub& hub = sim_.telemetry();
+void ReplicaServer::handle(const wire::ConstraintDowngrade& d, net::Endpoint /*from*/) {
+  apply_qos_notice(d.object, d.qos_seq, d.update_period, d.delta_primary, d.delta_backup);
+}
+
+void ReplicaServer::handle(const wire::ConstraintRestore& rs, net::Endpoint /*from*/) {
+  apply_qos_notice(rs.object, rs.qos_seq, rs.update_period, std::nullopt, rs.delta_backup);
+}
+
+void ReplicaServer::apply_qos_notice(ObjectId id, std::uint64_t qos_seq, Duration update_period,
+                                     std::optional<Duration> delta_primary,
+                                     Duration delta_backup) {
   if (role_ != Role::kBackup) {
-    ++role_rejections_;
-    if (hub.enabled()) hub.registry().counter("core.role_rejected").add();
+    emit(Fact::kRoleReject);
     return;
   }
-  if (!store_.contains(d.object)) return;
+  if (!store_.contains(id)) return;
   // Reorder guard: per-object renegotiation seqs are monotone.  A delayed
   // duplicate of an older downgrade (or a downgrade arriving after the
   // restore that undid it) must not clobber the newer QoS.
-  ObjectRecord& rec = objects_[d.object];
-  if (d.qos_seq <= rec.qos_applied_seq) return;
-  rec.qos_applied_seq = d.qos_seq;
-  next_qos_seq_ = std::max(next_qos_seq_, d.qos_seq + 1);
+  ObjectRecord& rec = objects_[id];
+  if (qos_seq <= rec.qos_applied_seq) return;
+  rec.qos_applied_seq = qos_seq;
+  next_qos_seq_ = std::max(next_qos_seq_, qos_seq + 1);
 
-  ObjectSpec spec = store_.get(d.object).spec;
-  spec.delta_primary = d.delta_primary;
-  spec.delta_backup = d.delta_backup;
-  store_.update_spec(d.object, spec);
-  metrics_.track_object(d.object, spec.window(), spec.client_period);
-  rec.watchdog_period = d.update_period;
-  arm_watchdog(d.object);
+  ObjectSpec spec = store_.get(id).spec;
+  if (delta_primary) spec.delta_primary = *delta_primary;
+  spec.delta_backup = delta_backup;
+  store_.update_spec(id, spec);
+  metrics_.track_object(id, spec.window(), spec.client_period);
+  rec.watchdog_period = update_period;
+  arm_watchdog(id);
   rec.qos_notice_at = sim_.now();
-  ++downgrades_received_;
-  RTPB_INFO("rtpb", "backup@node%u applied QoS downgrade: object %u window %s (seq %llu)", node(),
-            d.object, spec.window().to_string().c_str(),
-            static_cast<unsigned long long>(d.qos_seq));
-  if (hub.enabled()) {
-    hub.registry().counter("core.degrade.downgrades_received").add();
-    hub.record(telemetry::kNoSpan, node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-               "qos-downgrade-recv",
-               "obj" + std::to_string(d.object) + " window " + spec.window().to_string());
-  }
-}
-
-void ReplicaServer::handle(const wire::ConstraintRestore& rs,
-                                              net::Endpoint from) {
-  (void)from;
-  telemetry::Hub& hub = sim_.telemetry();
-  if (role_ != Role::kBackup) {
-    ++role_rejections_;
-    if (hub.enabled()) hub.registry().counter("core.role_rejected").add();
-    return;
-  }
-  if (!store_.contains(rs.object)) return;
-  ObjectRecord& rec = objects_[rs.object];
-  if (rs.qos_seq <= rec.qos_applied_seq) return;
-  rec.qos_applied_seq = rs.qos_seq;
-  next_qos_seq_ = std::max(next_qos_seq_, rs.qos_seq + 1);
-
-  ObjectSpec spec = store_.get(rs.object).spec;
-  spec.delta_backup = rs.delta_backup;
-  store_.update_spec(rs.object, spec);
-  metrics_.track_object(rs.object, spec.window(), spec.client_period);
-  rec.watchdog_period = rs.update_period;
-  arm_watchdog(rs.object);
-  rec.qos_notice_at = sim_.now();
-  RTPB_INFO("rtpb", "backup@node%u applied QoS restore: object %u window %s (seq %llu)", node(),
-            rs.object, spec.window().to_string().c_str(),
-            static_cast<unsigned long long>(rs.qos_seq));
-  if (hub.enabled()) {
-    hub.registry().counter("core.degrade.restores_received").add();
-    hub.record(telemetry::kNoSpan, node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-               "qos-restore-recv", "obj" + std::to_string(rs.object));
-  }
+  RTPB_INFO("rtpb", "backup@node%u applied QoS %s: object %u window %s (seq %llu)", node(),
+            delta_primary ? "downgrade" : "restore", id, spec.window().to_string().c_str(),
+            static_cast<unsigned long long>(qos_seq));
+  emit(delta_primary ? Fact::kDowngradeReceived : Fact::kRestoreReceived, id, 0,
+       telemetry::kNoSpan, spec.window().nanos());
 }
 
 // ---------------------------------------------------------------------------
@@ -1452,12 +1455,7 @@ void ReplicaServer::ingest_frontier(const FrontierRecord& f) {
   // record can never drag the view backwards.
   TimePoint& have = peer_frontiers_[f.shard];
   have = std::max(have, f.stable_ts);
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    hub.registry().counter("core.shard.frontier_received").add();
-    hub.record(hub.current_span(), node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-               "frontier-recv", "shard" + std::to_string(f.shard));
-  }
+  emit(Fact::kFrontier, 0, 0, sim_.telemetry().current_span(), f.shard);
 }
 
 TimePoint ReplicaServer::peer_frontier(std::uint32_t shard) const {
@@ -1475,17 +1473,9 @@ void ReplicaServer::arm_watchdog(ObjectId id) {
     if (crashed_ || role_ != Role::kBackup) return;
     const auto state = store_.find(id);
     if (!state) return;
-    ++nacks_sent_;
-    telemetry::Hub& hub = sim_.telemetry();
-    if (hub.enabled()) {
-      hub.registry().counter("core.backup.nacks").add();
-      // Blame the newest span the primary minted for this object — that is
-      // the update whose absence tripped the watchdog.
-      hub.record(hub.latest_span(id), node(), telemetry::EventKind::kInstant,
-                 rtpb_track(node()), "watchdog-nack", obj_tag(id, state->version) + " held");
-    }
-    flight(sim_, telemetry::FlightKind::kRetransmitReq, node(), id, state->version, epoch_,
-           hub.enabled() ? hub.latest_span(id) : 0);
+    // Blame the newest span the primary minted for this object — that is
+    // the update whose absence tripped the watchdog.
+    emit(Fact::kNack, id, state->version, sim_.telemetry().latest_span(id));
     if (!peers_.empty()) {
       send_to(peers_.front(), wire::encode(wire::RetransmitRequest{id, state->version, epoch_}));
     }
@@ -1514,9 +1504,7 @@ bool ReplicaServer::durable_log_insert(const ObjectSpec& spec) {
     fail_stop("wal-insert");
     return false;
   }
-  if (sim_.telemetry().enabled()) {
-    sim_.telemetry().registry().counter("core.store.wal_records").add();
-  }
+  emit(Fact::kWalRecord);
   return true;
 }
 
@@ -1530,9 +1518,7 @@ bool ReplicaServer::durable_log_update(ObjectId id, std::uint64_t version, TimeP
     fail_stop("wal-write");
     return false;
   }
-  if (sim_.telemetry().enabled()) {
-    sim_.telemetry().registry().counter("core.store.wal_records").add();
-  }
+  emit(Fact::kWalRecord);
   return true;
 }
 
@@ -1559,18 +1545,14 @@ void ReplicaServer::maybe_checkpoint() {
     fail_stop("checkpoint");
     return;
   }
-  if (sim_.telemetry().enabled()) {
-    sim_.telemetry().registry().counter("core.store.checkpoints").add();
-  }
+  emit(Fact::kCheckpoint);
 }
 
 void ReplicaServer::fail_stop(const char* what) {
   if (crashed_) return;
   RTPB_WARN("rtpb", "%s@node%u: storage append failed (%s); fail-stop", role_name(role_),
             node(), what);
-  if (sim_.telemetry().enabled()) {
-    sim_.telemetry().registry().counter("core.store.fail_stops").add();
-  }
+  emit(Fact::kFailStop);
   crash();
 }
 
@@ -1618,7 +1600,10 @@ void ReplicaServer::restart() {
     // count stays 0; a torn WAL tail only ever holds writes that were
     // never applied or acked.
     const std::uint64_t have = store_.contains(id) ? store_.get(id).version : 0;
-    if (have < r.version_at_crash) recovery_lost_updates_ += r.version_at_crash - have;
+    if (have < r.version_at_crash) {
+      emit(Fact::kLostUpdates, id, 0, telemetry::kNoSpan,
+           static_cast<std::int64_t>(r.version_at_crash - have));
+    }
     r.version_at_crash = 0;
   }
   staged_updates_.clear();
@@ -1635,7 +1620,6 @@ void ReplicaServer::restart() {
   crashed_ = false;
   resync_attempts_ = 0;
   resync_pending_ = false;
-  ++recoveries_;
 
   network_.set_node_up(node(), true);
   cpu_.start(sim_.now());
@@ -1645,20 +1629,11 @@ void ReplicaServer::restart() {
                         "node" + std::to_string(node()) + " epoch" + std::to_string(epoch_) +
                             " objects" + std::to_string(store_.size()));
   }
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    hub.registry().counter("core.store.recoveries").add();
-    hub.registry().counter("core.store.replayed_wal_records")
-        .add(static_cast<std::uint64_t>(rec.wal_records));
-    if (rec.wal_torn) hub.registry().counter("core.store.torn_wal_tails").add();
-    if (rec.checkpoint_torn) hub.registry().counter("core.store.torn_checkpoint_tails").add();
-    hub.record(telemetry::kNoSpan, node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-               "restart",
-               std::to_string(rec.wal_records) + " wal records on " +
-                   std::to_string(rec.checkpoint_records) + " checkpoint(s)");
-  }
-  flight(sim_, telemetry::FlightKind::kRoleChange, node(), 0, 0, epoch_, 0,
-         static_cast<std::int64_t>(rec.wal_records), "restart");
+  const auto wal_records = static_cast<std::int64_t>(rec.wal_records);
+  emit(Fact::kWalReplay, 0, 0, telemetry::kNoSpan, wal_records);
+  if (rec.wal_torn) emit(Fact::kTornWalTail);
+  if (rec.checkpoint_torn) emit(Fact::kTornCheckpointTail);
+  emit(Fact::kRestart, 0, rec.checkpoint_records, telemetry::kNoSpan, wal_records);
   RTPB_INFO("rtpb",
             "node%u restarted from durable state: %zu object(s), epoch %llu, "
             "%zu wal record(s)%s",
@@ -1680,12 +1655,9 @@ void ReplicaServer::request_resync() {
   });
   // Deliberately the epoch-0 bootstrap wildcard (see wire.hpp): the
   // recovered epoch may be stale and a fenced resync would strand us.
-  ++resync_requests_sent_;
+  emit(Fact::kResyncRequest);
   ++resync_attempts_;
   resync_pending_ = true;
-  if (sim_.telemetry().enabled()) {
-    sim_.telemetry().registry().counter("core.store.resync_requests").add();
-  }
   send_to(peers_.front(), wire::encode(rq));
   // Re-ask until a kStateDelta or full kStateTransfer lands.
   resync_retry_.cancel();
@@ -1695,10 +1667,8 @@ void ReplicaServer::request_resync() {
 }
 
 void ReplicaServer::handle(const wire::ResyncRequest& rq, net::Endpoint from) {
-  telemetry::Hub& hub = sim_.telemetry();
   if (role_ != Role::kPrimary) {
-    ++role_rejections_;
-    if (hub.enabled()) hub.registry().counter("core.role_rejected").add();
+    emit(Fact::kRoleReject);
     return;
   }
   // Dirty set: everything the rejoiner has never seen, is version-behind
@@ -1719,8 +1689,7 @@ void ReplicaServer::handle(const wire::ResyncRequest& rq, net::Endpoint from) {
   if (rq.have.empty() || dirty.size() == store_.size()) {
     // The delta saves nothing (empty vector, or everything is dirty):
     // fall back to the full-transfer recruitment path.
-    ++resync_fulls_sent_;
-    if (hub.enabled()) hub.registry().counter("core.store.resync_fulls").add();
+    emit(Fact::kResyncFull);
     recruit_backup(from);
     return;
   }
@@ -1731,17 +1700,9 @@ void ReplicaServer::handle(const wire::ResyncRequest& rq, net::Endpoint from) {
     add_peer(from);
   }
 
-  ++resync_deltas_sent_;
-  delta_entries_sent_ += dirty.size();
-  if (hub.enabled()) {
-    hub.registry().counter("core.store.resync_deltas").add();
-    hub.registry().counter("core.store.delta_entries")
-        .add(static_cast<std::uint64_t>(dirty.size()));
-    hub.record(telemetry::kNoSpan, node(), telemetry::EventKind::kInstant, rtpb_track(node()),
-               "resync-delta", std::to_string(dirty.size()) + "/" +
-                                   std::to_string(store_.size()) + " dirty to node" +
-                                   std::to_string(from.node));
-  }
+  const auto dirty_count = static_cast<std::int64_t>(dirty.size());
+  emit(Fact::kDeltaEntries, 0, 0, telemetry::kNoSpan, dirty_count);
+  emit(Fact::kResyncDelta, from.node, store_.size(), telemetry::kNoSpan, dirty_count);
   RTPB_INFO("rtpb", "primary@node%u resyncs node%u incrementally: %zu/%zu object(s) dirty",
             node(), from.node, dirty.size(), store_.size());
   begin_transfer(std::move(dirty), {from}, /*delta=*/true);

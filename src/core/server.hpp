@@ -22,6 +22,7 @@
 //     fresh backup via full state transfer.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -63,6 +64,30 @@ struct FrontierRecord {
   std::uint32_t shard = 0;
   TimePoint stable_ts{};
 };
+
+/// The protocol facts a ReplicaServer reports.  Each happens at one
+/// ReplicaServer::emit() call; the sink table in server.cpp says which
+/// registry instrument, Hub event and flight record it feeds besides the
+/// per-kind total the server's getters read.
+enum class Fact : std::uint8_t {
+  kWrite, kWriteRelease, kWriteStart,  // primary: client write (+ its job history)
+  kXmitRelease, kXmitStart,            // primary: update transmission job history
+  kUpdateSend, kRetransmit, kLossInjected, kUpdateFrame, kBatchFrame, kShed,
+  kRetxRequest, kAckReceived, kTransferGiveUp,
+  kQosDowngrade, kQosRestore,                               // primary: renegotiation
+  kPromote, kStepDown, kDemoted, kEpochChange, kCrash,      // role and epoch
+  kEpochReject, kUpdateRoleReject, kRoleReject,             // fencing
+  kApply, kStaleUpdate, kUnknownObject, kCrossEpochApply,   // backup: updates
+  kAckSent, kNack, kDowngradeReceived, kRestoreReceived,
+  kStateTransfer, kStaleTransfer, kStateDelta, kStaleDelta, // backup: transfers
+  kFrontier,
+  kWalRecord, kCheckpoint, kFailStop, kWalReplay, kTornWalTail,  // durability
+  kTornCheckpointTail, kRestart, kLostUpdates,
+  kResyncRequest, kResyncFull, kResyncDelta, kDeltaEntries,      // resync
+  kSmoothedRtt, kRto, kBackoffLevel, kActiveDowngrades, kOverloaded,  // gauge readings
+  kCount
+};
+inline constexpr std::size_t kFacts = static_cast<std::size_t>(Fact::kCount);
 
 class ReplicaServer {
  public:
@@ -159,14 +184,14 @@ class ReplicaServer {
   void request_resync();
   /// Client-acked updates the recovered state was found to be missing
   /// (durability oracle: must stay 0 under log-before-apply).
-  [[nodiscard]] std::uint64_t recovery_lost_updates() const { return recovery_lost_updates_; }
-  [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
-  [[nodiscard]] std::uint64_t resync_requests_sent() const { return resync_requests_sent_; }
-  [[nodiscard]] std::uint64_t resync_deltas_sent() const { return resync_deltas_sent_; }
-  [[nodiscard]] std::uint64_t resync_fulls_sent() const { return resync_fulls_sent_; }
+  [[nodiscard]] std::uint64_t recovery_lost_updates() const { return count(Fact::kLostUpdates); }
+  [[nodiscard]] std::uint64_t recoveries() const { return count(Fact::kRestart); }
+  [[nodiscard]] std::uint64_t resync_requests_sent() const { return count(Fact::kResyncRequest); }
+  [[nodiscard]] std::uint64_t resync_deltas_sent() const { return count(Fact::kResyncDelta); }
+  [[nodiscard]] std::uint64_t resync_fulls_sent() const { return count(Fact::kResyncFull); }
   /// Object entries shipped inside kStateDelta frames (O(dirty set), the
   /// incremental-rejoin win the recovery bench asserts).
-  [[nodiscard]] std::uint64_t delta_entries_sent() const { return delta_entries_sent_; }
+  [[nodiscard]] std::uint64_t delta_entries_sent() const { return count(Fact::kDeltaEntries); }
 
   // ---- client-facing interface (Mach IPC in the paper; a co-located
   // ---- call here).  Valid only while role() == kPrimary.
@@ -210,17 +235,19 @@ class ReplicaServer {
   /// When the last QoS notice (downgrade or restore) for `id` was sent
   /// (primary) or received (backup); TimePoint::zero() if never.
   [[nodiscard]] TimePoint qos_last_notice_at(ObjectId id) const;
-  [[nodiscard]] std::uint64_t qos_downgrades_sent() const { return downgrades_sent_; }
-  [[nodiscard]] std::uint64_t qos_restores_sent() const { return restores_sent_; }
-  [[nodiscard]] std::uint64_t qos_downgrades_received() const { return downgrades_received_; }
+  [[nodiscard]] std::uint64_t qos_downgrades_sent() const { return count(Fact::kQosDowngrade); }
+  [[nodiscard]] std::uint64_t qos_restores_sent() const { return count(Fact::kQosRestore); }
+  [[nodiscard]] std::uint64_t qos_downgrades_received() const {
+    return count(Fact::kDowngradeReceived);
+  }
   /// Updates dropped by slack-aware shedding while overloaded.
-  [[nodiscard]] std::uint64_t updates_shed() const { return updates_shed_; }
+  [[nodiscard]] std::uint64_t updates_shed() const { return count(Fact::kShed); }
   /// Updates currently staged for the open batch window (send-queue depth
   /// as seen by overload detection; health-feed instrumentation).
   [[nodiscard]] std::size_t staged_update_count() const { return staged_updates_.size(); }
   /// Transfers abandoned after transfer_retry_limit attempts (the silent
   /// peer was reported suspected-down).
-  [[nodiscard]] std::uint64_t transfer_give_ups() const { return transfer_give_ups_; }
+  [[nodiscard]] std::uint64_t transfer_give_ups() const { return count(Fact::kTransferGiveUp); }
   /// The overload detector (null until start()).
   [[nodiscard]] const DegradationController* degradation() const { return degrade_.get(); }
 
@@ -230,31 +257,41 @@ class ReplicaServer {
   /// epoch seen on accepted traffic.  0 = not yet learned (fresh standby).
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Messages dropped because they carried a lower (stale) epoch.
-  [[nodiscard]] std::uint64_t epoch_rejections() const { return epoch_rejections_; }
+  [[nodiscard]] std::uint64_t epoch_rejections() const { return count(Fact::kEpochReject); }
   /// Updates/transfers dropped because this replica is not a backup.
-  [[nodiscard]] std::uint64_t role_rejections() const { return role_rejections_; }
+  [[nodiscard]] std::uint64_t role_rejections() const {
+    return count(Fact::kUpdateRoleReject) + count(Fact::kRoleReject);
+  }
   /// Updates this replica APPLIED although they were stamped with a lower
   /// epoch than its own — the split-brain hazard.  Always 0 with epoch
   /// fencing on; the chaos no-cross-epoch-apply oracle asserts it.
-  [[nodiscard]] std::uint64_t cross_epoch_applies() const { return cross_epoch_applies_; }
+  [[nodiscard]] std::uint64_t cross_epoch_applies() const { return count(Fact::kCrossEpochApply); }
   /// In-flight state transfers this server is driving (input to the
   /// explorer's canonical state hash).
   [[nodiscard]] std::size_t pending_transfer_count() const { return pending_transfers_.size(); }
   /// Times this replica, as primary, stepped down after seeing a higher
   /// epoch (it had been deposed without noticing).
-  [[nodiscard]] std::uint64_t step_downs() const { return step_downs_; }
+  [[nodiscard]] std::uint64_t step_downs() const { return count(Fact::kStepDown); }
 
   // ---- introspection / stats ----
-  [[nodiscard]] std::uint64_t updates_sent() const { return updates_sent_; }
+  /// Update transmissions, retransmissions included.
+  [[nodiscard]] std::uint64_t updates_sent() const {
+    return count(Fact::kUpdateSend) + count(Fact::kRetransmit);
+  }
   /// Wire frames carrying update payloads (kUpdate + kUpdateBatch).  With
   /// batching on this lags updates_sent(): many updates ride one frame.
-  [[nodiscard]] std::uint64_t update_frames_sent() const { return update_frames_sent_; }
-  [[nodiscard]] std::uint64_t updates_loss_injected() const { return updates_loss_injected_; }
-  [[nodiscard]] std::uint64_t updates_applied() const { return updates_applied_; }
-  [[nodiscard]] std::uint64_t stale_updates() const { return stale_updates_; }
-  [[nodiscard]] std::uint64_t retransmit_requests_sent() const { return nacks_sent_; }
-  [[nodiscard]] std::uint64_t retransmissions_served() const { return retransmissions_; }
-  [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
+  [[nodiscard]] std::uint64_t update_frames_sent() const {
+    return count(Fact::kUpdateFrame) + count(Fact::kBatchFrame);
+  }
+  [[nodiscard]] std::uint64_t updates_loss_injected() const { return count(Fact::kLossInjected); }
+  [[nodiscard]] std::uint64_t updates_applied() const { return count(Fact::kApply); }
+  /// Updates not applied: version-stale ones and ones for unknown objects.
+  [[nodiscard]] std::uint64_t stale_updates() const {
+    return count(Fact::kStaleUpdate) + count(Fact::kUnknownObject);
+  }
+  [[nodiscard]] std::uint64_t retransmit_requests_sent() const { return count(Fact::kNack); }
+  [[nodiscard]] std::uint64_t retransmissions_served() const { return count(Fact::kRetransmit); }
+  [[nodiscard]] std::uint64_t acks_sent() const { return count(Fact::kAckSent); }
   /// Per-peer failure detector, or nullptr if none exists for `peer`.
   [[nodiscard]] const FailureDetector* detector(net::NodeId peer) const;
   /// Newest version of `id` acknowledged by `peer` (ack mode; 0 if none).
@@ -272,6 +309,18 @@ class ReplicaServer {
   [[nodiscard]] TimePoint promoted_at() const { return promoted_at_; }
 
  private:
+  [[nodiscard]] std::uint64_t count(Fact f) const { return facts_[static_cast<std::size_t>(f)]; }
+  /// Report `f` to its total and to the sinks the table in server.cpp
+  /// gives it.  `span` is the update it concerns and `value` its scalar;
+  /// `at` back-dates the Hub event (job history) and defaults to now.
+  void emit(Fact f, ObjectId object = 0, std::uint64_t version = 0,
+            telemetry::SpanId span = telemetry::kNoSpan, std::int64_t value = 0,
+            std::optional<TimePoint> at = std::nullopt);
+  /// Add `n` to `f`'s total and to its registry counter, if it has one.
+  void add(Fact f, std::uint64_t n);
+  /// Bump `peer`'s `core.primary.peer.nodeN.<what>` counter, cached in `slot`.
+  void count_peer(net::NodeId peer, telemetry::Counter*& slot, const char* what);
+
   /// Primary-side record of an active downgrade: the original spec to
   /// restore, and when the downgrade was issued.
   struct QosState {
@@ -322,6 +371,9 @@ class ReplicaServer {
     net::Endpoint endpoint{};
     std::map<ObjectId, std::uint64_t> acked;
     std::unique_ptr<FailureDetector> detector;
+    /// core.primary.peer.nodeN.{acks,dead}, resolved on first use.
+    telemetry::Counter* acks = nullptr;
+    telemetry::Counter* dead = nullptr;
   };
 
   void handle_message(xkernel::Message& msg, const xkernel::MsgAttrs& attrs);
@@ -347,6 +399,10 @@ class ReplicaServer {
                       bool delta, net::Endpoint from);
   void handle(const wire::ConstraintDowngrade& d, net::Endpoint from);
   void handle(const wire::ConstraintRestore& rs, net::Endpoint from);
+  /// The one backup-side apply body behind both QoS notices; a restore
+  /// carries no δ_P.
+  void apply_qos_notice(ObjectId id, std::uint64_t qos_seq, Duration update_period,
+                        std::optional<Duration> delta_primary, Duration delta_backup);
   /// Active-replication traffic never targets an RTPB replica: dropped.
   void handle(const wire::ActivePrepare& p, net::Endpoint from);
   void handle(const wire::ActiveAck& a, net::Endpoint from);
@@ -510,29 +566,14 @@ class ReplicaServer {
   sim::EventHandle qos_tick_;
 
   Rng rng_{0};
-  std::uint64_t updates_shed_ = 0;
-  std::uint64_t downgrades_sent_ = 0;
-  std::uint64_t restores_sent_ = 0;
-  std::uint64_t downgrades_received_ = 0;
-  std::uint64_t transfer_give_ups_ = 0;
-  std::uint64_t updates_sent_ = 0;
-  std::uint64_t update_frames_sent_ = 0;
-  std::uint64_t updates_loss_injected_ = 0;
-  std::uint64_t updates_applied_ = 0;
-  std::uint64_t stale_updates_ = 0;
-  std::uint64_t nacks_sent_ = 0;
-  std::uint64_t retransmissions_ = 0;
-  std::uint64_t acks_sent_ = 0;
-  std::uint64_t epoch_rejections_ = 0;
-  std::uint64_t role_rejections_ = 0;
-  std::uint64_t cross_epoch_applies_ = 0;
-  std::uint64_t step_downs_ = 0;
-  std::uint64_t recovery_lost_updates_ = 0;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t resync_requests_sent_ = 0;
-  std::uint64_t resync_deltas_sent_ = 0;
-  std::uint64_t resync_fulls_sent_ = 0;
-  std::uint64_t delta_entries_sent_ = 0;
+
+  // ---- fact sinks ----
+  std::array<std::uint64_t, kFacts> facts_{};  ///< per-kind totals (the getters)
+  /// Registry instruments, resolved on first use while the Hub is on.
+  std::array<telemetry::Counter*, kFacts> counters_{};
+  std::array<telemetry::LatencyHistogram*, kFacts> histograms_{};
+  std::array<telemetry::Gauge*, kFacts> gauges_{};
+  std::string track_;  ///< "nodeN/rtpb", this server's Hub event track
 };
 
 }  // namespace rtpb::core

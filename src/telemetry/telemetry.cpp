@@ -227,11 +227,13 @@ SpanId Hub::begin_span(std::uint64_t object, std::uint64_t version, std::uint64_
 }
 
 SpanId Hub::span_for(std::uint64_t object, std::uint64_t version) const {
+  if (!enabled_) return kNoSpan;
   auto it = by_key_.find({object, version});
   return it == by_key_.end() ? kNoSpan : it->second;
 }
 
 SpanId Hub::latest_span(std::uint64_t object) const {
+  if (!enabled_) return kNoSpan;
   auto it = latest_.find(object);
   return it == latest_.end() ? kNoSpan : it->second;
 }

@@ -292,6 +292,9 @@ TEST(TransferRetry, BackoffLadderCapsAndSuspectsTheSilentPeer) {
       << "the silent peer must be suspected down and removed";
   EXPECT_EQ(facts::counter(hub, "core.degrade.transfer_give_ups"),
             facts::sum(service, &ReplicaServer::transfer_give_ups));
+  // Each give-up suspects the silent peer through the heartbeat's path.
+  EXPECT_EQ(facts::counter(hub, "core.primary.peer.node" + std::to_string(b) + ".dead"),
+            service.primary().transfer_give_ups());
 }
 
 TEST(TransferRetry, HealthyTransferNeverHitsTheCap) {

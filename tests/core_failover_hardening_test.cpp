@@ -243,6 +243,8 @@ TEST(PerPeerAcks, FastBackupAckDoesNotCancelRetransmissionForLaggingPeer) {
   params.config.watchdog_factor = 1000000;   // no watchdog nacks: the ack
   params.config.ping_max_misses = 1000000;   // path alone must recover it
   RtpbService service(params);
+  telemetry::Hub& hub = service.simulator().telemetry();
+  hub.enable();
   service.start();
   ASSERT_TRUE(service.register_object(make_spec(1)).ok());
   service.run_for(millis(500));
@@ -262,6 +264,14 @@ TEST(PerPeerAcks, FastBackupAckDoesNotCancelRetransmissionForLaggingPeer) {
   const std::uint64_t v1 = service.backups()[1]->read(1)->version;
   EXPECT_NEAR(static_cast<double>(v1), static_cast<double>(v0), 5.0);
   EXPECT_GT(service.primary().peer_acked_version(lagging, 1), 0u);
+  // Each backup's acks land on its own per-peer counter at the primary
+  // (the last few may still be in flight).
+  for (const auto& backup : service.backups()) {
+    const std::uint64_t acks = facts::counter(
+        hub, "core.primary.peer.node" + std::to_string(backup->node()) + ".acks");
+    EXPECT_GT(acks, 0u);
+    EXPECT_LE(acks, backup->acks_sent());
+  }
 }
 
 // ---------------------------------------------------------------------------
