@@ -9,124 +9,6 @@
 namespace rtpb::core {
 
 namespace {
-using telemetry::FlightKind;
-
-/// What a fact's flight record carries in `arg`.
-enum class Arg : std::uint8_t { kZero, kOne, kValue };
-
-/// Where one fact goes besides its per-kind total.
-struct Sinks {
-  const char* counter = nullptr;    ///< registry counter (kinds may share one)
-  const char* event = nullptr;      ///< Hub event; describe() formats its detail
-  std::optional<FlightKind> flight{};  ///< flight record kind
-  Arg arg = Arg::kZero;             ///< the flight record's arg
-  const char* label = nullptr;      ///< the flight record's label
-  const char* histogram = nullptr;  ///< registry histogram sampling `value`
-  const char* gauge = nullptr;      ///< registry gauge set to `value`
-  /// `value` is a duration in ns: histograms and gauges take it in ms,
-  /// flight args in whole ms.
-  bool duration = false;
-  bool sums = false;          ///< counters add `value`, not 1
-  std::optional<Fact> also{};  ///< a fact this one also counts as
-};
-
-constexpr Sinks sinks_of(Fact f) {
-  switch (f) {
-    case Fact::kWrite: return {.counter = "core.primary.writes", .event = "write",
-                               .histogram = "core.primary.write_response_ms", .duration = true};
-    case Fact::kWriteRelease: return {.event = "write-release"};
-    case Fact::kWriteStart: return {.event = "write-start"};
-    case Fact::kXmitRelease: return {.event = "xmit-release"};
-    case Fact::kXmitStart: return {.event = "xmit-start"};
-    case Fact::kUpdateSend: return {.counter = "core.primary.update_sends", .event = "update-send",
-                                    .flight = FlightKind::kUpdateSend};
-    case Fact::kRetransmit: return {.counter = "core.primary.retransmissions",
-                                    .event = "update-retx", .flight = FlightKind::kUpdateSend,
-                                    .arg = Arg::kOne};
-    case Fact::kLossInjected: return {.counter = "core.primary.loss_injected",
-                                      .event = "update-loss-injected"};
-    case Fact::kUpdateFrame: return {};
-    case Fact::kBatchFrame: return {.counter = "core.primary.batch_frames", .event = "batch-send",
-                                    .flight = FlightKind::kUpdateBatch, .arg = Arg::kValue,
-                                    .histogram = "core.primary.batch_entries"};
-    case Fact::kShed: return {.counter = "core.degrade.shed", .event = "update-shed",
-                              .flight = FlightKind::kShed, .arg = Arg::kValue, .duration = true};
-    case Fact::kRetxRequest: return {.counter = "core.primary.retransmit_requests",
-                                     .event = "retx-request"};
-    case Fact::kAckReceived: return {.flight = FlightKind::kAck, .arg = Arg::kValue};
-    case Fact::kTransferGiveUp: return {.counter = "core.degrade.transfer_give_ups"};
-    case Fact::kQosDowngrade: return {.counter = "core.degrade.downgrades",
-                                      .event = "qos-downgrade", .flight = FlightKind::kQosDowngrade,
-                                      .arg = Arg::kValue, .duration = true};
-    case Fact::kQosRestore: return {.counter = "core.degrade.restores", .event = "qos-restore",
-                                    .flight = FlightKind::kQosRestore, .arg = Arg::kValue,
-                                    .duration = true};
-    case Fact::kPromote: return {.counter = "core.failovers", .event = "promote",
-                                 .flight = FlightKind::kRoleChange, .arg = Arg::kOne,
-                                 .label = "promote", .gauge = "core.epoch"};
-    case Fact::kStepDown: return {.counter = "core.epoch.step_downs", .event = "step-down"};
-    case Fact::kDemoted: return {.flight = FlightKind::kRoleChange, .label = "step-down"};
-    case Fact::kEpochChange: return {.flight = FlightKind::kEpoch};
-    case Fact::kCrash: return {.flight = FlightKind::kCrash};
-    case Fact::kEpochReject: return {.counter = "core.epoch.rejected", .event = "epoch-reject"};
-    case Fact::kUpdateRoleReject: return {.counter = "core.role_rejected",
-                                          .event = "update-role-reject"};
-    case Fact::kRoleReject: return {.counter = "core.role_rejected"};
-    case Fact::kApply: return {.counter = "core.backup.applies", .event = "update-apply",
-                               .flight = FlightKind::kUpdateApply,
-                               .histogram = "core.backup.apply_latency_ms", .duration = true};
-    case Fact::kStaleUpdate: return {.counter = "core.backup.stale", .event = "update-stale"};
-    case Fact::kUnknownObject: return {.counter = "core.backup.unknown_object",
-                                       .event = "update-unknown"};
-    case Fact::kCrossEpochApply: return {.counter = "core.epoch.cross_epoch_applies"};
-    case Fact::kAckSent: return {};
-    case Fact::kNack: return {.counter = "core.backup.nacks", .event = "watchdog-nack",
-                              .flight = FlightKind::kRetransmitReq};
-    case Fact::kDowngradeReceived: return {.counter = "core.degrade.downgrades_received",
-                                           .event = "qos-downgrade-recv", .duration = true};
-    case Fact::kRestoreReceived: return {.counter = "core.degrade.restores_received",
-                                         .event = "qos-restore-recv"};
-    case Fact::kStateTransfer: return {.counter = "core.backup.state_transfers",
-                                       .event = "state-transfer"};
-    case Fact::kStaleTransfer: return {.counter = "core.backup.state_transfers_stale",
-                                       .event = "state-transfer", .also = Fact::kStateTransfer};
-    case Fact::kStateDelta: return {.counter = "core.backup.state_deltas", .event = "state-delta"};
-    case Fact::kStaleDelta: return {.counter = "core.backup.state_deltas_stale",
-                                    .event = "state-delta", .also = Fact::kStateDelta};
-    case Fact::kFrontier: return {.counter = "core.shard.frontier_received",
-                                  .event = "frontier-recv"};
-    case Fact::kWalRecord: return {.counter = "core.store.wal_records"};
-    case Fact::kCheckpoint: return {.counter = "core.store.checkpoints"};
-    case Fact::kFailStop: return {.counter = "core.store.fail_stops"};
-    case Fact::kWalReplay: return {.counter = "core.store.replayed_wal_records", .sums = true};
-    case Fact::kTornWalTail: return {.counter = "core.store.torn_wal_tails"};
-    case Fact::kTornCheckpointTail: return {.counter = "core.store.torn_checkpoint_tails"};
-    case Fact::kRestart: return {.counter = "core.store.recoveries", .event = "restart",
-                                 .flight = FlightKind::kRoleChange, .arg = Arg::kValue,
-                                 .label = "restart"};
-    case Fact::kLostUpdates: return {.sums = true};
-    case Fact::kResyncRequest: return {.counter = "core.store.resync_requests"};
-    case Fact::kResyncFull: return {.counter = "core.store.resync_fulls"};
-    case Fact::kResyncDelta: return {.counter = "core.store.resync_deltas",
-                                     .event = "resync-delta"};
-    case Fact::kDeltaEntries: return {.counter = "core.store.delta_entries", .sums = true};
-    case Fact::kSmoothedRtt: return {.gauge = "core.degrade.rtt_ms", .duration = true};
-    case Fact::kRto: return {.gauge = "core.degrade.rto_ms", .duration = true};
-    case Fact::kBackoffLevel: return {.gauge = "core.degrade.backoff_level"};
-    case Fact::kActiveDowngrades: return {.gauge = "core.degrade.active_downgrades"};
-    case Fact::kOverloaded: return {.gauge = "core.degrade.overloaded"};
-    case Fact::kCount: break;
-  }
-  return {};
-}
-
-/// The sink table, indexed by Fact.
-constexpr std::array<Sinks, kFacts> kSinks = [] {
-  std::array<Sinks, kFacts> table{};
-  for (std::size_t i = 0; i < kFacts; ++i) table[i] = sinks_of(static_cast<Fact>(i));
-  return table;
-}();
-
 /// The Hub event detail of fact `f`, formatted from its fields.
 std::string describe(Fact f, std::uint64_t object, std::uint64_t version, std::uint64_t epoch,
                      std::int64_t value) {
@@ -204,16 +86,20 @@ ReplicaServer::~ReplicaServer() = default;
 // on first use while the Hub is on, and nothing is resolved while it is off.
 // ---------------------------------------------------------------------------
 
-void ReplicaServer::emit(Fact f, ObjectId object, std::uint64_t version, telemetry::SpanId span,
-                         std::int64_t value, std::optional<TimePoint> at) {
+void ReplicaServer::report(Fact f, ObjectId object, std::uint64_t version,
+                           telemetry::SpanId span, std::int64_t value, TimePoint at) {
   const auto i = static_cast<std::size_t>(f);
-  const Sinks& s = kSinks[i];
-  const std::uint64_t n = s.sums ? static_cast<std::uint64_t>(value) : 1;
-  const TimePoint when = at.value_or(sim_.now());
-  add(f, n);
-  if (s.also) add(*s.also, n);
+  const FactSinks& s = kFactSinks[i];
   telemetry::Hub& hub = sim_.telemetry();
   if (hub.enabled()) {
+    const std::uint64_t n = s.sums ? static_cast<std::uint64_t>(value) : 1;
+    const auto count = [&](std::size_t k) {
+      if (kFactSinks[k].counter == nullptr) return;
+      if (counters_[k] == nullptr) counters_[k] = &hub.registry().counter(kFactSinks[k].counter);
+      counters_[k]->add(n);
+    };
+    count(i);
+    if (s.also) count(static_cast<std::size_t>(*s.also));
     const double sample = s.duration ? nanos(value).millis() : static_cast<double>(value);
     if (s.histogram != nullptr) {
       if (histograms_[i] == nullptr) histograms_[i] = &hub.registry().histogram(s.histogram);
@@ -224,24 +110,15 @@ void ReplicaServer::emit(Fact f, ObjectId object, std::uint64_t version, telemet
       gauges_[i]->set(sample);
     }
     if (s.event != nullptr) {
-      hub.record_at(when, span, node(), telemetry::EventKind::kInstant, track_, s.event,
+      hub.record_at(at, span, node(), telemetry::EventKind::kInstant, track_, s.event,
                     describe(f, object, version, epoch_, value));
     }
   }
   telemetry::FlightRecorder& fr = hub.flight_recorder();
   if (!s.flight || !fr.enabled()) return;
-  const std::int64_t arg = s.arg == Arg::kValue ? (s.duration ? value / 1'000'000 : value)
-                                                 : static_cast<std::int64_t>(s.arg == Arg::kOne);
-  fr.record({when, span, object, version, epoch_, arg, s.label, node(), *s.flight});
-}
-
-void ReplicaServer::add(Fact f, std::uint64_t n) {
-  const auto i = static_cast<std::size_t>(f);
-  facts_[i] += n;
-  telemetry::Hub& hub = sim_.telemetry();
-  if (kSinks[i].counter == nullptr || !hub.enabled()) return;
-  if (counters_[i] == nullptr) counters_[i] = &hub.registry().counter(kSinks[i].counter);
-  counters_[i]->add(n);
+  std::int64_t arg = s.arg == FactArg::kOne ? 1 : 0;
+  if (s.arg == FactArg::kValue) arg = s.duration ? value / 1'000'000 : value;
+  fr.record({at, span, object, version, epoch_, arg, s.label, node(), *s.flight});
 }
 
 void ReplicaServer::count_peer(net::NodeId peer, telemetry::Counter*& slot, const char* what) {
@@ -526,14 +403,13 @@ void ReplicaServer::local_write(ObjectId id, Bytes value, const sched::JobInfo& 
     fail_stop("wal-write");
     return;
   }
-  store_.write(id, std::move(value), info.finish);
+  const std::uint64_t version = store_.write(id, std::move(value), info.finish);
   metrics_.record_response(info.finish - info.release);
   metrics_.on_primary_write(id, info.finish);
 
   // Mint the causal span for this update version (none while the Hub is
   // off), back-dated with the sensing job's scheduling history so the
   // span's first hops show how long the write waited for the CPU.
-  const std::uint64_t version = store_.get(id).version;
   const telemetry::SpanId span = sim_.telemetry().begin_span(id, version, epoch_);
   emit(Fact::kWriteRelease, id, version, span, 0, info.release);
   emit(Fact::kWriteStart, id, version, span, 0, info.start);

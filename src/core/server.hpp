@@ -89,6 +89,124 @@ enum class Fact : std::uint8_t {
 };
 inline constexpr std::size_t kFacts = static_cast<std::size_t>(Fact::kCount);
 
+/// What a fact's flight record carries in `arg`.
+enum class FactArg : std::uint8_t { kZero, kOne, kValue };
+
+/// Where one fact goes besides its per-kind total.
+struct FactSinks {
+  const char* counter = nullptr;    ///< registry counter (kinds may share one)
+  const char* event = nullptr;      ///< Hub event (detail formatted from the fields)
+  std::optional<telemetry::FlightKind> flight{};  ///< flight record kind
+  FactArg arg = FactArg::kZero;     ///< the flight record's arg
+  const char* label = nullptr;      ///< the flight record's label
+  const char* histogram = nullptr;  ///< registry histogram sampling `value`
+  const char* gauge = nullptr;      ///< registry gauge set to `value`
+  /// `value` is a duration in ns: histograms and gauges take it in ms,
+  /// flight args in whole ms.
+  bool duration = false;
+  bool sums = false;          ///< counters add `value`, not 1
+  std::optional<Fact> also{};  ///< a fact this one also counts as
+};
+
+constexpr FactSinks fact_sinks(Fact f) {
+  using telemetry::FlightKind;
+  switch (f) {
+    case Fact::kWrite: return {.counter = "core.primary.writes", .event = "write",
+                               .histogram = "core.primary.write_response_ms", .duration = true};
+    case Fact::kWriteRelease: return {.event = "write-release"};
+    case Fact::kWriteStart: return {.event = "write-start"};
+    case Fact::kXmitRelease: return {.event = "xmit-release"};
+    case Fact::kXmitStart: return {.event = "xmit-start"};
+    case Fact::kUpdateSend: return {.counter = "core.primary.update_sends", .event = "update-send",
+                                    .flight = FlightKind::kUpdateSend};
+    case Fact::kRetransmit: return {.counter = "core.primary.retransmissions",
+                                    .event = "update-retx", .flight = FlightKind::kUpdateSend,
+                                    .arg = FactArg::kOne};
+    case Fact::kLossInjected: return {.counter = "core.primary.loss_injected",
+                                      .event = "update-loss-injected"};
+    case Fact::kUpdateFrame: return {};
+    case Fact::kBatchFrame: return {.counter = "core.primary.batch_frames", .event = "batch-send",
+                                    .flight = FlightKind::kUpdateBatch, .arg = FactArg::kValue,
+                                    .histogram = "core.primary.batch_entries"};
+    case Fact::kShed: return {.counter = "core.degrade.shed", .event = "update-shed",
+                              .flight = FlightKind::kShed, .arg = FactArg::kValue,
+                              .duration = true};
+    case Fact::kRetxRequest: return {.counter = "core.primary.retransmit_requests",
+                                     .event = "retx-request"};
+    case Fact::kAckReceived: return {.flight = FlightKind::kAck, .arg = FactArg::kValue};
+    case Fact::kTransferGiveUp: return {.counter = "core.degrade.transfer_give_ups"};
+    case Fact::kQosDowngrade: return {.counter = "core.degrade.downgrades",
+                                      .event = "qos-downgrade", .flight = FlightKind::kQosDowngrade,
+                                      .arg = FactArg::kValue, .duration = true};
+    case Fact::kQosRestore: return {.counter = "core.degrade.restores", .event = "qos-restore",
+                                    .flight = FlightKind::kQosRestore, .arg = FactArg::kValue,
+                                    .duration = true};
+    case Fact::kPromote: return {.counter = "core.failovers", .event = "promote",
+                                 .flight = FlightKind::kRoleChange, .arg = FactArg::kOne,
+                                 .label = "promote", .gauge = "core.epoch"};
+    case Fact::kStepDown: return {.counter = "core.epoch.step_downs", .event = "step-down"};
+    case Fact::kDemoted: return {.flight = FlightKind::kRoleChange, .label = "step-down"};
+    case Fact::kEpochChange: return {.flight = FlightKind::kEpoch};
+    case Fact::kCrash: return {.flight = FlightKind::kCrash};
+    case Fact::kEpochReject: return {.counter = "core.epoch.rejected", .event = "epoch-reject"};
+    case Fact::kUpdateRoleReject: return {.counter = "core.role_rejected",
+                                          .event = "update-role-reject"};
+    case Fact::kRoleReject: return {.counter = "core.role_rejected"};
+    case Fact::kApply: return {.counter = "core.backup.applies", .event = "update-apply",
+                               .flight = FlightKind::kUpdateApply,
+                               .histogram = "core.backup.apply_latency_ms", .duration = true};
+    case Fact::kStaleUpdate: return {.counter = "core.backup.stale", .event = "update-stale"};
+    case Fact::kUnknownObject: return {.counter = "core.backup.unknown_object",
+                                       .event = "update-unknown"};
+    case Fact::kCrossEpochApply: return {.counter = "core.epoch.cross_epoch_applies"};
+    case Fact::kAckSent: return {};
+    case Fact::kNack: return {.counter = "core.backup.nacks", .event = "watchdog-nack",
+                              .flight = FlightKind::kRetransmitReq};
+    case Fact::kDowngradeReceived: return {.counter = "core.degrade.downgrades_received",
+                                           .event = "qos-downgrade-recv", .duration = true};
+    case Fact::kRestoreReceived: return {.counter = "core.degrade.restores_received",
+                                         .event = "qos-restore-recv"};
+    case Fact::kStateTransfer: return {.counter = "core.backup.state_transfers",
+                                       .event = "state-transfer"};
+    case Fact::kStaleTransfer: return {.counter = "core.backup.state_transfers_stale",
+                                       .event = "state-transfer", .also = Fact::kStateTransfer};
+    case Fact::kStateDelta: return {.counter = "core.backup.state_deltas", .event = "state-delta"};
+    case Fact::kStaleDelta: return {.counter = "core.backup.state_deltas_stale",
+                                    .event = "state-delta", .also = Fact::kStateDelta};
+    case Fact::kFrontier: return {.counter = "core.shard.frontier_received",
+                                  .event = "frontier-recv"};
+    case Fact::kWalRecord: return {.counter = "core.store.wal_records"};
+    case Fact::kCheckpoint: return {.counter = "core.store.checkpoints"};
+    case Fact::kFailStop: return {.counter = "core.store.fail_stops"};
+    case Fact::kWalReplay: return {.counter = "core.store.replayed_wal_records", .sums = true};
+    case Fact::kTornWalTail: return {.counter = "core.store.torn_wal_tails"};
+    case Fact::kTornCheckpointTail: return {.counter = "core.store.torn_checkpoint_tails"};
+    case Fact::kRestart: return {.counter = "core.store.recoveries", .event = "restart",
+                                 .flight = FlightKind::kRoleChange, .arg = FactArg::kValue,
+                                 .label = "restart"};
+    case Fact::kLostUpdates: return {.sums = true};
+    case Fact::kResyncRequest: return {.counter = "core.store.resync_requests"};
+    case Fact::kResyncFull: return {.counter = "core.store.resync_fulls"};
+    case Fact::kResyncDelta: return {.counter = "core.store.resync_deltas",
+                                     .event = "resync-delta"};
+    case Fact::kDeltaEntries: return {.counter = "core.store.delta_entries", .sums = true};
+    case Fact::kSmoothedRtt: return {.gauge = "core.degrade.rtt_ms", .duration = true};
+    case Fact::kRto: return {.gauge = "core.degrade.rto_ms", .duration = true};
+    case Fact::kBackoffLevel: return {.gauge = "core.degrade.backoff_level"};
+    case Fact::kActiveDowngrades: return {.gauge = "core.degrade.active_downgrades"};
+    case Fact::kOverloaded: return {.gauge = "core.degrade.overloaded"};
+    case Fact::kCount: break;
+  }
+  return {};
+}
+
+/// The sink table, indexed by Fact.
+inline constexpr std::array<FactSinks, kFacts> kFactSinks = [] {
+  std::array<FactSinks, kFacts> table{};
+  for (std::size_t i = 0; i < kFacts; ++i) table[i] = fact_sinks(static_cast<Fact>(i));
+  return table;
+}();
+
 class ReplicaServer {
  public:
   struct Hooks {
@@ -310,14 +428,26 @@ class ReplicaServer {
 
  private:
   [[nodiscard]] std::uint64_t count(Fact f) const { return facts_[static_cast<std::size_t>(f)]; }
-  /// Report `f` to its total and to the sinks the table in server.cpp
-  /// gives it.  `span` is the update it concerns and `value` its scalar;
-  /// `at` back-dates the Hub event (job history) and defaults to now.
+  /// Report `f` to its total and to the sinks kFactSinks gives it.
+  /// `span` is the update it concerns and `value` its scalar; `at`
+  /// back-dates the Hub event (job history) and defaults to now.  Inline,
+  /// so with the Hub and flight recorder off a fact costs its total and
+  /// the enabled branches.
   void emit(Fact f, ObjectId object = 0, std::uint64_t version = 0,
             telemetry::SpanId span = telemetry::kNoSpan, std::int64_t value = 0,
-            std::optional<TimePoint> at = std::nullopt);
-  /// Add `n` to `f`'s total and to its registry counter, if it has one.
-  void add(Fact f, std::uint64_t n);
+            std::optional<TimePoint> at = std::nullopt) {
+    const FactSinks& s = kFactSinks[static_cast<std::size_t>(f)];
+    const std::uint64_t n = s.sums ? static_cast<std::uint64_t>(value) : 1;
+    facts_[static_cast<std::size_t>(f)] += n;
+    if (s.also) facts_[static_cast<std::size_t>(*s.also)] += n;
+    telemetry::Hub& hub = sim_.telemetry();
+    if (hub.enabled() || (s.flight && hub.flight_recorder().enabled())) {
+      report(f, object, version, span, value, at.value_or(sim_.now()));
+    }
+  }
+  /// The registry, Hub event and flight-record sinks of emit().
+  void report(Fact f, ObjectId object, std::uint64_t version, telemetry::SpanId span,
+              std::int64_t value, TimePoint at);
   /// Bump `peer`'s `core.primary.peer.nodeN.<what>` counter, cached in `slot`.
   void count_peer(net::NodeId peer, telemetry::Counter*& slot, const char* what);
 
