@@ -8,7 +8,10 @@
 //   3. fan-out allocations per update for N∈{1,4,8} peers — the legacy
 //      deep-copy-per-peer scheme vs the shared-payload Message, and
 //   4. end-to-end RtpbService throughput (updates/sec of wall time) and
-//      allocations/update at N∈{1,4,8} backups, batched and unbatched.
+//      allocations/update at N∈{1,4,8} backups, batched and unbatched,
+//   5. what observability costs: flight recorder on vs off on the wire
+//      path, and telemetry on vs off over one chaos seed (allocations per
+//      Hub event; wall-time ratios are too noisy to gate).
 //
 // This binary links bench/common/alloc_hook.cpp, which REPLACES the global
 // operator new/delete — that is why it is not part of the *_main.cpp glob.
@@ -17,7 +20,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
+#include "chaos/harness.hpp"
 #include "common/alloc_hook.hpp"
 #include "common/harness.hpp"
 #include "core/wire.hpp"
@@ -191,6 +196,16 @@ E2eResult run_e2e(std::size_t backups, bool batched, bool flight_recorder = fals
   return r;
 }
 
+/// Allocations made by one run of chaos seed 7 (default options) and the
+/// Hub events it recorded.
+std::pair<double, std::uint64_t> chaos_allocs(bool telemetry) {
+  chaos::ChaosOptions opts;
+  opts.telemetry = telemetry;
+  Scope scope;
+  const chaos::SeedReport report = chaos::run_seed(7, opts);
+  return {static_cast<double>(scope.allocations()), report.telemetry_events};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -277,6 +292,15 @@ int main(int argc, char** argv) {
                    off.allocs_per_update, on.allocs_per_update);
       return 1;
     }
+    // The same seed with the telemetry Hub on, then off: the allocation
+    // delta is what the registry, spans and event stream cost.  The count
+    // is seed-pure, so it is gated exactly.
+    const auto [on_allocs, events] = chaos_allocs(true);
+    const double off_allocs = chaos_allocs(false).first;
+    const double per_event = (on_allocs - off_allocs) / static_cast<double>(events);
+    std::printf("  telemetry     %14.2f allocs/Hub event (%llu events, chaos seed 7)\n",
+                per_event, static_cast<unsigned long long>(events));
+    metrics.add("telemetry_allocs_per_event_deterministic", per_event);
   }
 
   std::printf("\n");

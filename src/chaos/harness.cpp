@@ -184,6 +184,7 @@ SeedReport run_seed(std::uint64_t seed, const ChaosOptions& opts) {
   if (opts.telemetry) {
     report.spans_started = hub.spans_started();
     report.spans_violated = hub.spans_violated();
+    report.telemetry_events = hub.recorded_events();
     report.metrics_json = hub.registry().to_json();
     if (!opts.metrics_json_path.empty()) {
       std::ofstream out(opts.metrics_json_path);

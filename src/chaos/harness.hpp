@@ -57,6 +57,7 @@ struct SeedReport {
   // Telemetry (zero / empty unless ChaosOptions::telemetry).
   std::uint64_t spans_started = 0;
   std::uint64_t spans_violated = 0;
+  std::uint64_t telemetry_events = 0;  ///< Hub events recorded, evicted ones included
   std::string metrics_json;  ///< registry snapshot
 
   // Flight recorder / health feed (zero / empty unless enabled).
