@@ -66,9 +66,9 @@ struct FrontierRecord {
 };
 
 /// The protocol facts a ReplicaServer reports.  Each happens at one
-/// ReplicaServer::emit() call; the sink table in server.cpp says which
-/// registry instrument, Hub event and flight record it feeds besides the
-/// per-kind total the server's getters read.
+/// ReplicaServer::emit() call; kFactSinks below says which registry
+/// instrument, Hub event and flight record it feeds besides the per-kind
+/// total the server's getters read.
 enum class Fact : std::uint8_t {
   kWrite, kWriteRelease, kWriteStart,  // primary: client write (+ its job history)
   kXmitRelease, kXmitStart,            // primary: update transmission job history

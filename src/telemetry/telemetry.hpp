@@ -248,11 +248,9 @@ class Hub {
   /// object's latest span.  `epoch` tags the span with the minting
   /// primary's replication epoch.  Returns kNoSpan when disabled.
   SpanId begin_span(std::uint64_t object, std::uint64_t version, std::uint64_t epoch = 0);
-  /// The span minted for (object, version), or kNoSpan if unknown/evicted
-  /// or the hub is disabled.
+  /// The span minted for (object, version); kNoSpan if unknown, evicted or disabled.
   [[nodiscard]] SpanId span_for(std::uint64_t object, std::uint64_t version) const;
-  /// The most recently minted span for `object`, or kNoSpan (also when
-  /// disabled).
+  /// The most recently minted span for `object`; kNoSpan if none or disabled.
   [[nodiscard]] SpanId latest_span(std::uint64_t object) const;
   /// Blame `span` for an oracle violation: flags the SpanInfo and records a
   /// violation event attached to it.
