@@ -1,8 +1,6 @@
 #include "core/server.hpp"
 
 #include <algorithm>
-#include <array>
-#include <optional>
 
 #include "util/log.hpp"
 
@@ -92,22 +90,25 @@ void ReplicaServer::report(Fact f, ObjectId object, std::uint64_t version,
   const FactSinks& s = kFactSinks[i];
   telemetry::Hub& hub = sim_.telemetry();
   if (hub.enabled()) {
+    if (!instruments_) instruments_ = std::make_unique<Instruments>();
+    Instruments& in = *instruments_;
     const std::uint64_t n = s.sums ? static_cast<std::uint64_t>(value) : 1;
     const auto count = [&](std::size_t k) {
-      if (kFactSinks[k].counter == nullptr) return;
-      if (counters_[k] == nullptr) counters_[k] = &hub.registry().counter(kFactSinks[k].counter);
-      counters_[k]->add(n);
+      const char* name = kFactSinks[k].counter;
+      if (name == nullptr) return;
+      if (in.counters[k] == nullptr) in.counters[k] = &hub.registry().counter(name);
+      in.counters[k]->add(n);
     };
     count(i);
     if (s.also) count(static_cast<std::size_t>(*s.also));
     const double sample = s.duration ? nanos(value).millis() : static_cast<double>(value);
     if (s.histogram != nullptr) {
-      if (histograms_[i] == nullptr) histograms_[i] = &hub.registry().histogram(s.histogram);
-      histograms_[i]->record_ms(sample);
+      if (in.histograms[i] == nullptr) in.histograms[i] = &hub.registry().histogram(s.histogram);
+      in.histograms[i]->record_ms(sample);
     }
     if (s.gauge != nullptr) {
-      if (gauges_[i] == nullptr) gauges_[i] = &hub.registry().gauge(s.gauge);
-      gauges_[i]->set(sample);
+      if (in.gauges[i] == nullptr) in.gauges[i] = &hub.registry().gauge(s.gauge);
+      in.gauges[i]->set(sample);
     }
     if (s.event != nullptr) {
       hub.record_at(at, span, node(), telemetry::EventKind::kInstant, track_, s.event,

@@ -699,10 +699,14 @@ class ReplicaServer {
 
   // ---- fact sinks ----
   std::array<std::uint64_t, kFacts> facts_{};  ///< per-kind totals (the getters)
-  /// Registry instruments, resolved on first use while the Hub is on.
-  std::array<telemetry::Counter*, kFacts> counters_{};
-  std::array<telemetry::LatencyHistogram*, kFacts> histograms_{};
-  std::array<telemetry::Gauge*, kFacts> gauges_{};
+  /// Registry instruments of each fact, resolved on first use while the
+  /// Hub is on (and only then allocated: most servers never need them).
+  struct Instruments {
+    std::array<telemetry::Counter*, kFacts> counters{};
+    std::array<telemetry::LatencyHistogram*, kFacts> histograms{};
+    std::array<telemetry::Gauge*, kFacts> gauges{};
+  };
+  std::unique_ptr<Instruments> instruments_;
   std::string track_;  ///< "nodeN/rtpb", this server's Hub event track
 };
 
