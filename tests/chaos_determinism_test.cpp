@@ -4,7 +4,9 @@
 // contract that makes a failing seed a *reproducer* instead of a flake.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "chaos/harness.hpp"
 
@@ -145,10 +147,12 @@ TEST(ChaosDeterminism, HealthFeedDoesNotPerturbTheTrace) {
   // may differ, but the protocol trajectory and its trace digest must not.
   ChaosOptions base = quick_opts();
   ChaosOptions with_feed = base;
-  with_feed.health_jsonl_path = "health_determinism_tmp.jsonl";
+  const std::string feed_path = ::testing::TempDir() + "health_determinism.jsonl";
+  with_feed.health_jsonl_path = feed_path;
 
   const SeedReport off = run_seed(23, base);
   const SeedReport on = run_seed(23, with_feed);
+  std::remove(feed_path.c_str());
   EXPECT_EQ(off.trace_digest, on.trace_digest)
       << "health feed snapshots changed the protocol trajectory";
   EXPECT_EQ(off.trace_events, on.trace_events);

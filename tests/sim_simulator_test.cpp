@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <tuple>
 #include <vector>
 
 namespace rtpb::sim {
@@ -103,6 +106,97 @@ TEST(Simulator, EventCounters) {
   EXPECT_EQ(sim.pending_events(), 2u);
   h.cancel();
   sim.run();
+  EXPECT_EQ(sim.fired_events(), 1u);
+}
+
+// ---- Kernel contract ------------------------------------------------------
+//
+// What callers may rely on about handles, counters and storage, whatever
+// the kernel's internal layout.
+
+TEST(Simulator, FiredHandleStaysInertAfterStorageReuse) {
+  Simulator sim;
+  EventHandle fired = sim.schedule_at(TimePoint{1}, [] {});
+  EventHandle cancelled = sim.schedule_at(TimePoint{1}, [] {});
+  EXPECT_TRUE(cancelled.cancel());
+  sim.run();
+  // New events may reuse whatever held the old ones; the stale handles
+  // must neither see them as their own nor cancel them.
+  int count = 0;
+  EventHandle a = sim.schedule_at(TimePoint{2}, [&] { ++count; });
+  EventHandle b = sim.schedule_at(TimePoint{2}, [&] { ++count; });
+  EXPECT_FALSE(fired.pending());
+  EXPECT_FALSE(fired.cancel());
+  EXPECT_FALSE(cancelled.pending());
+  EXPECT_FALSE(cancelled.cancel());
+  EXPECT_TRUE(a.pending());
+  EXPECT_TRUE(b.pending());
+  sim.run();
+  EXPECT_EQ(count, 2);
+}
+
+TEST(Simulator, PendingEventsCountsCancelledEntriesUntilPopped) {
+  // Deletion is lazy: a cancelled event stays in the count until the run
+  // reaches and discards it.  The explorer hashes this value into its
+  // state hash, so the count is part of the contract.
+  Simulator sim;
+  sim.schedule_at(TimePoint{10}, [] {});
+  EventHandle middle = sim.schedule_at(TimePoint{20}, [] {});
+  sim.schedule_at(TimePoint{30}, [] {});
+  EXPECT_TRUE(middle.cancel());
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_TRUE(sim.step());  // fires t=10
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(sim.step());  // discards the cancelled t=20, fires t=30
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.fired_events(), 2u);
+}
+
+TEST(Simulator, ManyEventsScheduledFromACallbackFireInTimeThenSeqOrder) {
+  Simulator sim;
+  Rng rng(11);
+  constexpr int kEvents = 5000;
+  // (at, scheduling index) of every firing.
+  std::vector<std::pair<std::int64_t, int>> fired;
+  sim.schedule_at(TimePoint{1}, [&] {
+    for (int i = 0; i < kEvents; ++i) {
+      // Few distinct instants, so most events tie and must keep FIFO order.
+      const std::int64_t at = 2 + rng.uniform(0, 40);
+      sim.schedule_at(TimePoint{at}, [&fired, at, i] { fired.emplace_back(at, i); });
+    }
+  });
+  sim.run();
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kEvents));
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, DestroyingTheSimulatorDestroysPendingCaptures) {
+  auto token = std::make_shared<int>(7);
+  {
+    Simulator sim;
+    sim.schedule_at(TimePoint{10}, [token] {});
+    EventHandle h = sim.schedule_at(TimePoint{20}, [token] {});
+    EXPECT_EQ(token.use_count(), 3);
+    // Cancelling releases the capture at once, not when the entry pops.
+    EXPECT_TRUE(h.cancel());
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Simulator, CancelFromInsideTheEventsOwnCallbackReturnsFalse) {
+  Simulator sim;
+  EventHandle self;
+  bool cancelled = true;
+  bool pending = true;
+  self = sim.schedule_at(TimePoint{5}, [&] {
+    pending = self.pending();
+    cancelled = self.cancel();
+  });
+  sim.run();
+  EXPECT_FALSE(pending);
+  EXPECT_FALSE(cancelled);
   EXPECT_EQ(sim.fired_events(), 1u);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
 #include "xkernel/graph.hpp"
 #include "xkernel/message.hpp"
 #include "xkernel/udplite.hpp"
@@ -145,6 +146,58 @@ TEST(UdpChecksum, TwoSegmentGatherMatchesFlat) {
   for (std::size_t split = 0; split <= data.size(); ++split) {
     EXPECT_EQ(UdpLite::checksum(all.subspan(0, split), all.subspan(split)), flat)
         << "split=" << split;
+  }
+}
+
+TEST(UdpChecksum, Rfc1071WorkedExample) {
+  // RFC 1071 section 3: these bytes sum (ones' complement) to 0xddf2; the
+  // checksum field carries the complement of the sum.
+  const Bytes data{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7};
+  EXPECT_EQ(UdpLite::checksum(data), static_cast<std::uint16_t>(~0xddf2u));
+}
+
+/// Reference checksum: one byte at a time, big-endian 16-bit words with
+/// the carry folded after every addition.
+std::uint16_t reference_checksum(std::span<const std::uint8_t> data) {
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; i < data.size(); i += 2) {
+    std::uint32_t word = static_cast<std::uint32_t>(data[i]) << 8;
+    if (i + 1 < data.size()) word |= data[i + 1];
+    sum += word;
+    sum = (sum & 0xFFFF) + (sum >> 16);
+  }
+  return static_cast<std::uint16_t>(~sum & 0xFFFF);
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+  return out;
+}
+
+TEST(UdpChecksum, MatchesByteAtATimeReference) {
+  Rng rng(1071);
+  for (int round = 0; round < 300; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniform(0, 2048));
+    Bytes data = random_bytes(rng, n);
+    // Saturated words exercise the carry folding hardest.
+    if (round % 10 == 0) std::fill(data.begin(), data.end(), 0xFF);
+    const std::span<const std::uint8_t> all(data);
+    ASSERT_EQ(UdpLite::checksum(all), reference_checksum(all)) << "n=" << n;
+    const auto split = static_cast<std::size_t>(rng.uniform(0, static_cast<std::int64_t>(n)));
+    ASSERT_EQ(UdpLite::checksum(all.subspan(0, split), all.subspan(split)),
+              reference_checksum(all))
+        << "n=" << n << " split=" << split;
+  }
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{9}, std::size_t{33},
+                              std::size_t{101}, std::size_t{1401}}) {
+    const Bytes data = random_bytes(rng, n);
+    const std::span<const std::uint8_t> all(data);
+    const std::uint16_t want = reference_checksum(all);
+    for (std::size_t split = 0; split <= n; ++split) {
+      ASSERT_EQ(UdpLite::checksum(all.subspan(0, split), all.subspan(split)), want)
+          << "n=" << n << " split=" << split;
+    }
   }
 }
 
