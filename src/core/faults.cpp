@@ -301,13 +301,15 @@ void FaultPlan::arm() {
   std::stable_sort(actions_.begin(), actions_.end(),
                    [](const Action& a, const Action& b) { return a.when < b.when; });
   const TimePoint now = service_.simulator().now();
-  for (auto& action : actions_) {
-    service_.simulator().schedule_at(
-        std::max(action.when, now), [this, label = action.label, fn = std::move(action.fn)] {
-          RTPB_INFO("faults", "firing %s", label.c_str());
-          fired_.push_back(label);
-          fn();
-        });
+  // Each event captures its action's index; at() is closed once armed,
+  // so actions_ no longer changes.
+  for (std::size_t i = 0; i < actions_.size(); ++i) {
+    service_.simulator().schedule_at(std::max(actions_[i].when, now), [this, i] {
+      const Action& action = actions_[i];
+      RTPB_INFO("faults", "firing %s", action.label.c_str());
+      fired_.push_back(action.label);
+      action.fn();
+    });
   }
 }
 

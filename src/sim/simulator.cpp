@@ -4,17 +4,6 @@
 
 namespace rtpb::sim {
 
-bool EventHandle::cancel() {
-  if (!state_ || state_->cancelled || state_->fired) return false;
-  state_->cancelled = true;
-  state_->fn = nullptr;  // release captured resources eagerly
-  return true;
-}
-
-bool EventHandle::pending() const {
-  return state_ && !state_->cancelled && !state_->fired;
-}
-
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {
   Logger::instance().set_clock([this] { return now_; });
   hub_.set_clock([this] { return now_; });
@@ -22,38 +11,57 @@ Simulator::Simulator(std::uint64_t seed) : rng_(seed) {
 
 Simulator::~Simulator() { Logger::instance().clear_clock(); }
 
-EventHandle Simulator::schedule_at(TimePoint at, std::function<void()> fn) {
-  return schedule_at(at, EventTag{}, std::move(fn));
+std::uint32_t Simulator::acquire() {
+  if (free_slots_.empty()) {
+    const std::size_t base = chunks_.size() * kSlotsPerChunk;
+    RTPB_ASSERT(base + kSlotsPerChunk <= UINT32_MAX);
+    chunks_.push_back(std::make_unique<Slot[]>(kSlotsPerChunk));
+    // Push in reverse so the lowest index is handed out first.
+    for (std::size_t i = kSlotsPerChunk; i-- > 0;) {
+      free_slots_.push_back(static_cast<std::uint32_t>(base + i));
+    }
+  }
+  const std::uint32_t index = free_slots_.back();
+  free_slots_.pop_back();
+  return index;
 }
 
-EventHandle Simulator::schedule_at(TimePoint at, EventTag tag, std::function<void()> fn) {
-  RTPB_EXPECTS(at >= now_);
-  RTPB_EXPECTS(fn != nullptr);
-  auto state = std::make_shared<EventHandle::State>();
-  state->fn = std::move(fn);
-  queue_.push(QueueEntry{at, next_seq_++, state, tag});
-  ++live_events_;
-  return EventHandle{std::move(state)};
+void Simulator::release(std::uint32_t index) {
+  Slot& s = slot(index);
+  s.fn.reset();
+  ++s.generation;
+  free_slots_.push_back(index);
 }
 
-EventHandle Simulator::schedule_after(Duration delay, std::function<void()> fn) {
-  RTPB_EXPECTS(delay >= Duration::zero());
-  return schedule_at(now_ + delay, std::move(fn));
+bool Simulator::cancel(std::uint32_t index, std::uint32_t generation) {
+  if (!armed(index, generation)) return false;
+  // Free the slot (and the captures) now; the queue entry stays until it
+  // is popped, and is then recognised as stale by its generation.
+  slot(index).armed = false;
+  release(index);
+  return true;
+}
+
+void Simulator::fire(const QueueEntry& e) {
+  RTPB_ASSERT(e.at >= now_);
+  now_ = e.at;
+  // Disarm before running, so the callback sees its own handle as no
+  // longer pending.  The slot stays taken until the callback returns:
+  // chunks never move, so the closure runs in place.
+  Slot& s = slot(e.slot);
+  s.armed = false;
+  ++fired_events_;
+  s.fn();
+  release(e.slot);
 }
 
 bool Simulator::step() {
   if (policy_ != nullptr) return step_with_policy();
   while (!queue_.empty()) {
-    QueueEntry entry = queue_.top();
+    const QueueEntry entry = queue_.top();
     queue_.pop();
-    --live_events_;
-    if (entry.state->cancelled) continue;
-    RTPB_ASSERT(entry.at >= now_);
-    now_ = entry.at;
-    entry.state->fired = true;
-    ++fired_events_;
-    auto fn = std::move(entry.state->fn);
-    fn();
+    if (!live(entry)) continue;
+    fire(entry);
     return true;
   }
   return false;
@@ -64,41 +72,27 @@ bool Simulator::step_with_policy() {
   // earliest instant and let the policy pick which fires.  The rest go
   // back with their original sequence numbers, so a policy that always
   // returns 0 reproduces the FIFO tie-break exactly.
-  while (!queue_.empty() && queue_.top().state->cancelled) {
-    queue_.pop();
-    --live_events_;
-  }
+  while (!queue_.empty() && !live(queue_.top())) queue_.pop();
   if (queue_.empty()) return false;
   const TimePoint at = queue_.top().at;
-  std::vector<QueueEntry> ready;
+  ready_.clear();
   while (!queue_.empty() && queue_.top().at == at) {
-    QueueEntry entry = queue_.top();
+    if (live(queue_.top())) ready_.push_back(queue_.top());
     queue_.pop();
-    if (entry.state->cancelled) {
-      --live_events_;
-      continue;
-    }
-    ready.push_back(std::move(entry));
   }
   std::size_t pick = 0;
-  if (ready.size() > 1) {
-    std::vector<EventTag> tags;
-    tags.reserve(ready.size());
-    for (const QueueEntry& e : ready) tags.push_back(e.tag);
-    pick = policy_->pick_event(tags);
-    if (pick >= ready.size()) pick = 0;
+  if (ready_.size() > 1) {
+    tags_.clear();
+    for (const QueueEntry& e : ready_) tags_.push_back(e.tag);
+    pick = policy_->pick_event(tags_);
+    if (pick >= ready_.size()) pick = 0;
   }
-  for (std::size_t i = 0; i < ready.size(); ++i) {
-    if (i != pick) queue_.push(ready[i]);
+  for (std::size_t i = 0; i < ready_.size(); ++i) {
+    if (i != pick) queue_.push(ready_[i]);
   }
-  QueueEntry chosen = std::move(ready[pick]);
-  --live_events_;
-  RTPB_ASSERT(chosen.at >= now_);
-  now_ = chosen.at;
-  chosen.state->fired = true;
-  ++fired_events_;
-  auto fn = std::move(chosen.state->fn);
-  fn();
+  // Copy out: the callback may step the simulator and reuse ready_.
+  const QueueEntry chosen = ready_[pick];
+  fire(chosen);
   return true;
 }
 
@@ -106,9 +100,8 @@ void Simulator::run_until(TimePoint deadline) {
   stopped_ = false;
   while (!stopped_ && !queue_.empty()) {
     // Drop cancelled entries without advancing the clock.
-    if (queue_.top().state->cancelled) {
+    if (!live(queue_.top())) {
       queue_.pop();
-      --live_events_;
       continue;
     }
     if (queue_.top().at > deadline) break;

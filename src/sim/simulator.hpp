@@ -5,12 +5,23 @@
 // makes runs fully deterministic.  Every higher layer — the CPU scheduler,
 // the network links, the RTPB protocol — advances exclusively by
 // scheduling events here.
+//
+// Scheduling allocates nothing once the kernel is warm.  An event's
+// callback lives in place in a slot of a chunked slab (stable addresses,
+// recycled through a free list); the queue is a heap of small
+// {at, seq, slot, generation, tag} entries.  Handles name a slot and a
+// generation, so a handle outliving its event never touches the slot's
+// next occupant.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <queue>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/choice.hpp"
@@ -27,6 +38,7 @@ class Simulator;
 /// Cancellation handle for a scheduled event.  Default-constructed handles
 /// are inert.  Cancelling an already-fired or already-cancelled event is a
 /// harmless no-op — callers routinely cancel defensively during teardown.
+/// A handle must not outlive its Simulator.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -37,13 +49,56 @@ class EventHandle {
 
  private:
   friend class Simulator;
-  struct State {
-    std::function<void()> fn;
-    bool cancelled = false;
-    bool fired = false;
+  EventHandle(Simulator* sim, std::uint32_t slot, std::uint32_t generation)
+      : sim_(sim), slot_(slot), generation_(generation) {}
+  Simulator* sim_ = nullptr;
+  std::uint32_t slot_ = 0;
+  std::uint32_t generation_ = 0;
+};
+
+/// An event callback constructed in place in fixed inline storage.  There
+/// is no heap fallback: a closure larger than kCapacity does not compile.
+/// The largest closure scheduled in src/ is the network's frame delivery
+/// (`this` plus a net::Packet); capture an index or a pointer rather than
+/// grow this.
+class EventFn {
+ public:
+  static constexpr std::size_t kCapacity = 112;
+
+  EventFn() = default;
+  ~EventFn() { reset(); }
+  EventFn(const EventFn&) = delete;
+  EventFn& operator=(const EventFn&) = delete;
+
+  template <typename F>
+  void emplace(F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(sizeof(Fn) <= kCapacity,
+                  "event closure exceeds EventFn::kCapacity; capture an index or pointer");
+    static_assert(alignof(Fn) <= alignof(void*), "event closure is over-aligned");
+    RTPB_ASSERT(ops_ == nullptr);
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+    ops_ = &kOps<Fn>;
+  }
+  void operator()() { ops_->invoke(storage_); }
+  /// Destroy the held closure (and everything it captured), if any.
+  void reset() {
+    if (ops_ == nullptr) return;
+    ops_->destroy(storage_);
+    ops_ = nullptr;
+  }
+
+ private:
+  struct Ops {
+    void (*invoke)(void*);
+    void (*destroy)(void*);
   };
-  explicit EventHandle(std::shared_ptr<State> s) : state_(std::move(s)) {}
-  std::shared_ptr<State> state_;
+  template <typename Fn>
+  static constexpr Ops kOps{[](void* p) { (*static_cast<Fn*>(p))(); },
+                            [](void* p) { static_cast<Fn*>(p)->~Fn(); }};
+
+  const Ops* ops_ = nullptr;
+  alignas(void*) unsigned char storage_[kCapacity];
 };
 
 class Simulator {
@@ -57,12 +112,20 @@ class Simulator {
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedule fn at absolute virtual time `at` (must not be in the past).
-  EventHandle schedule_at(TimePoint at, std::function<void()> fn);
+  template <typename F>
+  EventHandle schedule_at(TimePoint at, F&& fn) {
+    return schedule_at(at, EventTag{}, std::forward<F>(fn));
+  }
   /// Same, with an EventTag describing the event for the choice policy's
   /// tie-breaking (untagged events are treated as dependent on everything).
-  EventHandle schedule_at(TimePoint at, EventTag tag, std::function<void()> fn);
+  template <typename F>
+  EventHandle schedule_at(TimePoint at, EventTag tag, F&& fn);
   /// Schedule fn after `delay` (must be non-negative).
-  EventHandle schedule_after(Duration delay, std::function<void()> fn);
+  template <typename F>
+  EventHandle schedule_after(Duration delay, F&& fn) {
+    RTPB_EXPECTS(delay >= Duration::zero());
+    return schedule_at(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Run until the queue drains or the clock passes `deadline`.
   /// Events exactly at `deadline` do fire — with or without a choice
@@ -86,7 +149,9 @@ class Simulator {
     return queue_.empty() ? TimePoint::max() : queue_.top().at;
   }
 
-  [[nodiscard]] std::size_t pending_events() const { return live_events_; }
+  /// Queued entries, including cancelled ones not yet popped (deletion is
+  /// lazy; the explorer hashes this count into its state hash).
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t fired_events() const { return fired_events_; }
 
   /// Root RNG for the run; components should fork() their own streams.
@@ -117,16 +182,48 @@ class Simulator {
   [[nodiscard]] const telemetry::Hub& telemetry() const { return hub_; }
 
  private:
+  friend class EventHandle;
+
+  /// One event's storage.  `generation` advances each time the slot is
+  /// freed, so handles and queue entries of earlier occupants go stale;
+  /// `armed` is set from scheduling until the event fires or is cancelled.
+  struct Slot {
+    EventFn fn;
+    std::uint32_t generation = 0;
+    bool armed = false;
+  };
+  static constexpr std::size_t kSlotsPerChunk = 256;
+
   struct QueueEntry {
     TimePoint at;
     std::uint64_t seq;
-    std::shared_ptr<EventHandle::State> state;
+    std::uint32_t slot;
+    std::uint32_t generation;
     EventTag tag;
     bool operator>(const QueueEntry& o) const {
       if (at != o.at) return at > o.at;
       return seq > o.seq;
     }
   };
+
+  Slot& slot(std::uint32_t index) {
+    return chunks_[index / kSlotsPerChunk][index % kSlotsPerChunk];
+  }
+  [[nodiscard]] const Slot& slot(std::uint32_t index) const {
+    return chunks_[index / kSlotsPerChunk][index % kSlotsPerChunk];
+  }
+  [[nodiscard]] bool armed(std::uint32_t index, std::uint32_t generation) const {
+    const Slot& s = slot(index);
+    return s.generation == generation && s.armed;
+  }
+  [[nodiscard]] bool live(const QueueEntry& e) const { return armed(e.slot, e.generation); }
+  /// A free slot, growing the slab by one chunk when none is left.
+  std::uint32_t acquire();
+  /// Destroy the slot's callback and return it to the free list.
+  void release(std::uint32_t index);
+  bool cancel(std::uint32_t index, std::uint32_t generation);
+  /// Advance the clock to `e` and run its callback in place.
+  void fire(const QueueEntry& e);
 
   /// step() with a policy installed: gather the tie set at the earliest
   /// instant and let the policy pick which member fires.
@@ -135,14 +232,39 @@ class Simulator {
   TimePoint now_{};
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_events_ = 0;
-  std::size_t live_events_ = 0;
   bool stopped_ = false;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<std::uint32_t> free_slots_;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
+  std::vector<QueueEntry> ready_;  ///< step_with_policy scratch: the tie set
+  std::vector<EventTag> tags_;     ///< step_with_policy scratch: its tags
   ChoicePolicy* policy_ = nullptr;
   Rng rng_;
   TraceRecorder trace_;
   telemetry::Hub hub_;
 };
+
+template <typename F>
+EventHandle Simulator::schedule_at(TimePoint at, EventTag tag, F&& fn) {
+  RTPB_EXPECTS(at >= now_);
+  if constexpr (std::is_same_v<std::decay_t<F>, std::function<void()>>) {
+    RTPB_EXPECTS(fn != nullptr);
+  }
+  const std::uint32_t index = acquire();
+  Slot& s = slot(index);
+  s.fn.emplace(std::forward<F>(fn));
+  s.armed = true;
+  queue_.push(QueueEntry{at, next_seq_++, index, s.generation, tag});
+  return EventHandle{this, index, s.generation};
+}
+
+inline bool EventHandle::cancel() {
+  return sim_ != nullptr && sim_->cancel(slot_, generation_);
+}
+
+inline bool EventHandle::pending() const {
+  return sim_ != nullptr && sim_->armed(slot_, generation_);
+}
 
 /// Self-rescheduling periodic timer.  The callback runs once per period
 /// starting at `first`; stop() halts it.  Used for heartbeats and for

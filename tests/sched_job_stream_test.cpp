@@ -63,21 +63,32 @@ std::size_t fold_job_stream(Policy policy, std::uint64_t seed, Fnv& fnv) {
   cpu.start(TimePoint::zero());
 
   // Mutations land at random instants, often while a job holds the CPU.
-  for (int k = 0; k < 40; ++k) {
+  // Each event captures its mutation's index: a TaskSpec is too large for
+  // the kernel's inline closure storage.
+  struct Mutation {
+    std::int64_t op;
+    TaskSpec spec;
+    std::size_t pick;
+    Duration exec;
+  };
+  std::vector<Mutation> mutations;
+  for (std::size_t k = 0; k < 40; ++k) {
     const TimePoint at = TimePoint::zero() + micros(rng.uniform(0, 1'000'000));
     const std::int64_t op = rng.uniform(0, 2);
     const TaskSpec spec = random_task(rng);
     const auto pick = static_cast<std::size_t>(rng.uniform(0, 1'000));
     const Duration exec = micros(rng.uniform(50, 3'000));
-    sim.schedule_at(at, [&, op, spec, pick, exec] {
-      if (op == 0) {
-        live.push_back(cpu.add_task(spec, record));
-      } else if (op == 1 && !live.empty()) {
-        const std::size_t victim = pick % live.size();
+    mutations.push_back(Mutation{op, spec, pick, exec});
+    sim.schedule_at(at, [&, k] {
+      const Mutation& m = mutations[k];
+      if (m.op == 0) {
+        live.push_back(cpu.add_task(m.spec, record));
+      } else if (m.op == 1 && !live.empty()) {
+        const std::size_t victim = m.pick % live.size();
         cpu.remove_task(live[victim]);
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
       } else {
-        cpu.submit_job("bg", exec, record);
+        cpu.submit_job("bg", m.exec, record);
       }
     });
   }
