@@ -42,7 +42,7 @@ Network::DirectedLink* Network::find_link(NodeId src, NodeId dst) {
   return it == links_.end() ? nullptr : &it->second;
 }
 
-bool Network::send(NodeId src, NodeId dst, Bytes payload) {
+bool Network::send(NodeId src, NodeId dst, Frame frame) {
   DirectedLink* link = find_link(src, dst);
   if (link == nullptr) {
     RTPB_WARN("net", "send node%u->node%u: no link", src, dst);
@@ -60,10 +60,10 @@ bool Network::send(NodeId src, NodeId dst, Bytes payload) {
   };
   if (hub.enabled()) hub.registry().counter("net.link.sends").add();
 
-  if (link->params.mtu > 0 && payload.size() > link->params.mtu) {
+  if (link->params.mtu > 0 && frame.size() > link->params.mtu) {
     ++link->stats.mtu_drops;
     ++link->stats.dropped;
-    RTPB_DEBUG("net", "frame of %zu bytes exceeds MTU %zu; dropped", payload.size(),
+    RTPB_DEBUG("net", "frame of %zu bytes exceeds MTU %zu; dropped", frame.size(),
                link->params.mtu);
     if (hub.enabled()) {
       count_drop("mtu");
@@ -76,7 +76,7 @@ bool Network::send(NodeId src, NodeId dst, Bytes payload) {
   Packet pkt;
   pkt.src = src;
   pkt.dst = dst;
-  pkt.payload = std::move(payload);
+  pkt.frame = std::move(frame);
   pkt.seq = next_seq_++;
   pkt.span = hub.current_span();
 
@@ -139,14 +139,15 @@ bool Network::send(NodeId src, NodeId dst, Bytes payload) {
   }
 
   // Corruption: flip one random bit and deliver anyway — detecting it is
-  // the transport checksum's job.
-  if (faults.corrupt_probability > 0.0 && !pkt.payload.empty() &&
+  // the transport checksum's job.  The flip copies the body first: other
+  // frames (the same update to other backups) share it.
+  if (faults.corrupt_probability > 0.0 && !pkt.frame.empty() &&
       decide(sim::ChoiceKind::kFrameCorrupt, faults.corrupt_probability)) {
-    const std::size_t skip = std::min(faults.corrupt_skip, pkt.payload.size() - 1);
+    const std::size_t skip = std::min(faults.corrupt_skip, pkt.frame.size() - 1);
     const auto idx = static_cast<std::size_t>(
         rng_.uniform(static_cast<std::int64_t>(skip),
-                     static_cast<std::int64_t>(pkt.payload.size() - 1)));
-    pkt.payload[idx] ^= static_cast<std::uint8_t>(1u << rng_.uniform(0, 7));
+                     static_cast<std::int64_t>(pkt.frame.size() - 1)));
+    pkt.frame.flip(idx, static_cast<std::uint8_t>(1u << rng_.uniform(0, 7)));
     ++link->stats.corrupted;
     if (sim_.trace().enabled()) {
       sim_.trace().record(sim_.now(), sim::TraceCategory::kNet, "frame-corrupt",

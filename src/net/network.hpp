@@ -31,8 +31,8 @@ struct LinkFaults {
   double duplicate_probability = 0.0;   ///< deliver an extra copy with fresh delay
   double reorder_probability = 0.0;     ///< exempt a frame from FIFO, delay it extra
   Duration reorder_extra = millis(2);   ///< max extra delay for a reordered frame
-  double corrupt_probability = 0.0;     ///< flip one random payload bit, still deliver
-  /// First payload bytes spared by corruption (0 = corrupt anywhere).  Tests
+  double corrupt_probability = 0.0;     ///< flip one random frame bit, still deliver
+  /// First frame bytes spared by corruption (0 = corrupt anywhere).  Tests
   /// that assert on transport checksum detection aim past the lower-layer
   /// headers so every flip lands in the checksummed datagram body.
   std::size_t corrupt_skip = 0;
@@ -82,9 +82,10 @@ class Network {
   /// Create (or replace) the bidirectional link between two hosts.
   void connect(NodeId a, NodeId b, LinkParams params);
 
-  /// Inject a packet.  Returns false if there is no link or the
-  /// destination is down (callers treat both as silent loss — UDP).
-  bool send(NodeId src, NodeId dst, Bytes payload);
+  /// Inject a frame (a plain Bytes payload converts to a header-less
+  /// one).  Returns false if there is no link or the destination is down
+  /// (callers treat both as silent loss — UDP).
+  bool send(NodeId src, NodeId dst, Frame frame);
 
   /// Crash / restore a node.  A down node receives nothing; packets to it
   /// count as dropped.

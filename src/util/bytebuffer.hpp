@@ -3,6 +3,7 @@
 // portable and byte-for-byte reproducible.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -16,6 +17,14 @@
 namespace rtpb {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// Store `v` big-endian at `out` (sizeof(T) bytes).
+template <typename T>
+void store_be(std::uint8_t* out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<std::uint8_t>((v >> (8 * (sizeof(T) - 1 - i))) & 0xFF);
+  }
+}
 
 /// Appends values to a growing byte vector.
 class ByteWriter {
@@ -59,12 +68,36 @@ class ByteWriter {
     // One bulk insert instead of per-byte push_back: a frame encoded into
     // an exactly-reserved writer costs a single allocation.
     std::uint8_t be[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      be[i] = static_cast<std::uint8_t>((v >> (8 * (sizeof(T) - 1 - i))) & 0xFF);
-    }
+    store_be(be, v);
     buf_.insert(buf_.end(), be, be + sizeof(T));
   }
   Bytes buf_;
+};
+
+/// Builds a fixed-size header on the stack, big-endian like ByteWriter, so
+/// a protocol header pushed per frame costs no allocation.  Every byte
+/// must be written before data() is read.
+template <std::size_t N>
+class HeaderWriter {
+ public:
+  void u8(std::uint8_t v) { put(v); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+
+  [[nodiscard]] std::span<const std::uint8_t> data() const {
+    RTPB_ASSERT(pos_ == N);
+    return buf_;
+  }
+
+ private:
+  template <typename T>
+  void put(T v) {
+    RTPB_ASSERT(pos_ + sizeof(T) <= N);
+    store_be(buf_.data() + pos_, v);
+    pos_ += sizeof(T);
+  }
+  std::array<std::uint8_t, N> buf_{};
+  std::size_t pos_ = 0;
 };
 
 /// Consumes values from a byte span.  Over-reads are flagged via ok();

@@ -23,7 +23,7 @@ void FragLite::push(Message& msg, const MsgAttrs& attrs) {
   // offset/length view into the SAME ref-counted buffer, so a 10-fragment
   // message (or one update fanned out to N backups) costs zero payload
   // copies here — only the per-fragment headers are owned storage.
-  const Message::SharedView whole = msg.shared_contents();
+  const SharedView whole = msg.shared_contents();
   const std::uint32_t msg_id = next_msg_id_++;
   const auto total = static_cast<std::uint32_t>(whole.length);
   const std::size_t count = std::max<std::size_t>(1, (whole.length + max_payload_ - 1) / max_payload_);
@@ -41,7 +41,7 @@ void FragLite::push(Message& msg, const MsgAttrs& attrs) {
     Message fragment =
         whole.buf ? Message::from_shared(whole.buf, whole.offset + begin, end - begin)
                   : Message{};
-    ByteWriter header(kHeaderSize);
+    HeaderWriter<kHeaderSize> header;
     header.u32(msg_id);
     header.u16(static_cast<std::uint16_t>(i));
     header.u16(static_cast<std::uint16_t>(count));
@@ -107,7 +107,7 @@ void FragLite::demux(Message& msg, MsgAttrs& attrs) {
     ++duplicate_fragments_;
     return;
   }
-  const Message::SharedView payload = msg.shared_contents();
+  const SharedView payload = msg.shared_contents();
   if (re.bytes_received + payload.length > re.total_length) {
     // An over-long (corrupted) fragment would push the reassembled size
     // past the declared total; reject the fragment, keep the reassembly.
@@ -118,7 +118,7 @@ void FragLite::demux(Message& msg, MsgAttrs& attrs) {
   // exactly once, at completion.  An empty fragment still takes its slot
   // (shared empty buffer) so `buf != nullptr` doubles as the presence bit.
   re.fragments[index] =
-      payload.buf ? payload : Message::SharedView{std::make_shared<const Bytes>(), 0, 0};
+      payload.buf ? payload : SharedView{std::make_shared<const Bytes>(), 0, 0};
   re.bytes_received += payload.length;
   ++re.received;
   if (re.received < count) return;

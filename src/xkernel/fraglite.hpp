@@ -57,7 +57,7 @@ class FragLite final : public Protocol {
   struct Reassembly {
     /// Zero-copy views into the arriving wire buffers, indexed by fragment
     /// number; a null buf marks a missing fragment.
-    std::vector<Message::SharedView> fragments;
+    std::vector<SharedView> fragments;
     std::size_t received = 0;
     std::size_t bytes_received = 0;
     std::uint32_t total_length = 0;

@@ -18,7 +18,7 @@ void IpLite::push_as(std::uint8_t proto, Message& msg, const MsgAttrs& attrs) {
                                std::to_string(attrs.src.node) + "->node" +
                                std::to_string(attrs.dst.node));
   }
-  ByteWriter w(kHeaderSize);
+  HeaderWriter<kHeaderSize> w;
   w.u32(attrs.src.node);
   w.u32(attrs.dst.node);
   w.u8(proto);

@@ -1,104 +1,70 @@
 // x-kernel style message object.
 //
 // Protocols prepend their header on the way down (push) and strip it on
-// the way up (pop).  A message is split into two regions:
+// the way up (pop).  A message is a util Frame:
 //
-//   [ header region (owned, headroom in front) | body (shared, immutable) ]
+//   [ header region (inline, owned) | body (shared, immutable) ]
 //
-// The body is a ref-counted immutable buffer plus an offset/length view,
-// so copying a Message — the primary fanning one encoded update out to N
-// backups, FRAGLITE slicing a large message into fragments — shares one
-// underlying allocation instead of deep-copying the payload.  Headers are
-// per-message: pushes write into the small owned header region (with
-// headroom reserved in front, mirroring x-kernel's optimisation for
-// layered header addition) and never touch the shared body.  Pops consume
-// the header region first, then advance the body view in place.
+// Copying a Message — the primary fanning one encoded update out to N
+// backups, FRAGLITE slicing a large message into fragments — shares the
+// body instead of deep-copying the payload.  Headers are per-message:
+// pushes write into the frame's inline header region and never touch the
+// shared body, so a push allocates nothing.  Pops consume the header
+// region first, then advance the body view in place.  SIMETH hands the
+// frame itself to the network, and delivery rebuilds a Message over it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "util/assert.hpp"
 #include "util/bytebuffer.hpp"
+#include "util/frame.hpp"
 
 namespace rtpb::xkernel {
 
 class Message {
  public:
-  using SharedBytes = std::shared_ptr<const Bytes>;
-
-  /// A view into a shared immutable buffer: the zero-copy currency of the
-  /// wire path (fan-out, fragmentation).
-  struct SharedView {
-    SharedBytes buf;
-    std::size_t offset = 0;
-    std::size_t length = 0;
-
-    [[nodiscard]] std::span<const std::uint8_t> span() const {
-      return buf ? std::span<const std::uint8_t>{buf->data() + offset, length}
-                 : std::span<const std::uint8_t>{};
-    }
-  };
-
   Message() = default;
 
   /// Build a message around an application payload.  The payload is taken
-  /// by value and MOVED into the shared body — no copy; `headroom` bytes
-  /// are reserved in front for protocol headers.
-  explicit Message(Bytes payload, std::size_t headroom = kDefaultHeadroom)
-      : head_reserve_(headroom), body_(std::make_shared<const Bytes>(std::move(payload))) {
-    body_len_ = body_->size();
-  }
+  /// by value and MOVED into the shared body — no copy.
+  explicit Message(Bytes payload) : frame_(std::move(payload)) {}
 
-  /// Reconstruct a message from raw wire bytes (no headroom; pops only).
-  static Message from_wire(std::span<const std::uint8_t> wire) {
-    Message m;
-    m.body_ = std::make_shared<const Bytes>(wire.begin(), wire.end());
-    m.body_len_ = m.body_->size();
-    m.head_reserve_ = 0;
-    return m;
-  }
+  /// Rebuild a message over a frame off the wire.  The body is shared, not
+  /// copied.
+  explicit Message(Frame frame) : frame_(std::move(frame)) {}
 
   /// Zero-copy: view `length` bytes of `body` starting at `offset`.  The
   /// buffer is shared, never copied — the encode-once fan-out and the
   /// fragmentation path build all their messages through here.
-  static Message from_shared(SharedBytes body, std::size_t offset, std::size_t length,
-                             std::size_t headroom = kDefaultHeadroom) {
+  static Message from_shared(SharedBytes body, std::size_t offset, std::size_t length) {
     RTPB_EXPECTS(body != nullptr);
     RTPB_EXPECTS(offset + length <= body->size());
-    Message m;
-    m.body_ = std::move(body);
-    m.body_off_ = offset;
-    m.body_len_ = length;
-    m.head_reserve_ = headroom;
-    return m;
+    return Message{Frame{SharedView{std::move(body), offset, length}}};
   }
 
-  /// Prepend a header (written into the owned header region; the shared
-  /// body is untouched).
+  /// Prepend a header.  It goes into the inline header region; a header
+  /// that no longer fits there (never on the protocol stack's paths) is
+  /// gathered with the rest of the message into a fresh body instead.
   void push(std::span<const std::uint8_t> header) {
-    if (header.size() > head_) grow_headroom(header.size());
-    head_ -= header.size();
-    std::copy(header.begin(), header.end(), hdr_.begin() + static_cast<std::ptrdiff_t>(head_));
+    if (header.size() <= frame_.headroom()) {
+      frame_.push_header(header);
+      return;
+    }
+    Bytes flat(header.begin(), header.end());
+    const Bytes rest = frame_.to_bytes();
+    flat.insert(flat.end(), rest.begin(), rest.end());
+    frame_ = Frame{std::move(flat)};
   }
 
   /// Strip `n` bytes from the front, returning them.  The returned span is
   /// valid until the next mutation of this message.
   [[nodiscard]] std::span<const std::uint8_t> pop(std::size_t n) {
     RTPB_EXPECTS(n <= size());
-    const std::size_t in_hdr = header_size();
-    if (in_hdr == 0) {
-      auto out = std::span<const std::uint8_t>{body_->data() + body_off_, n};
-      body_off_ += n;
-      body_len_ -= n;
-      return out;
-    }
-    if (n <= in_hdr) {
-      auto out = std::span<const std::uint8_t>{hdr_.data() + head_, n};
-      head_ += n;
-      return out;
-    }
+    const std::size_t in_hdr = frame_.header().size();
+    if (in_hdr == 0) return frame_.pop_body(n);
+    if (n <= in_hdr) return frame_.pop_header(n);
     // Straddles the header/body seam (never on the normal protocol paths,
     // where pops mirror earlier pushes): linearise, then pop.
     linearize();
@@ -107,86 +73,43 @@ class Message {
 
   /// Current contents (front header through end of payload) as one
   /// contiguous span.  Linearises first if headers and body are both
-  /// present; receive-path messages (pops only) and freshly-built payloads
-  /// are always contiguous already.
+  /// present; freshly-built payloads and fully popped messages are always
+  /// contiguous already.
   [[nodiscard]] std::span<const std::uint8_t> contents() {
-    if (header_size() == 0) return body_view();
-    if (body_len_ == 0) return {hdr_.data() + head_, header_size()};
+    if (frame_.header().empty()) return frame_.body();
+    if (frame_.body().empty()) return frame_.header();
     linearize();
-    return body_view();
+    return frame_.body();
   }
 
   /// The two storage segments (header, body) without linearising — for
   /// consumers that can gather, e.g. the UDPLITE checksum.
-  [[nodiscard]] std::span<const std::uint8_t> header_segment() const {
-    return {hdr_.data() + head_, header_size()};
-  }
-  [[nodiscard]] std::span<const std::uint8_t> body_segment() const { return body_view(); }
+  [[nodiscard]] std::span<const std::uint8_t> header_segment() const { return frame_.header(); }
+  [[nodiscard]] std::span<const std::uint8_t> body_segment() const { return frame_.body(); }
 
   /// The full contents as a shared immutable view.  Zero-copy when no
-  /// headers have been pushed (the fragmentation fast path); otherwise the
-  /// message is linearised into a fresh shared buffer first.
+  /// headers are present (the fragmentation and delivery fast paths);
+  /// otherwise the message is linearised into a fresh shared buffer first.
   [[nodiscard]] SharedView shared_contents() {
-    if (header_size() != 0) linearize();
-    if (!body_) return {};
-    return {body_, body_off_, body_len_};
+    if (!frame_.header().empty()) linearize();
+    return frame_.body_view();
   }
 
-  [[nodiscard]] std::size_t size() const { return header_size() + body_len_; }
-  [[nodiscard]] bool empty() const { return size() == 0; }
+  /// The message as a wire frame (header bytes plus the shared body).
+  [[nodiscard]] const Frame& frame() const { return frame_; }
+
+  [[nodiscard]] std::size_t size() const { return frame_.size(); }
+  [[nodiscard]] bool empty() const { return frame_.empty(); }
 
   /// Copy out the remaining bytes (typically the application payload after
   /// all headers are stripped).
-  [[nodiscard]] Bytes to_bytes() const {
-    Bytes out;
-    out.reserve(size());
-    const auto h = header_segment();
-    out.insert(out.end(), h.begin(), h.end());
-    const auto b = body_view();
-    out.insert(out.end(), b.begin(), b.end());
-    return out;
-  }
-
-  static constexpr std::size_t kDefaultHeadroom = 64;
+  [[nodiscard]] Bytes to_bytes() const { return frame_.to_bytes(); }
 
  private:
-  [[nodiscard]] std::size_t header_size() const { return hdr_.size() - head_; }
-  [[nodiscard]] std::span<const std::uint8_t> body_view() const {
-    return body_ ? std::span<const std::uint8_t>{body_->data() + body_off_, body_len_}
-                 : std::span<const std::uint8_t>{};
-  }
+  /// Collapse header region + body view into a fresh shared body.
+  void linearize() { frame_ = Frame{frame_.to_bytes()}; }
 
-  /// Collapse header region + body view into a fresh shared body, keeping
-  /// the configured headroom available for further pushes.
-  void linearize() {
-    Bytes flat;
-    flat.reserve(size());
-    const auto h = header_segment();
-    flat.insert(flat.end(), h.begin(), h.end());
-    const auto b = body_view();
-    flat.insert(flat.end(), b.begin(), b.end());
-    body_ = std::make_shared<const Bytes>(std::move(flat));
-    body_off_ = 0;
-    body_len_ = body_->size();
-    hdr_.clear();
-    head_ = 0;
-  }
-
-  void grow_headroom(std::size_t need) {
-    const std::size_t extra = std::max(std::max(need, head_reserve_), kDefaultHeadroom);
-    Bytes bigger(hdr_.size() - head_ + extra);
-    std::copy(hdr_.begin() + static_cast<std::ptrdiff_t>(head_), hdr_.end(),
-              bigger.begin() + static_cast<std::ptrdiff_t>(extra));
-    hdr_ = std::move(bigger);
-    head_ = extra;
-  }
-
-  Bytes hdr_;               ///< owned header region; [head_, hdr_.size()) valid
-  std::size_t head_ = 0;    ///< front of the valid header bytes
-  std::size_t head_reserve_ = kDefaultHeadroom;  ///< headroom hint for first push
-  SharedBytes body_;        ///< shared immutable payload (may be null = empty)
-  std::size_t body_off_ = 0;
-  std::size_t body_len_ = 0;
+  Frame frame_;
 };
 
 }  // namespace rtpb::xkernel

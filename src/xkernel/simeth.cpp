@@ -7,7 +7,7 @@ namespace rtpb::xkernel {
 SimEth::SimEth(net::Network& network) : Protocol("simeth"), network_(network) {
   node_ = network_.add_node([this](const net::Packet& pkt) {
     ++frames_received_;
-    Message msg = Message::from_wire(pkt.payload);
+    Message msg{pkt.frame};
     MsgAttrs attrs;
     attrs.src.node = pkt.src;
     attrs.dst.node = pkt.dst;
@@ -23,7 +23,7 @@ void SimEth::push(Message& msg, const MsgAttrs& attrs) {
     tele_record("eth-push", std::to_string(msg.size()) + "B to node" +
                                 std::to_string(attrs.dst.node));
   }
-  network_.send(node_, attrs.dst.node, msg.to_bytes());
+  network_.send(node_, attrs.dst.node, msg.frame());
 }
 
 void SimEth::demux(Message& msg, MsgAttrs& attrs) {

@@ -465,7 +465,7 @@ TEST(MessageFuzz, RandomPushPopMatchesReferenceModel) {
   Rng rng(0xCAFE);
   for (int trial = 0; trial < 200; ++trial) {
     Bytes payload(static_cast<std::size_t>(rng.uniform(0, 64)), 0x11);
-    xkernel::Message msg(payload, static_cast<std::size_t>(rng.uniform(0, 16)));
+    xkernel::Message msg(payload);
     std::deque<std::uint8_t> model(payload.begin(), payload.end());
 
     for (int op = 0; op < 50; ++op) {

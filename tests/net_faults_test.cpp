@@ -78,7 +78,7 @@ TEST(LinkFaults, ReorderingBreaksFifoDelivery) {
 
   bool out_of_order = false;
   for (std::size_t i = 1; i < env.at_b.size(); ++i) {
-    if (env.at_b[i].payload[0] < env.at_b[i - 1].payload[0]) out_of_order = true;
+    if (env.at_b[i].frame[0] < env.at_b[i - 1].frame[0]) out_of_order = true;
   }
   EXPECT_TRUE(out_of_order) << "reordered frames should be observably overtaken";
 }
@@ -95,7 +95,7 @@ TEST(LinkFaults, WithoutReorderKnobDeliveryStaysFifo) {
   env.sim.run();
   ASSERT_EQ(env.at_b.size(), static_cast<std::size_t>(n));
   for (std::size_t i = 1; i < env.at_b.size(); ++i) {
-    EXPECT_GE(env.at_b[i].payload[0], env.at_b[i - 1].payload[0]);
+    EXPECT_GE(env.at_b[i].frame[0], env.at_b[i - 1].frame[0]);
   }
 }
 
@@ -143,9 +143,9 @@ TEST(LinkFaults, CorruptionFlipsExactlyOneBitAndStillDelivers) {
 
   for (const Packet& got : env.at_b) {
     int flipped_bits = 0;
-    ASSERT_EQ(got.payload.size(), sent.size());
+    ASSERT_EQ(got.frame.size(), sent.size());
     for (std::size_t i = 0; i < sent.size(); ++i) {
-      std::uint8_t diff = static_cast<std::uint8_t>(got.payload[i] ^ sent[i]);
+      std::uint8_t diff = static_cast<std::uint8_t>(got.frame[i] ^ sent[i]);
       while (diff != 0) {
         flipped_bits += diff & 1;
         diff = static_cast<std::uint8_t>(diff >> 1);
@@ -168,10 +168,47 @@ TEST(LinkFaults, CorruptSkipSparesTheFrontBytes) {
   ASSERT_EQ(env.at_b.size(), 20u);
   for (const Packet& got : env.at_b) {
     for (std::size_t i = 0; i + 1 < sent.size(); ++i) {
-      EXPECT_EQ(got.payload[i], sent[i]) << "byte " << i << " should be spared";
+      EXPECT_EQ(got.frame[i], sent[i]) << "byte " << i << " should be spared";
     }
-    EXPECT_NE(got.payload[31], sent[31]);
+    EXPECT_NE(got.frame[31], sent[31]);
   }
+}
+
+TEST(LinkFaults, CorruptionCopiesASharedBodyBeforeFlipping) {
+  // One frame body fanned out over two links, as the primary sends one
+  // update to every backup.  Corrupting it on one link must leave the
+  // other receiver's bytes, and the sender's frame, untouched.
+  sim::Simulator sim{1234};
+  Network network{sim};
+  std::vector<Packet> at_b;
+  std::vector<Packet> at_c;
+  const NodeId a = network.add_node([](const Packet&) {});
+  const NodeId b = network.add_node([&at_b](const Packet& p) { at_b.push_back(p); });
+  const NodeId c = network.add_node([&at_c](const Packet& p) { at_c.push_back(p); });
+  network.connect(a, b, LinkParams{});
+  network.connect(a, c, LinkParams{});
+  LinkFaults f;
+  f.corrupt_probability = 1.0;
+  network.set_faults(a, b, f);
+
+  Frame frame{Bytes(64, 0x5A)};
+  frame.push_header(Bytes{1, 2, 3, 4});
+  const Bytes original = frame.to_bytes();
+  const int n = 20;
+  for (int i = 0; i < n; ++i) {
+    network.send(a, b, frame);
+    network.send(a, c, frame);
+  }
+  sim.run();
+  ASSERT_EQ(at_b.size(), static_cast<std::size_t>(n));
+  ASSERT_EQ(at_c.size(), static_cast<std::size_t>(n));
+  for (const Packet& got : at_b) EXPECT_NE(got.frame.to_bytes(), original);
+  for (const Packet& got : at_c) {
+    EXPECT_EQ(got.frame.to_bytes(), original);
+    // Delivered without a copy: still the sender's body buffer.
+    EXPECT_EQ(got.frame.body_view().buf, frame.body_view().buf);
+  }
+  EXPECT_EQ(frame.to_bytes(), original);
 }
 
 TEST(LinkFaults, FaultStatisticsStartAtZero) {

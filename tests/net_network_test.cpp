@@ -28,7 +28,7 @@ TEST(Network, DeliversPayloadIntact) {
   EXPECT_TRUE(env.network.send(env.a, env.b, payload));
   env.sim.run();
   ASSERT_EQ(env.at_b.size(), 1u);
-  EXPECT_EQ(env.at_b[0].payload, payload);
+  EXPECT_EQ(env.at_b[0].frame.to_bytes(), payload);
   EXPECT_EQ(env.at_b[0].src, env.a);
   EXPECT_EQ(env.at_b[0].dst, env.b);
 }
@@ -92,7 +92,7 @@ TEST(Network, FifoPerDirectionEvenWithJitter) {
   }
   env.sim.run();
   ASSERT_EQ(env.at_b.size(), 50u);
-  for (std::uint8_t i = 0; i < 50; ++i) EXPECT_EQ(env.at_b[i].payload[0], i);
+  for (std::uint8_t i = 0; i < 50; ++i) EXPECT_EQ(env.at_b[i].frame[0], i);
 }
 
 TEST(Network, DownNodeReceivesNothing) {

@@ -31,21 +31,26 @@ TEST(Message, NestedHeadersStripInReverseOrder) {
 }
 
 TEST(Message, HeadroomGrowsWhenExceeded) {
-  Message m(Bytes{7}, 2);  // tiny headroom
+  Message m(Bytes{7});
+  m.push(Bytes{1, 2});
   Bytes big(100, 0xEE);
-  m.push(big);             // forces reallocation
-  EXPECT_EQ(m.size(), 101u);
+  m.push(big);  // larger than the inline header region: gathered into the body
+  EXPECT_EQ(m.size(), 103u);
   auto hdr = m.pop(100);
   EXPECT_EQ(Bytes(hdr.begin(), hdr.end()), big);
-  EXPECT_EQ(m.to_bytes(), Bytes{7});
+  EXPECT_EQ(m.to_bytes(), (Bytes{1, 2, 7}));
 }
 
 TEST(Message, FromWireHasNoHeadroomButPops) {
-  Bytes wire{1, 2, 3, 4};
-  Message m = Message::from_wire(wire);
+  // A message rebuilt over a received frame pops its header bytes, then
+  // reads the shared body in place.
+  Frame wire{Bytes{3, 4}};
+  wire.push_header(Bytes{1, 2});
+  Message m{wire};
   EXPECT_EQ(m.size(), 4u);
   (void)m.pop(2);
   EXPECT_EQ(m.to_bytes(), (Bytes{3, 4}));
+  EXPECT_EQ(m.shared_contents().buf, wire.body_view().buf);
 }
 
 // ---------------------------------------------------------------------------
@@ -88,7 +93,7 @@ TEST(Message, FromSharedViewsSliceWithoutCopying) {
 TEST(Message, SharedContentsIsZeroCopyWithoutHeaders) {
   auto body = std::make_shared<const Bytes>(Bytes(64, 0x11));
   Message m = Message::from_shared(body, 8, 32);
-  const Message::SharedView v = m.shared_contents();
+  const SharedView v = m.shared_contents();
   EXPECT_EQ(v.buf.get(), body.get());  // same buffer, not a copy
   EXPECT_EQ(v.offset, 8u);
   EXPECT_EQ(v.length, 32u);
@@ -97,7 +102,7 @@ TEST(Message, SharedContentsIsZeroCopyWithoutHeaders) {
 TEST(Message, SharedContentsLinearisesWhenHeadersPresent) {
   Message m{Bytes{9, 9, 9}};
   m.push(Bytes{1, 2});
-  const Message::SharedView v = m.shared_contents();
+  const SharedView v = m.shared_contents();
   ASSERT_NE(v.buf, nullptr);
   const auto s = v.span();
   EXPECT_EQ(Bytes(s.begin(), s.end()), (Bytes{1, 2, 9, 9, 9}));
