@@ -90,8 +90,8 @@ bool Simulator::step_with_policy() {
   for (std::size_t i = 0; i < ready_.size(); ++i) {
     if (i != pick) queue_.push(ready_[i]);
   }
-  // Copy out: the callback may step the simulator and reuse ready_.
   const QueueEntry chosen = ready_[pick];
+  ready_.clear();
   fire(chosen);
   return true;
 }

@@ -150,8 +150,9 @@ class Simulator {
   }
 
   /// Queued entries, including cancelled ones not yet popped (deletion is
-  /// lazy; the explorer hashes this count into its state hash).
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  /// lazy) and, while a choice policy picks, the tie set it picks from.
+  /// The explorer hashes this count into its state hash.
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size() + ready_.size(); }
   [[nodiscard]] std::uint64_t fired_events() const { return fired_events_; }
 
   /// Root RNG for the run; components should fork() their own streams.
@@ -192,7 +193,7 @@ class Simulator {
     std::uint32_t generation = 0;
     bool armed = false;
   };
-  static constexpr std::size_t kSlotsPerChunk = 256;
+  static constexpr std::size_t kSlotsPerChunk = 32;  ///< 4 KiB: many small simulators stay small
 
   struct QueueEntry {
     TimePoint at;

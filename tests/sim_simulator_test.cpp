@@ -385,6 +385,40 @@ class PickLastPolicy : public ChoicePolicy {
 
 }  // namespace
 
+/// Records pending_events() each time it is asked to break a tie.
+class CountingPolicy : public ChoicePolicy {
+ public:
+  explicit CountingPolicy(const Simulator& sim) : sim_(sim) {}
+  bool decide(const ChoiceContext& ctx, Rng& rng) override {
+    return rng.bernoulli(ctx.probability);
+  }
+  std::size_t pick_event(const std::vector<EventTag>& tags) override {
+    seen.push_back(sim_.pending_events());
+    return tags.size() - 1;
+  }
+  std::vector<std::size_t> seen;
+
+ private:
+  const Simulator& sim_;
+};
+
+TEST(Simulator, PendingEventsCountsTheTieSetWhileAPolicyPicks) {
+  Simulator sim;
+  CountingPolicy policy(sim);
+  sim.set_choice_policy(&policy);
+  sim.schedule_at(TimePoint{10}, [] {});
+  EventHandle dropped = sim.schedule_at(TimePoint{10}, [] {});
+  sim.schedule_at(TimePoint{10}, [] {});
+  sim.schedule_at(TimePoint{20}, [] {});
+  EXPECT_TRUE(dropped.cancel());
+  // The cancelled tie is discarded while the tie set is gathered; the two
+  // live ties and the later event are still pending while the policy picks.
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(policy.seen, (std::vector<std::size_t>{3}));
+}
+
 TEST(Simulator, RunUntilBoundaryWithPolicyFiresDeadlineEvents) {
   PickLastPolicy policy;
   Simulator sim;
