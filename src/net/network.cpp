@@ -219,31 +219,46 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
 
 void Network::schedule_delivery(Packet pkt, TimePoint at) {
   const sim::EventTag tag{sim::kTagNetDelivery, pkt.dst, pkt.src};
-  sim_.schedule_at(at, tag, [this, pkt = std::move(pkt)]() mutable {
-    telemetry::Hub& hub = sim_.telemetry();
-    auto node_it = nodes_.find(pkt.dst);
-    if (node_it == nodes_.end() || !node_it->second.up) {
-      if (DirectedLink* l = find_link(pkt.src, pkt.dst)) ++l->stats.dropped;
-      if (hub.enabled()) {
-        hub.registry().counter("net.link.drops").add();
-        hub.registry().counter("net.link.drops_node_down").add();
-        hub.record(pkt.span, pkt.dst, telemetry::EventKind::kInstant, net_track(pkt.dst),
-                   "net-drop", "node" + std::to_string(pkt.dst) + " down");
-      }
-      return;
-    }
-    if (DirectedLink* l = find_link(pkt.src, pkt.dst)) ++l->stats.delivered;
+  std::uint32_t index = 0;
+  if (free_in_flight_.empty()) {
+    index = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(std::move(pkt));
+  } else {
+    index = free_in_flight_.back();
+    free_in_flight_.pop_back();
+    in_flight_[index] = std::move(pkt);
+  }
+  sim_.schedule_at(at, tag, [this, index] { deliver(index); });
+}
+
+void Network::deliver(std::uint32_t index) {
+  // Take the frame out first: the delivery may send, and a send may grow
+  // in_flight_.
+  const Packet pkt = std::move(in_flight_[index]);
+  free_in_flight_.push_back(index);
+  telemetry::Hub& hub = sim_.telemetry();
+  auto node_it = nodes_.find(pkt.dst);
+  if (node_it == nodes_.end() || !node_it->second.up) {
+    if (DirectedLink* l = find_link(pkt.src, pkt.dst)) ++l->stats.dropped;
     if (hub.enabled()) {
-      hub.registry().counter("net.link.delivers").add();
+      hub.registry().counter("net.link.drops").add();
+      hub.registry().counter("net.link.drops_node_down").add();
       hub.record(pkt.span, pkt.dst, telemetry::EventKind::kInstant, net_track(pkt.dst),
-                 "net-deliver",
-                 "node" + std::to_string(pkt.src) + "->node" + std::to_string(pkt.dst));
+                 "net-drop", "node" + std::to_string(pkt.dst) + " down");
     }
-    // Propagate the frame's causal span to everything the delivery triggers
-    // synchronously: demux up the x-kernel stack and the backup apply path.
-    telemetry::ScopedSpan span_scope(hub, pkt.span);
-    node_it->second.on_deliver(pkt);
-  });
+    return;
+  }
+  if (DirectedLink* l = find_link(pkt.src, pkt.dst)) ++l->stats.delivered;
+  if (hub.enabled()) {
+    hub.registry().counter("net.link.delivers").add();
+    hub.record(pkt.span, pkt.dst, telemetry::EventKind::kInstant, net_track(pkt.dst),
+               "net-deliver",
+               "node" + std::to_string(pkt.src) + "->node" + std::to_string(pkt.dst));
+  }
+  // Propagate the frame's causal span to everything the delivery triggers
+  // synchronously: demux up the x-kernel stack and the backup apply path.
+  telemetry::ScopedSpan span_scope(hub, pkt.span);
+  node_it->second.on_deliver(pkt);
 }
 
 void Network::set_node_up(NodeId node, bool up) {

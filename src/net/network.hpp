@@ -15,6 +15,7 @@
 #include <map>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
@@ -133,11 +134,18 @@ class Network {
   DirectedLink* find_link(NodeId src, NodeId dst);
   /// Hand `pkt` to the destination at virtual time `at` (if it is still up).
   void schedule_delivery(Packet pkt, TimePoint at);
+  /// The delivery event of in_flight_[index].
+  void deliver(std::uint32_t index);
 
   sim::Simulator& sim_;
   Rng rng_;
   std::map<NodeId, Node> nodes_;
   std::map<LinkKey, DirectedLink> links_;
+  /// Frames awaiting delivery, recycled through a free list.  A delivery
+  /// event captures its frame's index here, which keeps event closures
+  /// small.
+  std::vector<Packet> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   NodeId next_node_ = 1;
   std::uint64_t next_seq_ = 1;
 };

@@ -15,7 +15,7 @@ std::uint32_t Simulator::acquire() {
   if (free_slots_.empty()) {
     const std::size_t base = chunks_.size() * kSlotsPerChunk;
     RTPB_ASSERT(base + kSlotsPerChunk <= UINT32_MAX);
-    chunks_.push_back(std::make_unique<Slot[]>(kSlotsPerChunk));
+    chunks_.push_back(std::make_unique<Chunk>());
     // Push in reverse so the lowest index is handed out first.
     for (std::size_t i = kSlotsPerChunk; i-- > 0;) {
       free_slots_.push_back(static_cast<std::uint32_t>(base + i));

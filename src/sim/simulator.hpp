@@ -58,12 +58,12 @@ class EventHandle {
 
 /// An event callback constructed in place in fixed inline storage.  There
 /// is no heap fallback: a closure larger than kCapacity does not compile.
-/// The largest closure scheduled in src/ is the network's frame delivery
-/// (`this` plus a net::Packet); capture an index or a pointer rather than
-/// grow this.
+/// kCapacity fills a 64-byte slot; the closures scheduled in src/ take at
+/// most 24 bytes.  A closure that needs more captures an index or a
+/// pointer instead, as the network's frame delivery does.
 class EventFn {
  public:
-  static constexpr std::size_t kCapacity = 112;
+  static constexpr std::size_t kCapacity = 48;
 
   EventFn() = default;
   ~EventFn() { reset(); }
@@ -189,11 +189,16 @@ class Simulator {
   /// freed, so handles and queue entries of earlier occupants go stale;
   /// `armed` is set from scheduling until the event fires or is cancelled.
   struct Slot {
-    EventFn fn;
     std::uint32_t generation = 0;
     bool armed = false;
+    EventFn fn;
   };
-  static constexpr std::size_t kSlotsPerChunk = 32;  ///< 4 KiB: many small simulators stay small
+  static_assert(sizeof(Slot) == 64, "one slot, one cache line");
+  /// 32 cache-line aligned slots: 2 KiB, so many small simulators stay small.
+  static constexpr std::size_t kSlotsPerChunk = 32;
+  struct alignas(64) Chunk {
+    Slot slots[kSlotsPerChunk];
+  };
 
   struct QueueEntry {
     TimePoint at;
@@ -208,10 +213,10 @@ class Simulator {
   };
 
   Slot& slot(std::uint32_t index) {
-    return chunks_[index / kSlotsPerChunk][index % kSlotsPerChunk];
+    return chunks_[index / kSlotsPerChunk]->slots[index % kSlotsPerChunk];
   }
   [[nodiscard]] const Slot& slot(std::uint32_t index) const {
-    return chunks_[index / kSlotsPerChunk][index % kSlotsPerChunk];
+    return chunks_[index / kSlotsPerChunk]->slots[index % kSlotsPerChunk];
   }
   [[nodiscard]] bool armed(std::uint32_t index, std::uint32_t generation) const {
     const Slot& s = slot(index);
@@ -234,7 +239,7 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_events_ = 0;
   bool stopped_ = false;
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
   std::vector<std::uint32_t> free_slots_;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
   std::vector<QueueEntry> ready_;  ///< step_with_policy scratch: the tie set
