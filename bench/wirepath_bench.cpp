@@ -11,7 +11,11 @@
 //      allocations/update at N∈{1,4,8} backups, batched and unbatched,
 //   5. what observability costs: flight recorder on vs off on the wire
 //      path, and telemetry on vs off over one chaos seed (allocations per
-//      Hub event; wall-time ratios are too noisy to gate).
+//      Hub event; wall-time ratios are too noisy to gate), and
+//   6. allocations per fired event in the event kernel and per frame
+//      through the default x-kernel stack.  Both are 0 in steady state;
+//      with a 0 baseline, bench_report --stable-only fails any allocation
+//      that comes back.
 //
 // This binary links bench/common/alloc_hook.cpp, which REPLACES the global
 // operator new/delete — that is why it is not part of the *_main.cpp glob.
@@ -20,12 +24,17 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "chaos/harness.hpp"
 #include "common/alloc_hook.hpp"
 #include "common/harness.hpp"
 #include "core/wire.hpp"
+#include "net/network.hpp"
+#include "sim/simulator.hpp"
+#include "xkernel/graph.hpp"
 #include "xkernel/message.hpp"
 
 namespace {
@@ -206,6 +215,75 @@ std::pair<double, std::uint64_t> chaos_allocs(bool telemetry) {
   return {static_cast<double>(scope.allocations()), report.telemetry_events};
 }
 
+// ---- 6. event kernel and x-kernel stack allocations ----------------------
+
+/// Allocations per fired event over a warmed-up mixed stream: 1024 chains
+/// of events that each schedule their successor, and every fourth hop
+/// cancels and re-arms a watchdog (the backup's per-object watchdog
+/// pattern), so cancelled entries and freed slots are always in play.
+double kernel_allocs_per_event() {
+  struct Stream {
+    sim::Simulator sim{1};
+    Rng rng{7};
+    sim::EventHandle watchdog;
+    std::uint64_t hops = 0;
+    void hop() {
+      if (++hops % 4 == 0) {
+        watchdog.cancel();
+        watchdog = sim.schedule_after(millis(5), [] {});
+      }
+      sim.schedule_after(Duration{rng.uniform(1'000, 2'000'000)}, [this] { hop(); });
+    }
+  };
+  Stream s;
+  for (int i = 0; i < 1024; ++i) {
+    s.sim.schedule_at(TimePoint::zero() + Duration{s.rng.uniform(0, 2'000'000)},
+                      [&s] { s.hop(); });
+  }
+  // Warm-up: the slot slab, free list and queue reach their working size.
+  for (int i = 0; i < 50'000; ++i) s.sim.step();
+  const std::uint64_t fired0 = s.sim.fired_events();
+  Scope scope;
+  for (int i = 0; i < 200'000; ++i) s.sim.step();
+  return static_cast<double>(scope.allocations()) /
+         static_cast<double>(s.sim.fired_events() - fired0);
+}
+
+/// Allocations per frame through SIMETH/IPLITE/UDPLITE, pushed and
+/// demuxed, for one 256-byte message fanned out to 4 peers.  The links
+/// keep every delay sample; the warm-up (5000 samples per link, capacity
+/// 8192 with a doubling vector) leaves room for the measured window's
+/// 2000, so the window sees the stack's allocations only.
+double xkernel_allocs_per_frame() {
+  constexpr net::Port kPort = 7000;
+  constexpr std::size_t kPeers = 4;
+  sim::Simulator sim(1);
+  net::Network network(sim);
+  xkernel::HostStack source(network);
+  std::vector<std::unique_ptr<xkernel::HostStack>> sinks;
+  for (std::size_t p = 0; p < kPeers; ++p) {
+    sinks.push_back(std::make_unique<xkernel::HostStack>(network));
+    network.connect(source.node(), sinks.back()->node(), net::LinkParams{});
+    sinks.back()->udp().bind(kPort, [](xkernel::Message& m, const xkernel::MsgAttrs&) {
+      g_sink = g_sink + m.size();
+    });
+  }
+  const xkernel::Message frame{Bytes(256, 0x5A)};
+  const auto send_rounds = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      for (const auto& sink : sinks) {
+        source.send_message(kPort, net::Endpoint{sink->node(), kPort}, frame);
+      }
+      sim.run();
+    }
+  };
+  send_rounds(5'000);
+  constexpr int kRounds = 2'000;
+  Scope scope;
+  send_rounds(kRounds);
+  return static_cast<double>(scope.allocations()) / (kRounds * static_cast<double>(kPeers));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -302,6 +380,14 @@ int main(int argc, char** argv) {
                 per_event, static_cast<unsigned long long>(events));
     metrics.add("telemetry_allocs_per_event_deterministic", per_event);
   }
+
+  std::printf("\n[6] event kernel and x-kernel stack allocations (steady state)\n");
+  const double per_event = kernel_allocs_per_event();
+  const double per_frame = xkernel_allocs_per_frame();
+  std::printf("  event kernel  %14.4f allocs/event\n", per_event);
+  std::printf("  x-kernel      %14.4f allocs/frame\n", per_frame);
+  metrics.add("kernel_allocs_per_event", per_event);
+  metrics.add("xkernel_allocs_per_frame", per_frame);
 
   std::printf("\n");
   return metrics.write(out_path) ? 0 : 1;
