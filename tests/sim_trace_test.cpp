@@ -5,13 +5,103 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/rtpb.hpp"
 #include "sched/cpu.hpp"
 
 namespace rtpb {
 namespace {
+
+// ---- digest contract ----
+// The digest is FNV-1a over each trace line's bytes: `at` as 8
+// little-endian bytes, the category byte, the label, 0, the detail, 0.
+// reference_fold() spells that layout out independently of the recorder.
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+std::uint64_t reference_fold(std::uint64_t h, TimePoint at, sim::TraceCategory category,
+                             std::string_view label, std::string_view detail) {
+  const auto byte = [&h](std::uint8_t b) { h = (h ^ b) * 0x100000001b3ULL; };
+  const auto ns = static_cast<std::uint64_t>(at.nanos());
+  for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(ns >> (8 * i)));
+  byte(static_cast<std::uint8_t>(category));
+  for (const char c : label) byte(static_cast<std::uint8_t>(c));
+  byte(0);
+  for (const char c : detail) byte(static_cast<std::uint8_t>(c));
+  byte(0);
+  return h;
+}
+
+// One whole-string trace line through the recorder's public API.
+void record_line(sim::TraceRecorder& trace, TimePoint at, sim::TraceCategory category,
+                 std::string_view label, std::string_view detail) {
+  trace.record(at, category, std::string(label), std::string(detail));
+}
+
+TEST(TraceRecorder, EmptyDetailFoldsTheReferenceBytes) {
+  sim::TraceRecorder trace;
+  EXPECT_EQ(trace.digest(), kFnvOffset);
+  trace.enable();
+  record_line(trace, TimePoint{1}, sim::TraceCategory::kUser, "marker", "");
+  std::uint64_t want = reference_fold(kFnvOffset, TimePoint{1}, sim::TraceCategory::kUser,
+                                      "marker", "");
+  EXPECT_EQ(trace.digest(), want);
+  record_line(trace, TimePoint{0x0102030405060708}, sim::TraceCategory::kNet, "frame-send",
+              "node1->node2 64B");
+  want = reference_fold(want, TimePoint{0x0102030405060708}, sim::TraceCategory::kNet,
+                        "frame-send", "node1->node2 64B");
+  EXPECT_EQ(trace.digest(), want);
+  EXPECT_EQ(trace.recorded(), 2u);
+}
+
+TEST(TraceRecorder, FieldBoundaryChangesTheDigest) {
+  sim::TraceRecorder split_late;
+  sim::TraceRecorder split_early;
+  split_late.enable();
+  split_early.enable();
+  record_line(split_late, TimePoint{5}, sim::TraceCategory::kCpu, "ab", "c");
+  record_line(split_early, TimePoint{5}, sim::TraceCategory::kCpu, "a", "bc");
+  EXPECT_NE(split_late.digest(), split_early.digest());
+  EXPECT_EQ(split_late.digest(),
+            reference_fold(kFnvOffset, TimePoint{5}, sim::TraceCategory::kCpu, "ab", "c"));
+  EXPECT_EQ(split_early.digest(),
+            reference_fold(kFnvOffset, TimePoint{5}, sim::TraceCategory::kCpu, "a", "bc"));
+}
+
+TEST(TraceRecorder, DigestIsOrderSensitive) {
+  sim::TraceRecorder forward;
+  sim::TraceRecorder backward;
+  forward.enable();
+  backward.enable();
+  record_line(forward, TimePoint{1}, sim::TraceCategory::kCpu, "job-start", "tick #0");
+  record_line(forward, TimePoint{1}, sim::TraceCategory::kNet, "frame-send", "node1->node2");
+  record_line(backward, TimePoint{1}, sim::TraceCategory::kNet, "frame-send", "node1->node2");
+  record_line(backward, TimePoint{1}, sim::TraceCategory::kCpu, "job-start", "tick #0");
+  EXPECT_EQ(forward.recorded(), backward.recorded());
+  EXPECT_NE(forward.digest(), backward.digest());
+}
+
+TEST(TraceRecorder, DisabledRecorderLeavesDigestAndCountUntouched) {
+  sim::TraceRecorder trace;
+  trace.enable();
+  record_line(trace, TimePoint{1}, sim::TraceCategory::kService, "promote", "node2 epoch2");
+  const std::uint64_t before = trace.digest();
+  trace.disable();
+  record_line(trace, TimePoint{2}, sim::TraceCategory::kService, "step-down", "node1 epoch2");
+  EXPECT_EQ(trace.digest(), before);
+  EXPECT_EQ(trace.recorded(), 1u);
+  // Re-enabling resumes the same fold: the skipped line left no trace.
+  trace.enable();
+  record_line(trace, TimePoint{3}, sim::TraceCategory::kUser, "x", "");
+  EXPECT_EQ(trace.digest(),
+            reference_fold(before, TimePoint{3}, sim::TraceCategory::kUser, "x", ""));
+  EXPECT_EQ(trace.recorded(), 2u);
+}
+
+// ---- recorder behaviour ----
 
 TEST(TraceRecorder, DisabledByDefaultAndFree) {
   sim::TraceRecorder trace;
