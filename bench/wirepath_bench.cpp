@@ -9,9 +9,10 @@
 //      deep-copy-per-peer scheme vs the shared-payload Message, and
 //   4. end-to-end RtpbService throughput (updates/sec of wall time) and
 //      allocations/update at N∈{1,4,8} backups, batched and unbatched,
-//   5. what observability costs: flight recorder on vs off on the wire
-//      path, and telemetry on vs off over one chaos seed (allocations per
-//      Hub event; wall-time ratios are too noisy to gate), and
+//   5. what observability costs: flight recorder and trace digest on vs
+//      off on the wire path, and telemetry on vs off over one chaos seed
+//      (allocations per Hub event; wall-time ratios are too noisy to
+//      gate), and
 //   6. allocations per fired event in the event kernel and per frame
 //      through the default x-kernel stack.  Both are 0 in steady state;
 //      with a 0 baseline, bench_report --stable-only fails any allocation
@@ -157,7 +158,8 @@ struct E2eResult {
   double frames_per_update = 0; // < 1 when batching coalesces
 };
 
-E2eResult run_e2e(std::size_t backups, bool batched, bool flight_recorder = false) {
+E2eResult run_e2e(std::size_t backups, bool batched, bool flight_recorder = false,
+                  bool trace = false) {
   core::ServiceParams params;
   params.seed = 7;
   params.backup_count = backups;
@@ -169,6 +171,7 @@ E2eResult run_e2e(std::size_t backups, bool batched, bool flight_recorder = fals
   // The flight recorder's ring is pre-allocated by enable(), before the
   // alloc Scope opens: recording on the hot path must then be alloc-free.
   if (flight_recorder) service.simulator().telemetry().flight_recorder().enable();
+  if (trace) service.simulator().trace().enable();
   service.start();
   for (core::ObjectId id = 1; id <= 5; ++id) {
     core::ObjectSpec object;
@@ -352,7 +355,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n[5] flight recorder on the wire path (observability must be free)\n");
+  std::printf("\n[5] flight recorder and trace on the wire path (observability must be free)\n");
   {
     // Same seed → identical virtual trajectory, so any allocation delta is
     // the recorder's doing.  The ring is pre-sized in enable(); per-event
@@ -368,6 +371,18 @@ int main(int argc, char** argv) {
                    "FAIL: enabling the flight recorder cost %.2f -> %.2f allocs/update "
                    "on the wire path (record() must be allocation-free)\n",
                    off.allocs_per_update, on.allocs_per_update);
+      return 1;
+    }
+    // The trace digest folds each line in place and stores nothing, so
+    // tracing the same seed must not allocate either.
+    const E2eResult traced = run_e2e(4, true, /*flight_recorder=*/false, /*trace=*/true);
+    std::printf("  trace on      %14.2f allocs/update\n", traced.allocs_per_update);
+    metrics.add("e2e_trace_on_allocs_per_update_n4", traced.allocs_per_update);
+    if (traced.allocs_per_update > off.allocs_per_update + 0.01) {
+      std::fprintf(stderr,
+                   "FAIL: enabling the trace cost %.2f -> %.2f allocs/update on the wire "
+                   "path (a trace line must be allocation-free)\n",
+                   off.allocs_per_update, traced.allocs_per_update);
       return 1;
     }
     // The same seed with the telemetry Hub on, then off: the allocation

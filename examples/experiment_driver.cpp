@@ -12,7 +12,7 @@
 //   admission [true]         scheduling [normal|compressed]
 //   policy [fifo|rm|edf|dcs] backup_count [1]        slack_factor [2]
 //   duration [10s]           warmup [1s]
-//   crash_primary_at [unset] add_standby_at [unset]  trace [false]
+//   crash_primary_at [unset] add_standby_at [unset]
 #include <cstdio>
 #include <string>
 
@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
   params.backup_count = static_cast<std::size_t>(config.get_int("backup_count", 1));
 
   core::RtpbService service(params);
-  if (config.get_bool("trace", false)) service.simulator().trace().enable();
 
   core::FaultPlan plan(service);
   const Duration crash_at = config.get_duration("crash_primary_at", Duration{-1});
@@ -127,10 +126,6 @@ int main(int argc, char** argv) {
               m.mean_inconsistency_duration_ms());
   for (const auto& label : plan.fired()) {
     std::printf("fault fired               : %s\n", label.c_str());
-  }
-  if (config.get_bool("trace", false)) {
-    std::printf("\n-- last trace events --\n%s",
-                service.simulator().trace().render().c_str());
   }
   return 0;
 }

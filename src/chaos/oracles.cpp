@@ -65,8 +65,8 @@ void OracleMonitor::report(TimePoint now, const char* oracle, std::string detail
     fr.trigger_dump(std::string("oracle:") + oracle, now);
   }
   if (sim.trace().enabled()) {
-    sim.trace().record(now, sim::TraceCategory::kUser,
-                       std::string("oracle-violation:") + oracle, std::move(detail));
+    sim.trace().record(now, sim::TraceCategory::kUser, std::string("oracle-violation:") + oracle)
+        << detail;
   }
 }
 

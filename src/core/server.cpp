@@ -733,8 +733,8 @@ void ReplicaServer::promote() {
   epoch_ = std::max<std::uint64_t>(epoch_, 1) + 1;
   durable_log_meta();  // the minted incarnation must survive a crash
   if (sim_.trace().enabled()) {
-    sim_.trace().record(sim_.now(), sim::TraceCategory::kService, "promote",
-                        "node" + std::to_string(node()) + " epoch" + std::to_string(epoch_));
+    sim_.trace().record(sim_.now(), sim::TraceCategory::kService, "promote")
+        << "node" << node() << " epoch" << epoch_;
   }
   emit(Fact::kPromote, 0, 0, telemetry::kNoSpan, static_cast<std::int64_t>(epoch_));
   emit(Fact::kEpochChange);
@@ -789,8 +789,8 @@ void ReplicaServer::step_down(std::uint64_t new_epoch) {
             static_cast<unsigned long long>(new_epoch),
             static_cast<unsigned long long>(epoch_));
   if (sim_.trace().enabled()) {
-    sim_.trace().record(sim_.now(), sim::TraceCategory::kService, "step-down",
-                        "node" + std::to_string(node()) + " epoch" + std::to_string(new_epoch));
+    sim_.trace().record(sim_.now(), sim::TraceCategory::kService, "step-down")
+        << "node" << node() << " epoch" << new_epoch;
   }
   emit(Fact::kStepDown, 0, 0, telemetry::kNoSpan, static_cast<std::int64_t>(new_epoch));
   role_ = Role::kBackup;
@@ -1502,9 +1502,8 @@ void ReplicaServer::restart() {
   cpu_.start(sim_.now());
 
   if (sim_.trace().enabled()) {
-    sim_.trace().record(sim_.now(), sim::TraceCategory::kService, "restart",
-                        "node" + std::to_string(node()) + " epoch" + std::to_string(epoch_) +
-                            " objects" + std::to_string(store_.size()));
+    sim_.trace().record(sim_.now(), sim::TraceCategory::kService, "restart")
+        << "node" << node() << " epoch" << epoch_ << " objects" << store_.size();
   }
   const auto wal_records = static_cast<std::int64_t>(rec.wal_records);
   emit(Fact::kWalReplay, 0, 0, telemetry::kNoSpan, wal_records);

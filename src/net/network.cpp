@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 
 #include "telemetry/telemetry.hpp"
 #include "util/log.hpp"
@@ -53,6 +54,12 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
   telemetry::Hub& hub = sim_.telemetry();
   const auto link_tag = [src, dst] {
     return "node" + std::to_string(src) + "->node" + std::to_string(dst);
+  };
+  // A trace line tagged with this link; the caller streams any more detail.
+  const auto trace_link = [this, src, dst](std::string_view label) {
+    auto line = sim_.trace().record(sim_.now(), sim::TraceCategory::kNet, label);
+    line << "node" << src << "->node" << dst;
+    return line;
   };
   const auto count_drop = [&hub](const char* reason) {
     hub.registry().counter("net.link.drops").add();
@@ -111,10 +118,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
   if (burst_kill) {
     ++link->stats.dropped;
     ++link->stats.burst_dropped;
-    if (sim_.trace().enabled()) {
-      sim_.trace().record(sim_.now(), sim::TraceCategory::kNet, "frame-drop",
-                          link_tag() + " burst");
-    }
+    if (sim_.trace().enabled()) trace_link("frame-drop") << " burst";
     if (hub.enabled()) {
       count_drop("burst");
       hub.record(pkt.span, src, telemetry::EventKind::kInstant, net_track(src), "net-drop",
@@ -127,9 +131,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     ++link->stats.dropped;
     RTPB_TRACE("net", "drop pkt %llu node%u->node%u (loss)",
                static_cast<unsigned long long>(pkt.seq), src, dst);
-    if (sim_.trace().enabled()) {
-      sim_.trace().record(sim_.now(), sim::TraceCategory::kNet, "frame-drop", link_tag());
-    }
+    if (sim_.trace().enabled()) trace_link("frame-drop");
     if (hub.enabled()) {
       count_drop("loss");
       hub.record(pkt.span, src, telemetry::EventKind::kInstant, net_track(src), "net-drop",
@@ -149,10 +151,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
                      static_cast<std::int64_t>(pkt.frame.size() - 1)));
     pkt.frame.flip(idx, static_cast<std::uint8_t>(1u << rng_.uniform(0, 7)));
     ++link->stats.corrupted;
-    if (sim_.trace().enabled()) {
-      sim_.trace().record(sim_.now(), sim::TraceCategory::kNet, "frame-corrupt",
-                          link_tag() + " byte " + std::to_string(idx));
-    }
+    if (sim_.trace().enabled()) trace_link("frame-corrupt") << " byte " << idx;
     if (hub.enabled()) {
       hub.registry().counter("net.link.corrupted").add();
       hub.record(pkt.span, src, telemetry::EventKind::kInstant, net_track(src), "net-corrupt",
@@ -160,10 +159,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     }
   }
 
-  if (sim_.trace().enabled()) {
-    sim_.trace().record(sim_.now(), sim::TraceCategory::kNet, "frame-send",
-                        link_tag() + " " + std::to_string(pkt.wire_size()) + "B");
-  }
+  if (sim_.trace().enabled()) trace_link("frame-send") << ' ' << pkt.wire_size() << 'B';
 
   Duration delay = Duration::zero();
   if (link->params.bandwidth_bps > 0) {
@@ -185,9 +181,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
       deliver_at += Duration{rng_.uniform(0, faults.reorder_extra.nanos())};
     }
     ++link->stats.reordered;
-    if (sim_.trace().enabled()) {
-      sim_.trace().record(sim_.now(), sim::TraceCategory::kNet, "frame-reorder", link_tag());
-    }
+    if (sim_.trace().enabled()) trace_link("frame-reorder");
     if (hub.enabled()) hub.registry().counter("net.link.reordered").add();
   } else {
     // Preserve FIFO per direction.
@@ -206,9 +200,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
       dup_delay += Duration{rng_.uniform(0, link->params.jitter.nanos() - 1)};
     }
     ++link->stats.duplicated;
-    if (sim_.trace().enabled()) {
-      sim_.trace().record(sim_.now(), sim::TraceCategory::kNet, "frame-dup", link_tag());
-    }
+    if (sim_.trace().enabled()) trace_link("frame-dup");
     if (hub.enabled()) hub.registry().counter("net.link.duplicated").add();
     schedule_delivery(pkt, std::max(deliver_at, sim_.now() + delay + dup_delay));
   }

@@ -142,8 +142,8 @@ void Cpu::on_release(Task& task) {
   task.backlog.push_back(job);
   if (task.backlog.size() == 1) heap_push(task);
   if (sim_.trace().enabled()) {
-    sim_.trace().record(sim_.now(), sim::TraceCategory::kCpu, "job-release",
-                        name_ + " " + task.spec.name + " #" + std::to_string(job.index));
+    sim_.trace().record(sim_.now(), sim::TraceCategory::kCpu, "job-release")
+        << name_ << ' ' << task.spec.name << " #" << job.index;
   }
   telemetry::Hub& hub = sim_.telemetry();
   if (hub.enabled()) {
@@ -187,9 +187,9 @@ void Cpu::on_completion() {
 
   task.tracker->record_finish(info.finish);
   if (sim_.trace().enabled()) {
-    sim_.trace().record(sim_.now(), sim::TraceCategory::kCpu, "job-finish",
-                        name_ + " " + task.spec.name + " #" + std::to_string(info.index) +
-                            (info.deadline_missed ? " MISSED" : ""));
+    sim_.trace().record(sim_.now(), sim::TraceCategory::kCpu, "job-finish")
+        << name_ << ' ' << task.spec.name << " #" << info.index
+        << (info.deadline_missed ? " MISSED" : "");
   }
   telemetry::Hub& hub = sim_.telemetry();
   if (hub.enabled()) {
@@ -353,8 +353,8 @@ void Cpu::dispatch() {
     job.started = true;
     job.start = sim_.now();
     if (sim_.trace().enabled()) {
-      sim_.trace().record(sim_.now(), sim::TraceCategory::kCpu, "job-start",
-                          name_ + " " + next->spec.name + " #" + std::to_string(job.index));
+      sim_.trace().record(sim_.now(), sim::TraceCategory::kCpu, "job-start")
+          << name_ << ' ' << next->spec.name << " #" << job.index;
     }
   }
   running_ = next;

@@ -171,8 +171,8 @@ class Simulator {
     return policy_ != nullptr ? policy_->decide(ctx, rng) : rng.bernoulli(ctx.probability);
   }
 
-  /// Execution tracing; off by default.  Components record via
-  /// `if (sim.trace().enabled()) sim.trace().record(sim.now(), ...)`.
+  /// Trace digest; off by default.  Components record via
+  /// `if (sim.trace().enabled()) sim.trace().record(sim.now(), ...) << detail`.
   TraceRecorder& trace() { return trace_; }
   [[nodiscard]] const TraceRecorder& trace() const { return trace_; }
 

@@ -28,6 +28,19 @@ std::vector<std::string> read_lines(const std::string& path) {
   return lines;
 }
 
+/// An artifact path under the test temp dir, removed on entry and again on
+/// scope exit, so a failed ASSERT cannot leave the file behind.
+struct TempArtifact {
+  explicit TempArtifact(const char* name) : path(::testing::TempDir() + name) {
+    std::remove(path.c_str());
+  }
+  ~TempArtifact() { std::remove(path.c_str()); }
+  TempArtifact(const TempArtifact&) = delete;
+  TempArtifact& operator=(const TempArtifact&) = delete;
+
+  const std::string path;
+};
+
 /// The slow-updates sabotage from chaos_main: transmission period far
 /// beyond every negotiated window, admission control off, zero faults —
 /// staleness oracles must fire deterministically.
@@ -43,8 +56,8 @@ ChaosOptions sabotaged_opts() {
 }
 
 TEST(FlightRecorderPostmortem, OracleViolationDumpsArtifactWithGuiltySpan) {
-  const std::string path = "pm_gtest_violation.jsonl";
-  std::remove(path.c_str());
+  const TempArtifact artifact("pm_gtest_violation.jsonl");
+  const std::string& path = artifact.path;
 
   ChaosOptions opts = sabotaged_opts();
   opts.telemetry = true;  // spans on, so violation records carry the span id
@@ -80,16 +93,14 @@ TEST(FlightRecorderPostmortem, OracleViolationDumpsArtifactWithGuiltySpan) {
   }
   EXPECT_TRUE(violation_with_span)
       << "no violation record with a nonzero span in the artifact";
-
-  std::remove(path.c_str());
 }
 
 TEST(FlightRecorderPostmortem, FirstTriggerWinsAndHealthyRunsDumpAtEndOfRun) {
   // A healthy run never trips an oracle, so the only dump is the explicit
   // end-of-run one (the artifact is still useful as a "what happened last"
   // record), and its reason says so.
-  const std::string path = "pm_gtest_healthy.jsonl";
-  std::remove(path.c_str());
+  const TempArtifact artifact("pm_gtest_healthy.jsonl");
+  const std::string& path = artifact.path;
 
   ChaosOptions opts;
   opts.duration = seconds(6);
@@ -113,8 +124,6 @@ TEST(FlightRecorderPostmortem, FirstTriggerWinsAndHealthyRunsDumpAtEndOfRun) {
     if (line.find("\"type\":\"postmortem\"") != std::string::npos) ++headers;
   }
   EXPECT_EQ(headers, 1u);
-
-  std::remove(path.c_str());
 }
 
 }  // namespace

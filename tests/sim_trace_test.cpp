@@ -1,16 +1,17 @@
-// Execution tracing: recorder semantics plus cross-subsystem event
-// ordering assertions on a live service.
+// Execution tracing: the trace digest's byte contract, plus cross-subsystem
+// event ordering assertions on a live service's telemetry Hub timeline.
 #include "sim/trace.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/rtpb.hpp"
 #include "sched/cpu.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace rtpb {
 namespace {
@@ -38,7 +39,7 @@ std::uint64_t reference_fold(std::uint64_t h, TimePoint at, sim::TraceCategory c
 // One whole-string trace line through the recorder's public API.
 void record_line(sim::TraceRecorder& trace, TimePoint at, sim::TraceCategory category,
                  std::string_view label, std::string_view detail) {
-  trace.record(at, category, std::string(label), std::string(detail));
+  trace.record(at, category, label) << detail;
 }
 
 TEST(TraceRecorder, EmptyDetailFoldsTheReferenceBytes) {
@@ -101,127 +102,112 @@ TEST(TraceRecorder, DisabledRecorderLeavesDigestAndCountUntouched) {
   EXPECT_EQ(trace.recorded(), 2u);
 }
 
+// ---- streamed lines ----
+// Call sites stream a line's detail in pieces; FNV-1a is byte-serial, so
+// the pieces must fold to the digest of the concatenated string.
+
+TEST(TraceRecorder, StreamedIntegersMatchTheWholeString) {
+  sim::TraceRecorder streamed;
+  sim::TraceRecorder whole;
+  streamed.enable();
+  whole.enable();
+  streamed.record(TimePoint{9}, sim::TraceCategory::kNet, "ints")
+      << std::uint64_t{0} << ' ' << 7 << ' ' << UINT64_MAX << " B" << std::size_t{64};
+  record_line(whole, TimePoint{9}, sim::TraceCategory::kNet, "ints",
+              "0 7 " + std::to_string(UINT64_MAX) + " B64");
+  EXPECT_EQ(streamed.digest(), whole.digest());
+  EXPECT_EQ(streamed.recorded(), 1u);
+  EXPECT_EQ(whole.digest(), reference_fold(kFnvOffset, TimePoint{9}, sim::TraceCategory::kNet,
+                                           "ints", "0 7 18446744073709551615 B64"));
+}
+
+TEST(TraceRecorder, LongTaskNameIsNeverTruncated) {
+  const std::string name(300, 'n');
+  sim::TraceRecorder streamed;
+  sim::TraceRecorder clipped;
+  streamed.enable();
+  clipped.enable();
+  streamed.record(TimePoint{4}, sim::TraceCategory::kCpu, "job-start")
+      << "cpu0" << ' ' << name << " #" << std::uint64_t{12};
+  EXPECT_EQ(streamed.digest(), reference_fold(kFnvOffset, TimePoint{4}, sim::TraceCategory::kCpu,
+                                              "job-start", "cpu0 " + name + " #12"));
+  // Every byte of the name counts: one byte fewer is a different line.
+  record_line(clipped, TimePoint{4}, sim::TraceCategory::kCpu, "job-start",
+              "cpu0 " + name.substr(1) + " #12");
+  EXPECT_NE(streamed.digest(), clipped.digest());
+}
+
+TEST(TraceRecorder, MissedSuffixStreamsLikeTheWholeString) {
+  for (const bool missed : {false, true}) {
+    sim::TraceRecorder streamed;
+    sim::TraceRecorder whole;
+    streamed.enable();
+    whole.enable();
+    streamed.record(TimePoint{20}, sim::TraceCategory::kCpu, "job-finish")
+        << "cpu0" << ' ' << "tick" << " #" << std::uint64_t{3} << (missed ? " MISSED" : "");
+    record_line(whole, TimePoint{20}, sim::TraceCategory::kCpu, "job-finish",
+                std::string("cpu0 tick #3") + (missed ? " MISSED" : ""));
+    EXPECT_EQ(streamed.digest(), whole.digest()) << "missed=" << missed;
+  }
+}
+
 // ---- recorder behaviour ----
 
 TEST(TraceRecorder, DisabledByDefaultAndFree) {
   sim::TraceRecorder trace;
   EXPECT_FALSE(trace.enabled());
-  trace.record(TimePoint{1}, sim::TraceCategory::kUser, "ignored");
-  EXPECT_TRUE(trace.events().empty());
+  trace.record(TimePoint{1}, sim::TraceCategory::kUser, "ignored") << "detail " << 42;
+  EXPECT_EQ(trace.digest(), kFnvOffset);
+  EXPECT_EQ(trace.recorded(), 0u);
 }
 
 TEST(TraceRecorder, RecordsInOrder) {
   sim::TraceRecorder trace;
   trace.enable();
   trace.record(TimePoint{1}, sim::TraceCategory::kUser, "a");
-  trace.record(TimePoint{2}, sim::TraceCategory::kNet, "b", "context");
-  ASSERT_EQ(trace.events().size(), 2u);
-  EXPECT_EQ(trace.events()[0].label, "a");
-  EXPECT_EQ(trace.events()[1].detail, "context");
-}
-
-TEST(TraceRecorder, RingBufferKeepsMostRecent) {
-  sim::TraceRecorder trace;
-  trace.enable(/*capacity=*/3);
-  for (int i = 0; i < 10; ++i) {
-    trace.record(TimePoint{i}, sim::TraceCategory::kUser, std::to_string(i));
-  }
-  ASSERT_EQ(trace.events().size(), 3u);
-  EXPECT_EQ(trace.events()[0].label, "7");
-  EXPECT_EQ(trace.events()[2].label, "9");
-  EXPECT_EQ(trace.dropped(), 7u);
+  trace.record(TimePoint{2}, sim::TraceCategory::kNet, "b") << "context";
+  ASSERT_EQ(trace.recorded(), 2u);
+  const std::uint64_t first =
+      reference_fold(kFnvOffset, TimePoint{1}, sim::TraceCategory::kUser, "a", "");
+  EXPECT_EQ(trace.digest(),
+            reference_fold(first, TimePoint{2}, sim::TraceCategory::kNet, "b", "context"));
 }
 
 TEST(TraceRecorder, DigestAndRecordedCoverEvictedEvents) {
   // The digest is the determinism oracle: it must fold over EVERY event
-  // ever recorded, not just the bounded window the ring buffer retains.
-  sim::TraceRecorder small;
-  sim::TraceRecorder large;
-  small.enable(/*capacity=*/2);
-  large.enable(/*capacity=*/1024);
+  // ever recorded.
+  sim::TraceRecorder left;
+  sim::TraceRecorder right;
+  left.enable();
+  right.enable();
   for (int i = 0; i < 50; ++i) {
-    small.record(TimePoint{i}, sim::TraceCategory::kNet, "ev", std::to_string(i));
-    large.record(TimePoint{i}, sim::TraceCategory::kNet, "ev", std::to_string(i));
+    left.record(TimePoint{i}, sim::TraceCategory::kNet, "ev") << i;
+    right.record(TimePoint{i}, sim::TraceCategory::kNet, "ev") << i;
   }
-  EXPECT_EQ(small.digest(), large.digest());
-  EXPECT_EQ(small.recorded(), 50u);
-  EXPECT_EQ(large.recorded(), 50u);
-  EXPECT_EQ(small.events().size(), 2u);
-  EXPECT_EQ(small.dropped(), 48u);
-  EXPECT_EQ(large.dropped(), 0u);
+  EXPECT_EQ(left.digest(), right.digest());
+  EXPECT_EQ(left.recorded(), 50u);
+  EXPECT_EQ(right.recorded(), 50u);
 
-  // A single divergent event — even one that is later evicted — changes it.
-  small.record(TimePoint{50}, sim::TraceCategory::kNet, "ev", "fork");
-  large.record(TimePoint{50}, sim::TraceCategory::kNet, "ev", "FORK");
-  EXPECT_NE(small.digest(), large.digest());
+  // A single divergent event changes it.
+  left.record(TimePoint{50}, sim::TraceCategory::kNet, "ev") << "fork";
+  right.record(TimePoint{50}, sim::TraceCategory::kNet, "ev") << "FORK";
+  EXPECT_NE(left.digest(), right.digest());
 }
 
-TEST(TraceRecorder, WithLabelSeesOnlyTheRetainedWindow) {
-  sim::TraceRecorder trace;
-  trace.enable(/*capacity=*/4);
-  for (int i = 0; i < 10; ++i) {
-    trace.record(TimePoint{i}, sim::TraceCategory::kUser, i % 2 ? "odd" : "even",
-                 std::to_string(i));
+// ---- the event timeline lives in the telemetry Hub ----
+
+std::vector<const telemetry::Event*> hub_events(const sim::Simulator& sim, std::string_view name,
+                                                telemetry::EventKind kind) {
+  std::vector<const telemetry::Event*> out;
+  for (const telemetry::Event& e : sim.telemetry().events()) {
+    if (e.kind == kind && (name.empty() || e.name == name)) out.push_back(&e);
   }
-  // Window holds events 6..9; two of each parity survive the wraparound.
-  const auto odd = trace.with_label("odd");
-  ASSERT_EQ(odd.size(), 2u);
-  EXPECT_EQ(odd[0].detail, "7");
-  EXPECT_EQ(odd[1].detail, "9");
-  EXPECT_EQ(trace.with_label("even").size(), 2u);
-  EXPECT_TRUE(trace.with_label("never-recorded").empty());
-}
-
-TEST(TraceRecorder, RenderShowsOneLinePerRetainedEvent) {
-  sim::TraceRecorder trace;
-  trace.enable(/*capacity=*/2);
-  trace.record(TimePoint{}, sim::TraceCategory::kNet, "evicted", "gone");
-  trace.record(TimePoint{} + millis(1), sim::TraceCategory::kCpu, "job-start", "task 3");
-  trace.record(TimePoint{} + millis(2), sim::TraceCategory::kService, "promote", "node2");
-
-  const std::string out = trace.render();
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
-  EXPECT_EQ(out.find("evicted"), std::string::npos);
-  EXPECT_NE(out.find("cpu"), std::string::npos);
-  EXPECT_NE(out.find("job-start"), std::string::npos);
-  EXPECT_NE(out.find("task 3"), std::string::npos);
-  EXPECT_NE(out.find("service"), std::string::npos);
-  EXPECT_NE(out.find("1.000ms"), std::string::npos);
-}
-
-TEST(TraceRecorder, ClearResetsDigestDroppedAndCounts) {
-  sim::TraceRecorder trace;
-  trace.enable(/*capacity=*/2);
-  for (int i = 0; i < 5; ++i) {
-    trace.record(TimePoint{i}, sim::TraceCategory::kUser, "x");
-  }
-  const std::uint64_t first_digest = trace.digest();
-  trace.clear();
-  EXPECT_TRUE(trace.events().empty());
-  EXPECT_EQ(trace.dropped(), 0u);
-  EXPECT_EQ(trace.recorded(), 0u);
-  EXPECT_TRUE(trace.enabled()) << "clear() forgets data, not the enabled state";
-
-  // Replaying the identical stream reproduces the identical digest.
-  for (int i = 0; i < 5; ++i) {
-    trace.record(TimePoint{i}, sim::TraceCategory::kUser, "x");
-  }
-  EXPECT_EQ(trace.digest(), first_digest);
-}
-
-TEST(TraceRecorder, FilterByLabelAndRender) {
-  sim::TraceRecorder trace;
-  trace.enable();
-  trace.record(TimePoint{1}, sim::TraceCategory::kCpu, "x");
-  trace.record(TimePoint{2}, sim::TraceCategory::kCpu, "y");
-  trace.record(TimePoint{3}, sim::TraceCategory::kCpu, "x");
-  EXPECT_EQ(trace.with_label("x").size(), 2u);
-  EXPECT_NE(trace.render().find("cpu"), std::string::npos);
+  return out;
 }
 
 TEST(TraceIntegration, CpuEmitsReleaseStartFinishTriples) {
   sim::Simulator sim;
-  sim.trace().enable();
+  sim.telemetry().enable();
   sched::Cpu cpu(sim, sched::Policy::kRateMonotonic);
   sched::TaskSpec t;
   t.name = "tick";
@@ -231,16 +217,19 @@ TEST(TraceIntegration, CpuEmitsReleaseStartFinishTriples) {
   cpu.start(TimePoint::zero());
   sim.run_until(TimePoint::zero() + millis(35));
 
-  const auto releases = sim.trace().with_label("job-release");
-  const auto starts = sim.trace().with_label("job-start");
-  const auto finishes = sim.trace().with_label("job-finish");
+  const auto releases = hub_events(sim, "job-release", telemetry::EventKind::kInstant);
+  const auto starts = hub_events(sim, "", telemetry::EventKind::kBegin);
+  const auto finishes = hub_events(sim, "job-finish", telemetry::EventKind::kInstant);
   EXPECT_EQ(releases.size(), 4u);
   EXPECT_EQ(starts.size(), 4u);
   EXPECT_EQ(finishes.size(), 4u);
   // Per job: release <= start < finish.
   for (std::size_t i = 0; i < finishes.size(); ++i) {
-    EXPECT_LE(releases[i].at, starts[i].at);
-    EXPECT_LT(starts[i].at, finishes[i].at);
+    EXPECT_EQ(releases[i]->detail, "tick #" + std::to_string(i));
+    EXPECT_EQ(starts[i]->name, "tick #" + std::to_string(i));
+    EXPECT_EQ(finishes[i]->detail, "tick #" + std::to_string(i));
+    EXPECT_LE(releases[i]->at, starts[i]->at);
+    EXPECT_LT(starts[i]->at, finishes[i]->at);
   }
 }
 
@@ -248,7 +237,7 @@ TEST(TraceIntegration, FailoverLeavesPromoteMarker) {
   core::ServiceParams params;
   params.link.propagation = millis(1);
   core::RtpbService service(params);
-  service.simulator().trace().enable();
+  service.simulator().telemetry().enable();
   service.start();
   core::ObjectSpec spec;
   spec.id = 1;
@@ -262,13 +251,16 @@ TEST(TraceIntegration, FailoverLeavesPromoteMarker) {
   service.crash_primary();
   service.run_for(seconds(1));
 
-  const auto promotes = service.simulator().trace().with_label("promote");
+  const auto promotes =
+      hub_events(service.simulator(), "promote", telemetry::EventKind::kInstant);
   ASSERT_EQ(promotes.size(), 1u);
   // The marker names the promoted node and the epoch it minted (the
   // initial primary held epoch 1, so the first failover mints 2).
-  EXPECT_EQ(promotes[0].detail, "node" + std::to_string(service.backup().node()) + " epoch2");
-  // Network activity was traced too.
-  EXPECT_FALSE(service.simulator().trace().with_label("frame-send").empty());
+  EXPECT_EQ(promotes[0]->node, service.backup().node());
+  EXPECT_EQ(promotes[0]->detail, "epoch 2");
+  // Network activity is on the timeline too.
+  EXPECT_FALSE(
+      hub_events(service.simulator(), "net-enqueue", telemetry::EventKind::kInstant).empty());
 }
 
 }  // namespace
