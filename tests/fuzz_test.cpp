@@ -379,7 +379,9 @@ TEST(WalFuzz, RandomLogsNeverCrashReplay) {
     // was a valid record, and the torn tail accounts for the rest.
     EXPECT_EQ(s.records, delivered);
     EXPECT_LE(s.torn_bytes, junk.size());
-    if (!s.clean) EXPECT_GT(s.torn_bytes, 0u);
+    if (!s.clean) {
+      EXPECT_GT(s.torn_bytes, 0u);
+    }
   }
 }
 

@@ -297,7 +297,9 @@ TEST(DurableStore, CrashPointSweepNeverLosesDurablePrefix) {
     if (!rec.states.empty()) version = rec.states[0].version;
     EXPECT_GE(version, prev_version) << "recovery went backwards at cut " << cut;
     prev_version = version;
-    if (cut < full.size()) EXPECT_FALSE(rec.wal_torn && rec.states.empty() && cut == 0);
+    if (cut < full.size()) {
+      EXPECT_FALSE(rec.wal_torn && rec.states.empty() && cut == 0);
+    }
     if (!rec.states.empty() && version > 0) {
       // The recovered value matches the recovered version exactly.
       EXPECT_EQ(rec.states[0].value, value_of(static_cast<std::uint8_t>(version)));
