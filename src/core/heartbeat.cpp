@@ -6,6 +6,17 @@
 
 namespace rtpb::core {
 
+namespace {
+void render_ping_miss(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                      std::string& out) {
+  telemetry::append(out, "seq ", e.a, " miss ", e.b, "/", e.c);
+}
+void render_peer_dead(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                      std::string& out) {
+  telemetry::append(out, "after ", e.a, " misses");
+}
+}  // namespace
+
 FailureDetector::FailureDetector(sim::Simulator& sim, Params params, SendPingFn send_ping,
                                  PeerDeadFn on_peer_dead)
     : sim_(sim),
@@ -34,7 +45,8 @@ void FailureDetector::send_ping() {
   if (peer_dead_) return;
   const std::uint64_t seq = next_seq_++;
   ++pings_sent_;
-  if (sim_.telemetry().enabled()) sim_.telemetry().registry().counter("core.heartbeat.pings").add();
+  telemetry::Hub& hub = sim_.telemetry();
+  if (hub.enabled()) hub.registry().counter(tele_.pings, "core.heartbeat.pings").add();
   send_ping_(seq);
   const TimePoint sent_at = sim_.now();
   outstanding_seq_ = seq;
@@ -55,19 +67,26 @@ void FailureDetector::on_timeout(std::uint64_t seq, TimePoint sent_at) {
              static_cast<unsigned long long>(seq), misses_, params_.max_misses);
   telemetry::Hub& hub = sim_.telemetry();
   if (hub.enabled()) {
-    hub.registry().counter("core.heartbeat.misses").add();
-    hub.record(telemetry::kNoSpan, 0, telemetry::EventKind::kInstant, "heartbeat", "ping-miss",
-               "seq " + std::to_string(seq) + " miss " + std::to_string(misses_) + "/" +
-                   std::to_string(params_.max_misses));
+    hub.registry().counter(tele_.misses, "core.heartbeat.misses").add();
+    hub.record({.at = hub.now(),
+                .a = seq,
+                .b = misses_,
+                .c = params_.max_misses,
+                .render = &render_ping_miss,
+                .track = hub.intern(tele_.track, "heartbeat"),
+                .name = hub.intern(tele_.ping_miss, "ping-miss")});
   }
   if (misses_ >= params_.max_misses) {
     peer_dead_ = true;
     timer_.stop();
     RTPB_INFO("heartbeat", "peer declared dead after %u misses", misses_);
     if (hub.enabled()) {
-      hub.registry().counter("core.heartbeat.peer_deaths").add();
-      hub.record(telemetry::kNoSpan, 0, telemetry::EventKind::kInstant, "heartbeat",
-                 "peer-dead", "after " + std::to_string(misses_) + " misses");
+      hub.registry().counter(tele_.peer_deaths, "core.heartbeat.peer_deaths").add();
+      hub.record({.at = hub.now(),
+                  .a = misses_,
+                  .render = &render_peer_dead,
+                  .track = hub.intern(tele_.track, "heartbeat"),
+                  .name = hub.intern(tele_.peer_dead, "peer-dead")});
     }
     on_peer_dead_();
   }
@@ -79,9 +98,8 @@ void FailureDetector::on_ping_ack(std::uint64_t seq) {
   // verbs) and proves nothing about the peer's liveness *now*.
   if (seq == 0 || seq >= next_seq_ || seq <= last_acked_seq_) {
     ++stale_acks_;
-    if (sim_.telemetry().enabled()) {
-      sim_.telemetry().registry().counter("core.heartbeat.stale_acks").add();
-    }
+    telemetry::Hub& hub = sim_.telemetry();
+    if (hub.enabled()) hub.registry().counter(tele_.stale_acks, "core.heartbeat.stale_acks").add();
     return;
   }
   last_acked_seq_ = seq;

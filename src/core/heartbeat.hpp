@@ -77,6 +77,15 @@ class FailureDetector {
   TimePoint last_traffic_{};
   std::uint32_t misses_ = 0;
   bool peer_dead_ = false;
+  struct Tele {  ///< resolved on first use while the hub collects
+    telemetry::Counter* pings = nullptr;
+    telemetry::Counter* misses = nullptr;
+    telemetry::Counter* peer_deaths = nullptr;
+    telemetry::Counter* stale_acks = nullptr;
+    telemetry::TextId track = 0;
+    telemetry::TextId ping_miss = 0;
+    telemetry::TextId peer_dead = 0;
+  } tele_;
 };
 
 }  // namespace rtpb::core

@@ -7,34 +7,38 @@
 namespace rtpb::core {
 
 namespace {
-/// The Hub event detail of fact `f`, formatted from its fields.
-std::string describe(Fact f, std::uint64_t object, std::uint64_t version, std::uint64_t epoch,
-                     std::int64_t value) {
-  using std::to_string;
-  const std::string obj = "obj" + to_string(object);
-  switch (f) {
-    case Fact::kWriteStart: case Fact::kXmitStart: return {};
-    case Fact::kQosRestore: case Fact::kRestoreReceived: return obj;
+/// The Hub event renderer of the fact table: the detail of fact `tag`,
+/// formatted from its fields (a: object, b: version, c: epoch, d: value).
+void describe(const telemetry::Hub& /*hub*/, const telemetry::Event& e, telemetry::Part,
+              std::string& out) {
+  using telemetry::append;
+  const std::uint64_t object = e.a;
+  const std::uint64_t version = e.b;
+  const std::uint64_t epoch = e.c;
+  const auto value = static_cast<std::int64_t>(e.d);
+  switch (static_cast<Fact>(e.tag)) {
+    case Fact::kWriteStart: case Fact::kXmitStart: return;
+    case Fact::kQosRestore: case Fact::kRestoreReceived: return append(out, "obj", object);
     case Fact::kBatchFrame: case Fact::kStateTransfer: case Fact::kStateDelta:
-      return to_string(value) + " entries";
+      return append(out, value, " entries");
     case Fact::kStaleTransfer: case Fact::kStaleDelta:
-      return to_string(value) + " entries (stale id)";
-    case Fact::kShed: return obj + " slack " + nanos(value).to_string();
+      return append(out, value, " entries (stale id)");
+    case Fact::kShed: return append(out, "obj", object, " slack ", nanos(value).to_string());
     case Fact::kQosDowngrade: case Fact::kDowngradeReceived:
-      return obj + " window " + nanos(value).to_string();
-    case Fact::kNack: return obj + " v" + to_string(version) + " held";
-    case Fact::kRetxRequest: return obj + " v" + to_string(version) + " held by backup";
-    case Fact::kPromote: return "epoch " + to_string(epoch);
-    case Fact::kStepDown: return "deposed by epoch " + to_string(value);
+      return append(out, "obj", object, " window ", nanos(value).to_string());
+    case Fact::kNack: return append(out, "obj", object, " v", version, " held");
+    case Fact::kRetxRequest: return append(out, "obj", object, " v", version, " held by backup");
+    case Fact::kPromote: return append(out, "epoch ", epoch);
+    case Fact::kStepDown: return append(out, "deposed by epoch ", value);
     case Fact::kEpochReject:  // value: the fenced message type; version: its epoch
-      return std::string(wire::msg_type_name(static_cast<wire::MsgType>(value))) + " epoch " +
-             to_string(version) + " < " + to_string(epoch);
+      return append(out, wire::msg_type_name(static_cast<wire::MsgType>(value)), " epoch ",
+                    version, " < ", epoch);
     case Fact::kRestart:  // value: WAL records; version: checkpoints
-      return to_string(value) + " wal records on " + to_string(version) + " checkpoint(s)";
+      return append(out, value, " wal records on ", version, " checkpoint(s)");
     case Fact::kResyncDelta:  // value: dirty objects; version: store size; object: peer
-      return to_string(value) + "/" + to_string(version) + " dirty to node" + to_string(object);
-    case Fact::kFrontier: return "shard" + to_string(value);
-    default: return obj + " v" + to_string(version);
+      return append(out, value, "/", version, " dirty to node", object);
+    case Fact::kFrontier: return append(out, "shard", value);
+    default: return append(out, "obj", object, " v", version);
   }
 }
 }  // namespace
@@ -51,8 +55,7 @@ ReplicaServer::ReplicaServer(sim::Simulator& sim, net::Network& network, NameSer
       service_name_(std::move(service_name)),
       stack_(network),
       cpu_(sim, config.cpu_policy, std::string(role_name(role)) + "-cpu"),
-      rng_(sim.rng().fork()),
-      track_("node" + std::to_string(node()) + "/rtpb") {
+      rng_(sim.rng().fork()) {
   // The initial primary is epoch 1; backups start at 0 ("unknown") and
   // learn the cluster epoch from the first accepted message.  Epoch-0
   // traffic is never fenced, so a fresh standby can bootstrap.
@@ -93,26 +96,29 @@ void ReplicaServer::report(Fact f, ObjectId object, std::uint64_t version,
     if (!instruments_) instruments_ = std::make_unique<Instruments>();
     Instruments& in = *instruments_;
     const std::uint64_t n = s.sums ? static_cast<std::uint64_t>(value) : 1;
+    telemetry::Registry& r = hub.registry();
     const auto count = [&](std::size_t k) {
       const char* name = kFactSinks[k].counter;
-      if (name == nullptr) return;
-      if (in.counters[k] == nullptr) in.counters[k] = &hub.registry().counter(name);
-      in.counters[k]->add(n);
+      if (name != nullptr) r.counter(in.counters[k], name).add(n);
     };
     count(i);
     if (s.also) count(static_cast<std::size_t>(*s.also));
     const double sample = s.duration ? nanos(value).millis() : static_cast<double>(value);
-    if (s.histogram != nullptr) {
-      if (in.histograms[i] == nullptr) in.histograms[i] = &hub.registry().histogram(s.histogram);
-      in.histograms[i]->record_ms(sample);
-    }
-    if (s.gauge != nullptr) {
-      if (in.gauges[i] == nullptr) in.gauges[i] = &hub.registry().gauge(s.gauge);
-      in.gauges[i]->set(sample);
-    }
+    if (s.histogram != nullptr) r.histogram(in.histograms[i], s.histogram).record_ms(sample);
+    if (s.gauge != nullptr) r.gauge(in.gauges[i], s.gauge).set(sample);
     if (s.event != nullptr) {
-      hub.record_at(at, span, node(), telemetry::EventKind::kInstant, track_, s.event,
-                    describe(f, object, version, epoch_, value));
+      if (in.track == 0) in.track = hub.intern("node" + std::to_string(node()) + "/rtpb");
+      hub.record({.at = at,
+                  .span = span,
+                  .a = object,
+                  .b = version,
+                  .c = epoch_,
+                  .d = static_cast<std::uint64_t>(value),
+                  .render = &describe,
+                  .node = node(),
+                  .track = in.track,
+                  .name = hub.intern(in.names[i], s.event),
+                  .tag = static_cast<std::uint8_t>(f)});
     }
   }
   telemetry::FlightRecorder& fr = hub.flight_recorder();

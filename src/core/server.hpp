@@ -705,9 +705,10 @@ class ReplicaServer {
     std::array<telemetry::Counter*, kFacts> counters{};
     std::array<telemetry::LatencyHistogram*, kFacts> histograms{};
     std::array<telemetry::Gauge*, kFacts> gauges{};
+    std::array<telemetry::TextId, kFacts> names{};  ///< each fact's Hub event name
+    telemetry::TextId track = 0;                     ///< "nodeN/rtpb"
   };
   std::unique_ptr<Instruments> instruments_;
-  std::string track_;  ///< "nodeN/rtpb", this server's Hub event track
 };
 
 }  // namespace rtpb::core

@@ -4,6 +4,14 @@
 
 namespace rtpb::core {
 
+namespace {
+/// "<service> primary=node<N>": `a` is the interned service name.
+void render_start(const telemetry::Hub& hub, const telemetry::Event& e, telemetry::Part,
+                  std::string& out) {
+  telemetry::append(out, hub.text(static_cast<telemetry::TextId>(e.a)), " primary=node", e.b);
+}
+}  // namespace
+
 RtpbService::RtpbService(ServiceParams params)
     : params_(std::move(params)), sim_(params_.seed), network_(sim_) {
   RTPB_EXPECTS(params_.backup_count >= 1);
@@ -96,8 +104,12 @@ void RtpbService::start() {
   telemetry::Hub& hub = sim_.telemetry();
   if (hub.enabled()) {
     hub.registry().gauge("core.service.backups").set(static_cast<double>(backups_.size()));
-    hub.record(telemetry::kNoSpan, 0, telemetry::EventKind::kInstant, "service", "start",
-               params_.service_name + " primary=node" + std::to_string(primary_->node()));
+    hub.record({.at = hub.now(),
+                .a = hub.intern(params_.service_name),
+                .b = primary_->node(),
+                .render = &render_start,
+                .track = hub.intern("service"),
+                .name = hub.intern("start")});
   }
   primary_->start();
   for (auto& b : backups_) b->start();

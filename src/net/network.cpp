@@ -10,8 +10,53 @@
 namespace rtpb::net {
 
 namespace {
-std::string net_track(NodeId node) { return "node" + std::to_string(node) + "/net"; }
+void render_link(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                 std::string& out) {
+  telemetry::append(out, "node", e.a, "->node", e.b);
+}
+void render_enqueue(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                    std::string& out) {
+  telemetry::append(out, "node", e.a, "->node", e.b, " ", e.c, "B");
+}
+/// `c` is the drop reason, a string literal.
+void render_link_drop(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                      std::string& out) {
+  telemetry::append(out, "node", e.a, "->node", e.b, " ", telemetry::literal_of(e.c));
+}
+void render_corrupt(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                    std::string& out) {
+  telemetry::append(out, "node", e.a, "->node", e.b, " byte ", e.c);
+}
+void render_node_down(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                      std::string& out) {
+  telemetry::append(out, "node", e.a, " down");
+}
 }  // namespace
+
+void Network::tele_record(telemetry::Hub& hub, NodeId node, telemetry::SpanId span,
+                          telemetry::TextId& name_slot, const char* name,
+                          telemetry::Renderer render, std::uint64_t a, std::uint64_t b,
+                          std::uint64_t c) {
+  if (node >= tele_.tracks.size()) tele_.tracks.resize(node + 1, 0);
+  telemetry::TextId& track = tele_.tracks[node];
+  if (track == 0) track = hub.intern("node" + std::to_string(node) + "/net");
+  hub.record({.at = hub.now(),
+              .span = span,
+              .a = a,
+              .b = b,
+              .c = c,
+              .render = render,
+              .node = node,
+              .track = track,
+              .name = hub.intern(name_slot, name)});
+}
+
+void Network::count_drop(telemetry::Hub& hub, telemetry::Counter*& reason_slot,
+                         const char* reason) {
+  telemetry::Registry& r = hub.registry();
+  r.counter(tele_.drops, "net.link.drops").add();
+  r.counter(reason_slot, reason).add();
+}
 
 Duration LinkParams::delay_bound(std::size_t frame_size) const {
   Duration tx = Duration::zero();
@@ -52,20 +97,20 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
   ++link->stats.sent;
 
   telemetry::Hub& hub = sim_.telemetry();
-  const auto link_tag = [src, dst] {
-    return "node" + std::to_string(src) + "->node" + std::to_string(dst);
-  };
   // A trace line tagged with this link; the caller streams any more detail.
   const auto trace_link = [this, src, dst](std::string_view label) {
     auto line = sim_.trace().record(sim_.now(), sim::TraceCategory::kNet, label);
     line << "node" << src << "->node" << dst;
     return line;
   };
-  const auto count_drop = [&hub](const char* reason) {
-    hub.registry().counter("net.link.drops").add();
-    hub.registry().counter(std::string("net.link.drops_") + reason).add();
+  // A frame this link drops, for `reason` (a string literal).
+  const auto record_drop = [&](telemetry::SpanId span, telemetry::Counter*& slot,
+                               const char* counter, const char* reason) {
+    count_drop(hub, slot, counter);
+    tele_record(hub, src, span, tele_.drop, "net-drop", &render_link_drop, src, dst,
+                telemetry::literal(reason));
   };
-  if (hub.enabled()) hub.registry().counter("net.link.sends").add();
+  if (hub.enabled()) hub.registry().counter(tele_.sends, "net.link.sends").add();
 
   if (link->params.mtu > 0 && frame.size() > link->params.mtu) {
     ++link->stats.mtu_drops;
@@ -73,9 +118,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     RTPB_DEBUG("net", "frame of %zu bytes exceeds MTU %zu; dropped", frame.size(),
                link->params.mtu);
     if (hub.enabled()) {
-      count_drop("mtu");
-      hub.record(hub.current_span(), src, telemetry::EventKind::kInstant, net_track(src),
-                 "net-drop", link_tag() + " mtu");
+      record_drop(hub.current_span(), tele_.drops_mtu, "net.link.drops_mtu", "mtu");
     }
     return true;  // like UDP over a real link: silently gone
   }
@@ -88,8 +131,8 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
   pkt.span = hub.current_span();
 
   if (hub.enabled()) {
-    hub.record(pkt.span, src, telemetry::EventKind::kInstant, net_track(src), "net-enqueue",
-               link_tag() + " " + std::to_string(pkt.wire_size()) + "B");
+    tele_record(hub, src, pkt.span, tele_.enqueue, "net-enqueue", &render_enqueue, src, dst,
+                pkt.wire_size());
   }
 
   const LinkFaults& faults = link->params.faults;
@@ -120,9 +163,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     ++link->stats.burst_dropped;
     if (sim_.trace().enabled()) trace_link("frame-drop") << " burst";
     if (hub.enabled()) {
-      count_drop("burst");
-      hub.record(pkt.span, src, telemetry::EventKind::kInstant, net_track(src), "net-drop",
-                 link_tag() + " burst");
+      record_drop(pkt.span, tele_.drops_burst, "net.link.drops_burst", "burst");
     }
     return true;
   }
@@ -133,9 +174,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
                static_cast<unsigned long long>(pkt.seq), src, dst);
     if (sim_.trace().enabled()) trace_link("frame-drop");
     if (hub.enabled()) {
-      count_drop("loss");
-      hub.record(pkt.span, src, telemetry::EventKind::kInstant, net_track(src), "net-drop",
-                 link_tag() + " loss");
+      record_drop(pkt.span, tele_.drops_loss, "net.link.drops_loss", "loss");
     }
     return true;  // sender cannot tell — fire and forget
   }
@@ -153,9 +192,9 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     ++link->stats.corrupted;
     if (sim_.trace().enabled()) trace_link("frame-corrupt") << " byte " << idx;
     if (hub.enabled()) {
-      hub.registry().counter("net.link.corrupted").add();
-      hub.record(pkt.span, src, telemetry::EventKind::kInstant, net_track(src), "net-corrupt",
-                 link_tag() + " byte " + std::to_string(idx));
+      hub.registry().counter(tele_.corrupted, "net.link.corrupted").add();
+      tele_record(hub, src, pkt.span, tele_.corrupt, "net-corrupt", &render_corrupt, src, dst,
+                  idx);
     }
   }
 
@@ -182,7 +221,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     }
     ++link->stats.reordered;
     if (sim_.trace().enabled()) trace_link("frame-reorder");
-    if (hub.enabled()) hub.registry().counter("net.link.reordered").add();
+    if (hub.enabled()) hub.registry().counter(tele_.reordered, "net.link.reordered").add();
   } else {
     // Preserve FIFO per direction.
     deliver_at = std::max(deliver_at, link->last_delivery);
@@ -190,7 +229,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
   }
   link->stats.delays_ms.add((deliver_at - sim_.now()).millis());
   if (hub.enabled()) {
-    hub.registry().histogram("net.link.delay_ms").record(deliver_at - sim_.now());
+    hub.registry().histogram(tele_.delay_ms, "net.link.delay_ms").record(deliver_at - sim_.now());
   }
 
   if (faults.duplicate_probability > 0.0 &&
@@ -201,7 +240,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     }
     ++link->stats.duplicated;
     if (sim_.trace().enabled()) trace_link("frame-dup");
-    if (hub.enabled()) hub.registry().counter("net.link.duplicated").add();
+    if (hub.enabled()) hub.registry().counter(tele_.duplicated, "net.link.duplicated").add();
     schedule_delivery(pkt, std::max(deliver_at, sim_.now() + delay + dup_delay));
   }
 
@@ -233,19 +272,16 @@ void Network::deliver(std::uint32_t index) {
   if (node_it == nodes_.end() || !node_it->second.up) {
     if (DirectedLink* l = find_link(pkt.src, pkt.dst)) ++l->stats.dropped;
     if (hub.enabled()) {
-      hub.registry().counter("net.link.drops").add();
-      hub.registry().counter("net.link.drops_node_down").add();
-      hub.record(pkt.span, pkt.dst, telemetry::EventKind::kInstant, net_track(pkt.dst),
-                 "net-drop", "node" + std::to_string(pkt.dst) + " down");
+      count_drop(hub, tele_.drops_node_down, "net.link.drops_node_down");
+      tele_record(hub, pkt.dst, pkt.span, tele_.drop, "net-drop", &render_node_down, pkt.dst, 0);
     }
     return;
   }
   if (DirectedLink* l = find_link(pkt.src, pkt.dst)) ++l->stats.delivered;
   if (hub.enabled()) {
-    hub.registry().counter("net.link.delivers").add();
-    hub.record(pkt.span, pkt.dst, telemetry::EventKind::kInstant, net_track(pkt.dst),
-               "net-deliver",
-               "node" + std::to_string(pkt.src) + "->node" + std::to_string(pkt.dst));
+    hub.registry().counter(tele_.delivers, "net.link.delivers").add();
+    tele_record(hub, pkt.dst, pkt.span, tele_.deliver, "net-deliver", &render_link, pkt.src,
+                pkt.dst);
   }
   // Propagate the frame's causal span to everything the delivery triggers
   // synchronously: demux up the x-kernel stack and the backup apply path.

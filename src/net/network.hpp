@@ -136,6 +136,12 @@ class Network {
   void schedule_delivery(Packet pkt, TimePoint at);
   /// The delivery event of in_flight_[index].
   void deliver(std::uint32_t index);
+  /// Record an instant event on `node`'s "node<N>/net" track.
+  void tele_record(telemetry::Hub& hub, NodeId node, telemetry::SpanId span,
+                   telemetry::TextId& name_slot, const char* name, telemetry::Renderer render,
+                   std::uint64_t a, std::uint64_t b, std::uint64_t c = 0);
+  /// Count a dropped frame in net.link.drops and in its reason's counter.
+  void count_drop(telemetry::Hub& hub, telemetry::Counter*& reason_slot, const char* reason);
 
   sim::Simulator& sim_;
   Rng rng_;
@@ -148,6 +154,25 @@ class Network {
   std::vector<std::uint32_t> free_in_flight_;
   NodeId next_node_ = 1;
   std::uint64_t next_seq_ = 1;
+
+  struct Tele {  ///< resolved on first use while the hub collects
+    telemetry::Counter* sends = nullptr;
+    telemetry::Counter* delivers = nullptr;
+    telemetry::Counter* drops = nullptr;
+    telemetry::Counter* drops_mtu = nullptr;
+    telemetry::Counter* drops_burst = nullptr;
+    telemetry::Counter* drops_loss = nullptr;
+    telemetry::Counter* drops_node_down = nullptr;
+    telemetry::Counter* corrupted = nullptr;
+    telemetry::Counter* reordered = nullptr;
+    telemetry::Counter* duplicated = nullptr;
+    telemetry::LatencyHistogram* delay_ms = nullptr;
+    telemetry::TextId enqueue = 0;
+    telemetry::TextId drop = 0;
+    telemetry::TextId corrupt = 0;
+    telemetry::TextId deliver = 0;
+    std::vector<telemetry::TextId> tracks;  ///< "node<N>/net", by node id
+  } tele_;
 };
 
 }  // namespace rtpb::net

@@ -128,6 +128,37 @@ void Cpu::stop() {
   started_ = false;
 }
 
+namespace {
+/// "<task> #<index>[ MISSED]": `a` is the task name, `b` the job index and
+/// `c` set for a missed deadline.
+void render_job(const telemetry::Hub& hub, const telemetry::Event& e, telemetry::Part,
+                std::string& out) {
+  telemetry::append(out, hub.text(static_cast<telemetry::TextId>(e.a)), " #", e.b);
+  if (e.c != 0) out += " MISSED";
+}
+/// A CPU-possession slice is named "<task> #<index>" and has no detail.
+void render_slice(const telemetry::Hub& hub, const telemetry::Event& e, telemetry::Part part,
+                  std::string& out) {
+  if (part == telemetry::Part::kName) render_job(hub, e, part, out);
+}
+void render_preempt(const telemetry::Hub& hub, const telemetry::Event& e, telemetry::Part,
+                    std::string& out) {
+  telemetry::append(out, hub.text(static_cast<telemetry::TextId>(e.a)), " preempts task ", e.b);
+}
+}  // namespace
+
+void Cpu::tele_record(telemetry::Hub& hub, telemetry::EventKind kind, telemetry::TextId name,
+                      telemetry::Renderer render, Task& task, std::uint64_t b, std::uint64_t c) {
+  hub.record({.at = hub.now(),
+              .a = hub.intern(task.tele_name, task.spec.name),
+              .b = b,
+              .c = c,
+              .render = render,
+              .track = hub.intern(tele_.track, name_),
+              .name = name,
+              .kind = kind});
+}
+
 void Cpu::arm_release(Task& task) {
   // remove_task() and stop() cancel this event, so `task` outlives it.
   task.release_event =
@@ -147,9 +178,9 @@ void Cpu::on_release(Task& task) {
   }
   telemetry::Hub& hub = sim_.telemetry();
   if (hub.enabled()) {
-    hub.registry().counter("sched.releases").add();
-    hub.record(telemetry::kNoSpan, 0, telemetry::EventKind::kInstant, name_, "job-release",
-               task.spec.name + " #" + std::to_string(job.index));
+    hub.registry().counter(tele_.releases, "sched.releases").add();
+    tele_record(hub, telemetry::EventKind::kInstant, hub.intern(tele_.release, "job-release"),
+                &render_job, task, job.index);
   }
 
   // Periodic re-arm.
@@ -193,12 +224,12 @@ void Cpu::on_completion() {
   }
   telemetry::Hub& hub = sim_.telemetry();
   if (hub.enabled()) {
-    hub.registry().counter("sched.completions").add();
-    if (info.deadline_missed) hub.registry().counter("sched.deadline_misses").add();
-    hub.registry().histogram("sched.response_ms").record(info.finish - info.release);
-    hub.record(telemetry::kNoSpan, 0, telemetry::EventKind::kInstant, name_, "job-finish",
-               task.spec.name + " #" + std::to_string(info.index) +
-                   (info.deadline_missed ? " MISSED" : ""));
+    telemetry::Registry& r = hub.registry();
+    r.counter(tele_.completions, "sched.completions").add();
+    if (info.deadline_missed) r.counter(tele_.deadline_misses, "sched.deadline_misses").add();
+    r.histogram(tele_.response_ms, "sched.response_ms").record(info.finish - info.release);
+    tele_record(hub, telemetry::EventKind::kInstant, hub.intern(tele_.finish, "job-finish"),
+                &render_job, task, info.index, info.deadline_missed ? 1 : 0);
   }
   // Move the callback out rather than copy it (a capturing lambda may live
   // on the heap): it must survive the retire below and a callback that
@@ -329,20 +360,27 @@ void Cpu::dispatch() {
     const bool same_tenure = slice_open_ && next != nullptr && next->spec.id == slice_task_ &&
                              !next->backlog.empty() && next->backlog.front().index == slice_index_;
     if (slice_open_ && !same_tenure) {
-      hub.record(telemetry::kNoSpan, 0, telemetry::EventKind::kEnd, name_, slice_name_);
+      hub.record({.at = hub.now(),
+                  .a = slice_name_,
+                  .b = slice_index_,
+                  .render = &render_slice,
+                  .track = hub.intern(tele_.track, name_),
+                  .name = telemetry::kRenderedName,
+                  .kind = telemetry::EventKind::kEnd});
       slice_open_ = false;
     }
     if (next != nullptr && !same_tenure) {
       slice_open_ = true;
       slice_task_ = next->spec.id;
       slice_index_ = next->backlog.front().index;
-      slice_name_ = next->spec.name + " #" + std::to_string(slice_index_);
-      hub.record(telemetry::kNoSpan, 0, telemetry::EventKind::kBegin, name_, slice_name_);
+      slice_name_ = hub.intern(next->tele_name, next->spec.name);
+      tele_record(hub, telemetry::EventKind::kBegin, telemetry::kRenderedName, &render_slice,
+                  *next, slice_index_);
     }
     if (prev != nullptr && prev_unfinished && next != nullptr && next != prev) {
-      hub.registry().counter("sched.preemptions").add();
-      hub.record(telemetry::kNoSpan, 0, telemetry::EventKind::kInstant, name_, "preempt",
-                 next->spec.name + " preempts task " + std::to_string(prev->spec.id));
+      hub.registry().counter(tele_.preemptions, "sched.preemptions").add();
+      tele_record(hub, telemetry::EventKind::kInstant, hub.intern(tele_.preempt, "preempt"),
+                  &render_preempt, *next, prev->spec.id);
     }
   }
 

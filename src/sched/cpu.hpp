@@ -109,6 +109,7 @@ class Cpu {
     TimePoint next_release{};
     sim::EventHandle release_event;
     std::size_t heap_pos = kNotReady;  ///< index in ready_, kNotReady when backlog is empty
+    telemetry::TextId tele_name = 0;   ///< spec.name interned, on first use
   };
 
   void arm_release(Task& task);
@@ -121,6 +122,11 @@ class Cpu {
   /// Strictly-less comparison: does job of `a` beat job of `b`?
   [[nodiscard]] bool higher_priority(const Task& a, const Task& b) const;
   void respecialize();
+  /// Record an event on this CPU's telemetry track; `a` is the task's
+  /// interned name.
+  void tele_record(telemetry::Hub& hub, telemetry::EventKind kind, telemetry::TextId name,
+                   telemetry::Renderer render, Task& task, std::uint64_t b,
+                   std::uint64_t c = 0);
 
   // Ready heap.  ready_ is a binary heap over the tasks whose backlog is
   // non-empty, ordered by higher_priority(); the running task stays in it
@@ -160,7 +166,19 @@ class Cpu {
   bool slice_open_ = false;
   TaskId slice_task_ = kInvalidTask;
   std::uint64_t slice_index_ = 0;
-  std::string slice_name_;
+  telemetry::TextId slice_name_ = 0;  ///< the slice's task name, interned
+
+  struct Tele {  ///< resolved on first use while the hub collects
+    telemetry::Counter* releases = nullptr;
+    telemetry::Counter* completions = nullptr;
+    telemetry::Counter* deadline_misses = nullptr;
+    telemetry::Counter* preemptions = nullptr;
+    telemetry::LatencyHistogram* response_ms = nullptr;
+    telemetry::TextId track = 0;
+    telemetry::TextId release = 0;
+    telemetry::TextId finish = 0;
+    telemetry::TextId preempt = 0;
+  } tele_;
 
   std::uint64_t deadline_misses_ = 0;
   std::uint64_t jobs_completed_ = 0;

@@ -3,12 +3,12 @@
 #include <cstdio>
 #include <map>
 #include <ostream>
-#include <set>
 #include <string>
+#include <string_view>
 
 namespace rtpb::telemetry {
 
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
@@ -54,14 +54,11 @@ std::string span_title(const SpanInfo& info) {
 void write_chrome_trace(const Hub& hub, std::ostream& os) {
   // Stable (pid, tid) assignment: pid = originating node (0 = the
   // simulation-global process), tid = rank of the track name within its pid.
-  std::map<std::uint32_t, std::set<std::string>> tracks_by_pid;
-  for (const Event& e : hub.events()) {
-    tracks_by_pid[e.node].insert(e.track);
-  }
-  std::map<std::pair<std::uint32_t, std::string>, int> tid_of;
-  for (const auto& [pid, tracks] : tracks_by_pid) {
+  std::map<std::uint32_t, std::map<std::string_view, int>> tid_of;
+  for (const Event& e : hub.events()) tid_of[e.node].emplace(hub.track_of(e), 0);
+  for (auto& [pid, tracks] : tid_of) {
     int tid = 1;
-    for (const std::string& track : tracks) tid_of[{pid, track}] = tid++;
+    for (auto& [track, id] : tracks) id = tid++;
   }
 
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -73,13 +70,12 @@ void write_chrome_trace(const Hub& hub, std::ostream& os) {
   };
 
   // Process / thread naming metadata.
-  for (const auto& [pid, tracks] : tracks_by_pid) {
+  for (const auto& [pid, tracks] : tid_of) {
     const std::string pname = pid == 0 ? "sim" : "node" + std::to_string(pid);
     emit("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
          ",\"name\":\"process_name\",\"args\":{\"name\":\"" + json_escape(pname) + "\"}}");
-    for (const std::string& track : tracks) {
-      emit("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
-           ",\"tid\":" + std::to_string(tid_of[{pid, track}]) +
+    for (const auto& [track, tid] : tracks) {
+      emit("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
            ",\"name\":\"thread_name\",\"args\":{\"name\":\"" + json_escape(track) + "\"}}");
     }
   }
@@ -97,13 +93,14 @@ void write_chrome_trace(const Hub& hub, std::ostream& os) {
     }
     std::string line = "{\"ph\":\"" + std::string(event_kind_name(e.kind)) + "\",\"pid\":" +
                        std::to_string(e.node) +
-                       ",\"tid\":" + std::to_string(tid_of[{e.node, e.track}]) +
-                       ",\"ts\":" + micros_ts(e.at) + ",\"name\":\"" + json_escape(e.name) +
-                       "\",\"cat\":\"rtpb\"";
+                       ",\"tid\":" + std::to_string(tid_of[e.node][hub.track_of(e)]) +
+                       ",\"ts\":" + micros_ts(e.at) + ",\"name\":\"" +
+                       json_escape(hub.name_of(e)) + "\",\"cat\":\"rtpb\"";
     if (e.kind == EventKind::kInstant) line += ",\"s\":\"t\"";
     line += ",\"args\":{";
     line += "\"span\":" + std::to_string(e.span);
-    if (!e.detail.empty()) line += ",\"detail\":\"" + json_escape(e.detail) + "\"";
+    const std::string detail = hub.detail_of(e);
+    if (!detail.empty()) line += ",\"detail\":\"" + json_escape(detail) + "\"";
     line += "}}";
     emit(line);
   }
@@ -131,7 +128,8 @@ void write_chrome_trace(const Hub& hub, std::ostream& os) {
     if (e.span == kNoSpan) continue;
     emit("{\"ph\":\"n\",\"cat\":\"update\",\"id\":" + std::to_string(e.span) +
          ",\"pid\":0,\"tid\":0,\"ts\":" + micros_ts(e.at) + ",\"name\":\"" +
-         json_escape(e.name) + "\",\"args\":{\"track\":\"" + json_escape(e.track) + "\"}}");
+         json_escape(hub.name_of(e)) + "\",\"args\":{\"track\":\"" +
+         json_escape(hub.track_of(e)) + "\"}}");
   }
 
   os << "\n]}\n";
@@ -154,9 +152,10 @@ void write_jsonl(const Hub& hub, std::ostream& os) {
   for (const Event& e : hub.events()) {
     os << "{\"type\":\"event\",\"span\":" << e.span << ",\"ts_ms\":" << millis_ts(e.at)
        << ",\"node\":" << e.node << ",\"kind\":\"" << event_kind_name(e.kind)
-       << "\",\"track\":\"" << json_escape(e.track) << "\",\"name\":\"" << json_escape(e.name)
-       << "\"";
-    if (!e.detail.empty()) os << ",\"detail\":\"" << json_escape(e.detail) << "\"";
+       << "\",\"track\":\"" << json_escape(hub.track_of(e)) << "\",\"name\":\""
+       << json_escape(hub.name_of(e)) << "\"";
+    const std::string detail = hub.detail_of(e);
+    if (!detail.empty()) os << ",\"detail\":\"" << json_escape(detail) << "\"";
     os << "}\n";
   }
   // End-of-run registry snapshot, one line per instrument, so downstream

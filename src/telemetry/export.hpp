@@ -12,6 +12,8 @@
 #pragma once
 
 #include <iosfwd>
+#include <string>
+#include <string_view>
 
 #include "telemetry/telemetry.hpp"
 
@@ -21,6 +23,6 @@ void write_chrome_trace(const Hub& hub, std::ostream& os);
 void write_jsonl(const Hub& hub, std::ostream& os);
 
 /// JSON string escaping shared by the exporters (and tests).
-[[nodiscard]] std::string json_escape(const std::string& s);
+[[nodiscard]] std::string json_escape(std::string_view s);
 
 }  // namespace rtpb::telemetry

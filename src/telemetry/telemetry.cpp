@@ -1,5 +1,6 @@
 #include "telemetry/telemetry.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -20,29 +21,29 @@ const char* event_kind_name(EventKind k) {
 // Registry.
 // ---------------------------------------------------------------------------
 
-Counter& Registry::counter(const std::string& name) {
+Counter& Registry::counter(std::string_view name) {
   const std::lock_guard<std::mutex> guard(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    it = counters_.emplace(name, std::make_unique<Counter>(enabled_)).first;
+    it = counters_.emplace(std::string(name), std::make_unique<Counter>(enabled_)).first;
   }
   return *it->second;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
+Gauge& Registry::gauge(std::string_view name) {
   const std::lock_guard<std::mutex> guard(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
-    it = gauges_.emplace(name, std::make_unique<Gauge>(enabled_)).first;
+    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>(enabled_)).first;
   }
   return *it->second;
 }
 
-LatencyHistogram& Registry::histogram(const std::string& name) {
+LatencyHistogram& Registry::histogram(std::string_view name) {
   const std::lock_guard<std::mutex> guard(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_.emplace(name, std::make_unique<LatencyHistogram>(enabled_)).first;
+    it = histograms_.emplace(std::string(name), std::make_unique<LatencyHistogram>(enabled_)).first;
   }
   return *it->second;
 }
@@ -188,6 +189,10 @@ std::string Registry::to_json() const {
 void Hub::enable(std::size_t event_capacity, std::size_t span_capacity) {
   RTPB_EXPECTS(event_capacity > 0);
   RTPB_EXPECTS(span_capacity > 0);
+  if (event_capacity != event_capacity_) {
+    RTPB_EXPECTS(size_ == 0);
+    chunks_.clear();  // sized for the old capacity
+  }
   enabled_ = true;
   event_capacity_ = event_capacity;
   span_capacity_ = span_capacity;
@@ -246,19 +251,82 @@ void Hub::mark_violation(SpanId span, const std::string& oracle, std::string det
     it->second.violation = oracle;
     ++spans_violated_;
   }
-  record(span, 0, EventKind::kInstant, "oracle", "violation:" + oracle, std::move(detail));
+  record({.at = now(),
+          .span = span,
+          .a = keep_text(std::move(detail)),
+          .render = &render_text,
+          .track = intern("oracle"),
+          .name = intern("violation:" + oracle)});
 }
 
-void Hub::record_at(TimePoint at, SpanId span, std::uint32_t node, EventKind kind,
-                    std::string track, std::string name, std::string detail) {
+// ---------------------------------------------------------------------------
+// Events: interned text, the chunked ring, render-on-demand.
+// ---------------------------------------------------------------------------
+
+void render_literal(const Hub& /*hub*/, const Event& e, Part /*part*/, std::string& out) {
+  out += literal_of(e.a);
+}
+
+void render_text(const Hub& hub, const Event& e, Part /*part*/, std::string& out) {
+  out += hub.kept_text(e.a);
+}
+
+TextId Hub::intern(std::string_view s) {
+  if (s.empty()) return 0;
+  auto it = text_ids_.find(s);
+  if (it == text_ids_.end()) {
+    it = text_ids_.emplace(std::string(s), static_cast<TextId>(texts_.size() + 1)).first;
+    RTPB_ASSERT(it->second != kRenderedName);
+    texts_.push_back(&it->first);
+  }
+  return it->second;
+}
+
+std::uint64_t Hub::keep_text(std::string detail) {
+  const std::uint64_t key = next_kept_++;
+  kept_.emplace(key, std::move(detail));
+  return key;
+}
+
+std::string_view Hub::kept_text(std::uint64_t key) const {
+  auto it = kept_.find(key);
+  return it == kept_.end() ? std::string_view{} : std::string_view{it->second};
+}
+
+void Hub::record(const Event& e) {
   if (!enabled_) return;
   ++recorded_events_;
-  if (events_.size() >= event_capacity_) {
-    events_.pop_front();
+  std::size_t at = head_;
+  if (size_ < event_capacity_) {
+    // Still growing: head_ is 0 and slots fill in order, a chunk at a time.
+    at = size_++;
+    if (at / kChunkEvents == chunks_.size()) {
+      const std::size_t n = std::min(kChunkEvents, event_capacity_ - at);
+      chunks_.push_back(std::make_unique<Event[]>(n));
+    }
+  } else {
+    head_ = head_ + 1 == event_capacity_ ? 0 : head_ + 1;
     ++dropped_events_;
+    const Event& evicted = slot(at);
+    if (evicted.render == &render_text) kept_.erase(evicted.a);
   }
-  events_.push_back(
-      Event{span, at, node, kind, std::move(track), std::move(name), std::move(detail)});
+  chunks_[at / kChunkEvents][at % kChunkEvents] = e;
+}
+
+std::string Hub::name_of(const Event& e) const {
+  std::string out;
+  if (e.name != kRenderedName) {
+    out = text(e.name);
+  } else if (e.render != nullptr) {
+    e.render(*this, e, Part::kName, out);
+  }
+  return out;
+}
+
+std::string Hub::detail_of(const Event& e) const {
+  std::string out;
+  if (e.render != nullptr) e.render(*this, e, Part::kDetail, out);
+  return out;
 }
 
 void Hub::clear() {
@@ -267,7 +335,9 @@ void Hub::clear() {
   spans_violated_ = 0;
   recorded_events_ = 0;
   dropped_events_ = 0;
-  events_.clear();
+  head_ = 0;
+  size_ = 0;
+  kept_.clear();
   spans_.clear();
   span_order_.clear();
   by_key_.clear();

@@ -23,13 +23,20 @@
 //     used concurrently thereafter.  to_json() snapshots every instrument
 //     under the registry lock, so an export racing writers sees a coherent
 //     point-in-time view.
-//   * Span/event recording (begin_span, record, ScopedSpan) remains
-//     single-threaded by design: it is fed by the deterministic simulator
-//     loop only.  enable()/disable()/clear() likewise happen outside any
-//     concurrent writer window.
+//   * Span/event recording (begin_span, record, ScopedSpan) and interning
+//     remain single-threaded by design: they are fed by the deterministic
+//     simulator loop only.  enable()/disable()/clear() likewise happen
+//     outside any concurrent writer window.
+//
+// Events are typed, fixed-size records: interned track and name ids plus a
+// few integer fields and a renderer that turns them into text.  Recording
+// copies one record into a chunked ring and builds no string; the text
+// exists only when an exporter or a test asks for it (name_of, detail_of,
+// track_of).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -37,7 +44,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/slo.hpp"
@@ -136,23 +146,35 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  [[nodiscard]] Counter& counter(const std::string& name);
-  [[nodiscard]] Gauge& gauge(const std::string& name);
-  [[nodiscard]] LatencyHistogram& histogram(const std::string& name);
+  template <typename T>
+  using Map = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
+  [[nodiscard]] Counter& counter(std::string_view name);
+  [[nodiscard]] Gauge& gauge(std::string_view name);
+  [[nodiscard]] LatencyHistogram& histogram(std::string_view name);
+
+  /// The instrument cached in `slot`, looked up by `name` the first time.
+  /// Hot paths keep the slot, so they pay one pointer test per use, and an
+  /// instrument nothing touches never appears in the exports.
+  [[nodiscard]] Counter& counter(Counter*& slot, std::string_view name) {
+    if (slot == nullptr) slot = &counter(name);
+    return *slot;
+  }
+  [[nodiscard]] LatencyHistogram& histogram(LatencyHistogram*& slot, std::string_view name) {
+    if (slot == nullptr) slot = &histogram(name);
+    return *slot;
+  }
+  [[nodiscard]] Gauge& gauge(Gauge*& slot, std::string_view name) {
+    if (slot == nullptr) slot = &gauge(name);
+    return *slot;
+  }
 
   // Whole-map accessors for exporters.  These return references into the
   // registry; call them only when no thread can be registering new
   // instruments (e.g. post-run export).
-  [[nodiscard]] const std::map<std::string, std::unique_ptr<Counter>>& counters() const {
-    return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, std::unique_ptr<Gauge>>& gauges() const {
-    return gauges_;
-  }
-  [[nodiscard]] const std::map<std::string, std::unique_ptr<LatencyHistogram>>& histograms()
-      const {
-    return histograms_;
-  }
+  [[nodiscard]] const Map<Counter>& counters() const { return counters_; }
+  [[nodiscard]] const Map<Gauge>& gauges() const { return gauges_; }
+  [[nodiscard]] const Map<LatencyHistogram>& histograms() const { return histograms_; }
 
   /// Nested-JSON snapshot of every instrument, dots becoming object levels.
   /// Safe to call while writer threads are live: instrument values are
@@ -167,9 +189,9 @@ class Registry {
  private:
   const bool* enabled_;
   mutable std::mutex mu_;  ///< guards map mutation (find-or-create, clear)
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
+  Map<Counter> counters_;
+  Map<Gauge> gauges_;
+  Map<LatencyHistogram> histograms_;
 };
 
 // ---------------------------------------------------------------------------
@@ -184,14 +206,99 @@ enum class EventKind : std::uint8_t {
 
 [[nodiscard]] const char* event_kind_name(EventKind k);
 
+/// Id of a string interned in a Hub: a track ("node1/udplite") or an event
+/// name ("udp-push").  0 is the empty string.  Ids stay valid for the
+/// Hub's lifetime, across clear().
+using TextId = std::uint32_t;
+/// Event::name of an event whose name its renderer produces (a CPU slice
+/// is named "<task> #<index>").
+inline constexpr TextId kRenderedName = ~TextId{0};
+
+class Hub;
+struct Event;
+
+enum class Part : std::uint8_t { kName, kDetail };
+/// Appends one text part of `e`, rendered from its typed fields.  Called
+/// with Part::kDetail for every event that carries the renderer, and with
+/// Part::kName only for events named kRenderedName.
+using Renderer = void (*)(const Hub& hub, const Event& e, Part part, std::string& out);
+
+/// One recorded event: a fixed-size record that owns no memory.  What the
+/// fields `a`..`d` and `tag` mean is up to `render`.
 struct Event {
-  SpanId span = kNoSpan;   ///< causal span, or kNoSpan for plain track events
   TimePoint at{};
-  std::uint32_t node = 0;  ///< originating host (0 = not node-scoped)
+  SpanId span = kNoSpan;      ///< causal span, or kNoSpan for plain track events
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint64_t c = 0;
+  std::uint64_t d = 0;
+  Renderer render = nullptr;  ///< produces the detail text; null = no detail
+  std::uint32_t node = 0;     ///< originating host (0 = not node-scoped)
+  TextId track = 0;           ///< timeline this renders on
+  TextId name = 0;            ///< short event name, or kRenderedName
   EventKind kind = EventKind::kInstant;
-  std::string track;       ///< timeline this renders on, e.g. "node1/udplite"
-  std::string name;        ///< short event name, e.g. "udp-push"
-  std::string detail;      ///< free-form context
+  std::uint8_t tag = 0;       ///< a small selector for `render` (e.g. a fact kind)
+};
+
+/// Appends each part to `out`: integers in decimal, text (and chars) as
+/// they are.  The building block of renderers.
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  const auto one = [&out](const auto& part) {
+    using T = std::decay_t<decltype(part)>;
+    if constexpr (std::is_integral_v<T> && !std::is_same_v<T, char>) {
+      out += std::to_string(part);
+    } else {
+      out += part;
+    }
+  };
+  (one(parts), ...);
+}
+
+/// A string literal carried in a typed field (static storage only), and
+/// back.
+[[nodiscard]] inline std::uint64_t literal(const char* s) {
+  return reinterpret_cast<std::uintptr_t>(s);
+}
+[[nodiscard]] inline const char* literal_of(std::uint64_t field) {
+  return reinterpret_cast<const char*>(static_cast<std::uintptr_t>(field));
+}
+/// Renderer of a detail that is the string literal in field `a`.
+void render_literal(const Hub& hub, const Event& e, Part part, std::string& out);
+/// Renderer of a free-text detail: field `a` is the key Hub::keep_text
+/// returned.  The text is dropped when the ring evicts the event.
+void render_text(const Hub& hub, const Event& e, Part part, std::string& out);
+
+/// The retained events, oldest first.  A view: it stays valid while the
+/// Hub lives, and sees events recorded after it was taken.
+class EventView {
+ public:
+  class iterator {
+   public:
+    iterator(const Hub* hub, std::size_t i) : hub_(hub), i_(i) {}
+    const Event& operator*() const;
+    iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const Hub* hub_;
+    std::size_t i_;
+  };
+
+  explicit EventView(const Hub& hub) : hub_(&hub) {}
+  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] const Event& operator[](std::size_t i) const;
+  [[nodiscard]] const Event& front() const { return (*this)[0]; }
+  [[nodiscard]] const Event& back() const { return (*this)[size() - 1]; }
+  [[nodiscard]] iterator begin() const { return {hub_, 0}; }
+  [[nodiscard]] iterator end() const { return {hub_, size()}; }
+
+ private:
+  const Hub* hub_;
 };
 
 struct SpanInfo {
@@ -219,7 +326,8 @@ class Hub {
 
   /// Start collecting.  At most `event_capacity` most-recent events and
   /// `span_capacity` most-recent spans are retained (older ones evicted,
-  /// counted in dropped_events()).
+  /// counted in dropped_events()).  The event capacity can change only
+  /// while no events are retained.
   void enable(std::size_t event_capacity = 1u << 18, std::size_t span_capacity = 1u << 16);
   void disable() { enabled_ = false; }
   [[nodiscard]] bool enabled() const { return enabled_; }
@@ -265,18 +373,38 @@ class Hub {
   /// protocol pushes/demuxes and across simulated frame delivery).
   [[nodiscard]] SpanId current_span() const { return current_; }
 
-  // ---- events ----
-  void record(SpanId span, std::uint32_t node, EventKind kind, std::string track,
-              std::string name, std::string detail = {}) {
-    record_at(now(), span, node, kind, std::move(track), std::move(name), std::move(detail));
+  // ---- interned text ----
+  /// The id of `s`, interned on first sight.
+  TextId intern(std::string_view s);
+  /// `slot`, interning `s` into it the first time: components cache their
+  /// track and name ids this way.
+  TextId intern(TextId& slot, std::string_view s) {
+    if (slot == 0) slot = intern(s);
+    return slot;
   }
-  /// Record with an explicit timestamp (retroactive scheduling events).
-  void record_at(TimePoint at, SpanId span, std::uint32_t node, EventKind kind,
-                 std::string track, std::string name, std::string detail = {});
+  [[nodiscard]] std::string_view text(TextId id) const {
+    return id == 0 ? std::string_view{} : std::string_view{*texts_[id - 1]};
+  }
+  /// Keep `detail` for one free-text event: record it with render_text
+  /// and the returned key in field `a`.  Call only while enabled.
+  std::uint64_t keep_text(std::string detail);
+  [[nodiscard]] std::string_view kept_text(std::uint64_t key) const;
+  /// Free texts currently kept (one per retained free-text event).
+  [[nodiscard]] std::size_t kept_texts() const { return kept_.size(); }
 
-  [[nodiscard]] const std::deque<Event>& events() const { return events_; }
+  // ---- events ----
+  /// Copy `e` into the ring, overwriting the oldest event once the ring
+  /// holds event_capacity events.  Allocates only to add a ring chunk.
+  void record(const Event& e);
+
+  [[nodiscard]] EventView events() const { return EventView(*this); }
   [[nodiscard]] std::uint64_t recorded_events() const { return recorded_events_; }
   [[nodiscard]] std::uint64_t dropped_events() const { return dropped_events_; }
+
+  /// The text of an event, rendered from its fields (exporters and tests).
+  [[nodiscard]] std::string name_of(const Event& e) const;
+  [[nodiscard]] std::string detail_of(const Event& e) const;
+  [[nodiscard]] std::string_view track_of(const Event& e) const { return text(e.track); }
 
   /// Forget all spans, events, instrument values, flight-recorder rings and
   /// SLO accounting (not enabled state).
@@ -284,6 +412,18 @@ class Hub {
 
  private:
   friend class ScopedSpan;
+  friend class EventView;
+
+  /// Events per ring chunk; chunks are allocated as the ring grows.
+  static constexpr std::size_t kChunkEvents = 1024;
+  [[nodiscard]] const Event& slot(std::size_t physical) const {
+    return chunks_[physical / kChunkEvents][physical % kChunkEvents];
+  }
+  /// The i-th retained event, oldest first.
+  [[nodiscard]] const Event& event_at(std::size_t i) const {
+    const std::size_t p = head_ + i;
+    return slot(p < event_capacity_ ? p : p - event_capacity_);
+  }
 
   bool enabled_ = false;
   std::function<TimePoint()> clock_;
@@ -300,13 +440,26 @@ class Hub {
   std::size_t span_capacity_ = 0;
   std::uint64_t recorded_events_ = 0;
   std::uint64_t dropped_events_ = 0;
-  std::deque<Event> events_;
+  std::vector<std::unique_ptr<Event[]>> chunks_;  ///< the ring's storage
+  std::size_t head_ = 0;                          ///< ring slot of the oldest event
+  std::size_t size_ = 0;                          ///< retained events
+
+  /// Interned strings: the map owns them, ids index `texts_` (id - 1).
+  std::map<std::string, TextId, std::less<>> text_ids_;
+  std::vector<const std::string*> texts_;
+  /// Free-text details of retained events, by keep_text() key.
+  std::map<std::uint64_t, std::string> kept_;
+  std::uint64_t next_kept_ = 1;
 
   std::map<SpanId, SpanInfo> spans_;
   std::deque<SpanId> span_order_;                       ///< FIFO for eviction
   std::map<std::pair<std::uint64_t, std::uint64_t>, SpanId> by_key_;  ///< (object, version)
   std::map<std::uint64_t, SpanId> latest_;              ///< object → newest span
 };
+
+inline std::size_t EventView::size() const { return hub_->size_; }
+inline const Event& EventView::operator[](std::size_t i) const { return hub_->event_at(i); }
+inline const Event& EventView::iterator::operator*() const { return hub_->event_at(i_); }
 
 /// RAII "current span" context.  Protocol layers record against
 /// hub.current_span() without knowing what an update is; the sender and the

@@ -7,6 +7,21 @@
 
 namespace rtpb::xkernel {
 
+namespace {
+void render_push(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                 std::string& out) {
+  telemetry::append(out, e.a, " fragment(s), ", e.b, "B");
+}
+void render_reassembled(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                        std::string& out) {
+  telemetry::append(out, "reassembled ", e.a, " fragments");
+}
+void render_timeout(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                    std::string& out) {
+  telemetry::append(out, e.a, "/", e.b, " fragments");
+}
+}  // namespace
+
 FragLite::FragLite(sim::Simulator& sim, std::size_t max_fragment_payload,
                    Duration reassembly_timeout)
     : Protocol("fraglite"),
@@ -30,10 +45,9 @@ void FragLite::push(Message& msg, const MsgAttrs& attrs) {
   RTPB_EXPECTS(count <= 0xFFFF);
 
   ++messages_sent_;
-  if (tele_enabled()) {
-    tele_hub()->registry().counter("xkernel.fraglite.messages_sent").add();
-    tele_record("frag-push", std::to_string(count) + " fragment(s), " +
-                                 std::to_string(whole.length) + "B");
+  if (telemetry::Hub* hub = tele()) {
+    hub->registry().counter(tele_.messages_sent, "xkernel.fraglite.messages_sent").add();
+    tele_record(*hub, tele_.push, "frag-push", &render_push, count, whole.length);
   }
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t begin = i * max_payload_;
@@ -79,9 +93,12 @@ void FragLite::demux(Message& msg, MsgAttrs& attrs) {
       return;
     }
     ++messages_reassembled_;
-    if (tele_enabled()) {
-      tele_hub()->registry().counter("xkernel.fraglite.messages_reassembled").add();
-      tele_record("frag-demux", "unfragmented");
+    if (telemetry::Hub* hub = tele()) {
+      hub->registry()
+          .counter(tele_.messages_reassembled, "xkernel.fraglite.messages_reassembled")
+          .add();
+      tele_record(*hub, tele_.demux, "frag-demux", &telemetry::render_literal,
+                  telemetry::literal("unfragmented"));
     }
     if (handler_) handler_(msg, attrs);
     return;
@@ -139,9 +156,11 @@ void FragLite::demux(Message& msg, MsgAttrs& attrs) {
   re.gc.cancel();
   reassembly_.erase(key);
   ++messages_reassembled_;
-  if (tele_enabled()) {
-    tele_hub()->registry().counter("xkernel.fraglite.messages_reassembled").add();
-    tele_record("frag-demux", "reassembled " + std::to_string(count) + " fragments");
+  if (telemetry::Hub* hub = tele()) {
+    hub->registry()
+        .counter(tele_.messages_reassembled, "xkernel.fraglite.messages_reassembled")
+        .add();
+    tele_record(*hub, tele_.demux, "frag-demux", &render_reassembled, count);
   }
   Message complete{std::move(whole)};
   if (handler_) handler_(complete, attrs);
@@ -153,10 +172,10 @@ void FragLite::expire(const Key& key) {
   ++reassembly_timeouts_;
   RTPB_DEBUG("fraglite", "reassembly timed out (%zu/%zu fragments)", it->second.received,
              it->second.fragments.size());
-  if (tele_enabled()) {
-    tele_hub()->registry().counter("xkernel.fraglite.reassembly_timeouts").add();
-    tele_record("frag-timeout", std::to_string(it->second.received) + "/" +
-                                    std::to_string(it->second.fragments.size()) + " fragments");
+  if (telemetry::Hub* hub = tele()) {
+    hub->registry().counter(tele_.reassembly_timeouts, "xkernel.fraglite.reassembly_timeouts").add();
+    tele_record(*hub, tele_.timeout, "frag-timeout", &render_timeout, it->second.received,
+                it->second.fragments.size());
   }
   reassembly_.erase(it);
 }

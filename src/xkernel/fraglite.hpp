@@ -79,6 +79,14 @@ class FragLite final : public Protocol {
   std::uint64_t reassembly_timeouts_ = 0;
   std::uint64_t bad_fragments_ = 0;
   std::uint64_t duplicate_fragments_ = 0;
+  struct Tele {  ///< resolved on first use while the hub collects
+    telemetry::Counter* messages_sent = nullptr;
+    telemetry::Counter* messages_reassembled = nullptr;
+    telemetry::Counter* reassembly_timeouts = nullptr;
+    telemetry::TextId push = 0;
+    telemetry::TextId demux = 0;
+    telemetry::TextId timeout = 0;
+  } tele_;
 };
 
 }  // namespace rtpb::xkernel

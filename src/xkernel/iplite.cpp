@@ -5,6 +5,21 @@
 
 namespace rtpb::xkernel {
 
+namespace {
+void render_push(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                 std::string& out) {
+  telemetry::append(out, "proto ", e.a, " node", e.b, "->node", e.c);
+}
+void render_proto(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                  std::string& out) {
+  telemetry::append(out, "proto ", e.a);
+}
+void render_unknown_proto(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                          std::string& out) {
+  telemetry::append(out, "unknown proto ", e.a);
+}
+}  // namespace
+
 void IpLite::register_upper(std::uint8_t proto, Protocol* up) {
   RTPB_EXPECTS(up != nullptr);
   uppers_[proto] = up;
@@ -12,11 +27,10 @@ void IpLite::register_upper(std::uint8_t proto, Protocol* up) {
 
 void IpLite::push_as(std::uint8_t proto, Message& msg, const MsgAttrs& attrs) {
   RTPB_EXPECTS(down() != nullptr);
-  if (tele_enabled()) {
-    tele_hub()->registry().counter("xkernel.iplite.pushes").add();
-    tele_record("ip-push", "proto " + std::to_string(proto) + " node" +
-                               std::to_string(attrs.src.node) + "->node" +
-                               std::to_string(attrs.dst.node));
+  if (telemetry::Hub* hub = tele()) {
+    hub->registry().counter(tele_.pushes, "xkernel.iplite.pushes").add();
+    tele_record(*hub, tele_.push, "ip-push", &render_push, proto, attrs.src.node,
+                attrs.dst.node);
   }
   HeaderWriter<kHeaderSize> w;
   w.u32(attrs.src.node);
@@ -36,9 +50,10 @@ void IpLite::demux(Message& msg, MsgAttrs& attrs) {
   if (msg.size() < kHeaderSize) {
     ++bad_headers_;
     RTPB_WARN("iplite", "runt packet (%zu bytes); dropped", msg.size());
-    if (tele_enabled()) {
-      tele_hub()->registry().counter("xkernel.iplite.bad_headers").add();
-      tele_record("ip-drop", "runt");
+    if (telemetry::Hub* hub = tele()) {
+      hub->registry().counter(tele_.bad_headers, "xkernel.iplite.bad_headers").add();
+      tele_record(*hub, tele_.drop, "ip-drop", &telemetry::render_literal,
+                  telemetry::literal("runt"));
     }
     return;
   }
@@ -50,9 +65,10 @@ void IpLite::demux(Message& msg, MsgAttrs& attrs) {
   if (!r.ok() || length != msg.size()) {
     ++bad_headers_;
     RTPB_WARN("iplite", "bad header (len %u vs %zu); dropped", length, msg.size());
-    if (tele_enabled()) {
-      tele_hub()->registry().counter("xkernel.iplite.bad_headers").add();
-      tele_record("ip-drop", "bad header");
+    if (telemetry::Hub* hub = tele()) {
+      hub->registry().counter(tele_.bad_headers, "xkernel.iplite.bad_headers").add();
+      tele_record(*hub, tele_.drop, "ip-drop", &telemetry::render_literal,
+                  telemetry::literal("bad header"));
     }
     return;
   }
@@ -62,15 +78,15 @@ void IpLite::demux(Message& msg, MsgAttrs& attrs) {
   if (it == uppers_.end()) {
     ++unknown_proto_;
     RTPB_WARN("iplite", "no upper for proto %u; dropped", proto);
-    if (tele_enabled()) {
-      tele_hub()->registry().counter("xkernel.iplite.unknown_proto").add();
-      tele_record("ip-drop", "unknown proto " + std::to_string(proto));
+    if (telemetry::Hub* hub = tele()) {
+      hub->registry().counter(tele_.unknown_proto, "xkernel.iplite.unknown_proto").add();
+      tele_record(*hub, tele_.drop, "ip-drop", &render_unknown_proto, proto);
     }
     return;
   }
-  if (tele_enabled()) {
-    tele_hub()->registry().counter("xkernel.iplite.demuxes").add();
-    tele_record("ip-demux", "proto " + std::to_string(proto));
+  if (telemetry::Hub* hub = tele()) {
+    hub->registry().counter(tele_.demuxes, "xkernel.iplite.demuxes").add();
+    tele_record(*hub, tele_.demux, "ip-demux", &render_proto, proto);
   }
   it->second->demux(msg, attrs);
 }

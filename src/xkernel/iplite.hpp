@@ -37,6 +37,15 @@ class IpLite final : public Protocol {
   std::map<std::uint8_t, Protocol*> uppers_;
   std::uint64_t bad_headers_ = 0;
   std::uint64_t unknown_proto_ = 0;
+  struct Tele {  ///< resolved on first use while the hub collects
+    telemetry::Counter* pushes = nullptr;
+    telemetry::Counter* demuxes = nullptr;
+    telemetry::Counter* bad_headers = nullptr;
+    telemetry::Counter* unknown_proto = nullptr;
+    telemetry::TextId push = 0;
+    telemetry::TextId demux = 0;
+    telemetry::TextId drop = 0;
+  } tele_;
 };
 
 }  // namespace rtpb::xkernel

@@ -13,6 +13,7 @@
 
 #include "net/address.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/assert.hpp"
 #include "xkernel/message.hpp"
 
 namespace rtpb::xkernel {
@@ -70,29 +71,44 @@ class Protocol {
 
   /// Attach the telemetry hub and the owning host's node id so xPush/xPop
   /// hops show up on a per-host, per-layer track.  Optional — protocols
-  /// run fine without it.
+  /// run fine without it.  Ids cached on first use belong to this hub, so
+  /// it is attached once.
   void set_telemetry(telemetry::Hub* hub, net::NodeId node) {
+    RTPB_EXPECTS(hub_ == nullptr || hub_ == hub);
     hub_ = hub;
     tele_node_ = node;
   }
 
  protected:
-  [[nodiscard]] bool tele_enabled() const { return hub_ != nullptr && hub_->enabled(); }
-  /// Record an instant event on this protocol's track ("node<N>/<name>"),
-  /// attached to the hub's current causal span.  Callers guard with
-  /// tele_enabled() so detail strings are only built when collecting.
-  void tele_record(const char* event, std::string detail = {}) {
-    if (!tele_enabled()) return;
-    hub_->record(hub_->current_span(), tele_node_, telemetry::EventKind::kInstant,
-                 "node" + std::to_string(tele_node_) + "/" + name_, event, std::move(detail));
+  /// The attached hub while it collects, else null.
+  [[nodiscard]] telemetry::Hub* tele() const {
+    return hub_ != nullptr && hub_->enabled() ? hub_ : nullptr;
   }
-  [[nodiscard]] telemetry::Hub* tele_hub() const { return hub_; }
-  [[nodiscard]] net::NodeId tele_node() const { return tele_node_; }
+  /// Record an instant event on this protocol's track ("node<N>/<name>"),
+  /// attached to the hub's current causal span.  `name_slot` caches the
+  /// id of `name`; `render` formats the fields `a`..`c` into the detail.
+  void tele_record(telemetry::Hub& hub, telemetry::TextId& name_slot, const char* name,
+                   telemetry::Renderer render, std::uint64_t a = 0, std::uint64_t b = 0,
+                   std::uint64_t c = 0) {
+    if (tele_track_ == 0) {
+      tele_track_ = hub.intern("node" + std::to_string(tele_node_) + "/" + name_);
+    }
+    hub.record({.at = hub.now(),
+                .span = hub.current_span(),
+                .a = a,
+                .b = b,
+                .c = c,
+                .render = render,
+                .node = tele_node_,
+                .track = tele_track_,
+                .name = hub.intern(name_slot, name)});
+  }
 
  private:
   std::string name_;
   Protocol* down_ = nullptr;
   telemetry::Hub* hub_ = nullptr;
+  telemetry::TextId tele_track_ = 0;
   net::NodeId tele_node_ = 0;
 };
 

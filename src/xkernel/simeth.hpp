@@ -31,6 +31,14 @@ class SimEth final : public Protocol {
   Protocol* up_ = nullptr;
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_received_ = 0;
+  struct Tele {  ///< resolved on first use while the hub collects
+    telemetry::Counter* frames_sent = nullptr;
+    telemetry::Counter* frames_received = nullptr;
+    telemetry::Counter* no_upper = nullptr;
+    telemetry::TextId push = 0;
+    telemetry::TextId demux = 0;
+    telemetry::TextId drop = 0;
+  } tele_;
 };
 
 }  // namespace rtpb::xkernel

@@ -27,6 +27,23 @@ std::uint64_t sum_words(std::span<const std::uint8_t> data) {
   if (n == 1) sum += static_cast<std::uint64_t>(p[0]) << 8;
   return sum;
 }
+
+void render_push(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                 std::string& out) {
+  telemetry::append(out, "port ", e.a, "->", e.b);
+}
+void render_port(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                 std::string& out) {
+  telemetry::append(out, "port ", e.a);
+}
+void render_checksum_drop(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                          std::string& out) {
+  telemetry::append(out, "checksum port ", e.a);
+}
+void render_no_listener(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+                        std::string& out) {
+  telemetry::append(out, "no listener port ", e.a);
+}
 }  // namespace
 
 void UdpLite::bind(net::Port port, Handler handler) {
@@ -59,10 +76,9 @@ std::uint16_t UdpLite::checksum(std::span<const std::uint8_t> a,
 
 void UdpLite::push(Message& msg, const MsgAttrs& attrs) {
   RTPB_EXPECTS(down() != nullptr);
-  if (tele_enabled()) {
-    tele_hub()->registry().counter("xkernel.udplite.pushes").add();
-    tele_record("udp-push", "port " + std::to_string(attrs.src.port) + "->" +
-                                std::to_string(attrs.dst.port));
+  if (telemetry::Hub* hub = tele()) {
+    hub->registry().counter(tele_.pushes, "xkernel.udplite.pushes").add();
+    tele_record(*hub, tele_.push, "udp-push", &render_push, attrs.src.port, attrs.dst.port);
   }
   const std::uint16_t csum = checksum(msg.header_segment(), msg.body_segment());
   HeaderWriter<kHeaderSize> w;
@@ -98,9 +114,10 @@ std::unique_ptr<Session> UdpLite::open(net::Endpoint local, net::Endpoint remote
 void UdpLite::demux(Message& msg, MsgAttrs& attrs) {
   if (msg.size() < kHeaderSize) {
     ++checksum_failures_;
-    if (tele_enabled()) {
-      tele_hub()->registry().counter("xkernel.udplite.checksum_failures").add();
-      tele_record("udp-drop", "runt");
+    if (telemetry::Hub* hub = tele()) {
+      hub->registry().counter(tele_.checksum_failures, "xkernel.udplite.checksum_failures").add();
+      tele_record(*hub, tele_.drop, "udp-drop", &telemetry::render_literal,
+                  telemetry::literal("runt"));
     }
     return;
   }
@@ -115,9 +132,9 @@ void UdpLite::demux(Message& msg, MsgAttrs& attrs) {
       checksum(msg.header_segment(), msg.body_segment()) != csum) {
     ++checksum_failures_;
     RTPB_WARN("udplite", "checksum/length failure on datagram to port %u", dst_port);
-    if (tele_enabled()) {
-      tele_hub()->registry().counter("xkernel.udplite.checksum_failures").add();
-      tele_record("udp-drop", "checksum port " + std::to_string(dst_port));
+    if (telemetry::Hub* hub = tele()) {
+      hub->registry().counter(tele_.checksum_failures, "xkernel.udplite.checksum_failures").add();
+      tele_record(*hub, tele_.drop, "udp-drop", &render_checksum_drop, dst_port);
     }
     return;
   }
@@ -127,15 +144,15 @@ void UdpLite::demux(Message& msg, MsgAttrs& attrs) {
   if (it == bindings_.end()) {
     ++no_listener_;
     RTPB_DEBUG("udplite", "no listener on port %u; dropped", dst_port);
-    if (tele_enabled()) {
-      tele_hub()->registry().counter("xkernel.udplite.no_listener").add();
-      tele_record("udp-drop", "no listener port " + std::to_string(dst_port));
+    if (telemetry::Hub* hub = tele()) {
+      hub->registry().counter(tele_.no_listener, "xkernel.udplite.no_listener").add();
+      tele_record(*hub, tele_.drop, "udp-drop", &render_no_listener, dst_port);
     }
     return;
   }
-  if (tele_enabled()) {
-    tele_hub()->registry().counter("xkernel.udplite.demuxes").add();
-    tele_record("udp-demux", "port " + std::to_string(dst_port));
+  if (telemetry::Hub* hub = tele()) {
+    hub->registry().counter(tele_.demuxes, "xkernel.udplite.demuxes").add();
+    tele_record(*hub, tele_.demux, "udp-demux", &render_port, dst_port);
   }
   it->second(msg, attrs);
 }

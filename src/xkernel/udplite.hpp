@@ -49,6 +49,15 @@ class UdpLite final : public Protocol {
   std::map<net::Port, Handler> bindings_;
   std::uint64_t checksum_failures_ = 0;
   std::uint64_t no_listener_ = 0;
+  struct Tele {  ///< resolved on first use while the hub collects
+    telemetry::Counter* pushes = nullptr;
+    telemetry::Counter* demuxes = nullptr;
+    telemetry::Counter* checksum_failures = nullptr;
+    telemetry::Counter* no_listener = nullptr;
+    telemetry::TextId push = 0;
+    telemetry::TextId demux = 0;
+    telemetry::TextId drop = 0;
+  } tele_;
 };
 
 }  // namespace rtpb::xkernel

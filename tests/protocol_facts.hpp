@@ -24,7 +24,7 @@ inline std::uint64_t events(const telemetry::Hub& hub, const std::string& name) 
   EXPECT_EQ(hub.dropped_events(), 0u) << "event ring too small to count '" << name << "'";
   std::uint64_t n = 0;
   for (const telemetry::Event& e : hub.events()) {
-    if (e.name == name) ++n;
+    if (hub.name_of(e) == name) ++n;
   }
   return n;
 }

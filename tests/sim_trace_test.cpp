@@ -199,8 +199,9 @@ TEST(TraceRecorder, DigestAndRecordedCoverEvictedEvents) {
 std::vector<const telemetry::Event*> hub_events(const sim::Simulator& sim, std::string_view name,
                                                 telemetry::EventKind kind) {
   std::vector<const telemetry::Event*> out;
-  for (const telemetry::Event& e : sim.telemetry().events()) {
-    if (e.kind == kind && (name.empty() || e.name == name)) out.push_back(&e);
+  const telemetry::Hub& hub = sim.telemetry();
+  for (const telemetry::Event& e : hub.events()) {
+    if (e.kind == kind && (name.empty() || hub.name_of(e) == name)) out.push_back(&e);
   }
   return out;
 }
@@ -225,9 +226,10 @@ TEST(TraceIntegration, CpuEmitsReleaseStartFinishTriples) {
   EXPECT_EQ(finishes.size(), 4u);
   // Per job: release <= start < finish.
   for (std::size_t i = 0; i < finishes.size(); ++i) {
-    EXPECT_EQ(releases[i]->detail, "tick #" + std::to_string(i));
-    EXPECT_EQ(starts[i]->name, "tick #" + std::to_string(i));
-    EXPECT_EQ(finishes[i]->detail, "tick #" + std::to_string(i));
+    const telemetry::Hub& hub = sim.telemetry();
+    EXPECT_EQ(hub.detail_of(*releases[i]), "tick #" + std::to_string(i));
+    EXPECT_EQ(hub.name_of(*starts[i]), "tick #" + std::to_string(i));
+    EXPECT_EQ(hub.detail_of(*finishes[i]), "tick #" + std::to_string(i));
     EXPECT_LE(releases[i]->at, starts[i]->at);
     EXPECT_LT(starts[i]->at, finishes[i]->at);
   }
@@ -257,7 +259,7 @@ TEST(TraceIntegration, FailoverLeavesPromoteMarker) {
   // The marker names the promoted node and the epoch it minted (the
   // initial primary held epoch 1, so the first failover mints 2).
   EXPECT_EQ(promotes[0]->node, service.backup().node());
-  EXPECT_EQ(promotes[0]->detail, "epoch 2");
+  EXPECT_EQ(service.simulator().telemetry().detail_of(*promotes[0]), "epoch 2");
   // Network activity is on the timeline too.
   EXPECT_FALSE(
       hub_events(service.simulator(), "net-enqueue", telemetry::EventKind::kInstant).empty());

@@ -11,6 +11,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "chaos/harness.hpp"
 #include "core/rtpb.hpp"
@@ -18,6 +20,21 @@
 
 namespace rtpb::telemetry {
 namespace {
+
+/// Records an event the way the free-text sites do: interned track and
+/// name, the detail kept in the Hub's side store.
+void record(Hub& hub, SpanId span, std::uint32_t node, EventKind kind, std::string_view track,
+            std::string_view name, std::string detail = {}) {
+  const bool has_detail = !detail.empty();
+  hub.record({.at = hub.now(),
+              .span = span,
+              .a = has_detail ? hub.keep_text(std::move(detail)) : 0,
+              .render = has_detail ? &render_text : nullptr,
+              .node = node,
+              .track = hub.intern(track),
+              .name = hub.intern(name),
+              .kind = kind});
+}
 
 // ---------------------------------------------------------------------------
 // Registry.
@@ -96,7 +113,7 @@ TEST(TelemetryRegistry, JsonNestsAlongDots) {
 TEST(TelemetryHub, DisabledHubMintsNoSpansAndRecordsNothing) {
   Hub hub;
   EXPECT_EQ(hub.begin_span(1, 1), kNoSpan);
-  hub.record(kNoSpan, 1, EventKind::kInstant, "node1/net", "net-enqueue");
+  record(hub, kNoSpan, 1, EventKind::kInstant, "node1/net", "net-enqueue");
   EXPECT_TRUE(hub.events().empty());
   EXPECT_EQ(hub.recorded_events(), 0u);
   EXPECT_EQ(hub.spans_started(), 0u);
@@ -149,7 +166,8 @@ TEST(TelemetryHub, MarkViolationFlagsSpanOnce) {
   // The violation also lands as an event attached to the span.
   ASSERT_FALSE(hub.events().empty());
   EXPECT_EQ(hub.events().back().span, s);
-  EXPECT_EQ(hub.events().back().name, "violation:staleness-window");
+  EXPECT_EQ(hub.name_of(hub.events().back()), "violation:staleness-window");
+  EXPECT_EQ(hub.detail_of(hub.events().back()), "still out");
 
   hub.mark_violation(kNoSpan, "oracle", "unattributed");  // must not crash
   EXPECT_EQ(hub.spans_violated(), 1u);
@@ -183,20 +201,87 @@ TEST(TelemetryHub, EvictionKeepsANewerSpanForTheSameKey) {
 TEST(TelemetryHub, EventRetentionIsBounded) {
   Hub hub;
   hub.enable(/*event_capacity=*/2, /*span_capacity=*/16);
-  hub.record(kNoSpan, 1, EventKind::kInstant, "t", "a");
-  hub.record(kNoSpan, 1, EventKind::kInstant, "t", "b");
-  hub.record(kNoSpan, 1, EventKind::kInstant, "t", "c");
+  record(hub, kNoSpan, 1, EventKind::kInstant, "t", "a");
+  record(hub, kNoSpan, 1, EventKind::kInstant, "t", "b");
+  record(hub, kNoSpan, 1, EventKind::kInstant, "t", "c");
   EXPECT_EQ(hub.events().size(), 2u);
-  EXPECT_EQ(hub.events().front().name, "b");
+  EXPECT_EQ(hub.name_of(hub.events().front()), "b");
   EXPECT_EQ(hub.recorded_events(), 3u);
   EXPECT_EQ(hub.dropped_events(), 1u);
+}
+
+TEST(TelemetryHub, RingOverwritesOldestInOrder) {
+  Hub hub;
+  hub.enable(/*event_capacity=*/3, /*span_capacity=*/16);
+  for (const char* name : {"a", "b", "c", "d", "e"}) {
+    record(hub, kNoSpan, 1, EventKind::kInstant, "t", name, std::string("detail ") + name);
+  }
+  EXPECT_EQ(hub.recorded_events(), 5u);
+  EXPECT_EQ(hub.dropped_events(), 2u);
+  const EventView events = hub.events();
+  ASSERT_EQ(events.size(), 3u);
+  std::vector<std::string> names;
+  std::vector<std::string> details;
+  for (const Event& e : events) {
+    names.push_back(hub.name_of(e));
+    details.push_back(hub.detail_of(e));
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"c", "d", "e"}));
+  EXPECT_EQ(details, (std::vector<std::string>{"detail c", "detail d", "detail e"}));
+  EXPECT_EQ(hub.name_of(events.front()), "c");
+  EXPECT_EQ(hub.name_of(events.back()), "e");
+  EXPECT_EQ(hub.track_of(events.front()), "t");
+}
+
+TEST(TelemetryHub, RingSpansChunks) {
+  // Past one 1024-event chunk, and around the ring more than once.
+  Hub hub;
+  hub.enable(/*event_capacity=*/1500, /*span_capacity=*/16);
+  for (std::uint64_t i = 0; i < 4000; ++i) hub.record({.a = i});
+  ASSERT_EQ(hub.events().size(), 1500u);
+  EXPECT_EQ(hub.dropped_events(), 2500u);
+  std::uint64_t want = 2500;
+  for (const Event& e : hub.events()) EXPECT_EQ(e.a, want++);
+}
+
+TEST(TelemetryHub, EvictedFreeTextLeavesTheSideStore) {
+  Hub hub;
+  hub.enable(/*event_capacity=*/2, /*span_capacity=*/16);
+  record(hub, kNoSpan, 0, EventKind::kInstant, "t", "x", "first");
+  record(hub, kNoSpan, 0, EventKind::kInstant, "t", "y", "second");
+  EXPECT_EQ(hub.kept_texts(), 2u);
+  record(hub, kNoSpan, 0, EventKind::kInstant, "t", "z");  // no free text; evicts "first"
+  EXPECT_EQ(hub.kept_texts(), 1u);
+  EXPECT_EQ(hub.detail_of(hub.events().front()), "second");
+  record(hub, kNoSpan, 0, EventKind::kInstant, "t", "w", "third");  // evicts "second"
+  EXPECT_EQ(hub.kept_texts(), 1u);
+  EXPECT_EQ(hub.detail_of(hub.events().back()), "third");
+  hub.clear();
+  EXPECT_EQ(hub.kept_texts(), 0u);
+}
+
+TEST(TelemetryHub, InternedIdsSurviveClear) {
+  Hub hub;
+  hub.enable();
+  const TextId track = hub.intern("node1/net");
+  const TextId name = hub.intern("net-deliver");
+  EXPECT_NE(track, name);
+  EXPECT_EQ(hub.intern("node1/net"), track);
+  EXPECT_EQ(hub.intern(""), 0u);
+  hub.clear();
+  EXPECT_EQ(hub.text(track), "node1/net");
+  EXPECT_EQ(hub.text(name), "net-deliver");
+  EXPECT_EQ(hub.intern("net-deliver"), name);
+  hub.record({.track = track, .name = name});
+  EXPECT_EQ(hub.track_of(hub.events().front()), "node1/net");
+  EXPECT_EQ(hub.name_of(hub.events().front()), "net-deliver");
 }
 
 TEST(TelemetryHub, ClearForgetsDataButStaysEnabled) {
   Hub hub;
   hub.enable();
   hub.begin_span(1, 1);
-  hub.record(kNoSpan, 0, EventKind::kInstant, "t", "x");
+  record(hub, kNoSpan, 0, EventKind::kInstant, "t", "x");
   hub.registry().counter("a.b").add();
   hub.clear();
   EXPECT_TRUE(hub.enabled());
@@ -216,15 +301,15 @@ void populate(Hub& hub) {
   TimePoint now = TimePoint{} + millis(1);
   hub.set_clock([&now] { return now; });
   const SpanId s = hub.begin_span(5, 9);
-  hub.record(s, 1, EventKind::kInstant, "node1/rtpb", "write", "obj5 v9");
+  record(hub, s, 1, EventKind::kInstant, "node1/rtpb", "write", "obj5 v9");
   now = now + millis(1);
-  hub.record(s, 1, EventKind::kInstant, "node1/net", "net-enqueue", "node1->node2 109B");
+  record(hub, s, 1, EventKind::kInstant, "node1/net", "net-enqueue", "node1->node2 109B");
   now = now + millis(2);
-  hub.record(s, 2, EventKind::kInstant, "node2/net", "net-deliver", "\"quoted\"\n");
-  hub.record(s, 2, EventKind::kInstant, "node2/rtpb", "update-apply", "obj5 v9");
-  hub.record(kNoSpan, 2, EventKind::kBegin, "cpu2", "job #1");
+  record(hub, s, 2, EventKind::kInstant, "node2/net", "net-deliver", "\"quoted\"\n");
+  record(hub, s, 2, EventKind::kInstant, "node2/rtpb", "update-apply", "obj5 v9");
+  record(hub, kNoSpan, 2, EventKind::kBegin, "cpu2", "job #1");
   now = now + millis(1);
-  hub.record(kNoSpan, 2, EventKind::kEnd, "cpu2", "job #1");
+  record(hub, kNoSpan, 2, EventKind::kEnd, "cpu2", "job #1");
 }
 
 TEST(TelemetryExport, JsonEscapeHandlesSpecials) {
@@ -337,7 +422,7 @@ TEST(TelemetryEndToEnd, SpansCrossPrimaryNetBackup) {
   bool crossed = false;
   std::map<SpanId, std::set<std::string>> names_by_span;
   for (const Event& e : hub.events()) {
-    if (e.span != kNoSpan) names_by_span[e.span].insert(e.name);
+    if (e.span != kNoSpan) names_by_span[e.span].insert(hub.name_of(e));
   }
   for (const auto& [span, names] : names_by_span) {
     if (names.count("write") && names.count("udp-push") && names.count("net-deliver") &&
