@@ -204,8 +204,8 @@ int main(int argc, char** argv) {
     std::printf("%-10zu %14llu %13llu\n", objects,
                 static_cast<unsigned long long>(inc.delta_entries),
                 static_cast<unsigned long long>(full.full_entries));
-    std::string tag = "o";  // not "o" + to_string: g++ 12 -O3 flags that with a false -Wrestrict
-    tag += std::to_string(objects);
+    // Not "o" + to_string(): g++ 12 -O3 flags that with a false -Wrestrict.
+    const std::string tag = std::string("o").append(std::to_string(objects));
     json.add("delta_entries_" + tag + "_deterministic",
              static_cast<double>(inc.delta_entries));
     json.add("full_entries_" + tag + "_deterministic",

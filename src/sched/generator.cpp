@@ -35,8 +35,8 @@ TaskSet generate_task_set(Rng& rng, const GeneratorParams& params) {
   for (std::size_t i = 0; i < params.tasks; ++i) {
     TaskSpec t;
     t.id = static_cast<TaskId>(i + 1);
-    t.name = "t";  // not "t" + to_string: g++ 12 -O3 flags that with a false -Wrestrict
-    t.name += std::to_string(i + 1);
+    // Not "t" + to_string(): g++ 12 -O3 flags that with a false -Wrestrict.
+    t.name = std::string("t").append(std::to_string(i + 1));
     const double log_p = rng.uniform_real(log_lo, log_hi);
     t.period = Duration{static_cast<std::int64_t>(std::exp(log_p))};
     t.wcet = std::max(params.min_wcet, t.period.scaled(utils[i]));
