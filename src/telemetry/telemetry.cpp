@@ -43,7 +43,8 @@ LatencyHistogram& Registry::histogram(std::string_view name) {
   const std::lock_guard<std::mutex> guard(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<LatencyHistogram>(enabled_)).first;
+    it = histograms_.emplace(std::string(name), std::make_unique<LatencyHistogram>(enabled_))
+             .first;
   }
   return *it->second;
 }

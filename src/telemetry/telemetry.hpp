@@ -291,9 +291,8 @@ class EventView {
   explicit EventView(const Hub& hub) : hub_(&hub) {}
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] bool empty() const { return size() == 0; }
-  [[nodiscard]] const Event& operator[](std::size_t i) const;
-  [[nodiscard]] const Event& front() const { return (*this)[0]; }
-  [[nodiscard]] const Event& back() const { return (*this)[size() - 1]; }
+  [[nodiscard]] const Event& front() const;
+  [[nodiscard]] const Event& back() const;
   [[nodiscard]] iterator begin() const { return {hub_, 0}; }
   [[nodiscard]] iterator end() const { return {hub_, size()}; }
 
@@ -458,7 +457,8 @@ class Hub {
 };
 
 inline std::size_t EventView::size() const { return hub_->size_; }
-inline const Event& EventView::operator[](std::size_t i) const { return hub_->event_at(i); }
+inline const Event& EventView::front() const { return hub_->event_at(0); }
+inline const Event& EventView::back() const { return hub_->event_at(hub_->size_ - 1); }
 inline const Event& EventView::iterator::operator*() const { return hub_->event_at(i_); }
 
 /// RAII "current span" context.  Protocol layers record against

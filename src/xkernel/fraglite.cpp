@@ -173,7 +173,9 @@ void FragLite::expire(const Key& key) {
   RTPB_DEBUG("fraglite", "reassembly timed out (%zu/%zu fragments)", it->second.received,
              it->second.fragments.size());
   if (telemetry::Hub* hub = tele()) {
-    hub->registry().counter(tele_.reassembly_timeouts, "xkernel.fraglite.reassembly_timeouts").add();
+    hub->registry()
+        .counter(tele_.reassembly_timeouts, "xkernel.fraglite.reassembly_timeouts")
+        .add();
     tele_record(*hub, tele_.timeout, "frag-timeout", &render_timeout, it->second.received,
                 it->second.fragments.size());
   }
