@@ -500,5 +500,130 @@ TEST(Simulator, WindowedRunUntilMatchesSingleRun) {
   EXPECT_EQ(windowed_now, whole_now);
 }
 
+// ---- The tie set across steps under a ChoicePolicy ------------------------
+//
+// A policy picks one member of the same-instant tie set per step; the
+// members it did not pick stay pending for the next step.  These pin what
+// callers see of that set: cancellation, nesting, clearing the policy,
+// next_event_time() and stop().
+
+TEST(Simulator, TieCancelledByPickedCallbackNeverFires) {
+  Simulator sim;
+  CountingPolicy policy(sim);  // fires the last-scheduled tie first
+  sim.set_choice_policy(&policy);
+  std::vector<int> order;
+  EventHandle victim = sim.schedule_at(TimePoint{10}, [&] { order.push_back(0); });
+  sim.schedule_at(TimePoint{10}, [&] { order.push_back(1); });
+  sim.schedule_at(TimePoint{10}, [&] { order.push_back(2); });
+  sim.schedule_at(TimePoint{10}, [&] {
+    order.push_back(3);
+    EXPECT_TRUE(victim.cancel());
+  });
+  sim.schedule_at(TimePoint{20}, [&] { order.push_back(99); });
+  EXPECT_TRUE(sim.step());
+  // Deletion is lazy: the cancelled tie still counts until the next step.
+  EXPECT_EQ(sim.pending_events(), 4u);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 99}));
+  // Second pick: ties {1, 2} plus the later event; the victim is gone.
+  EXPECT_EQ(policy.seen, (std::vector<std::size_t>{5, 3}));
+  EXPECT_EQ(sim.fired_events(), 4u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, PickLastWithNestedSameInstantSchedulingIsPinned) {
+  PickLastPolicy policy;
+  Simulator sim;
+  sim.set_choice_policy(&policy);
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    sim.schedule_at(TimePoint{10}, [&order, &sim, i] {
+      order.push_back(i);
+      if (i == 1) sim.schedule_at(TimePoint{10}, [&order] { order.push_back(102); });
+      if (i != 3) return;
+      sim.schedule_at(TimePoint{10}, [&order, &sim] {
+        order.push_back(100);
+        sim.schedule_at(TimePoint{10}, [&order] { order.push_back(101); });
+      });
+    });
+  }
+  sim.schedule_at(TimePoint{20}, [&order] { order.push_back(200); });
+  sim.run();
+  // A nested same-instant event joins the tie set as its newest member,
+  // so fire-last picks it next.
+  EXPECT_EQ(order, (std::vector<int>{3, 100, 101, 2, 1, 102, 0, 200}));
+  EXPECT_EQ(sim.now(), TimePoint{20});
+}
+
+TEST(Simulator, ClearingThePolicyInsideATieSetResumesFifo) {
+  PickLastPolicy policy;
+  Simulator sim;
+  sim.set_choice_policy(&policy);
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    sim.schedule_at(TimePoint{10}, [&order, i] { order.push_back(i); });
+  }
+  sim.schedule_at(TimePoint{10}, [&order, &sim] {
+    order.push_back(4);
+    sim.set_choice_policy(nullptr);
+    sim.schedule_at(TimePoint{10}, [&order] { order.push_back(5); });
+  });
+  sim.schedule_at(TimePoint{20}, [&order] { order.push_back(200); });
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.choice_policy(), nullptr);
+  EXPECT_EQ(sim.pending_events(), 6u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{4, 0, 1, 2, 3, 5, 200}));
+  EXPECT_EQ(sim.fired_events(), 7u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, NextEventTimeSeesTiesAPolicyHasNotPicked) {
+  PickLastPolicy policy;
+  Simulator sim;
+  sim.set_choice_policy(&policy);
+  std::vector<TimePoint> seen;
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule_at(TimePoint{10}, [&seen, &sim] { seen.push_back(sim.next_event_time()); });
+  }
+  sim.schedule_at(TimePoint{20}, [] {});
+  EXPECT_EQ(sim.next_event_time(), TimePoint{10});
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.next_event_time(), TimePoint{10});
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.next_event_time(), TimePoint{10});
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.next_event_time(), TimePoint{20});
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.next_event_time(), TimePoint::max());
+  // Inside a callback, the ties not yet fired are still ahead of the clock.
+  EXPECT_EQ(seen, (std::vector<TimePoint>{TimePoint{10}, TimePoint{10}, TimePoint{20}}));
+}
+
+TEST(Simulator, StopInsideATieSetThenRunUntilResumes) {
+  PickLastPolicy policy;
+  Simulator sim;
+  sim.set_choice_policy(&policy);
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule_at(TimePoint{10}, [&order, i] { order.push_back(i); });
+  }
+  sim.schedule_at(TimePoint{10}, [&order, &sim] {
+    order.push_back(3);
+    sim.stop();
+  });
+  sim.schedule_at(TimePoint{20}, [&order] { order.push_back(200); });
+  sim.run_until(TimePoint{10});
+  EXPECT_EQ(order, (std::vector<int>{3}));
+  EXPECT_EQ(sim.now(), TimePoint{10});
+  EXPECT_EQ(sim.pending_events(), 4u);
+  sim.run_until(TimePoint{30});
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0, 200}));
+  EXPECT_EQ(sim.now(), TimePoint{30});
+  EXPECT_EQ(sim.fired_events(), 5u);
+}
+
 }  // namespace
 }  // namespace rtpb::sim
