@@ -48,6 +48,9 @@ check chaos_multibackup_overload_restart \
   "$tools/chaos_main" --seeds 16 --backups 2 --overload --crash-restart
 check chaos_sharded "$tools/chaos_main" --seeds 8 --shards 4 --threads 4 --objects 8
 check explore_default sh -c "\"$tools/explore_main\" | grep trajectories"
+# Three nodes: the multi-backup failover states the 2-node pair never reaches.
+check explore_multibackup sh -c \
+  "\"$tools/explore_main\" --backups 2 --objects 2 --faults 2 --quiet | grep trajectories"
 
 # artifacts NAME CHAOS_ARGS...: one chaos run writing every observability
 # artifact into a scratch directory; pins NAME_metrics.txt (the registry
