@@ -67,15 +67,27 @@ bool Simulator::step() {
   return false;
 }
 
-bool Simulator::step_with_policy() {
-  // Skim cancelled entries, then collect every live event tied at the
-  // earliest instant and let the policy pick which fires.  The rest go
-  // back with their original sequence numbers, so a policy that always
-  // returns 0 reproduces the FIFO tie-break exactly.
-  while (!queue_.empty() && !live(queue_.top())) queue_.pop();
-  if (queue_.empty()) return false;
-  const TimePoint at = queue_.top().at;
+void Simulator::set_choice_policy(ChoicePolicy* policy) {
+  policy_ = policy;
+  if (policy_ != nullptr) return;
+  for (const QueueEntry& e : ready_) queue_.push(e);
   ready_.clear();
+}
+
+bool Simulator::step_with_policy() {
+  // The tie set at the earliest instant is held in ready_ across steps.
+  // Drop the members cancelled since the last step; if none is left, skim
+  // cancelled heap entries to find the next instant.  Then append the
+  // heap's live entries at that instant: events scheduled for now() since
+  // the last step carry larger seqs, so ready_ stays in seq order and is
+  // exactly the tie set popping the heap afresh would gather.  A policy
+  // that always returns 0 therefore reproduces the FIFO tie-break.
+  std::erase_if(ready_, [this](const QueueEntry& e) { return !live(e); });
+  if (ready_.empty()) {
+    while (!queue_.empty() && !live(queue_.top())) queue_.pop();
+    if (queue_.empty()) return false;
+  }
+  const TimePoint at = ready_.empty() ? queue_.top().at : ready_.front().at;
   while (!queue_.empty() && queue_.top().at == at) {
     if (live(queue_.top())) ready_.push_back(queue_.top());
     queue_.pop();
@@ -87,24 +99,37 @@ bool Simulator::step_with_policy() {
     pick = policy_->pick_event(tags_);
     if (pick >= ready_.size()) pick = 0;
   }
-  for (std::size_t i = 0; i < ready_.size(); ++i) {
-    if (i != pick) queue_.push(ready_[i]);
-  }
+  // Only the picked entry leaves; the rest keep their places.
   const QueueEntry chosen = ready_[pick];
-  ready_.clear();
+  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(pick));
   fire(chosen);
   return true;
 }
 
+const Simulator::QueueEntry* Simulator::head() const {
+  if (!ready_.empty()) return &ready_.front();
+  return queue_.empty() ? nullptr : &queue_.top();
+}
+
+void Simulator::pop_head() {
+  if (!ready_.empty()) {
+    ready_.erase(ready_.begin());
+  } else {
+    queue_.pop();
+  }
+}
+
 void Simulator::run_until(TimePoint deadline) {
   stopped_ = false;
-  while (!stopped_ && !queue_.empty()) {
+  while (!stopped_) {
+    const QueueEntry* next = head();
+    if (next == nullptr) break;
     // Drop cancelled entries without advancing the clock.
-    if (!live(queue_.top())) {
-      queue_.pop();
+    if (!live(*next)) {
+      pop_head();
       continue;
     }
-    if (queue_.top().at > deadline) break;
+    if (next->at > deadline) break;
     step();
   }
   if (now_ < deadline) now_ = deadline;

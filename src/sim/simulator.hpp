@@ -141,17 +141,20 @@ class Simulator {
   void stop() { stopped_ = true; }
 
   /// Lower bound on the next live event's firing time: the earliest
-  /// queued entry's timestamp, or TimePoint::max() when the queue is
-  /// empty.  A cancelled entry at the head makes this conservative (the
-  /// next live event may be later); callers use it as an idle check,
-  /// never as an exact schedule.
+  /// queued entry's timestamp (a held tie set precedes the heap), or
+  /// TimePoint::max() when nothing is queued.  A cancelled entry at the
+  /// head makes this conservative (the next live event may be later);
+  /// callers use it as an idle check, never as an exact schedule.
   [[nodiscard]] TimePoint next_event_time() const {
+    if (!ready_.empty()) return ready_.front().at;
     return queue_.empty() ? TimePoint::max() : queue_.top().at;
   }
 
   /// Queued entries, including cancelled ones not yet popped (deletion is
-  /// lazy) and, while a choice policy picks, the tie set it picks from.
-  /// The explorer hashes this count into its state hash.
+  /// lazy) and the tie set a choice policy picks from.  The count is the
+  /// same whether the unpicked ties sit in the heap or in the held set:
+  /// a tie cancelled after one step leaves it at the next.  The explorer
+  /// hashes this count into its state hash.
   [[nodiscard]] std::size_t pending_events() const { return queue_.size() + ready_.size(); }
   [[nodiscard]] std::uint64_t fired_events() const { return fired_events_; }
 
@@ -160,8 +163,10 @@ class Simulator {
 
   /// Install (or clear, with nullptr) the choice strategy.  Not owned; the
   /// policy must outlive its installation.  With no policy the simulator
-  /// is byte-identical to the pre-seam behaviour.
-  void set_choice_policy(ChoicePolicy* policy) { policy_ = policy; }
+  /// is byte-identical to the pre-seam behaviour.  Clearing it returns the
+  /// held tie set to the heap with its sequence numbers, so FIFO order
+  /// resumes where the policy left off.
+  void set_choice_policy(ChoicePolicy* policy);
   [[nodiscard]] ChoicePolicy* choice_policy() const { return policy_; }
 
   /// Route a boolean fault decision through the installed policy, or fall
@@ -231,9 +236,14 @@ class Simulator {
   /// Advance the clock to `e` and run its callback in place.
   void fire(const QueueEntry& e);
 
-  /// step() with a policy installed: gather the tie set at the earliest
-  /// instant and let the policy pick which member fires.
+  /// step() with a policy installed: bring the held tie set up to date
+  /// and let the policy pick which member fires.
   bool step_with_policy();
+  /// The earliest queued entry, live or not (nullptr when none): the held
+  /// tie set's front, else the heap top.  Every heap entry follows the
+  /// held set in (time, seq) order.
+  [[nodiscard]] const QueueEntry* head() const;
+  void pop_head();
 
   TimePoint now_{};
   std::uint64_t next_seq_ = 0;
@@ -242,8 +252,11 @@ class Simulator {
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::vector<std::uint32_t> free_slots_;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
-  std::vector<QueueEntry> ready_;  ///< step_with_policy scratch: the tie set
-  std::vector<EventTag> tags_;     ///< step_with_policy scratch: its tags
+  /// With a policy installed, the tie set at now(): entries the policy has
+  /// not picked yet, in seq order, held here across steps rather than
+  /// pushed back into the heap.  Always empty without a policy.
+  std::vector<QueueEntry> ready_;
+  std::vector<EventTag> tags_;  ///< step_with_policy scratch: ready_'s tags
   ChoicePolicy* policy_ = nullptr;
   Rng rng_;
   TraceRecorder trace_;
