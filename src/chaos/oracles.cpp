@@ -174,8 +174,8 @@ void OracleMonitor::check() {
   service_.for_each_replica([&](const core::ReplicaServer& replica) {
     const std::size_t idx = replica_idx++;
     for (const core::ObjectId id : admitted_) {
-      const auto state = replica.read(id);
-      if (!state) continue;
+      const core::ObjectState* state = replica.peek(id);
+      if (state == nullptr) continue;
       auto [it, inserted] = last_version_.try_emplace({idx, id}, state->version);
       if (!inserted) {
         if (state->version < it->second) {

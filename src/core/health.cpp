@@ -85,8 +85,8 @@ void HealthFeed::emit() {
         first_peer = false;
         std::uint64_t max_lag = 0;
         for (ObjectId id : objects_) {
-          const auto state = r.read(id);
-          if (!state) continue;
+          const ObjectState* state = r.peek(id);
+          if (state == nullptr) continue;
           const std::uint64_t acked = r.peer_acked_version(p.node, id);
           if (acked > 0 && state->version > acked) {
             max_lag = std::max(max_lag, state->version - acked);

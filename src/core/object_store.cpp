@@ -52,9 +52,13 @@ const ObjectState& ObjectStore::get(ObjectId id) const {
 }
 
 std::optional<ObjectState> ObjectStore::find(ObjectId id) const {
+  if (const ObjectState* state = peek(id)) return *state;
+  return std::nullopt;
+}
+
+const ObjectState* ObjectStore::peek(ObjectId id) const {
   auto it = objects_.find(id);
-  if (it == objects_.end()) return std::nullopt;
-  return it->second;
+  return it == objects_.end() ? nullptr : &it->second;
 }
 
 std::vector<ObjectId> ObjectStore::ids() const {

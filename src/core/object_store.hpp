@@ -52,7 +52,11 @@ class ObjectStore {
              TimePoint now);
 
   [[nodiscard]] const ObjectState& get(ObjectId id) const;
+  /// A snapshot copy (spec and value bytes), unaffected by later writes.
   [[nodiscard]] std::optional<ObjectState> find(ObjectId id) const;
+  /// The held state in place, or nullptr: no copy.  Valid until the next
+  /// insert, erase or restore of this id.
+  [[nodiscard]] const ObjectState* peek(ObjectId id) const;
 
   /// Iterate deterministically (ascending id).
   template <typename Fn>

@@ -851,11 +851,13 @@ void ReplicaServer::qos_tick() {
     // while the system is overloaded — or nearly fully through it under
     // any conditions — is about to violate.  Renegotiate BEFORE that
     // happens so the violation-to-be is inside an announced window.
-    for (const ObjectId id : store_.ids()) {
-      if (qos_downgrade_active(id)) continue;
-      const ObjectSpec& spec = store_.get(id).spec;
-      const Duration window = spec.window();
-      if (window <= Duration::zero()) continue;
+    // In place: downgrade_object rewrites an entry's spec but never
+    // inserts into or erases from the store.
+    store_.for_each([&](const ObjectState& state) {
+      const ObjectId id = state.spec.id;
+      if (qos_downgrade_active(id)) return;
+      const Duration window = state.spec.window();
+      if (window <= Duration::zero()) return;
       const Duration dist = metrics_.current_distance(id);
       const bool imminent = dist > window.scaled(0.75);
       // An imminent violation is overload evidence in itself (the update
@@ -865,7 +867,7 @@ void ReplicaServer::qos_tick() {
       if ((degrade_->overloaded(now) && dist > window / 2) || imminent) {
         downgrade_object(id);
       }
-    }
+    });
   }
 
   // Restore pass: original QoS comes back only after the overload has
@@ -1354,8 +1356,8 @@ void ReplicaServer::arm_watchdog(ObjectId id) {
   rec.watchdog.cancel();
   rec.watchdog = sim_.schedule_after(rec.watchdog_period * config_.watchdog_factor, [this, id] {
     if (crashed_ || role_ != Role::kBackup) return;
-    const auto state = store_.find(id);
-    if (!state) return;
+    const ObjectState* state = store_.peek(id);
+    if (state == nullptr) return;
     // Blame the newest span the primary minted for this object — that is
     // the update whose absence tripped the watchdog.
     emit(Fact::kNack, id, state->version, sim_.telemetry().latest_span(id));

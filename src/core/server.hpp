@@ -320,6 +320,9 @@ class ReplicaServer {
   void local_write(ObjectId id, Bytes value, const sched::JobInfo& info);
   /// Read an object (either role; failover reads come through here).
   [[nodiscard]] std::optional<ObjectState> read(ObjectId id) const;
+  /// Look at an object without copying it (observers reading versions).
+  /// Valid until the replica next inserts, erases or restores it.
+  [[nodiscard]] const ObjectState* peek(ObjectId id) const { return store_.peek(id); }
 
   // ---- failover ----
   /// Backup only: promote to primary immediately (normally triggered by
