@@ -96,18 +96,25 @@ std::uint64_t expansion_key(std::uint64_t state_hash, const Choice& c) {
   return h;
 }
 
+/// Hash from this choice point on; kNoHashes hashes nothing, not even the
+/// final state.
+constexpr std::size_t kNoHashes = SIZE_MAX;
+
 /// The per-trajectory strategy: replays a decision prefix, takes defaults
-/// beyond it, and records every choice point it encounters.
+/// beyond it, and records every choice point it encounters.  Choice
+/// points before `hash_from` are recorded without their state hash (0)
+/// or their tie tags.
 class TrajectoryPolicy final : public sim::ChoicePolicy {
  public:
   TrajectoryPolicy(const ExploreConfig& cfg, core::RtpbService& service,
                    chaos::OracleMonitor& monitor, std::vector<core::ObjectId> admitted,
-                   const std::vector<std::uint16_t>& trace)
+                   const std::vector<std::uint16_t>& trace, std::size_t hash_from)
       : cfg_(cfg),
         service_(service),
         monitor_(monitor),
         admitted_(std::move(admitted)),
-        trace_(trace) {}
+        trace_(trace),
+        hash_from_(hash_from) {}
 
   bool decide(const sim::ChoiceContext& ctx, Rng& rng) override {
     switch (ctx.kind) {
@@ -182,13 +189,12 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
     c.kind = sim::ChoiceKind::kEventOrder;
     c.options = static_cast<std::uint16_t>(std::min<std::size_t>(tags.size(), 0xffff));
     c.at = service_.simulator().now();
-    c.tags = tags;
-    return choose(std::move(c));
+    return choose(std::move(c), &tags);
   }
 
   TrajectoryResult take_result() {
     TrajectoryResult r;
-    r.final_hash = hash_state();
+    if (hash_from_ != kNoHashes) r.final_hash = hash_state();
     r.choices = std::move(choices_);
     r.state_hashes = std::move(hashes_);
     r.actions = std::move(actions_);
@@ -197,7 +203,7 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
   }
 
  private:
-  std::uint16_t choose(Choice c) {
+  std::uint16_t choose(Choice c, const std::vector<sim::EventTag>* tags = nullptr) {
     if (choices_.size() >= cfg_.bounds.max_choice_points) {
       bound_hit_ = true;
       return 0;
@@ -206,7 +212,9 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
     std::uint16_t pick = idx < trace_.size() ? trace_[idx] : 0;
     if (pick >= c.options) pick = 0;
     c.chosen = pick;
-    hashes_.push_back(hash_state());
+    const bool hashed = idx >= hash_from_;
+    if (hashed && tags != nullptr) c.tags = *tags;
+    hashes_.push_back(hashed ? hash_state() : 0);
     choices_.push_back(std::move(c));
     return pick;
   }
@@ -279,25 +287,25 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
   /// make every state unique and the pruning useless.
   std::uint64_t hash_state() {
     std::uint64_t h = kFnvOffset;
-    std::vector<net::NodeId> nodes;
+    nodes_.clear();
     service_.for_each_replica([&](const core::ReplicaServer& r) {
-      nodes.push_back(r.node());
+      nodes_.push_back(r.node());
       fnv_mix(h, r.role() == core::Role::kPrimary ? 1 : 2);
       fnv_mix(h, r.crashed() ? 1 : 0);
       fnv_mix(h, r.epoch());
       fnv_mix(h, r.pending_transfer_count());
       for (const core::ObjectId id : admitted_) {
-        const auto state = r.read(id);
+        const core::ObjectState* state = r.peek(id);
         fnv_mix(h, id);
-        fnv_mix(h, state ? state->version : 0);
+        fnv_mix(h, state != nullptr ? state->version : 0);
       }
     });
     sim::Simulator& sim = service_.simulator();
     fnv_mix(h, static_cast<std::uint64_t>(sim.now().nanos()));
     fnv_mix(h, sim.pending_events());
     net::Network& net = service_.network();
-    for (const net::NodeId a : nodes) {
-      for (const net::NodeId b : nodes) {
+    for (const net::NodeId a : nodes_) {
+      for (const net::NodeId b : nodes_) {
         if (a == b || !net.link_params(a, b).has_value()) continue;
         const net::LinkStats& s = net.stats(a, b);
         const std::int64_t in_flight = static_cast<std::int64_t>(s.sent) -
@@ -314,6 +322,8 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
   chaos::OracleMonitor& monitor_;
   std::vector<core::ObjectId> admitted_;
   const std::vector<std::uint16_t>& trace_;
+  const std::size_t hash_from_;
+  std::vector<net::NodeId> nodes_;  ///< hash_state scratch
   std::vector<Choice> choices_;
   std::vector<std::uint64_t> hashes_;
   std::vector<FaultAction> actions_;
@@ -333,14 +343,11 @@ std::vector<std::uint16_t> TrajectoryResult::decisions() const {
   return out;
 }
 
-TrajectoryResult run_trajectory(const ExploreConfig& cfg,
-                                const std::vector<std::uint16_t>& trace) {
-  return run_trajectory(cfg, trace, ObserveOptions{});
-}
+namespace {
 
-TrajectoryResult run_trajectory(const ExploreConfig& cfg,
-                                const std::vector<std::uint16_t>& trace,
-                                const ObserveOptions& observe) {
+/// Run one trajectory, hashing the choice points from `hash_from` on.
+TrajectoryResult run(const ExploreConfig& cfg, const std::vector<std::uint16_t>& trace,
+                     const ObserveOptions& observe, std::size_t hash_from) {
   core::ServiceParams params;
   params.seed = cfg.service_seed;
   params.config = service_config(cfg);
@@ -384,7 +391,7 @@ TrajectoryResult run_trajectory(const ExploreConfig& cfg,
   chaos::OracleMonitor monitor(service, admitted, {});
   monitor.start();
 
-  TrajectoryPolicy policy(cfg, service, monitor, admitted, trace);
+  TrajectoryPolicy policy(cfg, service, monitor, admitted, trace, hash_from);
   service.simulator().set_choice_policy(&policy);
   service.run_for(cfg.bounds.horizon);
   service.simulator().set_choice_policy(nullptr);
@@ -402,6 +409,19 @@ TrajectoryResult run_trajectory(const ExploreConfig& cfg,
   TrajectoryResult result = policy.take_result();
   result.violations = monitor.violations();
   return result;
+}
+
+}  // namespace
+
+TrajectoryResult run_trajectory(const ExploreConfig& cfg,
+                                const std::vector<std::uint16_t>& trace) {
+  return run(cfg, trace, ObserveOptions{}, 0);
+}
+
+TrajectoryResult run_trajectory(const ExploreConfig& cfg,
+                                const std::vector<std::uint16_t>& trace,
+                                const ObserveOptions& observe) {
+  return run(cfg, trace, observe, 0);
 }
 
 bool reproduces(const TrajectoryResult& result, const std::string& oracle) {
@@ -422,7 +442,7 @@ Counterexample minimize(const Counterexample& ce) {
       if (best.trace[i] == 0) continue;
       std::vector<std::uint16_t> candidate = best.trace;
       candidate[i] = 0;
-      TrajectoryResult res = run_trajectory(best.config, candidate);
+      TrajectoryResult res = run(best.config, candidate, ObserveOptions{}, kNoHashes);
       if (!reproduces(res, best.oracle)) continue;
       best.trace = res.decisions();
       best.actions = res.actions;
@@ -455,11 +475,15 @@ ExploreReport explore(const ExploreConfig& cfg, std::ostream* progress) {
     const std::vector<std::uint16_t> prefix = std::move(stack.back());
     stack.pop_back();
 
-    TrajectoryResult res = run_trajectory(cfg, prefix);
+    // The choice points inside the prefix were hashed, inserted and
+    // expanded by the trajectory that pushed it (see explorer.hpp).
+    TrajectoryResult res = run(cfg, prefix, ObserveOptions{}, prefix.size());
     ++report.trajectories;
     report.choice_points += res.choices.size();
     if (res.choice_bound_hit) ++report.truncated;
-    for (const std::uint64_t h : res.state_hashes) states.insert(h);
+    for (std::size_t i = prefix.size(); i < res.state_hashes.size(); ++i) {
+      states.insert(res.state_hashes[i]);
+    }
     states.insert(res.final_hash);
 
     if (!res.violations.empty()) {

@@ -28,6 +28,16 @@
 //                 hash-equal states are treated as equivalent.  The seeded
 //                 chaos sweep remains the probabilistic backstop.
 //
+// Within explore() a trajectory hashes state (and keeps its tie tags) only
+// at choice points at or past the prefix it replays.  A prefix of length k
+// is the decisions of the trajectory that pushed it, with an alternative
+// at its last place, and a replay is deterministic: the same seed and the
+// same first k decisions reach the same k choice-point states.  The
+// pushing trajectory has already inserted those hashes into the visited
+// set and expanded those choice points, so hashing them again changes no
+// count and no expansion.  minimize() hashes nothing; run_trajectory()
+// hashes every choice point.
+//
 // On a violation the explorer greedily minimizes the decision trace (every
 // non-default choice is flipped back to default while the violation
 // persists) and emits a Counterexample: a self-contained text artifact
