@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <thread>
 
 #include "telemetry/export.hpp"
 
@@ -129,6 +130,26 @@ void append_json_number(std::string& out, double v) {
   out += buf;
 }
 
+void append_json_string(std::string& out, const std::string& s) {
+  out += '"';
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  out += '"';
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) return line.substr(colon + 2);
+  }
+  return "unknown";
+}
+
 }  // namespace
 
 bool JsonMetrics::write(const std::string& path) const {
@@ -138,7 +159,16 @@ bool JsonMetrics::write(const std::string& path) const {
     append_json_number(out, metrics_[i].second);
     out += i + 1 < metrics_.size() ? ",\n" : "\n";
   }
-  out += "  }\n}\n";
+  // The host the numbers came from: wall times compare only on like hosts.
+  out += "  },\n  \"host\": {\"hardware_concurrency\": ";
+  out += std::to_string(std::thread::hardware_concurrency());
+  out += ", \"cpu_model\": ";
+  append_json_string(out, cpu_model());
+  out += ", \"compiler\": ";
+  append_json_string(out, std::string("g++ ").append(__VERSION__));
+  out += ", \"build_type\": ";
+  append_json_string(out, RTPB_BENCH_BUILD_TYPE);
+  out += "}\n}\n";
   std::ofstream f(path);
   if (!f || !(f << out)) {
     std::fprintf(stderr, "warning: could not write bench JSON to %s\n", path.c_str());

@@ -61,7 +61,9 @@ struct RunResult {
 [[nodiscard]] RunResult run_experiment_avg(ExperimentSpec spec, std::size_t replications = 3);
 
 /// Flat machine-readable metrics: an ordered key→value list serialised as
-///   {"name": "...", "metrics": {"key": value, ...}}
+///   {"name": "...", "metrics": {"key": value, ...}, "host": {...}}
+/// where "host" records hardware_concurrency, cpu_model, compiler and
+/// build_type.
 /// This is the `BENCH_*.json` format tools/bench_report compares across
 /// builds; keep keys stable so baselines stay comparable.
 class JsonMetrics {

@@ -16,7 +16,9 @@
 //   6. allocations per fired event in the event kernel and per frame
 //      through the default x-kernel stack.  Both are 0 in steady state;
 //      with a 0 baseline, bench_report --stable-only fails any allocation
-//      that comes back.
+//      that comes back, and
+//   7. allocations per explored trajectory over explore_main's default
+//      sweep (seed-pure, gated in this binary).
 //
 // This binary links bench/common/alloc_hook.cpp, which REPLACES the global
 // operator new/delete — that is why it is not part of the *_main.cpp glob.
@@ -33,8 +35,10 @@
 #include "common/alloc_hook.hpp"
 #include "common/harness.hpp"
 #include "core/wire.hpp"
+#include "explore/explorer.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/log.hpp"
 #include "xkernel/graph.hpp"
 #include "xkernel/message.hpp"
 
@@ -287,6 +291,33 @@ double xkernel_allocs_per_frame() {
   return static_cast<double>(scope.allocations()) / (kRounds * static_cast<double>(kPeers));
 }
 
+// ---- 7. explorer allocations ----------------------------------------------
+
+/// Allocations per trajectory over explore_main's default sweep: the 2-node
+/// pair, crash / crash / recruit candidates and one droppable frame.  The
+/// sweep draws no host randomness, so the count is exact.  Logging is
+/// raised to errors as explore_main does, so WARN lines cost nothing.
+double explore_allocs_per_trajectory() {
+  explore::ExploreConfig cfg;
+  cfg.bounds.drop_from = TimePoint::zero() + millis(101);
+  cfg.bounds.drop_until = TimePoint::zero() + millis(401);
+  cfg.crash_primary_at.push_back(millis(251));
+  cfg.crash_backup_at.push_back(millis(451));
+  cfg.add_standby_at.push_back(millis(601));
+  Logger& log = Logger::instance();
+  const LogLevel level = log.level();
+  log.set_level(LogLevel::kError);
+  double allocs = 0;
+  std::uint64_t trajectories = 0;
+  {
+    Scope scope;
+    trajectories = explore::explore(cfg).trajectories;
+    allocs = static_cast<double>(scope.allocations());
+  }
+  log.set_level(level);
+  return allocs / static_cast<double>(trajectories);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -413,6 +444,21 @@ int main(int argc, char** argv) {
   std::printf("  x-kernel      %14.4f allocs/frame\n", per_frame);
   metrics.add("kernel_allocs_per_event", per_event);
   metrics.add("xkernel_allocs_per_frame", per_frame);
+
+  std::printf("\n[7] explorer allocations (explore_main's default sweep)\n");
+  const double per_trajectory = explore_allocs_per_trajectory();
+  std::printf("  explorer      %14.1f allocs/trajectory\n", per_trajectory);
+  metrics.add("explore_allocs_per_trajectory", per_trajectory);
+  // 10% over the recorded count: a copy of every object state per hash or
+  // a re-hashed replay prefix lands well above it.
+  constexpr double kMaxExploreAllocsPerTrajectory = 1384;
+  if (per_trajectory > kMaxExploreAllocsPerTrajectory) {
+    std::fprintf(stderr,
+                 "FAIL: the explorer cost %.1f allocs/trajectory on its default sweep "
+                 "(gate %.0f)\n",
+                 per_trajectory, kMaxExploreAllocsPerTrajectory);
+    return 1;
+  }
 
   std::printf("\n");
   return metrics.write(out_path) ? 0 : 1;
