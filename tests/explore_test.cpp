@@ -76,6 +76,26 @@ TEST_F(ExploreTest, DefaultTrajectoryIsViolationFreeAndReplayable) {
   EXPECT_EQ(a.final_hash, b.final_hash);
 }
 
+TEST_F(ExploreTest, BranchReachesItsParentsStatesAlongTheSharedPrefix) {
+  // explore() skips hashing the replayed prefix because a branch taken at
+  // choice point i passes through exactly the parent's states at 0..i.
+  const explore::ExploreConfig cfg = healthy_two_node();
+  const explore::TrajectoryResult parent = explore::run_trajectory(cfg, {});
+  const std::vector<std::uint16_t> decisions = parent.decisions();
+  ASSERT_FALSE(decisions.empty());
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    std::vector<std::uint16_t> prefix(decisions.begin(),
+                                      decisions.begin() + static_cast<std::ptrdiff_t>(i));
+    prefix.push_back(1);
+    const explore::TrajectoryResult branch = explore::run_trajectory(cfg, prefix);
+    ASSERT_GT(branch.state_hashes.size(), i);
+    for (std::size_t j = 0; j <= i; ++j) {
+      EXPECT_EQ(branch.state_hashes[j], parent.state_hashes[j]) << "branch " << i << " at " << j;
+      EXPECT_EQ(branch.choices[j].kind, parent.choices[j].kind);
+    }
+  }
+}
+
 TEST_F(ExploreTest, CrashTrajectoryFailsOverCleanly) {
   // Force the crash-primary candidate (a trace of all-defaults except a 1
   // at its choice point) and check the run stays violation-free: failover
