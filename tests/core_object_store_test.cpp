@@ -72,6 +72,20 @@ TEST(ObjectStore, FindReturnsNulloptForMissing) {
   EXPECT_TRUE(store.find(9).has_value());
 }
 
+TEST(ObjectStore, PeekSeesLaterWritesWhereFindIsASnapshot) {
+  ObjectStore store;
+  EXPECT_EQ(store.peek(9), nullptr);
+  store.insert(spec(9));
+  const ObjectState* live = store.peek(9);
+  ASSERT_NE(live, nullptr);
+  const std::optional<ObjectState> before = store.find(9);
+  store.write(9, Bytes{7}, TimePoint{100});
+  EXPECT_EQ(live, store.peek(9));
+  EXPECT_EQ(live->version, 1u);
+  EXPECT_EQ(live->value, Bytes{7});
+  EXPECT_EQ(before->version, 0u);
+}
+
 TEST(ObjectStore, ForEachIteratesInIdOrder) {
   ObjectStore store;
   store.insert(spec(3));
