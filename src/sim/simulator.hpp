@@ -253,8 +253,8 @@ class Simulator {
   std::vector<std::uint32_t> free_slots_;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
   /// With a policy installed, the tie set at now(): entries the policy has
-  /// not picked yet, in seq order, held here across steps rather than
-  /// pushed back into the heap.  Always empty without a policy.
+  /// not picked yet, in seq order, held across steps.  Always empty
+  /// without a policy.
   std::vector<QueueEntry> ready_;
   std::vector<EventTag> tags_;  ///< step_with_policy scratch: ready_'s tags
   ChoicePolicy* policy_ = nullptr;
