@@ -307,13 +307,9 @@ double explore_allocs_per_trajectory() {
   Logger& log = Logger::instance();
   const LogLevel level = log.level();
   log.set_level(LogLevel::kError);
-  double allocs = 0;
-  std::uint64_t trajectories = 0;
-  {
-    Scope scope;
-    trajectories = explore::explore(cfg).trajectories;
-    allocs = static_cast<double>(scope.allocations());
-  }
+  Scope scope;
+  const std::uint64_t trajectories = explore::explore(cfg).trajectories;
+  const auto allocs = static_cast<double>(scope.allocations());
   log.set_level(level);
   return allocs / static_cast<double>(trajectories);
 }
