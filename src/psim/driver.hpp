@@ -10,16 +10,16 @@
 //
 // on a fixed worker pool.  Each window runs as TWO barrier-separated
 // phases.  Phase 1: every worker, for every partition it owns, drains
-// that partition's inbound inject queues in a FIXED source order and
+// what that partition's peers published in a FIXED source order and
 // advances the partition's simulator to the window horizon.  Phase 2
 // (after a barrier): every worker publishes its partitions' outbound
-// records into per-pair SPSC queues; a second barrier then opens the next
-// window.  The first barrier keeps a publish of window k from racing a
-// peer's drain of window k; the second orders all publishes of window k
-// before all drains of window k+1.  A record published at the end of
-// window k is therefore visible to (and only to) the consumer's
-// begin-phase of window k+1: cross-partition latency lands in [ℓ, 2ℓ],
-// which the ℓ-lookahead makes safe by construction.
+// records into their own single-writer slots; a second barrier then
+// opens the next window.  The first barrier keeps a publish of window k
+// from racing a peer's drain of window k; the second orders all publishes
+// of window k before all drains of window k+1.  A record published at
+// the end of window k is therefore visible to (and only to) the
+// consumer's begin-phase of window k+1: cross-partition latency lands in
+// [ℓ, 2ℓ], which the ℓ-lookahead makes safe by construction.
 //
 // Determinism: partition assignment never moves a partition between
 // threads mid-run, each partition's simulator is touched by exactly one
@@ -37,20 +37,21 @@
 namespace rtpb::psim {
 
 /// One shard partition as the driver sees it.  All three hooks are called
-/// from the worker thread that owns the partition; only end_window() may
-/// touch another partition's state, and only through its SPSC queues.
+/// from the worker thread that owns the partition.  end_window() may
+/// write only state this partition alone writes; begin_window() may read
+/// what other partitions wrote in the previous window's end phase.
 class PartitionTask {
  public:
   virtual ~PartitionTask() = default;
 
-  /// Window begin: drain inbound inject queues (fixed source order) and
-  /// schedule/apply what they carried.  The partition's clock is exactly
+  /// Window begin: drain what peers published last window (fixed source
+  /// order) and schedule/apply it.  The partition's clock is exactly
   /// `start`.
   virtual void begin_window(TimePoint start) = 0;
   /// Run every local event with timestamp <= horizon.
   virtual void advance_to(TimePoint horizon) = 0;
-  /// Window end: publish outbound records into peer inject queues.  The
-  /// partition's clock is exactly `horizon`.
+  /// Window end: publish outbound records for peers to drain next window.
+  /// The partition's clock is exactly `horizon`.
   virtual void end_window(TimePoint horizon) = 0;
 };
 

@@ -13,34 +13,25 @@ namespace rtpb::psim {
 // GroupPartition
 // ---------------------------------------------------------------------------
 
-GroupPartition::GroupPartition(std::uint32_t id, core::RtpbService& service,
-                               std::size_t queue_capacity)
-    : id_(id),
-      service_(service),
-      partition_(service.simulator()),
-      queue_capacity_(queue_capacity) {
-  RTPB_EXPECTS(queue_capacity >= 1);
-}
-
-void GroupPartition::connect(GroupPartition& from, GroupPartition& to) {
-  RTPB_EXPECTS(from.id_ != to.id_);
-  auto queue = std::make_unique<SpscQueue<core::FrontierRecord>>(to.queue_capacity_);
-  from.outbound_.push_back(queue.get());
-  to.inbound_.push_back({from.id_, std::move(queue)});
-}
+GroupPartition::GroupPartition(std::uint32_t id, core::RtpbService& service)
+    : id_(id), service_(service), partition_(service.simulator()) {}
 
 void GroupPartition::wire_mesh(const std::vector<std::unique_ptr<GroupPartition>>& parts) {
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    for (std::size_t j = i + 1; j < parts.size(); ++j) {
-      connect(*parts[i], *parts[j]);
-      connect(*parts[j], *parts[i]);
-    }
-  }
   // The drain order at window begin must be a pure function of the
-  // partition, independent of wiring order: ascending source id.
-  for (const auto& p : parts) {
-    std::sort(p->inbound_.begin(), p->inbound_.end(),
-              [](const Inbound& a, const Inbound& b) { return a.source < b.source; });
+  // partition, independent of wiring order: slots in ascending source id.
+  std::vector<GroupPartition*> by_id;
+  by_id.reserve(parts.size());
+  for (const auto& p : parts) by_id.push_back(p.get());
+  std::sort(by_id.begin(), by_id.end(),
+            [](const GroupPartition* a, const GroupPartition* b) { return a->id_ < b->id_; });
+  auto board = std::make_shared<std::vector<core::FrontierRecord>>();
+  board->reserve(by_id.size());
+  for (std::size_t i = 0; i < by_id.size(); ++i) {
+    RTPB_EXPECTS(i == 0 || by_id[i - 1]->id_ != by_id[i]->id_);
+    board->push_back({by_id[i]->id_, TimePoint{}});
+    by_id[i]->board_ = board;
+    by_id[i]->slot_ = i;
+    by_id[i]->last_ingested_.assign(by_id.size(), TimePoint{});
   }
 }
 
@@ -52,13 +43,16 @@ void GroupPartition::track(core::ObjectId id) {
 }
 
 void GroupPartition::begin_window(TimePoint /*start*/) {
-  // Drain peers' publishes from the previous window, ascending source id.
-  // The driver's barrier ordered those pushes before this drain.
-  for (Inbound& in : inbound_) {
-    while (std::optional<core::FrontierRecord> f = in.queue->pop()) {
-      service_.acting_primary().ingest_frontier(*f);
-      ++records_ingested_;
-    }
+  // Ingest peers' publishes from the previous window, ascending source
+  // id.  The driver's barrier ordered those writes before this scan.  A
+  // slot newer than what was last taken from it was written last window:
+  // publishes only ever advance, and this runs every window.
+  const std::vector<core::FrontierRecord>& board = *board_;
+  for (std::size_t i = 0; i < board.size(); ++i) {
+    if (i == slot_ || board[i].stable_ts <= last_ingested_[i]) continue;
+    last_ingested_[i] = board[i].stable_ts;
+    service_.acting_primary().ingest_frontier(board[i]);
+    ++records_ingested_;
   }
 }
 
@@ -70,8 +64,8 @@ void GroupPartition::end_window(TimePoint /*horizon*/) {
   // backup's store freezes, stalling the frontier — conservative.
   const core::ObjectStore& stable = service_.backups().front()->store();
   for (core::ObjectId id : tracked_) {
-    const std::optional<core::ObjectState> state = stable.find(id);
-    if (!state || state->version == 0) continue;
+    const core::ObjectState* state = stable.peek(id);
+    if (state == nullptr || state->version == 0) continue;
     frontier_.advance(id, state->origin_timestamp);
   }
   const TimePoint f = frontier_.frontier();
@@ -79,13 +73,8 @@ void GroupPartition::end_window(TimePoint /*horizon*/) {
   // and peers' merge is monotone so a repeat carries no information.
   if (f == TimePoint::max() || f <= last_published_) return;
   last_published_ = f;
-  const core::FrontierRecord record{id_, f};
-  for (SpscQueue<core::FrontierRecord>* q : outbound_) {
-    const bool pushed = q->push(record);
-    // At most one publish per window per source; queues are sized far
-    // above the worst backlog a slow consumer window could leave.
-    RTPB_ASSERT(pushed);
-  }
+  // This partition is the slot's only writer.
+  (*board_)[slot_].stable_ts = f;
   ++records_published_;
 }
 

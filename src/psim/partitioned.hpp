@@ -9,14 +9,19 @@
 //
 // Cross-group coupling is only the stable-timestamp frontier (see
 // shard/frontier.hpp).  Because peer groups live in different simulators,
-// frontier records cannot travel through a simulated link; instead each
-// partition publishes its frontier into per-pair SPSC queues at window end
-// and drains its peers' queues — always in ascending source-group order —
-// at the next window begin, feeding ReplicaServer::ingest_frontier.  The
+// frontier records cannot travel through a simulated link; instead the
+// mesh shares one publish board, a slot per partition in ascending source
+// id.  A partition writes its own slot at window end when its frontier
+// advances, and at the next window begin scans the board in slot order,
+// feeding ReplicaServer::ingest_frontier every peer slot newer than what
+// it last took from that peer.  Publishes are strictly monotone, at most
+// one per source per window, and every partition scans every window, so
+// "newer than last ingested" is exactly "published last window".  The
 // driver runs each window as two barrier-separated phases (drain+advance,
-// then publish), so a record published in window k is drained in window
-// k+1 by every peer and crosses in [ℓ, 2ℓ]: the staleness envelope the
-// link bound ℓ already budgets for.
+// then publish): each slot has a single writer and the barriers order
+// every write before every read, so a record published in window k is
+// drained in window k+1 by every peer and crosses in [ℓ, 2ℓ]: the
+// staleness envelope the link bound ℓ already budgets for.
 //
 // Determinism: every partition's event stream is a pure function of its
 // (seed, window schedule, ingested frontier sequence), and all three are
@@ -31,7 +36,6 @@
 
 #include "core/service.hpp"
 #include "psim/driver.hpp"
-#include "psim/spsc.hpp"
 #include "shard/directory.hpp"
 #include "shard/frontier.hpp"
 #include "sim/partition.hpp"
@@ -39,15 +43,15 @@
 namespace rtpb::psim {
 
 /// One primary-backup group as a driver partition.  Owns the frontier
-/// tracker and the inbound halves of its SPSC pair queues; the service is
-/// borrowed and must outlive the partition.
+/// tracker and shares the mesh's publish board; the service is borrowed
+/// and must outlive the partition.
 class GroupPartition final : public PartitionTask {
  public:
-  GroupPartition(std::uint32_t id, core::RtpbService& service,
-                 std::size_t queue_capacity = 64);
+  GroupPartition(std::uint32_t id, core::RtpbService& service);
 
-  /// Wire the full mesh over `parts` (canonical pair order).  Call once,
-  /// after every partition is constructed and before the first window.
+  /// Give every partition in `parts` one shared publish board, slots in
+  /// ascending id whatever the order of `parts`.  Call once, after every
+  /// partition is constructed and before the first window.
   static void wire_mesh(const std::vector<std::unique_ptr<GroupPartition>>& parts);
 
   /// Start tracking an admitted object in this partition's frontier.
@@ -65,31 +69,23 @@ class GroupPartition final : public PartitionTask {
   /// Lookahead windows this partition has been advanced through.
   [[nodiscard]] std::uint64_t windows() const { return partition_.windows(); }
   /// Frontier records this partition published to its peers / drained
-  /// from them (a publish fans out to every peer but counts once).
+  /// from them (a publish reaches every peer but counts once).
   [[nodiscard]] std::uint64_t records_published() const { return records_published_; }
   [[nodiscard]] std::uint64_t records_ingested() const { return records_ingested_; }
 
  private:
-  struct Inbound {
-    std::uint32_t source = 0;
-    std::unique_ptr<SpscQueue<core::FrontierRecord>> queue;
-  };
-
-  /// Directed edge: `from`'s worker produces into a queue owned (and
-  /// drained) by `to`'s worker.
-  static void connect(GroupPartition& from, GroupPartition& to);
-
   const std::uint32_t id_;
   core::RtpbService& service_;
   sim::Partition partition_;
-  const std::size_t queue_capacity_;
 
   shard::FrontierTracker frontier_;
   std::vector<core::ObjectId> tracked_;
   TimePoint last_published_{};
 
-  std::vector<Inbound> inbound_;                      ///< sorted by source id
-  std::vector<SpscQueue<core::FrontierRecord>*> outbound_;  ///< peers' inbound queues
+  /// The mesh's board: one slot per partition, ascending source id.
+  std::shared_ptr<std::vector<core::FrontierRecord>> board_;
+  std::size_t slot_ = 0;                  ///< this partition's own slot
+  std::vector<TimePoint> last_ingested_;  ///< per slot: newest taken from it
 
   std::uint64_t records_published_ = 0;
   std::uint64_t records_ingested_ = 0;

@@ -1,76 +1,24 @@
-// Parallel execution engine: SPSC queue, spin barrier, driver windowing,
-// and the partitioned cluster's thread-count-invariant digests.
+// Parallel execution engine: spin barrier, driver windowing, the frontier
+// publish board, and the partitioned cluster's thread-count-invariant
+// digests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "protocol_facts.hpp"
 #include "psim/barrier.hpp"
 #include "psim/driver.hpp"
 #include "psim/partitioned.hpp"
-#include "psim/spsc.hpp"
 
 namespace rtpb::psim {
 namespace {
-
-// ---- SpscQueue ----------------------------------------------------------
-
-TEST(SpscQueue, FifoOrderAndEmpty) {
-  SpscQueue<int> q(8);
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.pop().has_value());
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
-  EXPECT_FALSE(q.empty());
-  for (int i = 0; i < 5; ++i) {
-    auto v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(SpscQueue, ReportsOverflowInsteadOfBlocking) {
-  SpscQueue<int> q(3);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_TRUE(q.push(3));
-  EXPECT_FALSE(q.push(4));  // full: capacity slots are usable
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_TRUE(q.push(4));  // freed slot is reusable (ring wraps)
-}
-
-TEST(SpscQueue, WrapsAroundManyTimes) {
-  SpscQueue<std::uint64_t> q(4);
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(q.push(i));
-    ASSERT_EQ(q.pop().value(), i);
-  }
-}
-
-TEST(SpscQueue, ConcurrentProducerConsumer) {
-  SpscQueue<std::uint64_t> q(16);
-  constexpr std::uint64_t kCount = 100000;
-  std::uint64_t sum = 0;
-  std::thread consumer([&] {
-    std::uint64_t received = 0;
-    while (received < kCount) {
-      if (auto v = q.pop()) {
-        sum += *v;
-        ++received;
-      }
-    }
-  });
-  for (std::uint64_t i = 1; i <= kCount; ++i) {
-    while (!q.push(i)) {
-    }
-  }
-  consumer.join();
-  EXPECT_EQ(sum, kCount * (kCount + 1) / 2);
-}
 
 // ---- SpinBarrier --------------------------------------------------------
 
@@ -306,8 +254,8 @@ TEST(PartitionedCluster, FrontiersCrossAtWindowBarriers) {
   cluster.finish();
   EXPECT_GT(cluster.frontier_records_published(), 0u);
   EXPECT_GT(cluster.frontier_records_ingested(), 0u);
-  // Each publish fans out to 2 peers; the final window's records may
-  // still sit in the queues, never drained.
+  // Each publish reaches 2 peers; the final window's publishes stay on
+  // the board, never drained.
   EXPECT_LE(cluster.frontier_records_ingested(), cluster.frontier_records_published() * 2);
   // The receiving primaries merged the peers' frontiers.
   std::size_t groups_with_peer_view = 0;
@@ -503,6 +451,187 @@ TEST(PartitionedCluster, WindowDefaultsToLinkDelayBound) {
   PartitionedCluster cluster(cluster_params(2));
   EXPECT_EQ(cluster.window(), cluster.service(0).link_delay_bound());
   EXPECT_GT(cluster.window(), Duration::zero());
+}
+
+// ---- FrontierBoard --------------------------------------------------------
+
+/// Partitions over their own one-object services, wired in the order
+/// given and stepped by hand the way the driver's inline path runs a
+/// window: every partition's begin+advance, then every partition's end.
+class BoardMesh {
+ public:
+  explicit BoardMesh(const std::vector<std::uint32_t>& wiring_order) {
+    for (const std::uint32_t id : wiring_order) {
+      core::ServiceParams sp;
+      sp.seed = 1000 + id;  // by id, so a wiring order changes no stream
+      sp.service_name = "board-" + std::to_string(id);
+      services_.push_back(std::make_unique<core::RtpbService>(std::move(sp)));
+      core::RtpbService& s = *services_.back();
+      s.simulator().telemetry().enable();
+      s.start();
+      EXPECT_TRUE(s.register_object(light_spec(id + 1)).ok());
+      parts_.push_back(std::make_unique<GroupPartition>(id, s));
+      parts_.back()->track(id + 1);
+      window_ = std::max(window_, s.link_delay_bound());
+    }
+    GroupPartition::wire_mesh(parts_);
+    now_ = services_.front()->simulator().now();
+  }
+
+  void begin() {
+    for (auto& p : parts_) {
+      p->begin_window(now_);
+      p->advance_to(now_ + window_);
+    }
+    now_ = now_ + window_;
+  }
+  void end() {
+    for (auto& p : parts_) p->end_window(now_);
+  }
+  void run(int windows) {
+    for (int k = 0; k < windows; ++k) {
+      begin();
+      end();
+    }
+  }
+
+  [[nodiscard]] TimePoint now() const { return now_; }
+  /// Partitions in wiring order.
+  [[nodiscard]] GroupPartition& part(std::size_t i) { return *parts_[i]; }
+  [[nodiscard]] std::size_t size() const { return parts_.size(); }
+
+  /// Partition `i`'s frontier-recv events as (time, source shard).
+  [[nodiscard]] std::vector<std::pair<TimePoint, std::string>> received(std::size_t i) const {
+    const telemetry::Hub& hub = services_[i]->simulator().telemetry();
+    EXPECT_EQ(hub.dropped_events(), 0u);
+    std::vector<std::pair<TimePoint, std::string>> out;
+    for (const telemetry::Event& e : hub.events()) {
+      if (hub.name_of(e) == "frontier-recv") out.emplace_back(e.at, hub.detail_of(e));
+    }
+    return out;
+  }
+
+ private:
+  std::vector<std::unique_ptr<core::RtpbService>> services_;
+  std::vector<std::unique_ptr<GroupPartition>> parts_;
+  Duration window_{};
+  TimePoint now_{};
+};
+
+std::string shard_detail(std::uint32_t id) { return "shard" + std::to_string(id); }
+
+TEST(FrontierBoard, PartitionNeverIngestsItsOwnPublish) {
+  BoardMesh alone({0});
+  alone.run(1000);
+  EXPECT_GT(alone.part(0).records_published(), 0u);
+  EXPECT_EQ(alone.part(0).records_ingested(), 0u);
+  EXPECT_TRUE(alone.received(0).empty());
+
+  BoardMesh mesh({0, 1, 2});
+  mesh.run(1000);
+  for (std::size_t i = 0; i < mesh.size(); ++i) {
+    GroupPartition& p = mesh.part(i);
+    EXPECT_GT(p.records_ingested(), 0u);
+    EXPECT_EQ(p.service().acting_primary().peer_frontiers().count(p.id()), 0u);
+    for (const auto& [at, source] : mesh.received(i)) EXPECT_NE(source, shard_detail(p.id()));
+  }
+}
+
+TEST(FrontierBoard, WindowKPublishIsIngestedInWindowKPlusOne) {
+  BoardMesh mesh({0, 1, 2, 3});
+  std::vector<std::uint64_t> published(mesh.size(), 0);
+  std::uint64_t crossed = 0;
+  for (int k = 0; k < 1000; ++k) {
+    std::vector<std::uint64_t> ingested_before(mesh.size());
+    for (std::size_t i = 0; i < mesh.size(); ++i) {
+      ingested_before[i] = mesh.part(i).records_ingested();
+    }
+    mesh.begin();
+    // Which sources published in the previous window.
+    std::vector<bool> fresh(mesh.size());
+    for (std::size_t i = 0; i < mesh.size(); ++i) {
+      fresh[i] = mesh.part(i).records_published() != published[i];
+    }
+    for (std::size_t i = 0; i < mesh.size(); ++i) {
+      std::uint64_t expected = 0;
+      for (std::size_t j = 0; j < mesh.size(); ++j) {
+        if (j == i) continue;
+        if (fresh[j]) ++expected;
+        // Every peer's last publish has arrived, and nothing newer.
+        EXPECT_EQ(mesh.part(i).service().acting_primary().peer_frontier(mesh.part(j).id()),
+                  published[j] == 0 && !fresh[j]
+                      ? TimePoint{}
+                      : mesh.part(j).frontier_tracker().frontier())
+            << "window " << k;
+      }
+      EXPECT_EQ(mesh.part(i).records_ingested() - ingested_before[i], expected)
+          << "window " << k << " partition " << i;
+      crossed += expected;
+    }
+    for (std::size_t i = 0; i < mesh.size(); ++i) published[i] = mesh.part(i).records_published();
+    mesh.end();
+    // A publish of this window is on the board but not yet ingested.
+    for (std::size_t i = 0; i < mesh.size(); ++i) {
+      if (mesh.part(i).records_published() == published[i]) continue;
+      for (std::size_t j = 0; j < mesh.size(); ++j) {
+        if (j == i) continue;
+        EXPECT_LT(mesh.part(j).service().acting_primary().peer_frontier(mesh.part(i).id()),
+                  mesh.part(i).frontier_tracker().frontier())
+            << "window " << k;
+      }
+    }
+  }
+  EXPECT_GT(crossed, 0u);
+}
+
+TEST(FrontierBoard, DrainOrderIsAscendingSourceIdWhateverTheWiringOrder) {
+  BoardMesh sorted({0, 1, 2, 3});
+  BoardMesh shuffled({2, 0, 3, 1});
+  sorted.run(1000);
+  shuffled.run(1000);
+  std::size_t multi_source_windows = 0;
+  for (std::size_t i = 0; i < shuffled.size(); ++i) {
+    const std::uint32_t id = shuffled.part(i).id();
+    const auto got = shuffled.received(i);
+    // The wiring order changes nothing a partition receives.
+    EXPECT_EQ(got, sorted.received(id)) << "partition " << id;
+    // Records ingested at one window begin arrive in ascending source id.
+    for (std::size_t e = 1; e < got.size(); ++e) {
+      if (got[e].first != got[e - 1].first) continue;
+      ++multi_source_windows;
+      EXPECT_LT(std::stoul(got[e - 1].second.substr(5)), std::stoul(got[e].second.substr(5)))
+          << "partition " << id << " at " << got[e].first.to_string();
+    }
+  }
+  EXPECT_GT(multi_source_windows, 0u);  // the order was actually exercised
+}
+
+TEST(FrontierBoard, UnchangedFrontierIsNeverIngestedTwice) {
+  BoardMesh mesh({0, 1, 2});
+  for (int k = 0; k < 1000; ++k) {
+    mesh.begin();
+    // A second scan of the same board finds nothing new.
+    for (std::size_t i = 0; i < mesh.size(); ++i) {
+      const std::uint64_t before = mesh.part(i).records_ingested();
+      mesh.part(i).begin_window(mesh.now());
+      EXPECT_EQ(mesh.part(i).records_ingested(), before) << "window " << k;
+    }
+    mesh.end();
+  }
+  // Drain the final window's publishes; then every publish has been
+  // ingested exactly once by every peer.
+  mesh.begin();
+  for (std::size_t i = 0; i < mesh.size(); ++i) {
+    const auto got = mesh.received(i);
+    for (std::size_t j = 0; j < mesh.size(); ++j) {
+      if (j == i) continue;
+      const std::string source = shard_detail(mesh.part(j).id());
+      const auto n = std::count_if(got.begin(), got.end(),
+                                   [&](const auto& r) { return r.second == source; });
+      EXPECT_EQ(static_cast<std::uint64_t>(n), mesh.part(j).records_published())
+          << "partition " << i << " from " << j;
+    }
+  }
 }
 
 // ---- sharded deployment ---------------------------------------------------
