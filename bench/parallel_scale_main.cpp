@@ -5,8 +5,9 @@
 //
 //   * deterministic counters (suffix `_deterministic`): per-group trace
 //     digests must be identical at every thread count, and the window /
-//     event / frontier-record totals are pure functions of the seed.
-//     These are what tools/bench_report gates with --stable-only — they
+//     event / frontier-record totals are pure functions of the seed
+//     (frontier ingests included: they schedule no events, so the
+//     digests cannot see them).  These are what tools/bench_report gates with --stable-only — they
 //     are bit-stable across machines, unlike wall-clock.
 //   * wall-clock scaling (wall_ms_t*, speedup_t4): informational on any
 //     machine, asserted >= 2x at 4 threads only when the host actually
@@ -53,6 +54,7 @@ struct RunOutcome {
   std::uint64_t events = 0;
   std::uint64_t windows = 0;
   std::uint64_t frontier_published = 0;
+  std::uint64_t frontier_ingested = 0;
   double wall_ms = 0.0;
 };
 
@@ -84,6 +86,7 @@ RunOutcome run_at(std::size_t threads) {
   }
   out.windows = stats.windows;
   out.frontier_published = cluster.frontier_records_published();
+  out.frontier_ingested = cluster.frontier_records_ingested();
   out.wall_ms = stats.wall_ms;
   return out;
 }
@@ -110,7 +113,8 @@ int main(int argc, char** argv) {
     if (i == 0) {
       base = r;
     } else if (r.digests != base.digests || r.events != base.events ||
-               r.frontier_published != base.frontier_published) {
+               r.frontier_published != base.frontier_published ||
+               r.frontier_ingested != base.frontier_ingested) {
       digests_match = false;
     }
     std::printf("  threads %zu: %8.1f ms wall  %llu events  %llu windows  speedup %.2fx\n",
@@ -121,7 +125,7 @@ int main(int argc, char** argv) {
 
   if (!digests_match) {
     std::fprintf(stderr,
-                 "FAIL: per-group digests or event counts changed with the thread "
+                 "FAIL: per-group digests, event or frontier counts changed with the thread "
                  "count — the conservative engine must be bit-reproducible\n");
     return 1;
   }
@@ -143,6 +147,7 @@ int main(int argc, char** argv) {
   out.add("windows_deterministic", static_cast<double>(base.windows));
   out.add("events_total_deterministic", static_cast<double>(base.events));
   out.add("frontier_records_deterministic", static_cast<double>(base.frontier_published));
+  out.add("frontier_ingested_deterministic", static_cast<double>(base.frontier_ingested));
   out.add("digest_match_deterministic", digests_match ? 1.0 : 0.0);
   out.add("wall_ms_t1", wall_ms[0]);
   out.add("wall_ms_t2", wall_ms[1]);

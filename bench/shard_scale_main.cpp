@@ -15,6 +15,10 @@
 //      sequentially (threads=1) publishes and ingests frontier records at
 //      its window barriers, and every group ends up observing every remote
 //      group's frontier.  These counts are seed-pure ("_deterministic").
+//   4. exchange allocations: an 8-group x 4-object cluster at threads=1,
+//      its partitions wrapped in a decorator that counts allocations in
+//      begin_window and end_window only (not advance_to).  After a warm-up
+//      the frontier exchange must be allocation-free (asserted == 0).
 //
 // This binary links bench/common/alloc_hook.cpp, which REPLACES the global
 // operator new/delete — that is why it is excluded from the *_main.cpp
@@ -24,9 +28,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "common/alloc_hook.hpp"
 #include "common/harness.hpp"
+#include "psim/driver.hpp"
 #include "psim/partitioned.hpp"
 #include "shard/admission.hpp"
 #include "shard/directory.hpp"
@@ -183,18 +190,106 @@ void cluster_exchange(bench::JsonMetrics& out) {
   out.add("cluster_remote_frontiers_observed_deterministic", static_cast<double>(observed));
 }
 
+/// Forwards every hook to a partition and counts the allocations made in
+/// its two exchange hooks: the drain at window begin and the publish at
+/// window end.
+class ExchangeAllocCounter final : public psim::PartitionTask {
+ public:
+  explicit ExchangeAllocCounter(psim::PartitionTask& inner) : inner_(inner) {}
+
+  void begin_window(TimePoint start) override {
+    const Scope scope;
+    inner_.begin_window(start);
+    allocations_ += scope.allocations();
+  }
+  void advance_to(TimePoint horizon) override { inner_.advance_to(horizon); }
+  void end_window(TimePoint horizon) override {
+    const Scope scope;
+    inner_.end_window(horizon);
+    allocations_ += scope.allocations();
+  }
+
+  [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
+
+ private:
+  psim::PartitionTask& inner_;
+  std::uint64_t allocations_ = 0;
+};
+
+void exchange_allocs(bench::JsonMetrics& out) {
+  constexpr std::uint32_t kGroups = 8;
+  constexpr int kObjectsPerGroup = 4;
+
+  std::printf("-- psim frontier exchange allocations, %u groups x %d objects --\n", kGroups,
+              kObjectsPerGroup);
+  psim::PartitionedClusterParams params;
+  params.seed = 1;
+  params.group_count = kGroups;
+  psim::PartitionedCluster cluster(params);
+  cluster.start();
+  core::ObjectId next = 1;
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    for (int i = 0; i < kObjectsPerGroup; ++i) {
+      core::ObjectSpec spec = light_spec(next++);
+      // A ~50 ms update period keeps frontiers advancing every few windows.
+      spec.delta_backup = spec.delta_primary + millis(100);
+      if (!cluster.register_object_in(g, spec).ok()) {
+        std::fprintf(stderr, "FAIL: group %u rejected light object %u\n", g, spec.id);
+        std::exit(1);
+      }
+    }
+  }
+  // Warm-up: every primary learns every peer before counting starts.
+  (void)cluster.run_for(seconds(1), 1);
+
+  std::vector<ExchangeAllocCounter> counters;
+  counters.reserve(kGroups);
+  std::vector<psim::PartitionTask*> tasks;
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    counters.emplace_back(cluster.partition(g));
+    tasks.push_back(&counters.back());
+  }
+  const std::uint64_t published0 = cluster.frontier_records_published();
+  const std::uint64_t ingested0 = cluster.frontier_records_ingested();
+  psim::ParallelDriver driver(std::move(tasks), cluster.window());
+  const psim::DriverStats stats = driver.run(cluster.now(), cluster.now() + seconds(2), 1);
+  std::uint64_t allocs = 0;
+  for (const ExchangeAllocCounter& c : counters) allocs += c.allocations();
+  const std::uint64_t published = cluster.frontier_records_published() - published0;
+  const std::uint64_t ingested = cluster.frontier_records_ingested() - ingested0;
+  const double per_window = static_cast<double>(allocs) / static_cast<double>(stats.windows);
+  std::printf("  %llu windows, %llu published, %llu ingested: %.2f allocations/window\n",
+              static_cast<unsigned long long>(stats.windows),
+              static_cast<unsigned long long>(published),
+              static_cast<unsigned long long>(ingested), per_window);
+  if (ingested == 0) {
+    std::fprintf(stderr, "FAIL: no frontier record crossed while allocations were counted\n");
+    std::exit(1);
+  }
+  if (allocs > 0) {
+    std::fprintf(stderr,
+                 "FAIL: the frontier exchange allocated %.2f times per window "
+                 "(window begin and end must be allocation-free)\n",
+                 per_window);
+    std::exit(1);
+  }
+
+  out.add("psim_exchange_allocs_per_window", per_window);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_shard.json";
   bench::banner("shard scale-out",
                 "1M-object directory admits at flat per-registration cost; "
-                "frontier upkeep is allocation-free; frontier records flow");
+                "frontier upkeep and exchange are allocation-free; frontier records flow");
 
   bench::JsonMetrics out("shard");
   registration_scale(out);
   frontier_scale(out);
   cluster_exchange(out);
+  exchange_allocs(out);
   out.write(out_path);
   return 0;
 }
