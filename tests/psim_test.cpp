@@ -559,7 +559,7 @@ TEST(FrontierBoard, WindowKPublishIsIngestedInWindowKPlusOne) {
         if (fresh[j]) ++expected;
         // Every peer's last publish has arrived, and nothing newer.
         EXPECT_EQ(mesh.part(i).service().acting_primary().peer_frontier(mesh.part(j).id()),
-                  published[j] == 0 && !fresh[j]
+                  mesh.part(j).records_published() == 0
                       ? TimePoint{}
                       : mesh.part(j).frontier_tracker().frontier())
             << "window " << k;
