@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "chaos/harness.hpp"
@@ -79,6 +80,30 @@ TEST_F(ChaosParallelTest, PerShardDigestMatchesClassicHarness) {
     EXPECT_EQ(r.sim_events, reference.sim_events);
     EXPECT_EQ(r.violation_count, reference.violation_count);
   }
+}
+
+TEST_F(ChaosParallelTest, PerShardDigestMatchesClassicHarnessUnderCrashRestart) {
+  // A crash-restart arc needs durable replicas: a shard must build them
+  // exactly as the classic harness does, or its crashed replica never
+  // powers up again and the shard diverges from its classic replay.
+  chaos::ChaosOptions opts = fast_options(2);
+  opts.enable_crash_restart = true;
+  opts.duration = seconds(12);  // the schedule draws a crash-restart arc from 12 s on
+  const ParallelSeedReport parallel = run_parallel_seed(21, opts, 2);
+
+  chaos::ChaosOptions classic = opts;
+  classic.shards = 1;
+  bool restarted = false;
+  for (const ShardSeedReport& r : parallel.shard_reports) {
+    const chaos::SeedReport reference = chaos::run_seed(r.shard_seed, classic);
+    EXPECT_EQ(r.trace_digest, reference.trace_digest) << "shard " << r.shard;
+    EXPECT_EQ(r.trace_events, reference.trace_events);
+    EXPECT_EQ(r.violation_count, reference.violation_count);
+    for (const std::string& action : r.fired) {
+      if (action.rfind("restart-", 0) == 0) restarted = true;
+    }
+  }
+  EXPECT_TRUE(restarted) << "no shard reached a restart";
 }
 
 TEST_F(ChaosParallelTest, ShardSeedsAreStreamDerived) {
