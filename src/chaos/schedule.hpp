@@ -64,7 +64,34 @@ struct FaultEpoch {
   FaultKind cause{};
 };
 
-struct ChaosOptions {
+/// The pure observers of one checked run (see chaos::Experiment).  None
+/// of them changes a digest, an oracle verdict or a choice point.
+struct Observers {
+  /// Collect causal spans / metrics during the run (also enables the
+  /// temporal-slack SLO monitor, exported as core.slo.*).
+  bool telemetry = false;
+  /// When non-empty (and telemetry is on), the run writes a Chrome
+  /// trace-event JSON / JSONL event stream there.
+  std::string trace_json_path;
+  std::string trace_jsonl_path;
+  /// Enable the flight recorder (implied by a non-empty postmortem_path).
+  bool flight_recorder = false;
+  /// Post-mortem artifact path.  The first oracle violation or crash fault
+  /// dumps the recorder's last-N events there; if the run ends untriggered
+  /// the full ring is dumped with reason "end-of-run".
+  std::string postmortem_path;
+  /// When non-empty, a HealthFeed emits per-replica JSONL health snapshots
+  /// there every health_period (rendered by tools/rtpb_top).
+  std::string health_jsonl_path;
+  Duration health_period = millis(100);
+  /// When non-empty (and telemetry is on), write the final registry
+  /// snapshot JSON there (the --metrics-out flag).
+  std::string metrics_json_path;
+};
+
+/// A chaos seed's experiment: schedule and workload knobs, plus the
+/// observers a classic run attaches.
+struct ChaosOptions : Observers {
   Duration duration = seconds(20);  ///< virtual run length
   /// Grace appended after a network fault epoch before oracles re-arm
   /// (lost updates are healed by the next transmission or watchdog nack).
@@ -98,11 +125,12 @@ struct ChaosOptions {
 
   /// Crash–restart family (off by default): one crash of a durable replica
   /// followed by a power-up from its WAL + checkpoint and an incremental
-  /// rejoin.  Turning it on makes run_seed build the service with durable
-  /// replicas — WAL appends are synchronous and draw no randomness, so a
-  /// seed whose schedule happens to contain no crash-restart event keeps
-  /// its digest.  Replaces the plain crash family (same failover
-  /// machinery), like enable_partition.
+  /// rejoin.  Turning it on makes every chaos::Experiment (classic seed or
+  /// parallel shard) build its service with durable replicas — WAL
+  /// appends are synchronous and draw no randomness, so a seed whose
+  /// schedule happens to contain no crash-restart event keeps its digest.
+  /// Replaces the plain crash family (same failover machinery), like
+  /// enable_partition.
   bool enable_crash_restart = false;
   /// Sabotage knob for the crash-restart arc: shear this many bytes off
   /// the downed replica's WAL before it restarts (0 = off).  A torn
@@ -133,29 +161,6 @@ struct ChaosOptions {
   /// split-brain — failover.
   core::ServiceConfig config = hardened_config();
   net::LinkParams link = default_link();
-
-  /// Collect causal spans / metrics during the run (also enables the
-  /// temporal-slack SLO monitor, exported as core.slo.*).  Purely
-  /// observational: digests are byte-identical with it on or off.
-  bool telemetry = false;
-  /// When non-empty (and telemetry is on), run_seed writes a Chrome
-  /// trace-event JSON / JSONL event stream for the seed there.
-  std::string trace_json_path;
-  std::string trace_jsonl_path;
-  /// Enable the flight recorder (implied by a non-empty postmortem_path).
-  /// Pure observer like telemetry: digests are byte-identical either way.
-  bool flight_recorder = false;
-  /// Post-mortem artifact path.  The first oracle violation or crash fault
-  /// dumps the recorder's last-N events there; if the run ends untriggered
-  /// the full ring is dumped with reason "end-of-run".
-  std::string postmortem_path;
-  /// When non-empty, a HealthFeed emits per-replica JSONL health snapshots
-  /// there every health_period (rendered by tools/rtpb_top).
-  std::string health_jsonl_path;
-  Duration health_period = millis(100);
-  /// When non-empty (and telemetry is on), write the final registry
-  /// snapshot JSON there (the --metrics-out flag).
-  std::string metrics_json_path;
 
   [[nodiscard]] static core::ServiceConfig hardened_config();
   [[nodiscard]] static net::LinkParams default_link();

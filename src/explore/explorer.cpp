@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <set>
 #include <utility>
 
-#include "core/faults.hpp"
-#include "core/service.hpp"
-#include "util/log.hpp"
+#include "chaos/experiment.hpp"
 
 namespace rtpb::explore {
 
@@ -347,7 +344,7 @@ namespace {
 
 /// Run one trajectory, hashing the choice points from `hash_from` on.
 TrajectoryResult run(const ExploreConfig& cfg, const std::vector<std::uint16_t>& trace,
-                     const ObserveOptions& observe, std::size_t hash_from) {
+                     const chaos::Observers& observe, std::size_t hash_from) {
   core::ServiceParams params;
   params.seed = cfg.service_seed;
   params.config = service_config(cfg);
@@ -358,24 +355,11 @@ TrajectoryResult run(const ExploreConfig& cfg, const std::vector<std::uint16_t>&
   // never perturbs the explored choice tree by itself.
   params.durable =
       !cfg.crash_restart_primary_at.empty() || !cfg.crash_restart_backup_at.empty();
-  core::RtpbService service(params);
-  telemetry::Hub& hub = service.simulator().telemetry();
-  if (observe.telemetry) {
-    hub.enable();
-    hub.slo().enable();
-  }
-  if (!observe.postmortem_path.empty()) {
-    hub.flight_recorder().enable();
-    hub.flight_recorder().set_dump_path(observe.postmortem_path);
-  }
-  service.start();
+  // The state hash, not the trace digest, identifies a trajectory.
+  chaos::Experiment experiment(params, observe, /*trace_digest=*/false);
+  experiment.admit(workload(cfg));
 
-  std::vector<core::ObjectId> admitted;
-  for (const core::ObjectSpec& spec : workload(cfg)) {
-    if (service.register_object(spec).ok()) admitted.push_back(spec.id);
-  }
-
-  core::FaultPlan plan(service);
+  core::FaultPlan& plan = experiment.plan();
   for (const Duration d : cfg.crash_primary_at) plan.maybe_crash_primary(TimePoint::zero() + d);
   for (const Duration d : cfg.crash_backup_at) plan.maybe_crash_backup(TimePoint::zero() + d);
   for (const Duration d : cfg.add_standby_at) plan.maybe_add_standby(TimePoint::zero() + d);
@@ -386,41 +370,26 @@ TrajectoryResult run(const ExploreConfig& cfg, const std::vector<std::uint16_t>&
   for (const Duration d : cfg.crash_restart_backup_at) {
     plan.maybe_crash_restart_backup(TimePoint::zero() + d, cfg.restart_delay);
   }
-  plan.arm();
+  experiment.arm({});  // the policy declares each fault epoch as its candidate fires
 
-  chaos::OracleMonitor monitor(service, admitted, {});
-  monitor.start();
-
-  TrajectoryPolicy policy(cfg, service, monitor, admitted, trace, hash_from);
-  service.simulator().set_choice_policy(&policy);
-  service.run_for(cfg.bounds.horizon);
-  service.simulator().set_choice_policy(nullptr);
-  service.finish();
-
-  telemetry::FlightRecorder& recorder = hub.flight_recorder();
-  if (recorder.enabled() && !observe.postmortem_path.empty() && !recorder.dumped()) {
-    recorder.trigger_dump("end-of-run", service.simulator().now());
-  }
-  if (observe.telemetry && !observe.metrics_json_path.empty()) {
-    std::ofstream out(observe.metrics_json_path);
-    if (out) out << hub.registry().to_json() << "\n";
-  }
+  TrajectoryPolicy policy(cfg, experiment.service(), experiment.monitor(),
+                          experiment.admitted(), trace, hash_from);
+  sim::Simulator& sim = experiment.service().simulator();
+  sim.set_choice_policy(&policy);
+  experiment.service().run_for(cfg.bounds.horizon);
+  sim.set_choice_policy(nullptr);
+  experiment.finish();
 
   TrajectoryResult result = policy.take_result();
-  result.violations = monitor.violations();
+  result.violations = experiment.monitor().violations();
   return result;
 }
 
 }  // namespace
 
 TrajectoryResult run_trajectory(const ExploreConfig& cfg,
-                                const std::vector<std::uint16_t>& trace) {
-  return run(cfg, trace, ObserveOptions{}, 0);
-}
-
-TrajectoryResult run_trajectory(const ExploreConfig& cfg,
                                 const std::vector<std::uint16_t>& trace,
-                                const ObserveOptions& observe) {
+                                const chaos::Observers& observe) {
   return run(cfg, trace, observe, 0);
 }
 
@@ -442,7 +411,7 @@ Counterexample minimize(const Counterexample& ce) {
       if (best.trace[i] == 0) continue;
       std::vector<std::uint16_t> candidate = best.trace;
       candidate[i] = 0;
-      TrajectoryResult res = run(best.config, candidate, ObserveOptions{}, kNoHashes);
+      TrajectoryResult res = run(best.config, candidate, chaos::Observers{}, kNoHashes);
       if (!reproduces(res, best.oracle)) continue;
       best.trace = res.decisions();
       best.actions = res.actions;
@@ -477,7 +446,7 @@ ExploreReport explore(const ExploreConfig& cfg, std::ostream* progress) {
 
     // The choice points inside the prefix were hashed, inserted and
     // expanded by the trajectory that pushed it (see explorer.hpp).
-    TrajectoryResult res = run(cfg, prefix, ObserveOptions{}, prefix.size());
+    TrajectoryResult res = run(cfg, prefix, chaos::Observers{}, prefix.size());
     ++report.trajectories;
     report.choice_points += res.choices.size();
     if (res.choice_bound_hit) ++report.truncated;

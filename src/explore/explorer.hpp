@@ -7,8 +7,8 @@
 // simulator's ChoicePoint seam (sim/choice.hpp) and enumerates the
 // alternatives by stateless depth-first search: each trajectory is a fresh
 // RtpbService run replaying a recorded decision prefix and taking defaults
-// beyond it (CHESS-style trace replay).  Every trajectory is judged by the
-// same OracleMonitor the chaos harness uses.
+// beyond it (CHESS-style trace replay).  Every trajectory is a
+// chaos::Experiment, judged by the same OracleMonitor as a chaos seed.
 //
 // Reductions (both on by default, both reported in the ExploreReport so
 // nothing is silently capped):
@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "chaos/oracles.hpp"
+#include "chaos/schedule.hpp"
 #include "sim/choice.hpp"
 
 namespace rtpb::explore {
@@ -177,22 +178,12 @@ struct ExploreReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Optional observability attached to a single trajectory run (replay /
-/// counterexample autopsy).  Pure observers: the decision sequence and
-/// oracle outcomes are identical with or without them.
-struct ObserveOptions {
-  bool telemetry = false;         ///< causal spans + metrics + SLO monitor
-  std::string metrics_json_path;  ///< final registry snapshot JSON
-  std::string postmortem_path;    ///< flight-recorder post-mortem artifact
-};
-
 /// Run one trajectory: fresh service, replay `trace`, defaults beyond it.
-[[nodiscard]] TrajectoryResult run_trajectory(const ExploreConfig& cfg,
-                                              const std::vector<std::uint16_t>& trace);
-/// Same, with observability attached (counterexample autopsies).
+/// `observe` attaches pure observers (counterexample autopsies): the
+/// decision sequence and oracle outcomes are identical with or without.
 [[nodiscard]] TrajectoryResult run_trajectory(const ExploreConfig& cfg,
                                               const std::vector<std::uint16_t>& trace,
-                                              const ObserveOptions& observe);
+                                              const chaos::Observers& observe = {});
 
 /// Exhaustive bounded sweep.  Stops at the first violation (after
 /// minimizing it) or when the choice tree is exhausted / capped.

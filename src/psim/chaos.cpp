@@ -1,68 +1,26 @@
 #include "psim/chaos.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <ostream>
+#include <utility>
 
-#include "chaos/oracles.hpp"
-#include "chaos/schedule.hpp"
-#include "core/faults.hpp"
 #include "psim/partitioned.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace rtpb::psim {
 
-namespace {
-
-/// Per-shard options: the classic single-group chaos pipeline, with every
-/// file-emitting observer stripped (N shards would trample one path) and
-/// shard-scoped storms off (each shard IS its own group here).
-chaos::ChaosOptions shard_options(const chaos::ChaosOptions& opts) {
-  chaos::ChaosOptions sopts = opts;
-  sopts.shards = 1;
-  sopts.telemetry = false;
-  sopts.flight_recorder = false;
-  sopts.trace_json_path.clear();
-  sopts.trace_jsonl_path.clear();
-  sopts.postmortem_path.clear();
-  sopts.health_jsonl_path.clear();
-  sopts.metrics_json_path.clear();
-  return sopts;
-}
-
-/// Everything one shard's experiment owns.  Construction order mirrors
-/// chaos::run_seed exactly — the per-shard trace must be byte-identical
-/// to a classic run_seed(shard_seed) run, which the parallel regression
-/// test asserts.
-struct ShardExperiment {
-  std::uint64_t shard_seed = 0;
-  chaos::ChaosSchedule schedule;
-  chaos::Workload workload;
-  std::unique_ptr<core::RtpbService> service;
-  std::vector<core::ObjectId> admitted;
-  std::unique_ptr<core::FaultPlan> plan;
-  std::unique_ptr<chaos::OracleMonitor> monitor;
-};
-
-}  // namespace
-
-bool ParallelSeedReport::ok() const {
-  for (const ShardSeedReport& r : shard_reports) {
-    if (!r.ok()) return false;
-  }
-  return true;
-}
-
 std::uint64_t ParallelSeedReport::violation_count() const {
   std::uint64_t n = 0;
-  for (const ShardSeedReport& r : shard_reports) n += r.violation_count;
+  for (const chaos::SeedReport& r : shard_reports) n += r.violation_count;
   return n;
 }
 
 std::uint64_t ParallelSeedReport::oracle_checks() const {
   std::uint64_t n = 0;
-  for (const ShardSeedReport& r : shard_reports) n += r.oracle_checks;
+  for (const chaos::SeedReport& r : shard_reports) n += r.oracle_checks;
   return n;
 }
 
@@ -77,12 +35,12 @@ std::string ParallelSeedReport::summary() const {
                 static_cast<unsigned long long>(frontier_records_ingested),
                 static_cast<unsigned long long>(violation_count()));
   std::string out = line;
-  for (const ShardSeedReport& r : shard_reports) {
+  for (std::size_t s = 0; s < shard_reports.size(); ++s) {
+    const chaos::SeedReport& r = shard_reports[s];
     std::snprintf(line, sizeof line,
-                  "\n  shard %2u  seed %20llu  %s  digest %016llx  admitted %zu/%zu  "
+                  "\n  shard %2zu  seed %20llu  %s  digest %016llx  admitted %zu/%zu  "
                   "writes %llu  applied %llu  faults %zu  violations %llu",
-                  r.shard, static_cast<unsigned long long>(r.shard_seed),
-                  r.ok() ? "ok  " : "FAIL",
+                  s, static_cast<unsigned long long>(r.seed), r.ok() ? "ok  " : "FAIL",
                   static_cast<unsigned long long>(r.trace_digest), r.objects_admitted,
                   r.objects_offered, static_cast<unsigned long long>(r.client_writes),
                   static_cast<unsigned long long>(r.updates_applied), r.fired.size(),
@@ -95,47 +53,22 @@ std::string ParallelSeedReport::summary() const {
 ParallelSeedReport run_parallel_seed(std::uint64_t seed, const chaos::ChaosOptions& opts,
                                      std::size_t threads) {
   RTPB_EXPECTS(opts.shards >= 1);
-  const chaos::ChaosOptions sopts = shard_options(opts);
+  // Each shard IS its own group here: shard-scoped storms are off.
+  chaos::ChaosOptions sopts = opts;
+  sopts.shards = 1;
   const std::uint64_t parallel_root = derive_stream_seed(seed, chaos::kStreamParallel);
 
   // ---- control plane: build every shard's experiment, single-threaded ----
-  std::vector<ShardExperiment> experiments(opts.shards);
+  std::vector<std::unique_ptr<chaos::Experiment>> experiments;
   std::vector<std::unique_ptr<GroupPartition>> partitions;
   Duration window{};
   for (std::uint32_t s = 0; s < opts.shards; ++s) {
-    ShardExperiment& e = experiments[s];
-    e.shard_seed = derive_stream_seed(parallel_root, s);
-    e.schedule = chaos::generate_schedule(e.shard_seed, sopts);
-
-    core::ServiceParams params;
-    params.seed = e.schedule.service_seed;
-    params.link = sopts.link;
-    params.config = sopts.config;
-    params.backup_count = sopts.backups;
-    e.service = std::make_unique<core::RtpbService>(params);
-    e.service->simulator().trace().enable();
-    e.service->start();
-
-    e.workload = chaos::generate_workload(e.shard_seed, sopts);
-    for (const core::ObjectSpec& spec : e.workload.objects) {
-      if (e.service->register_object(spec).ok()) e.admitted.push_back(spec.id);
-    }
-    for (const core::InterObjectConstraint& c : e.workload.constraints) {
-      e.service->add_constraint(c);  // rejection is a legal outcome
-    }
-
-    e.plan = std::make_unique<core::FaultPlan>(*e.service);
-    chaos::apply(e.schedule, *e.plan);
-    e.plan->arm();
-
-    e.monitor = std::make_unique<chaos::OracleMonitor>(
-        *e.service, e.admitted, chaos::declared_epochs(e.schedule, sopts));
-    e.monitor->start();
-
-    auto part = std::make_unique<GroupPartition>(s, *e.service);
-    for (core::ObjectId id : e.admitted) part->track(id);
+    chaos::Experiment& e = *experiments.emplace_back(std::make_unique<chaos::Experiment>(
+        derive_stream_seed(parallel_root, s), sopts, chaos::Observers{}));
+    auto part = std::make_unique<GroupPartition>(s, e.service());
+    for (core::ObjectId id : e.admitted()) part->track(id);
     partitions.push_back(std::move(part));
-    window = std::max(window, e.service->link_delay_bound());
+    window = std::max(window, e.service().link_delay_bound());
   }
   GroupPartition::wire_mesh(partitions);
   RTPB_ASSERT(window > Duration::zero());
@@ -144,7 +77,7 @@ ParallelSeedReport run_parallel_seed(std::uint64_t seed, const chaos::ChaosOptio
   std::vector<PartitionTask*> tasks;
   tasks.reserve(partitions.size());
   for (auto& p : partitions) tasks.push_back(p.get());
-  const TimePoint from = experiments.front().service->simulator().now();
+  const TimePoint from = experiments.front()->service().simulator().now();
   ParallelDriver driver(std::move(tasks), window);
 
   ParallelSeedReport report;
@@ -155,29 +88,8 @@ ParallelSeedReport run_parallel_seed(std::uint64_t seed, const chaos::ChaosOptio
 
   // ---- harvest, single-threaded again ----
   for (std::uint32_t s = 0; s < opts.shards; ++s) {
-    ShardExperiment& e = experiments[s];
-    e.service->finish();
-
-    ShardSeedReport r;
-    r.shard = s;
-    r.shard_seed = e.shard_seed;
-    r.trace_digest = e.service->simulator().trace().digest();
-    r.trace_events = e.service->simulator().trace().recorded();
-    r.sim_events = e.service->simulator().fired_events();
-    r.violation_count = e.monitor->violation_count();
-    r.oracle_checks = e.monitor->checks();
-    r.violations = e.monitor->violations();
-    r.fired = e.plan->fired();
-    r.objects_offered = e.workload.objects.size();
-    r.objects_admitted = e.admitted.size();
-    r.client_writes =
-        e.service->client().writes_issued() + e.service->backup_client().writes_issued();
-    e.service->for_each_replica([&r](const core::ReplicaServer& replica) {
-      r.updates_applied += replica.updates_applied();
-    });
-    if (!r.ok()) r.reproducer = chaos::render_reproducer(e.schedule, sopts);
-    report.shard_reports.push_back(std::move(r));
-
+    experiments[s]->finish();
+    report.shard_reports.push_back(experiments[s]->report());
     report.frontier_records_published += partitions[s]->records_published();
     report.frontier_records_ingested += partitions[s]->records_ingested();
   }
@@ -195,14 +107,15 @@ ParallelSweepResult run_parallel_sweep(std::uint64_t first_seed, std::size_t cou
     if (progress != nullptr) *progress << report.summary() << "\n";
     if (!report.ok()) {
       if (progress != nullptr) {
-        for (const ShardSeedReport& r : report.shard_reports) {
+        for (std::size_t s = 0; s < report.shard_reports.size(); ++s) {
+          const chaos::SeedReport& r = report.shard_reports[s];
           if (r.ok()) continue;
           for (const chaos::OracleViolation& v : r.violations) {
-            *progress << "  shard " << r.shard << " [" << v.at.to_string() << "] "
-                      << v.oracle << ": " << v.detail << "\n";
+            *progress << "  shard " << s << " [" << v.at.to_string() << "] " << v.oracle
+                      << ": " << v.detail << "\n";
           }
           *progress << "  replay: classic harness, seed "
-                    << static_cast<unsigned long long>(r.shard_seed) << "\n"
+                    << static_cast<unsigned long long>(r.seed) << "\n"
                     << r.reproducer;
         }
       }

@@ -2,20 +2,22 @@
 // the conservative parallel driver, coupled only through window-barrier
 // frontier records.
 //
-// Seed discipline: shard s of parallel seed S runs the classic chaos
-// pipeline (schedule, workload, fault plan, oracles) under the derived
-// seed  derive_stream_seed(derive_stream_seed(S, kStreamParallel), s).
-// That derivation is stateless, so shard s's entire trajectory — and its
-// trace digest — is a pure function of (S, s, opts), independent of the
-// shard count AND of the thread count.  The purity oracle asserts exactly
-// this: running the same (S, opts) at threads ∈ {1, 2, 4} must reproduce
-// every per-shard digest bit for bit, where threads == 1 is the inline
+// Seed discipline: shard s of parallel seed S is a chaos::Experiment of
+// the derived seed  derive_stream_seed(derive_stream_seed(S, kStreamParallel), s)
+// under the classic options with shards forced to 1 — the same
+// constructor chaos::run_seed uses, so the shard's schedule, workload,
+// fault plan, oracles and trace digest are those of a classic run of that
+// seed by construction.  The derivation is stateless, so shard s's whole
+// trajectory is a pure function of (S, s, opts), independent of the shard
+// count AND of the thread count.  The purity oracle asserts exactly this:
+// running the same (S, opts) at threads ∈ {1, 2, 4} must reproduce every
+// per-shard digest bit for bit, where threads == 1 is the inline
 // sequential build (no std::thread spawned).
 //
-// Observability sinks (telemetry export files, health feeds, post-mortem
-// paths) are force-disabled per shard: the per-sim hubs themselves are
-// thread-confined, but the file paths in ChaosOptions are single-run
-// names that N shards would trample.
+// Shards attach no observers (telemetry export files, health feeds,
+// post-mortem paths): the per-sim hubs themselves are thread-confined, but
+// the file paths in ChaosOptions are single-run names that N shards would
+// trample.
 #pragma once
 
 #include <cstdint>
@@ -28,39 +30,18 @@
 
 namespace rtpb::psim {
 
-/// What one shard's chaos experiment produced.  The same fields two runs
-/// of the same (seed, shard, opts) must agree on.
-struct ShardSeedReport {
-  std::uint32_t shard = 0;
-  std::uint64_t shard_seed = 0;    ///< derived per-shard chaos seed
-  std::uint64_t trace_digest = 0;  ///< FNV-1a over the shard's event trace
-  std::uint64_t trace_events = 0;
-  std::uint64_t sim_events = 0;
-  std::uint64_t violation_count = 0;
-  std::uint64_t oracle_checks = 0;
-  std::vector<chaos::OracleViolation> violations;  ///< capped, like SeedReport
-  std::vector<std::string> fired;
-  std::size_t objects_offered = 0;
-  std::size_t objects_admitted = 0;
-  std::uint64_t client_writes = 0;
-  std::uint64_t updates_applied = 0;
-  /// Ready-to-paste single-shard reproducer (filled when violations > 0):
-  /// replay with the classic harness under shard_seed.
-  std::string reproducer;
-
-  [[nodiscard]] bool ok() const { return violation_count == 0; }
-};
-
 struct ParallelSeedReport {
   std::uint64_t seed = 0;
   std::size_t shards = 0;
   std::size_t threads = 0;  ///< as requested (driver may clamp)
   DriverStats driver;
-  std::vector<ShardSeedReport> shard_reports;  ///< in shard order
+  /// One classic report per shard, indexed by shard; each report's seed
+  /// is the shard seed (replay it with chaos::run_seed).
+  std::vector<chaos::SeedReport> shard_reports;
   std::uint64_t frontier_records_published = 0;
   std::uint64_t frontier_records_ingested = 0;
 
-  [[nodiscard]] bool ok() const;
+  [[nodiscard]] bool ok() const { return violation_count() == 0; }
   [[nodiscard]] std::uint64_t violation_count() const;
   [[nodiscard]] std::uint64_t oracle_checks() const;
   /// One line per shard plus a driver line, for sweep output.

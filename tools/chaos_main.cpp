@@ -269,23 +269,6 @@ int main(int argc, char** argv) {
       std::cerr << "--sabotage is a classic-path oracle self-test; drop --threads\n";
       return 2;
     }
-    if (single) {
-      const rtpb::psim::ParallelSeedReport report =
-          rtpb::psim::run_parallel_seed(first_seed, opts, threads);
-      std::cout << report.summary() << "\n";
-      for (const rtpb::psim::ShardSeedReport& r : report.shard_reports) {
-        if (r.ok()) continue;
-        for (const rtpb::chaos::OracleViolation& v : r.violations) {
-          std::cout << "  shard " << r.shard << " [" << v.at.to_string() << "] " << v.oracle
-                    << ": " << v.detail << "\n";
-        }
-        std::cout << "  replay: classic harness, seed " << r.shard_seed << "\n"
-                  << r.reproducer;
-      }
-      std::cout << "---\n1 seeds, " << report.oracle_checks() << " oracle checks, "
-                << (report.ok() ? 0 : 1) << " failing seeds\n";
-      return report.ok() ? 0 : 1;
-    }
     const rtpb::psim::ParallelSweepResult result =
         rtpb::psim::run_parallel_sweep(first_seed, count, opts, threads, &std::cout);
     std::cout << "---\n"

@@ -47,6 +47,9 @@ check chaos_default "$tools/chaos_main" --seeds 16
 check chaos_multibackup_overload_restart \
   "$tools/chaos_main" --seeds 16 --backups 2 --overload --crash-restart
 check chaos_sharded "$tools/chaos_main" --seeds 8 --shards 4 --threads 4 --objects 8
+# Durable shards: each shard restarts its crashed replica like a classic seed.
+check chaos_sharded_crash_restart \
+  "$tools/chaos_main" --seeds 8 --shards 4 --threads 4 --objects 8 --crash-restart
 check explore_default sh -c "\"$tools/explore_main\" | grep trajectories"
 # Three nodes: the multi-backup failover states the 2-node pair never reaches.
 check explore_multibackup sh -c \

@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
       // Autopsy: re-run the minimized trace with the flight recorder on and
       // attach the resulting post-mortem next to the artifact.  Replaying
       // with observers attached takes the identical trajectory.
-      rtpb::explore::ObserveOptions observe;
+      rtpb::chaos::Observers observe;
       observe.postmortem_path = emit_path + ".postmortem.jsonl";
       (void)rtpb::explore::run_trajectory(ce.config, ce.trace, observe);
       std::cout << "  post-mortem attached: " << observe.postmortem_path << "\n";
@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
   if (!metrics_out_path.empty()) {
     // Instrumented reference trajectory (all-default decisions): gives the
     // sweep a metrics snapshot without perturbing the exploration itself.
-    rtpb::explore::ObserveOptions observe;
+    rtpb::chaos::Observers observe;
     observe.telemetry = true;
     observe.metrics_json_path = metrics_out_path;
     (void)rtpb::explore::run_trajectory(cfg, {}, observe);
