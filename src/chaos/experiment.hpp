@@ -1,6 +1,6 @@
 // One checked run of the replication service: the service, the objects
 // admission accepted, the fault plan, the oracle monitor and the optional
-// health feed, with the pure observers (telemetry + SLO, flight recorder,
+// health feed, with the observers (telemetry + SLO, flight recorder,
 // post-mortem, health feed, metrics, Chrome and JSONL exports) attached.
 //
 // Every checked run is an Experiment: a classic chaos seed (run_seed), one

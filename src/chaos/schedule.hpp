@@ -64,8 +64,8 @@ struct FaultEpoch {
   FaultKind cause{};
 };
 
-/// The pure observers of one checked run (see chaos::Experiment).  None
-/// of them changes a digest, an oracle verdict or a choice point.
+/// The observers of one checked run (see chaos::Experiment).  None of
+/// them changes a trace digest or an oracle verdict.
 struct Observers {
   /// Collect causal spans / metrics during the run (also enables the
   /// temporal-slack SLO monitor, exported as core.slo.*).
