@@ -97,30 +97,28 @@ std::string SeedReport::summary() const {
   return line;
 }
 
-Experiment::Experiment(std::uint64_t seed, const ChaosOptions& opts, const Observers& observe)
-    : seed_(seed),
-      schedule_(generate_schedule(seed, opts)),
-      opts_(opts),
-      observe_(observe),
-      service_(seed_params(schedule_, opts)),
-      plan_(service_) {
-  open(true);
+Experiment::Experiment(std::uint64_t seed, const ChaosOptions& opts)
+    : Experiment(seed, generate_schedule(seed, opts), opts) {}
+
+Experiment::Experiment(std::uint64_t seed, const ChaosSchedule& schedule,
+                       const ChaosOptions& opts)
+    : observe_(opts), service_(seed_params(schedule, opts)), plan_(service_) {
+  service_.simulator().trace().enable();
+  open();
   const Workload workload = generate_workload(seed, opts);
   admit(workload.objects, workload.constraints);
-  apply(schedule_, plan_);
-  apply_shard_faults(schedule_, opts, service_, admitted_, plan_);
-  apply_torn_tail_sabotage(schedule_, opts, plan_);
-  arm(declared_epochs(schedule_, opts));
+  apply(schedule, plan_);
+  apply_shard_faults(schedule, opts, service_, admitted_, plan_);
+  apply_torn_tail_sabotage(schedule, opts, plan_);
+  arm(declared_epochs(schedule, opts));
 }
 
-Experiment::Experiment(const core::ServiceParams& params, const Observers& observe,
-                       bool trace_digest)
+Experiment::Experiment(const core::ServiceParams& params, const Observers& observe)
     : observe_(observe), service_(params), plan_(service_) {
-  open(trace_digest);
+  open();
 }
 
-void Experiment::open(bool trace_digest) {
-  if (trace_digest) service_.simulator().trace().enable();
+void Experiment::open() {
   telemetry::Hub& hub = service_.simulator().telemetry();
   if (observe_.telemetry) {
     hub.enable();
@@ -185,7 +183,6 @@ void Experiment::finish() {
 
 SeedReport Experiment::report() {
   SeedReport report;
-  report.seed = seed_;
   const sim::Simulator& sim = service_.simulator();
   report.trace_digest = sim.trace().digest();
   report.trace_events = sim.trace().recorded();
@@ -214,7 +211,6 @@ SeedReport Experiment::report() {
   report.avg_max_distance_ms = service_.metrics().average_max_distance_ms();
   report.total_inconsistency_ms = service_.metrics().total_inconsistency().millis();
   report.inconsistency_intervals = service_.metrics().inconsistency_intervals();
-  if (!report.ok() && opts_.has_value()) report.reproducer = render_reproducer(schedule_, *opts_);
 
   const telemetry::Hub& hub = sim.telemetry();
   const telemetry::FlightRecorder& recorder = hub.flight_recorder();

@@ -9,12 +9,12 @@
 // seed by construction, and a new oracle or observer is wired once.
 //
 // The setup steps run in one fixed order, which every trace digest
-// depends on: enable the trace digest → hub / flight recorder → start
-// the service → register the workload → add its constraints → fill the
-// fault plan (schedule, shard storms, torn tail) → arm it → start the
-// monitor → start the health feed.  The caller then advances the
-// simulator (run_for, psim windows or the explorer's choice policy) and
-// calls finish(), then report().
+// depends on: enable the trace digest (seed runs only) → hub / flight
+// recorder → start the service → register the workload → add its
+// constraints → fill the fault plan (schedule, shard storms, torn tail) →
+// arm it → start the monitor → start the health feed.  The caller then
+// advances the simulator (run_for, psim windows or the explorer's choice
+// policy) and calls finish(), then report().
 #pragma once
 
 #include <cstdint>
@@ -90,15 +90,15 @@ struct SeedReport {
 
 class Experiment {
  public:
-  /// Chaos seed `seed` under `opts`, armed and monitored: the schedule,
-  /// workload, fault plan and declared epochs are pure functions of
-  /// (seed, opts).  `observe` may differ from opts' own observers (a
-  /// parallel shard attaches none).
-  Experiment(std::uint64_t seed, const ChaosOptions& opts, const Observers& observe);
+  /// Chaos seed `seed` under `opts`, armed and monitored, with opts' own
+  /// observers attached: the schedule, workload, fault plan and declared
+  /// epochs are pure functions of (seed, opts).
+  Experiment(std::uint64_t seed, const ChaosOptions& opts);
   /// A started service built from `params`, nothing admitted or armed:
-  /// the caller admits its objects, fills plan() and calls arm().  With
-  /// `trace_digest` off no event is folded into the trace digest.
-  Experiment(const core::ServiceParams& params, const Observers& observe, bool trace_digest);
+  /// the caller admits its objects, fills plan() and calls arm().  The
+  /// trace digest stays off: the state hash, not the trace digest,
+  /// identifies the run.
+  Experiment(const core::ServiceParams& params, const Observers& observe);
 
   Experiment(const Experiment&) = delete;
   Experiment& operator=(const Experiment&) = delete;
@@ -113,7 +113,8 @@ class Experiment {
   /// End the run: stop the health feed, finish the service, dump the
   /// flight recorder if nothing tripped it and write the exports.
   void finish();
-  /// The run's outcome; call after finish().
+  /// The run's outcome; call after finish().  The seed and the
+  /// reproducer are the caller's to fill.
   [[nodiscard]] SeedReport report();
 
   [[nodiscard]] core::RtpbService& service() { return service_; }
@@ -122,12 +123,8 @@ class Experiment {
   [[nodiscard]] const std::vector<core::ObjectId>& admitted() const { return admitted_; }
 
  private:
-  void open(bool trace_digest);
-
-  // Chaos seeds only: what a failing seed's reproducer is rendered from.
-  std::uint64_t seed_ = 0;
-  ChaosSchedule schedule_;
-  std::optional<ChaosOptions> opts_;
+  Experiment(std::uint64_t seed, const ChaosSchedule& schedule, const ChaosOptions& opts);
+  void open();
 
   Observers observe_;
   core::RtpbService service_;

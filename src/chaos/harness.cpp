@@ -6,10 +6,13 @@
 namespace rtpb::chaos {
 
 SeedReport run_seed(std::uint64_t seed, const ChaosOptions& opts) {
-  Experiment experiment(seed, opts, opts);
+  Experiment experiment(seed, opts);
   experiment.service().run_for(opts.duration);
   experiment.finish();
-  return experiment.report();
+  SeedReport report = experiment.report();
+  report.seed = seed;
+  if (!report.ok()) report.reproducer = render_reproducer(generate_schedule(seed, opts), opts);
+  return report;
 }
 
 SweepResult run_sweep(std::uint64_t first_seed, std::size_t count, const ChaosOptions& opts,

@@ -355,8 +355,7 @@ TrajectoryResult run(const ExploreConfig& cfg, const std::vector<std::uint16_t>&
   // never perturbs the explored choice tree by itself.
   params.durable =
       !cfg.crash_restart_primary_at.empty() || !cfg.crash_restart_backup_at.empty();
-  // The state hash, not the trace digest, identifies a trajectory.
-  chaos::Experiment experiment(params, observe, /*trace_digest=*/false);
+  chaos::Experiment experiment(params, observe);
   experiment.admit(workload(cfg));
 
   core::FaultPlan& plan = experiment.plan();

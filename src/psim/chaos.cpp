@@ -53,9 +53,11 @@ std::string ParallelSeedReport::summary() const {
 ParallelSeedReport run_parallel_seed(std::uint64_t seed, const chaos::ChaosOptions& opts,
                                      std::size_t threads) {
   RTPB_EXPECTS(opts.shards >= 1);
-  // Each shard IS its own group here: shard-scoped storms are off.
+  // Each shard IS its own group here: shard-scoped storms are off, and a
+  // shard attaches no observers.
   chaos::ChaosOptions sopts = opts;
   sopts.shards = 1;
+  static_cast<chaos::Observers&>(sopts) = {};
   const std::uint64_t parallel_root = derive_stream_seed(seed, chaos::kStreamParallel);
 
   // ---- control plane: build every shard's experiment, single-threaded ----
@@ -63,8 +65,8 @@ ParallelSeedReport run_parallel_seed(std::uint64_t seed, const chaos::ChaosOptio
   std::vector<std::unique_ptr<GroupPartition>> partitions;
   Duration window{};
   for (std::uint32_t s = 0; s < opts.shards; ++s) {
-    chaos::Experiment& e = *experiments.emplace_back(std::make_unique<chaos::Experiment>(
-        derive_stream_seed(parallel_root, s), sopts, chaos::Observers{}));
+    chaos::Experiment& e = *experiments.emplace_back(
+        std::make_unique<chaos::Experiment>(derive_stream_seed(parallel_root, s), sopts));
     auto part = std::make_unique<GroupPartition>(s, e.service());
     for (core::ObjectId id : e.admitted()) part->track(id);
     partitions.push_back(std::move(part));
@@ -89,7 +91,11 @@ ParallelSeedReport run_parallel_seed(std::uint64_t seed, const chaos::ChaosOptio
   // ---- harvest, single-threaded again ----
   for (std::uint32_t s = 0; s < opts.shards; ++s) {
     experiments[s]->finish();
-    report.shard_reports.push_back(experiments[s]->report());
+    chaos::SeedReport& r = report.shard_reports.emplace_back(experiments[s]->report());
+    r.seed = derive_stream_seed(parallel_root, s);
+    if (!r.ok()) {
+      r.reproducer = chaos::render_reproducer(chaos::generate_schedule(r.seed, sopts), sopts);
+    }
     report.frontier_records_published += partitions[s]->records_published();
     report.frontier_records_ingested += partitions[s]->records_ingested();
   }
