@@ -37,6 +37,32 @@ TEST(Crc32, KnownVector) {
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32({}), 0u); }
 
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // The table-driven CRC must agree with the one-byte-per-step definition
+  // for every length and every start offset, so word-at-a-time loops and
+  // their byte tails cannot drift from the format on the device.
+  const auto reference = [](std::span<const std::uint8_t> data) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (const std::uint8_t b : data) {
+      crc ^= b;
+      for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  std::vector<std::uint8_t> buf(1100 + 8);
+  std::uint32_t x = 0x12345678u;
+  for (auto& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      ASSERT_EQ(crc32(data), reference(data)) << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 TEST(WalCodec, InsertRoundTrip) {
   const core::ObjectSpec spec = make_spec(7);
   const Bytes payload = encode(InsertRecord{spec});
@@ -244,6 +270,55 @@ TEST(DurableStore, CheckpointTruncatesWalAndWins) {
   EXPECT_EQ(rec.states[0].version, 6u);
   EXPECT_EQ(rec.next_transfer_id, 9u);
   EXPECT_EQ(rec.checkpoint_records, 2u);
+}
+
+TEST(DurableStore, FramesEqualFrameRecordOfEncode) {
+  // The bytes each logger leaves on its device are exactly the reference
+  // format: frame_record(encode(record)), record after record.
+  SimStorageDevice wal;
+  SimStorageDevice ckpt;
+  DurableStore ds(wal, ckpt, 1000);
+  Bytes expected;
+  const auto expect_frame = [&expected](const Bytes& payload) {
+    const Bytes frame = frame_record(payload);
+    expected.insert(expected.end(), frame.begin(), frame.end());
+  };
+  const auto device_bytes = [](const SimStorageDevice& dev) {
+    return Bytes(dev.contents().begin(), dev.contents().end());
+  };
+
+  ASSERT_TRUE(ds.log_insert(make_spec(1)));
+  expect_frame(encode(InsertRecord{make_spec(1)}));
+  ASSERT_TRUE(ds.log_meta(3, 7));
+  expect_frame(encode(MetaRecord{3, 7}));
+  EXPECT_EQ(device_bytes(wal), expected);
+
+  core::ObjectState a;
+  a.spec = make_spec(1);
+  a.value = value_of(0x5A, 9);
+  a.version = 4;
+  a.timestamp = TimePoint{40};
+  a.origin_timestamp = TimePoint{39};
+  core::ObjectState b;
+  b.spec = make_spec(2);  // never written: empty value, version 0
+  ASSERT_TRUE(ds.checkpoint({a, b}, /*epoch=*/2, /*next_transfer_id=*/5));
+  EXPECT_EQ(device_bytes(ckpt), frame_record(encode(CheckpointRecord{2, 5, {a, b}})));
+  EXPECT_EQ(wal.size(), 0u);
+
+  expected.clear();
+  std::uint64_t version = 5;
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 1024u}) {
+    WriteRecord w;
+    w.object = 1;
+    w.version = version++;
+    w.timestamp = TimePoint{static_cast<std::int64_t>(100 * version)};
+    w.origin_timestamp = TimePoint{static_cast<std::int64_t>(100 * version - 3)};
+    w.value.resize(n);
+    for (std::size_t i = 0; i < n; ++i) w.value[i] = static_cast<std::uint8_t>(i * 31 + n);
+    ASSERT_TRUE(ds.log_write(w.object, w.version, w.timestamp, w.origin_timestamp, w.value));
+    expect_frame(encode(w));
+  }
+  EXPECT_EQ(device_bytes(wal), expected);
 }
 
 TEST(DurableStore, StaleWalRecordsAfterCheckpointAreIdempotent) {
