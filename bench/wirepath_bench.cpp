@@ -18,7 +18,10 @@
 //      with a 0 baseline, bench_report --stable-only fails any allocation
 //      that comes back, and
 //   7. allocations per explored trajectory over explore_main's default
-//      sweep (seed-pure, gated in this binary).
+//      sweep (seed-pure, gated in this binary), and
+//   8. allocations per WAL append: DurableStore frames each record in
+//      place in one reused buffer, so a steady append allocates nothing
+//      (gated at 0 in this binary).
 //
 // This binary links bench/common/alloc_hook.cpp, which REPLACES the global
 // operator new/delete — that is why it is not part of the *_main.cpp glob.
@@ -38,6 +41,8 @@
 #include "explore/explorer.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "store/device.hpp"
+#include "store/durable_store.hpp"
 #include "util/log.hpp"
 #include "xkernel/graph.hpp"
 #include "xkernel/message.hpp"
@@ -314,6 +319,32 @@ double explore_allocs_per_trajectory() {
   return allocs / static_cast<double>(trajectories);
 }
 
+// ---- 8. WAL append allocations --------------------------------------------
+
+/// Allocations per DurableStore::log_write of a 256-byte value.  The
+/// warm-up grows the frame buffer and the device; truncate() then empties
+/// the device but keeps its capacity, so the measured appends see the
+/// store's own allocations only, not device growth.
+double wal_allocs_per_append() {
+  constexpr int kAppends = 1'000;
+  store::SimStorageDevice wal;
+  store::SimStorageDevice checkpoint;
+  store::DurableStore durable(wal, checkpoint);
+  const Bytes value(256, 0x5A);
+  std::uint64_t version = 1;
+  const auto append = [&](int n) {
+    for (int i = 0; i < n; ++i, ++version) {
+      const TimePoint ts{static_cast<std::int64_t>(version)};
+      if (!durable.log_write(7, version, ts, ts, value)) std::exit(1);
+    }
+  };
+  append(kAppends);
+  wal.truncate();
+  Scope scope;
+  append(kAppends);
+  return static_cast<double>(scope.allocations()) / kAppends;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -453,6 +484,18 @@ int main(int argc, char** argv) {
                  "FAIL: the explorer cost %.1f allocs/trajectory on its default sweep "
                  "(gate %.0f)\n",
                  per_trajectory, kMaxExploreAllocsPerTrajectory);
+    return 1;
+  }
+
+  std::printf("\n[8] WAL append allocations (DurableStore::log_write, 256 B value)\n");
+  const double per_append = wal_allocs_per_append();
+  std::printf("  store         %14.2f allocs/append\n", per_append);
+  metrics.add("wal_allocs_per_append", per_append);
+  if (per_append > 0) {
+    std::fprintf(stderr,
+                 "FAIL: a WAL append cost %.2f allocations (expected 0: every record is "
+                 "framed in place in one reused buffer)\n",
+                 per_append);
     return 1;
   }
 

@@ -33,10 +33,10 @@ void ClientApp::start_sensing(const ObjectSpec& spec) {
   });
 }
 
-Bytes ClientApp::sense_value(const ObjectSpec& spec) {
-  Bytes value(spec.size_bytes);
-  for (auto& b : value) b = static_cast<std::uint8_t>(rng_.uniform(0, 255));
-  return value;
+std::span<const std::uint8_t> ClientApp::sense_value(const ObjectSpec& spec) {
+  sensed_.resize(spec.size_bytes);
+  rng_.fill_bytes(sensed_);
+  return sensed_;
 }
 
 void ClientApp::activate() {

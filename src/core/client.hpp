@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/server.hpp"
@@ -43,7 +44,8 @@ class ClientApp {
 
  private:
   void start_sensing(const ObjectSpec& spec);
-  [[nodiscard]] Bytes sense_value(const ObjectSpec& spec);
+  /// Sense a fresh value into sensed_ (reused across writes).
+  [[nodiscard]] std::span<const std::uint8_t> sense_value(const ObjectSpec& spec);
 
   sim::Simulator& sim_;
   ReplicaServer& home_;
@@ -52,6 +54,7 @@ class ClientApp {
   std::map<ObjectId, sched::TaskId> tasks_;
   std::vector<ObjectSpec> specs_;
   std::uint64_t writes_issued_ = 0;
+  Bytes sensed_;
 };
 
 }  // namespace rtpb::core

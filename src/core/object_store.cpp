@@ -1,8 +1,21 @@
 #include "core/object_store.hpp"
 
+#include <functional>
+
 #include "util/assert.hpp"
 
 namespace rtpb::core {
+namespace {
+
+// vector::assign from a range inside the vector itself is undefined.
+bool overlaps(std::span<const std::uint8_t> value, const Bytes& held) {
+  if (value.empty() || held.empty()) return false;
+  const std::less<const std::uint8_t*> before;
+  return before(value.data(), held.data() + held.size()) &&
+         before(held.data(), value.data() + value.size());
+}
+
+}  // namespace
 
 bool ObjectStore::insert(const ObjectSpec& spec) {
   RTPB_EXPECTS(spec.id != kInvalidObject);
@@ -13,11 +26,13 @@ bool ObjectStore::insert(const ObjectSpec& spec) {
 
 bool ObjectStore::erase(ObjectId id) { return objects_.erase(id) > 0; }
 
-std::uint64_t ObjectStore::write(ObjectId id, Bytes value, TimePoint now) {
+std::uint64_t ObjectStore::write(ObjectId id, std::span<const std::uint8_t> value,
+                                 TimePoint now) {
   auto it = objects_.find(id);
   RTPB_EXPECTS(it != objects_.end());
   ObjectState& s = it->second;
-  s.value = std::move(value);
+  RTPB_EXPECTS(!overlaps(value, s.value));
+  s.value.assign(value.begin(), value.end());
   ++s.version;
   s.timestamp = now;
   s.origin_timestamp = now;
@@ -32,13 +47,14 @@ bool ObjectStore::update_spec(ObjectId id, const ObjectSpec& spec) {
   return true;
 }
 
-bool ObjectStore::apply(ObjectId id, std::uint64_t version, TimePoint origin_ts, Bytes value,
-                        TimePoint now) {
+bool ObjectStore::apply(ObjectId id, std::uint64_t version, TimePoint origin_ts,
+                        std::span<const std::uint8_t> value, TimePoint now) {
   auto it = objects_.find(id);
   RTPB_EXPECTS(it != objects_.end());
   ObjectState& s = it->second;
   if (version <= s.version) return false;  // stale or duplicate
-  s.value = std::move(value);
+  RTPB_EXPECTS(!overlaps(value, s.value));
+  s.value.assign(value.begin(), value.end());
   s.version = version;
   s.timestamp = now;
   s.origin_timestamp = origin_ts;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/types.hpp"
@@ -37,8 +38,9 @@ class ObjectStore {
   [[nodiscard]] std::size_t size() const { return objects_.size(); }
 
   /// Record a local write: bumps the version, stamps `now`.
-  /// Returns the new version.
-  std::uint64_t write(ObjectId id, Bytes value, TimePoint now);
+  /// Returns the new version.  The bytes are copied into the held value,
+  /// reusing its capacity; `value` must not alias it.
+  std::uint64_t write(ObjectId id, std::span<const std::uint8_t> value, TimePoint now);
 
   /// Replace an object's spec in place (runtime QoS renegotiation keeps
   /// the renegotiated constraint here so it survives failover — promote()
@@ -47,9 +49,9 @@ class ObjectStore {
   bool update_spec(ObjectId id, const ObjectSpec& spec);
 
   /// Apply a remote update (backup side).  Ignored (returns false) if
-  /// `version` is not newer than what is held.
-  bool apply(ObjectId id, std::uint64_t version, TimePoint origin_ts, Bytes value,
-             TimePoint now);
+  /// `version` is not newer than what is held.  Copies like write().
+  bool apply(ObjectId id, std::uint64_t version, TimePoint origin_ts,
+             std::span<const std::uint8_t> value, TimePoint now);
 
   [[nodiscard]] const ObjectState& get(ObjectId id) const;
   /// A snapshot copy (spec and value bytes), unaffected by later writes.

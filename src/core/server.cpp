@@ -397,7 +397,8 @@ AdmissionStatus ReplicaServer::add_constraint(const InterObjectConstraint& c) {
   return status;
 }
 
-void ReplicaServer::local_write(ObjectId id, Bytes value, const sched::JobInfo& info) {
+void ReplicaServer::local_write(ObjectId id, std::span<const std::uint8_t> value,
+                                const sched::JobInfo& info) {
   // A client job already on the CPU queue can fire after a step-down
   // deposed this primary; drop the write instead of asserting.
   if (role_ != Role::kPrimary) return;
@@ -410,7 +411,7 @@ void ReplicaServer::local_write(ObjectId id, Bytes value, const sched::JobInfo& 
     fail_stop("wal-write");
     return;
   }
-  const std::uint64_t version = store_.write(id, std::move(value), info.finish);
+  const std::uint64_t version = store_.write(id, value, info.finish);
   metrics_.record_response(info.finish - info.release);
   metrics_.on_primary_write(id, info.finish);
 
@@ -1251,7 +1252,7 @@ void ReplicaServer::apply_transfer(std::uint64_t transfer_id,
           !durable_log_update(id, entry.version, entry.timestamp, entry.value)) {
         return;  // fail-stopped: no apply, no ack
       }
-      if (store_.apply(id, entry.version, entry.timestamp, std::move(entry.value), sim_.now())) {
+      if (store_.apply(id, entry.version, entry.timestamp, entry.value, sim_.now())) {
         if (epoch != 0 && epoch < epoch_) emit(Fact::kCrossEpochApply);
         metrics_.on_backup_apply(id, entry.timestamp, sim_.now());
       }
@@ -1394,7 +1395,7 @@ bool ReplicaServer::durable_log_insert(const ObjectSpec& spec) {
 }
 
 bool ReplicaServer::durable_log_update(ObjectId id, std::uint64_t version, TimePoint origin_ts,
-                                       const Bytes& value) {
+                                       std::span<const std::uint8_t> value) {
   if (storage_ == nullptr) return true;
   // `timestamp` is this site's apply time — exactly what store_.apply()
   // stamps next — so the recovered state matches the in-memory one
@@ -1423,10 +1424,7 @@ std::uint64_t ReplicaServer::mint_transfer_id() {
 
 void ReplicaServer::maybe_checkpoint() {
   if (storage_ == nullptr || crashed_ || !storage_->should_checkpoint()) return;
-  std::vector<ObjectState> states;
-  states.reserve(store_.size());
-  store_.for_each([&states](const ObjectState& s) { states.push_back(s); });
-  if (!storage_->checkpoint(states, epoch_, next_transfer_id_)) {
+  if (!storage_->checkpoint(store_, epoch_, next_transfer_id_)) {
     fail_stop("checkpoint");
     return;
   }

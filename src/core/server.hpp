@@ -29,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -317,7 +318,7 @@ class ReplicaServer {
   AdmissionStatus add_constraint(const InterObjectConstraint& c);
   /// Record a client write that completed at `info.finish` (the client
   /// app's CPU job callback funnels here).
-  void local_write(ObjectId id, Bytes value, const sched::JobInfo& info);
+  void local_write(ObjectId id, std::span<const std::uint8_t> value, const sched::JobInfo& info);
   /// Read an object (either role; failover reads come through here).
   [[nodiscard]] std::optional<ObjectState> read(ObjectId id) const;
   /// Look at an object without copying it (observers reading versions).
@@ -616,7 +617,7 @@ class ReplicaServer {
   /// false — and the caller must bail without applying or acking — when
   /// the append fail-stopped this replica.
   bool durable_log_update(ObjectId id, std::uint64_t version, TimePoint origin_ts,
-                          const Bytes& value);
+                          std::span<const std::uint8_t> value);
   /// WAL a registration before inserting it; fail-stop on device failure.
   bool durable_log_insert(const ObjectSpec& spec);
   /// Persist (epoch, next_transfer_id) — called whenever either moves.

@@ -9,42 +9,56 @@ DurableStore::DurableStore(StorageDevice& wal, StorageDevice& checkpoint,
                            std::size_t checkpoint_every)
     : wal_(wal), checkpoint_(checkpoint), checkpoint_every_(checkpoint_every) {}
 
-bool DurableStore::append_wal(const Bytes& payload) {
-  const Bytes frame = frame_record(payload);
-  if (!wal_.append(frame)) return false;
+bool DurableStore::append_wal() {
+  if (!wal_.append(frame_.data())) return false;
   ++wal_appends_;
-  wal_bytes_ += frame.size();
+  wal_bytes_ += frame_.size();
   ++records_since_checkpoint_;
   return true;
 }
 
 bool DurableStore::log_insert(const core::ObjectSpec& spec) {
-  return append_wal(encode(InsertRecord{spec}));
+  open_frame(frame_);
+  put_insert(frame_, spec);
+  close_frame(frame_);
+  return append_wal();
 }
 
 bool DurableStore::log_write(core::ObjectId id, std::uint64_t version, TimePoint timestamp,
-                             TimePoint origin_timestamp, const Bytes& value) {
-  WriteRecord rec;
-  rec.object = id;
-  rec.version = version;
-  rec.timestamp = timestamp;
-  rec.origin_timestamp = origin_timestamp;
-  rec.value = value;
-  return append_wal(encode(rec));
+                             TimePoint origin_timestamp, std::span<const std::uint8_t> value) {
+  open_frame(frame_);
+  put_write(frame_, id, version, timestamp, origin_timestamp, value);
+  close_frame(frame_);
+  return append_wal();
 }
 
 bool DurableStore::log_meta(std::uint64_t epoch, std::uint64_t next_transfer_id) {
-  return append_wal(encode(MetaRecord{epoch, next_transfer_id}));
+  open_frame(frame_);
+  put_meta(frame_, epoch, next_transfer_id);
+  close_frame(frame_);
+  return append_wal();
+}
+
+bool DurableStore::checkpoint(const core::ObjectStore& store, std::uint64_t epoch,
+                              std::uint64_t next_transfer_id) {
+  open_frame(frame_);
+  put_checkpoint_head(frame_, epoch, next_transfer_id, static_cast<std::uint32_t>(store.size()));
+  store.for_each([this](const core::ObjectState& s) { put_checkpoint_state(frame_, s); });
+  close_frame(frame_);
+  return append_checkpoint();
 }
 
 bool DurableStore::checkpoint(const std::vector<core::ObjectState>& states,
                               std::uint64_t epoch, std::uint64_t next_transfer_id) {
-  CheckpointRecord rec;
-  rec.epoch = epoch;
-  rec.next_transfer_id = next_transfer_id;
-  rec.states = states;
-  const Bytes frame = frame_record(encode(rec));
-  if (!checkpoint_.append(frame)) return false;
+  open_frame(frame_);
+  put_checkpoint_head(frame_, epoch, next_transfer_id, static_cast<std::uint32_t>(states.size()));
+  for (const core::ObjectState& s : states) put_checkpoint_state(frame_, s);
+  close_frame(frame_);
+  return append_checkpoint();
+}
+
+bool DurableStore::append_checkpoint() {
+  if (!checkpoint_.append(frame_.data())) return false;
   // The checkpoint is durable; only now is it safe to drop the log it
   // subsumes.  A crash landing exactly here merely replays records the
   // checkpoint already holds — version-gated, hence idempotent.

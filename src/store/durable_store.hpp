@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/object_store.hpp"
@@ -46,7 +47,7 @@ class DurableStore {
   // that as fail-stop and NOT apply the mutation.
   [[nodiscard]] bool log_insert(const core::ObjectSpec& spec);
   [[nodiscard]] bool log_write(core::ObjectId id, std::uint64_t version, TimePoint timestamp,
-                               TimePoint origin_timestamp, const Bytes& value);
+                               TimePoint origin_timestamp, std::span<const std::uint8_t> value);
   [[nodiscard]] bool log_meta(std::uint64_t epoch, std::uint64_t next_transfer_id);
 
   [[nodiscard]] bool should_checkpoint() const {
@@ -54,7 +55,10 @@ class DurableStore {
   }
 
   /// Snapshot the full store state to the checkpoint device, then
-  /// truncate the WAL.  Returns false (fail-stop) on device failure.
+  /// truncate the WAL.  Returns false (fail-stop) on device failure.  The
+  /// store overload encodes the live objects, with no snapshot copy.
+  [[nodiscard]] bool checkpoint(const core::ObjectStore& store, std::uint64_t epoch,
+                                std::uint64_t next_transfer_id);
   [[nodiscard]] bool checkpoint(const std::vector<core::ObjectState>& states,
                                 std::uint64_t epoch, std::uint64_t next_transfer_id);
 
@@ -71,7 +75,9 @@ class DurableStore {
   [[nodiscard]] StorageDevice& checkpoint_device() { return checkpoint_; }
 
  private:
-  [[nodiscard]] bool append_wal(const Bytes& payload);
+  /// Append frame_ (framed in place by open_frame/close_frame).
+  [[nodiscard]] bool append_wal();
+  [[nodiscard]] bool append_checkpoint();
 
   StorageDevice& wal_;
   StorageDevice& checkpoint_;
@@ -81,6 +87,9 @@ class DurableStore {
   std::uint64_t wal_bytes_ = 0;
   std::uint64_t checkpoints_ = 0;
   std::uint64_t recoveries_ = 0;
+  /// Every record is framed here, in place; the buffer keeps its capacity,
+  /// so a steady stream of appends allocates nothing.
+  ByteWriter frame_;
 };
 
 }  // namespace rtpb::store

@@ -40,62 +40,109 @@ core::ObjectSpec get_spec(ByteReader& r) {
 constexpr std::size_t kMinSpec = 4 + 4 + 4 + 5 * 8;          // empty name
 constexpr std::size_t kMinState = kMinSpec + 4 + 8 + 8 + 8;  // empty value
 
+// Slicing-by-8 tables: kCrcTables[0] is the classic one-byte table, and
+// kCrcTables[k][i] is kCrcTables[0][i] carried through k more zero bytes,
+// so one step folds eight input bytes with eight independent lookups.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables = make_crc_tables();
+
+// Little-endian load, byte by byte so the result does not depend on the
+// host's byte order (compilers fold it into one load where they can).
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrcTables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+          t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
+}
+
+void put_insert(ByteWriter& w, const core::ObjectSpec& spec) {
+  w.u8(static_cast<std::uint8_t>(RecordKind::kInsert));
+  put_spec(w, spec);
+}
+
+void put_write(ByteWriter& w, core::ObjectId object, std::uint64_t version, TimePoint timestamp,
+               TimePoint origin_timestamp, std::span<const std::uint8_t> value) {
+  w.u8(static_cast<std::uint8_t>(RecordKind::kWrite));
+  w.u32(object);
+  w.u64(version);
+  w.timepoint(timestamp);
+  w.timepoint(origin_timestamp);
+  w.bytes(value);
+}
+
+void put_meta(ByteWriter& w, std::uint64_t epoch, std::uint64_t next_transfer_id) {
+  w.u8(static_cast<std::uint8_t>(RecordKind::kMeta));
+  w.u64(epoch);
+  w.u64(next_transfer_id);
+}
+
+void put_checkpoint_head(ByteWriter& w, std::uint64_t epoch, std::uint64_t next_transfer_id,
+                         std::uint32_t count) {
+  w.u8(static_cast<std::uint8_t>(RecordKind::kCheckpoint));
+  w.u64(epoch);
+  w.u64(next_transfer_id);
+  w.u32(count);
+}
+
+void put_checkpoint_state(ByteWriter& w, const core::ObjectState& s) {
+  put_spec(w, s.spec);
+  w.bytes(s.value);
+  w.u64(s.version);
+  w.timepoint(s.timestamp);
+  w.timepoint(s.origin_timestamp);
 }
 
 Bytes encode(const InsertRecord& r) {
   ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(RecordKind::kInsert));
-  put_spec(w, r.spec);
+  put_insert(w, r.spec);
   return std::move(w).take();
 }
 
 Bytes encode(const WriteRecord& r) {
   ByteWriter w(1 + 4 + 8 + 8 + 8 + 4 + r.value.size());
-  w.u8(static_cast<std::uint8_t>(RecordKind::kWrite));
-  w.u32(r.object);
-  w.u64(r.version);
-  w.timepoint(r.timestamp);
-  w.timepoint(r.origin_timestamp);
-  w.bytes(r.value);
+  put_write(w, r.object, r.version, r.timestamp, r.origin_timestamp, r.value);
   return std::move(w).take();
 }
 
 Bytes encode(const MetaRecord& r) {
   ByteWriter w(1 + 8 + 8);
-  w.u8(static_cast<std::uint8_t>(RecordKind::kMeta));
-  w.u64(r.epoch);
-  w.u64(r.next_transfer_id);
+  put_meta(w, r.epoch, r.next_transfer_id);
   return std::move(w).take();
 }
 
 Bytes encode(const CheckpointRecord& r) {
   ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(RecordKind::kCheckpoint));
-  w.u64(r.epoch);
-  w.u64(r.next_transfer_id);
-  w.u32(static_cast<std::uint32_t>(r.states.size()));
-  for (const core::ObjectState& s : r.states) {
-    put_spec(w, s.spec);
-    w.bytes(s.value);
-    w.u64(s.version);
-    w.timepoint(s.timestamp);
-    w.timepoint(s.origin_timestamp);
-  }
+  put_checkpoint_head(w, r.epoch, r.next_transfer_id, static_cast<std::uint32_t>(r.states.size()));
+  for (const core::ObjectState& s : r.states) put_checkpoint_state(w, s);
   return std::move(w).take();
 }
 
@@ -165,6 +212,16 @@ Bytes frame_record(std::span<const std::uint8_t> payload) {
   w.u32(crc32(payload));
   w.raw(payload);
   return std::move(w).take();
+}
+
+void open_frame(ByteWriter& w) {
+  w.reset(8);  // payload length and CRC, patched by close_frame
+}
+
+void close_frame(ByteWriter& w) {
+  const std::span<const std::uint8_t> payload = std::span(w.data()).subspan(8);
+  w.patch_u32(0, static_cast<std::uint32_t>(payload.size()));
+  w.patch_u32(4, crc32(payload));
 }
 
 ReplayStats replay(std::span<const std::uint8_t> log,

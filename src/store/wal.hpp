@@ -28,7 +28,8 @@
 
 namespace rtpb::store {
 
-/// IEEE 802.3 CRC-32 (reflected, poly 0xEDB88320).
+/// IEEE 802.3 CRC-32 (reflected, poly 0xEDB88320), eight bytes per step
+/// (slicing-by-8); the output equals the one-byte-per-step definition.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 enum class RecordKind : std::uint8_t {
@@ -73,6 +74,20 @@ struct AnyRecord {
   std::optional<CheckpointRecord> checkpoint;
 };
 
+// ---- payload writers --------------------------------------------------
+// Each appends one record payload (the kind byte, then the body) to `w`.
+// encode() runs one into a fresh buffer; DurableStore runs them straight
+// into its reused frame, so a value is copied once, from the caller's span.
+
+void put_insert(ByteWriter& w, const core::ObjectSpec& spec);
+void put_write(ByteWriter& w, core::ObjectId object, std::uint64_t version, TimePoint timestamp,
+               TimePoint origin_timestamp, std::span<const std::uint8_t> value);
+void put_meta(ByteWriter& w, std::uint64_t epoch, std::uint64_t next_transfer_id);
+/// A checkpoint payload is this head, then put_checkpoint_state() `count` times.
+void put_checkpoint_head(ByteWriter& w, std::uint64_t epoch, std::uint64_t next_transfer_id,
+                         std::uint32_t count);
+void put_checkpoint_state(ByteWriter& w, const core::ObjectState& s);
+
 [[nodiscard]] Bytes encode(const InsertRecord& r);
 [[nodiscard]] Bytes encode(const WriteRecord& r);
 [[nodiscard]] Bytes encode(const MetaRecord& r);
@@ -82,8 +97,16 @@ struct AnyRecord {
 /// malformation — short body, trailing garbage, absurd counts.
 [[nodiscard]] std::optional<AnyRecord> decode_record(std::span<const std::uint8_t> payload);
 
-/// Wrap a payload in the length+CRC frame.
+/// Wrap a payload in the length+CRC frame.  The reference format: every
+/// frame a DurableStore appends equals frame_record(encode(record)).
 [[nodiscard]] Bytes frame_record(std::span<const std::uint8_t> payload);
+
+/// In-place framing.  open_frame() resets `w` (keeping its capacity) to
+/// the 8-byte header placeholder; the caller then appends the
+/// payload; close_frame() patches its length and CRC into the header.
+/// The result equals frame_record(payload), without the payload copy.
+void open_frame(ByteWriter& w);
+void close_frame(ByteWriter& w);
 
 struct ReplayStats {
   std::size_t records = 0;     ///< valid records delivered to the callback

@@ -58,6 +58,17 @@ class ByteWriter {
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
 
+  /// Overwrite four already-written bytes at `pos`, big-endian: fills in
+  /// a header placeholder once the body after it is known.
+  void patch_u32(std::size_t pos, std::uint32_t v) {
+    RTPB_ASSERT(pos + sizeof v <= buf_.size());
+    store_be(buf_.data() + pos, v);
+  }
+  /// Replace the contents with `n` zero bytes (a header placeholder for
+  /// patch_u32), keeping the capacity: a writer reused per record stops
+  /// allocating once it has held its largest record.
+  void reset(std::size_t n) { buf_.assign(n, 0); }
+
   [[nodiscard]] const Bytes& data() const& { return buf_; }
   [[nodiscard]] Bytes take() && { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "util/assert.hpp"
 
@@ -81,6 +82,13 @@ class Rng {
       }
     }
     return lo + static_cast<std::int64_t>(m >> 64);
+  }
+
+  /// Fill `out` with uniform bytes: the same bytes, and the same state
+  /// after, as one uniform(0, 255) per byte.  For a range of 256 that
+  /// draw is the top byte of next_u64() (its rejection threshold is 0).
+  void fill_bytes(std::span<std::uint8_t> out) {
+    for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(next_u64() >> 56);
   }
 
   /// Uniform real in [lo, hi).

@@ -57,6 +57,28 @@ TEST(ObjectStore, ApplyAcceptsOnlyNewerVersions) {
   EXPECT_EQ(s.timestamp, TimePoint{55});  // local apply time
 }
 
+TEST(ObjectStore, SameSizeApplyAndWriteKeepTheHeldBuffer) {
+  // write() and apply() copy into the held value, so once it has grown, a
+  // same-size update reuses its buffer instead of replacing it.
+  ObjectStore store;
+  store.insert(spec(1));
+  store.write(1, Bytes(64, 0x01), TimePoint{10});
+  const std::uint8_t* held = store.peek(1)->value.data();
+  store.write(1, Bytes(64, 0x02), TimePoint{20});
+  EXPECT_EQ(store.peek(1)->value.data(), held);
+  EXPECT_EQ(store.peek(1)->value, Bytes(64, 0x02));
+  EXPECT_TRUE(store.apply(1, 5, TimePoint{25}, Bytes(64, 0x05), TimePoint{30}));
+  EXPECT_EQ(store.peek(1)->value.data(), held);
+  EXPECT_EQ(store.peek(1)->value, Bytes(64, 0x05));
+
+  // A stale apply changes nothing, bytes included.
+  EXPECT_FALSE(store.apply(1, 4, TimePoint{26}, Bytes(64, 0x04), TimePoint{31}));
+  EXPECT_EQ(store.peek(1)->value.data(), held);
+  EXPECT_EQ(store.peek(1)->value, Bytes(64, 0x05));
+  EXPECT_EQ(store.peek(1)->version, 5u);
+  EXPECT_EQ(store.peek(1)->timestamp, TimePoint{30});
+}
+
 TEST(ObjectStore, EraseRemoves) {
   ObjectStore store;
   store.insert(spec(1));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace rtpb {
 namespace {
@@ -40,6 +41,22 @@ TEST(Rng, UniformCoversRange) {
 TEST(Rng, UniformDegenerateRange) {
   Rng r(11);
   EXPECT_EQ(r.uniform(5, 5), 5);
+}
+
+TEST(Rng, FillBytesMatchesUniformByteDraws) {
+  // fill_bytes is the sensing client's fast path: it must leave the same
+  // bytes and the same generator state as one uniform(0, 255) per byte,
+  // or every seeded run's values (and digests) would move.
+  for (const std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {
+    Rng a(1234 + n);
+    Rng b(1234 + n);
+    std::vector<std::uint8_t> filled(n);
+    a.fill_bytes(filled);
+    std::vector<std::uint8_t> drawn(n);
+    for (auto& x : drawn) x = static_cast<std::uint8_t>(b.uniform(0, 255));
+    EXPECT_EQ(filled, drawn) << "length " << n;
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "length " << n;
+  }
 }
 
 TEST(Rng, NextDoubleInUnitInterval) {
