@@ -22,6 +22,8 @@
 // turns graceful degradation off under pure overload faults so windows
 // are violated with no renegotiation notice (no-silent-violation must
 // fire).
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +31,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "chaos/harness.hpp"
 #include "explore/explorer.hpp"
@@ -84,7 +87,9 @@ void usage(const char* argv0) {
             << "                     lock-stepped lookahead windows on N workers;\n"
             << "                     per-shard digests are thread-count-invariant.\n"
             << "                     N <= 1 (default) keeps the classic sequential\n"
-            << "                     path, byte-identical to previous builds\n"
+            << "                     path, byte-identical to previous builds.\n"
+            << "                     Shards attach no observers: N > 1 refuses\n"
+            << "                     the observer flags below (exit 2)\n"
             << "  --no-crashes       disable crash/recruit scenarios\n"
             << "  --no-batch         send one kUpdate frame per object instead of\n"
             << "                     coalescing into kUpdateBatch (different digests)\n"
@@ -129,9 +134,19 @@ int main(int argc, char** argv) {
   bool log_warnings = false;
   ChaosOptions opts;
   std::string sabotage = "none";
+  // The first observer flag given, if any: parallel shards attach no
+  // observers, so --threads refuses it instead of dropping it.
+  std::string observer_flag;
+  constexpr std::array<std::string_view, 7> kObserverFlags = {
+      "--telemetry",       "--trace-out",  "--jsonl-out", "--metrics-out",
+      "--flight-recorder", "--postmortem", "--health-out"};
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (observer_flag.empty() &&
+        std::find(kObserverFlags.begin(), kObserverFlags.end(), arg) != kObserverFlags.end()) {
+      observer_flag = arg;
+    }
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::cerr << arg << " needs a value\n";
@@ -267,6 +282,12 @@ int main(int argc, char** argv) {
     }
     if (sabotage != "none") {
       std::cerr << "--sabotage is a classic-path oracle self-test; drop --threads\n";
+      return 2;
+    }
+    if (!observer_flag.empty()) {
+      std::cerr << observer_flag
+                << " is not supported with --threads: parallel shards attach no observers; "
+                   "replay a shard with --seed to observe it\n";
       return 2;
     }
     const rtpb::psim::ParallelSweepResult result =
