@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/choice.hpp"
+
 namespace rtpb::core {
 namespace {
 
@@ -130,6 +132,95 @@ TEST(FaultPlan, BackupCrashStopsReplicationButNotService) {
   const auto v = service.primary().read(1)->version;
   service.run_for(seconds(1));
   EXPECT_GT(service.primary().read(1)->version, v);
+}
+
+/// Says yes to every fault candidate; every other decision keeps the
+/// default strategy's draw.
+class YesToFaults final : public sim::ChoicePolicy {
+ public:
+  bool decide(const sim::ChoiceContext& ctx, Rng& rng) override {
+    return ctx.kind == sim::ChoiceKind::kFault || rng.bernoulli(ctx.probability);
+  }
+};
+
+// Characterisation: one plan holding every verb and every explorer
+// candidate kind fires exactly these labels, in virtual-time order with
+// insertion order breaking ties (loss-storm-end before burst-loss-start
+// at 300 ms).
+TEST(FaultPlan, EveryVerbAndCandidateFiresItsLabelsInOrder) {
+  ServiceParams params = make_params(23);
+  params.backup_count = 2;
+  params.durable = true;
+  RtpbService service(params);
+  YesToFaults yes;
+  service.simulator().set_choice_policy(&yes);
+  FaultPlan plan(service);
+  plan.loss_storm(at(100), at(300), 0.5)
+      .link_degradation(at(150), at(350), 0.2)
+      .duplication_burst(at(200), at(400), 0.3)
+      .reorder_burst(at(250), at(450), 0.4, millis(2))
+      .burst_loss(at(300), at(500), 0.02, 4)
+      .corruption_burst(at(350), at(550), 0.1)
+      .cpu_spike(at(400), at(600), 0.5)
+      .throttle_bandwidth(at(450), at(650), 0.5)
+      .inflate_latency(at(500), at(700), millis(3))
+      .tear_wal_tail(at(600), 1, 64)
+      .crash_primary(at(800))
+      .add_standby(at(1500))
+      .crash_backup(at(2000))
+      .crash_restart_primary(at(2500), at(3000))
+      .crash_restart_backup(at(2600), at(3100))
+      .partition_primary(at(3500));
+  plan.maybe_crash_primary(at(4000))
+      .maybe_crash_backup(at(4100))
+      .maybe_add_standby(at(4200))
+      .maybe_partition_primary(at(4300))
+      .maybe_crash_restart_primary(at(4400), millis(300))
+      .maybe_crash_restart_backup(at(4500), millis(300));
+  plan.arm();
+  service.start();
+  ASSERT_TRUE(service.register_object(make_spec(1)).ok());
+  service.run_for(seconds(6));
+  service.simulator().set_choice_policy(nullptr);
+
+  const std::vector<std::string> want = {
+      "loss-storm-start",
+      "link-degradation-start",
+      "dup-burst-start",
+      "reorder-burst-start",
+      "loss-storm-end",
+      "burst-loss-start",
+      "link-degradation-end",
+      "corruption-start",
+      "dup-burst-end",
+      "cpu-spike-start",
+      "reorder-burst-end",
+      "throttle-bandwidth-start",
+      "burst-loss-end",
+      "inflate-latency-start",
+      "corruption-end",
+      "cpu-spike-end",
+      "tear-wal-tail(replica=1,bytes=64)",
+      "throttle-bandwidth-end",
+      "inflate-latency-end",
+      "crash-primary",
+      "add-standby",
+      "crash-backup",
+      "crash-restart-primary",
+      "crash-restart-backup",
+      "restart-primary",
+      "restart-backup",
+      "partition-primary",
+      "maybe-crash-primary",
+      "maybe-crash-backup",
+      "maybe-add-standby",
+      "maybe-partition-primary",
+      "maybe-crash-restart-primary",
+      "maybe-crash-restart-backup",
+      "maybe-restart-primary",
+      "maybe-restart-backup",
+  };
+  EXPECT_EQ(plan.fired(), want);
 }
 
 }  // namespace

@@ -54,6 +54,31 @@ check explore_default sh -c "\"$tools/explore_main\" | grep trajectories"
 # Three nodes: the multi-backup failover states the 2-node pair never reaches.
 check explore_multibackup sh -c \
   "\"$tools/explore_main\" --backups 2 --objects 2 --faults 2 --quiet | grep trajectories"
+# Staggered same-kind overload pairs (throttle_bandwidth on 19, 44 and 67,
+# inflate_latency on 94): the second fault starts before the first ends,
+# so each end action runs while the other fault holds the link.
+check chaos_overlapping_overload sh -c "for s in 19 44 67 94; do \
+  \"$tools/chaos_main\" --seed \$s --backups 2 --overload --crash-restart; done"
+# FaultPlan reproducers of failing seeds: every schedule verb but
+# crash_backup, shard storms included.
+check chaos_reproducer_no_failover "$tools/chaos_main" --seeds 4 --sabotage no-failover \
+  --overload --shards 2 --objects 8
+check chaos_reproducer_split_brain "$tools/chaos_main" --seeds 2 --sabotage split-brain
+check chaos_reproducer_torn_write "$tools/chaos_main" --seeds 2 --sabotage torn-write --overload
+
+# sabotage MODE: the explorer's counterexample artifact for a planted bug,
+# verbatim, the cksum of its post-mortem, and chaos_main's replay of it
+# (which prints the artifact's FaultPlan reproducer).
+sabotage() {
+  dir=$(mktemp -d)
+  "$tools/explore_main" --sabotage "$1" --emit "$dir/ce.txt" --quiet > /dev/null
+  check "explore_sabotage_$2" sh -c "cat \"$dir/ce.txt\"; cksum < \"$dir/ce.txt.postmortem.jsonl\"; \
+    \"$tools/chaos_main\" --replay \"$dir/ce.txt\""
+  rm -rf "$dir"
+}
+sabotage split-brain split_brain
+sabotage no-failover no_failover
+sabotage torn-write torn_write
 
 # artifacts NAME CHAOS_ARGS...: one chaos run writing every observability
 # artifact into a scratch directory; pins NAME_metrics.txt (the registry
