@@ -24,7 +24,7 @@ core::ServiceParams seed_params(const ChaosSchedule& schedule, const ChaosOption
 }
 
 /// Translate kShardLossStorm events into scripted per-object loss
-/// overrides on the acting primary.  Lives here, not in apply(): the
+/// overrides on the acting primary.  Lives here, not in FaultPlan: the
 /// override set needs the directory placement and the admitted list.
 /// Shard membership is resolved eagerly so the scheduled actions carry
 /// plain id lists.
@@ -33,8 +33,8 @@ void apply_shard_faults(const ChaosSchedule& schedule, const ChaosOptions& opts,
                         const std::vector<core::ObjectId>& admitted, core::FaultPlan& plan) {
   if (opts.shards <= 1) return;
   const shard::ShardDirectory directory(static_cast<shard::ShardId>(opts.shards), 1);
-  for (const ChaosEvent& e : schedule.events) {
-    if (e.kind != FaultKind::kShardLossStorm) continue;
+  for (const core::Fault& e : schedule.events) {
+    if (e.kind != core::FaultKind::kShardLossStorm) continue;
     std::vector<core::ObjectId> ids;
     for (core::ObjectId id : admitted) {
       if (directory.shard_of(id) == e.shard) ids.push_back(id);
@@ -56,15 +56,17 @@ void apply_shard_faults(const ChaosSchedule& schedule, const ChaosOptions& opts,
 
 /// Translate torn_tail_bytes into a tear-wal-tail sabotage action halfway
 /// through each crash-restart outage (the replica is down, its WAL is
-/// quiescent).  Lives here, not in apply(): the replica index follows the
-/// service's for_each_replica order, which the schedule layer cannot know.
+/// quiescent).  The replica index follows the service's for_each_replica
+/// order, which the schedule layer cannot know.
 void apply_torn_tail_sabotage(const ChaosSchedule& schedule, const ChaosOptions& opts,
                               core::FaultPlan& plan) {
   if (opts.torn_tail_bytes == 0) return;
-  for (const ChaosEvent& e : schedule.events) {
-    if (e.kind != FaultKind::kCrashRestartPrimary && e.kind != FaultKind::kCrashRestartBackup)
+  for (const core::Fault& e : schedule.events) {
+    if (e.kind != core::FaultKind::kCrashRestartPrimary &&
+        e.kind != core::FaultKind::kCrashRestartBackup) {
       continue;
-    const std::size_t replica = e.kind == FaultKind::kCrashRestartPrimary ? 0 : 1;
+    }
+    const std::size_t replica = e.kind == core::FaultKind::kCrashRestartPrimary ? 0 : 1;
     plan.tear_wal_tail(e.at + (e.until - e.at) / 2, replica, opts.torn_tail_bytes);
   }
 }
@@ -107,7 +109,9 @@ Experiment::Experiment(std::uint64_t seed, const ChaosSchedule& schedule,
   open();
   const Workload workload = generate_workload(seed, opts);
   admit(workload.objects, workload.constraints);
-  apply(schedule, plan_);
+  for (const core::Fault& e : schedule.events) {
+    if (e.kind != core::FaultKind::kShardLossStorm) plan_.add(e);
+  }
   apply_shard_faults(schedule, opts, service_, admitted_, plan_);
   apply_torn_tail_sabotage(schedule, opts, plan_);
   arm(declared_epochs(schedule, opts));

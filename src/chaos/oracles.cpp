@@ -27,9 +27,9 @@ bool OracleMonitor::in_fault_epoch(TimePoint t) const {
 }
 
 namespace {
-bool is_overload_kind(FaultKind k) {
-  return k == FaultKind::kCpuSpike || k == FaultKind::kThrottleBandwidth ||
-         k == FaultKind::kInflateLatency;
+bool is_overload_kind(core::FaultKind k) {
+  return k == core::FaultKind::kCpuSpike || k == core::FaultKind::kThrottleBandwidth ||
+         k == core::FaultKind::kInflateLatency;
 }
 }  // namespace
 

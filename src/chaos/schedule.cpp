@@ -8,6 +8,9 @@
 
 namespace rtpb::chaos {
 
+using core::Fault;
+using core::FaultKind;
+
 namespace {
 
 TimePoint at_ms(std::int64_t ms) { return TimePoint::zero() + millis(ms); }
@@ -27,28 +30,6 @@ double percent(Rng& rng, std::int64_t lo, std::int64_t hi) {
 }
 
 }  // namespace
-
-const char* fault_kind_name(FaultKind k) {
-  switch (k) {
-    case FaultKind::kLossStorm: return "loss-storm";
-    case FaultKind::kLinkDegradation: return "link-degradation";
-    case FaultKind::kDuplicationBurst: return "duplication-burst";
-    case FaultKind::kReorderBurst: return "reorder-burst";
-    case FaultKind::kBurstLoss: return "burst-loss";
-    case FaultKind::kCorruptionBurst: return "corruption-burst";
-    case FaultKind::kCrashPrimary: return "crash-primary";
-    case FaultKind::kCrashBackup: return "crash-backup";
-    case FaultKind::kAddStandby: return "add-standby";
-    case FaultKind::kPartitionPrimary: return "partition-primary";
-    case FaultKind::kCpuSpike: return "cpu-spike";
-    case FaultKind::kThrottleBandwidth: return "throttle-bandwidth";
-    case FaultKind::kInflateLatency: return "inflate-latency";
-    case FaultKind::kShardLossStorm: return "shard-loss-storm";
-    case FaultKind::kCrashRestartPrimary: return "crash-restart-primary";
-    case FaultKind::kCrashRestartBackup: return "crash-restart-backup";
-  }
-  return "?";
-}
 
 core::ServiceConfig ChaosOptions::hardened_config() {
   core::ServiceConfig c;
@@ -104,7 +85,7 @@ ChaosSchedule generate_schedule(std::uint64_t seed, const ChaosOptions& opts) {
       const std::int64_t len = rng.uniform(500, 2000);
       const TimePoint a = at_ms(from);
       const TimePoint b = at_ms(std::min(from + len, dur_ms));
-      ChaosEvent e;
+      Fault e;
       e.at = a;
       e.until = b;
       // Loss-like probabilities stay ≤ 0.35: see hardened_config().
@@ -142,7 +123,7 @@ ChaosSchedule generate_schedule(std::uint64_t seed, const ChaosOptions& opts) {
     for (std::int64_t i = 0; i < n; ++i) {
       const std::int64_t from = rng.uniform(fault_floor, fault_ceil);
       const std::int64_t len = rng.uniform(1000, 3000);
-      ChaosEvent e;
+      Fault e;
       e.at = at_ms(from);
       e.until = at_ms(std::min(from + len, dur_ms));
       switch (rng.uniform(0, 2)) {
@@ -178,7 +159,7 @@ ChaosSchedule generate_schedule(std::uint64_t seed, const ChaosOptions& opts) {
     for (std::int64_t i = 0; i < n; ++i) {
       const std::int64_t from = rng.uniform(fault_floor, fault_ceil);
       const std::int64_t len = rng.uniform(500, 2000);
-      ChaosEvent e;
+      Fault e;
       e.kind = FaultKind::kShardLossStorm;
       e.at = at_ms(from);
       e.until = at_ms(std::min(from + len, dur_ms));
@@ -233,105 +214,53 @@ ChaosSchedule generate_schedule(std::uint64_t seed, const ChaosOptions& opts) {
   }
 
   std::stable_sort(s.events.begin(), s.events.end(),
-                   [](const ChaosEvent& a, const ChaosEvent& b) { return a.at < b.at; });
+                   [](const Fault& a, const Fault& b) { return a.at < b.at; });
   return s;
 }
 
-void apply(const ChaosSchedule& schedule, core::FaultPlan& plan) {
-  for (const ChaosEvent& e : schedule.events) {
-    switch (e.kind) {
-      case FaultKind::kLossStorm:
-        plan.loss_storm(e.at, e.until, e.probability);
-        break;
-      case FaultKind::kLinkDegradation:
-        plan.link_degradation(e.at, e.until, e.probability);
-        break;
-      case FaultKind::kDuplicationBurst:
-        plan.duplication_burst(e.at, e.until, e.probability);
-        break;
-      case FaultKind::kReorderBurst:
-        plan.reorder_burst(e.at, e.until, e.probability, e.extra);
-        break;
-      case FaultKind::kBurstLoss:
-        plan.burst_loss(e.at, e.until, e.probability, e.burst_length);
-        break;
-      case FaultKind::kCorruptionBurst:
-        plan.corruption_burst(e.at, e.until, e.probability);
-        break;
-      case FaultKind::kCrashPrimary:
-        plan.crash_primary(e.at);
-        break;
-      case FaultKind::kCrashBackup:
-        plan.crash_backup(e.at);
-        break;
-      case FaultKind::kAddStandby:
-        plan.add_standby(e.at);
-        break;
-      case FaultKind::kPartitionPrimary:
-        plan.partition_primary(e.at);
-        break;
-      case FaultKind::kCpuSpike:
-        plan.cpu_spike(e.at, e.until, e.probability);
-        break;
-      case FaultKind::kThrottleBandwidth:
-        plan.throttle_bandwidth(e.at, e.until, e.probability);
-        break;
-      case FaultKind::kInflateLatency:
-        plan.inflate_latency(e.at, e.until, e.extra);
-        break;
-      case FaultKind::kShardLossStorm:
-        // Applied by the harness (apply_shard_faults): the per-object loss
-        // overrides need the directory placement and the admitted set,
-        // neither of which the schedule layer knows.
-        break;
-      case FaultKind::kCrashRestartPrimary:
-        plan.crash_restart_primary(e.at, e.until);
-        break;
-      case FaultKind::kCrashRestartBackup:
-        plan.crash_restart_backup(e.at, e.until);
-        break;
-    }
+FaultEpoch declared_epoch(const Fault& f, TimePoint recovered, Duration settle,
+                          Duration failover_grace) {
+  switch (f.kind) {
+    case FaultKind::kCrashPrimary:
+    case FaultKind::kCrashBackup:
+      return {f.at, recovered + failover_grace, f.kind};
+    case FaultKind::kAddStandby:
+      return {f.at, f.at + failover_grace, f.kind};
+    case FaultKind::kPartitionPrimary:
+      // Detection + promotion + recruitment + depose notice + the new
+      // primary's version counter overtaking the survivor's divergent
+      // suffix: double the failover grace covers the whole arc.
+      return {f.at, f.at + failover_grace + failover_grace, f.kind};
+    case FaultKind::kCrashRestartPrimary:
+    case FaultKind::kCrashRestartBackup:
+      // One epoch spans the whole crash → restart → resync catch-up arc
+      // (`until` is the restart instant).
+      return {f.at, f.until + failover_grace, f.kind};
+    case FaultKind::kLossStorm:
+    case FaultKind::kLinkDegradation:
+    case FaultKind::kDuplicationBurst:
+    case FaultKind::kReorderBurst:
+    case FaultKind::kBurstLoss:
+    case FaultKind::kCorruptionBurst:
+    case FaultKind::kCpuSpike:
+    case FaultKind::kThrottleBandwidth:
+    case FaultKind::kInflateLatency:
+    case FaultKind::kShardLossStorm:
+      break;
   }
+  return {f.at, f.until + settle, f.kind};
 }
 
 std::vector<FaultEpoch> declared_epochs(const ChaosSchedule& schedule,
                                         const ChaosOptions& opts) {
-  std::vector<FaultEpoch> epochs;
-  // A crash epoch stays open until recruitment has had its grace: with no
-  // backup alive (or no primary, mid-failover) the distance metric cannot
-  // recover, so the whole crash→standby→catch-up arc is one epoch.
   TimePoint standby_at = TimePoint::max();
-  for (const ChaosEvent& e : schedule.events) {
+  for (const Fault& e : schedule.events) {
     if (e.kind == FaultKind::kAddStandby) standby_at = e.at;
   }
-  for (const ChaosEvent& e : schedule.events) {
-    switch (e.kind) {
-      case FaultKind::kCrashPrimary:
-      case FaultKind::kCrashBackup: {
-        const TimePoint recovered =
-            standby_at == TimePoint::max() ? e.at : standby_at;
-        epochs.push_back({e.at, recovered + opts.failover_grace, e.kind});
-        break;
-      }
-      case FaultKind::kAddStandby:
-        epochs.push_back({e.at, e.at + opts.failover_grace, e.kind});
-        break;
-      case FaultKind::kPartitionPrimary:
-        // Detection + promotion + recruitment + depose notice + the new
-        // primary's version counter overtaking the survivor's divergent
-        // suffix: double the failover grace covers the whole arc.
-        epochs.push_back({e.at, e.at + opts.failover_grace + opts.failover_grace, e.kind});
-        break;
-      case FaultKind::kCrashRestartPrimary:
-      case FaultKind::kCrashRestartBackup:
-        // One epoch spans the whole crash → restart → resync catch-up arc
-        // (`until` is the restart instant).
-        epochs.push_back({e.at, e.until + opts.failover_grace, e.kind});
-        break;
-      default:
-        epochs.push_back({e.at, e.until + opts.settle, e.kind});
-        break;
-    }
+  std::vector<FaultEpoch> epochs;
+  for (const Fault& e : schedule.events) {
+    const TimePoint recovered = standby_at == TimePoint::max() ? e.at : standby_at;
+    epochs.push_back(declared_epoch(e, recovered, opts.settle, opts.failover_grace));
   }
   return epochs;
 }
@@ -366,7 +295,6 @@ Workload generate_workload(std::uint64_t seed, const ChaosOptions& opts) {
 std::string render_reproducer(const ChaosSchedule& schedule, const ChaosOptions& opts) {
   std::string out;
   char line[1024];
-  const auto ms = [](TimePoint t) { return t.nanos() / 1'000'000; };
 
   std::snprintf(line, sizeof line,
                 "// ---- chaos reproducer: seed %llu ----\n"
@@ -390,96 +318,7 @@ std::string render_reproducer(const ChaosSchedule& schedule, const ChaosOptions&
                 static_cast<unsigned long long>(schedule.seed));
   out += line;
 
-  for (const ChaosEvent& e : schedule.events) {
-    switch (e.kind) {
-      case FaultKind::kLossStorm:
-        std::snprintf(line, sizeof line, "plan.loss_storm(at_ms(%lld), at_ms(%lld), %.2f);\n",
-                      static_cast<long long>(ms(e.at)), static_cast<long long>(ms(e.until)),
-                      e.probability);
-        break;
-      case FaultKind::kLinkDegradation:
-        std::snprintf(line, sizeof line,
-                      "plan.link_degradation(at_ms(%lld), at_ms(%lld), %.2f);\n",
-                      static_cast<long long>(ms(e.at)), static_cast<long long>(ms(e.until)),
-                      e.probability);
-        break;
-      case FaultKind::kDuplicationBurst:
-        std::snprintf(line, sizeof line,
-                      "plan.duplication_burst(at_ms(%lld), at_ms(%lld), %.2f);\n",
-                      static_cast<long long>(ms(e.at)), static_cast<long long>(ms(e.until)),
-                      e.probability);
-        break;
-      case FaultKind::kReorderBurst:
-        std::snprintf(line, sizeof line,
-                      "plan.reorder_burst(at_ms(%lld), at_ms(%lld), %.2f, millis(%lld));\n",
-                      static_cast<long long>(ms(e.at)), static_cast<long long>(ms(e.until)),
-                      e.probability, static_cast<long long>(e.extra.nanos() / 1'000'000));
-        break;
-      case FaultKind::kBurstLoss:
-        std::snprintf(line, sizeof line,
-                      "plan.burst_loss(at_ms(%lld), at_ms(%lld), %.2f, %u);\n",
-                      static_cast<long long>(ms(e.at)), static_cast<long long>(ms(e.until)),
-                      e.probability, e.burst_length);
-        break;
-      case FaultKind::kCorruptionBurst:
-        std::snprintf(line, sizeof line,
-                      "plan.corruption_burst(at_ms(%lld), at_ms(%lld), %.2f);\n",
-                      static_cast<long long>(ms(e.at)), static_cast<long long>(ms(e.until)),
-                      e.probability);
-        break;
-      case FaultKind::kCrashPrimary:
-        std::snprintf(line, sizeof line, "plan.crash_primary(at_ms(%lld));\n",
-                      static_cast<long long>(ms(e.at)));
-        break;
-      case FaultKind::kCrashBackup:
-        std::snprintf(line, sizeof line, "plan.crash_backup(at_ms(%lld));\n",
-                      static_cast<long long>(ms(e.at)));
-        break;
-      case FaultKind::kAddStandby:
-        std::snprintf(line, sizeof line, "plan.add_standby(at_ms(%lld));\n",
-                      static_cast<long long>(ms(e.at)));
-        break;
-      case FaultKind::kPartitionPrimary:
-        std::snprintf(line, sizeof line, "plan.partition_primary(at_ms(%lld));\n",
-                      static_cast<long long>(ms(e.at)));
-        break;
-      case FaultKind::kCpuSpike:
-        std::snprintf(line, sizeof line, "plan.cpu_spike(at_ms(%lld), at_ms(%lld), %.2f);\n",
-                      static_cast<long long>(ms(e.at)), static_cast<long long>(ms(e.until)),
-                      e.probability);
-        break;
-      case FaultKind::kThrottleBandwidth:
-        std::snprintf(line, sizeof line,
-                      "plan.throttle_bandwidth(at_ms(%lld), at_ms(%lld), %.2f);\n",
-                      static_cast<long long>(ms(e.at)), static_cast<long long>(ms(e.until)),
-                      e.probability);
-        break;
-      case FaultKind::kInflateLatency:
-        std::snprintf(line, sizeof line,
-                      "plan.inflate_latency(at_ms(%lld), at_ms(%lld), millis(%lld));\n",
-                      static_cast<long long>(ms(e.at)), static_cast<long long>(ms(e.until)),
-                      static_cast<long long>(e.extra.nanos() / 1'000'000));
-        break;
-      case FaultKind::kShardLossStorm:
-        std::snprintf(line, sizeof line,
-                      "// shard %u loss storm [%lld, %lld] ms p=%.2f — set opts.shards and\n"
-                      "// re-run through chaos::run_seed (per-object overrides).\n",
-                      e.shard, static_cast<long long>(ms(e.at)),
-                      static_cast<long long>(ms(e.until)), e.probability);
-        break;
-      case FaultKind::kCrashRestartPrimary:
-        std::snprintf(line, sizeof line,
-                      "plan.crash_restart_primary(at_ms(%lld), at_ms(%lld));\n",
-                      static_cast<long long>(ms(e.at)), static_cast<long long>(ms(e.until)));
-        break;
-      case FaultKind::kCrashRestartBackup:
-        std::snprintf(line, sizeof line,
-                      "plan.crash_restart_backup(at_ms(%lld), at_ms(%lld));\n",
-                      static_cast<long long>(ms(e.at)), static_cast<long long>(ms(e.until)));
-        break;
-    }
-    out += line;
-  }
+  for (const Fault& e : schedule.events) out += core::reproducer_line(e, core::ReproTime::kMillis);
 
   std::snprintf(line, sizeof line,
                 "plan.arm();\n"

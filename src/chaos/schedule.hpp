@@ -25,43 +25,12 @@
 
 namespace rtpb::chaos {
 
-enum class FaultKind : std::uint8_t {
-  kLossStorm,         ///< §5 update-stream loss at the primary
-  kLinkDegradation,   ///< Bernoulli loss on the genuine link (all traffic)
-  kDuplicationBurst,  ///< frames delivered twice
-  kReorderBurst,      ///< frames exempted from FIFO
-  kBurstLoss,         ///< correlated frame loss
-  kCorruptionBurst,   ///< single-bit frame corruption
-  kCrashPrimary,
-  kCrashBackup,
-  kAddStandby,
-  kPartitionPrimary,  ///< isolate primary from its successor (split brain)
-  kCpuSpike,           ///< steal a CPU fraction on the acting primary
-  kThrottleBandwidth,  ///< shrink link bandwidth to a fraction (queueing)
-  kInflateLatency,     ///< add base propagation delay (RTT inflation)
-  kShardLossStorm,     ///< update loss confined to one shard's objects
-  kCrashRestartPrimary,  ///< crash, then power up from durable state
-  kCrashRestartBackup,
-};
-
-[[nodiscard]] const char* fault_kind_name(FaultKind k);
-
-struct ChaosEvent {
-  FaultKind kind{};
-  TimePoint at{};                  ///< start (the instant, for crash/standby)
-  TimePoint until{};               ///< end of interval faults; == at otherwise
-  double probability = 0.0;        ///< loss/dup/…; also cpu/bandwidth fraction
-  Duration extra{};                ///< reorder extra delay / latency inflation
-  std::uint32_t burst_length = 0;  ///< burst-loss run length
-  std::uint32_t shard = 0;         ///< target shard (kShardLossStorm only)
-};
-
 /// An interval during which oracles must tolerate inconsistency (the
 /// underlying fault interval widened by the settle/failover grace).
 struct FaultEpoch {
   TimePoint from{};
   TimePoint until{};
-  FaultKind cause{};
+  core::FaultKind cause{};
 };
 
 /// The observers of one checked run (see chaos::Experiment).  None of
@@ -169,7 +138,7 @@ struct ChaosOptions : Observers {
 struct ChaosSchedule {
   std::uint64_t seed = 0;          ///< the chaos seed it was generated from
   std::uint64_t service_seed = 0;  ///< derived seed for ServiceParams
-  std::vector<ChaosEvent> events;  ///< sorted by `at`
+  std::vector<core::Fault> events;  ///< sorted by `at`
 };
 
 /// Sub-stream numbers of the chaos seed (derive_stream_seed streams).
@@ -191,10 +160,18 @@ enum ChaosStream : std::uint64_t {
 /// Generate the fault schedule for `seed`.  Pure function of (seed, opts).
 [[nodiscard]] ChaosSchedule generate_schedule(std::uint64_t seed, const ChaosOptions& opts);
 
-/// Translate the schedule into FaultPlan calls (does not arm()).
-void apply(const ChaosSchedule& schedule, core::FaultPlan& plan);
+/// The interval around fault `f` during which oracles must tolerate
+/// violations: its own interval widened by `settle` (network and overload
+/// faults) or by `failover_grace` (crashes, restarts, recruitment; twice
+/// for a partition's split-brain arc).  A crash's epoch runs until
+/// `recovered`, the recruitment that replaces the victim, plus the grace:
+/// with no backup alive (or no primary, mid-failover) the distance metric
+/// cannot recover, so the whole crash→standby→catch-up arc is one epoch.
+[[nodiscard]] FaultEpoch declared_epoch(const core::Fault& f, TimePoint recovered,
+                                        Duration settle, Duration failover_grace);
 
-/// The intervals during which oracles must tolerate violations.
+/// The declared epoch of every event of the schedule (a crash recovers at
+/// the schedule's standby recruitment).
 [[nodiscard]] std::vector<FaultEpoch> declared_epochs(const ChaosSchedule& schedule,
                                                       const ChaosOptions& opts);
 

@@ -2,198 +2,137 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
+#include <iterator>
 
 #include "util/log.hpp"
 
 namespace rtpb::core {
 
-FaultPlan& FaultPlan::loss_storm(TimePoint from, TimePoint until, double probability) {
-  at(from, "loss-storm-start", [this, probability] {
-    service_.acting_primary().set_update_loss_probability(probability);
-  });
-  at(until, "loss-storm-end",
-     [this] { service_.acting_primary().set_update_loss_probability(0.0); });
-  return *this;
+namespace {
+
+/// Per kind, in FaultKind order: its name and the fired() labels of its
+/// start and end halves (no end label: an instant, with no end half).
+struct KindInfo {
+  const char* name;
+  const char* start;
+  const char* end;
+};
+constexpr KindInfo kKinds[] = {
+    {"loss-storm", "loss-storm-start", "loss-storm-end"},
+    {"link-degradation", "link-degradation-start", "link-degradation-end"},
+    {"duplication-burst", "dup-burst-start", "dup-burst-end"},
+    {"reorder-burst", "reorder-burst-start", "reorder-burst-end"},
+    {"burst-loss", "burst-loss-start", "burst-loss-end"},
+    {"corruption-burst", "corruption-start", "corruption-end"},
+    {"crash-primary", "crash-primary", nullptr},
+    {"crash-backup", "crash-backup", nullptr},
+    {"add-standby", "add-standby", nullptr},
+    {"partition-primary", "partition-primary", nullptr},
+    {"cpu-spike", "cpu-spike-start", "cpu-spike-end"},
+    {"throttle-bandwidth", "throttle-bandwidth-start", "throttle-bandwidth-end"},
+    {"inflate-latency", "inflate-latency-start", "inflate-latency-end"},
+    {"shard-loss-storm", nullptr, nullptr},
+    {"crash-restart-primary", "crash-restart-primary", "restart-primary"},
+    {"crash-restart-backup", "crash-restart-backup", "restart-backup"},
+};
+static_assert(std::size(kKinds) == kFaultKinds);
+
+const KindInfo& info(FaultKind k) { return kKinds[static_cast<std::size_t>(k)]; }
+
+}  // namespace
+
+const char* fault_kind_name(FaultKind k) { return info(k).name; }
+
+std::optional<FaultKind> fault_kind_from_name(std::string_view name) {
+  for (std::size_t i = 0; i < kFaultKinds; ++i) {
+    if (name == kKinds[i].name) return static_cast<FaultKind>(i);
+  }
+  return std::nullopt;
 }
 
-FaultPlan& FaultPlan::link_degradation(TimePoint from, TimePoint until, double probability) {
-  const net::NodeId a = service_.primary().node();
-  const net::NodeId b = service_.backup().node();
-  at(from, "link-degradation-start",
-     [this, a, b, probability] { service_.network().set_loss_probability(a, b, probability); });
-  at(until, "link-degradation-end",
-     [this, a, b] { service_.network().set_loss_probability(a, b, 0.0); });
-  return *this;
+std::string reproducer_line(const Fault& f, ReproTime unit) {
+  const auto ms = [](auto t) { return static_cast<long long>(t.nanos() / 1'000'000); };
+  const auto instant = [&](TimePoint t) {
+    char out[48];
+    if (unit == ReproTime::kNanos) {
+      std::snprintf(out, sizeof out, "TimePoint{%lld}", static_cast<long long>(t.nanos()));
+    } else {
+      std::snprintf(out, sizeof out, "at_ms(%lld)", ms(t));
+    }
+    return std::string(out);
+  };
+  std::string verb = fault_kind_name(f.kind);
+  std::replace(verb.begin(), verb.end(), '-', '_');
+  const std::string at = instant(f.at);
+  const std::string until = instant(f.until);
+  char line[256];
+  switch (f.kind) {
+    case FaultKind::kCrashPrimary:
+    case FaultKind::kCrashBackup:
+    case FaultKind::kAddStandby:
+    case FaultKind::kPartitionPrimary:
+      std::snprintf(line, sizeof line, "plan.%s(%s);\n", verb.c_str(), at.c_str());
+      break;
+    case FaultKind::kCrashRestartPrimary:
+    case FaultKind::kCrashRestartBackup:
+      std::snprintf(line, sizeof line, "plan.%s(%s, %s);\n", verb.c_str(), at.c_str(),
+                    until.c_str());
+      break;
+    case FaultKind::kLossStorm:
+    case FaultKind::kLinkDegradation:
+    case FaultKind::kDuplicationBurst:
+    case FaultKind::kCorruptionBurst:
+    case FaultKind::kCpuSpike:
+    case FaultKind::kThrottleBandwidth:
+      std::snprintf(line, sizeof line, "plan.%s(%s, %s, %.2f);\n", verb.c_str(), at.c_str(),
+                    until.c_str(), f.probability);
+      break;
+    case FaultKind::kReorderBurst:
+      std::snprintf(line, sizeof line, "plan.%s(%s, %s, %.2f, millis(%lld));\n", verb.c_str(),
+                    at.c_str(), until.c_str(), f.probability, ms(f.extra));
+      break;
+    case FaultKind::kBurstLoss:
+      std::snprintf(line, sizeof line, "plan.%s(%s, %s, %.2f, %u);\n", verb.c_str(), at.c_str(),
+                    until.c_str(), f.probability, f.burst_length);
+      break;
+    case FaultKind::kInflateLatency:
+      std::snprintf(line, sizeof line, "plan.%s(%s, %s, millis(%lld));\n", verb.c_str(),
+                    at.c_str(), until.c_str(), ms(f.extra));
+      break;
+    case FaultKind::kShardLossStorm:
+      std::snprintf(line, sizeof line,
+                    "// shard %u loss storm [%lld, %lld] ms p=%.2f — set opts.shards and\n"
+                    "// re-run through chaos::run_seed (per-object overrides).\n",
+                    f.shard, ms(f.at), ms(f.until), f.probability);
+      break;
+  }
+  return line;
 }
 
-FaultPlan& FaultPlan::duplication_burst(TimePoint from, TimePoint until, double probability) {
-  const net::NodeId a = service_.primary().node();
-  const net::NodeId b = service_.backup().node();
-  at(from, "dup-burst-start", [this, a, b, probability] {
-    net::LinkFaults f = service_.network().faults(a, b);
-    f.duplicate_probability = probability;
-    service_.network().set_faults(a, b, f);
-  });
-  at(until, "dup-burst-end", [this, a, b] {
-    net::LinkFaults f = service_.network().faults(a, b);
-    f.duplicate_probability = 0.0;
-    service_.network().set_faults(a, b, f);
-  });
-  return *this;
-}
-
-FaultPlan& FaultPlan::reorder_burst(TimePoint from, TimePoint until, double probability,
-                                    Duration extra) {
-  const net::NodeId a = service_.primary().node();
-  const net::NodeId b = service_.backup().node();
-  at(from, "reorder-burst-start", [this, a, b, probability, extra] {
-    net::LinkFaults f = service_.network().faults(a, b);
-    f.reorder_probability = probability;
-    f.reorder_extra = extra;
-    service_.network().set_faults(a, b, f);
-  });
-  at(until, "reorder-burst-end", [this, a, b] {
-    net::LinkFaults f = service_.network().faults(a, b);
-    f.reorder_probability = 0.0;
-    service_.network().set_faults(a, b, f);
-  });
-  return *this;
-}
-
-FaultPlan& FaultPlan::burst_loss(TimePoint from, TimePoint until, double enter_probability,
-                                 std::uint32_t burst_length) {
-  const net::NodeId a = service_.primary().node();
-  const net::NodeId b = service_.backup().node();
-  at(from, "burst-loss-start", [this, a, b, enter_probability, burst_length] {
-    net::LinkFaults f = service_.network().faults(a, b);
-    f.burst_loss_probability = enter_probability;
-    f.burst_length = burst_length;
-    service_.network().set_faults(a, b, f);
-  });
-  at(until, "burst-loss-end", [this, a, b] {
-    net::LinkFaults f = service_.network().faults(a, b);
-    f.burst_loss_probability = 0.0;
-    service_.network().set_faults(a, b, f);
-  });
-  return *this;
-}
-
-FaultPlan& FaultPlan::corruption_burst(TimePoint from, TimePoint until, double probability) {
-  const net::NodeId a = service_.primary().node();
-  const net::NodeId b = service_.backup().node();
-  at(from, "corruption-start", [this, a, b, probability] {
-    net::LinkFaults f = service_.network().faults(a, b);
-    f.corrupt_probability = probability;
-    service_.network().set_faults(a, b, f);
-  });
-  at(until, "corruption-end", [this, a, b] {
-    net::LinkFaults f = service_.network().faults(a, b);
-    f.corrupt_probability = 0.0;
-    service_.network().set_faults(a, b, f);
-  });
-  return *this;
-}
-
-FaultPlan& FaultPlan::cpu_spike(TimePoint from, TimePoint until, double fraction) {
-  RTPB_EXPECTS(fraction > 0.0 && fraction < 1.0);
-  // The hog task id travels start→end through a shared slot; the end
-  // action must tolerate the primary having crashed (its CPU dies with
-  // it) or never having started the spike.
-  auto task = std::make_shared<sched::TaskId>(sched::kInvalidTask);
-  at(from, "cpu-spike-start", [this, task, fraction] {
-    ReplicaServer& primary = service_.acting_primary();
-    if (primary.crashed()) return;
-    const Duration period = millis(5);
-    sched::TaskSpec spec;
-    spec.name = "chaos-cpu-hog";
-    spec.period = period;
-    spec.wcet = period.scaled(fraction);
-    *task = primary.cpu().add_task(spec, [](const sched::JobInfo&) {});
-  });
-  at(until, "cpu-spike-end", [this, task] {
-    ReplicaServer& primary = service_.acting_primary();
-    if (*task == sched::kInvalidTask || !primary.cpu().has_task(*task)) return;
-    primary.cpu().remove_task(*task);
-    *task = sched::kInvalidTask;
-  });
-  return *this;
-}
-
-FaultPlan& FaultPlan::throttle_bandwidth(TimePoint from, TimePoint until, double fraction) {
-  RTPB_EXPECTS(fraction > 0.0 && fraction <= 1.0);
-  const net::NodeId a = service_.primary().node();
-  const net::NodeId b = service_.backup().node();
-  auto original = std::make_shared<double>(0.0);
-  at(from, "throttle-bandwidth-start", [this, a, b, fraction, original] {
-    const auto params = service_.network().link_params(a, b);
-    if (!params) return;
-    *original = params->bandwidth_bps;
-    // An infinite link (<=0) has nothing to throttle against a fraction.
-    if (*original <= 0.0) return;
-    service_.network().set_bandwidth(a, b, *original * fraction);
-  });
-  at(until, "throttle-bandwidth-end", [this, a, b, original] {
-    if (*original <= 0.0) return;
-    service_.network().set_bandwidth(a, b, *original);
-  });
-  return *this;
-}
-
-FaultPlan& FaultPlan::inflate_latency(TimePoint from, TimePoint until, Duration extra) {
-  RTPB_EXPECTS(extra > Duration::zero());
-  const net::NodeId a = service_.primary().node();
-  const net::NodeId b = service_.backup().node();
-  auto original = std::make_shared<Duration>();
-  at(from, "inflate-latency-start", [this, a, b, extra, original] {
-    const auto params = service_.network().link_params(a, b);
-    if (!params) return;
-    *original = params->propagation;
-    service_.network().set_propagation(a, b, *original + extra);
-  });
-  at(until, "inflate-latency-end",
-     [this, a, b, original] { service_.network().set_propagation(a, b, *original); });
-  return *this;
-}
-
-FaultPlan& FaultPlan::partition_primary(TimePoint when) {
-  const net::NodeId a = service_.primary().node();
-  const net::NodeId b = service_.backup().node();
-  return at(when, "partition-primary",
-            [this, a, b] { service_.network().set_loss_probability(a, b, 1.0); });
-}
-
-FaultPlan& FaultPlan::crash_primary(TimePoint when) {
-  return at(when, "crash-primary", [this] { service_.crash_primary(); });
-}
-
-FaultPlan& FaultPlan::crash_backup(TimePoint when) {
-  return at(when, "crash-backup", [this] { service_.crash_backup(); });
-}
-
-FaultPlan& FaultPlan::add_standby(TimePoint when) {
-  return at(when, "add-standby", [this] { service_.add_standby(); });
-}
-
-FaultPlan& FaultPlan::crash_restart_primary(TimePoint when, TimePoint restart_at) {
-  RTPB_EXPECTS(restart_at > when);
-  at(when, "crash-restart-primary", [this] {
-    if (!service_.primary().crashed()) service_.crash_primary();
-  });
-  at(restart_at, "restart-primary", [this] {
-    if (service_.params().durable && service_.primary().crashed()) service_.restart_primary();
-  });
-  return *this;
-}
-
-FaultPlan& FaultPlan::crash_restart_backup(TimePoint when, TimePoint restart_at) {
-  RTPB_EXPECTS(restart_at > when);
-  at(when, "crash-restart-backup", [this] {
-    if (!service_.backup().crashed()) service_.crash_backup();
-  });
-  at(restart_at, "restart-backup", [this] {
-    if (service_.params().durable && service_.backup().crashed()) service_.restart_backup(0);
-  });
+FaultPlan& FaultPlan::add(const Fault& fault) {
+  RTPB_EXPECTS(!armed_);
+  RTPB_EXPECTS(fault.kind != FaultKind::kShardLossStorm);
+  switch (fault.kind) {
+    case FaultKind::kCpuSpike:
+      RTPB_EXPECTS(fault.probability > 0.0 && fault.probability < 1.0);
+      break;
+    case FaultKind::kThrottleBandwidth:
+      RTPB_EXPECTS(fault.probability > 0.0 && fault.probability <= 1.0);
+      break;
+    case FaultKind::kInflateLatency:
+      RTPB_EXPECTS(fault.extra > Duration::zero());
+      break;
+    case FaultKind::kCrashRestartPrimary:
+    case FaultKind::kCrashRestartBackup:
+      RTPB_EXPECTS(fault.until > fault.at);
+      break;
+    default:
+      break;
+  }
+  const std::size_t i = entries_.size();
+  entries_.push_back({fault});
+  actions_.push_back({fault.at, i, Half::kStart});
+  if (info(fault.kind).end != nullptr) actions_.push_back({fault.until, i, Half::kEnd});
   return *this;
 }
 
@@ -208,87 +147,11 @@ FaultPlan& FaultPlan::tear_wal_tail(TimePoint when, std::size_t replica_index,
   });
 }
 
-namespace {
-bool candidate_fires(RtpbService& service, const char* label, double probability) {
-  sim::Simulator& sim = service.simulator();
-  return sim.decide_fault(sim::ChoiceContext{sim::ChoiceKind::kFault, probability, 0, 0, label},
-                          sim.rng());
-}
-}  // namespace
-
-FaultPlan& FaultPlan::maybe_crash_primary(TimePoint when, double probability) {
-  return at(when, "maybe-crash-primary", [this, probability] {
-    if (service_.primary().crashed()) return;
-    if (!candidate_fires(service_, "crash-primary", probability)) return;
-    service_.crash_primary();
-  });
-}
-
-FaultPlan& FaultPlan::maybe_crash_backup(TimePoint when, double probability) {
-  return at(when, "maybe-crash-backup", [this, probability] {
-    if (service_.backup().crashed()) return;
-    if (!candidate_fires(service_, "crash-backup", probability)) return;
-    service_.crash_backup();
-  });
-}
-
-FaultPlan& FaultPlan::maybe_add_standby(TimePoint when, double probability) {
-  return at(when, "maybe-add-standby", [this, probability] {
-    if (service_.standby() != nullptr) return;
-    if (!candidate_fires(service_, "add-standby", probability)) return;
-    service_.add_standby();
-  });
-}
-
-FaultPlan& FaultPlan::maybe_crash_restart_primary(TimePoint when, Duration restart_delay,
-                                                  double probability) {
-  RTPB_EXPECTS(restart_delay > Duration::zero());
-  // The restart half only fires if the crash half actually drew "yes":
-  // the decision travels through a shared slot, so an un-fired candidate
-  // leaves the trajectory untouched.
-  auto fired = std::make_shared<bool>(false);
-  at(when, "maybe-crash-restart-primary", [this, fired, probability] {
-    if (!service_.params().durable || service_.primary().crashed()) return;
-    if (!candidate_fires(service_, "crash-restart-primary", probability)) return;
-    *fired = true;
-    service_.crash_primary();
-  });
-  at(when + restart_delay, "maybe-restart-primary", [this, fired] {
-    if (*fired && service_.primary().crashed()) service_.restart_primary();
-  });
-  return *this;
-}
-
-FaultPlan& FaultPlan::maybe_crash_restart_backup(TimePoint when, Duration restart_delay,
-                                                 double probability) {
-  RTPB_EXPECTS(restart_delay > Duration::zero());
-  auto fired = std::make_shared<bool>(false);
-  at(when, "maybe-crash-restart-backup", [this, fired, probability] {
-    if (!service_.params().durable || service_.backup().crashed()) return;
-    if (!candidate_fires(service_, "crash-restart-backup", probability)) return;
-    *fired = true;
-    service_.crash_backup();
-  });
-  at(when + restart_delay, "maybe-restart-backup", [this, fired] {
-    if (*fired && service_.backup().crashed()) service_.restart_backup(0);
-  });
-  return *this;
-}
-
-FaultPlan& FaultPlan::maybe_partition_primary(TimePoint when, double probability) {
-  const net::NodeId a = service_.primary().node();
-  const net::NodeId b = service_.backup().node();
-  return at(when, "maybe-partition-primary", [this, a, b, probability] {
-    if (service_.primary().crashed() || service_.backup().crashed()) return;
-    if (!candidate_fires(service_, "partition-primary", probability)) return;
-    service_.network().set_loss_probability(a, b, 1.0);
-  });
-}
-
 FaultPlan& FaultPlan::at(TimePoint when, std::string label, std::function<void()> action) {
   RTPB_EXPECTS(!armed_);
   RTPB_EXPECTS(action != nullptr);
-  actions_.push_back({when, std::move(label), std::move(action)});
+  actions_.push_back({when, scripts_.size(), Half::kScript});
+  scripts_.push_back({std::move(label), std::move(action)});
   return *this;
 }
 
@@ -301,15 +164,157 @@ void FaultPlan::arm() {
   std::stable_sort(actions_.begin(), actions_.end(),
                    [](const Action& a, const Action& b) { return a.when < b.when; });
   const TimePoint now = service_.simulator().now();
-  // Each event captures its action's index; at() is closed once armed,
-  // so actions_ no longer changes.
+  // Each event captures its action's index; the plan is closed once
+  // armed, so actions_ no longer changes.
   for (std::size_t i = 0; i < actions_.size(); ++i) {
-    service_.simulator().schedule_at(std::max(actions_[i].when, now), [this, i] {
-      const Action& action = actions_[i];
-      RTPB_INFO("faults", "firing %s", action.label.c_str());
-      fired_.push_back(action.label);
-      action.fn();
-    });
+    service_.simulator().schedule_at(std::max(actions_[i].when, now),
+                                     [this, i] { fire(actions_[i]); });
+  }
+}
+
+void FaultPlan::fire(const Action& action) {
+  if (action.half == Half::kScript) {
+    const Script& script = scripts_[action.index];
+    RTPB_INFO("faults", "firing %s", script.label.c_str());
+    fired_.push_back(script.label);
+    script.fn();
+    return;
+  }
+  Entry& e = entries_[action.index];
+  const bool start = action.half == Half::kStart;
+  const KindInfo& kind = info(e.fault.kind);
+  std::string label = e.fault.candidate ? "maybe-" : "";
+  label += start ? kind.start : kind.end;
+  RTPB_INFO("faults", "firing %s", label.c_str());
+  fired_.push_back(std::move(label));
+  if (e.fault.candidate) {
+    if (start) e.chosen = chosen(e.fault);
+    if (!e.chosen) return;
+  }
+  apply(e, start);
+}
+
+bool FaultPlan::chosen(const Fault& f) {
+  const bool durable = service_.params().durable;
+  bool open = true;
+  switch (f.kind) {
+    case FaultKind::kCrashPrimary: open = !service_.primary().crashed(); break;
+    case FaultKind::kCrashBackup: open = !service_.backup().crashed(); break;
+    case FaultKind::kAddStandby: open = service_.standby() == nullptr; break;
+    case FaultKind::kPartitionPrimary:
+      open = !service_.primary().crashed() && !service_.backup().crashed();
+      break;
+    case FaultKind::kCrashRestartPrimary: open = durable && !service_.primary().crashed(); break;
+    case FaultKind::kCrashRestartBackup: open = durable && !service_.backup().crashed(); break;
+    default: break;
+  }
+  if (!open) return false;
+  sim::Simulator& sim = service_.simulator();
+  return sim.decide_fault(
+      sim::ChoiceContext{sim::ChoiceKind::kFault, f.probability, 0, 0,
+                         static_cast<std::uint8_t>(f.kind)},
+      sim.rng());
+}
+
+void FaultPlan::apply(Entry& e, bool start) {
+  const Fault& f = e.fault;
+  net::Network& net = service_.network();
+  const net::NodeId a = service_.primary().node();
+  const net::NodeId b = service_.backup().node();
+  // The four LinkFaults knobs: read, set or clear one, write back.
+  const auto edit_link = [&](auto edit) {
+    net::LinkFaults faults = net.faults(a, b);
+    edit(faults);
+    net.set_faults(a, b, faults);
+  };
+  switch (f.kind) {
+    case FaultKind::kLossStorm:
+      service_.acting_primary().set_update_loss_probability(start ? f.probability : 0.0);
+      break;
+    case FaultKind::kLinkDegradation:
+      net.set_loss_probability(a, b, start ? f.probability : 0.0);
+      break;
+    case FaultKind::kDuplicationBurst:
+      edit_link([&](net::LinkFaults& l) { l.duplicate_probability = start ? f.probability : 0.0; });
+      break;
+    case FaultKind::kReorderBurst:
+      edit_link([&](net::LinkFaults& l) {
+        l.reorder_probability = start ? f.probability : 0.0;
+        if (start) l.reorder_extra = f.extra;
+      });
+      break;
+    case FaultKind::kBurstLoss:
+      edit_link([&](net::LinkFaults& l) {
+        l.burst_loss_probability = start ? f.probability : 0.0;
+        if (start) l.burst_length = f.burst_length;
+      });
+      break;
+    case FaultKind::kCorruptionBurst:
+      edit_link([&](net::LinkFaults& l) { l.corrupt_probability = start ? f.probability : 0.0; });
+      break;
+    case FaultKind::kCpuSpike: {
+      // The end half must tolerate the primary having crashed (its CPU
+      // dies with it) or never having started the spike.
+      ReplicaServer& primary = service_.acting_primary();
+      if (start) {
+        if (primary.crashed()) break;
+        const Duration period = millis(5);
+        sched::TaskSpec spec;
+        spec.name = "chaos-cpu-hog";
+        spec.period = period;
+        spec.wcet = period.scaled(f.probability);
+        e.hog = primary.cpu().add_task(spec, [](const sched::JobInfo&) {});
+      } else if (e.hog != sched::kInvalidTask && primary.cpu().has_task(e.hog)) {
+        primary.cpu().remove_task(e.hog);
+        e.hog = sched::kInvalidTask;
+      }
+      break;
+    }
+    case FaultKind::kThrottleBandwidth:
+      // An infinite link (<=0) has nothing to throttle against a fraction.
+      if (!start) {
+        if (e.bandwidth > 0.0) net.set_bandwidth(a, b, e.bandwidth);
+      } else if (const auto params = net.link_params(a, b)) {
+        e.bandwidth = params->bandwidth_bps;
+        if (e.bandwidth > 0.0) net.set_bandwidth(a, b, e.bandwidth * f.probability);
+      }
+      break;
+    case FaultKind::kInflateLatency:
+      if (!start) {
+        net.set_propagation(a, b, e.propagation);
+      } else if (const auto params = net.link_params(a, b)) {
+        e.propagation = params->propagation;
+        net.set_propagation(a, b, e.propagation + f.extra);
+      }
+      break;
+    case FaultKind::kPartitionPrimary:
+      net.set_loss_probability(a, b, 1.0);
+      break;
+    case FaultKind::kCrashPrimary:
+      service_.crash_primary();
+      break;
+    case FaultKind::kCrashBackup:
+      service_.crash_backup();
+      break;
+    case FaultKind::kAddStandby:
+      service_.add_standby();
+      break;
+    case FaultKind::kShardLossStorm:
+      break;  // never added (see add())
+    case FaultKind::kCrashRestartPrimary:
+      if (start) {
+        if (!service_.primary().crashed()) service_.crash_primary();
+      } else if (service_.params().durable && service_.primary().crashed()) {
+        service_.restart_primary();
+      }
+      break;
+    case FaultKind::kCrashRestartBackup:
+      if (start) {
+        if (!service_.backup().crashed()) service_.crash_backup();
+      } else if (service_.params().durable && service_.backup().crashed()) {
+        service_.restart_backup(0);
+      }
+      break;
   }
 }
 

@@ -27,25 +27,11 @@ std::string Counterexample::fault_plan() const {
   std::ostringstream os;
   os << "core::FaultPlan plan(service);\n";
   for (const FaultAction& a : actions) {
-    if (a.label == "crash-primary") {
-      os << "plan.crash_primary(TimePoint{" << a.at.nanos() << "});\n";
-    } else if (a.label == "crash-backup") {
-      os << "plan.crash_backup(TimePoint{" << a.at.nanos() << "});\n";
-    } else if (a.label == "add-standby") {
-      os << "plan.add_standby(TimePoint{" << a.at.nanos() << "});\n";
-    } else if (a.label == "partition-primary") {
-      os << "plan.partition_primary(TimePoint{" << a.at.nanos() << "});\n";
-    } else if (a.label == "crash-restart-primary") {
-      os << "plan.crash_restart_primary(TimePoint{" << a.at.nanos() << "}, TimePoint{"
-         << (a.at + config.restart_delay).nanos() << "});\n";
-    } else if (a.label == "crash-restart-backup") {
-      os << "plan.crash_restart_backup(TimePoint{" << a.at.nanos() << "}, TimePoint{"
-         << (a.at + config.restart_delay).nanos() << "});\n";
-    } else if (a.label == "drop-frame") {
+    if (a.drop) {
       os << "// drop frame #" << a.frame << " on link " << a.a << "->" << a.b << " at "
          << a.at.nanos() << " ns (replayed via the choice trace)\n";
     } else {
-      os << "// unknown action '" << a.label << "' at " << a.at.nanos() << " ns\n";
+      os << core::reproducer_line(config.candidate(a.kind, a.at), core::ReproTime::kNanos);
     }
   }
   os << "plan.arm();\n";
@@ -72,30 +58,17 @@ std::string Counterexample::to_text() const {
   os << "drop-until-ns " << config.bounds.drop_until.nanos() << "\n";
   os << "restart-delay-ns " << config.restart_delay.nanos() << "\n";
   os << "torn-bytes " << config.torn_tail_bytes << "\n";
-  for (const Duration d : config.crash_primary_at) {
-    os << "candidate crash-primary " << d.nanos() << "\n";
-  }
-  for (const Duration d : config.crash_backup_at) {
-    os << "candidate crash-backup " << d.nanos() << "\n";
-  }
-  for (const Duration d : config.add_standby_at) {
-    os << "candidate add-standby " << d.nanos() << "\n";
-  }
-  for (const Duration d : config.partition_at) {
-    os << "candidate partition-primary " << d.nanos() << "\n";
-  }
-  for (const Duration d : config.crash_restart_primary_at) {
-    os << "candidate crash-restart-primary " << d.nanos() << "\n";
-  }
-  for (const Duration d : config.crash_restart_backup_at) {
-    os << "candidate crash-restart-backup " << d.nanos() << "\n";
+  for (const core::FaultKind kind : kCandidateKinds) {
+    for (const Duration d : *config.candidates(kind)) {
+      os << "candidate " << core::fault_kind_name(kind) << " " << d.nanos() << "\n";
+    }
   }
   os << "trace";
   for (const std::uint16_t t : trace) os << " " << t;
   os << "\n";
   for (const FaultAction& a : actions) {
-    os << "action " << a.label << " " << a.a << " " << a.b << " " << a.frame << " "
-       << a.at.nanos() << "\n";
+    os << "action " << (a.drop ? "drop-frame" : core::fault_kind_name(a.kind)) << " " << a.a
+       << " " << a.b << " " << a.frame << " " << a.at.nanos() << "\n";
   }
   os << "#\n# FaultPlan reproducer for the chosen actions:\n";
   std::istringstream plan(fault_plan());
@@ -173,30 +146,23 @@ std::optional<Counterexample> parse_counterexample(const std::string& text) {
       std::string label;
       std::int64_t ns = 0;
       ls >> label >> ns;
-      const Duration d{ns};
-      if (label == "crash-primary") {
-        ce.config.crash_primary_at.push_back(d);
-      } else if (label == "crash-backup") {
-        ce.config.crash_backup_at.push_back(d);
-      } else if (label == "add-standby") {
-        ce.config.add_standby_at.push_back(d);
-      } else if (label == "partition-primary") {
-        ce.config.partition_at.push_back(d);
-      } else if (label == "crash-restart-primary") {
-        ce.config.crash_restart_primary_at.push_back(d);
-      } else if (label == "crash-restart-backup") {
-        ce.config.crash_restart_backup_at.push_back(d);
-      } else {
-        return std::nullopt;  // unknown candidate verb: cannot replay faithfully
-      }
+      const std::optional<core::FaultKind> kind = core::fault_kind_from_name(label);
+      std::vector<Duration>* at = kind ? ce.config.candidates(*kind) : nullptr;
+      if (at == nullptr) return std::nullopt;  // unknown candidate verb: cannot replay faithfully
+      at->push_back(Duration{ns});
     } else if (key == "trace") {
       for (unsigned v = 0; ls >> v;) ce.trace.push_back(static_cast<std::uint16_t>(v));
     } else if (key == "action") {
       FaultAction a;
+      std::string label;
       std::int64_t ns = 0;
-      ls >> a.label >> a.a >> a.b >> a.frame >> ns;
+      ls >> label >> a.a >> a.b >> a.frame >> ns;
+      a.drop = label == "drop-frame";
+      const std::optional<core::FaultKind> kind = core::fault_kind_from_name(label);
+      if (!a.drop && !kind) return std::nullopt;  // unknown action: cannot render it
+      a.kind = kind.value_or(core::FaultKind{});
       a.at = TimePoint{ns};
-      ce.actions.push_back(std::move(a));
+      ce.actions.push_back(a);
     }
     // Unknown keys are skipped: forward compatibility over strictness.
   }

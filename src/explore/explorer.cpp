@@ -89,7 +89,11 @@ std::uint64_t expansion_key(std::uint64_t state_hash, const Choice& c) {
   fnv_mix(h, c.a);
   fnv_mix(h, c.b);
   fnv_mix(h, c.frame);
-  for (char ch : c.label) fnv_mix(h, static_cast<unsigned char>(ch));
+  if (c.kind == sim::ChoiceKind::kFault) {
+    for (const char* ch = core::fault_kind_name(c.fault); *ch != '\0'; ++ch) {
+      fnv_mix(h, static_cast<unsigned char>(*ch));
+    }
+  }
   return h;
 }
 
@@ -136,32 +140,32 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
         const bool drop = choose(std::move(c)) != 0;
         if (drop) {
           ++drops_taken_;
-          actions_.push_back({"drop-frame", now, ctx.a, ctx.b, ordinal});
+          actions_.push_back({true, {}, now, ctx.a, ctx.b, ordinal});
         }
         return drop;
       }
       case sim::ChoiceKind::kFault: {
         const TimePoint now = service_.simulator().now();
-        const std::string label = ctx.label == nullptr ? "" : ctx.label;
-        if (label == "add-standby") {
+        const auto kind = static_cast<core::FaultKind>(ctx.fault);
+        if (kind == core::FaultKind::kAddStandby) {
           // Recovery, not a fault: fires deterministically iff a crash
           // fired earlier (see ExploreConfig's candidate-instant doc).
           if (!crash_fired_) return false;
-          actions_.push_back({label, now, 0, 0, 0});
-          monitor_.declare_epoch({now, now + cfg_.failover_grace, chaos::FaultKind::kAddStandby});
+          actions_.push_back({false, kind, now});
+          declare_fault_epoch(kind, now);
           return true;
         }
-        if (bound_hit_ || !fault_eligible(label)) return false;
+        if (bound_hit_ || !fault_eligible(kind)) return false;
         Choice c;
         c.kind = ctx.kind;
-        c.label = label;
+        c.fault = kind;
         c.at = now;
         const bool fire = choose(std::move(c)) != 0;
         if (fire) {
           ++faults_taken_;
-          actions_.push_back({label, now, 0, 0, 0});
-          declare_fault_epoch(label, now);
-          maybe_tear_wal(label);
+          actions_.push_back({false, kind, now});
+          declare_fault_epoch(kind, now);
+          maybe_tear_wal(kind);
         }
         return fire;
       }
@@ -216,7 +220,7 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
     return pick;
   }
 
-  bool fault_eligible(const std::string& name) const {
+  bool fault_eligible(core::FaultKind kind) const {
     if (faults_taken_ >= cfg_.bounds.fault_budget) return false;
     std::size_t live = 0;
     service_.for_each_replica([&live](const core::ReplicaServer& r) {
@@ -224,11 +228,16 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
     });
     // Never offer crashing (or isolating) the last live replica: those
     // trajectories only prove the cluster dies when everyone dies.
-    if (name == "crash-primary" || name == "crash-backup" || name == "partition-primary" ||
-        name == "crash-restart-primary" || name == "crash-restart-backup") {
-      return live >= 2;
+    switch (kind) {
+      case core::FaultKind::kCrashPrimary:
+      case core::FaultKind::kCrashBackup:
+      case core::FaultKind::kPartitionPrimary:
+      case core::FaultKind::kCrashRestartPrimary:
+      case core::FaultKind::kCrashRestartBackup:
+        return live >= 2;
+      default:
+        return false;
     }
-    return false;
   }
 
   /// Torn-write sabotage on a fired crash-restart candidate: the victim is
@@ -236,45 +245,33 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
   /// shearing its WAL tail now is equivalent to corrupting the disk while
   /// it is down.  The subsequent recovery replays a clean-but-short prefix
   /// and the durable-recovery oracle must notice the acked versions hole.
-  void maybe_tear_wal(const std::string& label) {
+  void maybe_tear_wal(core::FaultKind kind) {
     if (cfg_.torn_tail_bytes == 0) return;
-    if (label != "crash-restart-primary" && label != "crash-restart-backup") return;
+    if (kind != core::FaultKind::kCrashRestartPrimary &&
+        kind != core::FaultKind::kCrashRestartBackup) {
+      return;
+    }
     store::SimStorageDevice* wal =
-        service_.wal_device(label == "crash-restart-primary" ? 0 : 1);
+        service_.wal_device(kind == core::FaultKind::kCrashRestartPrimary ? 0 : 1);
     if (wal != nullptr) wal->tear_tail(cfg_.torn_tail_bytes);
   }
 
-  void declare_fault_epoch(const std::string& label, TimePoint now) {
-    if (label == "partition-primary") {
-      // Matches the chaos schedule's split-brain arc: double grace, the
-      // fencing-driven step-down takes a detection round longer.
-      monitor_.declare_epoch({now, now + cfg_.failover_grace + cfg_.failover_grace,
-                              chaos::FaultKind::kPartitionPrimary});
-      return;
-    }
-    if (label == "crash-restart-primary" || label == "crash-restart-backup") {
-      // Self-recovering: the replica restarts from its durable image after
-      // restart_delay and resyncs, so the epoch runs outage + grace — and
-      // crash_fired_ stays false, no add-standby recruit is owed.
-      const chaos::FaultKind kind = label == "crash-restart-backup"
-                                        ? chaos::FaultKind::kCrashRestartBackup
-                                        : chaos::FaultKind::kCrashRestartPrimary;
-      monitor_.declare_epoch({now, now + cfg_.restart_delay + cfg_.failover_grace, kind});
-      return;
-    }
-    // A crash: the distance metric cannot recover until a standby has been
-    // recruited and caught up, so the whole crash→recruit→catch-up arc is
-    // one epoch (the exact shape the chaos schedule declares).  The
-    // recovery rule guarantees the next add-standby candidate fires.
-    crash_fired_ = true;
+  /// The chaos schedule's epoch for the fired candidate.  A crash's arc
+  /// runs to the next add-standby candidate, which the recovery rule
+  /// guarantees fires; a crash-restart recovers by itself, so
+  /// crash_fired_ stays false and no recruit is owed.
+  void declare_fault_epoch(core::FaultKind kind, TimePoint now) {
     TimePoint recovered = now;
-    for (const Duration d : cfg_.add_standby_at) {
-      const TimePoint at = TimePoint::zero() + d;
-      if (at >= now && (recovered == now || at < recovered)) recovered = at;
+    if (kind == core::FaultKind::kCrashPrimary || kind == core::FaultKind::kCrashBackup) {
+      crash_fired_ = true;
+      for (const Duration d : cfg_.add_standby_at) {
+        const TimePoint at = TimePoint::zero() + d;
+        if (at >= now && (recovered == now || at < recovered)) recovered = at;
+      }
     }
-    const chaos::FaultKind kind = label == "crash-backup" ? chaos::FaultKind::kCrashBackup
-                                                         : chaos::FaultKind::kCrashPrimary;
-    monitor_.declare_epoch({now, recovered + cfg_.failover_grace, kind});
+    // Candidates are instants or crash-restarts: no network settle applies.
+    monitor_.declare_epoch(chaos::declared_epoch(cfg_.candidate(kind, now), recovered,
+                                                 Duration::zero(), cfg_.failover_grace));
   }
 
   /// FNV-1a over the canonicalized protocol state: per replica (visit
@@ -333,6 +330,24 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
 
 }  // namespace
 
+std::vector<Duration>* ExploreConfig::candidates(core::FaultKind kind) {
+  switch (kind) {
+    case core::FaultKind::kCrashPrimary: return &crash_primary_at;
+    case core::FaultKind::kCrashBackup: return &crash_backup_at;
+    case core::FaultKind::kAddStandby: return &add_standby_at;
+    case core::FaultKind::kPartitionPrimary: return &partition_at;
+    case core::FaultKind::kCrashRestartPrimary: return &crash_restart_primary_at;
+    case core::FaultKind::kCrashRestartBackup: return &crash_restart_backup_at;
+    default: return nullptr;
+  }
+}
+
+core::Fault ExploreConfig::candidate(core::FaultKind kind, TimePoint at) const {
+  const bool restarts = kind == core::FaultKind::kCrashRestartPrimary ||
+                        kind == core::FaultKind::kCrashRestartBackup;
+  return {.kind = kind, .at = at, .until = restarts ? at + restart_delay : at, .candidate = true};
+}
+
 std::vector<std::uint16_t> TrajectoryResult::decisions() const {
   std::vector<std::uint16_t> out;
   out.reserve(choices.size());
@@ -358,16 +373,10 @@ TrajectoryResult run(const ExploreConfig& cfg, const std::vector<std::uint16_t>&
   chaos::Experiment experiment(params, observe);
   experiment.admit(workload(cfg));
 
-  core::FaultPlan& plan = experiment.plan();
-  for (const Duration d : cfg.crash_primary_at) plan.maybe_crash_primary(TimePoint::zero() + d);
-  for (const Duration d : cfg.crash_backup_at) plan.maybe_crash_backup(TimePoint::zero() + d);
-  for (const Duration d : cfg.add_standby_at) plan.maybe_add_standby(TimePoint::zero() + d);
-  for (const Duration d : cfg.partition_at) plan.maybe_partition_primary(TimePoint::zero() + d);
-  for (const Duration d : cfg.crash_restart_primary_at) {
-    plan.maybe_crash_restart_primary(TimePoint::zero() + d, cfg.restart_delay);
-  }
-  for (const Duration d : cfg.crash_restart_backup_at) {
-    plan.maybe_crash_restart_backup(TimePoint::zero() + d, cfg.restart_delay);
+  for (const core::FaultKind kind : kCandidateKinds) {
+    for (const Duration d : *cfg.candidates(kind)) {
+      experiment.plan().add(cfg.candidate(kind, TimePoint::zero() + d));
+    }
   }
   experiment.arm({});  // the policy declares each fault epoch as its candidate fires
 

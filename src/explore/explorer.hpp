@@ -54,6 +54,7 @@
 
 #include "chaos/oracles.hpp"
 #include "chaos/schedule.hpp"
+#include "core/faults.hpp"
 #include "sim/choice.hpp"
 
 namespace rtpb::explore {
@@ -113,6 +114,23 @@ struct ExploreConfig {
   ExploreBounds bounds;
   bool prune_visited = true;  ///< state-hash expansion pruning
   bool sleep_sets = true;     ///< commuting-delivery reduction
+
+  /// The candidate instants of `kind`, or nullptr for a kind the explorer
+  /// does not arm.
+  [[nodiscard]] std::vector<Duration>* candidates(core::FaultKind kind);
+  [[nodiscard]] const std::vector<Duration>* candidates(core::FaultKind kind) const {
+    return const_cast<ExploreConfig*>(this)->candidates(kind);
+  }
+  /// The candidate fault of `kind` at `at`: a crash-restart powers back
+  /// up restart_delay later.
+  [[nodiscard]] core::Fault candidate(core::FaultKind kind, TimePoint at) const;
+};
+
+/// The kinds the explorer arms as candidates, in arming order.
+inline constexpr core::FaultKind kCandidateKinds[] = {
+    core::FaultKind::kCrashPrimary,        core::FaultKind::kCrashBackup,
+    core::FaultKind::kAddStandby,          core::FaultKind::kPartitionPrimary,
+    core::FaultKind::kCrashRestartPrimary, core::FaultKind::kCrashRestartBackup,
 };
 
 /// One recorded decision of a trajectory.
@@ -123,14 +141,15 @@ struct Choice {
   std::uint32_t a = 0;                ///< frame fates: directed link src
   std::uint32_t b = 0;                ///< frame fates: directed link dst
   std::uint64_t frame = 0;            ///< frame fates: per-link frame ordinal
-  std::string label;                  ///< fault candidates: which one
+  core::FaultKind fault{};            ///< fault candidates: which one
   TimePoint at{};
   std::vector<sim::EventTag> tags;    ///< event-order ties: the candidates
 };
 
 /// A fault the trajectory actually took (for the FaultPlan rendering).
 struct FaultAction {
-  std::string label;                  ///< crash-primary / … / drop-frame
+  bool drop = false;                  ///< a dropped frame, not a FaultPlan fault
+  core::FaultKind kind{};             ///< the candidate taken, unless `drop`
   TimePoint at{};
   std::uint32_t a = 0;                ///< drop-frame: directed link src
   std::uint32_t b = 0;                ///< drop-frame: directed link dst

@@ -143,7 +143,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
   // digests are unchanged.  An explorer policy sees each frame on each
   // directed link as a potential branch point instead.
   const auto decide = [this, src, dst](sim::ChoiceKind kind, double p) {
-    return sim_.decide_fault(sim::ChoiceContext{kind, p, src, dst, nullptr}, rng_);
+    return sim_.decide_fault(sim::ChoiceContext{kind, p, src, dst}, rng_);
   };
 
   // Burst loss: an open burst swallows frames until it is spent; a fresh

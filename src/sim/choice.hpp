@@ -30,13 +30,14 @@ enum class ChoiceKind : std::uint8_t {
 
 /// One boolean decision offered to the policy.  `probability` is what the
 /// default (RNG) strategy feeds to bernoulli(); `a`/`b` identify the
-/// directed link for frame fates; `label` names the candidate for kFault.
+/// directed link for frame fates; `fault` is the candidate's
+/// core::FaultKind for kFault (sim sits below core, so as its value).
 struct ChoiceContext {
   ChoiceKind kind{};
   double probability = 0.0;
   std::uint32_t a = 0;
   std::uint32_t b = 0;
-  const char* label = nullptr;
+  std::uint8_t fault = 0;
 };
 
 inline constexpr std::uint8_t kTagNone = 0;

@@ -13,6 +13,9 @@
 namespace rtpb::chaos {
 namespace {
 
+using core::Fault;
+using core::FaultKind;
+
 ChaosOptions quick_opts() {
   ChaosOptions opts;
   opts.duration = seconds(8);  // below the crash threshold: pure network chaos
@@ -184,8 +187,8 @@ TEST(ChaosDeterminism, FaultFamiliesDrawFromDecoupledStreams) {
   const ChaosSchedule b = generate_schedule(21, without);
 
   auto network_only = [](const ChaosSchedule& s) {
-    std::vector<ChaosEvent> out;
-    for (const ChaosEvent& e : s.events) {
+    std::vector<Fault> out;
+    for (const Fault& e : s.events) {
       if (e.kind != FaultKind::kCrashPrimary && e.kind != FaultKind::kCrashBackup &&
           e.kind != FaultKind::kAddStandby) {
         out.push_back(e);

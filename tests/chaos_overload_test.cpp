@@ -11,6 +11,9 @@
 namespace rtpb::chaos {
 namespace {
 
+using core::Fault;
+using core::FaultKind;
+
 bool is_overload(FaultKind k) {
   return k == FaultKind::kCpuSpike || k == FaultKind::kThrottleBandwidth ||
          k == FaultKind::kInflateLatency;
@@ -25,7 +28,7 @@ ChaosOptions overload_opts() {
 TEST(ChaosOverload, ScheduleIsGatedByTheFlagAndSeedStable) {
   const ChaosSchedule off = generate_schedule(9, ChaosOptions{});
   EXPECT_TRUE(std::none_of(off.events.begin(), off.events.end(),
-                           [](const ChaosEvent& e) { return is_overload(e.kind); }))
+                           [](const Fault& e) { return is_overload(e.kind); }))
       << "overload events must not appear unless opted into";
 
   const ChaosSchedule a = generate_schedule(9, overload_opts());
@@ -39,7 +42,7 @@ TEST(ChaosOverload, ScheduleIsGatedByTheFlagAndSeedStable) {
     EXPECT_EQ(a.events[i].extra, b.events[i].extra);
   }
   EXPECT_TRUE(std::any_of(a.events.begin(), a.events.end(),
-                          [](const ChaosEvent& e) { return is_overload(e.kind); }))
+                          [](const Fault& e) { return is_overload(e.kind); }))
       << "the overload stream should actually generate events";
 }
 
@@ -50,8 +53,8 @@ TEST(ChaosOverload, OverloadStreamIsDecoupledFromOtherFamilies) {
   const ChaosSchedule with = generate_schedule(13, overload_opts());
 
   auto non_overload = [](const ChaosSchedule& s) {
-    std::vector<ChaosEvent> out;
-    for (const ChaosEvent& e : s.events) {
+    std::vector<Fault> out;
+    for (const Fault& e : s.events) {
       if (!is_overload(e.kind)) out.push_back(e);
     }
     return out;

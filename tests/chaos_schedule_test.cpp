@@ -10,6 +10,9 @@
 namespace rtpb::chaos {
 namespace {
 
+using core::Fault;
+using core::FaultKind;
+
 TEST(ChaosSchedule, GenerationIsPure) {
   const ChaosOptions opts;
   const ChaosSchedule a = generate_schedule(5, opts);
@@ -33,7 +36,7 @@ TEST(ChaosSchedule, EventsAreSortedAndQuantised) {
     for (std::size_t i = 1; i < s.events.size(); ++i) {
       EXPECT_LE(s.events[i - 1].at, s.events[i].at) << "seed " << seed;
     }
-    for (const ChaosEvent& e : s.events) {
+    for (const Fault& e : s.events) {
       // 1 ms time grid and 0.01 probability grid: what the reproducer
       // prints with %.2f / at_ms() is exactly what ran.
       EXPECT_EQ(e.at.nanos() % 1'000'000, 0) << "seed " << seed;
@@ -51,7 +54,7 @@ TEST(ChaosSchedule, LinkLossProbabilitiesRespectDetectorSafetyCap) {
   // Update-stream loss storms are exempt: heartbeats still flow there.
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     const ChaosSchedule s = generate_schedule(seed, ChaosOptions{});
-    for (const ChaosEvent& e : s.events) {
+    for (const Fault& e : s.events) {
       if (e.kind == FaultKind::kLinkDegradation) {
         EXPECT_LE(e.probability, 0.35) << "seed " << seed;
       }
@@ -78,7 +81,7 @@ TEST(ChaosSchedule, EpochsCoverEveryFaultInterval) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const ChaosSchedule s = generate_schedule(seed, opts);
     const std::vector<FaultEpoch> epochs = declared_epochs(s, opts);
-    for (const ChaosEvent& e : s.events) {
+    for (const Fault& e : s.events) {
       bool covered = false;
       for (const FaultEpoch& ep : epochs) {
         if (ep.from <= e.at && e.until <= ep.until) covered = true;
@@ -95,9 +98,9 @@ TEST(ChaosSchedule, CrashEpochExtendsThroughRecruitmentPlusGrace) {
   // Find a seed whose schedule crashes, then check its epoch shape.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const ChaosSchedule s = generate_schedule(seed, opts);
-    const ChaosEvent* crash = nullptr;
-    const ChaosEvent* standby = nullptr;
-    for (const ChaosEvent& e : s.events) {
+    const Fault* crash = nullptr;
+    const Fault* standby = nullptr;
+    for (const Fault& e : s.events) {
       if (e.kind == FaultKind::kCrashPrimary || e.kind == FaultKind::kCrashBackup)
         crash = &e;
       if (e.kind == FaultKind::kAddStandby) standby = &e;

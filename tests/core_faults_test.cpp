@@ -171,12 +171,15 @@ TEST(FaultPlan, EveryVerbAndCandidateFiresItsLabelsInOrder) {
       .crash_restart_primary(at(2500), at(3000))
       .crash_restart_backup(at(2600), at(3100))
       .partition_primary(at(3500));
-  plan.maybe_crash_primary(at(4000))
-      .maybe_crash_backup(at(4100))
-      .maybe_add_standby(at(4200))
-      .maybe_partition_primary(at(4300))
-      .maybe_crash_restart_primary(at(4400), millis(300))
-      .maybe_crash_restart_backup(at(4500), millis(300));
+  plan.add({.kind = FaultKind::kCrashPrimary, .at = at(4000), .until = at(4000), .candidate = true})
+      .add({.kind = FaultKind::kCrashBackup, .at = at(4100), .until = at(4100), .candidate = true})
+      .add({.kind = FaultKind::kAddStandby, .at = at(4200), .until = at(4200), .candidate = true})
+      .add({.kind = FaultKind::kPartitionPrimary, .at = at(4300), .until = at(4300),
+            .candidate = true})
+      .add({.kind = FaultKind::kCrashRestartPrimary, .at = at(4400), .until = at(4700),
+            .candidate = true})
+      .add({.kind = FaultKind::kCrashRestartBackup, .at = at(4500), .until = at(4800),
+            .candidate = true});
   plan.arm();
   service.start();
   ASSERT_TRUE(service.register_object(make_spec(1)).ok());
@@ -221,6 +224,17 @@ TEST(FaultPlan, EveryVerbAndCandidateFiresItsLabelsInOrder) {
       "maybe-restart-backup",
   };
   EXPECT_EQ(plan.fired(), want);
+}
+
+TEST(FaultPlan, KindNamesRoundTripAndUnknownNamesAreRejected) {
+  for (std::size_t i = 0; i < kFaultKinds; ++i) {
+    const auto kind = static_cast<FaultKind>(i);
+    EXPECT_EQ(fault_kind_from_name(fault_kind_name(kind)), kind) << fault_kind_name(kind);
+  }
+  EXPECT_FALSE(fault_kind_from_name("set-cpu-on-fire").has_value());
+  EXPECT_FALSE(fault_kind_from_name("drop-frame").has_value());
+  EXPECT_FALSE(fault_kind_from_name("crash-primary ").has_value());
+  EXPECT_FALSE(fault_kind_from_name("").has_value());
 }
 
 }  // namespace

@@ -105,7 +105,7 @@ TEST_F(ExploreTest, CrashTrajectoryFailsOverCleanly) {
   std::vector<std::uint16_t> trace;
   bool found = false;
   for (const explore::Choice& c : base.choices) {
-    if (c.kind == sim::ChoiceKind::kFault && c.label == "crash-primary") {
+    if (c.kind == sim::ChoiceKind::kFault && c.fault == core::FaultKind::kCrashPrimary) {
       trace.push_back(1);
       found = true;
       break;
@@ -117,8 +117,8 @@ TEST_F(ExploreTest, CrashTrajectoryFailsOverCleanly) {
   EXPECT_TRUE(res.violations.empty());
   // The crash and its deterministic standby recovery both happened.
   ASSERT_EQ(res.actions.size(), 2u);
-  EXPECT_EQ(res.actions[0].label, "crash-primary");
-  EXPECT_EQ(res.actions[1].label, "add-standby");
+  EXPECT_EQ(res.actions[0].kind, core::FaultKind::kCrashPrimary);
+  EXPECT_EQ(res.actions[1].kind, core::FaultKind::kAddStandby);
 }
 
 TEST_F(ExploreTest, SplitBrainSabotageYieldsReplayableCounterexample) {
@@ -130,7 +130,7 @@ TEST_F(ExploreTest, SplitBrainSabotageYieldsReplayableCounterexample) {
   EXPECT_TRUE(explore::reproduces(explore::replay(ce), ce.oracle));
   // And it names the partition as the fault that did it.
   ASSERT_FALSE(ce.actions.empty());
-  EXPECT_EQ(ce.actions.front().label, "partition-primary");
+  EXPECT_EQ(ce.actions.front().kind, core::FaultKind::kPartitionPrimary);
 }
 
 TEST_F(ExploreTest, CounterexampleTextRoundTripsAndStillReproduces) {
@@ -165,6 +165,15 @@ TEST_F(ExploreTest, ParserRejectsGarbage) {
                                              "oracle staleness-window\n"
                                              "candidate set-cpu-on-fire 1000\n")
                    .has_value());
+  // So can unknown fault actions; drop-frame is the one non-fault action.
+  EXPECT_FALSE(explore::parse_counterexample("# rtpb-explore counterexample v1\n"
+                                             "oracle staleness-window\n"
+                                             "action set-cpu-on-fire 0 0 0 1000\n")
+                   .has_value());
+  EXPECT_TRUE(explore::parse_counterexample("# rtpb-explore counterexample v1\n"
+                                            "oracle staleness-window\n"
+                                            "action drop-frame 1 2 3 1000\n")
+                  .has_value());
 }
 
 TEST_F(ExploreTest, ReductionsOnlyPrune_NeverChangeTheVerdict) {
