@@ -478,7 +478,7 @@ int main(int argc, char** argv) {
   metrics.add("explore_allocs_per_trajectory", per_trajectory);
   // 10% over the recorded count: a copy of every object state per hash or
   // a re-hashed replay prefix lands well above it.
-  constexpr double kMaxExploreAllocsPerTrajectory = 1384;
+  constexpr double kMaxExploreAllocsPerTrajectory = 1272;
   if (per_trajectory > kMaxExploreAllocsPerTrajectory) {
     std::fprintf(stderr,
                  "FAIL: the explorer cost %.1f allocs/trajectory on its default sweep "

@@ -188,13 +188,13 @@ void FaultPlan::fire(const Action& action) {
   RTPB_INFO("faults", "firing %s", label.c_str());
   fired_.push_back(std::move(label));
   if (e.fault.candidate) {
-    if (start) e.chosen = chosen(e.fault);
+    if (start) e.chosen = decide(e.fault);
     if (!e.chosen) return;
   }
   apply(e, start);
 }
 
-bool FaultPlan::chosen(const Fault& f) {
+bool FaultPlan::decide(const Fault& f) {
   const bool durable = service_.params().durable;
   bool open = true;
   switch (f.kind) {

@@ -217,7 +217,7 @@ class FaultPlan {
   void fire(const Action& action);
   /// May candidate `f` fire now?  Asks the choice seam only when its
   /// target can take it.
-  [[nodiscard]] bool chosen(const Fault& f);
+  [[nodiscard]] bool decide(const Fault& f);
   /// The one switch: run the start or end half of `e`'s fault.
   void apply(Entry& e, bool start);
 
