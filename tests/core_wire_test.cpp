@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace rtpb::core::wire {
 namespace {
 
@@ -223,6 +226,91 @@ TEST(Wire, UpdateBatchTrailingBytesRejected) {
   Bytes frame = encode(sample_batch());
   frame.push_back(0x00);
   EXPECT_FALSE(decode(frame).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Byte pins: one sample of every message type.
+// ---------------------------------------------------------------------------
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+Bytes encode_any(const AnyMessage& m) {
+  return std::visit([](const auto& msg) { return encode(msg); }, m);
+}
+
+StateEntry sample_state_entry() {
+  return StateEntry{ObjectSpec{4, "alt", 16, millis(10), millis(1), micros(500), millis(20),
+                               millis(80)},
+                    millis(25), 9, TimePoint{555}, Bytes{1, 2, 3}};
+}
+
+/// One populated sample of every AnyMessage alternative, in variant order.
+std::vector<AnyMessage> every_message() {
+  return {
+      Update{17, 42, TimePoint{7}, true, Bytes{9, 8}, 3},
+      UpdateBatch{{UpdateBatchEntry{10, 3, TimePoint{1000}, Bytes{1, 2, 3}},
+                   UpdateBatchEntry{11, 7, TimePoint{2000}, Bytes{}}},
+                  5},
+      UpdateAck{5, 99, 2},
+      RetransmitRequest{3, 41, 2},
+      Ping{77, 4},
+      PingAck{78, 4},
+      StateTransfer{1001, {sample_state_entry()}, {InterObjectConstraint{4, 5, millis(30)}}, 6},
+      StateTransferAck{1001, 6},
+      ConstraintDowngrade{4, millis(20), millis(140), millis(50), 2, 7},
+      ConstraintRestore{4, millis(80), millis(25), 3, 7},
+      ResyncRequest{{ResyncEntry{4, 9, 1}, ResyncEntry{5, 0, 0}}, 8},
+      StateDelta{1002, {sample_state_entry()}, {}, 9},
+      ActivePrepare{12, 4, TimePoint{-1}, Bytes{0xFF}},
+      ActiveAck{12},
+  };
+}
+
+TEST(Wire, EveryMessageEncodesToPinnedBytes) {
+  // The wire format, byte for byte: a codec change must leave every pin
+  // as it is.  Each frame must also decode and re-encode to itself.
+  const char* const kPinned[] = {
+      "0100000011000000000000002a0000000000000007010000000209080000000000000003",
+      "0a000000020000000a000000000000000300000000000003e8000000030102030000000b000000000000000700"
+      "000000000007d0000000000000000000000005",
+      "020000000500000000000000630000000000000002",
+      "030000000300000000000000290000000000000002",
+      "04000000000000004d0000000000000004",
+      "05000000000000004e0000000000000004",
+      "0600000000000003e9000000010000000400000003616c7400000010000000000098968000000000000f424000"
+      "0000000007a1200000000001312d000000000004c4b40000000000017d78400000000000000009000000000000"
+      "022b000000030102030000000100000004000000050000000001c9c3800000000000000006",
+      "0700000000000003e90000000000000006",
+      "0b000000040000000001312d000000000008583b000000000002faf08000000000000000020000000000000007",
+      "0c000000040000000004c4b40000000000017d784000000000000000030000000000000007",
+      "0e0000000200000004000000000000000900000000000000010000000500000000000000000000000000000000"
+      "0000000000000008",
+      "0f00000000000003ea000000010000000400000003616c7400000010000000000098968000000000000f424000"
+      "0000000007a1200000000001312d000000000004c4b40000000000017d78400000000000000009000000000000"
+      "022b00000003010203000000000000000000000009",
+      "08000000000000000c00000004ffffffffffffffff00000001ff",
+      "09000000000000000c",
+  };
+  const std::vector<AnyMessage> messages = every_message();
+  ASSERT_EQ(messages.size(), std::variant_size_v<AnyMessage>);
+  ASSERT_EQ(std::size(kPinned), messages.size());
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    ASSERT_EQ(messages[i].index(), i) << "samples must follow the variant order";
+    const Bytes bytes = encode_any(messages[i]);
+    EXPECT_EQ(hex(bytes), kPinned[i]) << msg_type_name(type_of(messages[i]));
+    const auto decoded = decode(bytes);
+    ASSERT_TRUE(decoded.has_value()) << msg_type_name(type_of(messages[i]));
+    EXPECT_EQ(type_of(*decoded), type_of(messages[i]));
+    EXPECT_EQ(encode_any(*decoded), bytes) << msg_type_name(type_of(messages[i]));
+  }
 }
 
 // ---------------------------------------------------------------------------

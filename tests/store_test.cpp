@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "store/device.hpp"
 #include "store/wal.hpp"
@@ -122,6 +123,60 @@ TEST(WalCodec, TruncatedPayloadRejected) {
     Bytes prefix(payload.begin(), payload.begin() + static_cast<std::ptrdiff_t>(cut));
     EXPECT_FALSE(decode_record(prefix).has_value()) << "cut=" << cut;
   }
+}
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+TEST(WalCodec, EveryRecordEncodesToPinnedBytes) {
+  // The WAL payload format, byte for byte: a codec change must leave every
+  // pin as it is.  Each payload must also decode back to its fields.
+  const core::ObjectSpec spec = make_spec(7);
+  const Bytes insert = encode(InsertRecord{spec});
+  EXPECT_EQ(hex(insert),
+            "0100000007000000046f626a370000004000000000009896800000000000030d400000000000030d4000"
+            "00000001312d000000000005f5e100");
+  const Bytes write =
+      encode(WriteRecord{3, 41, TimePoint{1234567}, TimePoint{-5}, value_of(0xAB, 3)});
+  EXPECT_EQ(hex(write), "02000000030000000000000029000000000012d687fffffffffffffffb00000003ababab");
+  const Bytes meta = encode(MetaRecord{9, 17});
+  EXPECT_EQ(hex(meta), "0300000000000000090000000000000011");
+  CheckpointRecord ckpt{4, 12, {}};
+  core::ObjectState st;
+  st.spec = make_spec(2);
+  st.version = 99;
+  st.timestamp = TimePoint{777};
+  st.origin_timestamp = TimePoint{700};
+  ckpt.states.push_back(st);
+  const Bytes checkpoint = encode(ckpt);
+  EXPECT_EQ(hex(checkpoint),
+            "040000000000000004000000000000000c0000000100000002000000046f626a32000000400000000000"
+            "9896800000000000030d400000000000030d400000000001312d000000000005f5e10000000000000000"
+            "0000000063000000000000030900000000000002bc");
+
+  const auto i = decode_record(insert);
+  ASSERT_TRUE(i.has_value() && i->insert.has_value());
+  EXPECT_EQ(i->insert->spec.name, "obj7");
+  EXPECT_EQ(i->insert->spec.delta_backup, millis(100));
+  const auto w = decode_record(write);
+  ASSERT_TRUE(w.has_value() && w->write.has_value());
+  EXPECT_EQ(w->write->origin_timestamp, TimePoint{-5});
+  EXPECT_EQ(w->write->value, value_of(0xAB, 3));
+  const auto m = decode_record(meta);
+  ASSERT_TRUE(m.has_value() && m->meta.has_value());
+  EXPECT_EQ(m->meta->next_transfer_id, 17u);
+  const auto c = decode_record(checkpoint);
+  ASSERT_TRUE(c.has_value() && c->checkpoint.has_value());
+  ASSERT_EQ(c->checkpoint->states.size(), 1u);
+  EXPECT_TRUE(c->checkpoint->states[0].value.empty());
+  EXPECT_EQ(c->checkpoint->states[0].origin_timestamp, TimePoint{700});
 }
 
 TEST(WalReplay, RoundTripAndPrefixStop) {
