@@ -8,6 +8,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/types.hpp"
@@ -25,6 +26,10 @@ struct ObjectState {
   /// primary this equals `timestamp`; on the backup it is the T_i^P
   /// carried in the UPDATE that produced this version.
   TimePoint origin_timestamp{};
+  /// Encoded field order of a checkpointed state (util/codec.hpp).
+  template <class S> static auto tie(S& s) {
+    return std::tie(s.spec, s.value, s.version, s.timestamp, s.origin_timestamp);
+  }
 };
 
 class ObjectStore {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sched/cpu.hpp"
@@ -31,6 +32,12 @@ struct ObjectSpec {
 
   /// Window of inconsistency between primary and backup: δ_i = δ_iB − δ_iP.
   [[nodiscard]] Duration window() const { return delta_backup - delta_primary; }
+
+  /// Encoded field order (util/codec.hpp), shared by the wire and the WAL.
+  template <class S> static auto tie(S& s) {
+    return std::tie(s.id, s.name, s.size_bytes, s.client_period, s.client_exec, s.update_exec,
+                    s.delta_primary, s.delta_backup);
+  }
 };
 
 /// Inter-object temporal constraint δ_ij between two registered objects
@@ -39,6 +46,7 @@ struct InterObjectConstraint {
   ObjectId first = kInvalidObject;
   ObjectId second = kInvalidObject;
   Duration delta{};
+  template <class S> static auto tie(S& s) { return std::tie(s.first, s.second, s.delta); }
 };
 
 /// How the primary schedules update transmissions to the backup (§4.3,

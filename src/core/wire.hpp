@@ -6,13 +6,18 @@
 // (paper §4.3 — no per-update acknowledgments by default).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "core/types.hpp"
 #include "util/bytebuffer.hpp"
+#include "util/codec.hpp"
 #include "util/time.hpp"
 
 namespace rtpb::core::wire {
@@ -59,6 +64,9 @@ struct Update {
   bool retransmission = false;
   Bytes value;
   std::uint64_t epoch = 0;
+  template <class S> static auto tie(S& s) {
+    return std::tie(s.object, s.version, s.timestamp, s.retransmission, s.value, s.epoch);
+  }
 };
 
 struct UpdateAck {
@@ -66,6 +74,7 @@ struct UpdateAck {
   ObjectId object = kInvalidObject;
   std::uint64_t version = 0;
   std::uint64_t epoch = 0;
+  template <class S> static auto tie(S& s) { return std::tie(s.object, s.version, s.epoch); }
 };
 
 struct RetransmitRequest {
@@ -73,6 +82,7 @@ struct RetransmitRequest {
   ObjectId object = kInvalidObject;
   std::uint64_t have_version = 0;  ///< newest version the backup holds
   std::uint64_t epoch = 0;
+  template <class S> static auto tie(S& s) { return std::tie(s.object, s.have_version, s.epoch); }
 };
 
 /// One object's update inside a kUpdateBatch frame.  Batched entries are
@@ -83,6 +93,9 @@ struct UpdateBatchEntry {
   std::uint64_t version = 0;
   TimePoint timestamp{};
   Bytes value;
+  template <class S> static auto tie(S& s) {
+    return std::tie(s.object, s.version, s.timestamp, s.value);
+  }
 };
 
 /// All object updates due in the same transmission window, coalesced into
@@ -93,18 +106,21 @@ struct UpdateBatch {
   static constexpr MsgType kType = MsgType::kUpdateBatch;
   std::vector<UpdateBatchEntry> entries;
   std::uint64_t epoch = 0;
+  template <class S> static auto tie(S& s) { return std::tie(s.entries, s.epoch); }
 };
 
 struct Ping {
   static constexpr MsgType kType = MsgType::kPing;
   std::uint64_t seq = 0;
   std::uint64_t epoch = 0;
+  template <class S> static auto tie(S& s) { return std::tie(s.seq, s.epoch); }
 };
 
 struct PingAck {
   static constexpr MsgType kType = MsgType::kPingAck;
   std::uint64_t seq = 0;
   std::uint64_t epoch = 0;
+  template <class S> static auto tie(S& s) { return std::tie(s.seq, s.epoch); }
 };
 
 /// One object's entry in a state transfer (spec + current state).  Carries
@@ -116,6 +132,9 @@ struct StateEntry {
   std::uint64_t version = 0;
   TimePoint timestamp{};
   Bytes value;
+  template <class S> static auto tie(S& s) {
+    return std::tie(s.spec, s.update_period, s.version, s.timestamp, s.value);
+  }
 };
 
 struct StateTransfer {
@@ -124,12 +143,16 @@ struct StateTransfer {
   std::vector<StateEntry> entries;
   std::vector<InterObjectConstraint> constraints;
   std::uint64_t epoch = 0;
+  template <class S> static auto tie(S& s) {
+    return std::tie(s.transfer_id, s.entries, s.constraints, s.epoch);
+  }
 };
 
 struct StateTransferAck {
   static constexpr MsgType kType = MsgType::kStateTransferAck;
   std::uint64_t transfer_id = 0;
   std::uint64_t epoch = 0;
+  template <class S> static auto tie(S& s) { return std::tie(s.transfer_id, s.epoch); }
 };
 
 /// Runtime QoS renegotiation: the primary loosened an admitted object's
@@ -148,6 +171,9 @@ struct ConstraintDowngrade {
   Duration update_period{};   ///< new transmission period r_i
   std::uint64_t qos_seq = 0;
   std::uint64_t epoch = 0;
+  template <class S> static auto tie(S& s) {
+    return std::tie(s.object, s.delta_primary, s.delta_backup, s.update_period, s.qos_seq, s.epoch);
+  }
 };
 
 /// The overload cleared (with hysteresis): the original constraint is
@@ -159,6 +185,9 @@ struct ConstraintRestore {
   Duration update_period{};   ///< restored transmission period r_i
   std::uint64_t qos_seq = 0;
   std::uint64_t epoch = 0;
+  template <class S> static auto tie(S& s) {
+    return std::tie(s.object, s.delta_backup, s.update_period, s.qos_seq, s.epoch);
+  }
 };
 
 /// One (object, version, qos_seq) triple of a rejoining replica's
@@ -171,6 +200,7 @@ struct ResyncEntry {
   ObjectId object = kInvalidObject;
   std::uint64_t version = 0;
   std::uint64_t qos_seq = 0;
+  template <class S> static auto tie(S& s) { return std::tie(s.object, s.version, s.qos_seq); }
 };
 
 /// Durable crash recovery: a restarted replica announces the version
@@ -182,6 +212,7 @@ struct ResyncRequest {
   static constexpr MsgType kType = MsgType::kResyncRequest;
   std::vector<ResyncEntry> have;
   std::uint64_t epoch = 0;
+  template <class S> static auto tie(S& s) { return std::tie(s.have, s.epoch); }
 };
 
 /// The primary's answer to a ResyncRequest: only the objects whose
@@ -198,6 +229,9 @@ struct StateDelta {
   std::vector<StateEntry> entries;
   std::vector<InterObjectConstraint> constraints;
   std::uint64_t epoch = 0;
+  template <class S> static auto tie(S& s) {
+    return std::tie(s.transfer_id, s.entries, s.constraints, s.epoch);
+  }
 };
 
 /// Active baseline: a write stamped with a global sequence number; every
@@ -208,38 +242,40 @@ struct ActivePrepare {
   ObjectId object = kInvalidObject;
   TimePoint timestamp{};
   Bytes value;
+  template <class S> static auto tie(S& s) {
+    return std::tie(s.sequence, s.object, s.timestamp, s.value);
+  }
 };
 
 struct ActiveAck {
   static constexpr MsgType kType = MsgType::kActiveAck;
   std::uint64_t sequence = 0;
+  template <class S> static auto tie(S& s) { return std::tie(s.sequence); }
 };
 
-// Encoding: 1-byte type tag followed by the body.  Every encoder reserves
-// the exact frame size up front (see encoded_size overloads), so encoding
-// a frame costs exactly one allocation.
-[[nodiscard]] Bytes encode(const Update& m);
-[[nodiscard]] Bytes encode(const UpdateBatch& m);
-[[nodiscard]] Bytes encode(const UpdateAck& m);
-[[nodiscard]] Bytes encode(const RetransmitRequest& m);
-[[nodiscard]] Bytes encode(const Ping& m);
-[[nodiscard]] Bytes encode(const PingAck& m);
-[[nodiscard]] Bytes encode(const StateTransfer& m);
-[[nodiscard]] Bytes encode(const StateTransferAck& m);
-[[nodiscard]] Bytes encode(const ConstraintDowngrade& m);
-[[nodiscard]] Bytes encode(const ConstraintRestore& m);
-[[nodiscard]] Bytes encode(const ResyncRequest& m);
-[[nodiscard]] Bytes encode(const StateDelta& m);
-[[nodiscard]] Bytes encode(const ActivePrepare& m);
-[[nodiscard]] Bytes encode(const ActiveAck& m);
+/// One of the message structs above: a tag plus a field list.
+template <class M>
+concept Message = codec::Record<M> && requires {
+  { M::kType } -> std::convertible_to<MsgType>;
+};
 
-/// Exact on-the-wire size of each message — the ByteWriter reserve used by
-/// the corresponding encode(), asserted by the allocation-counting bench.
-[[nodiscard]] std::size_t encoded_size(const Update& m);
-[[nodiscard]] std::size_t encoded_size(const UpdateBatch& m);
-[[nodiscard]] std::size_t encoded_size(const StateTransfer& m);
-[[nodiscard]] std::size_t encoded_size(const StateDelta& m);
-[[nodiscard]] std::size_t encoded_size(const ActivePrepare& m);
+/// Exact on-the-wire size of a message: the ByteWriter reserve used by
+/// encode(), asserted by the allocation-counting bench.
+template <Message M>
+[[nodiscard]] std::size_t encoded_size(const M& m) {
+  return 1 + codec::size(m);
+}
+
+/// Encoding: the 1-byte type tag, then the message's fields in tie()
+/// order (util/codec.hpp).  The writer reserves the exact frame size up
+/// front, so encoding a frame costs exactly one allocation.
+template <Message M>
+[[nodiscard]] Bytes encode(const M& m) {
+  ByteWriter w(encoded_size(m));
+  w.u8(static_cast<std::uint8_t>(M::kType));
+  codec::put(w, m);
+  return std::move(w).take();
+}
 
 /// A decoded message: exactly one of the message structs.
 using AnyMessage =

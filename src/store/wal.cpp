@@ -2,43 +2,38 @@
 
 #include <array>
 
+#include "util/codec.hpp"
+
 namespace rtpb::store {
 namespace {
 
-// ---- record body codecs -----------------------------------------------
+// ---- record bodies ----------------------------------------------------
 //
-// Same discipline as the wire codec: exact little helpers per struct,
-// big-endian integers via ByteWriter/ByteReader, and decoders that
-// validate `ok() && at_end()` so trailing garbage is malformation, not
-// slack.
+// The same codec as the wire (util/codec.hpp): a payload is the record's
+// kind byte, then its fields in tie() order; a decoder rejects a short
+// body, a forged count or trailing bytes.
 
-void put_spec(ByteWriter& w, const core::ObjectSpec& spec) {
-  w.u32(spec.id);
-  w.string(spec.name);
-  w.u32(spec.size_bytes);
-  w.duration(spec.client_period);
-  w.duration(spec.client_exec);
-  w.duration(spec.update_exec);
-  w.duration(spec.delta_primary);
-  w.duration(spec.delta_backup);
+template <class R>
+void put_record(ByteWriter& w, const R& rec) {
+  w.u8(static_cast<std::uint8_t>(R::kKind));
+  codec::put(w, rec);
 }
 
-core::ObjectSpec get_spec(ByteReader& r) {
-  core::ObjectSpec spec;
-  spec.id = r.u32();
-  spec.name = r.string();
-  spec.size_bytes = r.u32();
-  spec.client_period = r.duration();
-  spec.client_exec = r.duration();
-  spec.update_exec = r.duration();
-  spec.delta_primary = r.duration();
-  spec.delta_backup = r.duration();
-  return spec;
+template <class R>
+Bytes encode_record(const R& rec) {
+  ByteWriter w(1 + codec::size(rec));
+  put_record(w, rec);
+  return std::move(w).take();
 }
 
-// Minimum encoded sizes, used to reject absurd counts before allocating.
-constexpr std::size_t kMinSpec = 4 + 4 + 4 + 5 * 8;          // empty name
-constexpr std::size_t kMinState = kMinSpec + 4 + 8 + 8 + 8;  // empty value
+template <class R>
+std::optional<AnyRecord> get_record(ByteReader& r, std::optional<R> AnyRecord::*slot) {
+  AnyRecord out;
+  out.kind = R::kKind;
+  codec::get(r, (out.*slot).emplace());
+  if (!r.ok() || !r.at_end()) return std::nullopt;
+  return out;
+}
 
 // Slicing-by-8 tables: kCrcTables[0] is the classic one-byte table, and
 // kCrcTables[k][i] is kCrcTables[0][i] carried through k more zero bytes,
@@ -85,125 +80,44 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
 }
 
 void put_insert(ByteWriter& w, const core::ObjectSpec& spec) {
+  // An insert's one field is the spec: write it in place, without a copy.
   w.u8(static_cast<std::uint8_t>(RecordKind::kInsert));
-  put_spec(w, spec);
+  codec::put(w, spec);
 }
 
 void put_write(ByteWriter& w, core::ObjectId object, std::uint64_t version, TimePoint timestamp,
                TimePoint origin_timestamp, std::span<const std::uint8_t> value) {
-  w.u8(static_cast<std::uint8_t>(RecordKind::kWrite));
-  w.u32(object);
-  w.u64(version);
-  w.timepoint(timestamp);
-  w.timepoint(origin_timestamp);
-  w.bytes(value);
+  put_record(w, BasicWriteRecord<std::span<const std::uint8_t>>{object, version, timestamp,
+                                                                origin_timestamp, value});
 }
 
 void put_meta(ByteWriter& w, std::uint64_t epoch, std::uint64_t next_transfer_id) {
-  w.u8(static_cast<std::uint8_t>(RecordKind::kMeta));
-  w.u64(epoch);
-  w.u64(next_transfer_id);
+  put_record(w, MetaRecord{epoch, next_transfer_id});
 }
 
 void put_checkpoint_head(ByteWriter& w, std::uint64_t epoch, std::uint64_t next_transfer_id,
                          std::uint32_t count) {
-  w.u8(static_cast<std::uint8_t>(RecordKind::kCheckpoint));
-  w.u64(epoch);
-  w.u64(next_transfer_id);
-  w.u32(count);
+  // The head is an empty checkpoint, whose state count ends the payload.
+  put_record(w, CheckpointRecord{epoch, next_transfer_id, {}});
+  w.patch_u32(w.size() - sizeof count, count);
 }
 
-void put_checkpoint_state(ByteWriter& w, const core::ObjectState& s) {
-  put_spec(w, s.spec);
-  w.bytes(s.value);
-  w.u64(s.version);
-  w.timepoint(s.timestamp);
-  w.timepoint(s.origin_timestamp);
-}
+void put_checkpoint_state(ByteWriter& w, const core::ObjectState& s) { codec::put(w, s); }
 
-Bytes encode(const InsertRecord& r) {
-  ByteWriter w;
-  put_insert(w, r.spec);
-  return std::move(w).take();
-}
-
-Bytes encode(const WriteRecord& r) {
-  ByteWriter w(1 + 4 + 8 + 8 + 8 + 4 + r.value.size());
-  put_write(w, r.object, r.version, r.timestamp, r.origin_timestamp, r.value);
-  return std::move(w).take();
-}
-
-Bytes encode(const MetaRecord& r) {
-  ByteWriter w(1 + 8 + 8);
-  put_meta(w, r.epoch, r.next_transfer_id);
-  return std::move(w).take();
-}
-
-Bytes encode(const CheckpointRecord& r) {
-  ByteWriter w;
-  put_checkpoint_head(w, r.epoch, r.next_transfer_id, static_cast<std::uint32_t>(r.states.size()));
-  for (const core::ObjectState& s : r.states) put_checkpoint_state(w, s);
-  return std::move(w).take();
-}
+Bytes encode(const InsertRecord& r) { return encode_record(r); }
+Bytes encode(const WriteRecord& r) { return encode_record(r); }
+Bytes encode(const MetaRecord& r) { return encode_record(r); }
+Bytes encode(const CheckpointRecord& r) { return encode_record(r); }
 
 std::optional<AnyRecord> decode_record(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
-  AnyRecord out;
-  const std::uint8_t kind = r.u8();
-  switch (kind) {
-    case static_cast<std::uint8_t>(RecordKind::kInsert): {
-      out.kind = RecordKind::kInsert;
-      InsertRecord rec;
-      rec.spec = get_spec(r);
-      out.insert = std::move(rec);
-      break;
-    }
-    case static_cast<std::uint8_t>(RecordKind::kWrite): {
-      out.kind = RecordKind::kWrite;
-      WriteRecord rec;
-      rec.object = r.u32();
-      rec.version = r.u64();
-      rec.timestamp = r.timepoint();
-      rec.origin_timestamp = r.timepoint();
-      rec.value = r.bytes();
-      out.write = std::move(rec);
-      break;
-    }
-    case static_cast<std::uint8_t>(RecordKind::kMeta): {
-      out.kind = RecordKind::kMeta;
-      MetaRecord rec;
-      rec.epoch = r.u64();
-      rec.next_transfer_id = r.u64();
-      out.meta = rec;
-      break;
-    }
-    case static_cast<std::uint8_t>(RecordKind::kCheckpoint): {
-      out.kind = RecordKind::kCheckpoint;
-      CheckpointRecord rec;
-      rec.epoch = r.u64();
-      rec.next_transfer_id = r.u64();
-      const std::uint32_t n = r.u32();
-      // Adversarial count guard: a forged count must not drive a huge
-      // reserve — every state needs at least kMinState bytes.
-      if (static_cast<std::uint64_t>(n) * kMinState > r.remaining()) return std::nullopt;
-      rec.states.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        core::ObjectState s;
-        s.spec = get_spec(r);
-        s.value = r.bytes();
-        s.version = r.u64();
-        s.timestamp = r.timepoint();
-        s.origin_timestamp = r.timepoint();
-        rec.states.push_back(std::move(s));
-      }
-      out.checkpoint = std::move(rec);
-      break;
-    }
-    default:
-      return std::nullopt;
+  switch (static_cast<RecordKind>(r.u8())) {
+    case RecordKind::kInsert: return get_record(r, &AnyRecord::insert);
+    case RecordKind::kWrite: return get_record(r, &AnyRecord::write);
+    case RecordKind::kMeta: return get_record(r, &AnyRecord::meta);
+    case RecordKind::kCheckpoint: return get_record(r, &AnyRecord::checkpoint);
   }
-  if (!r.ok() || !r.at_end()) return std::nullopt;
-  return out;
+  return std::nullopt;  // an empty payload or an unknown kind
 }
 
 Bytes frame_record(std::span<const std::uint8_t> payload) {

@@ -10,16 +10,18 @@
 // durability discipline (recall ALICE): a torn tail never resurrects as
 // state, and everything before it is exactly what was acknowledged.
 //
-// The codec layer here is deliberately link-light (util only): the
-// durable store compiles underneath rtpb_core, so record bodies reuse
-// the header-only core structs (ObjectSpec / ObjectState) but call no
-// core-compiled functions.
+// Record bodies share the wire's field-list codec (util/codec.hpp): each
+// record lists its fields once with tie(), and its size, writer and
+// reader derive from that list.  The codec is header-only and the core
+// structs it reuses (ObjectSpec / ObjectState) are header-only too, so
+// the durable store links util alone and compiles underneath rtpb_core.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/object_store.hpp"
@@ -40,30 +42,47 @@ enum class RecordKind : std::uint8_t {
 };
 
 struct InsertRecord {
+  static constexpr RecordKind kKind = RecordKind::kInsert;
   core::ObjectSpec spec;
+  template <class S> static auto tie(S& s) { return std::tie(s.spec); }
 };
 
-struct WriteRecord {
+/// One write's layout for both directions: decode fills the owning form
+/// (WriteRecord, V = Bytes), and the append path writes the borrowing form
+/// (V = span) straight from the caller's buffer.
+template <class V>
+struct BasicWriteRecord {
+  static constexpr RecordKind kKind = RecordKind::kWrite;
   core::ObjectId object = core::kInvalidObject;
   std::uint64_t version = 0;
   TimePoint timestamp{};
   TimePoint origin_timestamp{};
-  Bytes value;
+  V value;
+  template <class S> static auto tie(S& s) {
+    return std::tie(s.object, s.version, s.timestamp, s.origin_timestamp, s.value);
+  }
 };
+using WriteRecord = BasicWriteRecord<Bytes>;
 
 /// Replica identity that must survive a restart FENCED: a recovered
 /// replica that forgot its epoch could accept a deposed primary's
 /// traffic, and one that forgot its transfer-id high water could mint
 /// transfer ids peers silently discard as stale.
 struct MetaRecord {
+  static constexpr RecordKind kKind = RecordKind::kMeta;
   std::uint64_t epoch = 0;
   std::uint64_t next_transfer_id = 1;
+  template <class S> static auto tie(S& s) { return std::tie(s.epoch, s.next_transfer_id); }
 };
 
 struct CheckpointRecord {
+  static constexpr RecordKind kKind = RecordKind::kCheckpoint;
   std::uint64_t epoch = 0;
   std::uint64_t next_transfer_id = 1;
   std::vector<core::ObjectState> states;
+  template <class S> static auto tie(S& s) {
+    return std::tie(s.epoch, s.next_transfer_id, s.states);
+  }
 };
 
 struct AnyRecord {

@@ -134,7 +134,7 @@ class ByteReader {
 
   Bytes bytes() {
     const std::uint32_t n = u32();
-    if (remaining() < n) { failed_ = true; pos_ = data_.size(); return {}; }
+    if (remaining() < n) { fail(); return {}; }
     Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
               data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
     pos_ += n;
@@ -145,6 +145,12 @@ class ByteReader {
     return {b.begin(), b.end()};
   }
 
+  /// Mark the input malformed: every later read returns a zero value.
+  void fail() {
+    failed_ = true;
+    pos_ = data_.size();
+  }
+
   [[nodiscard]] bool ok() const { return !failed_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool at_end() const { return pos_ == data_.size(); }
@@ -153,8 +159,7 @@ class ByteReader {
   template <typename T>
   T read_be() {
     if (remaining() < sizeof(T)) {
-      failed_ = true;
-      pos_ = data_.size();
+      fail();
       return T{};
     }
     T v{};

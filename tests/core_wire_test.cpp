@@ -318,23 +318,16 @@ TEST(Wire, EveryMessageEncodesToPinnedBytes) {
 // ---------------------------------------------------------------------------
 
 TEST(Wire, EncodedSizeMatchesWireSize) {
-  Update u{17, 42, TimePoint{7}, false, Bytes(33, 1), 3};
-  EXPECT_EQ(encode(u).size(), encoded_size(u));
-
-  EXPECT_EQ(encode(sample_batch()).size(), encoded_size(sample_batch()));
-
-  StateTransfer st;
-  st.transfer_id = 2;
-  StateEntry e;
-  e.spec.id = 4;
-  e.spec.name = "altitude";
-  e.value = Bytes(17, 9);
-  st.entries.push_back(e);
-  st.constraints.push_back(InterObjectConstraint{4, 5, millis(30)});
-  EXPECT_EQ(encode(st).size(), encoded_size(st));
-
-  ActivePrepare ap{1, 2, TimePoint{3}, Bytes(5, 4)};
-  EXPECT_EQ(encode(ap).size(), encoded_size(ap));
+  std::vector<AnyMessage> messages = every_message();
+  messages.push_back(sample_batch());  // larger values than the pinned sample
+  messages.push_back(StateTransfer{});
+  for (const AnyMessage& m : messages) {
+    std::visit(
+        [](const auto& msg) {
+          EXPECT_EQ(encode(msg).size(), encoded_size(msg)) << msg_type_name(msg.kType);
+        },
+        m);
+  }
 }
 
 // ---------------------------------------------------------------------------
