@@ -162,11 +162,12 @@ void ReplicaServer::start() {
   admission_ = std::make_unique<AdmissionController>(config_, ell);
 
   // Overload detection baseline: a full-frame round trip with empty
-  // queues is 2ℓ; the smoothed ping RTT climbing past rtt_factor × that
-  // means queueing (throttled bandwidth, inflated latency) is building.
+  // queues is 2ℓ; the smoothed ping RTT climbing past kOverloadRttFactor ×
+  // that means queueing (throttled bandwidth, inflated latency) is building.
+  constexpr double kOverloadRttFactor = 4.0;
   DegradationController::Params dp;
   dp.rtt_baseline = ell > Duration::zero() ? ell * 2 : config_.ping_period / 4;
-  dp.rtt_factor = config_.overload_rtt_factor;
+  dp.rtt_factor = kOverloadRttFactor;
   dp.queue_depth = config_.overload_queue_depth;
   degrade_ = std::make_unique<DegradationController>(dp);
   // Overload triggers double as SLO degradation signals (pure observer;
@@ -503,8 +504,11 @@ void ReplicaServer::send_update(ObjectId id, bool retransmission, const sched::J
       staged_updates_.push_back(id);
     }
     if (!batch_flush_.pending()) {
-      batch_flush_ =
-          sim_.schedule_after(config_.update_batch_window, [this] { flush_staged_updates(); });
+      // The window bounds the added staging delay and must stay well
+      // inside the admission slack (δ_i − ℓ)/2: 2 ms is an order of
+      // magnitude below the paper's tightest windows.
+      constexpr Duration kUpdateBatchWindow = millis(2);
+      batch_flush_ = sim_.schedule_after(kUpdateBatchWindow, [this] { flush_staged_updates(); });
     }
   } else {
     wire::Update u;
@@ -609,11 +613,12 @@ void ReplicaServer::arm_ack_timeout(ObjectId id, std::uint64_t version) {
   // deadline checks the version it was armed with; the next send arms a
   // fresh one, so every version eventually faces its deadline.
   if (rec.ack_timeout.pending()) return;
-  // Fixed mode: the historical period × ack_timeout_periods.  Adaptive
+  // Fixed mode: the historical two transmission periods.  Adaptive
   // mode adds the current RTO on top of one period, so a throttled or
   // latency-inflated link stretches the deadline instead of triggering a
   // retransmission storm into an already-congested queue.
-  Duration deadline = period * config_.ack_timeout_periods;
+  constexpr std::int64_t kAckTimeoutPeriods = 2;
+  Duration deadline = period * kAckTimeoutPeriods;
   if (config_.adaptive_timeouts && degrade_ && degrade_->rtt().has_sample()) {
     deadline = std::max(deadline, period + degrade_->rtt().rto());
   }
@@ -898,13 +903,13 @@ bool ReplicaServer::downgrade_object(ObjectId id) {
   if (!store_.contains(id) || qos_downgrade_active(id) || !admission_) return false;
   const ObjectSpec original = store_.get(id).spec;
 
-  // Loosen δ_iB by degrade_window_factor windows, then run the result
-  // through admission (falling back to its §4.2 suggestion machinery if
-  // the straight relaxation is still infeasible).  The object must leave
+  // Widen the window δ_iB − δ_iP kDegradeWindowFactor-fold, then run the
+  // result through admission (falling back to its §4.2 suggestion
+  // machinery if the straight relaxation is still infeasible).  The object must leave
   // the admitted set first — suggest/admit evaluate against it.
+  constexpr std::int64_t kDegradeWindowFactor = 2;
   ObjectSpec loosened = original;
-  loosened.delta_backup =
-      original.delta_primary + original.window() * config_.degrade_window_factor;
+  loosened.delta_backup = original.delta_primary + original.window() * kDegradeWindowFactor;
   admission_->remove(id);
   AdmissionResult result = admission_->admit(loosened);
   if (!result.ok()) {

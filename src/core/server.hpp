@@ -340,9 +340,9 @@ class ReplicaServer {
   void follow_new_primary(net::Endpoint new_primary);
 
   // ---- runtime QoS renegotiation (graceful degradation) ----
-  /// Primary: loosen `id`'s temporal constraint (δ_iB grows by
-  /// degrade_window_factor windows, passed through admission's suggestion
-  /// machinery) and notify backups + client with kConstraintDowngrade.
+  /// Primary: loosen `id`'s temporal constraint (its window δ_iB − δ_iP
+  /// doubles, passed through admission's suggestion machinery) and
+  /// notify backups + client with kConstraintDowngrade.
   /// Normally driven by the DegradationController's overload detection;
   /// exposed for drills and tests.  Returns false if the object is
   /// unknown, already downgraded, or no feasible relaxation exists.

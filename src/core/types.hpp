@@ -109,23 +109,16 @@ struct ServiceConfig {
   /// Payload bytes per fragment (header overhead rides on top; keep below
   /// the link MTU minus ~50 bytes of stacked headers).
   std::size_t fragment_payload = 1400;
-  /// Primary retransmits an unacked update after this many of the object's
-  /// transmission periods (only in ack mode).
-  std::int64_t ack_timeout_periods = 2;
-
-  /// Coalesce update transmissions that fall due within
-  /// `update_batch_window` of each other into one kUpdateBatch frame per
-  /// peer: the frame tag, epoch, UDPLITE checksum and per-frame simulation
-  /// events are paid once per window instead of once per object.  The
-  /// window bounds the added staging delay and must stay well inside the
-  /// admission slack (δ_i − ℓ)/2; the 2 ms default is an order of
-  /// magnitude below the paper's tightest windows.  Retransmissions and
-  /// targeted (lagging-peer) sends always go out as single kUpdate frames.
+  /// Coalesce update transmissions that fall due within one 2 ms batch
+  /// window of each other into one kUpdateBatch frame per peer (see
+  /// ReplicaServer's kUpdateBatchWindow): the frame tag, epoch, UDPLITE
+  /// checksum and per-frame simulation events are paid once per window
+  /// instead of once per object.  Retransmissions and targeted
+  /// (lagging-peer) sends always go out as single kUpdate frames.
   /// NOTE: toggling this changes the wire byte stream, so chaos trace
   /// digests shift vs pre-batch builds (same-seed reproducibility is
   /// unaffected) — same precedent as the epoch-fencing field addition.
   bool batch_updates = true;
-  Duration update_batch_window = millis(2);
 
   // Failure detection (§4.4).
   Duration ping_period = millis(100);
@@ -165,21 +158,17 @@ struct ServiceConfig {
   /// Jacobson-style RTT estimator (SRTT + 4·RTTVAR) instead of the fixed
   /// config values.  Estimates are clamped to [derived floor, ping_period].
   bool adaptive_timeouts = true;
-  /// Overload trips when the smoothed ack RTT exceeds this multiple of the
-  /// link's no-queueing baseline (2ℓ), or when the staged send queue holds
-  /// more than `overload_queue_depth` updates, or when a transmission
-  /// window was missed.  Hysteresis: the controller must observe
-  /// `degrade_restore_hold` of calm before restoring original windows.
-  double overload_rtt_factor = 4.0;
+  /// Overload trips when the smoothed ack RTT exceeds a fixed multiple of
+  /// the link's no-queueing baseline (2ℓ), or when the staged send queue
+  /// holds more than `overload_queue_depth` updates, or when a
+  /// transmission window was missed.  Hysteresis: the controller must
+  /// observe `degrade_restore_hold` of calm before restoring original
+  /// windows.
   std::size_t overload_queue_depth = 16;
   /// Minimum calm time before a downgraded object's original window is
   /// restored (also floored at one failure-detection period so restore can
   /// never flap within a single detector cycle).
   Duration degrade_restore_hold = millis(500);
-  /// Window multiplier used when the controller loosens an object's
-  /// constraint: new δ_iB = δ_iP + window × degrade_window_factor (then
-  /// passed through the admission controller's suggestion machinery).
-  std::int64_t degrade_window_factor = 2;
   /// State-transfer / registration replication retries back off
   /// exponentially (base ping_period × 2, doubled per attempt, seeded
   /// jitter) and give up after this many attempts, reporting the silent
