@@ -26,7 +26,15 @@
 #include <thread>
 #include <vector>
 
+#include "jsonl_fields.hpp"
+
 namespace {
+
+using rtpb::tools::find_key;
+using rtpb::tools::get_bool;
+using rtpb::tools::get_double;
+using rtpb::tools::get_string;
+using rtpb::tools::get_u64;
 
 struct ObjectHealth {
   double distance_ms = 0.0;
@@ -60,63 +68,26 @@ struct Dashboard {
   std::uint64_t overloaded_snapshots = 0;
 };
 
-// --- minimal field extraction (same discipline as trace_inspect) ---------
-
-std::size_t find_key(const std::string& s, std::size_t from, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = s.find(needle, from);
-  return at == std::string::npos ? std::string::npos : at + needle.size();
-}
-
-bool get_u64(const std::string& s, std::size_t from, const char* key, std::uint64_t& out) {
-  const std::size_t at = find_key(s, from, key);
-  if (at == std::string::npos) return false;
-  out = std::strtoull(s.c_str() + at, nullptr, 10);
-  return true;
-}
-
-bool get_double(const std::string& s, std::size_t from, const char* key, double& out) {
-  const std::size_t at = find_key(s, from, key);
-  if (at == std::string::npos) return false;
-  out = std::strtod(s.c_str() + at, nullptr);
-  return true;
-}
-
-bool get_bool(const std::string& s, std::size_t from, const char* key, bool& out) {
-  const std::size_t at = find_key(s, from, key);
-  if (at == std::string::npos) return false;
-  out = s.compare(at, 4, "true") == 0;
-  return true;
-}
-
-bool get_string(const std::string& s, std::size_t from, const char* key, std::string& out) {
-  std::size_t at = find_key(s, from, key);
-  if (at == std::string::npos || at >= s.size() || s[at] != '"') return false;
-  out.clear();
-  for (++at; at < s.size() && s[at] != '"'; ++at) out.push_back(s[at]);
-  return true;
-}
-
 /// Ingest one health line into the dashboard.  Returns false when the line
 /// is not a health record.
 bool ingest(const std::string& line, Dashboard& dash) {
   std::string type;
-  if (!get_string(line, 0, "type", type) || type != "health") return false;
+  if (!get_string(line, "type", type) || type != "health") return false;
   std::uint64_t node = 0;
-  if (!get_u64(line, 0, "node", node)) return false;
+  if (!get_u64(line, "node", node)) return false;
 
   NodeHealth& nh = dash.nodes[node];
-  get_double(line, 0, "ts_ms", nh.ts_ms);
-  get_string(line, 0, "role", nh.role);
-  get_u64(line, 0, "epoch", nh.epoch);
-  get_bool(line, 0, "crashed", nh.crashed);
-  get_double(line, 0, "rto_ms", nh.rto_ms);
-  get_bool(line, 0, "overloaded", nh.overloaded);
-  get_u64(line, 0, "degradation_triggers", nh.degradation_triggers);
-  get_u64(line, 0, "queue", nh.queue);
-  get_u64(line, 0, "shed", nh.shed);
-  get_u64(line, 0, "updates_sent", nh.updates_sent);
-  get_u64(line, 0, "updates_applied", nh.updates_applied);
+  get_double(line, "ts_ms", nh.ts_ms);
+  get_string(line, "role", nh.role);
+  get_u64(line, "epoch", nh.epoch);
+  get_bool(line, "crashed", nh.crashed);
+  get_double(line, "rto_ms", nh.rto_ms);
+  get_bool(line, "overloaded", nh.overloaded);
+  get_u64(line, "degradation_triggers", nh.degradation_triggers);
+  get_u64(line, "queue", nh.queue);
+  get_u64(line, "shed", nh.shed);
+  get_u64(line, "updates_sent", nh.updates_sent);
+  get_u64(line, "updates_applied", nh.updates_applied);
   if (nh.overloaded) ++dash.overloaded_snapshots;
   if (nh.ts_ms > dash.latest_ts_ms) dash.latest_ts_ms = nh.ts_ms;
   ++dash.snapshots;
@@ -127,7 +98,7 @@ bool ingest(const std::string& line, Dashboard& dash) {
   if (peers_at != std::string::npos) {
     std::size_t pos = peers_at;
     std::uint64_t lag = 0;
-    while ((pos = find_key(line, pos, "max_ack_lag")) != std::string::npos) {
+    while ((pos = find_key(line, "max_ack_lag", pos)) != std::string::npos) {
       lag = std::strtoull(line.c_str() + pos, nullptr, 10);
       if (lag > nh.max_ack_lag) nh.max_ack_lag = lag;
     }
@@ -138,13 +109,13 @@ bool ingest(const std::string& line, Dashboard& dash) {
   if (obj_at != std::string::npos) {
     std::size_t pos = obj_at;
     std::uint64_t id = 0;
-    while ((pos = find_key(line, pos, "id")) != std::string::npos) {
+    while ((pos = find_key(line, "id", pos)) != std::string::npos) {
       id = std::strtoull(line.c_str() + pos, nullptr, 10);
       ObjectHealth& oh = dash.objects[id];
-      get_double(line, pos, "distance_ms", oh.distance_ms);
-      get_double(line, pos, "window_ms", oh.window_ms);
-      get_double(line, pos, "margin_ms", oh.margin_ms);
-      get_bool(line, pos, "downgraded", oh.downgraded);
+      get_double(line, "distance_ms", oh.distance_ms, pos);
+      get_double(line, "window_ms", oh.window_ms, pos);
+      get_double(line, "margin_ms", oh.margin_ms, pos);
+      get_bool(line, "downgraded", oh.downgraded, pos);
       auto [it, inserted] = dash.worst_margin_ms.try_emplace(id, oh.margin_ms);
       if (!inserted && oh.margin_ms < it->second) it->second = oh.margin_ms;
     }
@@ -266,7 +237,7 @@ int main(int argc, char** argv) {
       ++lines_seen;
       if (at_ms >= 0.0) {
         double ts = 0.0;
-        if (get_double(line, 0, "ts_ms", ts) && ts > at_ms) continue;
+        if (get_double(line, "ts_ms", ts) && ts > at_ms) continue;
       }
       ingest(line, dash);
     }

@@ -35,9 +35,15 @@
 #include <string>
 #include <vector>
 
+#include "jsonl_fields.hpp"
 #include "util/stats.hpp"
 
 namespace {
+
+using rtpb::tools::get_double;
+using rtpb::tools::get_i64;
+using rtpb::tools::get_string;
+using rtpb::tools::get_u64;
 
 struct Event {
   double ts_ms = 0.0;
@@ -78,61 +84,6 @@ struct FlightEvent {
   std::string kind;
   std::string label;
 };
-
-// --- minimal field extraction over our own JSONL -------------------------
-
-/// Finds `"key":` and returns the character index just past the colon, or
-/// npos.  Keys in write_jsonl output never appear inside string values
-/// with the quote-colon suffix, so a plain search is sufficient.
-std::size_t find_key(const std::string& line, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = line.find(needle);
-  return at == std::string::npos ? std::string::npos : at + needle.size();
-}
-
-bool get_u64(const std::string& line, const char* key, std::uint64_t& out) {
-  const std::size_t at = find_key(line, key);
-  if (at == std::string::npos) return false;
-  out = std::strtoull(line.c_str() + at, nullptr, 10);
-  return true;
-}
-
-bool get_double(const std::string& line, const char* key, double& out) {
-  const std::size_t at = find_key(line, key);
-  if (at == std::string::npos) return false;
-  out = std::strtod(line.c_str() + at, nullptr);
-  return true;
-}
-
-bool get_i64(const std::string& line, const char* key, std::int64_t& out) {
-  const std::size_t at = find_key(line, key);
-  if (at == std::string::npos) return false;
-  out = std::strtoll(line.c_str() + at, nullptr, 10);
-  return true;
-}
-
-bool get_string(const std::string& line, const char* key, std::string& out) {
-  std::size_t at = find_key(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '"') return false;
-  out.clear();
-  for (++at; at < line.size(); ++at) {
-    const char c = line[at];
-    if (c == '"') return true;
-    if (c == '\\' && at + 1 < line.size()) {
-      const char esc = line[++at];
-      switch (esc) {
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'u': out.push_back('?'); at += 4; break;  // control chars: opaque
-        default: out.push_back(esc); break;            // \" \\ \/
-      }
-    } else {
-      out.push_back(c);
-    }
-  }
-  return false;  // unterminated string
-}
 
 // --- reporting -----------------------------------------------------------
 
