@@ -26,7 +26,7 @@ std::string describe(const ObjectSpec& s) {
 ObjectSpec random_spec(Rng& rng, ObjectId id) {
   ObjectSpec s;
   s.id = id;
-  s.name = "o" + std::to_string(id);
+  s.name = std::string("o").append(std::to_string(id));
   s.client_period = micros(rng.uniform(200, 50'000));
   s.client_exec = micros(rng.uniform(20, 2'000));
   s.update_exec = micros(rng.uniform(20, 2'000));

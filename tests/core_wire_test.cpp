@@ -123,7 +123,7 @@ TEST(Wire, UnknownTypeRejected) {
 TEST(Wire, RetiredTag13Rejected) {
   // Tag 13 once carried a cross-group frame; it is retired and must not
   // decode.  This is that frame's old layout (shard, stable_ts, epoch).
-  ByteWriter w;
+  ByteWriter w(1 + 4 + 8 + 8);
   w.u8(13);
   w.u32(2);
   w.timepoint(TimePoint{5'000'000});
