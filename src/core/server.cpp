@@ -905,8 +905,9 @@ bool ReplicaServer::downgrade_object(ObjectId id) {
 
   // Widen the window δ_iB − δ_iP kDegradeWindowFactor-fold, then run the
   // result through admission (falling back to its §4.2 suggestion
-  // machinery if the straight relaxation is still infeasible).  The object must leave
-  // the admitted set first — suggest/admit evaluate against it.
+  // machinery if the straight relaxation is still infeasible).  The
+  // object must leave the admitted set first — suggest/admit evaluate
+  // against it.
   constexpr std::int64_t kDegradeWindowFactor = 2;
   ObjectSpec loosened = original;
   loosened.delta_backup = original.delta_primary + original.window() * kDegradeWindowFactor;
