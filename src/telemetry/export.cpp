@@ -108,7 +108,8 @@ void write_chrome_trace(const Hub& hub, std::ostream& os) {
   // One nestable-async track per update span: b at mint, n per hop, e at the
   // last recorded hop.  Perfetto renders each id as one row, so an update's
   // primary → net → backup journey reads left to right.
-  for (const auto& [id, info] : hub.spans()) {
+  for (const SpanInfo& info : hub.spans()) {
+    const SpanId id = info.id;
     auto bounds = span_bounds.find(id);
     const TimePoint begin = info.begin;
     const TimePoint end =
@@ -140,8 +141,8 @@ void write_jsonl(const Hub& hub, std::ostream& os) {
      << ",\"spans_violated\":" << hub.spans_violated()
      << ",\"events_recorded\":" << hub.recorded_events()
      << ",\"events_dropped\":" << hub.dropped_events() << "}\n";
-  for (const auto& [id, info] : hub.spans()) {
-    os << "{\"type\":\"span\",\"span\":" << id << ",\"object\":" << info.object
+  for (const SpanInfo& info : hub.spans()) {
+    os << "{\"type\":\"span\",\"span\":" << info.id << ",\"object\":" << info.object
        << ",\"version\":" << info.version << ",\"epoch\":" << info.epoch
        << ",\"begin_ms\":" << millis_ts(info.begin);
     if (!info.violation.empty()) {
@@ -163,11 +164,11 @@ void write_jsonl(const Hub& hub, std::ostream& os) {
   // from the event stream.
   for (const auto& [name, counter] : hub.registry().counters()) {
     os << "{\"type\":\"counter\",\"name\":\"" << json_escape(name)
-       << "\",\"value\":" << counter->value() << "}\n";
+       << "\",\"value\":" << counter.value() << "}\n";
   }
   for (const auto& [name, gauge] : hub.registry().gauges()) {
     char buf[48];
-    std::snprintf(buf, sizeof buf, "%.6g", gauge->value());
+    std::snprintf(buf, sizeof buf, "%.6g", gauge.value());
     os << "{\"type\":\"gauge\",\"name\":\"" << json_escape(name) << "\",\"value\":" << buf
        << "}\n";
   }

@@ -21,41 +21,34 @@ const char* event_kind_name(EventKind k) {
 // Registry.
 // ---------------------------------------------------------------------------
 
-Counter& Registry::counter(std::string_view name) {
-  const std::lock_guard<std::mutex> guard(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>(enabled_)).first;
-  }
-  return *it->second;
+namespace {
+
+/// The instrument named `name` in `map`, created on first use.
+template <typename T>
+T& find_or_create(Registry::Map<T>& map, std::string_view name, const bool* enabled) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.try_emplace(std::string(name), enabled).first;
+  return it->second;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  const std::lock_guard<std::mutex> guard(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>(enabled_)).first;
-  }
-  return *it->second;
+}  // namespace
+
+Counter& Registry::counter(std::string_view name) {
+  return find_or_create(counters_, name, enabled_);
 }
+
+Gauge& Registry::gauge(std::string_view name) { return find_or_create(gauges_, name, enabled_); }
 
 LatencyHistogram& Registry::histogram(std::string_view name) {
-  const std::lock_guard<std::mutex> guard(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<LatencyHistogram>(enabled_))
-             .first;
-  }
-  return *it->second;
+  return find_or_create(histograms_, name, enabled_);
 }
 
 void Registry::clear() {
-  const std::lock_guard<std::mutex> guard(mu_);
-  for (auto& [name, c] : counters_) c->value_.store(0, std::memory_order_relaxed);
-  for (auto& [name, g] : gauges_) g->value_.store(0.0, std::memory_order_relaxed);
+  for (auto& [name, c] : counters_) c.value_ = 0;
+  for (auto& [name, g] : gauges_) g.value_ = 0.0;
   for (auto& [name, h] : histograms_) {
-    const std::lock_guard<SpinLock> samples_guard(h->lock_);
-    h->samples_.clear();
+    h.samples_.clear();
+    h.sum_ms_ = 0.0;
   }
 }
 
@@ -96,14 +89,16 @@ void json_escape_into(std::string& out, const std::string& s) {
   }
 }
 
-/// Emit a sorted map of (dotted name → prerendered JSON value) as nested
-/// objects.  Sorted iteration means shared prefixes are adjacent, so a
-/// simple open/close-brace walk over the common-prefix depth suffices.
-void write_nested(std::string& out, const std::map<std::string, std::string>& leaves) {
+/// Emit a sorted map of (dotted name → instrument) as nested objects,
+/// `value` appending each instrument's JSON.  Sorted iteration means
+/// shared prefixes are adjacent, so a simple open/close-brace walk over
+/// the common-prefix depth suffices.
+template <typename T, typename Value>
+void write_nested(std::string& out, const Registry::Map<T>& leaves, Value value) {
   out += '{';
   std::vector<std::string> open;  // currently open path
   bool first_leaf = true;
-  for (const auto& [name, value] : leaves) {
+  for (const auto& [name, instrument] : leaves) {
     std::vector<std::string> parts = split_dots(name);
     RTPB_ASSERT(!parts.empty());
     // Longest common prefix with the open path (leaf level excluded).
@@ -124,7 +119,7 @@ void write_nested(std::string& out, const std::map<std::string, std::string>& le
     out += '"';
     json_escape_into(out, parts.back());
     out += "\":";
-    out += value;
+    value(instrument);
   }
   for (std::size_t i = open.size(); i > 0; --i) out += '}';
   out += '}';
@@ -139,46 +134,19 @@ std::string format_double(double v) {
 }  // namespace
 
 std::string Registry::to_json() const {
-  // Snapshot every instrument under the registry lock (so a concurrent
-  // writer registering new instruments cannot invalidate iteration), then
-  // render outside it.  Individual values are atomically loaded / copied
-  // under their own locks, giving a coherent point-in-time view.
-  std::map<std::string, std::uint64_t> counter_values;
-  std::map<std::string, double> gauge_values;
-  std::map<std::string, SampleSet> histogram_values;
-  {
-    const std::lock_guard<std::mutex> guard(mu_);
-    for (const auto& [name, c] : counters_) counter_values[name] = c->value();
-    for (const auto& [name, g] : gauges_) gauge_values[name] = g->value();
-    for (const auto& [name, h] : histograms_) histogram_values[name] = h->snapshot();
-  }
-
-  std::map<std::string, std::string> counters;
-  for (const auto& [name, v] : counter_values) {
-    counters[name] = std::to_string(v);
-  }
-  std::map<std::string, std::string> gauges;
-  for (const auto& [name, v] : gauge_values) {
-    gauges[name] = format_double(v);
-  }
-  std::map<std::string, std::string> histograms;
-  for (const auto& [name, s] : histogram_values) {
-    std::string v = "{\"count\":" + std::to_string(s.count());
-    v += ",\"mean_ms\":" + format_double(s.mean());
-    v += ",\"p50_ms\":" + format_double(s.quantile(0.5));
-    v += ",\"p90_ms\":" + format_double(s.quantile(0.9));
-    v += ",\"p99_ms\":" + format_double(s.quantile(0.99));
-    v += ",\"max_ms\":" + format_double(s.max());
-    v += '}';
-    histograms[name] = v;
-  }
-
   std::string out = "{\"counters\":";
-  write_nested(out, counters);
+  write_nested(out, counters_, [&out](const Counter& c) { append(out, c.value()); });
   out += ",\"gauges\":";
-  write_nested(out, gauges);
+  write_nested(out, gauges_, [&out](const Gauge& g) { out += format_double(g.value()); });
   out += ",\"histograms\":";
-  write_nested(out, histograms);
+  write_nested(out, histograms_, [&out](const LatencyHistogram& h) {
+    const SampleSet& s = h.samples();
+    append(out, "{\"count\":", s.count(), ",\"mean_ms\":", format_double(h.mean_ms()),
+           ",\"p50_ms\":", format_double(s.quantile(0.5)),
+           ",\"p90_ms\":", format_double(s.quantile(0.9)),
+           ",\"p99_ms\":", format_double(s.quantile(0.99)),
+           ",\"max_ms\":", format_double(s.max()), '}');
+  });
   out += '}';
   return out;
 }
@@ -204,32 +172,28 @@ SpanId Hub::begin_span(std::uint64_t object, std::uint64_t version, std::uint64_
   const SpanId id = next_span_++;
   ++spans_started_;
 
-  if (spans_.size() >= span_capacity_ && !span_order_.empty()) {
-    const SpanId victim = span_order_.front();
-    span_order_.pop_front();
-    auto it = spans_.find(victim);
-    if (it != spans_.end()) {
-      // Either lookup may already point at a newer span for the same key
-      // (versions are re-minted after a failover); leave those alone.
-      auto key = by_key_.find({it->second.object, it->second.version});
-      if (key != by_key_.end() && key->second == victim) by_key_.erase(key);
-      auto lt = latest_.find(it->second.object);
-      if (lt != latest_.end() && lt->second == victim) latest_.erase(lt);
-      spans_.erase(it);
-    }
+  if (spans_.size() >= span_capacity_) {
+    const SpanInfo& victim = spans_.front();
+    // Either lookup may already point at a newer span for the same key
+    // (versions are re-minted after a failover); leave those alone.
+    auto key = by_key_.find({victim.object, victim.version});
+    if (key != by_key_.end() && key->second == victim.id) by_key_.erase(key);
+    auto lt = latest_.find(victim.object);
+    if (lt != latest_.end() && lt->second == victim.id) latest_.erase(lt);
+    spans_.pop_front();
   }
 
-  SpanInfo info;
-  info.id = id;
-  info.object = object;
-  info.version = version;
-  info.epoch = epoch;
-  info.begin = now();
-  spans_.emplace(id, std::move(info));
-  span_order_.push_back(id);
+  spans_.push_back(
+      {.id = id, .object = object, .version = version, .epoch = epoch, .begin = now()});
   by_key_[{object, version}] = id;
   latest_[object] = id;
   return id;
+}
+
+const SpanInfo* Hub::find_span(SpanId id) const {
+  if (spans_.empty() || id < spans_.front().id) return nullptr;
+  const SpanId index = id - spans_.front().id;
+  return index < spans_.size() ? &spans_[index] : nullptr;
 }
 
 SpanId Hub::span_for(std::uint64_t object, std::uint64_t version) const {
@@ -245,11 +209,10 @@ SpanId Hub::latest_span(std::uint64_t object) const {
 }
 
 void Hub::mark_violation(SpanId span, const std::string& oracle, std::string detail) {
-  if (!enabled_ || span == kNoSpan) return;
-  auto it = spans_.find(span);
-  if (it == spans_.end()) return;
-  if (it->second.violation.empty()) {
-    it->second.violation = oracle;
+  if (!enabled_ || find_span(span) == nullptr) return;  // kNoSpan is never retained
+  SpanInfo& info = spans_[span - spans_.front().id];
+  if (info.violation.empty()) {
+    info.violation = oracle;
     ++spans_violated_;
   }
   record({.at = now(),
@@ -340,7 +303,6 @@ void Hub::clear() {
   size_ = 0;
   kept_.clear();
   spans_.clear();
-  span_order_.clear();
   by_key_.clear();
   latest_.clear();
   registry_.clear();

@@ -13,20 +13,12 @@
 // chaos-harness trace digests are byte-identical whether or not a Hub is
 // attached.
 //
-// Thread-safety contract (the real-clock substrate reports through this):
-//   * Counter / Gauge writes are relaxed atomics — any number of concurrent
-//     writer threads, no ordering implied between instruments.
-//   * LatencyHistogram::record*() serialises on a per-instrument spinlock;
-//     snapshot() returns a consistent copy taken under the same lock.
-//   * Registry::counter()/gauge()/histogram() (find-or-create) are guarded
-//     by a registry mutex; the references handed out stay stable and can be
-//     used concurrently thereafter.  to_json() snapshots every instrument
-//     under the registry lock, so an export racing writers sees a coherent
-//     point-in-time view.
-//   * Span/event recording (begin_span, record, ScopedSpan) and interning
-//     remain single-threaded by design: they are fed by the deterministic
-//     simulator loop only.  enable()/disable()/clear() likewise happen
-//     outside any concurrent writer window.
+// Threading: a Hub belongs to one sim::Simulator and is fed only by that
+// simulator's event loop, so nothing here locks.  Instruments hold plain
+// values, and registry references stay valid for the registry's lifetime
+// (std::map nodes never move).  The parallel engine runs many simulators
+// at once but pins each to one worker for the whole run, so each Hub still
+// sees exactly one thread.
 //
 // Events are typed, fixed-size records: interned track and name ids plus a
 // few integer fields and a renderer that turns them into text.  Recording
@@ -35,14 +27,12 @@
 // track_of).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -61,20 +51,6 @@ namespace rtpb::telemetry {
 using SpanId = std::uint64_t;
 inline constexpr SpanId kNoSpan = 0;
 
-/// Tiny test-and-set lock for per-histogram sample buffers: writers hold it
-/// for a few instructions (append one double), so spinning beats a futex.
-class SpinLock {
- public:
-  void lock() {
-    while (flag_.test_and_set(std::memory_order_acquire)) {
-    }
-  }
-  void unlock() { flag_.clear(std::memory_order_release); }
-
- private:
-  std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
-};
-
 // ---------------------------------------------------------------------------
 // Instruments.  Each holds a pointer to the owning Hub's enabled flag, so a
 // disabled instrument is one load + one branch.  References handed out by
@@ -85,31 +61,31 @@ class Counter {
  public:
   explicit Counter(const bool* enabled) : enabled_(enabled) {}
   void add(std::uint64_t n = 1) {
-    if (*enabled_) value_.fetch_add(n, std::memory_order_relaxed);
+    if (*enabled_) value_ += n;
   }
-  [[nodiscard]] std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
   friend class Registry;  // clear() zeroes in place
   const bool* enabled_;
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 class Gauge {
  public:
   explicit Gauge(const bool* enabled) : enabled_(enabled) {}
   void set(double v) {
-    if (*enabled_) value_.store(v, std::memory_order_relaxed);
+    if (*enabled_) value_ = v;
   }
-  [[nodiscard]] double value() const { return value_.load(std::memory_order_relaxed); }
+  [[nodiscard]] double value() const { return value_; }
 
  private:
   friend class Registry;
   const bool* enabled_;
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
-/// Latency distribution; retains samples so snapshots report exact
+/// Latency distribution; retains samples so exports report exact
 /// quantiles (sim-scale sample counts make this affordable).
 class LatencyHistogram {
  public:
@@ -117,22 +93,22 @@ class LatencyHistogram {
   void record(Duration d) { record_ms(d.millis()); }
   void record_ms(double ms) {
     if (!*enabled_) return;
-    const std::lock_guard<SpinLock> guard(lock_);
     samples_.add(ms);
+    sum_ms_ += ms;
   }
-  /// Consistent copy of the sample buffer (taken under the writer lock).
-  [[nodiscard]] SampleSet snapshot() const {
-    const std::lock_guard<SpinLock> guard(lock_);
-    return samples_;
+  /// The retained samples.  A quantile read sorts them in place.
+  [[nodiscard]] const SampleSet& samples() const { return samples_; }
+  /// Mean in recording order: unlike samples().mean(), it does not depend
+  /// on whether a quantile read has sorted the samples since.
+  [[nodiscard]] double mean_ms() const {
+    return samples_.empty() ? 0.0 : sum_ms_ / static_cast<double>(samples_.count());
   }
-  /// Convenience alias for snapshot(); note this copies.
-  [[nodiscard]] SampleSet samples() const { return snapshot(); }
 
  private:
   friend class Registry;
   const bool* enabled_;
-  mutable SpinLock lock_;
   SampleSet samples_;
+  double sum_ms_ = 0.0;
 };
 
 /// Named-instrument registry.  Names are dotted component paths
@@ -147,7 +123,7 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   template <typename T>
-  using Map = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+  using Map = std::map<std::string, T, std::less<>>;
 
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
@@ -169,16 +145,12 @@ class Registry {
     return *slot;
   }
 
-  // Whole-map accessors for exporters.  These return references into the
-  // registry; call them only when no thread can be registering new
-  // instruments (e.g. post-run export).
+  // Whole-map accessors for exporters, sorted by name.
   [[nodiscard]] const Map<Counter>& counters() const { return counters_; }
   [[nodiscard]] const Map<Gauge>& gauges() const { return gauges_; }
   [[nodiscard]] const Map<LatencyHistogram>& histograms() const { return histograms_; }
 
-  /// Nested-JSON snapshot of every instrument, dots becoming object levels.
-  /// Safe to call while writer threads are live: instrument values are
-  /// snapshotted under the registry mutex, then rendered outside it.
+  /// Nested JSON of every instrument, dots becoming object levels.
   [[nodiscard]] std::string to_json() const;
 
   /// Zero every instrument in place: counters and gauges to 0, histogram
@@ -188,7 +160,6 @@ class Registry {
 
  private:
   const bool* enabled_;
-  mutable std::mutex mu_;  ///< guards map mutation (find-or-create, clear)
   Map<Counter> counters_;
   Map<Gauge> gauges_;
   Map<LatencyHistogram> histograms_;
@@ -309,7 +280,7 @@ struct SpanInfo {
   std::uint64_t epoch = 0;
   TimePoint begin{};
   /// Set by mark_violation(): which oracle blamed this update, if any.
-  std::string violation;
+  std::string violation{};
 };
 
 // ---------------------------------------------------------------------------
@@ -363,7 +334,10 @@ class Hub {
   /// violation event attached to it.
   void mark_violation(SpanId span, const std::string& oracle, std::string detail = {});
 
-  [[nodiscard]] const std::map<SpanId, SpanInfo>& spans() const { return spans_; }
+  /// The retained spans, oldest (lowest id) first.
+  [[nodiscard]] const std::deque<SpanInfo>& spans() const { return spans_; }
+  /// The retained span `id`; null if unknown or evicted.
+  [[nodiscard]] const SpanInfo* find_span(SpanId id) const;
   [[nodiscard]] std::uint64_t spans_started() const { return spans_started_; }
   [[nodiscard]] std::uint64_t spans_violated() const { return spans_violated_; }
 
@@ -450,8 +424,9 @@ class Hub {
   std::map<std::uint64_t, std::string> kept_;
   std::uint64_t next_kept_ = 1;
 
-  std::map<SpanId, SpanInfo> spans_;
-  std::deque<SpanId> span_order_;                       ///< FIFO for eviction
+  /// Retained spans in id order.  Ids are minted consecutively and evicted
+  /// oldest first, so span `id` sits at index id - spans_.front().id.
+  std::deque<SpanInfo> spans_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, SpanId> by_key_;  ///< (object, version)
   std::map<std::uint64_t, SpanId> latest_;              ///< object → newest span
 };

@@ -242,6 +242,58 @@ TEST(PartitionedCluster, DigestsAreThreadCountInvariant) {
   EXPECT_NE(one[0], one[1]);
 }
 
+/// What one group's Hub and flight recorder hold after a run.
+struct GroupTelemetry {
+  std::string metrics;
+  std::uint64_t events = 0;
+  std::uint64_t flight_records = 0;
+  bool operator==(const GroupTelemetry&) const = default;
+};
+
+std::vector<GroupTelemetry> run_observed_cluster(std::size_t threads) {
+  constexpr std::uint32_t kGroups = 4;
+  PartitionedCluster cluster(cluster_params(kGroups));
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    telemetry::Hub& hub = cluster.service(g).simulator().telemetry();
+    hub.enable();
+    hub.flight_recorder().enable();
+  }
+  cluster.start();
+  core::ObjectId next = 1;
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(cluster.register_object_in(g, light_spec(next++)).ok());
+    }
+  }
+  cluster.run_for(seconds(2), threads);
+  cluster.finish();
+  std::vector<GroupTelemetry> out;
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    const telemetry::Hub& hub = cluster.service(g).simulator().telemetry();
+    out.push_back({hub.registry().to_json(), hub.recorded_events(),
+                   hub.flight_recorder().recorded()});
+  }
+  return out;
+}
+
+TEST(PartitionedCluster, TelemetryOnEveryGroupIsThreadConfined) {
+  // A Hub takes no locks: it is fed only by its own group's simulator,
+  // which the driver pins to one worker for the whole run.  Under TSan a
+  // Hub written from two workers would race; here every group's metrics,
+  // event count and flight-recorder count must also not depend on how
+  // many workers ran the groups.
+  const std::vector<GroupTelemetry> one = run_observed_cluster(1);
+  const std::vector<GroupTelemetry> two = run_observed_cluster(2);
+  ASSERT_EQ(two.size(), one.size());
+  for (std::size_t g = 0; g < one.size(); ++g) {
+    EXPECT_EQ(two[g].metrics, one[g].metrics) << "group " << g;
+    EXPECT_EQ(two[g].events, one[g].events) << "group " << g;
+    EXPECT_EQ(two[g].flight_records, one[g].flight_records) << "group " << g;
+    EXPECT_GT(one[g].events, 0u) << "group " << g;
+    EXPECT_GT(one[g].flight_records, 0u) << "group " << g;
+  }
+}
+
 TEST(PartitionedCluster, FrontiersCrossAtWindowBarriers) {
   PartitionedCluster cluster(cluster_params(3));
   for (std::uint32_t g = 0; g < 3; ++g) cluster.service(g).simulator().telemetry().enable();

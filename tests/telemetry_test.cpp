@@ -84,6 +84,20 @@ TEST(TelemetryRegistry, ClearZeroesHeldInstrumentsInPlace) {
   EXPECT_EQ(hub.registry().histogram("core.backup.apply_latency_ms").samples().count(), 1u);
 }
 
+TEST(TelemetryRegistry, QuantileReadsDoNotMoveTheMean) {
+  // Summed in recording order these samples cancel to 1 (mean 0.25);
+  // summed sorted they cancel to 0.  Exporting sorts the samples in place,
+  // so a later export must still report the recording-order mean.
+  Hub hub;
+  hub.enable();
+  LatencyHistogram& h = hub.registry().histogram("h");
+  for (const double ms : {1e16, 1.0, -1e16, 1.0}) h.record_ms(ms);
+  const std::string first = hub.registry().to_json();
+  EXPECT_NE(first.find("\"mean_ms\":0.25,"), std::string::npos) << first;
+  EXPECT_EQ(hub.registry().to_json(), first);
+  EXPECT_EQ(h.mean_ms(), 0.25);
+}
+
 TEST(TelemetryRegistry, JsonNestsAlongDots) {
   Hub hub;
   hub.enable();
@@ -162,7 +176,8 @@ TEST(TelemetryHub, MarkViolationFlagsSpanOnce) {
   hub.mark_violation(s, "staleness-window", "out of window");
   hub.mark_violation(s, "staleness-window", "still out");  // same span again
   EXPECT_EQ(hub.spans_violated(), 1u);
-  EXPECT_EQ(hub.spans().at(s).violation, "staleness-window");
+  ASSERT_NE(hub.find_span(s), nullptr);
+  EXPECT_EQ(hub.find_span(s)->violation, "staleness-window");
   // The violation also lands as an event attached to the span.
   ASSERT_FALSE(hub.events().empty());
   EXPECT_EQ(hub.events().back().span, s);
@@ -185,6 +200,11 @@ TEST(TelemetryHub, SpanEvictionIsFifoAndCleansLookups) {
   EXPECT_EQ(hub.latest_span(2), s3);
   EXPECT_EQ(hub.spans_started(), 3u) << "eviction must not unwind the started count";
   EXPECT_EQ(s1, hub.spans_started() - 2);  // ids stay monotone
+  EXPECT_EQ(hub.find_span(s1), nullptr);
+  ASSERT_NE(hub.find_span(s3), nullptr);
+  EXPECT_EQ(hub.find_span(s3)->object, 2u);
+  EXPECT_EQ(hub.find_span(s3 + 1), nullptr);
+  EXPECT_EQ(hub.spans().front().id, s2);  // the exporters' order: by id
 }
 
 TEST(TelemetryHub, EvictionKeepsANewerSpanForTheSameKey) {
@@ -413,9 +433,9 @@ TEST(TelemetryEndToEnd, SpansCrossPrimaryNetBackup) {
   const Hub& hub = service.simulator().telemetry();
   EXPECT_GT(hub.spans_started(), 100u);  // one span per client write
   const auto& counters = hub.registry().counters();
-  EXPECT_GT(counters.at("core.primary.writes")->value(), 100u);
-  EXPECT_GT(counters.at("net.link.sends")->value(), 0u);
-  EXPECT_GT(counters.at("core.backup.applies")->value(), 0u);
+  EXPECT_GT(counters.at("core.primary.writes").value(), 100u);
+  EXPECT_GT(counters.at("net.link.sends").value(), 0u);
+  EXPECT_GT(counters.at("core.backup.applies").value(), 0u);
 
   // At least one span must thread the full journey: write at the primary,
   // x-kernel push, network hop, and apply at the backup — same span id.
