@@ -7,7 +7,10 @@ namespace rtpb::chaos {
 OracleMonitor::OracleMonitor(core::RtpbService& service,
                              std::vector<core::ObjectId> admitted,
                              std::vector<FaultEpoch> epochs)
-    : service_(service), admitted_(std::move(admitted)), epochs_(std::move(epochs)) {}
+    : service_(service),
+      admitted_(std::move(admitted)),
+      epochs_(std::move(epochs)),
+      watch_(admitted_.size()) {}
 
 void OracleMonitor::start(Duration check_period) {
   RTPB_EXPECTS(timer_ == nullptr);
@@ -112,10 +115,12 @@ void OracleMonitor::check() {
 
   const bool primary_up = primaries >= 1;
 
-  for (const core::ObjectId id : admitted_) {
+  for (std::size_t i = 0; i < admitted_.size(); ++i) {
+    const core::ObjectId id = admitted_[i];
+    ObjectWatch& w = watch_[i];
     const bool violating = service_.metrics().in_violation(id);
-    const bool was = was_violating_[id];
-    was_violating_[id] = violating;
+    const bool was = w.was_violating;
+    w.was_violating = violating;
 
     // The update whose journey is implicated: the newest span minted for
     // this object at the primary (the write the backup has not applied).
@@ -132,15 +137,15 @@ void OracleMonitor::check() {
     // staleness-window: with a primary up and no epoch open, the object
     // must be inside its window.  One report per excursion.
     if (violating && primary_up && !in_epoch) {
-      if (!stale_reported_[id]) {
-        stale_reported_[id] = true;
+      if (!w.stale_reported) {
+        w.stale_reported = true;
         report(now, "staleness-window",
                "object " + std::to_string(id) + " out of window (max distance " +
                    std::to_string(service_.metrics().max_distance(id).millis()) + " ms)",
                guilty);
       }
     } else if (!violating) {
-      stale_reported_[id] = false;
+      w.stale_reported = false;
     }
 
     // no-silent-violation: overload never excuses an *unannounced* window
@@ -157,9 +162,9 @@ void OracleMonitor::check() {
           primary.qos_downgrade_active(id) ||
           (notice > TimePoint::zero() && now - notice <= kNoticeGrace);
       if (announced) {
-        silent_samples_[id] = 0;
-      } else if (++silent_samples_[id] >= kSilentSampleBudget && !silent_reported_[id]) {
-        silent_reported_[id] = true;
+        w.silent_samples = 0;
+      } else if (++w.silent_samples >= kSilentSampleBudget && !w.silent_reported) {
+        w.silent_reported = true;
         report(now, "no-silent-violation",
                "object " + std::to_string(id) +
                    " violated its window with no downgrade notice (distance " +

@@ -120,14 +120,19 @@ class OracleMonitor {
 
   /// (replica index, object) → last seen version, for monotonicity.
   std::map<std::pair<std::size_t, core::ObjectId>, std::uint64_t> last_version_;
-  /// Objects already reported stale (one report per excursion, not per sample).
-  std::map<core::ObjectId, bool> stale_reported_;
-  /// Unannounced violating samples accumulated per object
-  /// (no-silent-violation pending state; reset by a QoS notice).
-  std::map<core::ObjectId, std::uint32_t> silent_samples_;
-  std::map<core::ObjectId, bool> silent_reported_;
-  /// Last sampled violation state per object (edge detection).
-  std::map<core::ObjectId, bool> was_violating_;
+  /// Per-object oracle state, parallel to admitted_.
+  struct ObjectWatch {
+    /// Last sampled violation state (edge detection).
+    bool was_violating = false;
+    /// Already reported stale (one report per excursion, not per sample).
+    bool stale_reported = false;
+    /// Already reported by no-silent-violation.
+    bool silent_reported = false;
+    /// Unannounced violating samples accumulated (no-silent-violation
+    /// pending state; reset by a QoS notice).
+    std::uint32_t silent_samples = 0;
+  };
+  std::vector<ObjectWatch> watch_;
   bool primary_count_reported_ = false;
   /// Last seen sum of cross_epoch_applies() over replicas (edge detection).
   std::uint64_t last_cross_epoch_applies_ = 0;
