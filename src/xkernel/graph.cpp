@@ -1,38 +1,11 @@
 #include "xkernel/graph.hpp"
 
-#include <algorithm>
-
-#include "util/assert.hpp"
-
 namespace rtpb::xkernel {
 
-std::vector<std::string> parse_graph_spec(const std::string& spec) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : spec + ";") {
-    if (c == ';') {
-      // trim
-      const auto b = cur.find_first_not_of(" \t");
-      const auto e = cur.find_last_not_of(" \t");
-      if (b != std::string::npos) out.push_back(cur.substr(b, e - b + 1));
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  return out;
-}
-
-HostStack::HostStack(net::Network& network, const std::string& graph_spec)
-    : graph_(parse_graph_spec(graph_spec)) {
-  // The composition rules: the graph must be the supported linear stack.
-  RTPB_EXPECTS(graph_.size() == 3);
-  RTPB_EXPECTS(graph_[0] == "simeth" && graph_[1] == "iplite" && graph_[2] == "udplite");
-
-  eth_ = std::make_unique<SimEth>(network);
-  ip_ = std::make_unique<IpLite>();
-  udp_ = std::make_unique<UdpLite>();
-
+HostStack::HostStack(net::Network& network)
+    : eth_(std::make_unique<SimEth>(network)),
+      ip_(std::make_unique<IpLite>()),
+      udp_(std::make_unique<UdpLite>()) {
   ip_->connect_down(*eth_);
   eth_->set_up(ip_.get());
   udp_->connect_down(*ip_);

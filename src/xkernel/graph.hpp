@@ -1,15 +1,12 @@
 // Protocol graph composition — the analogue of x-kernel's graph.comp.
 //
 // A HostStack instantiates and wires one host's protocol graph
-// (SIMETH ← IPLITE ← UDPLITE) over the shared link fabric.  Higher-level
-// anchor protocols (RTPB) bind to UDPLITE ports on top.  The textual
-// graph spec is parsed so configurations remain declarative, as in the
-// original system.
+// (SIMETH ← IPLITE ← UDPLITE, the paper's stack) over the shared link
+// fabric.  Higher-level anchor protocols (RTPB) bind to UDPLITE ports on
+// top.
 #pragma once
 
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "net/network.hpp"
 #include "xkernel/iplite.hpp"
@@ -21,10 +18,8 @@ namespace rtpb::xkernel {
 /// One host's configured protocol stack.
 class HostStack {
  public:
-  /// Build the standard stack on `network`.  `graph_spec` is a
-  /// semicolon-separated bottom-up list; the default matches the paper.
-  explicit HostStack(net::Network& network,
-                     const std::string& graph_spec = "simeth;iplite;udplite");
+  /// Build the stack on `network`.
+  explicit HostStack(net::Network& network);
 
   [[nodiscard]] net::NodeId node() const { return eth_->node(); }
   [[nodiscard]] SimEth& eth() { return *eth_; }
@@ -39,17 +34,10 @@ class HostStack {
   /// buffer, so only per-peer headers are materialised.
   void send_message(net::Port local_port, net::Endpoint remote, Message msg);
 
-  /// The protocol names in bottom-up order, as configured.
-  [[nodiscard]] const std::vector<std::string>& graph() const { return graph_; }
-
  private:
-  std::vector<std::string> graph_;
   std::unique_ptr<SimEth> eth_;
   std::unique_ptr<IpLite> ip_;
   std::unique_ptr<UdpLite> udp_;
 };
-
-/// Parse "a;b;c" into {"a","b","c"} (whitespace trimmed, empties dropped).
-[[nodiscard]] std::vector<std::string> parse_graph_spec(const std::string& spec);
 
 }  // namespace rtpb::xkernel

@@ -206,14 +206,6 @@ TEST(UdpChecksum, MatchesByteAtATimeReference) {
   }
 }
 
-TEST(GraphSpec, Parsing) {
-  const auto g = parse_graph_spec(" simeth ; iplite;udplite ");
-  ASSERT_EQ(g.size(), 3u);
-  EXPECT_EQ(g[0], "simeth");
-  EXPECT_EQ(g[1], "iplite");
-  EXPECT_EQ(g[2], "udplite");
-}
-
 struct StackPair {
   sim::Simulator sim{7};
   net::Network network{sim};
