@@ -62,7 +62,7 @@ struct LinkStats {
   std::uint64_t duplicated = 0;     ///< frames delivered twice
   std::uint64_t reordered = 0;      ///< frames exempted from FIFO ordering
   std::uint64_t corrupted = 0;      ///< frames delivered with a flipped bit
-  SampleSet delays_ms;
+  RunningStats delays_ms;           ///< one-way frame delays (moments only, no samples)
 };
 
 class Network {
