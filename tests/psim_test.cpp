@@ -247,7 +247,6 @@ struct GroupTelemetry {
   std::string metrics;
   std::uint64_t events = 0;
   std::uint64_t flight_records = 0;
-  bool operator==(const GroupTelemetry&) const = default;
 };
 
 std::vector<GroupTelemetry> run_observed_cluster(std::size_t threads) {
