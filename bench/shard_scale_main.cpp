@@ -1,24 +1,23 @@
 // shard_scale — the sharded scale-out baseline recorder.
 //
-// Measures the three costs the shard layer exists to bound and writes the
+// Measures the three costs sharded scale-out must bound and writes the
 // flat BENCH_shard.json that tools/bench_report gates future PRs against:
 //
-//   1. directory + per-shard admission at scale: 1,000,000 registrations
-//      across 64 shards, timed per decile.  The last decile must not cost
-//      more than 3x the first (the running-aggregate admission check is
-//      amortised O(1); only the std::map inserts grow, logarithmically),
-//      and allocations per registration are recorded.
-//   2. frontier maintenance: steady-state FrontierTracker::advance() over
-//      a large tracked set must be allocation-free (asserted == 0) and
-//      O(1) — the cached-argmin slot design.
-//   3. a live frontier exchange: a 4-group psim::PartitionedCluster run
+//   1. placement + per-shard admission at scale: 1,000,000 registrations
+//      routed by core::shard_of into 64 core::AdmissionControllers, timed
+//      per decile.  The last decile must not cost more than 3x the first
+//      (the running-aggregate admission check is amortised O(1); only the
+//      std::map inserts grow, logarithmically), and allocations per
+//      registration are recorded.
+//   2. a live frontier exchange: a 4-group psim::PartitionedCluster run
 //      sequentially (threads=1) publishes and ingests frontier records at
 //      its window barriers, and every group ends up observing every remote
 //      group's frontier.  These counts are seed-pure ("_deterministic").
-//   4. exchange allocations: an 8-group x 4-object cluster at threads=1,
+//   3. exchange allocations: an 8-group x 4-object cluster at threads=1,
 //      its partitions wrapped in a decorator that counts allocations in
 //      begin_window and end_window only (not advance_to).  After a warm-up
-//      the frontier exchange must be allocation-free (asserted == 0).
+//      the frontier exchange, the frontier minimum included, must be
+//      allocation-free (asserted == 0).
 //
 // This binary links bench/common/alloc_hook.cpp, which REPLACES the global
 // operator new/delete — that is why it is excluded from the *_main.cpp
@@ -33,18 +32,14 @@
 
 #include "common/alloc_hook.hpp"
 #include "common/harness.hpp"
+#include "core/admission.hpp"
 #include "psim/driver.hpp"
 #include "psim/partitioned.hpp"
-#include "shard/admission.hpp"
-#include "shard/directory.hpp"
-#include "shard/frontier.hpp"
 
 namespace {
 
 using namespace rtpb;
 using bench::alloc_hook::Scope;
-
-volatile std::int64_t g_sink = 0;  // defeats dead-code elimination
 
 double now_ns() {
   return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -68,27 +63,28 @@ core::ObjectSpec light_spec(core::ObjectId id) {
 
 void registration_scale(bench::JsonMetrics& out) {
   constexpr std::size_t kObjects = 1'000'000;
-  constexpr shard::ShardId kShards = 64;
+  constexpr std::uint32_t kShards = 64;
   constexpr std::size_t kDecile = kObjects / 10;
 
   std::printf("-- 1M registrations across %u shards --\n", kShards);
-  const shard::ShardDirectory directory(kShards, 1);
-  shard::ShardedAdmission admission(directory, core::ServiceConfig{}, millis(2));
+  std::vector<core::AdmissionController> shards;
+  shards.reserve(kShards);
+  for (std::uint32_t s = 0; s < kShards; ++s) shards.emplace_back(core::ServiceConfig{}, millis(2));
 
   double decile_ns[10] = {};
+  std::size_t admitted = 0;
   Scope scope;
   for (std::size_t d = 0; d < 10; ++d) {
     const double t0 = now_ns();
     for (std::size_t i = 0; i < kDecile; ++i) {
       const auto id = static_cast<core::ObjectId>(d * kDecile + i + 1);
-      if (admission.admit(light_spec(id)).ok()) g_sink = g_sink + 1;
+      if (shards[core::shard_of(id, kShards)].admit(light_spec(id)).ok()) ++admitted;
     }
     decile_ns[d] = (now_ns() - t0) / static_cast<double>(kDecile);
   }
   const double allocs_per_reg =
       static_cast<double>(scope.allocations()) / static_cast<double>(kObjects);
 
-  const std::size_t admitted = admission.admitted_count();
   const double ratio = decile_ns[9] / decile_ns[0];
   std::printf("  admitted %zu/%zu  first decile %.0f ns/reg  last %.0f ns/reg  "
               "ratio %.2f  allocs/reg %.2f\n",
@@ -111,46 +107,6 @@ void registration_scale(bench::JsonMetrics& out) {
   out.add("reg_last_decile_ns", decile_ns[9]);
   out.add("reg_decile_ratio", ratio);
   out.add("reg_allocs_per_registration", allocs_per_reg);
-}
-
-void frontier_scale(bench::JsonMetrics& out) {
-  constexpr std::size_t kTracked = 100'000;
-  constexpr std::size_t kAdvances = 1'000'000;
-
-  std::printf("-- frontier advance over %zu tracked objects --\n", kTracked);
-  shard::FrontierTracker tracker;
-  for (std::size_t i = 0; i < kTracked; ++i) {
-    tracker.track(static_cast<core::ObjectId>(i + 1), TimePoint::zero());
-  }
-  // Warm one full round so the lazily cached argmin is established.
-  for (std::size_t i = 0; i < kTracked; ++i) {
-    tracker.advance(static_cast<core::ObjectId>(i + 1), TimePoint{1});
-  }
-
-  Scope scope;
-  const double t0 = now_ns();
-  std::int64_t stamp = 2;
-  for (std::size_t i = 0; i < kAdvances; ++i) {
-    const auto id = static_cast<core::ObjectId>(i % kTracked + 1);
-    tracker.advance(id, TimePoint{stamp});
-    if (id == kTracked) {  // one frontier query per completed round
-      g_sink = g_sink + tracker.frontier().nanos();
-      ++stamp;
-    }
-  }
-  const double per = (now_ns() - t0) / static_cast<double>(kAdvances);
-  const auto allocs = static_cast<double>(scope.allocations());
-  std::printf("  %.1f ns/advance  %.0f allocations total\n", per, allocs);
-  if (allocs > 0) {
-    std::fprintf(stderr,
-                 "FAIL: steady-state frontier advance allocated %.0f times "
-                 "(the slot vector must make it allocation-free)\n",
-                 allocs);
-    std::exit(1);
-  }
-
-  out.add("frontier_advance_ns", per);
-  out.add("frontier_advance_allocs", allocs);
 }
 
 void cluster_exchange(bench::JsonMetrics& out) {
@@ -282,12 +238,11 @@ void exchange_allocs(bench::JsonMetrics& out) {
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_shard.json";
   bench::banner("shard scale-out",
-                "1M-object directory admits at flat per-registration cost; "
-                "frontier upkeep and exchange are allocation-free; frontier records flow");
+                "1M objects admit at flat per-registration cost across hash-placed shards; "
+                "the frontier exchange is allocation-free; frontier records flow");
 
   bench::JsonMetrics out("shard");
   registration_scale(out);
-  frontier_scale(out);
   cluster_exchange(out);
   exchange_allocs(out);
   out.write(out_path);

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "shard/directory.hpp"
 #include "telemetry/export.hpp"
 #include "util/log.hpp"
 
@@ -25,19 +24,19 @@ core::ServiceParams seed_params(const ChaosSchedule& schedule, const ChaosOption
 
 /// Translate kShardLossStorm events into scripted per-object loss
 /// overrides on the acting primary.  Lives here, not in FaultPlan: the
-/// override set needs the directory placement and the admitted list.
+/// override set needs the shard placement and the admitted list.
 /// Shard membership is resolved eagerly so the scheduled actions carry
 /// plain id lists.
 void apply_shard_faults(const ChaosSchedule& schedule, const ChaosOptions& opts,
                         core::RtpbService& service,
                         const std::vector<core::ObjectId>& admitted, core::FaultPlan& plan) {
   if (opts.shards <= 1) return;
-  const shard::ShardDirectory directory(static_cast<shard::ShardId>(opts.shards), 1);
+  const auto shards = static_cast<std::uint32_t>(opts.shards);
   for (const core::Fault& e : schedule.events) {
     if (e.kind != core::FaultKind::kShardLossStorm) continue;
     std::vector<core::ObjectId> ids;
     for (core::ObjectId id : admitted) {
-      if (directory.shard_of(id) == e.shard) ids.push_back(id);
+      if (core::shard_of(id, shards) == e.shard) ids.push_back(id);
     }
     if (ids.empty()) continue;
     char label[96];

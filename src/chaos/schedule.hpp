@@ -109,7 +109,7 @@ struct ChaosOptions : Observers {
 
   std::size_t objects = 4;  ///< workload size offered to admission
 
-  /// Shard the workload: objects are placed by the ShardDirectory hash and
+  /// Shard the workload: objects are placed by the core::shard_of hash and
   /// the generator adds shard-scoped loss storms (kShardLossStorm) that
   /// hit only one shard's update streams — per-object loss overrides, so a
   /// fault in one shard cannot perturb another shard's traffic.  At the

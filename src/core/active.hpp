@@ -66,7 +66,6 @@ class ActiveReplicationService {
   [[nodiscard]] std::uint64_t acks_received() const { return acks_received_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
 
-  [[nodiscard]] const ObjectStore& leader_store() const { return leader_store_; }
   [[nodiscard]] const ObjectStore& follower_store(std::size_t i) const;
   /// All replicas hold identical versions for every object (call after
   /// stop_clients + a drain period).

@@ -49,6 +49,19 @@ struct InterObjectConstraint {
   template <class S> static auto tie(S& s) { return std::tie(s.first, s.second, s.delta); }
 };
 
+/// Placement of an object among `shards` (≥ 1) shards or groups: FNV-1a
+/// over the id's four little-endian bytes, modulo `shards`.  No seed
+/// enters the hash, so an id lands on the same shard in every process,
+/// run and simulation seed, whatever the registration order.
+[[nodiscard]] constexpr std::uint32_t shard_of(ObjectId id, std::uint32_t shards) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (int i = 0; i < 4; ++i) {
+    h ^= (id >> (8 * i)) & 0xFFu;
+    h *= 1099511628211ULL;
+  }
+  return static_cast<std::uint32_t>(h % shards);
+}
+
 /// How the primary schedules update transmissions to the backup (§4.3,
 /// §5.3).  Normal derives each period from the object's window; compressed
 /// sends as often as spare CPU capacity allows; coupled is the

@@ -1,9 +1,9 @@
 #include "psim/partitioned.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
-#include "shard/admission.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -14,7 +14,7 @@ namespace rtpb::psim {
 // ---------------------------------------------------------------------------
 
 GroupPartition::GroupPartition(std::uint32_t id, core::RtpbService& service)
-    : id_(id), service_(service), partition_(service.simulator()) {}
+    : id_(id), service_(service) {}
 
 void GroupPartition::wire_mesh(const std::vector<std::unique_ptr<GroupPartition>>& parts) {
   // The drain order at window begin must be a pure function of the
@@ -35,11 +35,12 @@ void GroupPartition::wire_mesh(const std::vector<std::unique_ptr<GroupPartition>
   }
 }
 
-void GroupPartition::track(core::ObjectId id) {
-  tracked_.push_back(id);
-  // Frontier starts at the epoch origin: nothing has been made stable
-  // for this object yet.
-  frontier_.track(id, TimePoint::zero());
+void GroupPartition::track(core::ObjectId id) { tracked_.push_back({id, TimePoint::zero()}); }
+
+TimePoint GroupPartition::frontier() const {
+  TimePoint f = TimePoint::max();
+  for (const Tracked& t : tracked_) f = std::min(f, t.stable);
+  return f;
 }
 
 void GroupPartition::begin_window(TimePoint /*start*/) {
@@ -56,19 +57,26 @@ void GroupPartition::begin_window(TimePoint /*start*/) {
   }
 }
 
-void GroupPartition::advance_to(TimePoint horizon) { partition_.advance_to(horizon); }
+void GroupPartition::advance_to(TimePoint horizon) {
+  // Every event at or before the horizon fires and the clock lands on it,
+  // so all partitions agree on "now" at each barrier.  run_until schedules
+  // nothing, so windowed driving fires the same events as one long run.
+  sim::Simulator& sim = service_.simulator();
+  RTPB_EXPECTS(horizon >= sim.now());
+  sim.run_until(horizon);
+}
 
 void GroupPartition::end_window(TimePoint /*horizon*/) {
   // Stability is judged at the group's successor backup: the origin
   // timestamp it has APPLIED is what survives a primary crash.  A crashed
   // backup's store freezes, stalling the frontier — conservative.
   const core::ObjectStore& stable = service_.backups().front()->store();
-  for (core::ObjectId id : tracked_) {
-    const core::ObjectState* state = stable.peek(id);
+  for (Tracked& t : tracked_) {
+    const core::ObjectState* state = stable.peek(t.id);
     if (state == nullptr || state->version == 0) continue;
-    frontier_.advance(id, state->origin_timestamp);
+    t.stable = std::max(t.stable, state->origin_timestamp);
   }
-  const TimePoint f = frontier_.frontier();
+  const TimePoint f = frontier();
   // Publish only on advance: an empty partition (max) constrains nothing,
   // and peers' merge is monotone so a repeat carries no information.
   if (f == TimePoint::max() || f <= last_published_) return;
@@ -82,36 +90,27 @@ void GroupPartition::end_window(TimePoint /*horizon*/) {
 // PartitionedCluster
 // ---------------------------------------------------------------------------
 
-PartitionedCluster::PartitionedCluster(PartitionedClusterParams params)
-    : params_(std::move(params)),
-      directory_(params_.group_count, params_.group_count) {
-  RTPB_EXPECTS(params_.group_count >= 1);
-  RTPB_EXPECTS(params_.backup_count >= 1);
-  RTPB_EXPECTS(params_.group_seeds.empty() ||
-               params_.group_seeds.size() == params_.group_count);
+PartitionedCluster::PartitionedCluster(const PartitionedClusterParams& params) {
+  RTPB_EXPECTS(params.group_count >= 1);
+  RTPB_EXPECTS(params.backup_count >= 1);
 
-  for (std::uint32_t g = 0; g < params_.group_count; ++g) {
+  for (std::uint32_t g = 0; g < params.group_count; ++g) {
     core::ServiceParams sp;
-    sp.seed = params_.group_seeds.empty() ? derive_stream_seed(params_.seed, g)
-                                          : params_.group_seeds[g];
-    sp.link = params_.link;
-    sp.config = params_.config;
-    sp.service_name = params_.service_prefix + "-" + std::to_string(g);
-    sp.backup_count = params_.backup_count;
+    sp.seed = derive_stream_seed(params.seed, g);
+    sp.link = params.link;
+    sp.config = params.config;
+    sp.service_name = std::string("pgroup-").append(std::to_string(g));
+    sp.backup_count = params.backup_count;
     services_.push_back(std::make_unique<core::RtpbService>(std::move(sp)));
     partitions_.push_back(std::make_unique<GroupPartition>(g, *services_.back()));
   }
   GroupPartition::wire_mesh(partitions_);
 
-  if (params_.window > Duration::zero()) {
-    window_ = params_.window;
-  } else {
-    // ℓ as admission control sees it; identical link params everywhere,
-    // but take the max anyway so a future heterogeneous config stays
-    // conservative.
-    for (const auto& s : services_) window_ = std::max(window_, s->link_delay_bound());
-    RTPB_ASSERT(window_ > Duration::zero());
-  }
+  // ℓ as admission control sees it; identical link params everywhere,
+  // but take the max anyway so a future heterogeneous config stays
+  // conservative.
+  for (const auto& s : services_) window_ = std::max(window_, s->link_delay_bound());
+  RTPB_ASSERT(window_ > Duration::zero());
 }
 
 void PartitionedCluster::start() {
@@ -121,7 +120,7 @@ void PartitionedCluster::start() {
 }
 
 core::AdmissionResult PartitionedCluster::register_object(const core::ObjectSpec& spec) {
-  return register_object_in(directory_.group_of(spec.id), spec);
+  return register_object_in(core::shard_of(spec.id, group_count()), spec);
 }
 
 core::AdmissionResult PartitionedCluster::register_object_in(std::uint32_t group,
@@ -145,20 +144,23 @@ core::AdmissionStatus PartitionedCluster::add_constraint(const core::InterObject
   const std::uint32_t gb = ib->second;
   if (ga == gb) return services_[ga]->add_constraint(c);
 
-  // Cross-group: dry-run both sides before either commits (a committed
-  // cap replicates immediately and cannot be rolled back).
-  const shard::CrossShardCaps caps = shard::decompose_cross_constraint(c);
-  core::AdmissionStatus a =
-      services_[ga]->acting_primary().admission().check_constraint(caps.first);
+  // Cross-group: no one controller sees both objects.  The pair decomposes
+  // soundly into a SELF-PAIR cap {i, i, δ_ij} on each side, capping that
+  // object's transmission period at δ_ij; at run time the pair reduces to
+  // frontier arithmetic (cross_constraint_satisfied).  Dry-run both caps
+  // before either commits: a committed cap replicates immediately and
+  // cannot be rolled back.
+  const core::InterObjectConstraint cap_a{c.first, c.first, c.delta};
+  const core::InterObjectConstraint cap_b{c.second, c.second, c.delta};
+  core::AdmissionStatus a = services_[ga]->acting_primary().admission().check_constraint(cap_a);
   if (!a.ok()) return a;
-  core::AdmissionStatus b =
-      services_[gb]->acting_primary().admission().check_constraint(caps.second);
+  core::AdmissionStatus b = services_[gb]->acting_primary().admission().check_constraint(cap_b);
   if (!b.ok()) return b;
   // Control plane is single-threaded: nothing can invalidate the
   // dry-runs between check and commit, so the commits must succeed.
-  a = services_[ga]->add_constraint(caps.first);
+  a = services_[ga]->add_constraint(cap_a);
   RTPB_ASSERT(a.ok());
-  b = services_[gb]->add_constraint(caps.second);
+  b = services_[gb]->add_constraint(cap_b);
   RTPB_ASSERT(b.ok());
   cross_.push_back(c);
   return {};
@@ -169,7 +171,7 @@ bool PartitionedCluster::cross_constraint_satisfied(const core::InterObjectConst
   for (const core::ObjectId id : {c.first, c.second}) {
     const auto it = home_.find(id);
     if (it == home_.end()) continue;
-    const TimePoint f = partitions_[it->second]->frontier_tracker().frontier();
+    const TimePoint f = partitions_[it->second]->frontier();
     // An untracked partition (no objects) imposes nothing.
     if (f != TimePoint::max() && at - f > c.delta) return false;
   }

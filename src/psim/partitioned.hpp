@@ -7,16 +7,22 @@
 // that the ParallelDriver can advance on separate threads inside ℓ-wide
 // lookahead windows; threads=1 is the sequential reference run.
 //
-// Cross-group coupling is only the stable-timestamp frontier (see
-// shard/frontier.hpp).  Because peer groups live in different simulators,
-// frontier records cannot travel through a simulated link; instead the
-// mesh shares one publish board, a slot per partition in ascending source
-// id.  A partition writes its own slot at window end when its frontier
-// advances, and at the next window begin scans the board in slot order,
-// feeding ReplicaServer::ingest_frontier every peer slot newer than what
-// it last took from that peer.  Publishes are strictly monotone, at most
-// one per source per window, and every partition scans every window, so
-// "newer than last ingested" is exactly "published last window".  The
+// Cross-group coupling is only the stable-timestamp frontier: a group's
+// frontier F is the minimum, over its objects, of the newest origin
+// timestamp its successor backup has applied, the instant up to which
+// every object of the group is provably fresh.  A cross-group constraint
+// δ_ij (i in A, j in B) holds at t whenever t − F_A ≤ δ_ij and
+// t − F_B ≤ δ_ij, so groups exchange one timestamp (core::FrontierRecord)
+// instead of object tables.  Because peer groups live in different
+// simulators, frontier records cannot travel through a simulated link;
+// instead the mesh shares one publish board, a slot per partition in
+// ascending source id.  A partition writes its own slot at window end
+// when its frontier advances, and at the next window begin scans the
+// board in slot order, feeding ReplicaServer::ingest_frontier every peer
+// slot newer than what it last took from that peer.  Publishes are
+// strictly monotone, at most one per source per window, and every
+// partition scans every window, so "newer than last ingested" is exactly
+// "published last window".  The
 // driver runs each window as two barrier-separated phases (drain+advance,
 // then publish): each slot has a single writer and the barriers order
 // every write before every read, so a record published in window k is
@@ -31,19 +37,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/service.hpp"
 #include "psim/driver.hpp"
-#include "shard/directory.hpp"
-#include "shard/frontier.hpp"
-#include "sim/partition.hpp"
 
 namespace rtpb::psim {
 
-/// One primary-backup group as a driver partition.  Owns the frontier
-/// tracker and shares the mesh's publish board; the service is borrowed
+/// One primary-backup group as a driver partition.  Owns the group's
+/// frontier and shares the mesh's publish board; the service is borrowed
 /// and must outlive the partition.
 class GroupPartition final : public PartitionTask {
  public:
@@ -54,7 +56,8 @@ class GroupPartition final : public PartitionTask {
   /// partition is constructed and before the first window.
   static void wire_mesh(const std::vector<std::unique_ptr<GroupPartition>>& parts);
 
-  /// Start tracking an admitted object in this partition's frontier.
+  /// Start tracking an admitted object (once per id) in this partition's
+  /// frontier, at the epoch origin: nothing of it is stable yet.
   void track(core::ObjectId id);
 
   // ---- PartitionTask (called from the owning worker thread) ----
@@ -65,9 +68,10 @@ class GroupPartition final : public PartitionTask {
   [[nodiscard]] std::uint32_t id() const { return id_; }
   [[nodiscard]] core::RtpbService& service() { return service_; }
   [[nodiscard]] const core::RtpbService& service() const { return service_; }
-  [[nodiscard]] const shard::FrontierTracker& frontier_tracker() const { return frontier_; }
-  /// Lookahead windows this partition has been advanced through.
-  [[nodiscard]] std::uint64_t windows() const { return partition_.windows(); }
+  /// The stable-timestamp frontier as of the last window end: the minimum
+  /// over tracked objects, TimePoint::max() when none is tracked (an empty
+  /// partition constrains nothing).
+  [[nodiscard]] TimePoint frontier() const;
   /// Frontier records this partition published to its peers / drained
   /// from them (a publish reaches every peer but counts once).
   [[nodiscard]] std::uint64_t records_published() const { return records_published_; }
@@ -76,10 +80,14 @@ class GroupPartition final : public PartitionTask {
  private:
   const std::uint32_t id_;
   core::RtpbService& service_;
-  sim::Partition partition_;
 
-  shard::FrontierTracker frontier_;
-  std::vector<core::ObjectId> tracked_;
+  /// Per tracked object, the newest origin timestamp the successor backup
+  /// has applied.  It only ever advances.
+  struct Tracked {
+    core::ObjectId id;
+    TimePoint stable;
+  };
+  std::vector<Tracked> tracked_;
   TimePoint last_published_{};
 
   /// The mesh's board: one slot per partition, ascending source id.
@@ -97,23 +105,18 @@ struct PartitionedClusterParams {
   core::ServiceConfig config;
   std::uint32_t group_count = 2;
   std::size_t backup_count = 1;
-  /// Lookahead window width.  Zero (the default) derives it as the link
-  /// delay bound ℓ — the widest window the frontier-staleness argument
-  /// above supports without exceeding the admission budget.
-  Duration window{};
-  std::string service_prefix = "pgroup";
-  /// Per-group service seeds.  Empty derives group g's seed statelessly
-  /// from `seed` (stream g), so adding groups never reshuffles existing
-  /// ones.  When set, must have exactly group_count entries.
-  std::vector<std::uint64_t> group_seeds;
 };
 
-/// The assembled partitioned cluster.  Construction, registration and
+/// The assembled partitioned cluster: group g is service "pgroup-g", seeded
+/// statelessly from `seed` (stream g) so adding groups never reshuffles
+/// existing ones.  The lookahead window is the link delay bound ℓ, the
+/// widest window the frontier-staleness argument above supports without
+/// exceeding the admission budget.  Construction, registration and
 /// constraint admission are single-threaded control-plane operations;
 /// only run_for() enters the parallel region.
 class PartitionedCluster {
  public:
-  explicit PartitionedCluster(PartitionedClusterParams params);
+  explicit PartitionedCluster(const PartitionedClusterParams& params);
 
   PartitionedCluster(const PartitionedCluster&) = delete;
   PartitionedCluster& operator=(const PartitionedCluster&) = delete;
@@ -121,21 +124,20 @@ class PartitionedCluster {
   /// Start every group's servers.  Call before registering objects.
   void start();
 
-  /// Route by the directory's hash placement (shard s == group s here:
-  /// the directory is created with shard_count == group_count).
+  /// Place by hash: group core::shard_of(id, group_count()).
   core::AdmissionResult register_object(const core::ObjectSpec& spec);
   /// Place directly into `group`, bypassing hash routing (bench workloads
   /// that want an exact per-group object count).
   core::AdmissionResult register_object_in(std::uint32_t group, const core::ObjectSpec& spec);
 
   /// Same-group constraints go to that group's admission; cross-group
-  /// constraints decompose into per-side caps (shard/admission.hpp) with
-  /// a dry-run pre-flight on both sides before either commits.  Objects
-  /// route to the group they were registered in, wherever that was; an
-  /// unregistered id is kUnknownObject.  Control plane only — never call
+  /// constraints decompose into one self-pair cap {i, i, δ_ij} per side,
+  /// dry-run on both sides before either commits.  Objects route to the
+  /// group they were registered in, wherever that was; an unregistered id
+  /// is kUnknownObject.  Control plane only — never call
   /// from inside the parallel region.
   core::AdmissionStatus add_constraint(const core::InterObjectConstraint& c);
-  /// Frontier arithmetic over the home partitions' local trackers.  An
+  /// Frontier arithmetic over the home partitions' frontiers.  An
   /// unregistered object, like an empty partition, constrains nothing.
   [[nodiscard]] bool cross_constraint_satisfied(const core::InterObjectConstraint& c,
                                                 TimePoint at) const;
@@ -151,8 +153,7 @@ class PartitionedCluster {
   }
   [[nodiscard]] core::RtpbService& service(std::uint32_t g) { return *services_[g]; }
   [[nodiscard]] GroupPartition& partition(std::uint32_t g) { return *partitions_[g]; }
-  [[nodiscard]] const shard::ShardDirectory& directory() const { return directory_; }
-  /// The lookahead window actually in use (ℓ unless overridden).
+  /// The lookahead window ℓ.
   [[nodiscard]] Duration window() const { return window_; }
   /// Common virtual clock (all groups agree between run_for calls).
   [[nodiscard]] TimePoint now() const { return services_.front()->simulator().now(); }
@@ -167,8 +168,6 @@ class PartitionedCluster {
   [[nodiscard]] std::uint64_t frontier_records_ingested() const;
 
  private:
-  PartitionedClusterParams params_;
-  shard::ShardDirectory directory_;
   Duration window_{};
   std::vector<std::unique_ptr<core::RtpbService>> services_;
   std::vector<std::unique_ptr<GroupPartition>> partitions_;

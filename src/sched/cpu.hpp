@@ -82,7 +82,6 @@ class Cpu {
 
   [[nodiscard]] std::uint64_t deadline_misses() const { return deadline_misses_; }
   [[nodiscard]] std::uint64_t jobs_completed() const { return jobs_completed_; }
-  [[nodiscard]] std::uint64_t jobs_dropped() const { return jobs_dropped_; }
   [[nodiscard]] double offered_utilization() const;
   /// Fraction of time the CPU was busy since start().
   [[nodiscard]] double busy_fraction() const;
@@ -182,7 +181,6 @@ class Cpu {
 
   std::uint64_t deadline_misses_ = 0;
   std::uint64_t jobs_completed_ = 0;
-  std::uint64_t jobs_dropped_ = 0;
   Duration busy_time_{};
 };
 

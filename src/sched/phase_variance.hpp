@@ -26,18 +26,13 @@ class PhaseVarianceTracker {
       const Duration vk = (gap - period_).abs();
       samples_.add(vk.millis());
       if (vk > max_) max_ = vk;
-      max_gap_ = std::max(max_gap_, gap);
     }
     last_finish_ = finish;
   }
 
   /// v_i = max_k v_i^k over everything recorded so far.
   [[nodiscard]] Duration phase_variance() const { return max_; }
-  /// Largest finish-to-finish gap observed (useful for Theorem 1 checks:
-  /// consistency holds iff every gap ≤ δ).
-  [[nodiscard]] Duration max_gap() const { return max_gap_; }
   [[nodiscard]] Duration period() const { return period_; }
-  [[nodiscard]] std::size_t invocations() const { return samples_.count() + (last_finish_ ? 1 : 0); }
   [[nodiscard]] const SampleSet& samples() const { return samples_; }
 
   /// Drop history accumulated before steady state (e.g. the first
@@ -46,14 +41,12 @@ class PhaseVarianceTracker {
   void reset_statistics() {
     samples_.clear();
     max_ = Duration::zero();
-    max_gap_ = Duration::zero();
   }
 
  private:
   Duration period_;
   std::optional<TimePoint> last_finish_;
   Duration max_{};
-  Duration max_gap_{};
   SampleSet samples_;
 };
 

@@ -11,7 +11,6 @@ bool SimStorageDevice::append(std::span<const std::uint8_t> data) {
     // medium, then the device dies.
     bytes_.insert(bytes_.end(), data.begin(),
                   data.begin() + static_cast<std::ptrdiff_t>(crash_after_));
-    bytes_written_ += crash_after_;
     crash_after_ = 0;
     failed_ = true;
     ++torn_appends_;
@@ -20,7 +19,6 @@ bool SimStorageDevice::append(std::span<const std::uint8_t> data) {
   bytes_.insert(bytes_.end(), data.begin(), data.end());
   if (crash_after_ != kNoCrash) crash_after_ -= data.size();
   ++appends_;
-  bytes_written_ += data.size();
   return true;
 }
 

@@ -75,7 +75,6 @@ class SimStorageDevice final : public StorageDevice {
 
   // ---- plain statistics (read by telemetry, never the other way) ----
   [[nodiscard]] std::uint64_t appends() const { return appends_; }
-  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
   [[nodiscard]] std::uint64_t torn_appends() const { return torn_appends_; }
 
  private:
@@ -85,7 +84,6 @@ class SimStorageDevice final : public StorageDevice {
   std::size_t crash_after_ = kNoCrash;
   bool failed_ = false;
   std::uint64_t appends_ = 0;
-  std::uint64_t bytes_written_ = 0;
   std::uint64_t torn_appends_ = 0;
 };
 

@@ -12,7 +12,6 @@ DurableStore::DurableStore(StorageDevice& wal, StorageDevice& checkpoint,
 bool DurableStore::append_wal() {
   if (!wal_.append(frame_.data())) return false;
   ++wal_appends_;
-  wal_bytes_ += frame_.size();
   ++records_since_checkpoint_;
   return true;
 }

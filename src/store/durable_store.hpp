@@ -68,7 +68,6 @@ class DurableStore {
 
   // ---- plain statistics ----
   [[nodiscard]] std::uint64_t wal_appends() const { return wal_appends_; }
-  [[nodiscard]] std::uint64_t wal_bytes() const { return wal_bytes_; }
   [[nodiscard]] std::uint64_t checkpoints() const { return checkpoints_; }
   [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
   [[nodiscard]] StorageDevice& wal_device() { return wal_; }
@@ -84,7 +83,6 @@ class DurableStore {
   std::size_t checkpoint_every_;
   std::size_t records_since_checkpoint_ = 0;
   std::uint64_t wal_appends_ = 0;
-  std::uint64_t wal_bytes_ = 0;
   std::uint64_t checkpoints_ = 0;
   std::uint64_t recoveries_ = 0;
   /// Every record is framed here, in place; the buffer keeps its capacity,

@@ -8,9 +8,7 @@
 
 namespace rtpb::telemetry {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+void json_escape_into(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -28,6 +26,12 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  json_escape_into(out, s);
   return out;
 }
 

@@ -22,7 +22,11 @@ namespace rtpb::telemetry {
 void write_chrome_trace(const Hub& hub, std::ostream& os);
 void write_jsonl(const Hub& hub, std::ostream& os);
 
-/// JSON string escaping shared by the exporters (and tests).
+/// Append `s` to `out` as the body of a JSON string: quotes, backslashes
+/// and control characters escaped.  Every JSON writer here uses it: the
+/// exporters, the registry's metrics JSON and the post-mortem dump.
+void json_escape_into(std::string& out, std::string_view s);
+/// json_escape_into a fresh string.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 }  // namespace rtpb::telemetry

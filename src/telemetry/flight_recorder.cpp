@@ -4,6 +4,7 @@
 #include <fstream>
 #include <ostream>
 
+#include "telemetry/export.hpp"
 #include "util/assert.hpp"
 
 namespace rtpb::telemetry {
@@ -49,25 +50,9 @@ std::vector<FlightRecord> FlightRecorder::snapshot() const {
   return out;
 }
 
-namespace {
-
-void escape_into(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
-
 void FlightRecorder::dump(std::ostream& os, const std::string& reason, TimePoint at) const {
   std::string line = "{\"type\":\"postmortem\",\"version\":1,\"reason\":\"";
-  escape_into(line, reason.c_str());
+  json_escape_into(line, reason);
   char buf[96];
   std::snprintf(buf, sizeof buf, "\",\"at_ms\":%.6f,\"recorded\":%llu,\"retained\":%llu,"
                 "\"overwritten\":%llu}\n",
@@ -88,7 +73,7 @@ void FlightRecorder::dump(std::ostream& os, const std::string& reason, TimePoint
     if (r.arg != 0) line += ",\"arg\":" + std::to_string(r.arg);
     if (r.label != nullptr) {
       line += ",\"label\":\"";
-      escape_into(line, r.label);
+      json_escape_into(line, r.label);
       line += '"';
     }
     line += "}\n";

@@ -95,7 +95,6 @@ class FlightRecorder {
   /// default) means triggers are recorded in the ring but nothing is
   /// written to disk.
   void set_dump_path(std::string path) { dump_path_ = std::move(path); }
-  [[nodiscard]] const std::string& dump_path() const { return dump_path_; }
 
   /// Dump the retained ring as a versioned post-mortem artifact to the
   /// configured path.  Only the *first* trigger writes (the events nearest

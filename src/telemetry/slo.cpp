@@ -47,24 +47,14 @@ double SloMonitor::BurnWindow::violating_fraction() const {
   return total == 0 ? 0.0 : static_cast<double>(viol) / static_cast<double>(total);
 }
 
-void SloMonitor::enable() { enable(Params{}); }
-
-void SloMonitor::enable(Params p) {
-  RTPB_EXPECTS(p.violation_budget > 0.0);
-  RTPB_EXPECTS(p.burn_short > Duration::zero());
-  RTPB_EXPECTS(p.burn_long > Duration::zero());
-  params_ = p;
-  enabled_ = true;
-}
-
 void SloMonitor::observe(std::uint64_t object, TimePoint now, Duration staleness,
                          Duration window) {
   if (!enabled_ || window <= Duration::zero()) return;
   auto it = objects_.find(object);
   if (it == objects_.end()) {
     it = objects_.emplace(object, ObjectSlo{}).first;
-    it->second.burn_short.reset(params_.burn_short);
-    it->second.burn_long.reset(params_.burn_long);
+    it->second.burn_short.reset(kBurnShort);
+    it->second.burn_long.reset(kBurnLong);
   }
   ObjectSlo& slo = it->second;
   slo.window = window;
@@ -80,8 +70,8 @@ void SloMonitor::observe(std::uint64_t object, TimePoint now, Duration staleness
     ++slo.violations;
     ++total_violations_;
   }
-  if (margin < window.scaled(params_.near_frac_tight)) ++slo.near_tight;
-  if (margin < window.scaled(params_.near_frac_loose)) ++slo.near_loose;
+  if (margin < window.scaled(kNearFracTight)) ++slo.near_tight;
+  if (margin < window.scaled(kNearFracLoose)) ++slo.near_loose;
   slo.burn_short.add(now, violating);
   slo.burn_long.add(now, violating);
 }
@@ -96,7 +86,7 @@ double SloMonitor::burn_rate(std::uint64_t object, bool long_window) const {
   const auto it = objects_.find(object);
   if (it == objects_.end()) return 0.0;
   const BurnWindow& w = long_window ? it->second.burn_long : it->second.burn_short;
-  return w.violating_fraction() / params_.violation_budget;
+  return w.violating_fraction() / kViolationBudget;
 }
 
 void SloMonitor::export_to(Registry& reg) const {
@@ -120,9 +110,9 @@ void SloMonitor::export_to(Registry& reg) const {
       reg.gauge(prefix + "margin_p50_ms").set(slo.margins_ms.quantile(0.50));
     }
     reg.gauge(prefix + "burn_rate_short").set(slo.burn_short.violating_fraction() /
-                                              params_.violation_budget);
+                                              kViolationBudget);
     reg.gauge(prefix + "burn_rate_long").set(slo.burn_long.violating_fraction() /
-                                             params_.violation_budget);
+                                             kViolationBudget);
   }
 }
 

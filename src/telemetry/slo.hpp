@@ -7,8 +7,8 @@
 // about:
 //
 //   * min / percentile margin over the run (how close did we sail?),
-//   * near-miss counters at configurable fractions of δ (margin below
-//     10% / 25% of the window),
+//   * near-miss counters at fixed fractions of δ (margin below 10% / 25%
+//     of the window),
 //   * multi-window burn rate of the violation budget: the fraction of
 //     samples violating δ over a short and a long trailing window,
 //     normalised by the allowed budget (SRE-style burn rate > 1 means the
@@ -38,15 +38,13 @@ class Registry;
 
 class SloMonitor {
  public:
-  struct Params {
-    double near_frac_tight = 0.10;  ///< near-miss: margin < 10% of δ
-    double near_frac_loose = 0.25;  ///< near-miss: margin < 25% of δ
-    /// Allowed violating fraction of samples (the error budget): burn
-    /// rate = violating-fraction / budget, so > 1 burns the budget.
-    double violation_budget = 0.01;
-    Duration burn_short = seconds(1);  ///< fast-burn trailing window
-    Duration burn_long = seconds(10);  ///< slow-burn trailing window
-  };
+  static constexpr double kNearFracTight = 0.10;  ///< near-miss: margin < 10% of δ
+  static constexpr double kNearFracLoose = 0.25;  ///< near-miss: margin < 25% of δ
+  /// Allowed violating fraction of samples (the error budget): burn rate =
+  /// violating-fraction / budget, so > 1 burns the budget.
+  static constexpr double kViolationBudget = 0.01;
+  static constexpr Duration kBurnShort = seconds(1);  ///< fast-burn trailing window
+  static constexpr Duration kBurnLong = seconds(10);  ///< slow-burn trailing window
 
   /// Trailing-window violation accounting: a ring of fixed time buckets
   /// rotated in place — O(1) per sample, no allocations.
@@ -72,19 +70,17 @@ class SloMonitor {
     Duration window{};          ///< most recent negotiated δ seen
     Duration min_margin = Duration::max();
     std::uint64_t samples = 0;
-    std::uint64_t near_tight = 0;  ///< margin < near_frac_tight · δ
-    std::uint64_t near_loose = 0;  ///< margin < near_frac_loose · δ
+    std::uint64_t near_tight = 0;  ///< margin < kNearFracTight · δ
+    std::uint64_t near_loose = 0;  ///< margin < kNearFracLoose · δ
     std::uint64_t violations = 0;  ///< margin < 0 (staleness exceeded δ)
     SampleSet margins_ms;          ///< retained for percentile export
     BurnWindow burn_short;
     BurnWindow burn_long;
   };
 
-  void enable(Params p);
-  void enable();  ///< enable with default Params
+  void enable() { enabled_ = true; }
   void disable() { enabled_ = false; }
   [[nodiscard]] bool enabled() const { return enabled_; }
-  [[nodiscard]] const Params& params() const { return params_; }
 
   /// One staleness observation for `object`: the backup lagged the primary
   /// by `staleness`, judged against the currently negotiated window δ.
@@ -95,8 +91,6 @@ class SloMonitor {
   /// the DegradationController.  `kind` must be a string literal.
   void on_degradation_signal(TimePoint now, const char* kind);
 
-  [[nodiscard]] std::uint64_t total_samples() const { return total_samples_; }
-  [[nodiscard]] std::uint64_t total_violations() const { return total_violations_; }
   [[nodiscard]] std::uint64_t degradation_signals() const { return degradation_signals_; }
   [[nodiscard]] const std::map<std::uint64_t, ObjectSlo>& objects() const { return objects_; }
   /// Burn rate (violating fraction / budget) for `object` over the short
@@ -108,12 +102,11 @@ class SloMonitor {
   /// Call once per run (counters are add-only).
   void export_to(Registry& reg) const;
 
-  /// Forget all accounting; keeps enablement and params.
+  /// Forget all accounting; keeps enablement.
   void clear();
 
  private:
   bool enabled_ = false;
-  Params params_{};
   std::uint64_t total_samples_ = 0;
   std::uint64_t total_violations_ = 0;
   std::uint64_t degradation_signals_ = 0;

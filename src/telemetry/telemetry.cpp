@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "telemetry/export.hpp"
 #include "util/assert.hpp"
 
 namespace rtpb::telemetry {
@@ -67,26 +68,6 @@ std::vector<std::string> split_dots(const std::string& name) {
     start = dot + 1;
   }
   return parts;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 /// Emit a sorted map of (dotted name → instrument) as nested objects,

@@ -115,8 +115,6 @@ class IntervalRecorder {
   [[nodiscard]] bool is_open() const { return open_; }
   [[nodiscard]] std::size_t interval_count() const { return durations_.count(); }
   [[nodiscard]] Duration total() const { return total_; }
-  [[nodiscard]] double mean_millis() const { return durations_.mean(); }
-  [[nodiscard]] double max_millis() const { return durations_.max(); }
   [[nodiscard]] const SampleSet& durations() const { return durations_; }
 
  private:

@@ -3,6 +3,9 @@
 // comparisons, and the variance-aware admission extension.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "core/rtpb.hpp"
 
 namespace rtpb::core {
@@ -20,9 +23,13 @@ ObjectSpec make_spec(ObjectId id, Duration p, Duration delta_p, Duration delta_b
   return s;
 }
 
+// gtest prints this parameter's raw bytes, and ctest puts them in the
+// test name.  `zero` fills what would be padding, so no stack garbage
+// enters the name and it reads the same in every build.
 struct FrontierParam {
   double fraction;      ///< r as a fraction of the window frontier
   bool expect_violations;
+  std::array<std::uint8_t, 7> zero{};
 };
 
 class FrontierSweep : public ::testing::TestWithParam<FrontierParam> {};

@@ -479,8 +479,8 @@ TEST(PartitionedCluster, ConstraintsRouteToThePlacementGroupNotTheHashHome) {
   PartitionedCluster cluster(cluster_params(2));
   cluster.start();
   // Both ids hash to group 0; place the second one in group 1 instead.
-  ASSERT_EQ(cluster.directory().group_of(1), 0u);
-  ASSERT_EQ(cluster.directory().group_of(3), 0u);
+  ASSERT_EQ(core::shard_of(1, cluster.group_count()), 0u);
+  ASSERT_EQ(core::shard_of(3, cluster.group_count()), 0u);
   ASSERT_TRUE(cluster.register_object_in(0, light_spec(1)).ok());
   ASSERT_TRUE(cluster.register_object_in(1, light_spec(3)).ok());
 
@@ -612,7 +612,7 @@ TEST(FrontierBoard, WindowKPublishIsIngestedInWindowKPlusOne) {
         EXPECT_EQ(mesh.part(i).service().acting_primary().peer_frontier(mesh.part(j).id()),
                   mesh.part(j).records_published() == 0
                       ? TimePoint{}
-                      : mesh.part(j).frontier_tracker().frontier())
+                      : mesh.part(j).frontier())
             << "window " << k;
       }
       EXPECT_EQ(mesh.part(i).records_ingested() - ingested_before[i], expected)
@@ -627,7 +627,7 @@ TEST(FrontierBoard, WindowKPublishIsIngestedInWindowKPlusOne) {
       for (std::size_t j = 0; j < mesh.size(); ++j) {
         if (j == i) continue;
         EXPECT_LT(mesh.part(j).service().acting_primary().peer_frontier(mesh.part(i).id()),
-                  mesh.part(i).frontier_tracker().frontier())
+                  mesh.part(i).frontier())
             << "window " << k;
       }
     }
@@ -685,6 +685,103 @@ TEST(FrontierBoard, UnchangedFrontierIsNeverIngestedTwice) {
   }
 }
 
+// ---- GroupPartition frontier ------------------------------------------------
+
+/// What the partition's frontier should read: the minimum over `ids` of
+/// the origin timestamp the successor backup has applied, zero for an
+/// object it has not applied yet.
+TimePoint backup_min(core::RtpbService& service, const std::vector<core::ObjectId>& ids) {
+  TimePoint min = TimePoint::max();
+  for (const core::ObjectId id : ids) {
+    const core::ObjectState* state = service.backup().store().peek(id);
+    min = std::min(min, state == nullptr || state->version == 0 ? TimePoint::zero()
+                                                                : state->origin_timestamp);
+  }
+  return min;
+}
+
+TEST(GroupPartitionFrontier, EmptyPartitionConstrainsNothingAndPublishesNothing) {
+  PartitionedCluster cluster(cluster_params(2));
+  cluster.start();
+  ASSERT_TRUE(cluster.register_object_in(0, light_spec(1)).ok());
+  cluster.run_for(seconds(2), 1);
+  cluster.finish();
+
+  GroupPartition& empty = cluster.partition(1);
+  EXPECT_EQ(empty.frontier(), TimePoint::max());
+  EXPECT_EQ(empty.records_published(), 0u);
+  // It still ingests its peer's publishes; the peer never hears of it.
+  EXPECT_GT(empty.records_ingested(), 0u);
+  EXPECT_EQ(cluster.service(0).acting_primary().peer_frontiers().count(1), 0u);
+}
+
+TEST(GroupPartitionFrontier, FrontierIsTheMinimumOverTrackedObjects) {
+  PartitionedCluster cluster(cluster_params(1));
+  cluster.start();
+  const std::vector<core::ObjectId> ids = {1, 2, 3};
+  for (const core::ObjectId id : ids) {
+    core::ObjectSpec spec = light_spec(id);
+    // Different backup windows give each object its own update period.
+    spec.delta_backup = spec.delta_primary + millis(100 + 60 * static_cast<std::int64_t>(id));
+    ASSERT_TRUE(cluster.register_object_in(0, spec).ok());
+  }
+  GroupPartition& part = cluster.partition(0);
+  std::size_t windows_with_spread = 0;
+  for (int k = 0; k < 1000; ++k) {
+    cluster.run_for(cluster.window(), 1);
+    ASSERT_EQ(part.frontier(), backup_min(cluster.service(0), ids)) << "window " << k;
+    // The objects' timestamps differ, so the minimum is a real choice.
+    for (const core::ObjectId id : ids) {
+      if (backup_min(cluster.service(0), {id}) > part.frontier()) {
+        ++windows_with_spread;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(part.frontier(), TimePoint::zero());
+  EXPECT_GT(windows_with_spread, 0u);
+}
+
+TEST(GroupPartitionFrontier, OlderAppliedTimestampNeverLowersTheFrontier) {
+  core::ServiceParams sp;
+  sp.seed = 99;
+  sp.durable = true;
+  sp.checkpoint_every = 8;
+  core::RtpbService service(std::move(sp));
+  service.start();
+  ASSERT_TRUE(service.register_object(light_spec(1)).ok());
+  std::vector<std::unique_ptr<GroupPartition>> parts;
+  parts.push_back(std::make_unique<GroupPartition>(0, service));
+  GroupPartition& part = *parts.front();
+  part.track(1);
+  GroupPartition::wire_mesh(parts);
+
+  // Run until the successor backup's WAL holds records past its last
+  // checkpoint, so tearing the WAL rolls the backup back.
+  store::SimStorageDevice& wal = *service.wal_device(1);
+  const Duration window = service.link_delay_bound();
+  for (int k = 0; k < 1000 || (wal.size() == 0 && k < 2000); ++k) {
+    const TimePoint now = service.simulator().now();
+    part.begin_window(now);
+    part.advance_to(now + window);
+    part.end_window(now + window);
+  }
+  ASSERT_GT(wal.size(), 0u);
+  const TimePoint before = part.frontier();
+  ASSERT_GT(before, TimePoint::zero());
+
+  service.crash_backup();
+  wal.tear_tail(wal.size());
+  service.restart_backup(0);
+  // The restarted backup holds its checkpoint: an older applied state.
+  const core::ObjectState* state = service.backup().store().peek(1);
+  ASSERT_NE(state, nullptr);
+  ASSERT_GT(state->version, 0u);
+  ASSERT_LT(state->origin_timestamp, before);
+  part.end_window(service.simulator().now());
+  EXPECT_EQ(part.frontier(), before);
+}
+
 // ---- sharded deployment ---------------------------------------------------
 // The multi-group (sharded) deployment's end-to-end guarantees: stable
 // frontiers travel between groups, and a cross-group constraint is checked
@@ -704,7 +801,7 @@ TEST(ShardCluster, FrontierFramesCrossTheWire) {
   for (std::uint32_t g = 0; g < 3; ++g) {
     // After two seconds of replication every group's stable frontier has
     // moved off the epoch origin, but never past the present.
-    const TimePoint local = cluster.partition(g).frontier_tracker().frontier();
+    const TimePoint local = cluster.partition(g).frontier();
     EXPECT_GT(local, TimePoint::zero()) << "group " << g;
     EXPECT_LT(local, cluster.now()) << "group " << g;
     // Every receiving primary merged every peer's frontier: learned from
