@@ -234,6 +234,7 @@ class ReplicaServer {
   [[nodiscard]] net::Endpoint endpoint() const { return {node(), kRtpbPort}; }
   [[nodiscard]] Role role() const { return role_; }
   [[nodiscard]] sched::Cpu& cpu() { return cpu_; }
+  [[nodiscard]] const sched::Cpu& cpu() const { return cpu_; }
   [[nodiscard]] const ObjectStore& store() const { return store_; }
   [[nodiscard]] const AdmissionController& admission() const { return *admission_; }
   [[nodiscard]] const ServiceConfig& config() const { return config_; }

@@ -25,6 +25,8 @@ class HostStack {
   [[nodiscard]] SimEth& eth() { return *eth_; }
   [[nodiscard]] IpLite& ip() { return *ip_; }
   [[nodiscard]] UdpLite& udp() { return *udp_; }
+  [[nodiscard]] const SimEth& eth() const { return *eth_; }
+  [[nodiscard]] const UdpLite& udp() const { return *udp_; }
 
   /// Convenience: send an application payload to a remote endpoint from a
   /// local port.
