@@ -269,18 +269,6 @@ AdmissionStatus AdmissionController::add_constraint(const InterObjectConstraint&
   return {};
 }
 
-void AdmissionController::remove_constraint(const InterObjectConstraint& c) {
-  auto match = std::find_if(constraints_.begin(), constraints_.end(),
-                            [&c](const InterObjectConstraint& have) {
-                              return have.first == c.first && have.second == c.second &&
-                                     have.delta == c.delta;
-                            });
-  if (match == constraints_.end()) return;
-  constraints_.erase(match);
-  refresh_effective(c.first);
-  if (c.second != c.first) refresh_effective(c.second);
-}
-
 Duration AdmissionController::compressed_period(const Admitted& a) const {
   // Compressed scheduling (§5.3): update transmissions consume all spare
   // capacity up to the configured target, shared equally among objects.

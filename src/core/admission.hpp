@@ -73,11 +73,6 @@ class AdmissionController {
   /// registers cross-shard δ_ij as one such external cap per side.
   AdmissionStatus add_constraint(const InterObjectConstraint& c);
 
-  /// Withdraw one previously added constraint (matched by value); both
-  /// members' periods are re-derived from their baselines and whatever
-  /// constraints remain.  No-op if no such constraint exists.
-  void remove_constraint(const InterObjectConstraint& c);
-
   /// Validate a constraint against the current admitted set WITHOUT
   /// committing it — add_constraint() is exactly this check followed by
   /// the commit.  The shard layer uses it to pre-flight both halves of a

@@ -7,13 +7,14 @@
 namespace rtpb::core {
 
 namespace {
-void render_ping_miss(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                      std::string& out) {
+/// The detail of a DetectorFact: a miss carries the ping's seq and the
+/// misses so far out of the limit, a peer death the misses.
+void describe(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+              std::string& out) {
+  if (static_cast<DetectorFact>(e.tag) == DetectorFact::kPeerDead) {
+    return telemetry::append(out, "after ", e.a, " misses");
+  }
   telemetry::append(out, "seq ", e.a, " miss ", e.b, "/", e.c);
-}
-void render_peer_dead(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                      std::string& out) {
-  telemetry::append(out, "after ", e.a, " misses");
 }
 }  // namespace
 
@@ -23,7 +24,8 @@ FailureDetector::FailureDetector(sim::Simulator& sim, Params params, SendPingFn 
       params_(params),
       send_ping_(std::move(send_ping)),
       on_peer_dead_(std::move(on_peer_dead)),
-      timer_(sim, params.ping_period, [this] { this->send_ping(); }) {
+      timer_(sim, params.ping_period, [this] { this->send_ping(); }),
+      facts_("heartbeat", &describe, &sim.telemetry()) {
   RTPB_EXPECTS(send_ping_ != nullptr);
   RTPB_EXPECTS(on_peer_dead_ != nullptr);
   RTPB_EXPECTS(params_.ack_timeout <= params_.ping_period);
@@ -44,9 +46,7 @@ void FailureDetector::stop() {
 void FailureDetector::send_ping() {
   if (peer_dead_) return;
   const std::uint64_t seq = next_seq_++;
-  ++pings_sent_;
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) hub.registry().counter(tele_.pings, "core.heartbeat.pings").add();
+  facts_.emit(DetectorFact::kPing);
   send_ping_(seq);
   const TimePoint sent_at = sim_.now();
   outstanding_seq_ = seq;
@@ -65,29 +65,12 @@ void FailureDetector::on_timeout(std::uint64_t seq, TimePoint sent_at) {
   ++misses_;
   RTPB_DEBUG("heartbeat", "ping %llu unanswered (miss %u/%u)",
              static_cast<unsigned long long>(seq), misses_, params_.max_misses);
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    hub.registry().counter(tele_.misses, "core.heartbeat.misses").add();
-    hub.record({.at = hub.now(),
-                .a = seq,
-                .b = misses_,
-                .c = params_.max_misses,
-                .render = &render_ping_miss,
-                .track = hub.intern(tele_.track, "heartbeat"),
-                .name = hub.intern(tele_.ping_miss, "ping-miss")});
-  }
+  facts_.emit(DetectorFact::kMiss, {.a = seq, .b = misses_, .c = params_.max_misses});
   if (misses_ >= params_.max_misses) {
     peer_dead_ = true;
     timer_.stop();
     RTPB_INFO("heartbeat", "peer declared dead after %u misses", misses_);
-    if (hub.enabled()) {
-      hub.registry().counter(tele_.peer_deaths, "core.heartbeat.peer_deaths").add();
-      hub.record({.at = hub.now(),
-                  .a = misses_,
-                  .render = &render_peer_dead,
-                  .track = hub.intern(tele_.track, "heartbeat"),
-                  .name = hub.intern(tele_.peer_dead, "peer-dead")});
-    }
+    facts_.emit(DetectorFact::kPeerDead, {.a = misses_});
     on_peer_dead_();
   }
 }
@@ -97,9 +80,7 @@ void FailureDetector::on_ping_ack(std::uint64_t seq) {
   // Anything else is a duplicate or a stale replay (chaos `dup`/`reorder`
   // verbs) and proves nothing about the peer's liveness *now*.
   if (seq == 0 || seq >= next_seq_ || seq <= last_acked_seq_) {
-    ++stale_acks_;
-    telemetry::Hub& hub = sim_.telemetry();
-    if (hub.enabled()) hub.registry().counter(tele_.stale_acks, "core.heartbeat.stale_acks").add();
+    facts_.emit(DetectorFact::kStaleAck);
     return;
   }
   last_acked_seq_ = seq;

@@ -10,9 +10,25 @@
 #include <functional>
 
 #include "sim/simulator.hpp"
+#include "telemetry/facts.hpp"
 #include "util/time.hpp"
 
 namespace rtpb::core {
+
+/// What a failure detector sees.  Its events go on the "heartbeat" track.
+enum class DetectorFact : std::uint8_t { kPing, kMiss, kPeerDead, kStaleAck, kCount };
+
+constexpr telemetry::FactSinks<DetectorFact> fact_sinks(DetectorFact f) {
+  switch (f) {
+    case DetectorFact::kPing: return {.counter = "core.heartbeat.pings"};
+    case DetectorFact::kMiss: return {.counter = "core.heartbeat.misses", .event = "ping-miss"};
+    case DetectorFact::kPeerDead: return {.counter = "core.heartbeat.peer_deaths",
+                                          .event = "peer-dead"};
+    case DetectorFact::kStaleAck: return {.counter = "core.heartbeat.stale_acks"};
+    case DetectorFact::kCount: break;
+  }
+  return {};
+}
 
 class FailureDetector {
  public:
@@ -54,8 +70,8 @@ class FailureDetector {
 
   [[nodiscard]] bool peer_declared_dead() const { return peer_dead_; }
   [[nodiscard]] std::uint32_t consecutive_misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t pings_sent() const { return pings_sent_; }
-  [[nodiscard]] std::uint64_t stale_acks() const { return stale_acks_; }
+  [[nodiscard]] std::uint64_t pings_sent() const { return facts_.count(DetectorFact::kPing); }
+  [[nodiscard]] std::uint64_t stale_acks() const { return facts_.count(DetectorFact::kStaleAck); }
 
  private:
   void send_ping();
@@ -72,20 +88,10 @@ class FailureDetector {
   std::uint64_t outstanding_seq_ = 0;    ///< most recent ping, for RTT timing
   TimePoint outstanding_sent_at_{};
   std::uint64_t last_acked_seq_ = 0;
-  std::uint64_t pings_sent_ = 0;
-  std::uint64_t stale_acks_ = 0;
   TimePoint last_traffic_{};
   std::uint32_t misses_ = 0;
   bool peer_dead_ = false;
-  struct Tele {  ///< resolved on first use while the hub collects
-    telemetry::Counter* pings = nullptr;
-    telemetry::Counter* misses = nullptr;
-    telemetry::Counter* peer_deaths = nullptr;
-    telemetry::Counter* stale_acks = nullptr;
-    telemetry::TextId track = 0;
-    telemetry::TextId ping_miss = 0;
-    telemetry::TextId peer_dead = 0;
-  } tele_;
+  telemetry::Facts<DetectorFact> facts_;
 };
 
 }  // namespace rtpb::core

@@ -12,8 +12,6 @@ void Metrics::track_object(ObjectId id, Duration window, Duration client_period)
   t.client_period = client_period;
 }
 
-void Metrics::untrack_object(ObjectId id) { objects_.erase(id); }
-
 void Metrics::ObjectTrack::refresh(TimePoint now) {
   if (!primary_written || !backup_applied) return;
   const Duration distance = primary_ts - backup_origin_ts;

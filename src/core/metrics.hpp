@@ -37,7 +37,6 @@ class Metrics {
   /// Declare an object, its window δ_i (for inconsistency judgement) and
   /// its client write period p_i (for excess-distance normalisation).
   void track_object(ObjectId id, Duration window, Duration client_period = Duration::zero());
-  void untrack_object(ObjectId id);
 
   /// The primary finished a client update at `ts` (T_i^P advances).
   void on_primary_write(ObjectId id, TimePoint ts);

@@ -55,7 +55,8 @@ ReplicaServer::ReplicaServer(sim::Simulator& sim, net::Network& network, NameSer
       service_name_(std::move(service_name)),
       stack_(network),
       cpu_(sim, config.cpu_policy, std::string(role_name(role)) + "-cpu"),
-      rng_(sim.rng().fork()) {
+      rng_(sim.rng().fork()),
+      facts_("rtpb", &describe, &sim.telemetry()) {
   // The initial primary is epoch 1; backups start at 0 ("unknown") and
   // learn the cluster epoch from the first accepted message.  Epoch-0
   // traffic is never fenced, so a fresh standby can bootstrap.
@@ -81,52 +82,6 @@ ReplicaServer::ReplicaServer(sim::Simulator& sim, net::Network& network, NameSer
 }
 
 ReplicaServer::~ReplicaServer() = default;
-
-// ---------------------------------------------------------------------------
-// Fact sinks.  The totals always count; registry instruments are resolved
-// on first use while the Hub is on, and nothing is resolved while it is off.
-// ---------------------------------------------------------------------------
-
-void ReplicaServer::report(Fact f, ObjectId object, std::uint64_t version,
-                           telemetry::SpanId span, std::int64_t value, TimePoint at) {
-  const auto i = static_cast<std::size_t>(f);
-  const FactSinks& s = kFactSinks[i];
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    if (!instruments_) instruments_ = std::make_unique<Instruments>();
-    Instruments& in = *instruments_;
-    const std::uint64_t n = s.sums ? static_cast<std::uint64_t>(value) : 1;
-    telemetry::Registry& r = hub.registry();
-    const auto count = [&](std::size_t k) {
-      const char* name = kFactSinks[k].counter;
-      if (name != nullptr) r.counter(in.counters[k], name).add(n);
-    };
-    count(i);
-    if (s.also) count(static_cast<std::size_t>(*s.also));
-    const double sample = s.duration ? nanos(value).millis() : static_cast<double>(value);
-    if (s.histogram != nullptr) r.histogram(in.histograms[i], s.histogram).record_ms(sample);
-    if (s.gauge != nullptr) r.gauge(in.gauges[i], s.gauge).set(sample);
-    if (s.event != nullptr) {
-      if (in.track == 0) in.track = hub.intern("node" + std::to_string(node()) + "/rtpb");
-      hub.record({.at = at,
-                  .span = span,
-                  .a = object,
-                  .b = version,
-                  .c = epoch_,
-                  .d = static_cast<std::uint64_t>(value),
-                  .render = &describe,
-                  .node = node(),
-                  .track = in.track,
-                  .name = hub.intern(in.names[i], s.event),
-                  .tag = static_cast<std::uint8_t>(f)});
-    }
-  }
-  telemetry::FlightRecorder& fr = hub.flight_recorder();
-  if (!s.flight || !fr.enabled()) return;
-  std::int64_t arg = s.arg == FactArg::kOne ? 1 : 0;
-  if (s.arg == FactArg::kValue) arg = s.duration ? value / 1'000'000 : value;
-  fr.record({at, span, object, version, epoch_, arg, s.label, node(), *s.flight});
-}
 
 void ReplicaServer::count_peer(net::NodeId peer, telemetry::Counter*& slot, const char* what) {
   telemetry::Hub& hub = sim_.telemetry();
@@ -901,98 +856,68 @@ void ReplicaServer::qos_tick() {
 bool ReplicaServer::downgrade_object(ObjectId id) {
   RTPB_EXPECTS(role_ == Role::kPrimary);
   if (!store_.contains(id) || qos_downgrade_active(id) || !admission_) return false;
-  const ObjectSpec original = store_.get(id).spec;
-
-  // Widen the window δ_iB − δ_iP kDegradeWindowFactor-fold, then run the
-  // result through admission (falling back to its §4.2 suggestion
-  // machinery if the straight relaxation is still infeasible).  The
-  // object must leave the admitted set first — suggest/admit evaluate
-  // against it.
+  // Widen the window δ_iB − δ_iP kDegradeWindowFactor-fold.
   constexpr std::int64_t kDegradeWindowFactor = 2;
+  const ObjectSpec& original = store_.get(id).spec;
   ObjectSpec loosened = original;
   loosened.delta_backup = original.delta_primary + original.window() * kDegradeWindowFactor;
-  admission_->remove(id);
-  AdmissionResult result = admission_->admit(loosened);
-  if (!result.ok()) {
-    if (auto suggestion = admission_->suggest_alternative(loosened)) {
-      loosened = *suggestion;
-      result = admission_->admit(loosened);
-    }
-  }
-  if (!result.ok()) {
-    // No feasible relaxation: put the original back and keep limping.
-    (void)admission_->admit(original);
-    sync_update_tasks();
-    return false;
-  }
-
-  store_.update_spec(id, loosened);
-  metrics_.track_object(id, loosened.window(), loosened.client_period);
-  sync_update_tasks();
-
-  ObjectRecord& rec = objects_[id];
-  const std::uint64_t seq = next_qos_seq_++;
-  rec.downgrade = QosState{original, seq, sim_.now()};
-  rec.qos_applied_seq = seq;
-  rec.qos_notice_at = sim_.now();
-
-  wire::ConstraintDowngrade d;
-  d.object = id;
-  d.delta_primary = loosened.delta_primary;
-  d.delta_backup = loosened.delta_backup;
-  d.update_period = admission_->update_period(id);
-  d.qos_seq = seq;
-  d.epoch = epoch_;
-  xkernel::Message frame{wire::encode(d)};
-  for (const net::Endpoint& peer : peers_) send_to(peer, frame);
-
-  RTPB_INFO("rtpb", "QoS downgrade: object %u window %s -> %s (r=%s, seq %llu)", id,
-            original.window().to_string().c_str(), loosened.window().to_string().c_str(),
-            d.update_period.to_string().c_str(),
-            static_cast<unsigned long long>(d.qos_seq));
-  emit(Fact::kQosDowngrade, id, 0, telemetry::kNoSpan, loosened.window().nanos());
-  return true;
+  return renegotiate(id, loosened, /*downgrade=*/true);
 }
 
 bool ReplicaServer::restore_object(ObjectId id) {
   RTPB_EXPECTS(role_ == Role::kPrimary);
   if (!qos_downgrade_active(id) || !store_.contains(id) || !admission_) return false;
-  ObjectRecord& rec = objects_[id];
-  const ObjectSpec original = rec.downgrade->original;
+  return renegotiate(id, objects_[id].downgrade->original, /*downgrade=*/false);
+}
 
+bool ReplicaServer::renegotiate(ObjectId id, ObjectSpec to, bool downgrade) {
+  // The object must leave the admitted set first — suggest/admit evaluate
+  // against it.  A downgrade falls back to admission's §4.2 suggestion
+  // machinery if the straight relaxation is still infeasible; a restore
+  // whose original no longer fits (the admitted set grew while degraded)
+  // stays on the downgraded QoS rather than over-promise.
+  const ObjectSpec from = store_.get(id).spec;
   admission_->remove(id);
-  const AdmissionResult result = admission_->admit(original);
+  AdmissionResult result = admission_->admit(to);
+  if (!result.ok() && downgrade) {
+    if (auto suggestion = admission_->suggest_alternative(to)) {
+      to = *suggestion;
+      result = admission_->admit(to);
+    }
+  }
   if (!result.ok()) {
-    // The original no longer fits (e.g. the admitted set grew while
-    // degraded): stay on the downgraded QoS rather than over-promise.
-    const ObjectSpec downgraded = store_.get(id).spec;
-    (void)admission_->admit(downgraded);
+    (void)admission_->admit(from);
     sync_update_tasks();
     return false;
   }
 
-  store_.update_spec(id, original);
-  metrics_.track_object(id, original.window(), original.client_period);
+  store_.update_spec(id, to);
+  metrics_.track_object(id, to.window(), to.client_period);
   sync_update_tasks();
 
+  ObjectRecord& rec = objects_[id];
   const std::uint64_t seq = next_qos_seq_++;
-  rec.downgrade.reset();
+  if (downgrade) {
+    rec.downgrade = QosState{from, seq, sim_.now()};
+  } else {
+    rec.downgrade.reset();
+  }
   rec.qos_applied_seq = seq;
   rec.qos_notice_at = sim_.now();
 
-  wire::ConstraintRestore rs;
-  rs.object = id;
-  rs.delta_backup = original.delta_backup;
-  rs.update_period = admission_->update_period(id);
-  rs.qos_seq = seq;
-  rs.epoch = epoch_;
-  xkernel::Message frame{wire::encode(rs)};
+  const Duration period = admission_->update_period(id);
+  xkernel::Message frame{
+      downgrade ? wire::encode(wire::ConstraintDowngrade{id, to.delta_primary, to.delta_backup,
+                                                         period, seq, epoch_})
+                : wire::encode(wire::ConstraintRestore{id, to.delta_backup, period, seq, epoch_})};
   for (const net::Endpoint& peer : peers_) send_to(peer, frame);
 
-  RTPB_INFO("rtpb", "QoS restore: object %u window back to %s (r=%s, seq %llu)", id,
-            original.window().to_string().c_str(), rs.update_period.to_string().c_str(),
+  RTPB_INFO("rtpb", "QoS %s: object %u window %s -> %s (r=%s, seq %llu)",
+            downgrade ? "downgrade" : "restore", id, from.window().to_string().c_str(),
+            to.window().to_string().c_str(), period.to_string().c_str(),
             static_cast<unsigned long long>(seq));
-  emit(Fact::kQosRestore, id, 0, telemetry::kNoSpan, original.window().nanos());
+  emit(downgrade ? Fact::kQosDowngrade : Fact::kQosRestore, id, 0, telemetry::kNoSpan,
+       to.window().nanos());
   return true;
 }
 
@@ -1112,22 +1037,10 @@ void ReplicaServer::handle(const wire::Update& u, net::Endpoint from) {
     emit(Fact::kUnknownObject, u.object, u.version, hub.current_span());
     return;
   }
-  // Log-before-apply (backup side): the version must be durable before
-  // the store — and the ack below — can expose it.  Staleness is gated
-  // here first so duplicate/old versions never hit the WAL.
-  if (u.version > store_.get(u.object).version &&
-      !durable_log_update(u.object, u.version, u.timestamp, u.value)) {
-    return;  // fail-stopped: no apply, no ack
-  }
-  const bool applied = store_.apply(u.object, u.version, u.timestamp, u.value, sim_.now());
+  const ApplyOutcome outcome = apply_remote(u.object, u.version, u.timestamp, u.value, u.epoch);
+  if (outcome == ApplyOutcome::kFailStopped) return;  // no apply, no ack
+  const bool applied = outcome == ApplyOutcome::kApplied;
   if (applied) {
-    if (u.epoch != 0 && u.epoch < epoch_) {
-      // Only reachable with fencing disabled: we just applied state from
-      // a deposed primary's incarnation.  The chaos no-cross-epoch-apply
-      // oracle trips on this counter.
-      emit(Fact::kCrossEpochApply);
-    }
-    metrics_.on_backup_apply(u.object, u.timestamp, sim_.now());
     // Temporal-slack SLO sample: staleness at apply vs the negotiated
     // window δ.  Fed inline (no timers) so it stays a pure observer.
     telemetry::SloMonitor& slo = sim_.telemetry().slo();
@@ -1144,6 +1057,25 @@ void ReplicaServer::handle(const wire::Update& u, net::Endpoint from) {
     send_to(from, wire::encode(wire::UpdateAck{u.object, u.version, epoch_}));
   }
   maybe_checkpoint();
+}
+
+ReplicaServer::ApplyOutcome ReplicaServer::apply_remote(ObjectId id, std::uint64_t version,
+                                                        TimePoint origin_ts,
+                                                        std::span<const std::uint8_t> value,
+                                                        std::uint64_t epoch) {
+  // Log-before-apply (backup side): the version must be durable before
+  // the store — and any ack — can expose it.  Staleness is gated here
+  // first so duplicate/old versions never hit the WAL.
+  if (version > store_.get(id).version && !durable_log_update(id, version, origin_ts, value)) {
+    return ApplyOutcome::kFailStopped;
+  }
+  if (!store_.apply(id, version, origin_ts, value, sim_.now())) return ApplyOutcome::kStale;
+  // Only reachable with fencing disabled: we just applied state from a
+  // deposed primary's incarnation.  The chaos no-cross-epoch-apply oracle
+  // trips on this count.
+  if (epoch != 0 && epoch < epoch_) emit(Fact::kCrossEpochApply);
+  metrics_.on_backup_apply(id, origin_ts, sim_.now());
+  return ApplyOutcome::kApplied;
 }
 
 void ReplicaServer::handle(wire::UpdateBatch& b, net::Endpoint from) {
@@ -1253,15 +1185,9 @@ void ReplicaServer::apply_transfer(std::uint64_t transfer_id,
       store_.update_spec(id, entry.spec);
       metrics_.track_object(id, entry.spec.window(), entry.spec.client_period);
     }
-    if (entry.version > 0) {
-      if (entry.version > store_.get(id).version &&
-          !durable_log_update(id, entry.version, entry.timestamp, entry.value)) {
-        return;  // fail-stopped: no apply, no ack
-      }
-      if (store_.apply(id, entry.version, entry.timestamp, entry.value, sim_.now())) {
-        if (epoch != 0 && epoch < epoch_) emit(Fact::kCrossEpochApply);
-        metrics_.on_backup_apply(id, entry.timestamp, sim_.now());
-      }
+    if (entry.version > 0 && apply_remote(id, entry.version, entry.timestamp, entry.value,
+                                          epoch) == ApplyOutcome::kFailStopped) {
+      return;  // no apply, no ack
     }
     if (newest) {
       objects_[id].watchdog_period = entry.update_period;

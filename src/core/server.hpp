@@ -22,7 +22,6 @@
 //     fresh backup via full state transfer.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -45,6 +44,7 @@
 #include "sched/cpu.hpp"
 #include "sim/simulator.hpp"
 #include "store/durable_store.hpp"
+#include "telemetry/facts.hpp"
 #include "xkernel/fraglite.hpp"
 #include "xkernel/graph.hpp"
 
@@ -66,10 +66,10 @@ struct FrontierRecord {
   TimePoint stable_ts{};
 };
 
-/// The protocol facts a ReplicaServer reports.  Each happens at one
-/// ReplicaServer::emit() call; kFactSinks below says which registry
-/// instrument, Hub event and flight record it feeds besides the per-kind
-/// total the server's getters read.
+/// The protocol facts a ReplicaServer reports, each at one
+/// ReplicaServer::emit() call; fact_sinks() says which registry
+/// instrument, Hub event and flight record it feeds besides the total the
+/// server's getters read.
 enum class Fact : std::uint8_t {
   kWrite, kWriteRelease, kWriteStart,  // primary: client write (+ its job history)
   kXmitRelease, kXmitStart,            // primary: update transmission job history
@@ -88,28 +88,9 @@ enum class Fact : std::uint8_t {
   kSmoothedRtt, kRto, kBackoffLevel, kActiveDowngrades, kOverloaded,  // gauge readings
   kCount
 };
-inline constexpr std::size_t kFacts = static_cast<std::size_t>(Fact::kCount);
 
-/// What a fact's flight record carries in `arg`.
-enum class FactArg : std::uint8_t { kZero, kOne, kValue };
-
-/// Where one fact goes besides its per-kind total.
-struct FactSinks {
-  const char* counter = nullptr;    ///< registry counter (kinds may share one)
-  const char* event = nullptr;      ///< Hub event (detail formatted from the fields)
-  std::optional<telemetry::FlightKind> flight{};  ///< flight record kind
-  FactArg arg = FactArg::kZero;     ///< the flight record's arg
-  const char* label = nullptr;      ///< the flight record's label
-  const char* histogram = nullptr;  ///< registry histogram sampling `value`
-  const char* gauge = nullptr;      ///< registry gauge set to `value`
-  /// `value` is a duration in ns: histograms and gauges take it in ms,
-  /// flight args in whole ms.
-  bool duration = false;
-  bool sums = false;          ///< counters add `value`, not 1
-  std::optional<Fact> also{};  ///< a fact this one also counts as
-};
-
-constexpr FactSinks fact_sinks(Fact f) {
+constexpr telemetry::FactSinks<Fact> fact_sinks(Fact f) {
+  using telemetry::FactArg;
   using telemetry::FlightKind;
   switch (f) {
     case Fact::kWrite: return {.counter = "core.primary.writes", .event = "write",
@@ -200,13 +181,6 @@ constexpr FactSinks fact_sinks(Fact f) {
   }
   return {};
 }
-
-/// The sink table, indexed by Fact.
-inline constexpr std::array<FactSinks, kFacts> kFactSinks = [] {
-  std::array<FactSinks, kFacts> table{};
-  for (std::size_t i = 0; i < kFacts; ++i) table[i] = fact_sinks(static_cast<Fact>(i));
-  return table;
-}();
 
 class ReplicaServer {
  public:
@@ -432,27 +406,21 @@ class ReplicaServer {
   [[nodiscard]] TimePoint promoted_at() const { return promoted_at_; }
 
  private:
-  [[nodiscard]] std::uint64_t count(Fact f) const { return facts_[static_cast<std::size_t>(f)]; }
-  /// Report `f` to its total and to the sinks kFactSinks gives it.
+  [[nodiscard]] std::uint64_t count(Fact f) const { return facts_.count(f); }
+  /// Report `f` about `object` at `version` under this replica's epoch.
   /// `span` is the update it concerns and `value` its scalar; `at`
-  /// back-dates the Hub event (job history) and defaults to now.  Inline,
-  /// so with the Hub and flight recorder off a fact costs its total and
-  /// the enabled branches.
+  /// back-dates the Hub event (job history) and defaults to now.
   void emit(Fact f, ObjectId object = 0, std::uint64_t version = 0,
             telemetry::SpanId span = telemetry::kNoSpan, std::int64_t value = 0,
             std::optional<TimePoint> at = std::nullopt) {
-    const FactSinks& s = kFactSinks[static_cast<std::size_t>(f)];
-    const std::uint64_t n = s.sums ? static_cast<std::uint64_t>(value) : 1;
-    facts_[static_cast<std::size_t>(f)] += n;
-    if (s.also) facts_[static_cast<std::size_t>(*s.also)] += n;
-    telemetry::Hub& hub = sim_.telemetry();
-    if (hub.enabled() || (s.flight && hub.flight_recorder().enabled())) {
-      report(f, object, version, span, value, at.value_or(sim_.now()));
-    }
+    facts_.emit(f, {.a = object,
+                    .b = version,
+                    .c = epoch_,
+                    .value = value,
+                    .span = span,
+                    .node = node(),
+                    .at = at});
   }
-  /// The registry, Hub event and flight-record sinks of emit().
-  void report(Fact f, ObjectId object, std::uint64_t version, telemetry::SpanId span,
-              std::int64_t value, TimePoint at);
   /// Bump `peer`'s `core.primary.peer.nodeN.<what>` counter, cached in `slot`.
   void count_peer(net::NodeId peer, telemetry::Counter*& slot, const char* what);
 
@@ -532,12 +500,27 @@ class ReplicaServer {
   void apply_transfer(std::uint64_t transfer_id, std::vector<wire::StateEntry>& entries,
                       std::vector<InterObjectConstraint>& constraints, std::uint64_t epoch,
                       bool delta, net::Endpoint from);
+  enum class ApplyOutcome : std::uint8_t { kStale, kApplied, kFailStopped };
+  /// The one backup apply body behind update frames and transfer entries:
+  /// log a newer version before applying it, apply it if newer, count a
+  /// cross-epoch apply and feed the consistency metrics.  kFailStopped
+  /// means the log append crashed this replica: the caller must neither
+  /// apply nor ack.
+  ApplyOutcome apply_remote(ObjectId id, std::uint64_t version, TimePoint origin_ts,
+                            std::span<const std::uint8_t> value, std::uint64_t epoch);
   void handle(const wire::ConstraintDowngrade& d, net::Endpoint from);
   void handle(const wire::ConstraintRestore& rs, net::Endpoint from);
   /// The one backup-side apply body behind both QoS notices; a restore
   /// carries no δ_P.
   void apply_qos_notice(ObjectId id, std::uint64_t qos_seq, Duration update_period,
                         std::optional<Duration> delta_primary, Duration delta_backup);
+  /// The one primary-side body behind downgrade_object and
+  /// restore_object: move `id` from its current spec to `to` through
+  /// admission (re-admitting the current spec if `to` does not fit), adopt
+  /// it in the store, metrics and update tasks, stamp the next QoS seq and
+  /// send every peer the notice.  `downgrade` picks the notice, the fact
+  /// and admission's suggestion fallback.
+  bool renegotiate(ObjectId id, ObjectSpec to, bool downgrade);
   /// Active-replication traffic never targets an RTPB replica: dropped.
   void handle(const wire::ActivePrepare& p, net::Endpoint from);
   void handle(const wire::ActiveAck& a, net::Endpoint from);
@@ -702,18 +685,7 @@ class ReplicaServer {
 
   Rng rng_{0};
 
-  // ---- fact sinks ----
-  std::array<std::uint64_t, kFacts> facts_{};  ///< per-kind totals (the getters)
-  /// Registry instruments of each fact, resolved on first use while the
-  /// Hub is on (and only then allocated: most servers never need them).
-  struct Instruments {
-    std::array<telemetry::Counter*, kFacts> counters{};
-    std::array<telemetry::LatencyHistogram*, kFacts> histograms{};
-    std::array<telemetry::Gauge*, kFacts> gauges{};
-    std::array<telemetry::TextId, kFacts> names{};  ///< each fact's Hub event name
-    telemetry::TextId track = 0;                     ///< "nodeN/rtpb"
-  };
-  std::unique_ptr<Instruments> instruments_;
+  telemetry::Facts<Fact> facts_;  ///< on track "nodeN/rtpb"
 };
 
 }  // namespace rtpb::core

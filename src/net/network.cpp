@@ -10,53 +10,22 @@
 namespace rtpb::net {
 
 namespace {
-void render_link(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                 std::string& out) {
-  telemetry::append(out, "node", e.a, "->node", e.b);
-}
-void render_enqueue(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                    std::string& out) {
-  telemetry::append(out, "node", e.a, "->node", e.b, " ", e.c, "B");
-}
-/// `c` is the drop reason, a string literal.
-void render_link_drop(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                      std::string& out) {
-  telemetry::append(out, "node", e.a, "->node", e.b, " ", telemetry::literal_of(e.c));
-}
-void render_corrupt(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                    std::string& out) {
-  telemetry::append(out, "node", e.a, "->node", e.b, " byte ", e.c);
-}
-void render_node_down(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                      std::string& out) {
-  telemetry::append(out, "node", e.a, " down");
+/// The detail of a NetFact: `a` → `b` is the frame's link, `c` its size or
+/// the corrupted byte.
+void describe(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
+              std::string& out) {
+  using telemetry::append;
+  switch (static_cast<NetFact>(e.tag)) {
+    case NetFact::kEnqueue: return append(out, "node", e.a, "->node", e.b, " ", e.c, "B");
+    case NetFact::kCorrupt: return append(out, "node", e.a, "->node", e.b, " byte ", e.c);
+    case NetFact::kDropMtu: return append(out, "node", e.a, "->node", e.b, " mtu");
+    case NetFact::kDropBurst: return append(out, "node", e.a, "->node", e.b, " burst");
+    case NetFact::kDropLoss: return append(out, "node", e.a, "->node", e.b, " loss");
+    case NetFact::kDropNodeDown: return append(out, "node", e.b, " down");
+    default: return append(out, "node", e.a, "->node", e.b);
+  }
 }
 }  // namespace
-
-void Network::tele_record(telemetry::Hub& hub, NodeId node, telemetry::SpanId span,
-                          telemetry::TextId& name_slot, const char* name,
-                          telemetry::Renderer render, std::uint64_t a, std::uint64_t b,
-                          std::uint64_t c) {
-  if (node >= tele_.tracks.size()) tele_.tracks.resize(node + 1, 0);
-  telemetry::TextId& track = tele_.tracks[node];
-  if (track == 0) track = hub.intern("node" + std::to_string(node) + "/net");
-  hub.record({.at = hub.now(),
-              .span = span,
-              .a = a,
-              .b = b,
-              .c = c,
-              .render = render,
-              .node = node,
-              .track = track,
-              .name = hub.intern(name_slot, name)});
-}
-
-void Network::count_drop(telemetry::Hub& hub, telemetry::Counter*& reason_slot,
-                         const char* reason) {
-  telemetry::Registry& r = hub.registry();
-  r.counter(tele_.drops, "net.link.drops").add();
-  r.counter(reason_slot, reason).add();
-}
 
 Duration LinkParams::delay_bound(std::size_t frame_size) const {
   Duration tx = Duration::zero();
@@ -67,7 +36,8 @@ Duration LinkParams::delay_bound(std::size_t frame_size) const {
   return tx + propagation + jitter;
 }
 
-Network::Network(sim::Simulator& sim) : sim_(sim), rng_(sim.rng().fork()) {}
+Network::Network(sim::Simulator& sim)
+    : sim_(sim), rng_(sim.rng().fork()), facts_("net", &describe, &sim.telemetry()) {}
 
 NodeId Network::add_node(DeliveryFn on_deliver) {
   RTPB_EXPECTS(on_deliver != nullptr);
@@ -103,23 +73,14 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     line << "node" << src << "->node" << dst;
     return line;
   };
-  // A frame this link drops, for `reason` (a string literal).
-  const auto record_drop = [&](telemetry::SpanId span, telemetry::Counter*& slot,
-                               const char* counter, const char* reason) {
-    count_drop(hub, slot, counter);
-    tele_record(hub, src, span, tele_.drop, "net-drop", &render_link_drop, src, dst,
-                telemetry::literal(reason));
-  };
-  if (hub.enabled()) hub.registry().counter(tele_.sends, "net.link.sends").add();
+  emit(NetFact::kSend, src, hub.current_span(), src, dst);
 
   if (link->params.mtu > 0 && frame.size() > link->params.mtu) {
     ++link->stats.mtu_drops;
     ++link->stats.dropped;
     RTPB_DEBUG("net", "frame of %zu bytes exceeds MTU %zu; dropped", frame.size(),
                link->params.mtu);
-    if (hub.enabled()) {
-      record_drop(hub.current_span(), tele_.drops_mtu, "net.link.drops_mtu", "mtu");
-    }
+    emit(NetFact::kDropMtu, src, hub.current_span(), src, dst);
     return true;  // like UDP over a real link: silently gone
   }
 
@@ -130,10 +91,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
   pkt.seq = next_seq_++;
   pkt.span = hub.current_span();
 
-  if (hub.enabled()) {
-    tele_record(hub, src, pkt.span, tele_.enqueue, "net-enqueue", &render_enqueue, src, dst,
-                pkt.wire_size());
-  }
+  emit(NetFact::kEnqueue, src, pkt.span, src, dst, pkt.wire_size());
 
   const LinkFaults& faults = link->params.faults;
 
@@ -162,9 +120,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     ++link->stats.dropped;
     ++link->stats.burst_dropped;
     if (sim_.trace().enabled()) trace_link("frame-drop") << " burst";
-    if (hub.enabled()) {
-      record_drop(pkt.span, tele_.drops_burst, "net.link.drops_burst", "burst");
-    }
+    emit(NetFact::kDropBurst, src, pkt.span, src, dst);
     return true;
   }
 
@@ -173,9 +129,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     RTPB_TRACE("net", "drop pkt %llu node%u->node%u (loss)",
                static_cast<unsigned long long>(pkt.seq), src, dst);
     if (sim_.trace().enabled()) trace_link("frame-drop");
-    if (hub.enabled()) {
-      record_drop(pkt.span, tele_.drops_loss, "net.link.drops_loss", "loss");
-    }
+    emit(NetFact::kDropLoss, src, pkt.span, src, dst);
     return true;  // sender cannot tell — fire and forget
   }
 
@@ -191,11 +145,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     pkt.frame.flip(idx, static_cast<std::uint8_t>(1u << rng_.uniform(0, 7)));
     ++link->stats.corrupted;
     if (sim_.trace().enabled()) trace_link("frame-corrupt") << " byte " << idx;
-    if (hub.enabled()) {
-      hub.registry().counter(tele_.corrupted, "net.link.corrupted").add();
-      tele_record(hub, src, pkt.span, tele_.corrupt, "net-corrupt", &render_corrupt, src, dst,
-                  idx);
-    }
+    emit(NetFact::kCorrupt, src, pkt.span, src, dst, idx);
   }
 
   if (sim_.trace().enabled()) trace_link("frame-send") << ' ' << pkt.wire_size() << 'B';
@@ -221,16 +171,14 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     }
     ++link->stats.reordered;
     if (sim_.trace().enabled()) trace_link("frame-reorder");
-    if (hub.enabled()) hub.registry().counter(tele_.reordered, "net.link.reordered").add();
+    emit(NetFact::kReorder, src, pkt.span, src, dst);
   } else {
     // Preserve FIFO per direction.
     deliver_at = std::max(deliver_at, link->last_delivery);
     link->last_delivery = deliver_at;
   }
   link->stats.delays_ms.add((deliver_at - sim_.now()).millis());
-  if (hub.enabled()) {
-    hub.registry().histogram(tele_.delay_ms, "net.link.delay_ms").record(deliver_at - sim_.now());
-  }
+  facts_.emit(NetFact::kDelay, {.value = (deliver_at - sim_.now()).nanos()});
 
   if (faults.duplicate_probability > 0.0 &&
       decide(sim::ChoiceKind::kFrameDuplicate, faults.duplicate_probability)) {
@@ -240,7 +188,7 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     }
     ++link->stats.duplicated;
     if (sim_.trace().enabled()) trace_link("frame-dup");
-    if (hub.enabled()) hub.registry().counter(tele_.duplicated, "net.link.duplicated").add();
+    emit(NetFact::kDuplicate, src, pkt.span, src, dst);
     schedule_delivery(pkt, std::max(deliver_at, sim_.now() + delay + dup_delay));
   }
 
@@ -271,18 +219,11 @@ void Network::deliver(std::uint32_t index) {
   auto node_it = nodes_.find(pkt.dst);
   if (node_it == nodes_.end() || !node_it->second.up) {
     if (DirectedLink* l = find_link(pkt.src, pkt.dst)) ++l->stats.dropped;
-    if (hub.enabled()) {
-      count_drop(hub, tele_.drops_node_down, "net.link.drops_node_down");
-      tele_record(hub, pkt.dst, pkt.span, tele_.drop, "net-drop", &render_node_down, pkt.dst, 0);
-    }
+    emit(NetFact::kDropNodeDown, pkt.dst, pkt.span, pkt.src, pkt.dst);
     return;
   }
   if (DirectedLink* l = find_link(pkt.src, pkt.dst)) ++l->stats.delivered;
-  if (hub.enabled()) {
-    hub.registry().counter(tele_.delivers, "net.link.delivers").add();
-    tele_record(hub, pkt.dst, pkt.span, tele_.deliver, "net-deliver", &render_link, pkt.src,
-                pkt.dst);
-  }
+  emit(NetFact::kDeliver, pkt.dst, pkt.span, pkt.src, pkt.dst);
   // Propagate the frame's causal span to everything the delivery triggers
   // synchronously: demux up the x-kernel stack and the backup apply path.
   telemetry::ScopedSpan span_scope(hub, pkt.span);
@@ -293,12 +234,6 @@ void Network::set_node_up(NodeId node, bool up) {
   auto it = nodes_.find(node);
   RTPB_EXPECTS(it != nodes_.end());
   it->second.up = up;
-}
-
-bool Network::node_up(NodeId node) const {
-  auto it = nodes_.find(node);
-  RTPB_EXPECTS(it != nodes_.end());
-  return it->second.up;
 }
 
 void Network::set_loss_probability(NodeId a, NodeId b, double p) {

@@ -19,6 +19,7 @@
 
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/facts.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -65,6 +66,37 @@ struct LinkStats {
   RunningStats delays_ms;           ///< one-way frame delays (moments only, no samples)
 };
 
+/// What happens to frames on the links.  A drop is one of the four
+/// reasons and also counts as kDrop.
+enum class NetFact : std::uint8_t {
+  kSend, kEnqueue, kDelay, kDeliver, kCorrupt, kReorder, kDuplicate,
+  kDrop, kDropMtu, kDropBurst, kDropLoss, kDropNodeDown,
+  kCount
+};
+
+constexpr telemetry::FactSinks<NetFact> fact_sinks(NetFact f) {
+  switch (f) {
+    case NetFact::kSend: return {.counter = "net.link.sends"};
+    case NetFact::kEnqueue: return {.event = "net-enqueue"};
+    case NetFact::kDelay: return {.histogram = "net.link.delay_ms", .duration = true};
+    case NetFact::kDeliver: return {.counter = "net.link.delivers", .event = "net-deliver"};
+    case NetFact::kCorrupt: return {.counter = "net.link.corrupted", .event = "net-corrupt"};
+    case NetFact::kReorder: return {.counter = "net.link.reordered"};
+    case NetFact::kDuplicate: return {.counter = "net.link.duplicated"};
+    case NetFact::kDrop: return {.counter = "net.link.drops"};
+    case NetFact::kDropMtu: return {.counter = "net.link.drops_mtu", .event = "net-drop",
+                                    .also = NetFact::kDrop};
+    case NetFact::kDropBurst: return {.counter = "net.link.drops_burst", .event = "net-drop",
+                                      .also = NetFact::kDrop};
+    case NetFact::kDropLoss: return {.counter = "net.link.drops_loss", .event = "net-drop",
+                                     .also = NetFact::kDrop};
+    case NetFact::kDropNodeDown: return {.counter = "net.link.drops_node_down",
+                                         .event = "net-drop", .also = NetFact::kDrop};
+    case NetFact::kCount: break;
+  }
+  return {};
+}
+
 class Network {
  public:
   explicit Network(sim::Simulator& sim);
@@ -91,7 +123,6 @@ class Network {
   /// Crash / restore a node.  A down node receives nothing; packets to it
   /// count as dropped.
   void set_node_up(NodeId node, bool up);
-  [[nodiscard]] bool node_up(NodeId node) const;
 
   /// Update loss probability mid-run (failure injection).
   void set_loss_probability(NodeId a, NodeId b, double p);
@@ -136,12 +167,12 @@ class Network {
   void schedule_delivery(Packet pkt, TimePoint at);
   /// The delivery event of in_flight_[index].
   void deliver(std::uint32_t index);
-  /// Record an instant event on `node`'s "node<N>/net" track.
-  void tele_record(telemetry::Hub& hub, NodeId node, telemetry::SpanId span,
-                   telemetry::TextId& name_slot, const char* name, telemetry::Renderer render,
-                   std::uint64_t a, std::uint64_t b, std::uint64_t c = 0);
-  /// Count a dropped frame in net.link.drops and in its reason's counter.
-  void count_drop(telemetry::Hub& hub, telemetry::Counter*& reason_slot, const char* reason);
+  /// Report `f` about the frame `src` → `dst` on `node`'s "node<N>/net"
+  /// track; `c` is a byte count or offset.
+  void emit(NetFact f, NodeId node, telemetry::SpanId span, NodeId src, NodeId dst,
+            std::uint64_t c = 0) {
+    facts_.emit(f, {.a = src, .b = dst, .c = c, .span = span, .node = node});
+  }
 
   sim::Simulator& sim_;
   Rng rng_;
@@ -155,24 +186,7 @@ class Network {
   NodeId next_node_ = 1;
   std::uint64_t next_seq_ = 1;
 
-  struct Tele {  ///< resolved on first use while the hub collects
-    telemetry::Counter* sends = nullptr;
-    telemetry::Counter* delivers = nullptr;
-    telemetry::Counter* drops = nullptr;
-    telemetry::Counter* drops_mtu = nullptr;
-    telemetry::Counter* drops_burst = nullptr;
-    telemetry::Counter* drops_loss = nullptr;
-    telemetry::Counter* drops_node_down = nullptr;
-    telemetry::Counter* corrupted = nullptr;
-    telemetry::Counter* reordered = nullptr;
-    telemetry::Counter* duplicated = nullptr;
-    telemetry::LatencyHistogram* delay_ms = nullptr;
-    telemetry::TextId enqueue = 0;
-    telemetry::TextId drop = 0;
-    telemetry::TextId corrupt = 0;
-    telemetry::TextId deliver = 0;
-    std::vector<telemetry::TextId> tracks;  ///< "node<N>/net", by node id
-  } tele_;
+  telemetry::Facts<NetFact> facts_;
 };
 
 }  // namespace rtpb::net

@@ -16,8 +16,32 @@ const char* policy_name(Policy p) {
   return "?";
 }
 
+namespace {
+/// The detail of a CpuFact: `a` is the task's interned name, `b` the job
+/// index (the preempted task for kPreempt).
+void describe(const telemetry::Hub& hub, const telemetry::Event& e, telemetry::Part,
+              std::string& out) {
+  const std::string_view task = hub.text(static_cast<telemetry::TextId>(e.a));
+  switch (static_cast<CpuFact>(e.tag)) {
+    case CpuFact::kPreempt: return telemetry::append(out, task, " preempts task ", e.b);
+    case CpuFact::kMissedFinish: return telemetry::append(out, task, " #", e.b, " MISSED");
+    default: return telemetry::append(out, task, " #", e.b);
+  }
+}
+/// A CPU-possession slice is named "<task> #<index>" and has no detail.
+void render_slice(const telemetry::Hub& hub, const telemetry::Event& e, telemetry::Part part,
+                  std::string& out) {
+  if (part == telemetry::Part::kName) {
+    telemetry::append(out, hub.text(static_cast<telemetry::TextId>(e.a)), " #", e.b);
+  }
+}
+}  // namespace
+
 Cpu::Cpu(sim::Simulator& sim, Policy policy, std::string name)
-    : sim_(sim), policy_(policy), name_(std::move(name)) {}
+    : sim_(sim),
+      policy_(policy),
+      name_(name),
+      facts_(std::move(name), &describe, &sim.telemetry()) {}
 
 Cpu::~Cpu() { stop(); }
 
@@ -128,35 +152,10 @@ void Cpu::stop() {
   started_ = false;
 }
 
-namespace {
-/// "<task> #<index>[ MISSED]": `a` is the task name, `b` the job index and
-/// `c` set for a missed deadline.
-void render_job(const telemetry::Hub& hub, const telemetry::Event& e, telemetry::Part,
-                std::string& out) {
-  telemetry::append(out, hub.text(static_cast<telemetry::TextId>(e.a)), " #", e.b);
-  if (e.c != 0) out += " MISSED";
-}
-/// A CPU-possession slice is named "<task> #<index>" and has no detail.
-void render_slice(const telemetry::Hub& hub, const telemetry::Event& e, telemetry::Part part,
-                  std::string& out) {
-  if (part == telemetry::Part::kName) render_job(hub, e, part, out);
-}
-void render_preempt(const telemetry::Hub& hub, const telemetry::Event& e, telemetry::Part,
-                    std::string& out) {
-  telemetry::append(out, hub.text(static_cast<telemetry::TextId>(e.a)), " preempts task ", e.b);
-}
-}  // namespace
-
-void Cpu::tele_record(telemetry::Hub& hub, telemetry::EventKind kind, telemetry::TextId name,
-                      telemetry::Renderer render, Task& task, std::uint64_t b, std::uint64_t c) {
-  hub.record({.at = hub.now(),
-              .a = hub.intern(task.tele_name, task.spec.name),
-              .b = b,
-              .c = c,
-              .render = render,
-              .track = hub.intern(tele_.track, name_),
-              .name = name,
-              .kind = kind});
+void Cpu::emit(CpuFact f, Task& task, std::uint64_t b, Duration response) {
+  telemetry::Hub& hub = sim_.telemetry();
+  const telemetry::TextId name = hub.enabled() ? hub.intern(task.tele_name, task.spec.name) : 0;
+  facts_.emit(f, {.a = name, .b = b, .value = response.nanos()});
 }
 
 void Cpu::arm_release(Task& task) {
@@ -176,12 +175,7 @@ void Cpu::on_release(Task& task) {
     sim_.trace().record(sim_.now(), sim::TraceCategory::kCpu, "job-release")
         << name_ << ' ' << task.spec.name << " #" << job.index;
   }
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    hub.registry().counter(tele_.releases, "sched.releases").add();
-    tele_record(hub, telemetry::EventKind::kInstant, hub.intern(tele_.release, "job-release"),
-                &render_job, task, job.index);
-  }
+  emit(CpuFact::kRelease, task, job.index);
 
   // Periodic re-arm.
   task.next_release += task.effective_period;
@@ -213,8 +207,6 @@ void Cpu::on_completion() {
   info.start = job.start;
   info.finish = sim_.now();
   info.deadline_missed = (sim_.now() - job.release) > task.spec.effective_deadline();
-  if (info.deadline_missed) ++deadline_misses_;
-  ++jobs_completed_;
 
   task.tracker->record_finish(info.finish);
   if (sim_.trace().enabled()) {
@@ -222,15 +214,8 @@ void Cpu::on_completion() {
         << name_ << ' ' << task.spec.name << " #" << info.index
         << (info.deadline_missed ? " MISSED" : "");
   }
-  telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    telemetry::Registry& r = hub.registry();
-    r.counter(tele_.completions, "sched.completions").add();
-    if (info.deadline_missed) r.counter(tele_.deadline_misses, "sched.deadline_misses").add();
-    r.histogram(tele_.response_ms, "sched.response_ms").record(info.finish - info.release);
-    tele_record(hub, telemetry::EventKind::kInstant, hub.intern(tele_.finish, "job-finish"),
-                &render_job, task, info.index, info.deadline_missed ? 1 : 0);
-  }
+  emit(info.deadline_missed ? CpuFact::kMissedFinish : CpuFact::kFinish, task, info.index,
+       info.finish - info.release);
   // Move the callback out rather than copy it (a capturing lambda may live
   // on the heap): it must survive the retire below and a callback that
   // removes its own task.  It goes back only if the task still exists;
@@ -354,9 +339,8 @@ void Cpu::dispatch() {
 
   telemetry::Hub& hub = sim_.telemetry();
   if (hub.enabled()) {
-    // Maintain the CPU-possession slice (one open begin/end pair per job
-    // tenure) and count true preemptions: the incumbent still had work
-    // left but a different job takes the CPU.
+    // Maintain the CPU-possession slice: one open begin/end pair per job
+    // tenure.
     const bool same_tenure = slice_open_ && next != nullptr && next->spec.id == slice_task_ &&
                              !next->backlog.empty() && next->backlog.front().index == slice_index_;
     if (slice_open_ && !same_tenure) {
@@ -364,7 +348,7 @@ void Cpu::dispatch() {
                   .a = slice_name_,
                   .b = slice_index_,
                   .render = &render_slice,
-                  .track = hub.intern(tele_.track, name_),
+                  .track = facts_.track(0),
                   .name = telemetry::kRenderedName,
                   .kind = telemetry::EventKind::kEnd});
       slice_open_ = false;
@@ -374,14 +358,19 @@ void Cpu::dispatch() {
       slice_task_ = next->spec.id;
       slice_index_ = next->backlog.front().index;
       slice_name_ = hub.intern(next->tele_name, next->spec.name);
-      tele_record(hub, telemetry::EventKind::kBegin, telemetry::kRenderedName, &render_slice,
-                  *next, slice_index_);
+      hub.record({.at = hub.now(),
+                  .a = slice_name_,
+                  .b = slice_index_,
+                  .render = &render_slice,
+                  .track = facts_.track(0),
+                  .name = telemetry::kRenderedName,
+                  .kind = telemetry::EventKind::kBegin});
     }
-    if (prev != nullptr && prev_unfinished && next != nullptr && next != prev) {
-      hub.registry().counter(tele_.preemptions, "sched.preemptions").add();
-      tele_record(hub, telemetry::EventKind::kInstant, hub.intern(tele_.preempt, "preempt"),
-                  &render_preempt, *next, prev->spec.id);
-    }
+  }
+  // A true preemption: the incumbent still had work left but a different
+  // job takes the CPU.
+  if (prev != nullptr && prev_unfinished && next != nullptr && next != prev) {
+    emit(CpuFact::kPreempt, *next, prev->spec.id);
   }
 
   if (next == nullptr) return;

@@ -26,6 +26,7 @@
 #include "sched/phase_variance.hpp"
 #include "sched/task.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/facts.hpp"
 
 namespace rtpb::sched {
 
@@ -34,6 +35,25 @@ enum class Policy { kEdf, kRateMonotonic, kDcsSr, kFifo };
 [[nodiscard]] const char* policy_name(Policy p);
 
 using JobCallback = std::function<void(const JobInfo&)>;
+
+/// What happens to jobs on a CPU.  A job that finishes past its deadline
+/// is a kMissedFinish, which also counts as a kFinish.
+enum class CpuFact : std::uint8_t { kRelease, kFinish, kMissedFinish, kPreempt, kCount };
+
+constexpr telemetry::FactSinks<CpuFact> fact_sinks(CpuFact f) {
+  switch (f) {
+    case CpuFact::kRelease: return {.counter = "sched.releases", .event = "job-release"};
+    case CpuFact::kFinish: return {.counter = "sched.completions", .event = "job-finish",
+                                   .histogram = "sched.response_ms", .duration = true};
+    case CpuFact::kMissedFinish: return {.counter = "sched.deadline_misses",
+                                         .event = "job-finish",
+                                         .histogram = "sched.response_ms", .duration = true,
+                                         .also = CpuFact::kFinish};
+    case CpuFact::kPreempt: return {.counter = "sched.preemptions", .event = "preempt"};
+    case CpuFact::kCount: break;
+  }
+  return {};
+}
 
 class Cpu {
  public:
@@ -80,8 +100,10 @@ class Cpu {
   [[nodiscard]] const PhaseVarianceTracker& tracker(TaskId id) const;
   [[nodiscard]] const TaskSpec& spec(TaskId id) const;
 
-  [[nodiscard]] std::uint64_t deadline_misses() const { return deadline_misses_; }
-  [[nodiscard]] std::uint64_t jobs_completed() const { return jobs_completed_; }
+  [[nodiscard]] std::uint64_t deadline_misses() const {
+    return facts_.count(CpuFact::kMissedFinish);
+  }
+  [[nodiscard]] std::uint64_t jobs_completed() const { return facts_.count(CpuFact::kFinish); }
   [[nodiscard]] double offered_utilization() const;
   /// Fraction of time the CPU was busy since start().
   [[nodiscard]] double busy_fraction() const;
@@ -121,11 +143,9 @@ class Cpu {
   /// Strictly-less comparison: does job of `a` beat job of `b`?
   [[nodiscard]] bool higher_priority(const Task& a, const Task& b) const;
   void respecialize();
-  /// Record an event on this CPU's telemetry track; `a` is the task's
-  /// interned name.
-  void tele_record(telemetry::Hub& hub, telemetry::EventKind kind, telemetry::TextId name,
-                   telemetry::Renderer render, Task& task, std::uint64_t b,
-                   std::uint64_t c = 0);
+  /// Report `f` about `task`'s job (or, for a preemption, the task it
+  /// preempts) `b`; `response` is a finished job's response time.
+  void emit(CpuFact f, Task& task, std::uint64_t b, Duration response = Duration::zero());
 
   // Ready heap.  ready_ is a binary heap over the tasks whose backlog is
   // non-empty, ordered by higher_priority(); the running task stays in it
@@ -167,20 +187,7 @@ class Cpu {
   std::uint64_t slice_index_ = 0;
   telemetry::TextId slice_name_ = 0;  ///< the slice's task name, interned
 
-  struct Tele {  ///< resolved on first use while the hub collects
-    telemetry::Counter* releases = nullptr;
-    telemetry::Counter* completions = nullptr;
-    telemetry::Counter* deadline_misses = nullptr;
-    telemetry::Counter* preemptions = nullptr;
-    telemetry::LatencyHistogram* response_ms = nullptr;
-    telemetry::TextId track = 0;
-    telemetry::TextId release = 0;
-    telemetry::TextId finish = 0;
-    telemetry::TextId preempt = 0;
-  } tele_;
-
-  std::uint64_t deadline_misses_ = 0;
-  std::uint64_t jobs_completed_ = 0;
+  telemetry::Facts<CpuFact> facts_;  ///< on the track named after this CPU
   Duration busy_time_{};
 };
 

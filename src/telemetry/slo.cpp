@@ -82,13 +82,6 @@ void SloMonitor::on_degradation_signal(TimePoint /*now*/, const char* kind) {
   ++signals_by_kind_[kind];
 }
 
-double SloMonitor::burn_rate(std::uint64_t object, bool long_window) const {
-  const auto it = objects_.find(object);
-  if (it == objects_.end()) return 0.0;
-  const BurnWindow& w = long_window ? it->second.burn_long : it->second.burn_short;
-  return w.violating_fraction() / kViolationBudget;
-}
-
 void SloMonitor::export_to(Registry& reg) const {
   reg.counter("core.slo.samples").add(total_samples_);
   reg.counter("core.slo.violation_samples").add(total_violations_);

@@ -93,9 +93,6 @@ class SloMonitor {
 
   [[nodiscard]] std::uint64_t degradation_signals() const { return degradation_signals_; }
   [[nodiscard]] const std::map<std::uint64_t, ObjectSlo>& objects() const { return objects_; }
-  /// Burn rate (violating fraction / budget) for `object` over the short
-  /// or long trailing window; 0 for unknown objects.
-  [[nodiscard]] double burn_rate(std::uint64_t object, bool long_window) const;
 
   /// Write the core.slo.* snapshot into `reg`: global counters plus
   /// per-object margin gauges, near-miss counters and burn rates.

@@ -208,10 +208,6 @@ void Hub::mark_violation(SpanId span, const std::string& oracle, std::string det
 // Events: interned text, the chunked ring, render-on-demand.
 // ---------------------------------------------------------------------------
 
-void render_literal(const Hub& /*hub*/, const Event& e, Part /*part*/, std::string& out) {
-  out += literal_of(e.a);
-}
-
 void render_text(const Hub& hub, const Event& e, Part /*part*/, std::string& out) {
   out += hub.kept_text(e.a);
 }

@@ -226,16 +226,6 @@ void append(std::string& out, const Parts&... parts) {
   (one(parts), ...);
 }
 
-/// A string literal carried in a typed field (static storage only), and
-/// back.
-[[nodiscard]] inline std::uint64_t literal(const char* s) {
-  return reinterpret_cast<std::uintptr_t>(s);
-}
-[[nodiscard]] inline const char* literal_of(std::uint64_t field) {
-  return reinterpret_cast<const char*>(static_cast<std::uintptr_t>(field));
-}
-/// Renderer of a detail that is the string literal in field `a`.
-void render_literal(const Hub& hub, const Event& e, Part part, std::string& out);
 /// Renderer of a free-text detail: field `a` is the key Hub::keep_text
 /// returned.  The text is dropped when the ring evicts the event.
 void render_text(const Hub& hub, const Event& e, Part part, std::string& out);

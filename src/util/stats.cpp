@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace rtpb {
 
@@ -75,63 +74,6 @@ double SampleSet::quantile(double q) const {
   const double frac = pos - static_cast<double>(idx);
   if (idx + 1 >= samples_.size()) return samples_.back();
   return samples_[idx] * (1.0 - frac) + samples_[idx + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  RTPB_EXPECTS(hi > lo);
-  RTPB_EXPECTS(buckets > 0);
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::int64_t>((x - lo_) / width);
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::quantile(double q) const {
-  RTPB_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return lo_;
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const double in_bucket = static_cast<double>(counts_[i]);
-    if (cum + in_bucket >= target) {
-      double frac = (target - cum) / in_bucket;
-      frac = std::clamp(frac, 0.0, 1.0);
-      // Pin exact cumulative boundaries to exact bucket edges (avoids
-      // lo + i*w + w vs lo + (i+1)*w rounding skew).
-      if (frac == 0.0) return bucket_lo(i);
-      if (frac == 1.0) return i + 1 < counts_.size() ? bucket_lo(i + 1) : hi_;
-      return bucket_lo(i) + frac * width;
-    }
-    cum += in_bucket;
-  }
-  return hi_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::string out;
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(counts_[i] * width / peak);
-    std::snprintf(line, sizeof line, "%10.3f | %-*s %llu\n", bucket_lo(i),
-                  static_cast<int>(width), std::string(bar, '#').c_str(),
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-  }
-  return out;
 }
 
 void IntervalRecorder::open(TimePoint t) {

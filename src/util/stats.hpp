@@ -1,12 +1,11 @@
 // Statistics collectors used by the metrics layer and the benchmark
-// harness: running moments, exact percentiles over retained samples,
-// fixed-width histograms, and an interval recorder for "how long was the
-// system in state X" measurements (duration of backup inconsistency).
+// harness: running moments, exact percentiles over retained samples, and
+// an interval recorder for "how long was the system in state X"
+// measurements (duration of backup inconsistency).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -62,42 +61,6 @@ class SampleSet {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
   void ensure_sorted() const;
-};
-
-/// Fixed-width histogram over [lo, hi).
-///
-/// Bucket boundary semantics: with width w = (hi−lo)/buckets, bucket i
-/// covers the half-open range [lo + i·w, lo + (i+1)·w) — the lower edge is
-/// *inclusive*, the upper edge *exclusive* (a sample exactly on an interior
-/// edge lands in the higher bucket).  Out-of-range samples clamp to the
-/// edge buckets: x < lo counts in bucket 0, x ≥ hi in the last bucket, so
-/// the edge buckets additionally absorb everything beyond their outer
-/// boundary.  (Bucket selection is floor((x−lo)/w), so a sample an ulp
-/// below an edge stays in the lower bucket.)
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  /// Quantile estimate from bucket counts: the q·total()-th sample is
-  /// located by cumulative count and interpolated uniformly within its
-  /// bucket.  When q·total() falls exactly on a cumulative bucket
-  /// boundary, the estimate is exactly that bucket edge (lo + i·w) —
-  /// the anchor the property tests pin.  Returns lo for an empty
-  /// histogram.  Note that clamped out-of-range samples are attributed
-  /// to the edge buckets' ranges.
-  [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Records half-open time intervals [begin, end) during which a monitored

@@ -7,21 +7,6 @@
 
 namespace rtpb::xkernel {
 
-namespace {
-void render_push(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                 std::string& out) {
-  telemetry::append(out, e.a, " fragment(s), ", e.b, "B");
-}
-void render_reassembled(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                        std::string& out) {
-  telemetry::append(out, "reassembled ", e.a, " fragments");
-}
-void render_timeout(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                    std::string& out) {
-  telemetry::append(out, e.a, "/", e.b, " fragments");
-}
-}  // namespace
-
 FragLite::FragLite(sim::Simulator& sim, std::size_t max_fragment_payload,
                    Duration reassembly_timeout)
     : Protocol("fraglite"),
@@ -44,11 +29,7 @@ void FragLite::push(Message& msg, const MsgAttrs& attrs) {
   const std::size_t count = std::max<std::size_t>(1, (whole.length + max_payload_ - 1) / max_payload_);
   RTPB_EXPECTS(count <= 0xFFFF);
 
-  ++messages_sent_;
-  if (telemetry::Hub* hub = tele()) {
-    hub->registry().counter(tele_.messages_sent, "xkernel.fraglite.messages_sent").add();
-    tele_record(*hub, tele_.push, "frag-push", &render_push, count, whole.length);
-  }
+  emit(LayerFact::kFragPush, count, whole.length);
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t begin = i * max_payload_;
     const std::size_t end = std::min<std::size_t>(whole.length, begin + max_payload_);
@@ -61,14 +42,14 @@ void FragLite::push(Message& msg, const MsgAttrs& attrs) {
     header.u16(static_cast<std::uint16_t>(count));
     header.u32(total);
     fragment.push(header.data());
-    ++fragments_sent_;
+    emit(LayerFact::kFragment);
     down()->push(fragment, attrs);
   }
 }
 
 void FragLite::demux(Message& msg, MsgAttrs& attrs) {
   if (msg.size() < kHeaderSize) {
-    ++bad_fragments_;
+    emit(LayerFact::kFragBad);
     return;
   }
   ByteReader r(msg.pop(kHeaderSize));
@@ -82,24 +63,17 @@ void FragLite::demux(Message& msg, MsgAttrs& attrs) {
   // must never size or index the fragment table.
   if (!r.ok() || count == 0 || index >= count ||
       total > static_cast<std::uint64_t>(count) * kMaxFragmentSize) {
-    ++bad_fragments_;
+    emit(LayerFact::kFragBad);
     return;
   }
 
   // Fast path: unfragmented message.
   if (count == 1) {
     if (msg.size() != total) {
-      ++bad_fragments_;
+      emit(LayerFact::kFragBad);
       return;
     }
-    ++messages_reassembled_;
-    if (telemetry::Hub* hub = tele()) {
-      hub->registry()
-          .counter(tele_.messages_reassembled, "xkernel.fraglite.messages_reassembled")
-          .add();
-      tele_record(*hub, tele_.demux, "frag-demux", &telemetry::render_literal,
-                  telemetry::literal("unfragmented"));
-    }
+    emit(LayerFact::kFragWhole);
     if (handler_) handler_(msg, attrs);
     return;
   }
@@ -113,7 +87,7 @@ void FragLite::demux(Message& msg, MsgAttrs& attrs) {
   }
   if (re.fragments.size() != count || re.total_length != total) {
     // Conflicting fragment metadata for the same id: drop everything.
-    ++bad_fragments_;
+    emit(LayerFact::kFragBad);
     re.gc.cancel();
     reassembly_.erase(key);
     return;
@@ -121,14 +95,14 @@ void FragLite::demux(Message& msg, MsgAttrs& attrs) {
   if (re.fragments[index].buf != nullptr) {
     // Replayed or duplicated fragment: the slot is taken; it must neither
     // overwrite the stored payload nor count toward completion again.
-    ++duplicate_fragments_;
+    emit(LayerFact::kFragDuplicate);
     return;
   }
   const SharedView payload = msg.shared_contents();
   if (re.bytes_received + payload.length > re.total_length) {
     // An over-long (corrupted) fragment would push the reassembled size
     // past the declared total; reject the fragment, keep the reassembly.
-    ++bad_fragments_;
+    emit(LayerFact::kFragBad);
     return;
   }
   // Store a zero-copy view of the arriving wire buffer; bytes are gathered
@@ -142,7 +116,7 @@ void FragLite::demux(Message& msg, MsgAttrs& attrs) {
 
   // Complete: stitch and deliver.
   if (re.bytes_received != re.total_length) {
-    ++bad_fragments_;
+    emit(LayerFact::kFragBad);
     re.gc.cancel();
     reassembly_.erase(key);
     return;
@@ -155,13 +129,7 @@ void FragLite::demux(Message& msg, MsgAttrs& attrs) {
   }
   re.gc.cancel();
   reassembly_.erase(key);
-  ++messages_reassembled_;
-  if (telemetry::Hub* hub = tele()) {
-    hub->registry()
-        .counter(tele_.messages_reassembled, "xkernel.fraglite.messages_reassembled")
-        .add();
-    tele_record(*hub, tele_.demux, "frag-demux", &render_reassembled, count);
-  }
+  emit(LayerFact::kFragReassembled, count);
   Message complete{std::move(whole)};
   if (handler_) handler_(complete, attrs);
 }
@@ -169,16 +137,9 @@ void FragLite::demux(Message& msg, MsgAttrs& attrs) {
 void FragLite::expire(const Key& key) {
   auto it = reassembly_.find(key);
   if (it == reassembly_.end()) return;
-  ++reassembly_timeouts_;
   RTPB_DEBUG("fraglite", "reassembly timed out (%zu/%zu fragments)", it->second.received,
              it->second.fragments.size());
-  if (telemetry::Hub* hub = tele()) {
-    hub->registry()
-        .counter(tele_.reassembly_timeouts, "xkernel.fraglite.reassembly_timeouts")
-        .add();
-    tele_record(*hub, tele_.timeout, "frag-timeout", &render_timeout, it->second.received,
-                it->second.fragments.size());
-  }
+  emit(LayerFact::kFragTimeout, it->second.received, it->second.fragments.size());
   reassembly_.erase(it);
 }
 

@@ -33,13 +33,20 @@ class FragLite final : public Protocol {
   /// Reassemble fragments; deliver the complete message to the handler.
   void demux(Message& msg, MsgAttrs& attrs) override;
 
-  [[nodiscard]] std::uint64_t fragments_sent() const { return fragments_sent_; }
-  [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
-  [[nodiscard]] std::uint64_t messages_reassembled() const { return messages_reassembled_; }
-  [[nodiscard]] std::uint64_t reassembly_timeouts() const { return reassembly_timeouts_; }
-  [[nodiscard]] std::uint64_t bad_fragments() const { return bad_fragments_; }
+  [[nodiscard]] std::uint64_t fragments_sent() const { return count(LayerFact::kFragment); }
+  [[nodiscard]] std::uint64_t messages_sent() const { return count(LayerFact::kFragPush); }
+  /// Messages delivered upward, unfragmented ones included.
+  [[nodiscard]] std::uint64_t messages_reassembled() const {
+    return count(LayerFact::kFragReassembled);
+  }
+  [[nodiscard]] std::uint64_t reassembly_timeouts() const {
+    return count(LayerFact::kFragTimeout);
+  }
+  [[nodiscard]] std::uint64_t bad_fragments() const { return count(LayerFact::kFragBad); }
   /// Replayed/duplicated fragments ignored (slot already filled).
-  [[nodiscard]] std::uint64_t duplicate_fragments() const { return duplicate_fragments_; }
+  [[nodiscard]] std::uint64_t duplicate_fragments() const {
+    return count(LayerFact::kFragDuplicate);
+  }
   [[nodiscard]] std::size_t pending_reassemblies() const { return reassembly_.size(); }
 
   /// Header: msg id (u32), fragment index (u16), fragment count (u16),
@@ -73,20 +80,6 @@ class FragLite final : public Protocol {
   std::uint32_t next_msg_id_ = 1;
   std::map<Key, Reassembly> reassembly_;
 
-  std::uint64_t fragments_sent_ = 0;
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t messages_reassembled_ = 0;
-  std::uint64_t reassembly_timeouts_ = 0;
-  std::uint64_t bad_fragments_ = 0;
-  std::uint64_t duplicate_fragments_ = 0;
-  struct Tele {  ///< resolved on first use while the hub collects
-    telemetry::Counter* messages_sent = nullptr;
-    telemetry::Counter* messages_reassembled = nullptr;
-    telemetry::Counter* reassembly_timeouts = nullptr;
-    telemetry::TextId push = 0;
-    telemetry::TextId demux = 0;
-    telemetry::TextId timeout = 0;
-  } tele_;
 };
 
 }  // namespace rtpb::xkernel

@@ -5,21 +5,6 @@
 
 namespace rtpb::xkernel {
 
-namespace {
-void render_push(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                 std::string& out) {
-  telemetry::append(out, "proto ", e.a, " node", e.b, "->node", e.c);
-}
-void render_proto(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                  std::string& out) {
-  telemetry::append(out, "proto ", e.a);
-}
-void render_unknown_proto(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                          std::string& out) {
-  telemetry::append(out, "unknown proto ", e.a);
-}
-}  // namespace
-
 void IpLite::register_upper(std::uint8_t proto, Protocol* up) {
   RTPB_EXPECTS(up != nullptr);
   uppers_[proto] = up;
@@ -27,11 +12,7 @@ void IpLite::register_upper(std::uint8_t proto, Protocol* up) {
 
 void IpLite::push_as(std::uint8_t proto, Message& msg, const MsgAttrs& attrs) {
   RTPB_EXPECTS(down() != nullptr);
-  if (telemetry::Hub* hub = tele()) {
-    hub->registry().counter(tele_.pushes, "xkernel.iplite.pushes").add();
-    tele_record(*hub, tele_.push, "ip-push", &render_push, proto, attrs.src.node,
-                attrs.dst.node);
-  }
+  emit(LayerFact::kIpPush, proto, attrs.src.node, attrs.dst.node);
   HeaderWriter<kHeaderSize> w;
   w.u32(attrs.src.node);
   w.u32(attrs.dst.node);
@@ -48,13 +29,8 @@ void IpLite::push(Message& msg, const MsgAttrs& attrs) {
 
 void IpLite::demux(Message& msg, MsgAttrs& attrs) {
   if (msg.size() < kHeaderSize) {
-    ++bad_headers_;
     RTPB_WARN("iplite", "runt packet (%zu bytes); dropped", msg.size());
-    if (telemetry::Hub* hub = tele()) {
-      hub->registry().counter(tele_.bad_headers, "xkernel.iplite.bad_headers").add();
-      tele_record(*hub, tele_.drop, "ip-drop", &telemetry::render_literal,
-                  telemetry::literal("runt"));
-    }
+    emit(LayerFact::kIpRunt);
     return;
   }
   ByteReader r(msg.pop(kHeaderSize));
@@ -63,31 +39,19 @@ void IpLite::demux(Message& msg, MsgAttrs& attrs) {
   const std::uint8_t proto = r.u8();
   const std::uint32_t length = r.u32();
   if (!r.ok() || length != msg.size()) {
-    ++bad_headers_;
     RTPB_WARN("iplite", "bad header (len %u vs %zu); dropped", length, msg.size());
-    if (telemetry::Hub* hub = tele()) {
-      hub->registry().counter(tele_.bad_headers, "xkernel.iplite.bad_headers").add();
-      tele_record(*hub, tele_.drop, "ip-drop", &telemetry::render_literal,
-                  telemetry::literal("bad header"));
-    }
+    emit(LayerFact::kIpBadHeader);
     return;
   }
   attrs.src.node = src;
   attrs.dst.node = dst;
   auto it = uppers_.find(proto);
   if (it == uppers_.end()) {
-    ++unknown_proto_;
     RTPB_WARN("iplite", "no upper for proto %u; dropped", proto);
-    if (telemetry::Hub* hub = tele()) {
-      hub->registry().counter(tele_.unknown_proto, "xkernel.iplite.unknown_proto").add();
-      tele_record(*hub, tele_.drop, "ip-drop", &render_unknown_proto, proto);
-    }
+    emit(LayerFact::kIpUnknownProto, proto);
     return;
   }
-  if (telemetry::Hub* hub = tele()) {
-    hub->registry().counter(tele_.demuxes, "xkernel.iplite.demuxes").add();
-    tele_record(*hub, tele_.demux, "ip-demux", &render_proto, proto);
-  }
+  emit(LayerFact::kIpDemux, proto);
   it->second->demux(msg, attrs);
 }
 

@@ -27,25 +27,15 @@ class IpLite final : public Protocol {
   void push(Message& msg, const MsgAttrs& attrs) override;
   void demux(Message& msg, MsgAttrs& attrs) override;
 
-  [[nodiscard]] std::uint64_t bad_headers() const { return bad_headers_; }
-  [[nodiscard]] std::uint64_t unknown_proto() const { return unknown_proto_; }
+  /// Frames dropped as runts or for a length that does not match.
+  [[nodiscard]] std::uint64_t bad_headers() const { return count(LayerFact::kIpBadHeader); }
+  [[nodiscard]] std::uint64_t unknown_proto() const { return count(LayerFact::kIpUnknownProto); }
 
   /// Header: src node (u32), dst node (u32), proto (u8), length (u32).
   static constexpr std::size_t kHeaderSize = 4 + 4 + 1 + 4;
 
  private:
   std::map<std::uint8_t, Protocol*> uppers_;
-  std::uint64_t bad_headers_ = 0;
-  std::uint64_t unknown_proto_ = 0;
-  struct Tele {  ///< resolved on first use while the hub collects
-    telemetry::Counter* pushes = nullptr;
-    telemetry::Counter* demuxes = nullptr;
-    telemetry::Counter* bad_headers = nullptr;
-    telemetry::Counter* unknown_proto = nullptr;
-    telemetry::TextId push = 0;
-    telemetry::TextId demux = 0;
-    telemetry::TextId drop = 0;
-  } tele_;
 };
 
 }  // namespace rtpb::xkernel

@@ -22,23 +22,16 @@ class SimEth final : public Protocol {
   void push(Message& msg, const MsgAttrs& attrs) override;
   void demux(Message& msg, MsgAttrs& attrs) override;
 
-  [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
-  [[nodiscard]] std::uint64_t frames_received() const { return frames_received_; }
+  [[nodiscard]] std::uint64_t frames_sent() const { return count(LayerFact::kEthSend); }
+  /// Frames the link delivered, with or without an upper protocol.
+  [[nodiscard]] std::uint64_t frames_received() const {
+    return count(LayerFact::kEthReceive) + count(LayerFact::kEthNoUpper);
+  }
 
  private:
   net::Network& network_;
   net::NodeId node_ = net::kInvalidNode;
   Protocol* up_ = nullptr;
-  std::uint64_t frames_sent_ = 0;
-  std::uint64_t frames_received_ = 0;
-  struct Tele {  ///< resolved on first use while the hub collects
-    telemetry::Counter* frames_sent = nullptr;
-    telemetry::Counter* frames_received = nullptr;
-    telemetry::Counter* no_upper = nullptr;
-    telemetry::TextId push = 0;
-    telemetry::TextId demux = 0;
-    telemetry::TextId drop = 0;
-  } tele_;
 };
 
 }  // namespace rtpb::xkernel

@@ -28,22 +28,6 @@ std::uint64_t sum_words(std::span<const std::uint8_t> data) {
   return sum;
 }
 
-void render_push(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                 std::string& out) {
-  telemetry::append(out, "port ", e.a, "->", e.b);
-}
-void render_port(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                 std::string& out) {
-  telemetry::append(out, "port ", e.a);
-}
-void render_checksum_drop(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                          std::string& out) {
-  telemetry::append(out, "checksum port ", e.a);
-}
-void render_no_listener(const telemetry::Hub&, const telemetry::Event& e, telemetry::Part,
-                        std::string& out) {
-  telemetry::append(out, "no listener port ", e.a);
-}
 }  // namespace
 
 void UdpLite::bind(net::Port port, Handler handler) {
@@ -76,10 +60,7 @@ std::uint16_t UdpLite::checksum(std::span<const std::uint8_t> a,
 
 void UdpLite::push(Message& msg, const MsgAttrs& attrs) {
   RTPB_EXPECTS(down() != nullptr);
-  if (telemetry::Hub* hub = tele()) {
-    hub->registry().counter(tele_.pushes, "xkernel.udplite.pushes").add();
-    tele_record(*hub, tele_.push, "udp-push", &render_push, attrs.src.port, attrs.dst.port);
-  }
+  emit(LayerFact::kUdpPush, attrs.src.port, attrs.dst.port);
   const std::uint16_t csum = checksum(msg.header_segment(), msg.body_segment());
   HeaderWriter<kHeaderSize> w;
   w.u16(attrs.src.port);
@@ -113,12 +94,7 @@ std::unique_ptr<Session> UdpLite::open(net::Endpoint local, net::Endpoint remote
 
 void UdpLite::demux(Message& msg, MsgAttrs& attrs) {
   if (msg.size() < kHeaderSize) {
-    ++checksum_failures_;
-    if (telemetry::Hub* hub = tele()) {
-      hub->registry().counter(tele_.checksum_failures, "xkernel.udplite.checksum_failures").add();
-      tele_record(*hub, tele_.drop, "udp-drop", &telemetry::render_literal,
-                  telemetry::literal("runt"));
-    }
+    emit(LayerFact::kUdpRunt);
     return;
   }
   ByteReader r(msg.pop(kHeaderSize));
@@ -130,30 +106,19 @@ void UdpLite::demux(Message& msg, MsgAttrs& attrs) {
   // the remaining FRAGLITE header and the body into a fresh copy.
   if (!r.ok() || length != msg.size() ||
       checksum(msg.header_segment(), msg.body_segment()) != csum) {
-    ++checksum_failures_;
     RTPB_WARN("udplite", "checksum/length failure on datagram to port %u", dst_port);
-    if (telemetry::Hub* hub = tele()) {
-      hub->registry().counter(tele_.checksum_failures, "xkernel.udplite.checksum_failures").add();
-      tele_record(*hub, tele_.drop, "udp-drop", &render_checksum_drop, dst_port);
-    }
+    emit(LayerFact::kUdpChecksum, dst_port);
     return;
   }
   attrs.src.port = src_port;
   attrs.dst.port = dst_port;
   auto it = bindings_.find(dst_port);
   if (it == bindings_.end()) {
-    ++no_listener_;
     RTPB_DEBUG("udplite", "no listener on port %u; dropped", dst_port);
-    if (telemetry::Hub* hub = tele()) {
-      hub->registry().counter(tele_.no_listener, "xkernel.udplite.no_listener").add();
-      tele_record(*hub, tele_.drop, "udp-drop", &render_no_listener, dst_port);
-    }
+    emit(LayerFact::kUdpNoListener, dst_port);
     return;
   }
-  if (telemetry::Hub* hub = tele()) {
-    hub->registry().counter(tele_.demuxes, "xkernel.udplite.demuxes").add();
-    tele_record(*hub, tele_.demux, "udp-demux", &render_port, dst_port);
-  }
+  emit(LayerFact::kUdpDemux, dst_port);
   it->second(msg, attrs);
 }
 

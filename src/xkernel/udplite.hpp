@@ -31,8 +31,11 @@ class UdpLite final : public Protocol {
   /// caches everything except the per-message length and checksum.
   [[nodiscard]] std::unique_ptr<Session> open(net::Endpoint local, net::Endpoint remote);
 
-  [[nodiscard]] std::uint64_t checksum_failures() const { return checksum_failures_; }
-  [[nodiscard]] std::uint64_t no_listener() const { return no_listener_; }
+  /// Datagrams dropped as runts or for a length or checksum mismatch.
+  [[nodiscard]] std::uint64_t checksum_failures() const {
+    return count(LayerFact::kUdpChecksum);
+  }
+  [[nodiscard]] std::uint64_t no_listener() const { return count(LayerFact::kUdpNoListener); }
 
   /// Header: src port (u16), dst port (u16), length (u16), checksum (u16).
   static constexpr std::size_t kHeaderSize = 8;
@@ -47,17 +50,6 @@ class UdpLite final : public Protocol {
 
  private:
   std::map<net::Port, Handler> bindings_;
-  std::uint64_t checksum_failures_ = 0;
-  std::uint64_t no_listener_ = 0;
-  struct Tele {  ///< resolved on first use while the hub collects
-    telemetry::Counter* pushes = nullptr;
-    telemetry::Counter* demuxes = nullptr;
-    telemetry::Counter* checksum_failures = nullptr;
-    telemetry::Counter* no_listener = nullptr;
-    telemetry::TextId push = 0;
-    telemetry::TextId demux = 0;
-    telemetry::TextId drop = 0;
-  } tele_;
 };
 
 }  // namespace rtpb::xkernel

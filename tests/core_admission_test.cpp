@@ -226,18 +226,6 @@ TEST(Admission, RemoveRestoresOnlyConstraintsOfRemovedObject) {
   ASSERT_EQ(ac.constraints().size(), 1u);
 }
 
-TEST(Admission, RemoveConstraintRestoresBothMembers) {
-  AdmissionController ac(default_config(), millis(2));
-  ASSERT_TRUE(ac.admit(spec(1)).ok());
-  ASSERT_TRUE(ac.admit(spec(2)).ok());
-  const Duration baseline = ac.update_period(1);
-  ASSERT_TRUE(ac.add_constraint({1, 2, millis(15)}).ok());
-  ac.remove_constraint({1, 2, millis(15)});
-  EXPECT_EQ(ac.update_period(1), baseline);
-  EXPECT_EQ(ac.update_period(2), baseline);
-  EXPECT_TRUE(ac.constraints().empty());
-}
-
 TEST(Admission, LinkDelayGrowthKeepsAdmittedBaselinesFrozen) {
   // Regression: set_link_delay_bound() documents that admitted objects
   // keep the ℓ they were negotiated under, but the schedulability check

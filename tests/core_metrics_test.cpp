@@ -130,14 +130,5 @@ TEST(Metrics, StaleRetransmissionDoesNotRegressBackupOrigin) {
   EXPECT_EQ(m.max_distance(1), millis(10));
 }
 
-TEST(Metrics, UntrackStopsAccounting) {
-  Metrics m;
-  m.track_object(1, millis(10));
-  m.on_primary_write(1, at(10));
-  m.untrack_object(1);
-  m.on_primary_write(1, at(50));  // ignored
-  EXPECT_DOUBLE_EQ(m.average_max_distance_ms(), 0.0);
-}
-
 }  // namespace
 }  // namespace rtpb::core

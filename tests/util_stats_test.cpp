@@ -62,27 +62,15 @@ TEST(SampleSet, AddDurationConvertsToMillis) {
   EXPECT_DOUBLE_EQ(s.max(), 3.0);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bucket 0
-  h.add(9.5);   // bucket 9
-  h.add(-5.0);  // clamps to 0
-  h.add(50.0);  // clamps to 9
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(5), 5.0);
-  EXPECT_FALSE(h.render().empty());
-}
-
-TEST(HistogramDeathTest, RejectsDegenerateConstruction) {
-  // A lo >= hi range would make every bucket width non-positive and
-  // add() divide by a zero-or-negative width; zero buckets would clamp
-  // into an empty vector.  Both are precondition violations, not silent
-  // degenerate histograms.
-  EXPECT_DEATH(Histogram(1.0, 1.0, 4), "precondition");
-  EXPECT_DEATH(Histogram(2.0, 1.0, 4), "precondition");
-  EXPECT_DEATH(Histogram(0.0, 1.0, 0), "precondition");
+TEST(SampleSetQuantile, ExactAtSampleRanks) {
+  // q = k/(n−1) returns exactly the k-th sorted sample.
+  SampleSet s;
+  for (double v : {5.0, 1.0, 9.0, 3.0, 7.0}) s.add(v);  // n = 5, ranks q=k/4
+  EXPECT_EQ(s.quantile(0.0), 1.0);
+  EXPECT_EQ(s.quantile(0.25), 3.0);
+  EXPECT_EQ(s.quantile(0.5), 5.0);
+  EXPECT_EQ(s.quantile(0.75), 7.0);
+  EXPECT_EQ(s.quantile(1.0), 9.0);
 }
 
 TEST(IntervalRecorder, BasicOpenClose) {
