@@ -106,7 +106,7 @@ class Facts {
     if (s.also) totals_[index(*s.also)] += n;
     if (hub_ != nullptr && (hub_->enabled() ? s.reports()
                                             : s.flight && hub_->flight_recorder().enabled())) {
-      report(f, x);
+      report(f, FactFields(x));  // copied here, so `x` stays in registers on the fast path
     }
   }
 
