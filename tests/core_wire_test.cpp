@@ -24,7 +24,8 @@ TEST(Wire, UpdateRoundTrip) {
   u.retransmission = true;
   u.value = Bytes{9, 8, 7, 6};
 
-  const auto decoded = decode(encode(u));
+  const Bytes frame = encode(u);
+  const auto decoded = decode(frame);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(type_of(*decoded), MsgType::kUpdate);
   const Update* d = decoded_as<Update>(decoded);
@@ -170,7 +171,8 @@ UpdateBatch sample_batch() {
 
 TEST(Wire, UpdateBatchRoundTrip) {
   const UpdateBatch b = sample_batch();
-  const auto decoded = decode(encode(b));
+  const Bytes frame = encode(b);
+  const auto decoded = decode(frame);
   ASSERT_NE(decoded_as<UpdateBatch>(decoded), nullptr);
   const UpdateBatch& d = *decoded_as<UpdateBatch>(decoded);
   EXPECT_EQ(d.epoch, 5u);

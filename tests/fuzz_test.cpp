@@ -148,7 +148,8 @@ TEST(WireFuzz, UpdateBatchRoundTripPreservesEveryField) {
         Bytes(i * 3, static_cast<std::uint8_t>(i))});
   }
   batch.epoch = 0xDEADBEEFULL;
-  const auto decoded = core::wire::decode(core::wire::encode(batch));
+  const Bytes frame = core::wire::encode(batch);
+  const auto decoded = core::wire::decode(frame);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(core::wire::type_of(*decoded), core::wire::MsgType::kUpdateBatch);
   const auto& rt = std::get<core::wire::UpdateBatch>(*decoded);
