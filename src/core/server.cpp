@@ -471,7 +471,8 @@ void ReplicaServer::send_update(ObjectId id, bool retransmission, const sched::J
     u.version = state.version;
     u.timestamp = state.origin_timestamp;
     u.retransmission = retransmission;
-    u.value = state.value;
+    // Borrowed: the value is copied once, into the frame encoded below.
+    u.value = Payload::borrow(state.value);
     u.epoch = epoch_;
     emit(Fact::kUpdateFrame);
     // Encode once; each peer's copy shares the body buffer.
@@ -489,33 +490,31 @@ void ReplicaServer::flush_staged_updates() {
     return;
   }
   if (config_.degradation_enabled) shed_staged_updates();
-  wire::UpdateBatch batch;
-  batch.entries.reserve(staged_updates_.size());
+  // Entries borrow their values from the store; the batch is encoded and
+  // emptied before anything can write the store again.
+  std::vector<wire::UpdateBatchEntry>& entries = batch_.entries;
+  entries.clear();
   for (ObjectId id : staged_updates_) {
     if (!store_.contains(id)) continue;  // deregistered inside the window
     const ObjectState& state = store_.get(id);
     if (state.version == 0) continue;
-    wire::UpdateBatchEntry entry;
-    entry.object = id;
-    entry.version = state.version;
-    entry.timestamp = state.origin_timestamp;
-    entry.value = state.value;
-    batch.entries.push_back(std::move(entry));
+    entries.push_back(wire::UpdateBatchEntry{id, state.version, state.origin_timestamp,
+                                             Payload::borrow(state.value)});
   }
   staged_updates_.clear();
-  if (batch.entries.empty()) return;
-  batch.epoch = epoch_;
+  if (entries.empty()) return;
+  batch_.epoch = epoch_;
   telemetry::Hub& hub = sim_.telemetry();
   // The frame carries several updates but a stack event attaches to one
   // span: the first coalesced update stands in for the frame (its span
   // threads write → udp-push → net-deliver → apply; siblings still get
   // their own apply events at the backup).
-  const telemetry::SpanId span =
-      hub.span_for(batch.entries.front().object, batch.entries.front().version);
+  const telemetry::SpanId span = hub.span_for(entries.front().object, entries.front().version);
   telemetry::ScopedSpan span_scope(hub, span);
-  emit(Fact::kBatchFrame, batch.entries.front().object, batch.entries.front().version, span,
-       static_cast<std::int64_t>(batch.entries.size()));
-  xkernel::Message frame{wire::encode(batch)};
+  emit(Fact::kBatchFrame, entries.front().object, entries.front().version, span,
+       static_cast<std::int64_t>(entries.size()));
+  xkernel::Message frame{wire::encode(batch_)};
+  entries.clear();
   for (const net::Endpoint& peer : peers_) send_to(peer, frame);
 }
 
@@ -527,14 +526,13 @@ void ReplicaServer::shed_staged_updates() {
   // Slack = time until this object's (currently admitted) window is
   // violated at the backup: window − d_i(now).  The shared Metrics holds
   // both sites' timestamps, so the primary can read d_i directly.
-  std::vector<std::pair<Duration, ObjectId>> by_slack;
-  by_slack.reserve(staged_updates_.size());
+  by_slack_.clear();
   for (ObjectId id : staged_updates_) {
     if (!store_.contains(id)) continue;
     const Duration window = store_.get(id).spec.window();
     const Duration slack = window - metrics_.current_distance(id);
     if (slack <= Duration::zero()) degrade_->on_missed_window(now);
-    by_slack.emplace_back(slack, id);
+    by_slack_.emplace_back(slack, id);
   }
   if (!degrade_->overloaded(now)) return;  // staging order stands
 
@@ -542,20 +540,18 @@ void ReplicaServer::shed_staged_updates() {
   // client write will supersede before its slack expires (the write lands
   // within one period, ships within another — 2 p_i of margin keeps the
   // drop safe).  The most urgent update always ships.
-  std::stable_sort(by_slack.begin(), by_slack.end(),
+  std::stable_sort(by_slack_.begin(), by_slack_.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   telemetry::Hub& hub = sim_.telemetry();
-  std::vector<ObjectId> keep;
-  keep.reserve(by_slack.size());
-  for (const auto& [slack, id] : by_slack) {
+  staged_updates_.clear();  // refilled from by_slack_, in its order
+  for (const auto& [slack, id] : by_slack_) {
     const Duration period = store_.get(id).spec.client_period;
-    if (!keep.empty() && slack > period * 2) {
+    if (!staged_updates_.empty() && slack > period * 2) {
       emit(Fact::kShed, id, 0, hub.latest_span(id), slack.nanos());
       continue;
     }
-    keep.push_back(id);
+    staged_updates_.push_back(id);
   }
-  staged_updates_ = std::move(keep);
 }
 
 void ReplicaServer::arm_ack_timeout(ObjectId id, std::uint64_t version) {
@@ -967,7 +963,8 @@ void ReplicaServer::send_to(net::Endpoint to, xkernel::Message msg) {
 
 void ReplicaServer::handle_message(xkernel::Message& msg, const xkernel::MsgAttrs& attrs) {
   if (crashed_) return;
-  // Non-const: batch entry values are moved out during apply.
+  // Non-const: state-transfer entries are moved out during apply.  Update
+  // values are borrowed from `msg`, so nothing may keep `decoded`.
   auto decoded = wire::decode(msg.contents());
   if (!decoded) {
     RTPB_WARN("rtpb", "undecodable RTPB message from node%u; dropped", attrs.src.node);
@@ -1037,7 +1034,8 @@ void ReplicaServer::handle(const wire::Update& u, net::Endpoint from) {
     emit(Fact::kUnknownObject, u.object, u.version, hub.current_span());
     return;
   }
-  const ApplyOutcome outcome = apply_remote(u.object, u.version, u.timestamp, u.value, u.epoch);
+  const ApplyOutcome outcome =
+      apply_remote(u.object, u.version, u.timestamp, u.value.bytes(), u.epoch);
   if (outcome == ApplyOutcome::kFailStopped) return;  // no apply, no ack
   const bool applied = outcome == ApplyOutcome::kApplied;
   if (applied) {
@@ -1078,19 +1076,14 @@ ReplicaServer::ApplyOutcome ReplicaServer::apply_remote(ObjectId id, std::uint64
   return ApplyOutcome::kApplied;
 }
 
-void ReplicaServer::handle(wire::UpdateBatch& b, net::Endpoint from) {
+void ReplicaServer::handle(const wire::UpdateBatch& b, net::Endpoint from) {
   // Entries apply strictly in batch order, each through the single-update
   // path so role guards, staleness accounting, watchdogs and (in ack mode)
   // per-object acks behave exactly as for kUpdate frames.
-  for (wire::UpdateBatchEntry& entry : b.entries) {
-    wire::Update u;
-    u.object = entry.object;
-    u.version = entry.version;
-    u.timestamp = entry.timestamp;
-    u.retransmission = false;
-    u.value = std::move(entry.value);
-    u.epoch = b.epoch;
-    handle(u, from);
+  for (const wire::UpdateBatchEntry& entry : b.entries) {
+    handle(wire::Update{entry.object, entry.version, entry.timestamp, /*retransmission=*/false,
+                        entry.value, b.epoch},
+           from);
   }
 }
 

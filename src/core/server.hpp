@@ -30,6 +30,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/admission.hpp"
@@ -481,10 +482,11 @@ class ReplicaServer {
 
   void handle_message(xkernel::Message& msg, const xkernel::MsgAttrs& attrs);
   /// One handler per decoded message type (handle_message visits the
-  /// decoded variant).  The non-const overloads move entry values out
-  /// rather than copying them; batch entries are applied strictly in order.
+  /// decoded variant).  The non-const overloads move state-transfer
+  /// values out rather than copying them; update values are borrowed from
+  /// the frame, and batch entries are applied strictly in order.
   void handle(const wire::Update& u, net::Endpoint from);
-  void handle(wire::UpdateBatch& b, net::Endpoint from);
+  void handle(const wire::UpdateBatch& b, net::Endpoint from);
   void handle(const wire::UpdateAck& a, net::Endpoint from);
   void handle(const wire::RetransmitRequest& r, net::Endpoint from);
   void handle(const wire::Ping& p, net::Endpoint from);
@@ -648,6 +650,11 @@ class ReplicaServer {
   /// store at flush time and so carries the newest version anyway).
   std::vector<ObjectId> staged_updates_;
   sim::EventHandle batch_flush_;
+  /// Reused by flush_staged_updates() and shed_staged_updates(), so a
+  /// steady batch stream stops allocating for them.  batch_ is empty
+  /// between flushes: its entries borrow values from store_.
+  wire::UpdateBatch batch_;
+  std::vector<std::pair<Duration, ObjectId>> by_slack_;
   /// Highest transfer id applied per sender: a reordered older transfer
   /// must not clobber newer constraint tables / watchdog periods.
   std::map<net::NodeId, std::uint64_t> transfer_high_water_;

@@ -62,7 +62,7 @@ struct Update {
   std::uint64_t version = 0;      ///< per-object sequence number
   TimePoint timestamp{};          ///< T_i^P: finish time of the client update
   bool retransmission = false;
-  Bytes value;
+  Payload value;  ///< decoded: borrowed from the frame (see UpdateBatch)
   std::uint64_t epoch = 0;
   template <class S> static auto tie(S& s) {
     return std::tie(s.object, s.version, s.timestamp, s.retransmission, s.value, s.epoch);
@@ -92,7 +92,7 @@ struct UpdateBatchEntry {
   ObjectId object = kInvalidObject;
   std::uint64_t version = 0;
   TimePoint timestamp{};
-  Bytes value;
+  Payload value;
   template <class S> static auto tie(S& s) {
     return std::tie(s.object, s.version, s.timestamp, s.value);
   }
@@ -102,6 +102,12 @@ struct UpdateBatchEntry {
 /// one frame per peer: the 1-byte tag, UDPLITE checksum, per-frame sim
 /// event and epoch field are paid once per frame instead of once per
 /// object.  The receiver applies entries strictly in order.
+///
+/// Update values are a Payload: the sender borrows them from its store
+/// for the length of one encode, and decode() borrows them from the frame,
+/// so each value is copied once per hop, from frame to store.  A decoded
+/// Update or UpdateBatch is therefore valid only while its frame is, and
+/// nothing may keep one past the handler that decoded it.
 struct UpdateBatch {
   static constexpr MsgType kType = MsgType::kUpdateBatch;
   std::vector<UpdateBatchEntry> entries;

@@ -3,6 +3,7 @@
 // portable and byte-for-byte reproducible.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -25,6 +26,65 @@ void store_be(std::uint8_t* out, T v) {
     out[i] = static_cast<std::uint8_t>((v >> (8 * (sizeof(T) - 1 - i))) & 0xFF);
   }
 }
+
+/// A byte string that either owns its buffer or borrows someone else's.
+/// Built from a `Bytes`, it owns that buffer (and a copy copies it);
+/// borrow() views a span it does not own (and a copy views the same
+/// bytes).  A borrowed value is valid only while the viewed bytes are:
+/// the wire decoder borrows update values straight from the frame, so a
+/// decoded update must not outlive its frame.  bytes() reads either arm
+/// the same way.
+class Payload {
+ public:
+  Payload() = default;
+  /// Own `owned` (implicit, so `Entry{..., Bytes(n, x)}` builds an owner).
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Payload(Bytes owned) : owned_(std::move(owned)), view_(owned_) {}
+  [[nodiscard]] static Payload borrow(std::span<const std::uint8_t> bytes) {
+    Payload p;
+    p.view_ = bytes;
+    return p;
+  }
+
+  // Only an owner's buffer is ever non-empty; its copy must view its own.
+  Payload(const Payload& o) : owned_(o.owned_), view_(o.viewed_by(owned_)) {}
+  Payload(Payload&& o) noexcept : owned_(std::move(o.owned_)), view_(o.viewed_by(owned_)) {
+    o.view_ = {};
+  }
+  Payload& operator=(const Payload& o) {
+    if (this != &o) {
+      owned_ = o.owned_;
+      view_ = o.viewed_by(owned_);
+    }
+    return *this;
+  }
+  Payload& operator=(Payload&& o) noexcept {
+    if (this != &o) {
+      owned_ = std::move(o.owned_);
+      view_ = o.viewed_by(owned_);
+      o.owned_.clear();
+      o.view_ = {};
+    }
+    return *this;
+  }
+
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const { return view_; }
+  [[nodiscard]] std::size_t size() const { return view_.size(); }
+
+  friend bool operator==(const Payload& a, const Payload& b) {
+    return std::equal(a.view_.begin(), a.view_.end(), b.view_.begin(), b.view_.end());
+  }
+
+ private:
+  /// What a copy or move of this value views, given the buffer it now
+  /// holds: that buffer for an owner, the same bytes for a borrower.
+  [[nodiscard]] std::span<const std::uint8_t> viewed_by(const Bytes& held) const {
+    return held.empty() ? view_ : std::span<const std::uint8_t>(held);
+  }
+
+  Bytes owned_;
+  std::span<const std::uint8_t> view_;
+};
 
 /// Appends values to a growing byte vector.
 class ByteWriter {
@@ -132,17 +192,22 @@ class ByteReader {
   Duration duration() { return Duration{i64()}; }
   TimePoint timepoint() { return TimePoint{i64()}; }
 
-  Bytes bytes() {
+  /// Length-prefixed (u32) byte string, as a view into the input: valid
+  /// only while the input is.
+  std::span<const std::uint8_t> view() {
     const std::uint32_t n = u32();
     if (remaining() < n) { fail(); return {}; }
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
   }
+  Bytes bytes() {
+    const std::span<const std::uint8_t> v = view();
+    return {v.begin(), v.end()};
+  }
   std::string string() {
-    const Bytes b = bytes();
-    return {b.begin(), b.end()};
+    const std::span<const std::uint8_t> v = view();
+    return {v.begin(), v.end()};
   }
 
   /// Mark the input malformed: every later read returns a zero value.

@@ -11,8 +11,10 @@
 // through ByteWriter / ByteReader:
 //   - unsigned integers in their own width; bool as one byte (0 or 1);
 //   - Duration and TimePoint as i64 nanoseconds;
-//   - Bytes, std::string and std::span<const uint8_t> as a u32 length plus
-//     the bytes (a span can be written, not read);
+//   - Bytes, Payload, std::string and std::span<const uint8_t> as a u32
+//     length plus the bytes.  A span is written only (a WAL record built
+//     straight from the caller's buffer); a Payload reads as a borrow of
+//     the input (ByteReader::view()), valid only while the input is;
 //   - std::vector<E> as a u32 count plus the elements;
 //   - a record as its fields in tie() order.
 //
@@ -48,7 +50,8 @@ inline constexpr bool kIsVector<std::vector<E, A>> = true;
 
 /// Fields written as a u32 length plus their bytes.
 template <class T>
-concept LengthPrefixed = std::same_as<T, Bytes> || std::same_as<T, std::string> ||
+concept LengthPrefixed = std::same_as<T, Bytes> || std::same_as<T, Payload> ||
+                         std::same_as<T, std::string> ||
                          std::same_as<T, std::span<const std::uint8_t>>;
 
 template <class T>
@@ -98,6 +101,8 @@ void put(ByteWriter& w, const T& v) {
     w.timepoint(v);
   } else if constexpr (std::same_as<T, std::string>) {
     w.string(v);
+  } else if constexpr (std::same_as<T, Payload>) {
+    w.bytes(v.bytes());
   } else if constexpr (LengthPrefixed<T>) {
     w.bytes(v);
   } else if constexpr (kIsVector<T>) {
@@ -131,6 +136,8 @@ void get(ByteReader& r, T& v) {
     v = r.string();
   } else if constexpr (std::same_as<T, Bytes>) {
     v = r.bytes();
+  } else if constexpr (std::same_as<T, Payload>) {
+    v = Payload::borrow(r.view());
   } else if constexpr (kIsVector<T>) {
     using E = typename T::value_type;
     const std::uint32_t n = r.u32();

@@ -23,10 +23,10 @@ class SimEth final : public Protocol {
   void demux(Message& msg, MsgAttrs& attrs) override;
 
   [[nodiscard]] std::uint64_t frames_sent() const { return count(LayerFact::kEthSend); }
-  /// Frames the link delivered, with or without an upper protocol.
-  [[nodiscard]] std::uint64_t frames_received() const {
-    return count(LayerFact::kEthReceive) + count(LayerFact::kEthNoUpper);
-  }
+  /// Frames handed to the upper protocol (what the
+  /// `xkernel.simeth.frames_received` counter counts); a frame with no
+  /// upper protocol is a `xkernel.simeth.no_upper` drop instead.
+  [[nodiscard]] std::uint64_t frames_received() const { return count(LayerFact::kEthReceive); }
 
  private:
   net::Network& network_;

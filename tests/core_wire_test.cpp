@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -313,6 +314,77 @@ TEST(Wire, EveryMessageEncodesToPinnedBytes) {
     EXPECT_EQ(type_of(*decoded), type_of(messages[i]));
     EXPECT_EQ(encode_any(*decoded), bytes) << msg_type_name(type_of(messages[i]));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Update values: borrowed from the frame on decode, owned when built from
+// a Bytes.
+// ---------------------------------------------------------------------------
+
+bool inside(std::span<const std::uint8_t> part, const Bytes& whole) {
+  const std::less_equal<const std::uint8_t*> le;
+  return !part.empty() && le(whole.data(), part.data()) &&
+         le(part.data() + part.size(), whole.data() + whole.size());
+}
+
+TEST(Wire, DecodedUpdateValuesPointIntoTheFrame) {
+  const Bytes single = encode(Update{1, 2, TimePoint{3}, false, Bytes{4, 5, 6}, 7});
+  const auto u = decode(single);
+  ASSERT_NE(decoded_as<Update>(u), nullptr);
+  EXPECT_TRUE(inside(decoded_as<Update>(u)->value.bytes(), single));
+  EXPECT_EQ(decoded_as<Update>(u)->value, Payload(Bytes{4, 5, 6}));
+
+  const Bytes batch = encode(sample_batch());
+  const auto b = decode(batch);
+  ASSERT_NE(decoded_as<UpdateBatch>(b), nullptr);
+  const std::vector<UpdateBatchEntry>& entries = decoded_as<UpdateBatch>(b)->entries;
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_TRUE(inside(entries[0].value.bytes(), batch));
+  EXPECT_TRUE(entries[1].value.bytes().empty());
+  EXPECT_TRUE(inside(entries[2].value.bytes(), batch));
+}
+
+/// A batch shaped like the wire probe's: each value built from a Bytes
+/// temporary that is gone by the time the batch is returned.
+UpdateBatch batch_from_temporaries() {
+  UpdateBatch batch;
+  batch.epoch = 3;
+  for (std::size_t i = 0; i < 2; ++i) {
+    batch.entries.push_back(UpdateBatchEntry{
+        static_cast<ObjectId>(i + 1), 1000 + i,
+        TimePoint::zero() + micros(static_cast<std::int64_t>(i)),
+        Bytes(3, static_cast<std::uint8_t>(i))});
+  }
+  return batch;
+}
+
+TEST(Wire, EntryBuiltFromATemporaryOwnsItsValue) {
+  const UpdateBatch batch = batch_from_temporaries();
+  // Reuse the freed heap: a value that had borrowed its temporary would
+  // now read these bytes (and fail under ASan).
+  std::vector<Bytes> churn;
+  for (int i = 0; i < 8; ++i) churn.emplace_back(3, 0xEE);
+  EXPECT_EQ(hex(encode(batch)),
+            "0a00000002"
+            "00000001" "00000000000003e8" "0000000000000000" "00000003" "000000"
+            "00000002" "00000000000003e9" "00000000000003e8" "00000003" "010101"
+            "0000000000000003");
+}
+
+TEST(Wire, ValueLongerThanTheRestOfTheFrameRejected) {
+  // The value's u32 length sits right after the fixed fields; claim one
+  // byte more than the frame holds after it.
+  Bytes single = encode(Update{1, 2, TimePoint{3}, false, Bytes{4, 5}, 7});
+  constexpr std::size_t kUpdateLenAt = 1 + 4 + 8 + 8 + 1;
+  store_be(single.data() + kUpdateLenAt,
+           static_cast<std::uint32_t>(single.size() - kUpdateLenAt - 4 + 1));
+  EXPECT_FALSE(decode(single).has_value());
+
+  Bytes batch = encode(UpdateBatch{{UpdateBatchEntry{1, 2, TimePoint{3}, Bytes{4, 5}}}, 7});
+  constexpr std::size_t kEntryLenAt = 1 + 4 + 4 + 8 + 8;
+  store_be(batch.data() + kEntryLenAt,
+           static_cast<std::uint32_t>(batch.size() - kEntryLenAt - 4 + 1));
+  EXPECT_FALSE(decode(batch).has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -248,6 +248,16 @@ Exports run_drop_scenario() {
   sim.run_until(TimePoint::zero() + millis(30));
   EXPECT_EQ(frag_b.reassembly_timeouts(), 1u);
   EXPECT_TRUE(detector.peer_declared_dead());
+  // The getter mirrors its counter; the bare host's frame is a no-upper
+  // drop, not a receive.
+  const auto& counters = hub.registry().counters();
+  const auto received = counters.find("xkernel.simeth.frames_received");
+  EXPECT_NE(received, counters.end());
+  if (received != counters.end()) {
+    EXPECT_EQ(received->second.value(), a.eth().frames_received() + b.eth().frames_received() +
+                                            bare.frames_received());
+  }
+  EXPECT_EQ(bare.frames_received(), 0u);
   return exports_of(hub);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace rtpb {
 namespace {
 
@@ -106,6 +108,55 @@ TEST(ByteBuffer, TruncatedLengthPrefixFails) {
   ByteReader r(w.data());
   EXPECT_TRUE(r.bytes().empty());
   EXPECT_FALSE(r.ok());
+}
+
+TEST(ByteBuffer, ViewBorrowsTheInput) {
+  ByteWriter w;
+  w.bytes(Bytes{7, 8, 9});
+  w.u32(4);  // a second length prefix that runs past the end
+  ByteReader r(w.data());
+  const std::span<const std::uint8_t> v = r.view();
+  ASSERT_EQ(v.size(), 3u);
+  EXPECT_EQ(v.data(), w.data().data() + 4);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.view().empty());
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(Payload, CopyOfAnOwnerSurvivesItsSource) {
+  auto source = std::make_unique<Payload>(Bytes{1, 2, 3});
+  const std::uint8_t* source_bytes = source->bytes().data();
+  const Payload copy = *source;
+  Payload assigned;
+  assigned = *source;
+  Payload moved;
+  moved = Payload(*source);  // a copy, moved in
+  source.reset();
+  const Payload* const copies[] = {&copy, &assigned, &moved};
+  for (const Payload* p : copies) {
+    EXPECT_NE(p->bytes().data(), source_bytes);
+    EXPECT_EQ(*p, Payload(Bytes{1, 2, 3}));
+  }
+}
+
+TEST(Payload, MovedOwnerKeepsItsBuffer) {
+  Payload source(Bytes{4, 5});
+  const std::uint8_t* bytes = source.bytes().data();
+  Payload moved(std::move(source));
+  EXPECT_EQ(moved.bytes().data(), bytes);
+  Payload assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.bytes().data(), bytes);
+  EXPECT_EQ(assigned, Payload(Bytes{4, 5}));
+}
+
+TEST(Payload, CopyOfABorrowerViewsTheSameBytes) {
+  const Bytes frame{1, 2, 3, 4};
+  const Payload borrowed = Payload::borrow(std::span(frame).subspan(1, 2));
+  const Payload copy = borrowed;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(copy.bytes().data(), frame.data() + 1);
+  EXPECT_EQ(copy, Payload(Bytes{2, 3}));
+  EXPECT_FALSE(copy == Payload(Bytes{2, 3, 4}));
 }
 
 TEST(ByteBuffer, NegativeDurationSurvives) {

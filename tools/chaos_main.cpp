@@ -82,14 +82,16 @@ void usage(const char* argv0) {
             << "  --shards N         shard the workload over N shards and add\n"
             << "                     shard-scoped loss storms (default 1 = off;\n"
             << "                     1 keeps digests identical to unsharded builds)\n"
-            << "  --threads N        N > 1: parallel engine — one experiment per\n"
+            << "  --threads N        partitioned engine — one experiment per\n"
             << "                     shard (needs --shards >= 2), advanced in\n"
             << "                     lock-stepped lookahead windows on N workers;\n"
-            << "                     per-shard digests are thread-count-invariant.\n"
-            << "                     N <= 1 (default) keeps the classic sequential\n"
-            << "                     path, byte-identical to previous builds.\n"
-            << "                     Shards attach no observers: N > 1 refuses\n"
-            << "                     the observer flags below (exit 2)\n"
+            << "                     per-shard digests are thread-count-invariant,\n"
+            << "                     so N = 1 is the one-worker reference.  Without\n"
+            << "                     --threads (N = 0), or at N = 1 with --shards 1,\n"
+            << "                     the run takes the classic sequential path,\n"
+            << "                     byte-identical to previous builds.  Shards\n"
+            << "                     attach no observers: the partitioned engine\n"
+            << "                     refuses the observer flags below (exit 2)\n"
             << "  --no-crashes       disable crash/recruit scenarios\n"
             << "  --no-batch         send one kUpdate frame per object instead of\n"
             << "                     coalescing into kUpdateBatch (different digests)\n"
@@ -129,7 +131,7 @@ int main(int argc, char** argv) {
 
   std::uint64_t first_seed = 0;
   std::size_t count = 16;
-  std::size_t threads = 1;
+  std::size_t threads = 0;  // 0: no --threads flag, the classic path
   bool single = false;
   bool log_warnings = false;
   ChaosOptions opts;
@@ -273,9 +275,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (threads > 1) {
-    // Parallel engine: one experiment per shard on a worker pool.  The
-    // classic path below stays byte-identical for --threads <= 1.
+  if (threads > 1 || (threads == 1 && opts.shards >= 2)) {
+    // Partitioned engine: one experiment per shard on a worker pool.  The
+    // classic path below stays byte-identical without --threads.
     if (opts.shards < 2) {
       std::cerr << "--threads " << threads << " needs --shards >= 2 (one partition per shard)\n";
       return 2;
