@@ -1,13 +1,20 @@
 #include "explore/explorer.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <functional>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <ostream>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include "chaos/experiment.hpp"
+#include "util/assert.hpp"
 
 namespace rtpb::explore {
 
@@ -104,7 +111,7 @@ constexpr std::size_t kNoHashes = SIZE_MAX;
 /// The per-trajectory strategy: replays a decision prefix, takes defaults
 /// beyond it, and records every choice point it encounters.  Choice
 /// points before `hash_from` are recorded without their state hash (0)
-/// or their tie tags.
+/// or their event-order alternatives.
 class TrajectoryPolicy final : public sim::ChoicePolicy {
  public:
   TrajectoryPolicy(const ExploreConfig& cfg, core::RtpbService& service,
@@ -137,7 +144,7 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
         c.b = ctx.b;
         c.frame = ordinal;
         c.at = now;
-        const bool drop = choose(std::move(c)) != 0;
+        const bool drop = choose(c) != 0;
         if (drop) {
           ++drops_taken_;
           actions_.push_back({true, {}, now, ctx.a, ctx.b, ordinal});
@@ -160,7 +167,7 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
         c.kind = ctx.kind;
         c.fault = kind;
         c.at = now;
-        const bool fire = choose(std::move(c)) != 0;
+        const bool fire = choose(c) != 0;
         if (fire) {
           ++faults_taken_;
           actions_.push_back({false, kind, now});
@@ -178,19 +185,18 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
 
   std::size_t pick_event(const std::vector<sim::EventTag>& tags) override {
     if (tags.size() < 2 || bound_hit_) return 0;
-    bool any = false;
-    for (std::size_t j = 1; j < tags.size(); ++j) {
-      if (order_alternative_matters(tags, j, cfg_.sleep_sets)) {
-        any = true;
-        break;
-      }
+    // A decision is a uint16_t: a wider tie could not be replayed.
+    RTPB_ASSERT(tags.size() <= 0xffff);
+    std::size_t first = 1;
+    while (first < tags.size() && !order_alternative_matters(tags, first, cfg_.sleep_sets)) {
+      ++first;
     }
-    if (!any) return 0;  // every alternative is fixed or commutes: no choice point
+    if (first == tags.size()) return 0;  // every alternative is fixed or commutes: no choice point
     Choice c;
     c.kind = sim::ChoiceKind::kEventOrder;
-    c.options = static_cast<std::uint16_t>(std::min<std::size_t>(tags.size(), 0xffff));
+    c.options = static_cast<std::uint16_t>(tags.size());
     c.at = service_.simulator().now();
-    return choose(std::move(c), &tags);
+    return choose(c, &tags, first);
   }
 
   TrajectoryResult take_result() {
@@ -199,12 +205,16 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
     r.choices = std::move(choices_);
     r.state_hashes = std::move(hashes_);
     r.actions = std::move(actions_);
+    r.order_alternatives = std::move(order_alternatives_);
     r.choice_bound_hit = bound_hit_;
     return r;
   }
 
  private:
-  std::uint16_t choose(Choice c, const std::vector<sim::EventTag>* tags = nullptr) {
+  /// Record choice point `c`; an event-order tie passes its `tags` and the
+  /// first alternative that matters.
+  std::uint16_t choose(Choice c, const std::vector<sim::EventTag>* tags = nullptr,
+                       std::size_t first = 0) {
     if (choices_.size() >= cfg_.bounds.max_choice_points) {
       bound_hit_ = true;
       return 0;
@@ -214,10 +224,24 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
     if (pick >= c.options) pick = 0;
     c.chosen = pick;
     const bool hashed = idx >= hash_from_;
-    if (hashed && tags != nullptr) c.tags = *tags;
+    if (hashed && tags != nullptr) record_alternatives(c, *tags, first);
     hashes_.push_back(hashed ? hash_state() : 0);
-    choices_.push_back(std::move(c));
+    choices_.push_back(c);
     return pick;
+  }
+
+  /// Append the tie's alternatives that matter, from `first` (which does)
+  /// on, and point `c` at them.
+  void record_alternatives(Choice& c, const std::vector<sim::EventTag>& tags, std::size_t first) {
+    RTPB_ASSERT(order_alternatives_.size() <= UINT32_MAX - tags.size());
+    c.alts_begin = static_cast<std::uint32_t>(order_alternatives_.size());
+    order_alternatives_.push_back(static_cast<std::uint16_t>(first));
+    for (std::size_t j = first + 1; j < tags.size(); ++j) {
+      if (order_alternative_matters(tags, j, cfg_.sleep_sets)) {
+        order_alternatives_.push_back(static_cast<std::uint16_t>(j));
+      }
+    }
+    c.alts_count = static_cast<std::uint16_t>(order_alternatives_.size() - c.alts_begin);
   }
 
   bool fault_eligible(core::FaultKind kind) const {
@@ -321,6 +345,7 @@ class TrajectoryPolicy final : public sim::ChoicePolicy {
   std::vector<Choice> choices_;
   std::vector<std::uint64_t> hashes_;
   std::vector<FaultAction> actions_;
+  std::vector<std::uint16_t> order_alternatives_;
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> frame_ordinals_;
   std::uint32_t faults_taken_ = 0;
   std::uint32_t drops_taken_ = 0;
@@ -410,101 +435,319 @@ bool reproduces(const TrajectoryResult& result, const std::string& oracle) {
 
 TrajectoryResult replay(const Counterexample& ce) { return run_trajectory(ce.config, ce.trace); }
 
-Counterexample minimize(const Counterexample& ce) {
+namespace {
+
+unsigned resolve_threads(unsigned threads) {
+  if (threads == 0) threads = std::thread::hardware_concurrency();
+  return std::max(threads, 1u);
+}
+
+/// The runner pool of explore() and minimize(): the calling thread plus
+/// `threads - 1` worker threads, started once and parked between rounds.
+/// One thread starts no worker.
+class Runners {
+ public:
+  explicit Runners(unsigned threads) {
+    for (unsigned i = 1; i < threads; ++i) workers_.emplace_back([this] { park(); });
+  }
+  ~Runners() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      quit_ = true;
+    }
+    start_.notify_all();
+    for (std::thread& t : workers_) t.join();
+  }
+  Runners(const Runners&) = delete;
+  Runners& operator=(const Runners&) = delete;
+
+  /// One round: `on_workers` on every worker while `on_caller` runs here;
+  /// returns once every one of them has returned.
+  void round(const std::function<void()>& on_workers, const std::function<void()>& on_caller) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      body_ = &on_workers;
+      busy_ = workers_.size();
+      ++round_;
+    }
+    start_.notify_all();
+    on_caller();
+    std::unique_lock<std::mutex> lock(mu_);
+    done_.wait(lock, [this] { return busy_ == 0; });
+  }
+  void round(const std::function<void()>& body) { round(body, body); }
+
+ private:
+  void park() {
+    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      start_.wait(lock, [&] { return quit_ || round_ != seen; });
+      if (quit_) return;
+      seen = round_;
+      const std::function<void()>& body = *body_;
+      lock.unlock();
+      body();
+      lock.lock();
+      if (--busy_ == 0) done_.notify_one();
+    }
+  }
+
+  std::vector<std::thread> workers_;
+  std::mutex mu_;
+  std::condition_variable start_;
+  std::condition_variable done_;
+  const std::function<void()>* body_ = nullptr;
+  std::uint64_t round_ = 0;
+  std::size_t busy_ = 0;
+  bool quit_ = false;
+};
+
+/// explore()'s DFS stack, shared between the committing thread and the
+/// workers.  Every stacked prefix will be run, so a worker may run any of
+/// them early; it takes the top-most one not yet taken — the next the
+/// committer will pop.
+class Frontier {
+ public:
+  explicit Frontier(const ExploreConfig& cfg) : cfg_(cfg) {}
+
+  struct Popped {
+    std::vector<std::uint16_t> prefix;
+    TrajectoryResult result;
+  };
+
+  /// Committer: stack `prefix`.
+  void push(std::vector<std::uint16_t> prefix) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      Job& job = depth_ < stack_.size() ? stack_[depth_] : stack_.emplace_back();
+      ++depth_;
+      job.prefix = std::move(prefix);
+      job.state = Job::kQueued;
+      queued_.push_back(&job);
+    }
+    queued_cv_.notify_one();
+  }
+
+  /// Committer: pop the top prefix with its result, running it here if no
+  /// worker has taken it.  While a worker still runs it, the committer
+  /// runs the top-most queued job rather than wait.
+  Popped pop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    Job& top = stack_[depth_ - 1];
+    if (top.state == Job::kQueued) {
+      // queued_ lists the queued jobs in stack order, so the stack's top,
+      // when queued, is its last.
+      RTPB_ASSERT(queued_.back() == &top);
+      queued_.pop_back();
+      Popped p{std::move(top.prefix), {}};
+      --depth_;
+      lock.unlock();
+      p.result = run_prefix(p.prefix);
+      return p;
+    }
+    while (top.state != Job::kDone) {
+      if (queued_.empty()) {
+        done_cv_.wait(lock, [&top] { return top.state == Job::kDone; });
+      } else {
+        run_top_queued(lock);
+      }
+    }
+    Popped p{std::move(top.prefix), std::move(top.result)};
+    --depth_;
+    return p;
+  }
+
+  /// Committer: no more pops; workers return once their current run ends.
+  void close() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    queued_cv_.notify_all();
+  }
+
+  [[nodiscard]] bool empty() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return depth_ == 0;
+  }
+  [[nodiscard]] std::size_t size() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return depth_;
+  }
+
+  /// Worker: run queued jobs, top-most first, until close().
+  void work() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      queued_cv_.wait(lock, [this] { return closed_ || !queued_.empty(); });
+      if (closed_) return;
+      run_top_queued(lock);
+    }
+  }
+
+ private:
+  struct Job {
+    enum State : std::uint8_t { kQueued, kRunning, kDone };
+    std::vector<std::uint16_t> prefix;
+    State state = kQueued;
+    TrajectoryResult result;
+  };
+
+  /// Take the top-most queued job and run it with `lock` released.  The
+  /// committer touches a job's prefix only once it is done.
+  void run_top_queued(std::unique_lock<std::mutex>& lock) {
+    Job* job = queued_.back();
+    queued_.pop_back();
+    job->state = Job::kRunning;
+    lock.unlock();
+    TrajectoryResult result = run_prefix(job->prefix);
+    lock.lock();
+    job->result = std::move(result);
+    job->state = Job::kDone;
+    done_cv_.notify_one();
+  }
+
+  /// The choice points inside the prefix were hashed, inserted and
+  /// expanded by the trajectory that pushed it (see explorer.hpp).
+  TrajectoryResult run_prefix(const std::vector<std::uint16_t>& prefix) const {
+    return run(cfg_, prefix, chaos::Observers{}, prefix.size());
+  }
+
+  const ExploreConfig& cfg_;
+  std::mutex mu_;
+  std::condition_variable queued_cv_;
+  std::condition_variable done_cv_;
+  /// The stack is stack_[0, depth_).  Popped slots are reused, and the
+  /// deque only grows, so a job stays in place while others come and go.
+  std::deque<Job> stack_;
+  std::size_t depth_ = 0;
+  std::vector<Job*> queued_;  ///< jobs no one has taken, in stack order
+  bool closed_ = false;
+};
+
+/// Each greedy round runs the candidate flips (non-default choice i set
+/// back to 0) and keeps the lowest i that reproduces.  Runners claim flips
+/// in ascending order and stop claiming past the lowest hit, so every
+/// lower flip has run by the time the round ends: the hit is the one the
+/// serial scan takes.
+Counterexample minimize_on(Runners& runners, const Counterexample& ce) {
   Counterexample best = ce;
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t i = 0; i < best.trace.size(); ++i) {
-      if (best.trace[i] == 0) continue;
-      std::vector<std::uint16_t> candidate = best.trace;
-      candidate[i] = 0;
-      TrajectoryResult res = run(best.config, candidate, chaos::Observers{}, kNoHashes);
-      if (!reproduces(res, best.oracle)) continue;
-      best.trace = res.decisions();
-      best.actions = res.actions;
-      for (const chaos::OracleViolation& v : res.violations) {
-        if (v.oracle == best.oracle) {
-          best.detail = v.detail;
-          break;
+  for (;;) {
+    std::mutex mu;
+    std::size_t next = 0;               // next trace index to claim
+    std::size_t hit = SIZE_MAX;         // lowest reproducing index so far
+    TrajectoryResult hit_result;
+    runners.round([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      for (;;) {
+        while (next < best.trace.size() && best.trace[next] == 0) ++next;
+        if (next >= best.trace.size() || next > hit) return;
+        const std::size_t i = next++;
+        lock.unlock();
+        std::vector<std::uint16_t> candidate = best.trace;
+        candidate[i] = 0;
+        TrajectoryResult res = run(best.config, candidate, chaos::Observers{}, kNoHashes);
+        const bool reproduced = reproduces(res, best.oracle);
+        lock.lock();
+        if (reproduced && i < hit) {
+          hit = i;
+          hit_result = std::move(res);
         }
       }
-      progressed = true;
-      break;
+    });
+    if (hit == SIZE_MAX) break;
+    best.trace = hit_result.decisions();
+    best.actions = hit_result.actions;
+    for (const chaos::OracleViolation& v : hit_result.violations) {
+      if (v.oracle == best.oracle) {
+        best.detail = v.detail;
+        break;
+      }
     }
   }
   while (!best.trace.empty() && best.trace.back() == 0) best.trace.pop_back();
   return best;
 }
 
-ExploreReport explore(const ExploreConfig& cfg, std::ostream* progress) {
+}  // namespace
+
+Counterexample minimize(const Counterexample& ce) {
+  Runners runners(resolve_threads(0));
+  return minimize_on(runners, ce);
+}
+
+ExploreReport explore(const ExploreConfig& cfg, std::ostream* progress, unsigned threads) {
+  Runners runners(resolve_threads(threads));
   ExploreReport report;
-  std::vector<std::vector<std::uint16_t>> stack;
-  stack.emplace_back();
+  std::optional<Counterexample> violation;
   std::set<std::uint64_t> states;
   std::set<std::pair<std::uint64_t, std::uint16_t>> expanded;
+  Frontier frontier(cfg);
+  frontier.push({});
 
-  while (!stack.empty()) {
-    if (report.trajectories >= cfg.bounds.max_trajectories) {
-      report.hit_trajectory_cap = true;
-      break;
-    }
-    const std::vector<std::uint16_t> prefix = std::move(stack.back());
-    stack.pop_back();
-
-    // The choice points inside the prefix were hashed, inserted and
-    // expanded by the trajectory that pushed it (see explorer.hpp).
-    TrajectoryResult res = run(cfg, prefix, chaos::Observers{}, prefix.size());
-    ++report.trajectories;
-    report.choice_points += res.choices.size();
-    if (res.choice_bound_hit) ++report.truncated;
-    for (std::size_t i = prefix.size(); i < res.state_hashes.size(); ++i) {
-      states.insert(res.state_hashes[i]);
-    }
-    states.insert(res.final_hash);
-
-    if (!res.violations.empty()) {
-      Counterexample ce;
-      ce.config = cfg;
-      ce.trace = res.decisions();
-      ce.actions = res.actions;
-      ce.oracle = res.violations.front().oracle;
-      ce.detail = res.violations.front().detail;
-      if (progress != nullptr) {
-        *progress << "violation after " << report.trajectories << " trajectories: " << ce.oracle
-                  << " — minimizing\n";
+  const auto commit = [&] {
+    while (!frontier.empty()) {
+      if (report.trajectories >= cfg.bounds.max_trajectories) {
+        report.hit_trajectory_cap = true;
+        break;
       }
-      report.counterexamples.push_back(minimize(ce));
-      break;
-    }
+      const auto [prefix, res] = frontier.pop();
+      ++report.trajectories;
+      report.choice_points += res.choices.size();
+      if (res.choice_bound_hit) ++report.truncated;
+      for (std::size_t i = prefix.size(); i < res.state_hashes.size(); ++i) {
+        states.insert(res.state_hashes[i]);
+      }
+      states.insert(res.final_hash);
 
-    const std::vector<std::uint16_t> decisions = res.decisions();
-    for (std::size_t i = prefix.size(); i < res.choices.size(); ++i) {
-      const Choice& c = res.choices[i];
-      const std::uint64_t key = expansion_key(res.state_hashes[i], c);
-      for (std::uint16_t alt = 1; alt < c.options; ++alt) {
-        if (c.kind == sim::ChoiceKind::kEventOrder &&
-            !order_alternative_matters(c.tags, alt, cfg.sleep_sets)) {
-          ++report.pruned_sleep;
-          continue;
+      if (!res.violations.empty()) {
+        Counterexample& ce = violation.emplace();
+        ce.config = cfg;
+        ce.trace = res.decisions();
+        ce.actions = res.actions;
+        ce.oracle = res.violations.front().oracle;
+        ce.detail = res.violations.front().detail;
+        if (progress != nullptr) {
+          *progress << "violation after " << report.trajectories << " trajectories: "
+                    << ce.oracle << " — minimizing\n";
         }
-        if (cfg.prune_visited && !expanded.insert({key, alt}).second) {
-          ++report.pruned_visited;
-          continue;
+        break;
+      }
+
+      const std::vector<std::uint16_t> decisions = res.decisions();
+      for (std::size_t i = prefix.size(); i < res.choices.size(); ++i) {
+        const Choice& c = res.choices[i];
+        const std::uint64_t key = expansion_key(res.state_hashes[i], c);
+        const auto branch = [&](std::uint16_t alt) {
+          if (cfg.prune_visited && !expanded.insert({key, alt}).second) {
+            ++report.pruned_visited;
+            return;
+          }
+          std::vector<std::uint16_t> next(decisions.begin(),
+                                          decisions.begin() + static_cast<std::ptrdiff_t>(i));
+          next.push_back(alt);
+          frontier.push(std::move(next));
+        };
+        if (c.kind == sim::ChoiceKind::kEventOrder) {
+          const std::span<const std::uint16_t> alts = res.alternatives(c);
+          report.pruned_sleep += c.options - 1u - alts.size();
+          for (const std::uint16_t alt : alts) branch(alt);
+        } else {
+          for (std::uint16_t alt = 1; alt < c.options; ++alt) branch(alt);
         }
-        std::vector<std::uint16_t> next(decisions.begin(),
-                                        decisions.begin() + static_cast<std::ptrdiff_t>(i));
-        next.push_back(alt);
-        stack.push_back(std::move(next));
+      }
+      if (progress != nullptr && report.trajectories % 500 == 0) {
+        *progress << "  " << report.trajectories << " trajectories, " << states.size()
+                  << " states, " << frontier.size() << " pending prefixes\n";
       }
     }
-    if (progress != nullptr && report.trajectories % 500 == 0) {
-      *progress << "  " << report.trajectories << " trajectories, " << states.size()
-                << " states, " << stack.size() << " pending prefixes\n";
-    }
-  }
+    frontier.close();
+  };
+  runners.round([&frontier] { frontier.work(); }, commit);
 
   report.states_visited = states.size();
+  if (violation) report.counterexamples.push_back(minimize_on(runners, *violation));
   return report;
 }
 

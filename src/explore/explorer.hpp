@@ -28,15 +28,31 @@
 //                 hash-equal states are treated as equivalent.  The seeded
 //                 chaos sweep remains the probabilistic backstop.
 //
-// Within explore() a trajectory hashes state (and keeps its tie tags) only
-// at choice points at or past the prefix it replays.  A prefix of length k
-// is the decisions of the trajectory that pushed it, with an alternative
-// at its last place, and a replay is deterministic: the same seed and the
-// same first k decisions reach the same k choice-point states.  The
-// pushing trajectory has already inserted those hashes into the visited
-// set and expanded those choice points, so hashing them again changes no
-// count and no expansion.  minimize() hashes nothing; run_trajectory()
-// hashes every choice point.
+// Within explore() a trajectory hashes state (and records which
+// event-order alternatives matter) only at choice points at or past the
+// prefix it replays.  A prefix of length k is the decisions of the
+// trajectory that pushed it, with an alternative at its last place, and a
+// replay is deterministic: the same seed and the same first k decisions
+// reach the same k choice-point states.  The pushing trajectory has
+// already inserted those hashes into the visited set and expanded those
+// choice points, so hashing them again changes no count and no expansion.
+// minimize() hashes nothing; run_trajectory() hashes every choice point.
+//
+// Parallel sweep.  explore() runs trajectories on a pool of runner
+// threads but commits their results in exactly the serial DFS pop order,
+// so every count, state set, expansion and counterexample is the same at
+// every thread count.  This is sound because pruning happens when a
+// prefix is *pushed*: once stacked, a prefix is always run (unless a
+// violation or the trajectory cap ends the sweep), and its run depends on
+// nothing but the configuration and the prefix.  So runners take stacked
+// prefixes early — the top-most not yet taken, the next to be popped —
+// while the calling thread pops in DFS order, runs the popped prefix
+// itself if no runner has taken it, and does everything order-dependent:
+// the visited and expanded sets, the report counters, the pushes, the
+// progress lines, the violation break.  A result speculated past a
+// violation or the cap is dropped uncounted.  minimize() runs each greedy
+// round's candidate flips on the same pool and keeps the lowest index
+// that reproduces — the one the serial scan would take.
 //
 // On a violation the explorer greedily minimizes the decision trace (every
 // non-default choice is flipped back to default while the violation
@@ -49,6 +65,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -138,12 +155,16 @@ struct Choice {
   sim::ChoiceKind kind{};
   std::uint16_t options = 2;
   std::uint16_t chosen = 0;
+  std::uint16_t alts_count = 0;       ///< event-order ties: see alts_begin
   std::uint32_t a = 0;                ///< frame fates: directed link src
   std::uint32_t b = 0;                ///< frame fates: directed link dst
   std::uint64_t frame = 0;            ///< frame fates: per-link frame ordinal
   core::FaultKind fault{};            ///< fault candidates: which one
+  /// Event-order ties recorded with their state hash: the alternatives
+  /// that matter are TrajectoryResult::order_alternatives[alts_begin,
+  /// alts_begin + alts_count).
+  std::uint32_t alts_begin = 0;
   TimePoint at{};
-  std::vector<sim::EventTag> tags;    ///< event-order ties: the candidates
 };
 
 /// A fault the trajectory actually took (for the FaultPlan rendering).
@@ -163,9 +184,19 @@ struct TrajectoryResult {
   std::uint64_t final_hash = 0;
   std::vector<chaos::OracleViolation> violations;
   std::vector<FaultAction> actions;
+  /// Every hashed event-order choice's alternatives, ascending: tie member
+  /// j is listed iff firing it first is an ordering the model explores
+  /// (neither a same-link FIFO inversion nor, with sleep sets on, a
+  /// commuting delivery).  Read through alternatives().
+  std::vector<std::uint16_t> order_alternatives;
   bool choice_bound_hit = false;
   /// The decision sequence actually taken (what to feed back as a trace).
   [[nodiscard]] std::vector<std::uint16_t> decisions() const;
+  /// The alternatives of event-order choice `c` of this trajectory (empty
+  /// for a choice recorded without its state hash).
+  [[nodiscard]] std::span<const std::uint16_t> alternatives(const Choice& c) const {
+    return std::span<const std::uint16_t>(order_alternatives).subspan(c.alts_begin, c.alts_count);
+  }
 };
 
 /// A minimized, replayable violation witness.
@@ -205,11 +236,16 @@ struct ExploreReport {
                                               const chaos::Observers& observe = {});
 
 /// Exhaustive bounded sweep.  Stops at the first violation (after
-/// minimizing it) or when the choice tree is exhausted / capped.
-[[nodiscard]] ExploreReport explore(const ExploreConfig& cfg, std::ostream* progress = nullptr);
+/// minimizing it) or when the choice tree is exhausted / capped.  Runs
+/// trajectories on `threads` runners (the calling thread plus threads - 1
+/// workers; 0 means std::thread::hardware_concurrency()); the report is
+/// the same at every thread count, and one thread starts no thread.
+[[nodiscard]] ExploreReport explore(const ExploreConfig& cfg, std::ostream* progress = nullptr,
+                                    unsigned threads = 0);
 
 /// Greedily flip non-default choices back to default while the violation
-/// persists, then drop trailing defaults.
+/// persists, then drop trailing defaults.  Runs on one runner per hardware
+/// thread; the result is the one the serial scan finds.
 [[nodiscard]] Counterexample minimize(const Counterexample& ce);
 
 /// Re-run a counterexample.  The violation reproduced iff the result's

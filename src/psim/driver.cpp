@@ -1,12 +1,10 @@
 #include "psim/driver.hpp"
 
 #include <chrono>
-#include <functional>
 #include <thread>
 
 #include "psim/barrier.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace rtpb::psim {
 
@@ -66,14 +64,8 @@ DriverStats ParallelDriver::run(TimePoint from, TimePoint to, std::size_t thread
     return stats;
   }
 
-  // The global Logger's virtual clock points at whichever simulator was
-  // constructed last; during the parallel region that simulator advances
-  // on a worker thread, so reading it from another would race.  Log
-  // lines fall back to unclocked while workers run; the clock is put
-  // back once they join, so post-run logging (harvest, later sequential
-  // runs) keeps virtual timestamps at every thread count.
-  std::function<TimePoint()> saved_clock = Logger::instance().exchange_clock(nullptr);
-
+  // The partitions' log clocks live on the thread that built them, so a
+  // worker's log lines are unclocked and no thread reads another's clock.
   SpinBarrier barrier(threads);
   std::vector<std::thread> workers;
   workers.reserve(threads);
@@ -107,7 +99,6 @@ DriverStats ParallelDriver::run(TimePoint from, TimePoint to, std::size_t thread
     });
   }
   for (std::thread& t : workers) t.join();
-  Logger::instance().set_clock(std::move(saved_clock));
   stats.barriers = 2 * stats.windows;
   stats.wall_ms = wall_now_ms() - t0;
   return stats;

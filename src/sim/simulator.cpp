@@ -4,12 +4,11 @@
 
 namespace rtpb::sim {
 
-Simulator::Simulator(std::uint64_t seed) : rng_(seed) {
-  Logger::instance().set_clock([this] { return now_; });
+Simulator::Simulator(std::uint64_t seed) : log_clock_(now_), rng_(seed) {
   hub_.set_clock([this] { return now_; });
 }
 
-Simulator::~Simulator() { Logger::instance().clear_clock(); }
+Simulator::~Simulator() = default;
 
 std::uint32_t Simulator::acquire() {
   if (free_slots_.empty()) {

@@ -28,6 +28,7 @@
 #include "sim/trace.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -246,6 +247,8 @@ class Simulator {
   void pop_head();
 
   TimePoint now_{};
+  /// Stamps the log lines of the thread that built this simulator.
+  LogClock log_clock_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_events_ = 0;
   bool stopped_ = false;

@@ -2,6 +2,8 @@
 
 #include <cstdarg>
 
+#include "util/assert.hpp"
+
 namespace rtpb {
 
 Logger& Logger::instance() {
@@ -10,6 +12,11 @@ Logger& Logger::instance() {
 }
 
 namespace {
+
+/// The calling thread's newest live LogClock; older ones chain through
+/// displaced_.
+thread_local LogClock* t_clock = nullptr;
+
 const char* level_name(LogLevel level) {
   switch (level) {
     case LogLevel::kTrace: return "TRACE";
@@ -23,13 +30,28 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
+LogClock::LogClock(const TimePoint& now) : now_(&now), displaced_(t_clock) { t_clock = this; }
+
+LogClock::~LogClock() {
+  // Unlink this clock wherever it sits: simulators need not die in the
+  // reverse order of their birth.
+  LogClock** link = &t_clock;
+  while (*link != this) {
+    RTPB_ASSERT(*link != nullptr);  // destroyed off the thread that made it
+    link = &(*link)->displaced_;
+  }
+  *link = displaced_;
+}
+
+const TimePoint* LogClock::current() { return t_clock != nullptr ? t_clock->now_ : nullptr; }
+
 void Logger::write(LogLevel level, const char* component, std::string msg) {
   LogRecord record;
   record.level = level;
   record.component = component;
-  if (clock_) {
+  if (const TimePoint* now = LogClock::current()) {
     record.has_time = true;
-    record.time = clock_();
+    record.time = *now;
   }
   record.message = std::move(msg);
 

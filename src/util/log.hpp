@@ -1,8 +1,8 @@
 // Tiny leveled logger.  Components tag their lines; the global threshold
-// makes disabled levels nearly free (an atomic load and a branch).  The
-// simulator injects the virtual clock so log lines carry simulated time.
-// Output goes to stderr by default; tests (or embedders) can install a
-// sink to capture structured records instead.
+// makes disabled levels nearly free (an atomic load and a branch).  Each
+// simulator installs a per-thread LogClock so the lines its thread writes
+// carry simulated time.  Output goes to stderr by default; tests (or
+// embedders) can install a sink to capture structured records instead.
 #pragma once
 
 #include <atomic>
@@ -28,7 +28,7 @@ enum class LogLevel : int { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError
 struct LogRecord {
   LogLevel level = LogLevel::kInfo;
   const char* component = "";
-  bool has_time = false;  ///< true iff a virtual clock is installed
+  bool has_time = false;  ///< true iff a LogClock is live on the writing thread
   TimePoint time{};       ///< simulated time (valid when has_time)
   std::string message;
 };
@@ -43,16 +43,6 @@ class Logger {
     return static_cast<int>(level) >= level_.load(std::memory_order_relaxed);
   }
 
-  /// Install a virtual-clock source so log lines carry simulated time.
-  void set_clock(std::function<TimePoint()> clock) { clock_ = std::move(clock); }
-  void clear_clock() { clock_ = nullptr; }
-  /// Swap in `clock` (may be nullptr) and return the previous source, so
-  /// a caller that must silence the clock temporarily — e.g. around a
-  /// parallel region where reading it would race — can restore it after.
-  [[nodiscard]] std::function<TimePoint()> exchange_clock(std::function<TimePoint()> clock) {
-    return std::exchange(clock_, std::move(clock));
-  }
-
   /// Route records to `sink` instead of stderr (clear_sink restores the
   /// default).  The sink sees every record that passes the level filter.
   void set_sink(std::function<void(const LogRecord&)> sink) { sink_ = std::move(sink); }
@@ -63,8 +53,28 @@ class Logger {
  private:
   Logger() = default;
   std::atomic<int> level_{static_cast<int>(LogLevel::kWarn)};
-  std::function<TimePoint()> clock_;
   std::function<void(const LogRecord&)> sink_;
+};
+
+/// Stamps the log lines its thread writes with the virtual time at `now`
+/// for as long as it lives.  Clocks stack per thread: the newest live one
+/// stamps, and destroying it puts back the one it displaced, so two
+/// simulators on two threads each stamp their own lines and an older
+/// simulator keeps stamping once a newer one is gone.  Clocks may die in
+/// any order, but each on the thread that made it.
+class LogClock {
+ public:
+  explicit LogClock(const TimePoint& now);
+  ~LogClock();
+  LogClock(const LogClock&) = delete;
+  LogClock& operator=(const LogClock&) = delete;
+
+  /// The calling thread's stamping time, or nullptr when no clock is live.
+  [[nodiscard]] static const TimePoint* current();
+
+ private:
+  const TimePoint* now_;
+  LogClock* displaced_;
 };
 
 namespace detail {

@@ -1,30 +1,40 @@
-// Logger: level filtering, pluggable sink capture, virtual-clock
+// Logger: level filtering, pluggable sink capture, per-thread virtual-clock
 // timestamps, and log_format's dynamic growth past the old fixed-buffer
 // truncation point.
 #include "util/log.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "sim/simulator.hpp"
 
 namespace rtpb {
 namespace {
 
 /// Captures records through a sink and restores the logger's global state
-/// (level, sink, clock) on teardown — the logger is a process singleton.
+/// (level, sink) on teardown — the logger is a process singleton.  The
+/// sink may be fed from several threads.
 class LoggerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     saved_level_ = Logger::instance().level();
-    Logger::instance().set_sink([this](const LogRecord& r) { records_.push_back(r); });
+    Logger::instance().set_sink([this](const LogRecord& r) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      records_.push_back(r);
+    });
   }
   void TearDown() override {
     Logger::instance().clear_sink();
-    Logger::instance().clear_clock();
     Logger::instance().set_level(saved_level_);
   }
 
+  std::mutex mu_;
   std::vector<LogRecord> records_;
   LogLevel saved_level_ = LogLevel::kWarn;
 };
@@ -60,16 +70,107 @@ TEST_F(LoggerTest, VirtualClockStampsRecords) {
   RTPB_INFO("t", "before clock");
 
   TimePoint now = TimePoint{} + millis(1234);
-  Logger::instance().set_clock([&now] { return now; });
-  RTPB_INFO("t", "with clock");
-  now = now + millis(1);
-  RTPB_INFO("t", "later");
+  {
+    const LogClock clock(now);
+    RTPB_INFO("t", "with clock");
+    now = now + millis(1);
+    RTPB_INFO("t", "later");
+  }
+  RTPB_INFO("t", "after clock");
 
-  ASSERT_EQ(records_.size(), 3u);
+  ASSERT_EQ(records_.size(), 4u);
   EXPECT_FALSE(records_[0].has_time);
   EXPECT_TRUE(records_[1].has_time);
   EXPECT_EQ(records_[1].time.millis(), 1234.0);
   EXPECT_EQ(records_[2].time.millis(), 1235.0);
+  EXPECT_FALSE(records_[3].has_time);
+}
+
+TEST_F(LoggerTest, DestroyingAClockRestoresTheOneItDisplaced) {
+  Logger::instance().set_level(LogLevel::kInfo);
+  const TimePoint outer_now = TimePoint{} + millis(10);
+  const TimePoint inner_now = TimePoint{} + millis(20);
+  const LogClock outer(outer_now);
+  {
+    const LogClock inner(inner_now);
+    RTPB_INFO("t", "inner");
+  }
+  RTPB_INFO("t", "outer again");
+
+  ASSERT_EQ(records_.size(), 2u);
+  EXPECT_EQ(records_[0].time.millis(), 20.0);
+  ASSERT_TRUE(records_[1].has_time);
+  EXPECT_EQ(records_[1].time.millis(), 10.0);
+}
+
+TEST_F(LoggerTest, AnOlderSimulatorKeepsStampingOnceANewerOneIsGone) {
+  // Simulators need not die in reverse order of birth: destroying the
+  // older one first must leave the newer one stamping, and destroying the
+  // newer one first must hand stamping back to the older one.
+  Logger::instance().set_level(LogLevel::kInfo);
+  auto older = std::make_unique<sim::Simulator>();
+  auto newer = std::make_unique<sim::Simulator>();
+  older->schedule_at(TimePoint{} + millis(5), [] {});
+  older->run();
+  newer->schedule_at(TimePoint{} + millis(7), [] {});
+  newer->run();
+
+  older.reset();
+  RTPB_INFO("t", "newer alone");
+  auto third = std::make_unique<sim::Simulator>();
+  third.reset();
+  RTPB_INFO("t", "newer again");
+  newer.reset();
+  RTPB_INFO("t", "none");
+
+  const auto outer = std::make_unique<sim::Simulator>();
+  outer->schedule_at(TimePoint{} + millis(3), [] {});
+  outer->run();
+  {
+    const sim::Simulator inner;
+    RTPB_INFO("t", "inner");
+  }
+  RTPB_INFO("t", "outer");
+
+  ASSERT_EQ(records_.size(), 5u);
+  EXPECT_EQ(records_[0].time.millis(), 7.0);
+  EXPECT_EQ(records_[1].time.millis(), 7.0);
+  EXPECT_FALSE(records_[2].has_time);
+  EXPECT_EQ(records_[3].time.millis(), 0.0);
+  ASSERT_TRUE(records_[4].has_time);
+  EXPECT_EQ(records_[4].time.millis(), 3.0);
+}
+
+TEST_F(LoggerTest, TwoThreadsEachStampTheirOwnSimulatorsTime) {
+  // Each thread builds, runs and logs from its own simulator at the same
+  // time; every line carries the virtual time of its own thread's clock.
+  Logger::instance().set_level(LogLevel::kInfo);
+  auto run_one = [](const char* component, Duration step) {
+    sim::Simulator sim;
+    for (int i = 1; i <= 50; ++i) {
+      sim.schedule_at(TimePoint{} + step * i, [&sim, component] {
+        RTPB_INFO(component, "%lld", static_cast<long long>(sim.now().nanos()));
+      });
+    }
+    sim.run();
+  };
+  std::thread a(run_one, "a", millis(2));
+  std::thread b(run_one, "b", millis(3));
+  a.join();
+  b.join();
+
+  std::size_t seen_a = 0;
+  std::size_t seen_b = 0;
+  for (const LogRecord& r : records_) {
+    ASSERT_TRUE(r.has_time);
+    EXPECT_EQ(r.message, std::to_string(r.time.nanos()));
+    const std::string component = r.component;
+    const std::int64_t step = component == "a" ? 2'000'000 : 3'000'000;
+    EXPECT_EQ(r.time.nanos() % step, 0) << component;
+    (component == "a" ? seen_a : seen_b) += 1;
+  }
+  EXPECT_EQ(seen_a, 50u);
+  EXPECT_EQ(seen_b, 50u);
 }
 
 TEST_F(LoggerTest, LogFormatGrowsPastTheStackBuffer) {

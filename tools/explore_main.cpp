@@ -5,6 +5,9 @@
 //                                         # 2 nodes, 1 object, crash/recruit
 //                                         # candidates + 1 droppable frame
 //   explore_main --backups 2 --objects 2  # wider cluster, more state
+//   explore_main --threads 1              # one runner (default: one per
+//                                         # hardware thread; the output is
+//                                         # the same at every count)
 //   explore_main --sabotage split-brain --emit ce.txt
 //                                         # self-test: fencing off under a
 //                                         # partition MUST yield a
@@ -53,6 +56,9 @@ void usage(const char* argv0) {
       << "  --max-choices N       choice points per trajectory (default 160)\n"
       << "  --no-prune            disable visited-state expansion pruning\n"
       << "  --no-sleep-sets       disable the commuting-delivery reduction\n"
+      << "  --threads N           trajectory runners (default 0 = one per hardware\n"
+      << "                        thread); every count and artifact is the same at\n"
+      << "                        every N\n"
       << "  --sabotage MODE       none | split-brain | no-failover | torn-write\n"
       << "  --emit FILE           write the first counterexample artifact to FILE;\n"
       << "                        a flight-recorder autopsy of its replay is\n"
@@ -77,6 +83,7 @@ int main(int argc, char** argv) {
   std::string metrics_out_path;
   bool default_faults = true;
   bool quiet = false;
+  unsigned threads = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -138,6 +145,8 @@ int main(int argc, char** argv) {
       cfg.prune_visited = false;
     } else if (arg == "--no-sleep-sets") {
       cfg.sleep_sets = false;
+    } else if (arg == "--threads") {
+      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--sabotage") {
       sabotage = next();
     } else if (arg == "--emit") {
@@ -226,7 +235,7 @@ int main(int argc, char** argv) {
             << "\n";
 
   const rtpb::explore::ExploreReport report =
-      rtpb::explore::explore(cfg, quiet ? nullptr : &std::cout);
+      rtpb::explore::explore(cfg, quiet ? nullptr : &std::cout, threads);
   std::cout << report.summary() << "\n";
 
   for (const rtpb::explore::Counterexample& ce : report.counterexamples) {
