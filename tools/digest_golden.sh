@@ -46,6 +46,10 @@ check() {
 check chaos_default "$tools/chaos_main" --seeds 16
 check chaos_multibackup_overload_restart \
   "$tools/chaos_main" --seeds 16 --backups 2 --overload --crash-restart
+# Partition primary from successor with fencing on: every seed fails over
+# and the deposed primary steps down (the only golden that reaches
+# step_down() with fencing on).
+check chaos_partition_failover "$tools/chaos_main" --seeds 16 --backups 2 --partition
 check chaos_sharded "$tools/chaos_main" --seeds 8 --shards 4 --threads 4 --objects 8
 # Durable shards: each shard restarts its crashed replica like a classic seed.
 check chaos_sharded_crash_restart \
