@@ -466,6 +466,141 @@ TEST(TransferReorder, LateOldTransferCannotClobberNewerDelta) {
 }
 
 // ---------------------------------------------------------------------------
+// Role changes: leaving a role drops everything the role owned.
+// ---------------------------------------------------------------------------
+
+/// Gives `primary` primary-role state to drop: a QoS downgrade of object 1
+/// and a registration of object 2 whose transfer to the black-holed
+/// `silent` peer stays pending.
+void load_primary_role(RtpbService& service, ReplicaServer& primary, net::NodeId silent) {
+  ASSERT_TRUE(primary.downgrade_object(1));
+  ASSERT_TRUE(primary.qos_downgrade_active(1));
+  service.network().set_loss_probability(primary.node(), silent, 1.0);
+  ASSERT_TRUE(service.register_object(make_spec(2)).ok());
+  ASSERT_EQ(primary.pending_transfer_count(), 1u);
+}
+
+/// A replica holding no primary-role state: no update task, transfer,
+/// staged update or downgrade.  `client_tasks` is what its client twin
+/// keeps on the CPU.
+void expect_no_primary_role(const ReplicaServer& r, std::size_t client_tasks) {
+  EXPECT_EQ(r.cpu().task_count(), client_tasks);
+  EXPECT_EQ(r.pending_transfer_count(), 0u);
+  EXPECT_EQ(r.staged_update_count(), 0u);
+  EXPECT_FALSE(r.qos_downgrade_active(1));
+  EXPECT_FALSE(r.qos_downgrade_active(2));
+}
+
+TEST(RoleChange, StepDownDropsThePrimaryRole) {
+  // The promotion drill, with a downgrade and a pending transfer held by
+  // the zombie when it is deposed: the promoted replica fences its
+  // registration of object 2, so that transfer is never acked.
+  RtpbService service(make_params(31));
+  service.start();
+  ASSERT_TRUE(service.register_object(make_spec(1)).ok());
+  service.run_for(seconds(1));
+  ReplicaServer& old = service.primary();
+  ASSERT_TRUE(old.downgrade_object(1));
+  service.backup().promote();
+  ASSERT_TRUE(service.register_object(make_spec(2)).ok());
+  ASSERT_EQ(old.pending_transfer_count(), 1u);
+  ASSERT_GT(old.cpu().task_count(), 0u);
+  // Stop at the step-down, before anything else can touch the role.
+  for (int ms = 0; ms < 2000 && old.step_downs() == 0; ++ms) service.run_for(millis(1));
+
+  ASSERT_EQ(old.step_downs(), 1u);
+  ASSERT_EQ(old.role(), Role::kBackup);
+  // on_deposed stopped its client twin too, so the CPU is empty.
+  expect_no_primary_role(old, 0);
+  // A deposed primary sends no further update.
+  const std::uint64_t sent = old.updates_sent();
+  const std::uint64_t frames = old.update_frames_sent();
+  service.run_for(seconds(2));
+  EXPECT_EQ(old.updates_sent(), sent);
+  EXPECT_EQ(old.update_frames_sent(), frames);
+}
+
+TEST(RoleChange, PromotionStopsTheBackupWatchdogs) {
+  // Drill promotion with fencing on: the zombie's updates are fenced at
+  // the promoted replica, so a watchdog left armed there would stall and
+  // NACK.
+  RtpbService service(make_params(31));
+  service.start();
+  ASSERT_TRUE(service.register_object(make_spec(1)).ok());
+  service.run_for(seconds(1));
+  ReplicaServer& promoted = service.backup();
+  ASSERT_GT(promoted.updates_applied(), 0u);
+
+  promoted.promote();
+  ASSERT_EQ(promoted.role(), Role::kPrimary);
+  // No peer yet, so no update task: only the activated client twin runs.
+  expect_no_primary_role(promoted, 1);
+  const std::uint64_t nacks = promoted.retransmit_requests_sent();
+  service.run_for(seconds(2));
+  EXPECT_EQ(promoted.retransmit_requests_sent(), nacks);
+  EXPECT_EQ(service.primaries_alive(), 1u);
+}
+
+TEST(RoleChange, RestartDropsTheCrashedPrimaryRole) {
+  ServiceParams params = make_params(38);
+  params.durable = true;
+  RtpbService service(params);
+  service.start();
+  ASSERT_TRUE(service.register_object(make_spec(1)).ok());
+  service.run_for(seconds(1));
+  ReplicaServer& old = service.primary();
+  load_primary_role(service, old, service.backup().node());
+  // Client tasks for objects 1 and 2, update tasks for both.
+  const std::size_t tasks = old.cpu().task_count();
+  ASSERT_EQ(tasks, 4u);
+
+  // A crash stops the role's timers but keeps what it holds, role
+  // included, until the restart.
+  service.crash_primary();
+  EXPECT_EQ(old.role(), Role::kPrimary);
+  EXPECT_EQ(old.cpu().task_count(), tasks);
+  EXPECT_EQ(old.pending_transfer_count(), 1u);
+  EXPECT_EQ(old.staged_update_count(), 0u);
+  EXPECT_TRUE(old.qos_downgrade_active(1));
+  service.network().set_loss_probability(old.node(), service.backup().node(), 0.0);
+  service.run_for(seconds(3));
+  ASSERT_EQ(service.backup().role(), Role::kPrimary);
+
+  service.restart_primary();
+  EXPECT_EQ(old.role(), Role::kBackup);
+  expect_no_primary_role(old, 0);
+  const std::uint64_t sent = old.updates_sent();
+  service.run_for(seconds(2));
+  EXPECT_EQ(old.updates_sent(), sent);
+  EXPECT_EQ(service.primaries_alive(), 1u);
+}
+
+TEST(RoleChange, RestartDropsTheCrashedBackupRole) {
+  ServiceParams params = make_params(39);
+  params.durable = true;
+  RtpbService service(params);
+  service.start();
+  ASSERT_TRUE(service.register_object(make_spec(1)).ok());
+  service.run_for(seconds(1));
+  ReplicaServer& backup = service.backup();
+
+  service.crash_backup();
+  EXPECT_EQ(backup.role(), Role::kBackup);
+  service.run_for(seconds(1));
+  const std::uint64_t nacks = backup.retransmit_requests_sent();
+  service.restart_backup(0);
+  EXPECT_EQ(backup.role(), Role::kBackup);
+  expect_no_primary_role(backup, 0);
+  // The rejoiner resyncs and applies again; its watchdogs re-arm from the
+  // transfer, so the live stream draws no NACK.
+  const std::uint64_t applied = backup.updates_applied();
+  service.run_for(seconds(2));
+  EXPECT_GT(backup.updates_applied(), applied);
+  EXPECT_EQ(backup.retransmit_requests_sent(), nacks);
+  expect_no_primary_role(backup, 0);
+}
+
+// ---------------------------------------------------------------------------
 // Admission frame budget ℓ.
 // ---------------------------------------------------------------------------
 
