@@ -55,14 +55,13 @@ ReplicaServer::ReplicaServer(sim::Simulator& sim, net::Network& network, NameSer
       service_name_(std::move(service_name)),
       stack_(network),
       cpu_(sim, config.cpu_policy, std::string(role_name(role)) + "-cpu"),
+      transfer_backoff_({config.ping_period * 2, config.ping_period * 32, 0.25}),
       rng_(sim.rng().fork()),
       facts_("rtpb", &describe, &sim.telemetry()) {
   // The initial primary is epoch 1; backups start at 0 ("unknown") and
   // learn the cluster epoch from the first accepted message.  Epoch-0
   // traffic is never fenced, so a fresh standby can bootstrap.
   if (role_ == Role::kPrimary) epoch_ = 1;
-  transfer_backoff_.emplace(BackoffPolicy::Params{
-      config_.ping_period * 2, config_.ping_period * 32, 0.25});
   if (config_.enable_fragmentation) {
     frag_ = std::make_unique<xkernel::FragLite>(sim, config_.fragment_payload);
     frag_->set_telemetry(&sim.telemetry(), node());
@@ -231,18 +230,11 @@ void ReplicaServer::remove_peer(net::NodeId peer) {
   peers_.erase(std::remove_if(peers_.begin(), peers_.end(),
                               [peer](const net::Endpoint& e) { return e.node == peer; }),
                peers_.end());
-  for (auto t = pending_transfers_.begin(); t != pending_transfers_.end();) {
+  for (auto t = primary_.transfers.begin(); t != primary_.transfers.end();) {
     t->second.awaiting.erase(peer);
-    if (t->second.awaiting.empty()) {
-      t = pending_transfers_.erase(t);
-    } else {
-      ++t;
-    }
+    t = t->second.awaiting.empty() ? primary_.transfers.erase(t) : std::next(t);
   }
-  if (pending_transfers_.empty()) {
-    transfer_retry_.cancel();
-    if (transfer_backoff_) transfer_backoff_->reset();
-  }
+  if (primary_.transfers.empty()) transfers_settled();
   if (peers_.empty() && role_ == Role::kPrimary) {
     // §4.4: "If the backup is dead, the primary cancels the ping messages
     // as well as update events for each registered object."  With N peers
@@ -271,23 +263,18 @@ void ReplicaServer::crash() {
   // durable-recovery oracle (recovery_lost_updates() must stay 0).
   if (storage_ != nullptr) {
     store_.for_each(
-        [this](const ObjectState& s) { objects_[s.spec.id].version_at_crash = s.version; });
+        [this](const ObjectState& s) { objects_[s.spec.id].life.version_at_crash = s.version; });
   }
+  // Every timer stops, and the CPU with it; what the role holds stays
+  // until restart(), role included (the explorer's state hash reads it).
   crashed_ = true;
   cpu_.stop();
   for (auto& [n, ps] : peer_state_) {
     if (ps.detector) ps.detector->stop();
   }
-  transfer_retry_.cancel();
-  resync_retry_.cancel();
-  resync_pending_ = false;
-  qos_tick_.cancel();
-  batch_flush_.cancel();
-  staged_updates_.clear();
-  for (auto& [id, rec] : objects_) {
-    rec.watchdog.cancel();
-    rec.ack_timeout.cancel();
-  }
+  primary_.stop();
+  incarnation_.resync_retry.cancel();
+  for (auto& [id, rec] : objects_) rec.stop();
   network_.set_node_up(node(), false);
   emit(Fact::kCrash);
   // A crash fault is one of the post-mortem triggers: dump the ring so the
@@ -401,7 +388,7 @@ void ReplicaServer::sync_update_tasks() {
   if (config_.update_scheduling == UpdateScheduling::kCoupled) return;  // per-write sends
   for (const auto& [id, period] : admission_->update_periods()) {
     ObjectRecord& rec = objects_[id];
-    if (rec.task != sched::kInvalidTask && rec.task_period == period) continue;
+    if (rec.primary.task != sched::kInvalidTask && rec.primary.task_period == period) continue;
     drop_update_task(rec);
 
     sched::TaskSpec task;
@@ -409,10 +396,10 @@ void ReplicaServer::sync_update_tasks() {
     task.period = period;
     task.wcet = store_.contains(id) ? store_.get(id).spec.update_exec : millis(1);
     const ObjectId obj = id;
-    rec.task = cpu_.add_task(task, [this, obj](const sched::JobInfo& job) {
+    rec.primary.task = cpu_.add_task(task, [this, obj](const sched::JobInfo& job) {
       send_update(obj, /*retransmission=*/false, &job);
     });
-    rec.task_period = period;
+    rec.primary.task_period = period;
   }
   // Drop tasks for objects no longer admitted.
   for (auto& [id, rec] : objects_) {
@@ -421,10 +408,10 @@ void ReplicaServer::sync_update_tasks() {
 }
 
 void ReplicaServer::drop_update_task(ObjectRecord& rec) {
-  if (rec.task == sched::kInvalidTask) return;
-  cpu_.remove_task(rec.task);
-  rec.task = sched::kInvalidTask;
-  rec.task_period = {};
+  if (rec.primary.task == sched::kInvalidTask) return;
+  cpu_.remove_task(rec.primary.task);
+  rec.primary.task = sched::kInvalidTask;
+  rec.primary.task_period = {};
 }
 
 void ReplicaServer::send_update(ObjectId id, bool retransmission, const sched::JobInfo* job,
@@ -455,15 +442,16 @@ void ReplicaServer::send_update(ObjectId id, bool retransmission, const sched::J
     // Stage for the open batch window instead of sending immediately.  The
     // staged entry is just the object id — the flush reads the store, so a
     // write landing inside the window rides out with its newest version.
-    if (std::find(staged_updates_.begin(), staged_updates_.end(), id) == staged_updates_.end()) {
-      staged_updates_.push_back(id);
+    if (std::find(primary_.staged.begin(), primary_.staged.end(), id) == primary_.staged.end()) {
+      primary_.staged.push_back(id);
     }
-    if (!batch_flush_.pending()) {
+    if (!primary_.batch_flush.pending()) {
       // The window bounds the added staging delay and must stay well
       // inside the admission slack (δ_i − ℓ)/2: 2 ms is an order of
       // magnitude below the paper's tightest windows.
       constexpr Duration kUpdateBatchWindow = millis(2);
-      batch_flush_ = sim_.schedule_after(kUpdateBatchWindow, [this] { flush_staged_updates(); });
+      primary_.batch_flush =
+          sim_.schedule_after(kUpdateBatchWindow, [this] { flush_staged_updates(); });
     }
   } else {
     wire::Update u;
@@ -486,7 +474,7 @@ void ReplicaServer::send_update(ObjectId id, bool retransmission, const sched::J
 
 void ReplicaServer::flush_staged_updates() {
   if (crashed_ || role_ != Role::kPrimary || peers_.empty()) {
-    staged_updates_.clear();
+    primary_.staged.clear();
     return;
   }
   if (config_.degradation_enabled) shed_staged_updates();
@@ -494,14 +482,14 @@ void ReplicaServer::flush_staged_updates() {
   // emptied before anything can write the store again.
   std::vector<wire::UpdateBatchEntry>& entries = batch_.entries;
   entries.clear();
-  for (ObjectId id : staged_updates_) {
+  for (ObjectId id : primary_.staged) {
     if (!store_.contains(id)) continue;  // deregistered inside the window
     const ObjectState& state = store_.get(id);
     if (state.version == 0) continue;
     entries.push_back(wire::UpdateBatchEntry{id, state.version, state.origin_timestamp,
                                              Payload::borrow(state.value)});
   }
-  staged_updates_.clear();
+  primary_.staged.clear();
   if (entries.empty()) return;
   batch_.epoch = epoch_;
   telemetry::Hub& hub = sim_.telemetry();
@@ -519,15 +507,15 @@ void ReplicaServer::flush_staged_updates() {
 }
 
 void ReplicaServer::shed_staged_updates() {
-  if (!degrade_ || staged_updates_.empty()) return;
+  if (!degrade_ || primary_.staged.empty()) return;
   const TimePoint now = sim_.now();
-  degrade_->on_queue_depth(now, staged_updates_.size());
+  degrade_->on_queue_depth(now, primary_.staged.size());
 
   // Slack = time until this object's (currently admitted) window is
   // violated at the backup: window − d_i(now).  The shared Metrics holds
   // both sites' timestamps, so the primary can read d_i directly.
   by_slack_.clear();
-  for (ObjectId id : staged_updates_) {
+  for (ObjectId id : primary_.staged) {
     if (!store_.contains(id)) continue;
     const Duration window = store_.get(id).spec.window();
     const Duration slack = window - metrics_.current_distance(id);
@@ -543,27 +531,27 @@ void ReplicaServer::shed_staged_updates() {
   std::stable_sort(by_slack_.begin(), by_slack_.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   telemetry::Hub& hub = sim_.telemetry();
-  staged_updates_.clear();  // refilled from by_slack_, in its order
+  primary_.staged.clear();  // refilled from by_slack_, in its order
   for (const auto& [slack, id] : by_slack_) {
     const Duration period = store_.get(id).spec.client_period;
-    if (!staged_updates_.empty() && slack > period * 2) {
+    if (!primary_.staged.empty() && slack > period * 2) {
       emit(Fact::kShed, id, 0, hub.latest_span(id), slack.nanos());
       continue;
     }
-    staged_updates_.push_back(id);
+    primary_.staged.push_back(id);
   }
 }
 
 void ReplicaServer::arm_ack_timeout(ObjectId id, std::uint64_t version) {
   ObjectRecord& rec = objects_[id];
   const Duration period =
-      rec.task != sched::kInvalidTask ? rec.task_period : config_.ping_period;
+      rec.primary.task != sched::kInvalidTask ? rec.primary.task_period : config_.ping_period;
   // An armed deadline sticks: re-arming on every periodic send (one per
   // period, deadline two periods out) would postpone it forever and the
   // ack path would never retransmit while the stream flows.  The pending
   // deadline checks the version it was armed with; the next send arms a
   // fresh one, so every version eventually faces its deadline.
-  if (rec.ack_timeout.pending()) return;
+  if (rec.primary.ack_timeout.pending()) return;
   // Fixed mode: the historical two transmission periods.  Adaptive
   // mode adds the current RTO on top of one period, so a throttled or
   // latency-inflated link stretches the deadline instead of triggering a
@@ -573,7 +561,7 @@ void ReplicaServer::arm_ack_timeout(ObjectId id, std::uint64_t version) {
   if (config_.adaptive_timeouts && degrade_ && degrade_->rtt().has_sample()) {
     deadline = std::max(deadline, period + degrade_->rtt().rto());
   }
-  rec.ack_timeout = sim_.schedule_after(deadline, [this, id, version] {
+  rec.primary.ack_timeout = sim_.schedule_after(deadline, [this, id, version] {
     // Retransmit only to the peers still behind: one fast backup's ack
     // must not cancel retransmission for a backup that never received the
     // update (the old shared acked_version slot did exactly that).
@@ -607,7 +595,7 @@ Duration ReplicaServer::effective_update_interval(ObjectId id) const {
 void ReplicaServer::begin_transfer(std::vector<ObjectId> ids,
                                    const std::vector<net::Endpoint>& targets, bool delta) {
   const std::uint64_t tid = mint_transfer_id();
-  PendingTransfer& pending = pending_transfers_[tid];
+  PendingTransfer& pending = primary_.transfers[tid];
   pending.ids = std::move(ids);
   for (const net::Endpoint& peer : targets) pending.awaiting.insert(peer.node);
   pending.delta = delta;
@@ -635,21 +623,18 @@ void ReplicaServer::send_transfer(std::uint64_t transfer_id, const PendingTransf
 }
 
 Duration ReplicaServer::transfer_retry_delay() {
-  if (config_.degradation_enabled && transfer_backoff_) {
-    return transfer_backoff_->next(rng_);
-  }
-  return config_.ping_period * 2;
+  return config_.degradation_enabled ? transfer_backoff_.next(rng_) : config_.ping_period * 2;
 }
 
 void ReplicaServer::arm_transfer_retry() {
-  if (transfer_retry_.pending()) return;
-  transfer_retry_ =
+  if (primary_.transfer_retry.pending()) return;
+  primary_.transfer_retry =
       sim_.schedule_after(transfer_retry_delay(), [this] { retry_pending_registrations(); });
 }
 
 void ReplicaServer::retry_pending_registrations() {
-  if (crashed_ || peers_.empty() || pending_transfers_.empty()) return;
-  for (auto it = pending_transfers_.begin(); it != pending_transfers_.end();) {
+  if (crashed_ || peers_.empty() || primary_.transfers.empty()) return;
+  for (auto it = primary_.transfers.begin(); it != primary_.transfers.end();) {
     PendingTransfer& pending = it->second;
     ++pending.attempts;
     if (config_.transfer_retry_limit > 0 &&
@@ -664,21 +649,23 @@ void ReplicaServer::retry_pending_registrations() {
                   static_cast<unsigned long long>(it->first), n, pending.attempts - 1);
         on_peer_dead(n);
       }
-      it = pending_transfers_.erase(it);
+      it = primary_.transfers.erase(it);
       continue;
     }
     send_transfer(it->first, pending);
     ++it;
   }
-  if (pending_transfers_.empty()) {
-    if (transfer_backoff_) transfer_backoff_->reset();
+  if (primary_.transfers.empty()) {
+    transfers_settled();
     return;
   }
-  transfer_retry_ =
-      sim_.schedule_after(transfer_retry_delay(), [this] { retry_pending_registrations(); });
-  if (transfer_backoff_) {
-    emit(Fact::kBackoffLevel, 0, 0, telemetry::kNoSpan, transfer_backoff_->level());
-  }
+  arm_transfer_retry();
+  emit(Fact::kBackoffLevel, 0, 0, telemetry::kNoSpan, transfer_backoff_.level());
+}
+
+void ReplicaServer::transfers_settled() {
+  primary_.transfer_retry.cancel();
+  transfer_backoff_.reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -701,7 +688,7 @@ void ReplicaServer::promote() {
   }
   emit(Fact::kPromote, 0, 0, telemetry::kNoSpan, static_cast<std::int64_t>(epoch_));
   emit(Fact::kEpochChange);
-  clear_peers();  // the old primary is gone
+  leave_backup();  // the old primary is gone, and the watchdogs with it
 
   // Rewrite the name file to point clients at us (§4.4).
   names_.publish(service_name_, endpoint());
@@ -730,13 +717,9 @@ void ReplicaServer::promote() {
   // the loosened constraint survives the failover.  The original specs
   // were only known to the dead primary — the downgraded QoS becomes the
   // admitted one here.  Seed our seq counter above every seq we applied
-  // so our own future notices are never discarded as stale.  The backup
-  // watchdogs stop here.
-  for (auto& [id, rec] : objects_) {
-    next_qos_seq_ = std::max(next_qos_seq_, rec.qos_applied_seq + 1);
-    rec.watchdog.cancel();
-    rec.watchdog_period = {};
-    rec.downgrade.reset();
+  // so our own future notices are never discarded as stale.
+  for (const auto& [id, rec] : objects_) {
+    next_qos_seq_ = std::max(next_qos_seq_, rec.life.qos_applied_seq + 1);
   }
   arm_qos_tick();
 
@@ -761,22 +744,31 @@ void ReplicaServer::step_down(std::uint64_t new_epoch) {
   durable_log_meta();
   emit(Fact::kDemoted);
   emit(Fact::kEpochChange);
-  // Tear down the primary-side machinery.  The deposed replica stays up
-  // as an ORPHANED backup: its store may hold a divergent suffix the new
-  // primary never saw, so it must not rejoin the chain until a state
-  // transfer from the new primary re-peers it.
+  // The deposed replica stays up as an ORPHANED backup: its store may
+  // hold a divergent suffix the new primary never saw, so it must not
+  // rejoin the chain until a state transfer from the new primary re-peers
+  // it.
+  leave_primary();
+  if (hooks_.on_deposed) hooks_.on_deposed();
+}
+
+void ReplicaServer::leave_primary() {
   for (auto& [id, rec] : objects_) {
     drop_update_task(rec);
-    rec.ack_timeout.cancel();
-    rec.downgrade.reset();
+    rec.primary.ack_timeout.cancel();
+    rec.primary = {};
   }
-  transfer_retry_.cancel();
-  qos_tick_.cancel();
-  batch_flush_.cancel();
-  staged_updates_.clear();
-  pending_transfers_.clear();
+  primary_.stop();
+  primary_.transfers.clear();
   clear_peers();
-  if (hooks_.on_deposed) hooks_.on_deposed();
+}
+
+void ReplicaServer::leave_backup() {
+  for (auto& [id, rec] : objects_) {
+    rec.backup.watchdog.cancel();
+    rec.backup = {};
+  }
+  clear_peers();
 }
 
 void ReplicaServer::follow_new_primary(net::Endpoint new_primary) {
@@ -795,8 +787,8 @@ void ReplicaServer::follow_new_primary(net::Endpoint new_primary) {
 void ReplicaServer::arm_qos_tick() {
   if (!config_.degradation_enabled) return;
   if (crashed_ || role_ != Role::kPrimary) return;
-  if (qos_tick_.pending()) return;
-  qos_tick_ = sim_.schedule_after(millis(10), [this] { qos_tick(); });
+  if (primary_.qos_tick.pending()) return;
+  primary_.qos_tick = sim_.schedule_after(millis(10), [this] { qos_tick(); });
 }
 
 void ReplicaServer::qos_tick() {
@@ -834,8 +826,8 @@ void ReplicaServer::qos_tick() {
   const Duration hold = std::max(config_.degrade_restore_hold, config_.ping_period);
   std::size_t active = 0;
   for (auto& [id, rec] : objects_) {
-    if (!rec.downgrade) continue;
-    const QosState& qos = *rec.downgrade;
+    if (!rec.primary.downgrade) continue;
+    const QosState& qos = *rec.primary.downgrade;
     const bool calm = !degrade_->overloaded(now) && degrade_->calm_for(now) >= hold;
     const bool aged = now - qos.since >= hold;
     const bool caught_up =
@@ -863,7 +855,7 @@ bool ReplicaServer::downgrade_object(ObjectId id) {
 bool ReplicaServer::restore_object(ObjectId id) {
   RTPB_EXPECTS(role_ == Role::kPrimary);
   if (!qos_downgrade_active(id) || !store_.contains(id) || !admission_) return false;
-  return renegotiate(id, objects_[id].downgrade->original, /*downgrade=*/false);
+  return renegotiate(id, objects_[id].primary.downgrade->original, /*downgrade=*/false);
 }
 
 bool ReplicaServer::renegotiate(ObjectId id, ObjectSpec to, bool downgrade) {
@@ -894,11 +886,11 @@ bool ReplicaServer::renegotiate(ObjectId id, ObjectSpec to, bool downgrade) {
   ObjectRecord& rec = objects_[id];
   const std::uint64_t seq = next_qos_seq_++;
   if (downgrade) {
-    rec.downgrade = QosState{from, seq, sim_.now()};
+    rec.primary.downgrade = QosState{from, seq, sim_.now()};
   } else {
-    rec.downgrade.reset();
+    rec.primary.downgrade.reset();
   }
-  rec.qos_applied_seq = seq;
+  rec.life.qos_applied_seq = seq;
   rec.qos_notice_at = sim_.now();
 
   const Duration period = admission_->update_period(id);
@@ -924,7 +916,7 @@ const ReplicaServer::ObjectRecord& ReplicaServer::record(ObjectId id) const {
 }
 
 bool ReplicaServer::qos_downgrade_active(ObjectId id) const {
-  return record(id).downgrade.has_value();
+  return record(id).primary.downgrade.has_value();
 }
 
 TimePoint ReplicaServer::qos_last_notice_at(ObjectId id) const {
@@ -1157,7 +1149,7 @@ void ReplicaServer::apply_transfer(std::uint64_t transfer_id,
   // store), but the constraint table, adopted specs and watchdog
   // expectations are last-writer-wins snapshots — a delayed retry of an
   // older transfer must not clobber the newer state we already hold.
-  std::uint64_t& high_water = transfer_high_water_[from.node];
+  std::uint64_t& high_water = incarnation_.transfer_high_water[from.node];
   const bool newest = transfer_id > high_water;
   if (newest) high_water = transfer_id;
   const Fact fact = delta ? (newest ? Fact::kStateDelta : Fact::kStaleDelta)
@@ -1183,14 +1175,14 @@ void ReplicaServer::apply_transfer(std::uint64_t transfer_id,
       return;  // no apply, no ack
     }
     if (newest) {
-      objects_[id].watchdog_period = entry.update_period;
+      objects_[id].backup.watchdog_period = entry.update_period;
       arm_watchdog(id);
     }
   }
   if (newest) replicated_constraints_ = std::move(constraints);
   // Any transfer satisfies a pending resync (a full one is the fallback).
-  resync_pending_ = false;
-  resync_retry_.cancel();
+  incarnation_.resync_pending = false;
+  incarnation_.resync_retry.cancel();
   // Always ack — even a stale transfer id — so the sender's retry loop
   // terminates.
   send_to(from, wire::encode(wire::StateTransferAck{transfer_id, epoch_}));
@@ -1200,16 +1192,13 @@ void ReplicaServer::apply_transfer(std::uint64_t transfer_id,
 void ReplicaServer::handle(const wire::StateTransferAck& ack,
                                               net::Endpoint from) {
   if (role_ != Role::kPrimary) return;
-  auto it = pending_transfers_.find(ack.transfer_id);
-  if (it == pending_transfers_.end()) return;
+  auto it = primary_.transfers.find(ack.transfer_id);
+  if (it == primary_.transfers.end()) return;
   it->second.awaiting.erase(from.node);
-  const bool was_pending = it->second.awaiting.empty();
-  if (was_pending) pending_transfers_.erase(it);
-  if (was_pending && pending_transfers_.empty()) {
-    transfer_retry_.cancel();
-    if (transfer_backoff_) transfer_backoff_->reset();
-  }
-  if (was_pending && !peers_.empty()) {
+  if (!it->second.awaiting.empty()) return;
+  primary_.transfers.erase(it);
+  if (primary_.transfers.empty()) transfers_settled();
+  if (!peers_.empty()) {
     // Recruited backup (or fresh registration) confirmed: (re)start
     // replication machinery.
     sync_update_tasks();
@@ -1237,8 +1226,8 @@ void ReplicaServer::apply_qos_notice(ObjectId id, std::uint64_t qos_seq, Duratio
   // duplicate of an older downgrade (or a downgrade arriving after the
   // restore that undid it) must not clobber the newer QoS.
   ObjectRecord& rec = objects_[id];
-  if (qos_seq <= rec.qos_applied_seq) return;
-  rec.qos_applied_seq = qos_seq;
+  if (qos_seq <= rec.life.qos_applied_seq) return;
+  rec.life.qos_applied_seq = qos_seq;
   next_qos_seq_ = std::max(next_qos_seq_, qos_seq + 1);
 
   ObjectSpec spec = store_.get(id).spec;
@@ -1246,7 +1235,7 @@ void ReplicaServer::apply_qos_notice(ObjectId id, std::uint64_t qos_seq, Duratio
   spec.delta_backup = delta_backup;
   store_.update_spec(id, spec);
   metrics_.track_object(id, spec.window(), spec.client_period);
-  rec.watchdog_period = update_period;
+  rec.backup.watchdog_period = update_period;
   arm_watchdog(id);
   rec.qos_notice_at = sim_.now();
   RTPB_INFO("rtpb", "backup@node%u applied QoS %s: object %u window %s (seq %llu)", node(),
@@ -1277,10 +1266,10 @@ TimePoint ReplicaServer::peer_frontier(std::uint32_t shard) const {
 void ReplicaServer::arm_watchdog(ObjectId id) {
   if (role_ != Role::kBackup) return;
   auto it = objects_.find(id);
-  if (it == objects_.end() || it->second.watchdog_period <= Duration::zero()) return;
-  ObjectRecord& rec = it->second;
-  rec.watchdog.cancel();
-  rec.watchdog = sim_.schedule_after(rec.watchdog_period * config_.watchdog_factor, [this, id] {
+  if (it == objects_.end() || it->second.backup.watchdog_period <= Duration::zero()) return;
+  ObjectRecord::Backup& b = it->second.backup;
+  b.watchdog.cancel();
+  b.watchdog = sim_.schedule_after(b.watchdog_period * config_.watchdog_factor, [this, id] {
     if (crashed_ || role_ != Role::kBackup) return;
     const ObjectState* state = store_.peek(id);
     if (state == nullptr) return;
@@ -1384,40 +1373,32 @@ void ReplicaServer::restart() {
   epoch_ = rec.epoch;
   next_transfer_id_ = rec.next_transfer_id;
 
-  // Shed every trace of the dead incarnation's runtime machinery.  The
-  // CPU restart below re-arms all registered tasks, so the old update
-  // tasks must be removed from the scheduler first; the timers were
-  // cancelled at crash().
+  // Shed every trace of the dead incarnation.  It leaves the role it
+  // crashed in: the CPU restart below re-arms every registered task, so a
+  // primary's update tasks must go first (crash() cancelled the timers).
+  if (role_ == Role::kPrimary) {
+    leave_primary();
+  } else {
+    leave_backup();
+  }
+  // Its per-object state goes too.  QoS renegotiation is not durable: the
+  // recovered specs predate any notice it applied, and claiming the old
+  // seqs in the resync vector would hide a spec-stale object from the
+  // dirty set, so they restart at 0.
   for (auto& [id, r] : objects_) {
-    drop_update_task(r);
-    r.ack_timeout = {};
-    r.watchdog = {};
-    r.watchdog_period = {};
-    r.downgrade.reset();
-    // QoS renegotiation is not durable: the recovered specs are whatever
-    // the WAL image holds, which predates any notice this incarnation
-    // applied.  Claiming the old seqs in the resync vector would hide a
-    // spec-stale object from the dirty set — report 0 and re-learn.
-    r.qos_applied_seq = 0;
-    // Kept: loss_override is fault-injection state the chaos harness
-    // owns, and qos_notice_at is what the no-silent-violation oracle reads.
-
     // Durable-recovery oracle: every version the dead incarnation's store
     // held (= could have acked) must be in the recovered image, and an
     // object missing from it lost them all.  Under log-before-apply this
     // count stays 0; a torn WAL tail only ever holds writes that were
     // never applied or acked.
     const std::uint64_t have = store_.contains(id) ? store_.get(id).version : 0;
-    if (have < r.version_at_crash) {
+    if (have < r.life.version_at_crash) {
       emit(Fact::kLostUpdates, id, 0, telemetry::kNoSpan,
-           static_cast<std::int64_t>(r.version_at_crash - have));
+           static_cast<std::int64_t>(r.life.version_at_crash - have));
     }
-    r.version_at_crash = 0;
+    r.life = {};
   }
-  staged_updates_.clear();
-  pending_transfers_.clear();
-  transfer_high_water_.clear();
-  clear_peers();
+  incarnation_ = {};
 
   // The rejoiner always comes back as an ORPHANED, non-successor backup —
   // even a crashed primary.  Its recovered epoch may predate a failover
@@ -1426,8 +1407,6 @@ void ReplicaServer::restart() {
   role_ = Role::kBackup;
   successor_ = false;
   crashed_ = false;
-  resync_attempts_ = 0;
-  resync_pending_ = false;
 
   network_.set_node_up(node(), true);
   cpu_.start(sim_.now());
@@ -1450,26 +1429,27 @@ void ReplicaServer::restart() {
 
 void ReplicaServer::request_resync() {
   if (crashed_ || role_ != Role::kBackup || peers_.empty()) return;
-  if (config_.transfer_retry_limit > 0 && resync_attempts_ > config_.transfer_retry_limit) {
-    RTPB_WARN("rtpb", "backup@node%u gave up resyncing after %u attempts", node(),
-              resync_attempts_ - 1);
-    resync_pending_ = false;
+  const std::uint32_t attempts = incarnation_.resync_attempts;
+  if (config_.transfer_retry_limit > 0 && attempts > config_.transfer_retry_limit) {
+    RTPB_WARN("rtpb", "backup@node%u gave up resyncing after %u attempts", node(), attempts - 1);
+    incarnation_.resync_pending = false;
     return;
   }
   wire::ResyncRequest rq;
   store_.for_each([this, &rq](const ObjectState& s) {
-    rq.have.push_back(wire::ResyncEntry{s.spec.id, s.version, record(s.spec.id).qos_applied_seq});
+    const ObjectId id = s.spec.id;
+    rq.have.push_back(wire::ResyncEntry{id, s.version, record(id).life.qos_applied_seq});
   });
   // Deliberately the epoch-0 bootstrap wildcard (see wire.hpp): the
   // recovered epoch may be stale and a fenced resync would strand us.
   emit(Fact::kResyncRequest);
-  ++resync_attempts_;
-  resync_pending_ = true;
+  ++incarnation_.resync_attempts;
+  incarnation_.resync_pending = true;
   send_to(peers_.front(), wire::encode(rq));
   // Re-ask until a kStateDelta or full kStateTransfer lands.
-  resync_retry_.cancel();
-  resync_retry_ = sim_.schedule_after(config_.ping_period * 2, [this] {
-    if (resync_pending_) request_resync();
+  incarnation_.resync_retry.cancel();
+  incarnation_.resync_retry = sim_.schedule_after(config_.ping_period * 2, [this] {
+    if (incarnation_.resync_pending) request_resync();
   });
 }
 
@@ -1488,7 +1468,7 @@ void ReplicaServer::handle(const wire::ResyncRequest& rq, net::Endpoint from) {
   store_.for_each([&](const ObjectState& s) {
     const auto it = have.find(s.spec.id);
     if (it == have.end() || it->second->version < s.version ||
-        it->second->qos_seq < record(s.spec.id).qos_applied_seq) {
+        it->second->qos_seq < record(s.spec.id).life.qos_applied_seq) {
       dirty.push_back(s.spec.id);
     }
   });
@@ -1532,8 +1512,8 @@ std::uint64_t ReplicaServer::peer_acked_version(net::NodeId peer, ObjectId id) c
 }
 
 std::uint64_t ReplicaServer::highest_transfer_applied(net::NodeId sender) const {
-  auto it = transfer_high_water_.find(sender);
-  return it != transfer_high_water_.end() ? it->second : 0;
+  auto it = incarnation_.transfer_high_water.find(sender);
+  return it != incarnation_.transfer_high_water.end() ? it->second : 0;
 }
 
 }  // namespace rtpb::core

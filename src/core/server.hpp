@@ -342,7 +342,7 @@ class ReplicaServer {
   [[nodiscard]] std::uint64_t updates_shed() const { return count(Fact::kShed); }
   /// Updates currently staged for the open batch window (send-queue depth
   /// as seen by overload detection; health-feed instrumentation).
-  [[nodiscard]] std::size_t staged_update_count() const { return staged_updates_.size(); }
+  [[nodiscard]] std::size_t staged_update_count() const { return primary_.staged.size(); }
   /// Transfers abandoned after transfer_retry_limit attempts (the silent
   /// peer was reported suspected-down).
   [[nodiscard]] std::uint64_t transfer_give_ups() const { return count(Fact::kTransferGiveUp); }
@@ -366,7 +366,7 @@ class ReplicaServer {
   [[nodiscard]] std::uint64_t cross_epoch_applies() const { return count(Fact::kCrossEpochApply); }
   /// In-flight state transfers this server is driving (input to the
   /// explorer's canonical state hash).
-  [[nodiscard]] std::size_t pending_transfer_count() const { return pending_transfers_.size(); }
+  [[nodiscard]] std::size_t pending_transfer_count() const { return primary_.transfers.size(); }
   /// Times this replica, as primary, stepped down after seeing a higher
   /// epoch (it had been deposed without noticing).
   [[nodiscard]] std::uint64_t step_downs() const { return count(Fact::kStepDown); }
@@ -432,35 +432,46 @@ class ReplicaServer {
     std::uint64_t qos_seq = 0;
     TimePoint since{};
   };
-  /// Everything this replica tracks per object besides its ObjectState.
-  /// It lives beside store_, not in it: restart() replaces the store
-  /// wholesale and ObjectStore hands out copies, and timer handles must
-  /// not travel with either.  A default record means "nothing tracked".
+  /// Everything this replica tracks per object besides its ObjectState,
+  /// grouped by lifetime.  It lives beside store_, not in it: restart()
+  /// replaces the store wholesale and ObjectStore hands out copies, and
+  /// timer handles must not travel with either.
   struct ObjectRecord {
-    /// Primary: the update-transmission task (§4.3) and the period it was
-    /// added with; kInvalidTask when none runs.
-    sched::TaskId task = sched::kInvalidTask;
-    Duration task_period{};
-    /// Primary, ack_every_update mode.  Which versions each peer acked
-    /// lives in PeerState — one shared slot let the fastest backup's ack
-    /// cancel retransmission for peers that never received the update.
-    sim::EventHandle ack_timeout;
-    /// Backup: the watchdog, armed only while watchdog_period > 0.
-    Duration watchdog_period{};
-    sim::EventHandle watchdog;
-    /// Primary: the active downgrade, if any.
-    std::optional<QosState> downgrade;
-    /// Newest renegotiation seq applied (backup-side reorder guard;
-    /// carried into a promotion so a new primary's notices stay newer).
-    std::uint64_t qos_applied_seq = 0;
-    /// When the last QoS notice was sent or received.
+    struct Primary {  ///< dropped whole by leave_primary()
+      /// The update-transmission task (§4.3) and the period it was added
+      /// with; kInvalidTask when none runs.
+      sched::TaskId task = sched::kInvalidTask;
+      Duration task_period{};
+      /// ack_every_update mode.  Which versions each peer acked lives in
+      /// PeerState — one shared slot let the fastest backup's ack cancel
+      /// retransmission for peers that never received the update.
+      sim::EventHandle ack_timeout;
+      std::optional<QosState> downgrade;  ///< the active downgrade, if any
+    } primary;
+    struct Backup {  ///< dropped whole by leave_backup()
+      Duration watchdog_period{};  ///< the watchdog is armed only while > 0
+      sim::EventHandle watchdog;
+    } backup;
+    struct Incarnation {  ///< dropped whole by restart()
+      /// Newest renegotiation seq applied (backup-side reorder guard;
+      /// carried into a promotion so a new primary's notices stay newer).
+      std::uint64_t qos_applied_seq = 0;
+      /// Store version at crash() — everything the replica could have
+      /// acked, which restart()'s durable-recovery oracle checks the
+      /// recovered image against.  Storage attached only.
+      std::uint64_t version_at_crash = 0;
+    } life;
+    /// The replica's, kept across restarts: when the last QoS notice was
+    /// sent or received (the no-silent-violation oracle reads it), and the
+    /// §5 loss-injection override the chaos harness sets.
     TimePoint qos_notice_at{};
-    /// §5 loss-injection override (shard-targeted chaos verbs).
     std::optional<double> loss_override;
-    /// Store version at the instant of crash() — everything the replica
-    /// could have acked.  restart() diffs the recovered image against it
-    /// to feed the durable-recovery oracle.  Storage attached only.
-    std::uint64_t version_at_crash = 0;
+
+    /// crash(): the role timers stop, what they guard stays.
+    void stop() {
+      backup.watchdog.cancel();
+      primary.ack_timeout.cancel();
+    }
   };
   /// Registrations / state transfers not yet acknowledged by every peer.
   struct PendingTransfer {
@@ -468,6 +479,37 @@ class ReplicaServer {
     std::set<net::NodeId> awaiting;
     std::uint32_t attempts = 0;  ///< retries so far (capped by transfer_retry_limit)
     bool delta = false;          ///< encoded as kStateDelta, not kStateTransfer
+  };
+  /// What the primary role owns besides its per-object fields.
+  struct PrimaryRole {
+    /// Objects whose update transmissions fell due inside the open batch
+    /// window, in staging order (dedup'd: a second send of the same object
+    /// before the flush collapses onto the staged entry, which reads the
+    /// store at flush time and so carries the newest version anyway).
+    std::vector<ObjectId> staged;
+    sim::EventHandle batch_flush;
+    std::map<std::uint64_t, PendingTransfer> transfers;
+    sim::EventHandle transfer_retry;
+    sim::EventHandle qos_tick;
+
+    /// crash(): the timers stop and the batch empties; the transfers stay
+    /// (the explorer's state hash counts them).
+    void stop() {
+      transfer_retry.cancel();
+      qos_tick.cancel();
+      batch_flush.cancel();
+      staged.clear();
+    }
+  };
+  /// What one incarnation owns, from start() or restart() until crash().
+  struct Incarnation {
+    /// Highest transfer id applied per sender: a reordered older transfer
+    /// must not clobber newer constraint tables / watchdog periods.
+    std::map<net::NodeId, std::uint64_t> transfer_high_water;
+    /// A rejoined backup's resync, retried until a transfer lands.
+    sim::EventHandle resync_retry;
+    std::uint32_t resync_attempts = 0;
+    bool resync_pending = false;
   };
   /// Per-peer replication state (the tentpole 1→N generalisation): each
   /// backup gets its own acked-version table and failure detector.
@@ -577,6 +619,8 @@ class ReplicaServer {
   /// otherwise.
   [[nodiscard]] Duration transfer_retry_delay();
   void arm_transfer_retry();
+  /// No transfer is pending any more: stop retrying, reset the backoff.
+  void transfers_settled();
   /// Slack-aware shedding: under overload, reorder the staged updates by
   /// time-to-window-violation and drop the ones a fresh client write will
   /// supersede before their slack expires.  Runs inside the batch flush.
@@ -593,6 +637,11 @@ class ReplicaServer {
   /// Stop every per-peer detector and park it in retired_ (safe even when
   /// called from inside a detector callback), then forget all peers.
   void clear_peers();
+  /// The one exit of each role: drop everything the role owns at once —
+  /// the primary its update tasks, timers, staged batch, transfers and
+  /// per-object fields, the backup its watchdogs — and its peers.
+  void leave_primary();
+  void leave_backup();
   /// This primary learned of a higher epoch: demote to an orphaned backup.
   void step_down(std::uint64_t new_epoch);
   /// Grow the admission frame budget to cover `payload_bytes`.
@@ -618,6 +667,11 @@ class ReplicaServer {
   /// One kStateTransfer/kStateDelta entry for `id` from the live store.
   [[nodiscard]] wire::StateEntry state_entry_for(ObjectId id) const;
 
+  // Every member has one lifetime: the replica's are kept across role
+  // changes and restarts, the incarnation's until crash(), and each
+  // role's until its exit, leave_primary() or leave_backup().
+
+  // ---- the replica ----
   sim::Simulator& sim_;
   net::Network& network_;
   NameService& names_;
@@ -629,13 +683,17 @@ class ReplicaServer {
   xkernel::HostStack stack_;
   std::unique_ptr<xkernel::FragLite> frag_;  ///< null when fragmentation is off
   sched::Cpu cpu_;
+  /// Replaced wholesale by restart() from the recovered image.
   ObjectStore store_;
   /// One record per object ever seen, in ascending id order.
   std::map<ObjectId, ObjectRecord> objects_;
+  /// Built at start(); promote() rebuilds it from the replicated specs.
   std::unique_ptr<AdmissionController> admission_;
   Hooks hooks_;
 
-  std::vector<net::Endpoint> peers_;  ///< replication order; [0] = successor
+  /// The replication set (a primary's backups, a backup's primary), in
+  /// replication order: [0] = successor.  Each role's exit forgets it.
+  std::vector<net::Endpoint> peers_;
   std::map<net::NodeId, PeerState> peer_state_;
   /// Monotone-merged frontiers ingested from peer groups, by shard index.
   std::map<std::uint32_t, TimePoint> peer_frontiers_;
@@ -644,30 +702,14 @@ class ReplicaServer {
   /// parking it here keeps teardown safe and deterministic.
   std::vector<std::unique_ptr<FailureDetector>> retired_detectors_;
   std::vector<InterObjectConstraint> replicated_constraints_;
-  /// Objects whose update transmissions fell due inside the open batch
-  /// window, in staging order (dedup'd: a second send of the same object
-  /// before the flush collapses onto the staged entry, which reads the
-  /// store at flush time and so carries the newest version anyway).
-  std::vector<ObjectId> staged_updates_;
-  sim::EventHandle batch_flush_;
   /// Reused by flush_staged_updates() and shed_staged_updates(), so a
   /// steady batch stream stops allocating for them.  batch_ is empty
   /// between flushes: its entries borrow values from store_.
   wire::UpdateBatch batch_;
   std::vector<std::pair<Duration, ObjectId>> by_slack_;
-  /// Highest transfer id applied per sender: a reordered older transfer
-  /// must not clobber newer constraint tables / watchdog periods.
-  std::map<net::NodeId, std::uint64_t> transfer_high_water_;
-
-  std::map<std::uint64_t, PendingTransfer> pending_transfers_;
+  /// Persisted with the epoch; restart() reloads both.
   std::uint64_t next_transfer_id_ = 1;
-  sim::EventHandle transfer_retry_;
-
-  // ---- durability & crash recovery state ----
   store::DurableStore* storage_ = nullptr;  ///< null = in-memory replica
-  sim::EventHandle resync_retry_;
-  std::uint32_t resync_attempts_ = 0;
-  bool resync_pending_ = false;
 
   bool started_ = false;
   bool crashed_ = false;
@@ -682,17 +724,21 @@ class ReplicaServer {
   std::size_t frame_budget_ = 1024;
   std::optional<net::LinkParams> link_params_;
 
-  // ---- graceful degradation state ----
   /// Overload detector + RTT estimator (built at start()).
   std::unique_ptr<DegradationController> degrade_;
   /// Backoff for pending-transfer retries (seeded jitter drawn from rng_).
-  std::optional<BackoffPolicy> transfer_backoff_;
+  BackoffPolicy transfer_backoff_;
   std::uint64_t next_qos_seq_ = 1;
-  sim::EventHandle qos_tick_;
 
   Rng rng_{0};
 
   telemetry::Facts<Fact> facts_;  ///< on track "nodeN/rtpb"
+
+  // ---- this incarnation ----
+  Incarnation incarnation_;
+
+  // ---- the primary role ----
+  PrimaryRole primary_;
 };
 
 }  // namespace rtpb::core
