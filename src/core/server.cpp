@@ -38,6 +38,8 @@ void describe(const telemetry::Hub& /*hub*/, const telemetry::Event& e, telemetr
     case Fact::kResyncDelta:  // value: dirty objects; version: store size; object: peer
       return append(out, value, "/", version, " dirty to node", object);
     case Fact::kFrontier: return append(out, "shard", value);
+    case Fact::kAckReceived: return append(out, "obj", object, " v", version, " from node", value);
+    case Fact::kPeerDead: return append(out, "node", value);
     default: return append(out, "obj", object, " v", version);
   }
 }
@@ -81,15 +83,6 @@ ReplicaServer::ReplicaServer(sim::Simulator& sim, net::Network& network, NameSer
 }
 
 ReplicaServer::~ReplicaServer() = default;
-
-void ReplicaServer::count_peer(net::NodeId peer, telemetry::Counter*& slot, const char* what) {
-  telemetry::Hub& hub = sim_.telemetry();
-  if (!hub.enabled()) return;
-  if (slot == nullptr) {
-    slot = &hub.registry().counter("core.primary.peer.node" + std::to_string(peer) + "." + what);
-  }
-  slot->add();
-}
 
 void ReplicaServer::add_peer(net::Endpoint peer) {
   RTPB_EXPECTS(peer.node != net::kInvalidNode);
@@ -212,9 +205,7 @@ void ReplicaServer::on_peer_dead(net::NodeId peer) {
   // Primary: drop just this backup from the replication set.  The erase is
   // deferred one event because we are inside the dying detector's own
   // callback.
-  if (auto ps = peer_state_.find(peer); ps != peer_state_.end()) {
-    count_peer(peer, ps->second.dead, "dead");
-  }
+  if (peer_state_.contains(peer)) emit(Fact::kPeerDead, 0, 0, telemetry::kNoSpan, peer);
   sim_.schedule_after(Duration::zero(), [this, peer] { remove_peer(peer); });
 }
 
@@ -1085,7 +1076,6 @@ void ReplicaServer::handle(const wire::UpdateAck& a, net::Endpoint from) {
   if (it == peer_state_.end()) return;  // ack from a node we no longer replicate to
   std::uint64_t& acked = it->second.acked[a.object];
   acked = std::max(acked, a.version);
-  count_peer(from.node, it->second.acks, "acks");
   emit(Fact::kAckReceived, a.object, a.version, telemetry::kNoSpan, from.node);
 }
 

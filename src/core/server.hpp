@@ -75,7 +75,7 @@ enum class Fact : std::uint8_t {
   kWrite, kWriteRelease, kWriteStart,  // primary: client write (+ its job history)
   kXmitRelease, kXmitStart,            // primary: update transmission job history
   kUpdateSend, kRetransmit, kLossInjected, kUpdateFrame, kBatchFrame, kShed,
-  kRetxRequest, kAckReceived, kTransferGiveUp,
+  kRetxRequest, kAckReceived, kPeerDead, kTransferGiveUp,
   kQosDowngrade, kQosRestore,                               // primary: renegotiation
   kPromote, kStepDown, kDemoted, kEpochChange, kCrash,      // role and epoch
   kEpochReject, kUpdateRoleReject, kRoleReject,             // fencing
@@ -116,7 +116,9 @@ constexpr telemetry::FactSinks<Fact> fact_sinks(Fact f) {
                               .duration = true};
     case Fact::kRetxRequest: return {.counter = "core.primary.retransmit_requests",
                                      .event = "retx-request"};
-    case Fact::kAckReceived: return {.flight = FlightKind::kAck, .arg = FactArg::kValue};
+    case Fact::kAckReceived: return {.counter = "core.primary.peer_acks", .event = "peer-ack",
+                                     .flight = FlightKind::kAck, .arg = FactArg::kValue};
+    case Fact::kPeerDead: return {.counter = "core.primary.dead_peers", .event = "dead-peer"};
     case Fact::kTransferGiveUp: return {.counter = "core.degrade.transfer_give_ups"};
     case Fact::kQosDowngrade: return {.counter = "core.degrade.downgrades",
                                       .event = "qos-downgrade", .flight = FlightKind::kQosDowngrade,
@@ -422,8 +424,6 @@ class ReplicaServer {
                     .node = node(),
                     .at = at});
   }
-  /// Bump `peer`'s `core.primary.peer.nodeN.<what>` counter, cached in `slot`.
-  void count_peer(net::NodeId peer, telemetry::Counter*& slot, const char* what);
 
   /// Primary-side record of an active downgrade: the original spec to
   /// restore, and when the downgrade was issued.
@@ -517,9 +517,6 @@ class ReplicaServer {
     net::Endpoint endpoint{};
     std::map<ObjectId, std::uint64_t> acked;
     std::unique_ptr<FailureDetector> detector;
-    /// core.primary.peer.nodeN.{acks,dead}, resolved on first use.
-    telemetry::Counter* acks = nullptr;
-    telemetry::Counter* dead = nullptr;
   };
 
   void handle_message(xkernel::Message& msg, const xkernel::MsgAttrs& attrs);

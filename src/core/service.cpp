@@ -5,7 +5,8 @@
 namespace rtpb::core {
 
 namespace {
-/// "<service> primary=node<N>": `a` is the interned service name.
+/// The kStart detail, "<service> primary=node<N>": `a` is the interned
+/// service name.
 void render_start(const telemetry::Hub& hub, const telemetry::Event& e, telemetry::Part,
                   std::string& out) {
   telemetry::append(out, hub.text(static_cast<telemetry::TextId>(e.a)), " primary=node", e.b);
@@ -13,7 +14,10 @@ void render_start(const telemetry::Hub& hub, const telemetry::Event& e, telemetr
 }  // namespace
 
 RtpbService::RtpbService(ServiceParams params)
-    : params_(std::move(params)), sim_(params_.seed), network_(sim_) {
+    : params_(std::move(params)),
+      sim_(params_.seed),
+      network_(sim_),
+      facts_("service", &render_start, &sim_.telemetry()) {
   RTPB_EXPECTS(params_.backup_count >= 1);
   primary_ = std::make_unique<ReplicaServer>(sim_, network_, names_, params_.config, metrics_,
                                              Role::kPrimary, params_.service_name);
@@ -102,15 +106,9 @@ void RtpbService::start() {
   RTPB_EXPECTS(!started_);
   started_ = true;
   telemetry::Hub& hub = sim_.telemetry();
-  if (hub.enabled()) {
-    hub.registry().gauge("core.service.backups").set(static_cast<double>(backups_.size()));
-    hub.record({.at = hub.now(),
-                .a = hub.intern(params_.service_name),
-                .b = primary_->node(),
-                .render = &render_start,
-                .track = hub.intern("service"),
-                .name = hub.intern("start")});
-  }
+  facts_.emit(ServiceFact::kStart, {.a = hub.enabled() ? hub.intern(params_.service_name) : 0,
+                                    .b = primary_->node(),
+                                    .value = static_cast<std::int64_t>(backups_.size())});
   primary_->start();
   for (auto& b : backups_) b->start();
 }

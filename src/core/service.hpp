@@ -19,8 +19,20 @@
 #include "sim/simulator.hpp"
 #include "store/device.hpp"
 #include "store/durable_store.hpp"
+#include "telemetry/facts.hpp"
 
 namespace rtpb::core {
+
+/// The facts an RtpbService reports: its start, with the backup count.
+enum class ServiceFact : std::uint8_t { kStart, kCount };
+
+constexpr telemetry::FactSinks<ServiceFact> fact_sinks(ServiceFact f) {
+  switch (f) {
+    case ServiceFact::kStart: return {.event = "start", .gauge = "core.service.backups"};
+    case ServiceFact::kCount: break;
+  }
+  return {};
+}
 
 struct ServiceParams {
   std::uint64_t seed = 1;
@@ -140,6 +152,7 @@ class RtpbService {
   /// Empty unless params_.durable.
   std::vector<std::unique_ptr<ReplicaStorage>> storage_;
   bool started_ = false;
+  telemetry::Facts<ServiceFact> facts_;  ///< on track "service"
 
   void wire_backup_hooks();
   /// Non-successor backup lost the primary: poll the name service until

@@ -293,8 +293,8 @@ TEST(TransferRetry, BackoffLadderCapsAndSuspectsTheSilentPeer) {
   EXPECT_EQ(facts::counter(hub, "core.degrade.transfer_give_ups"),
             facts::sum(service, &ReplicaServer::transfer_give_ups));
   // Each give-up suspects the silent peer through the heartbeat's path.
-  EXPECT_EQ(facts::counter(hub, "core.primary.peer.node" + std::to_string(b) + ".dead"),
-            service.primary().transfer_give_ups());
+  EXPECT_EQ(facts::peer_events(hub, "dead-peer", b), service.primary().transfer_give_ups());
+  EXPECT_EQ(facts::counter(hub, "core.primary.dead_peers"), facts::events(hub, "dead-peer"));
 }
 
 TEST(TransferRetry, HealthyTransferNeverHitsTheCap) {

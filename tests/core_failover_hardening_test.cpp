@@ -264,14 +264,14 @@ TEST(PerPeerAcks, FastBackupAckDoesNotCancelRetransmissionForLaggingPeer) {
   const std::uint64_t v1 = service.backups()[1]->read(1)->version;
   EXPECT_NEAR(static_cast<double>(v1), static_cast<double>(v0), 5.0);
   EXPECT_GT(service.primary().peer_acked_version(lagging, 1), 0u);
-  // Each backup's acks land on its own per-peer counter at the primary
+  // Each backup's acks land at the primary as peer-ack events naming it
   // (the last few may still be in flight).
   for (const auto& backup : service.backups()) {
-    const std::uint64_t acks = facts::counter(
-        hub, "core.primary.peer.node" + std::to_string(backup->node()) + ".acks");
+    const std::uint64_t acks = facts::peer_events(hub, "peer-ack", backup->node());
     EXPECT_GT(acks, 0u);
     EXPECT_LE(acks, backup->acks_sent());
   }
+  EXPECT_EQ(facts::counter(hub, "core.primary.peer_acks"), facts::events(hub, "peer-ack"));
 }
 
 // ---------------------------------------------------------------------------

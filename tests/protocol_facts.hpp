@@ -29,6 +29,18 @@ inline std::uint64_t events(const telemetry::Hub& hub, const std::string& name) 
   return n;
 }
 
+/// Retained Hub events named `name` about peer `node`, which a per-peer
+/// fact carries in its value field.
+inline std::uint64_t peer_events(const telemetry::Hub& hub, const std::string& name,
+                                 std::uint32_t node) {
+  EXPECT_EQ(hub.dropped_events(), 0u) << "event ring too small to count '" << name << "'";
+  std::uint64_t n = 0;
+  for (const telemetry::Event& e : hub.events()) {
+    if (hub.name_of(e) == name && e.d == node) ++n;
+  }
+  return n;
+}
+
 /// `getter` summed over every replica of `service`.
 inline std::uint64_t sum(const core::RtpbService& service,
                          std::uint64_t (core::ReplicaServer::*getter)() const) {
