@@ -7,7 +7,6 @@
 // interface and can be stacked in any compatible order.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -24,27 +23,6 @@ namespace rtpb::xkernel {
 struct MsgAttrs {
   net::Endpoint src;
   net::Endpoint dst;
-};
-
-/// An open channel through a protocol (x-kernel's session object): the
-/// demux keys are fixed at open time, so per-message work is reduced to
-/// prepending a precomputed header template.  Obtained via a protocol's
-/// open() and used for repeated sends to the same participant.
-class Session {
- public:
-  virtual ~Session() = default;
-  Session(const Session&) = delete;
-  Session& operator=(const Session&) = delete;
-
-  /// xPush on the open channel.
-  virtual void push(Message& msg) = 0;
-  [[nodiscard]] const net::Endpoint& remote() const { return remote_; }
-  [[nodiscard]] const net::Endpoint& local() const { return local_; }
-
- protected:
-  Session(net::Endpoint local, net::Endpoint remote) : local_(local), remote_(remote) {}
-  net::Endpoint local_;
-  net::Endpoint remote_;
 };
 
 /// What happens to messages in the four protocols.  A fact also counted

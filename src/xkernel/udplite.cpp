@@ -71,27 +71,6 @@ void UdpLite::push(Message& msg, const MsgAttrs& attrs) {
   down()->push(msg, attrs);
 }
 
-namespace {
-class UdpSession final : public Session {
- public:
-  UdpSession(UdpLite& udp, net::Endpoint local, net::Endpoint remote)
-      : Session(local, remote), udp_(udp) {
-    attrs_.src = local;
-    attrs_.dst = remote;
-  }
-  void push(Message& msg) override { udp_.push(msg, attrs_); }
-
- private:
-  UdpLite& udp_;
-  MsgAttrs attrs_;
-};
-}  // namespace
-
-std::unique_ptr<Session> UdpLite::open(net::Endpoint local, net::Endpoint remote) {
-  RTPB_EXPECTS(remote.node != net::kInvalidNode);
-  return std::make_unique<UdpSession>(*this, local, remote);
-}
-
 void UdpLite::demux(Message& msg, MsgAttrs& attrs) {
   if (msg.size() < kHeaderSize) {
     emit(LayerFact::kUdpRunt);

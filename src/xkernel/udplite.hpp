@@ -27,10 +27,6 @@ class UdpLite final : public Protocol {
   void push(Message& msg, const MsgAttrs& attrs) override;
   void demux(Message& msg, MsgAttrs& attrs) override;
 
-  /// xOpen: an outgoing channel to `remote` from `local`.  The session
-  /// caches everything except the per-message length and checksum.
-  [[nodiscard]] std::unique_ptr<Session> open(net::Endpoint local, net::Endpoint remote);
-
   /// Datagrams dropped as runts or for a length or checksum mismatch.
   [[nodiscard]] std::uint64_t checksum_failures() const {
     return count(LayerFact::kUdpChecksum);
