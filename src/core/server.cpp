@@ -87,7 +87,7 @@ ReplicaServer::~ReplicaServer() = default;
 void ReplicaServer::add_peer(net::Endpoint peer) {
   RTPB_EXPECTS(peer.node != net::kInvalidNode);
   peers_.push_back(peer);
-  peer_state_[peer.node].endpoint = peer;
+  peer_state_.try_emplace(peer.node);
 }
 
 void ReplicaServer::start() {
@@ -141,7 +141,6 @@ void ReplicaServer::start_heartbeat() {
 
 void ReplicaServer::ensure_detector(net::Endpoint peer) {
   PeerState& ps = peer_state_[peer.node];
-  ps.endpoint = peer;
   if (ps.detector && ps.detector->running()) return;
   // A replica recruited after start() may not have captured link
   // parameters yet — fetch them now so the derived ack timeout (and the
@@ -209,18 +208,16 @@ void ReplicaServer::on_peer_dead(net::NodeId peer) {
   sim_.schedule_after(Duration::zero(), [this, peer] { remove_peer(peer); });
 }
 
+bool ReplicaServer::is_peer(net::NodeId node) const {
+  return std::ranges::any_of(peers_, [node](const net::Endpoint& e) { return e.node == node; });
+}
+
 void ReplicaServer::remove_peer(net::NodeId peer) {
-  auto it = peer_state_.find(peer);
-  if (it != peer_state_.end()) {
-    if (it->second.detector) {
-      it->second.detector->stop();
-      retired_detectors_.push_back(std::move(it->second.detector));
-    }
+  if (auto it = peer_state_.find(peer); it != peer_state_.end()) {
+    retire(it->second);
     peer_state_.erase(it);
   }
-  peers_.erase(std::remove_if(peers_.begin(), peers_.end(),
-                              [peer](const net::Endpoint& e) { return e.node == peer; }),
-               peers_.end());
+  std::erase_if(peers_, [peer](const net::Endpoint& e) { return e.node == peer; });
   for (auto t = primary_.transfers.begin(); t != primary_.transfers.end();) {
     t->second.awaiting.erase(peer);
     t = t->second.awaiting.empty() ? primary_.transfers.erase(t) : std::next(t);
@@ -234,13 +231,14 @@ void ReplicaServer::remove_peer(net::NodeId peer) {
   }
 }
 
+void ReplicaServer::retire(PeerState& ps) {
+  if (!ps.detector) return;
+  ps.detector->stop();
+  retired_detectors_.push_back(std::move(ps.detector));
+}
+
 void ReplicaServer::clear_peers() {
-  for (auto& [n, ps] : peer_state_) {
-    if (ps.detector) {
-      ps.detector->stop();
-      retired_detectors_.push_back(std::move(ps.detector));
-    }
-  }
+  for (auto& [n, ps] : peer_state_) retire(ps);
   peer_state_.clear();
   peers_.clear();
 }
@@ -282,7 +280,7 @@ void ReplicaServer::crash() {
 void ReplicaServer::grow_frame_budget(std::size_t payload_bytes) {
   if (payload_bytes <= frame_budget_) return;
   frame_budget_ = payload_bytes;
-  if (link_params_ && admission_) {
+  if (link_params_) {
     const Duration ell = link_params_->delay_bound(frame_budget_);
     admission_->set_link_delay_bound(ell);
     RTPB_INFO("rtpb", "frame budget grown to %zu B; admission ℓ now %s", frame_budget_,
@@ -834,7 +832,7 @@ void ReplicaServer::qos_tick() {
 
 bool ReplicaServer::downgrade_object(ObjectId id) {
   RTPB_EXPECTS(role_ == Role::kPrimary);
-  if (!store_.contains(id) || qos_downgrade_active(id) || !admission_) return false;
+  if (!store_.contains(id) || qos_downgrade_active(id)) return false;
   // Widen the window δ_iB − δ_iP kDegradeWindowFactor-fold.
   constexpr std::int64_t kDegradeWindowFactor = 2;
   const ObjectSpec& original = store_.get(id).spec;
@@ -845,7 +843,7 @@ bool ReplicaServer::downgrade_object(ObjectId id) {
 
 bool ReplicaServer::restore_object(ObjectId id) {
   RTPB_EXPECTS(role_ == Role::kPrimary);
-  if (!qos_downgrade_active(id) || !store_.contains(id) || !admission_) return false;
+  if (!qos_downgrade_active(id) || !store_.contains(id)) return false;
   return renegotiate(id, objects_[id].primary.downgrade->original, /*downgrade=*/false);
 }
 
@@ -877,7 +875,7 @@ bool ReplicaServer::renegotiate(ObjectId id, ObjectSpec to, bool downgrade) {
   ObjectRecord& rec = objects_[id];
   const std::uint64_t seq = next_qos_seq_++;
   if (downgrade) {
-    rec.primary.downgrade = QosState{from, seq, sim_.now()};
+    rec.primary.downgrade = QosState{from, sim_.now()};
   } else {
     rec.primary.downgrade.reset();
   }
@@ -906,21 +904,10 @@ const ReplicaServer::ObjectRecord& ReplicaServer::record(ObjectId id) const {
   return it != objects_.end() ? it->second : kNone;
 }
 
-bool ReplicaServer::qos_downgrade_active(ObjectId id) const {
-  return record(id).primary.downgrade.has_value();
-}
-
-TimePoint ReplicaServer::qos_last_notice_at(ObjectId id) const {
-  return record(id).qos_notice_at;
-}
-
 void ReplicaServer::recruit_backup(net::Endpoint new_backup) {
   RTPB_EXPECTS(role_ == Role::kPrimary);
   RTPB_EXPECTS(!crashed_);
-  if (std::find(peers_.begin(), peers_.end(), new_backup) == peers_.end()) {
-    add_peer(new_backup);
-  }
-
+  if (!is_peer(new_backup.node)) add_peer(new_backup);
   begin_transfer(store_.ids(), {new_backup}, /*delta=*/false);
 }
 
@@ -1128,10 +1115,7 @@ void ReplicaServer::apply_transfer(std::uint64_t transfer_id,
   // Re-peer: a transfer from a node we do not follow is a recruitment —
   // after a failover the new primary recruits the surviving backups, and
   // they must stop heartbeating the dead (or deposed) old primary.
-  const bool known_peer =
-      std::find_if(peers_.begin(), peers_.end(),
-                   [&](const net::Endpoint& e) { return e.node == from.node; }) != peers_.end();
-  if (!known_peer) follow_new_primary(from);
+  if (!is_peer(from.node)) follow_new_primary(from);
 
   // Reorder guard: per-sender transfer ids are monotone, and deltas and
   // full transfers are totally ordered against each other.  Object entries
@@ -1471,11 +1455,7 @@ void ReplicaServer::handle(const wire::ResyncRequest& rq, net::Endpoint from) {
     return;
   }
 
-  if (std::find_if(peers_.begin(), peers_.end(), [&](const net::Endpoint& e) {
-        return e.node == from.node;
-      }) == peers_.end()) {
-    add_peer(from);
-  }
+  if (!is_peer(from.node)) add_peer(from);
 
   const auto dirty_count = static_cast<std::int64_t>(dirty.size());
   emit(Fact::kDeltaEntries, 0, 0, telemetry::kNoSpan, dirty_count);

@@ -331,10 +331,14 @@ class ReplicaServer {
   bool restore_object(ObjectId id);
   /// Whether `id` currently runs under a downgraded constraint issued by
   /// THIS replica as primary.
-  [[nodiscard]] bool qos_downgrade_active(ObjectId id) const;
+  [[nodiscard]] bool qos_downgrade_active(ObjectId id) const {
+    return record(id).primary.downgrade.has_value();
+  }
   /// When the last QoS notice (downgrade or restore) for `id` was sent
   /// (primary) or received (backup); TimePoint::zero() if never.
-  [[nodiscard]] TimePoint qos_last_notice_at(ObjectId id) const;
+  [[nodiscard]] TimePoint qos_last_notice_at(ObjectId id) const {
+    return record(id).qos_notice_at;
+  }
   [[nodiscard]] std::uint64_t qos_downgrades_sent() const { return count(Fact::kQosDowngrade); }
   [[nodiscard]] std::uint64_t qos_restores_sent() const { return count(Fact::kQosRestore); }
   [[nodiscard]] std::uint64_t qos_downgrades_received() const {
@@ -429,7 +433,6 @@ class ReplicaServer {
   /// restore, and when the downgrade was issued.
   struct QosState {
     ObjectSpec original;
-    std::uint64_t qos_seq = 0;
     TimePoint since{};
   };
   /// Everything this replica tracks per object besides its ObjectState,
@@ -511,10 +514,9 @@ class ReplicaServer {
     std::uint32_t resync_attempts = 0;
     bool resync_pending = false;
   };
-  /// Per-peer replication state (the tentpole 1→N generalisation): each
+  /// Per-peer replication state (the 1→N generalisation): each
   /// backup gets its own acked-version table and failure detector.
   struct PeerState {
-    net::Endpoint endpoint{};
     std::map<ObjectId, std::uint64_t> acked;
     std::unique_ptr<FailureDetector> detector;
   };
@@ -629,10 +631,13 @@ class ReplicaServer {
   void arm_qos_tick();
   /// A per-peer detector declared `peer` dead.
   void on_peer_dead(net::NodeId peer);
+  [[nodiscard]] bool is_peer(net::NodeId node) const;
   /// Drop `peer` from the replication set (detector, acks, transfers).
   void remove_peer(net::NodeId peer);
-  /// Stop every per-peer detector and park it in retired_ (safe even when
-  /// called from inside a detector callback), then forget all peers.
+  /// Stop `ps`'s detector and park it in retired_detectors_ (safe even
+  /// when called from inside a detector callback).
+  void retire(PeerState& ps);
+  /// Retire every per-peer detector, then forget all peers.
   void clear_peers();
   /// The one exit of each role: drop everything the role owns at once —
   /// the primary its update tasks, timers, staged batch, transfers and
