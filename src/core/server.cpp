@@ -611,14 +611,11 @@ void ReplicaServer::send_transfer(std::uint64_t transfer_id, const PendingTransf
   }
 }
 
-Duration ReplicaServer::transfer_retry_delay() {
-  return config_.degradation_enabled ? transfer_backoff_.next(rng_) : config_.ping_period * 2;
-}
-
 void ReplicaServer::arm_transfer_retry() {
   if (primary_.transfer_retry.pending()) return;
-  primary_.transfer_retry =
-      sim_.schedule_after(transfer_retry_delay(), [this] { retry_pending_registrations(); });
+  const Duration delay =
+      config_.degradation_enabled ? transfer_backoff_.next(rng_) : config_.ping_period * 2;
+  primary_.transfer_retry = sim_.schedule_after(delay, [this] { retry_pending_registrations(); });
 }
 
 void ReplicaServer::retry_pending_registrations() {
@@ -902,6 +899,14 @@ const ReplicaServer::ObjectRecord& ReplicaServer::record(ObjectId id) const {
   static const ObjectRecord kNone;
   const auto it = objects_.find(id);
   return it != objects_.end() ? it->second : kNone;
+}
+
+bool ReplicaServer::qos_downgrade_active(ObjectId id) const {
+  return record(id).primary.downgrade.has_value();
+}
+
+TimePoint ReplicaServer::qos_last_notice_at(ObjectId id) const {
+  return record(id).qos_notice_at;
 }
 
 void ReplicaServer::recruit_backup(net::Endpoint new_backup) {
@@ -1243,8 +1248,8 @@ void ReplicaServer::arm_watchdog(ObjectId id) {
   if (it == objects_.end() || it->second.backup.watchdog_period <= Duration::zero()) return;
   ObjectRecord::Backup& b = it->second.backup;
   b.watchdog.cancel();
+  // crash() and leave_backup() cancel it, so it fires only on a live backup.
   b.watchdog = sim_.schedule_after(b.watchdog_period * config_.watchdog_factor, [this, id] {
-    if (crashed_ || role_ != Role::kBackup) return;
     const ObjectState* state = store_.peek(id);
     if (state == nullptr) return;
     // Blame the newest span the primary minted for this object — that is

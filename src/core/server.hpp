@@ -331,14 +331,10 @@ class ReplicaServer {
   bool restore_object(ObjectId id);
   /// Whether `id` currently runs under a downgraded constraint issued by
   /// THIS replica as primary.
-  [[nodiscard]] bool qos_downgrade_active(ObjectId id) const {
-    return record(id).primary.downgrade.has_value();
-  }
+  [[nodiscard]] bool qos_downgrade_active(ObjectId id) const;
   /// When the last QoS notice (downgrade or restore) for `id` was sent
   /// (primary) or received (backup); TimePoint::zero() if never.
-  [[nodiscard]] TimePoint qos_last_notice_at(ObjectId id) const {
-    return record(id).qos_notice_at;
-  }
+  [[nodiscard]] TimePoint qos_last_notice_at(ObjectId id) const;
   [[nodiscard]] std::uint64_t qos_downgrades_sent() const { return count(Fact::kQosDowngrade); }
   [[nodiscard]] std::uint64_t qos_restores_sent() const { return count(Fact::kQosRestore); }
   [[nodiscard]] std::uint64_t qos_downgrades_received() const {
@@ -613,10 +609,9 @@ class ReplicaServer {
   /// A matched ping ack measured `rtt`: feed the overload detector and,
   /// in adaptive mode, retune every detector's ack timeout to the RTO.
   void on_rtt_sample(Duration rtt);
-  /// Delay before the next pending-transfer retry: exponential backoff
-  /// with seeded jitter when degradation is on, the fixed ping_period × 2
-  /// otherwise.
-  [[nodiscard]] Duration transfer_retry_delay();
+  /// Arm the pending-transfer retry unless it is armed: after an
+  /// exponential backoff with seeded jitter when degradation is on, the
+  /// fixed ping_period × 2 otherwise.
   void arm_transfer_retry();
   /// No transfer is pending any more: stop retrying, reset the backoff.
   void transfers_settled();
