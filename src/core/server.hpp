@@ -434,7 +434,8 @@ class ReplicaServer {
   /// Everything this replica tracks per object besides its ObjectState,
   /// grouped by lifetime.  It lives beside store_, not in it: restart()
   /// replaces the store wholesale and ObjectStore hands out copies, and
-  /// timer handles must not travel with either.
+  /// timer handles must not travel with either.  A default record means
+  /// "nothing tracked".
   struct ObjectRecord {
     struct Primary {  ///< dropped whole by leave_primary()
       /// The update-transmission task (§4.3) and the period it was added
