@@ -101,10 +101,8 @@ struct ChaosOptions : Observers {
   /// Replaces the plain crash family (same failover machinery), like
   /// enable_partition.
   bool enable_crash_restart = false;
-  /// Sabotage knob for the crash-restart arc: shear this many bytes off
-  /// the downed replica's WAL before it restarts (0 = off).  A torn
-  /// durable suffix forges exactly the bug the durable-recovery oracle
-  /// exists to catch — the harness canary asserts it fires.
+  /// The torn-write sabotage: shear this many bytes off the downed
+  /// replica's WAL before it restarts (0 = off).
   std::size_t torn_tail_bytes = 0;
 
   std::size_t objects = 4;  ///< workload size offered to admission

@@ -367,6 +367,28 @@ std::vector<Duration>* ExploreConfig::candidates(core::FaultKind kind) {
   }
 }
 
+bool plant(const chaos::Sabotage& mode, ExploreConfig& cfg) {
+  core::FaultKind exposes{};
+  if (mode.name == "no-failover") {
+    cfg.ping_max_misses = 1000000;
+    exposes = core::FaultKind::kCrashPrimary;
+  } else if (mode.name == "split-brain") {
+    cfg.epoch_fencing = false;
+    cfg.backups = 2;
+    exposes = core::FaultKind::kPartitionPrimary;
+  } else if (mode.name == "torn-write") {
+    cfg.torn_tail_bytes = 512;
+    exposes = core::FaultKind::kCrashRestartBackup;
+  } else {
+    return false;
+  }
+  for (const core::FaultKind kind : kCandidateKinds) cfg.candidates(kind)->clear();
+  cfg.candidates(exposes)->assign(1, millis(251));
+  cfg.bounds.fault_budget = 1;
+  cfg.bounds.drop_budget = 0;
+  return true;
+}
+
 core::Fault ExploreConfig::candidate(core::FaultKind kind, TimePoint at) const {
   const bool restarts = kind == core::FaultKind::kCrashRestartPrimary ||
                         kind == core::FaultKind::kCrashRestartBackup;

@@ -70,6 +70,7 @@
 #include <vector>
 
 #include "chaos/oracles.hpp"
+#include "chaos/sabotage.hpp"
 #include "chaos/schedule.hpp"
 #include "core/faults.hpp"
 #include "sim/choice.hpp"
@@ -93,8 +94,7 @@ struct ExploreConfig {
   std::size_t objects = 1;
   std::uint64_t service_seed = 1;
   bool epoch_fencing = true;  ///< false = the split-brain sabotage
-  /// Failure-detector misses before declaring (the no-failover sabotage
-  /// sets this absurdly high, exactly like the chaos mode).
+  /// Failure-detector misses before declaring (see plant()).
   std::uint32_t ping_max_misses = 3;
   /// Oracle grace declared around a chosen fault candidate (partition
   /// candidates declare twice this, matching the chaos schedule's
@@ -123,10 +123,8 @@ struct ExploreConfig {
   std::vector<Duration> crash_restart_primary_at;
   std::vector<Duration> crash_restart_backup_at;
   Duration restart_delay = millis(400);
-  /// Torn-write sabotage: when non-zero, a fired crash-restart candidate
-  /// also shears this many bytes off the victim's WAL tail while it is
-  /// down, so recovery silently loses acked updates — the durable-recovery
-  /// oracle must catch it (sabotage canary, like the chaos harness's).
+  /// The torn-write sabotage: a fired crash-restart candidate also shears
+  /// this many bytes off the victim's WAL tail while it is down (0 = off).
   std::size_t torn_tail_bytes = 0;
   ExploreBounds bounds;
   bool prune_visited = true;  ///< state-hash expansion pruning
@@ -149,6 +147,11 @@ inline constexpr core::FaultKind kCandidateKinds[] = {
     core::FaultKind::kAddStandby,          core::FaultKind::kPartitionPrimary,
     core::FaultKind::kCrashRestartPrimary, core::FaultKind::kCrashRestartBackup,
 };
+
+/// Plant sabotage `mode` into `cfg`: its bug, and the one fault candidate
+/// that exposes it (at 251 ms, budget 1, no frame drops) in place of all
+/// others.  False, with `cfg` untouched, for a mode it cannot plant.
+[[nodiscard]] bool plant(const chaos::Sabotage& mode, ExploreConfig& cfg);
 
 /// One recorded decision of a trajectory.
 struct Choice {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <ostream>
 #include <utility>
 
 #include "psim/partitioned.hpp"
@@ -100,35 +99,6 @@ ParallelSeedReport run_parallel_seed(std::uint64_t seed, const chaos::ChaosOptio
     report.frontier_records_ingested += partitions[s]->records_ingested();
   }
   return report;
-}
-
-ParallelSweepResult run_parallel_sweep(std::uint64_t first_seed, std::size_t count,
-                                       const chaos::ChaosOptions& opts, std::size_t threads,
-                                       std::ostream* progress) {
-  ParallelSweepResult result;
-  for (std::size_t i = 0; i < count; ++i) {
-    ParallelSeedReport report = run_parallel_seed(first_seed + i, opts, threads);
-    ++result.seeds_run;
-    result.total_checks += report.oracle_checks();
-    if (progress != nullptr) *progress << report.summary() << "\n";
-    if (!report.ok()) {
-      if (progress != nullptr) {
-        for (std::size_t s = 0; s < report.shard_reports.size(); ++s) {
-          const chaos::SeedReport& r = report.shard_reports[s];
-          if (r.ok()) continue;
-          for (const chaos::OracleViolation& v : r.violations) {
-            *progress << "  shard " << s << " [" << v.at.to_string() << "] " << v.oracle
-                      << ": " << v.detail << "\n";
-          }
-          *progress << "  replay: classic harness, seed "
-                    << static_cast<unsigned long long>(r.seed) << "\n"
-                    << r.reproducer;
-        }
-      }
-      result.failures.push_back(std::move(report));
-    }
-  }
-  return result;
 }
 
 }  // namespace rtpb::psim

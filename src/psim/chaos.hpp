@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -56,19 +55,5 @@ struct ParallelSeedReport {
 [[nodiscard]] ParallelSeedReport run_parallel_seed(std::uint64_t seed,
                                                    const chaos::ChaosOptions& opts,
                                                    std::size_t threads);
-
-struct ParallelSweepResult {
-  std::size_t seeds_run = 0;
-  std::vector<ParallelSeedReport> failures;
-  std::uint64_t total_checks = 0;
-  [[nodiscard]] bool ok() const { return failures.empty(); }
-};
-
-/// Run parallel seeds [first_seed, first_seed + count).
-[[nodiscard]] ParallelSweepResult run_parallel_sweep(std::uint64_t first_seed,
-                                                     std::size_t count,
-                                                     const chaos::ChaosOptions& opts,
-                                                     std::size_t threads,
-                                                     std::ostream* progress = nullptr);
 
 }  // namespace rtpb::psim

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "chaos/harness.hpp"
+#include "chaos/sabotage.hpp"
 
 namespace rtpb::chaos {
 namespace {
@@ -73,11 +74,8 @@ TEST(ChaosMultiBackup, FencedPartitionResolvesSplitBrain) {
 
 TEST(ChaosMultiBackup, UnfencedPartitionIsCaughtByCrossEpochOracle) {
   ChaosOptions opts;
-  opts.backups = 2;
   opts.duration = seconds(14);
-  opts.enable_partition = true;
-  opts.enable_crashes = false;
-  opts.config.epoch_fencing = false;
+  find_sabotage("split-brain")->plant(opts);
 
   const SeedReport report = run_seed(1, opts);
   ASSERT_FALSE(report.ok()) << "disabled fencing under a partition must be caught";

@@ -1,9 +1,15 @@
 // The oracles must stay quiet on a healthy-but-stormy service and must
 // fire when the service is deliberately broken.  Both directions matter:
-// a silent oracle proves nothing until it has caught a planted bug.
+// a silent oracle proves nothing until it has caught a planted bug, and
+// every planted bug (chaos/sabotage.hpp) must be caught by its own oracle.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "chaos/harness.hpp"
+#include "chaos/sabotage.hpp"
 
 namespace rtpb::chaos {
 namespace {
@@ -37,9 +43,7 @@ TEST(ChaosOracles, DisabledFailoverIsCaughtWithReproducer) {
   // never declares.  The primary crashes, nobody takes over, and the
   // exactly-one-primary oracle must fire once the declared epoch closes.
   ChaosOptions opts;
-  opts.config.ping_max_misses = 1000000;
-  opts.crash_probability = 1.0;
-  opts.crash_backup_bias = 0.0;
+  find_sabotage("no-failover")->plant(opts);
 
   const SeedReport report = run_seed(7, opts);
   ASSERT_FALSE(report.ok()) << "sabotaged failover must be caught";
@@ -62,11 +66,7 @@ TEST(ChaosOracles, SlowUpdatesAreCaughtByStalenessWindow) {
   // violations and the staleness oracle must fire.
   ChaosOptions opts;
   opts.duration = seconds(5);
-  opts.config.update_period_override = millis(800);
-  opts.config.admission_control_enabled = false;
-  opts.enable_loss_storms = false;
-  opts.enable_link_faults = false;
-  opts.enable_crashes = false;
+  find_sabotage("slow-updates")->plant(opts);
 
   const SeedReport report = run_seed(1, opts);
   ASSERT_FALSE(report.ok());
@@ -80,16 +80,44 @@ TEST(ChaosOracles, SlowUpdatesAreCaughtByStalenessWindow) {
 TEST(ChaosOracles, ViolationCountKeepsCountingPastStorageCap) {
   ChaosOptions opts;
   opts.duration = seconds(10);
-  opts.config.update_period_override = millis(800);
-  opts.config.admission_control_enabled = false;
-  opts.enable_loss_storms = false;
-  opts.enable_link_faults = false;
-  opts.enable_crashes = false;
+  find_sabotage("slow-updates")->plant(opts);
 
   const SeedReport report = run_seed(2, opts);
   ASSERT_FALSE(report.ok());
   EXPECT_GE(report.violation_count, report.violations.size());
 }
+
+/// The table's mode names: gtest prints them (a row would print as bytes).
+std::vector<std::string_view> sabotage_names() {
+  std::vector<std::string_view> names;
+  for (const Sabotage& s : kSabotages) names.push_back(s.name);
+  return names;
+}
+
+class SabotageTable : public ::testing::TestWithParam<std::string_view> {};
+
+TEST_P(SabotageTable, SelfTestSweepFiresItsOwnOracle) {
+  // chaos_main --seeds <seeds> --sabotage <mode> at default options: some
+  // seed must fire the mode's own oracle, not merely some oracle.
+  const Sabotage& mode = *find_sabotage(GetParam());
+  ChaosOptions opts;
+  mode.plant(opts);
+  bool caught = false;
+  for (std::uint64_t seed = 0; seed < mode.seeds && !caught; ++seed) {
+    caught = mode.caught_by(run_seed(seed, opts).violations);
+  }
+  EXPECT_TRUE(caught) << mode.name << " was not caught by " << mode.oracle << " in "
+                      << mode.seeds << " seeds";
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, SabotageTable, ::testing::ValuesIn(sabotage_names()),
+                         [](const ::testing::TestParamInfo<std::string_view>& param_info) {
+                           std::string name(param_info.param);
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace rtpb::chaos

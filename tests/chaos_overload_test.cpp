@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "chaos/harness.hpp"
+#include "chaos/sabotage.hpp"
 
 namespace rtpb::chaos {
 namespace {
@@ -90,10 +91,11 @@ TEST(ChaosOverload, SameSeedTwiceIsBitIdentical) {
 TEST(ChaosOverload, SweepStaysCleanWithDegradationOn) {
   // With shedding + renegotiation enabled, overload seeds must produce
   // zero oracle violations: every window excursion is announced.
-  ChaosOptions opts = overload_opts();
-  const SweepResult result = run_sweep(0, 6, opts);
-  EXPECT_TRUE(result.ok()) << result.failures.size() << " seed(s) failed";
-  EXPECT_EQ(result.seeds_run, 6u);
+  const ChaosOptions opts = overload_opts();
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const SeedReport report = run_seed(seed, opts);
+    EXPECT_TRUE(report.ok()) << report.summary() << "\n" << report.reproducer;
+  }
 }
 
 TEST(ChaosOverload, DegradationActivityShowsUpInTheReport) {
@@ -106,23 +108,20 @@ TEST(ChaosOverload, DegradationActivityShowsUpInTheReport) {
 
 TEST(ChaosOverload, NoSheddingSabotageIsCaughtByTheSilentViolationOracle) {
   // The oracle self-test: degradation off under pure overload must be
-  // caught, and caught *as* a silent violation (mirrors chaos_main's
-  // --sabotage no-shedding driver).
+  // caught, and caught *as* a silent violation.
   ChaosOptions opts;
-  opts.config.degradation_enabled = false;
-  opts.enable_overload = true;
-  opts.enable_loss_storms = false;
-  opts.enable_link_faults = false;
-  opts.enable_crashes = false;
+  find_sabotage("no-shedding")->plant(opts);
 
-  const SweepResult result = run_sweep(0, 3, opts);
-  ASSERT_FALSE(result.ok()) << "sabotage was not caught — oracle gap";
+  bool failed = false;
   bool silent = false;
-  for (const SeedReport& rep : result.failures) {
-    for (const OracleViolation& v : rep.violations) {
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    const SeedReport report = run_seed(seed, opts);
+    failed = failed || !report.ok();
+    for (const OracleViolation& v : report.violations) {
       if (v.oracle == "no-silent-violation") silent = true;
     }
   }
+  ASSERT_TRUE(failed) << "sabotage was not caught — oracle gap";
   EXPECT_TRUE(silent) << "must be caught by no-silent-violation specifically";
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "chaos/harness.hpp"
+#include "chaos/sabotage.hpp"
 
 namespace rtpb::chaos {
 namespace {
@@ -41,17 +42,13 @@ struct TempArtifact {
   const std::string path;
 };
 
-/// The slow-updates sabotage from chaos_main: transmission period far
-/// beyond every negotiated window, admission control off, zero faults —
-/// staleness oracles must fire deterministically.
+/// The slow-updates sabotage: transmission period far beyond every
+/// negotiated window, admission control off, zero faults — staleness
+/// oracles must fire deterministically.
 ChaosOptions sabotaged_opts() {
   ChaosOptions opts;
   opts.duration = seconds(6);
-  opts.config.update_period_override = millis(800);
-  opts.config.admission_control_enabled = false;
-  opts.enable_loss_storms = false;
-  opts.enable_link_faults = false;
-  opts.enable_crashes = false;
+  find_sabotage("slow-updates")->plant(opts);
   return opts;
 }
 

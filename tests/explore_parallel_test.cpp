@@ -84,12 +84,7 @@ TEST_F(ExploreParallel, SplitBrainCounterexampleIsTheSameAtEveryThreadCount) {
   // Runners speculate past the violation, and minimize() runs each greedy
   // round's flips in parallel: the artifact must still be byte-identical.
   explore::ExploreConfig cfg;
-  cfg.backups = 2;
-  cfg.objects = 1;
-  cfg.epoch_fencing = false;
-  cfg.partition_at.push_back(millis(251));
-  cfg.bounds.fault_budget = 1;
-  cfg.bounds.drop_budget = 0;
+  ASSERT_TRUE(explore::plant(*chaos::find_sabotage("split-brain"), cfg));
   const explore::ExploreReport serial = explore::explore(cfg, nullptr, 1);
   ASSERT_EQ(serial.counterexamples.size(), 1u) << serial.summary();
   EXPECT_EQ(serial.counterexamples.front().oracle, "cross-epoch-apply");

@@ -7,8 +7,13 @@
 //      sweep with zero violations (the explorer finds nothing to report);
 //   2. a sabotaged configuration (fencing off under a partition) yields a
 //      counterexample for the right oracle, the artifact round-trips
-//      through its text form, and the replay reproduces the violation.
+//      through its text form, and the replay reproduces the violation;
+//      every mode the explorer can plant is caught by its own oracle.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "explore/explorer.hpp"
 #include "util/log.hpp"
@@ -41,12 +46,7 @@ explore::ExploreConfig healthy_two_node() {
 
 explore::ExploreConfig split_brain_sabotage() {
   explore::ExploreConfig cfg;
-  cfg.backups = 2;
-  cfg.objects = 1;
-  cfg.epoch_fencing = false;
-  cfg.partition_at.push_back(millis(251));
-  cfg.bounds.fault_budget = 1;
-  cfg.bounds.drop_budget = 0;
+  EXPECT_TRUE(explore::plant(*chaos::find_sabotage("split-brain"), cfg));
   return cfg;
 }
 
@@ -190,6 +190,44 @@ TEST_F(ExploreTest, ReductionsOnlyPrune_NeverChangeTheVerdict) {
   EXPECT_TRUE(full.ok());
   EXPECT_GE(full.trajectories, pruned.trajectories);
 }
+
+/// The sabotage modes the explorer can plant, by name (gtest prints them).
+std::vector<std::string_view> explorer_sabotages() {
+  std::vector<std::string_view> names;
+  for (const chaos::Sabotage& s : chaos::kSabotages) {
+    explore::ExploreConfig probe;
+    if (explore::plant(s, probe)) names.push_back(s.name);
+  }
+  return names;
+}
+
+TEST(ExploreSabotageModes, TheExplorerPlantsThreeModes) {
+  EXPECT_EQ(explorer_sabotages(),
+            (std::vector<std::string_view>{"no-failover", "split-brain", "torn-write"}));
+}
+
+class ExploreSabotage : public ::testing::TestWithParam<std::string_view> {
+ protected:
+  void SetUp() override { Logger::instance().set_level(LogLevel::kError); }
+};
+
+TEST_P(ExploreSabotage, CounterexampleNamesItsOwnOracle) {
+  const chaos::Sabotage& mode = *chaos::find_sabotage(GetParam());
+  explore::ExploreConfig cfg;
+  ASSERT_TRUE(explore::plant(mode, cfg));
+  const explore::ExploreReport report = explore::explore(cfg);
+  ASSERT_FALSE(report.counterexamples.empty()) << report.summary();
+  EXPECT_EQ(report.counterexamples.front().oracle, mode.oracle);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ExploreSabotage, ::testing::ValuesIn(explorer_sabotages()),
+                         [](const ::testing::TestParamInfo<std::string_view>& param_info) {
+                           std::string name(param_info.param);
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace rtpb

@@ -11,34 +11,34 @@
 //   chaos_main --seeds 16 --duration-ms 30000 --intensity 2
 //   chaos_main --seeds 8 --sabotage no-failover   # oracle self-test
 //
-// The --sabotage modes deliberately break the service to prove the
-// oracles catch real bugs: `no-failover` lobotomises the failure
-// detector so a primary crash is never failed over (exactly-one-primary
-// must fire), `slow-updates` forces an 800 ms transmission period that
-// dwarfs every negotiated window (staleness-window must fire),
-// `split-brain` disables epoch fencing under a primary↔successor
-// partition so the deposed primary keeps feeding stale-epoch updates to
-// the surviving backup (cross-epoch-apply must fire), and `no-shedding`
-// turns graceful degradation off under pure overload faults so windows
-// are violated with no renegotiation notice (no-silent-violation must
-// fire).
+// --sabotage plants a bug of chaos/sabotage.hpp's table (no-failover,
+// slow-updates, split-brain, no-shedding or torn-write) and exits 0 only
+// if that mode's own oracle catches it.
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "chaos/harness.hpp"
+#include "chaos/sabotage.hpp"
+#include "cli.hpp"
 #include "explore/explorer.hpp"
 #include "psim/chaos.hpp"
 #include "util/log.hpp"
 
 namespace {
+
+void print_violations(const std::vector<rtpb::chaos::OracleViolation>& violations,
+                      const std::string& indent) {
+  for (const rtpb::chaos::OracleViolation& v : violations) {
+    std::cout << indent << "[" << v.at.to_string() << "] " << v.oracle << ": " << v.detail << "\n";
+  }
+}
 
 /// Replay a counterexample artifact emitted by explore_main --emit.
 /// Exit 0 iff the recorded oracle violation reproduces.
@@ -58,15 +58,13 @@ int replay_counterexample(const std::string& path) {
   std::cout << "replaying counterexample (" << ce->trace.size() << " decisions, oracle "
             << ce->oracle << ")\n";
   const rtpb::explore::TrajectoryResult res = rtpb::explore::replay(*ce);
-  for (const rtpb::chaos::OracleViolation& v : res.violations) {
-    std::cout << "  [" << v.at.to_string() << "] " << v.oracle << ": " << v.detail << "\n";
-  }
+  print_violations(res.violations, "  ");
   if (!rtpb::explore::reproduces(res, ce->oracle)) {
     std::cout << "counterexample did NOT reproduce '" << ce->oracle << "'\n";
     return 1;
   }
-  std::cout << "counterexample reproduced '" << ce->oracle << "'\n";
-  std::cout << "FaultPlan reproducer:\n" << ce->fault_plan();
+  std::cout << "counterexample reproduced '" << ce->oracle << "'\nFaultPlan reproducer:\n"
+            << ce->fault_plan();
   return 0;
 }
 
@@ -80,18 +78,13 @@ void usage(const char* argv0) {
             << "  --objects N        objects offered per seed (default 4)\n"
             << "  --backups N        backups in the replication chain (default 1)\n"
             << "  --shards N         shard the workload over N shards and add\n"
-            << "                     shard-scoped loss storms (default 1 = off;\n"
-            << "                     1 keeps digests identical to unsharded builds)\n"
-            << "  --threads N        partitioned engine — one experiment per\n"
-            << "                     shard (needs --shards >= 2), advanced in\n"
-            << "                     lock-stepped lookahead windows on N workers;\n"
-            << "                     per-shard digests are thread-count-invariant,\n"
-            << "                     so N = 1 is the one-worker reference.  Without\n"
-            << "                     --threads (N = 0), or at N = 1 with --shards 1,\n"
-            << "                     the run takes the classic sequential path,\n"
-            << "                     byte-identical to previous builds.  Shards\n"
-            << "                     attach no observers: the partitioned engine\n"
-            << "                     refuses the observer flags below (exit 2)\n"
+            << "                     shard-scoped loss storms (default 1 = off)\n"
+            << "  --threads N        partitioned engine: one experiment per shard\n"
+            << "                     (needs --shards >= 2) in lock-stepped windows on\n"
+            << "                     N workers; digests do not depend on N.  0 (the\n"
+            << "                     default), or 1 with --shards 1, is the classic\n"
+            << "                     path.  Shards attach no observers, so it refuses\n"
+            << "                     the observer flags below (exit 2)\n"
             << "  --no-crashes       disable crash/recruit scenarios\n"
             << "  --no-batch         send one kUpdate frame per object instead of\n"
             << "                     coalescing into kUpdateBatch (different digests)\n"
@@ -102,9 +95,12 @@ void usage(const char* argv0) {
             << "  --crash-restart    durable replicas: crash one mid-run and power it\n"
             << "                     back up from WAL + checkpoint (incremental rejoin;\n"
             << "                     replaces the plain crash family)\n"
-            << "  --sabotage MODE    none | no-failover | slow-updates | split-brain |\n"
-            << "                     no-shedding | torn-write\n"
-            << "  --log-warnings     keep service WARN lines (hidden by default)\n"
+            << "  --sabotage MODE    plant a bug (default none); exit 0 iff the oracle\n"
+            << "                     in parentheses catches it:\n";
+  for (const rtpb::chaos::Sabotage& s : rtpb::chaos::kSabotages) {
+    std::cerr << "                       " << s.name << " (" << s.oracle << ")\n";
+  }
+  std::cerr << "  --log-warnings     keep service WARN lines (hidden by default)\n"
             << "  --telemetry        collect causal spans + metrics (per-seed summary)\n"
             << "  --trace-out FILE   write a Chrome trace (Perfetto-loadable) for the\n"
             << "                     last seed run; implies --telemetry\n"
@@ -124,10 +120,33 @@ void usage(const char* argv0) {
             << "                     exit 0 iff its oracle violation reproduces\n";
 }
 
+/// What a single seed's observers collected (a sweep prints only summaries).
+void print_observers(const rtpb::chaos::SeedReport& report,
+                     const rtpb::chaos::ChaosOptions& opts) {
+  if (opts.telemetry) {
+    std::cout << "telemetry: " << report.spans_started << " spans (" << report.spans_violated
+              << " violated)\n"
+              << report.metrics_json << "\n";
+  }
+  if (report.flight_events > 0) {
+    std::cout << "flight recorder: " << report.flight_events << " events recorded";
+    if (report.postmortem_written) {
+      std::cout << ", post-mortem (" << report.postmortem_reason << ") -> "
+                << opts.postmortem_path;
+    }
+    std::cout << "\n";
+  }
+  if (report.health_snapshots > 0) {
+    std::cout << "health feed: " << report.health_snapshots << " snapshots -> "
+              << opts.health_jsonl_path << "\n";
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using rtpb::chaos::ChaosOptions;
+  using rtpb::chaos::SeedReport;
 
   std::uint64_t first_seed = 0;
   std::size_t count = 16;
@@ -143,39 +162,33 @@ int main(int argc, char** argv) {
       "--telemetry",       "--trace-out",  "--jsonl-out", "--metrics-out",
       "--flight-recorder", "--postmortem", "--health-out"};
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+  rtpb::cli::Args args(argc, argv);
+  while (args.next()) {
+    const std::string& arg = args.flag();
     if (observer_flag.empty() &&
         std::find(kObserverFlags.begin(), kObserverFlags.end(), arg) != kObserverFlags.end()) {
       observer_flag = arg;
     }
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (arg == "--seeds") {
-      count = std::strtoull(next(), nullptr, 10);
+      count = args.number<std::size_t>();
     } else if (arg == "--first-seed") {
-      first_seed = std::strtoull(next(), nullptr, 10);
+      first_seed = args.number<std::uint64_t>();
     } else if (arg == "--seed") {
-      first_seed = std::strtoull(next(), nullptr, 10);
+      first_seed = args.number<std::uint64_t>();
       count = 1;
       single = true;
     } else if (arg == "--duration-ms") {
-      opts.duration = rtpb::millis(std::strtoll(next(), nullptr, 10));
+      opts.duration = args.millis();
     } else if (arg == "--intensity") {
-      opts.intensity = std::strtod(next(), nullptr);
+      opts.intensity = args.number<double>();
     } else if (arg == "--objects") {
-      opts.objects = std::strtoull(next(), nullptr, 10);
+      opts.objects = args.number<std::size_t>();
     } else if (arg == "--backups") {
-      opts.backups = std::strtoull(next(), nullptr, 10);
+      opts.backups = args.number<std::size_t>(1);
     } else if (arg == "--shards") {
-      opts.shards = std::strtoull(next(), nullptr, 10);
+      opts.shards = args.number<std::size_t>(1);
     } else if (arg == "--threads") {
-      threads = std::strtoull(next(), nullptr, 10);
+      threads = args.number<std::size_t>();
     } else if (arg == "--no-crashes") {
       opts.enable_crashes = false;
     } else if (arg == "--no-batch") {
@@ -187,31 +200,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--crash-restart") {
       opts.enable_crash_restart = true;
     } else if (arg == "--sabotage") {
-      sabotage = next();
+      sabotage = args.value();
     } else if (arg == "--log-warnings") {
       log_warnings = true;
     } else if (arg == "--telemetry") {
       opts.telemetry = true;
     } else if (arg == "--trace-out") {
-      opts.trace_json_path = next();
+      opts.trace_json_path = args.value();
       opts.telemetry = true;
     } else if (arg == "--jsonl-out") {
-      opts.trace_jsonl_path = next();
+      opts.trace_jsonl_path = args.value();
       opts.telemetry = true;
     } else if (arg == "--metrics-out") {
-      opts.metrics_json_path = next();
+      opts.metrics_json_path = args.value();
       opts.telemetry = true;
     } else if (arg == "--flight-recorder") {
       opts.flight_recorder = true;
     } else if (arg == "--postmortem") {
-      opts.postmortem_path = next();
+      opts.postmortem_path = args.value();
       opts.flight_recorder = true;
     } else if (arg == "--health-out") {
-      opts.health_jsonl_path = next();
+      opts.health_jsonl_path = args.value();
     } else if (arg == "--health-period-ms") {
-      opts.health_period = rtpb::millis(std::strtoll(next(), nullptr, 10));
+      opts.health_period = args.millis(1);
     } else if (arg == "--replay") {
-      return replay_counterexample(next());
+      return replay_counterexample(args.value());
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -228,61 +241,25 @@ int main(int argc, char** argv) {
     rtpb::Logger::instance().set_level(rtpb::LogLevel::kError);
   }
 
-  if (sabotage == "no-failover") {
-    // Failure detector never declares: a crashed primary stays dead and
-    // unreplaced.  exactly-one-primary must catch this on crash seeds.
-    opts.config.ping_max_misses = 1000000;
-    opts.crash_probability = 1.0;
-    opts.crash_backup_bias = 0.0;  // always crash the primary
-  } else if (sabotage == "slow-updates") {
-    // Transmission period far beyond every negotiated window: distances
-    // grow unbounded with zero faults.  staleness-window must catch it.
-    opts.config.update_period_override = rtpb::millis(800);
-    opts.config.admission_control_enabled = false;
-    opts.enable_loss_storms = false;
-    opts.enable_link_faults = false;
-    opts.enable_crashes = false;
-  } else if (sabotage == "split-brain") {
-    // Epoch fencing off under a primary↔successor partition: the deposed
-    // primary never steps down and keeps feeding stale-epoch updates to
-    // the surviving backup, which applies whichever versions run ahead.
-    // cross-epoch-apply must catch this.
-    opts.config.epoch_fencing = false;
-    opts.backups = 2;
-    opts.enable_partition = true;
-    opts.enable_crashes = false;
-  } else if (sabotage == "no-shedding") {
-    // Graceful degradation off under pure overload: the primary silently
-    // violates windows it never renegotiated.  no-silent-violation must
-    // catch this.  Other fault families are disabled so their declared
-    // epochs cannot excuse (or cause) the violations being judged.
-    opts.config.degradation_enabled = false;
-    opts.enable_overload = true;
-    opts.enable_loss_storms = false;
-    opts.enable_link_faults = false;
-    opts.enable_crashes = false;
-  } else if (sabotage == "torn-write") {
-    // Shear bytes off the downed replica's WAL mid-outage: the recovered
-    // image misses client-acked versions.  durable-recovery must catch it.
-    // Other fault families are off so every run is a crash-restart arc.
-    opts.enable_crash_restart = true;
-    opts.torn_tail_bytes = 512;
-    opts.enable_loss_storms = false;
-    opts.enable_link_faults = false;
-    opts.enable_crashes = false;
-  } else if (sabotage != "none") {
-    std::cerr << "unknown sabotage mode: " << sabotage << "\n";
-    return 2;
+  const rtpb::chaos::Sabotage* mode = nullptr;
+  if (sabotage != "none") {
+    mode = rtpb::chaos::find_sabotage(sabotage);
+    if (mode == nullptr) {
+      std::cerr << "unknown sabotage mode: " << sabotage << "\n";
+      return 2;
+    }
+    mode->plant(opts);
   }
 
-  if (threads > 1 || (threads == 1 && opts.shards >= 2)) {
-    // Partitioned engine: one experiment per shard on a worker pool.  The
-    // classic path below stays byte-identical without --threads.
+  // Partitioned engine: one experiment per shard on a worker pool.  The
+  // classic path stays byte-identical without --threads.
+  const bool parallel = threads > 1 || (threads == 1 && opts.shards >= 2);
+  if (parallel) {
     if (opts.shards < 2) {
       std::cerr << "--threads " << threads << " needs --shards >= 2 (one partition per shard)\n";
       return 2;
     }
-    if (sabotage != "none") {
+    if (mode != nullptr) {
       std::cerr << "--sabotage is a classic-path oracle self-test; drop --threads\n";
       return 2;
     }
@@ -292,96 +269,54 @@ int main(int argc, char** argv) {
                    "replay a shard with --seed to observe it\n";
       return 2;
     }
-    const rtpb::psim::ParallelSweepResult result =
-        rtpb::psim::run_parallel_sweep(first_seed, count, opts, threads, &std::cout);
-    std::cout << "---\n"
-              << result.seeds_run << " seeds, " << result.total_checks << " oracle checks, "
-              << result.failures.size() << " failing seeds\n";
-    return result.ok() ? 0 : 1;
   }
 
-  rtpb::chaos::SweepResult result;
-  if (single) {
-    // Single-seed mode runs directly so the telemetry summary is printed
-    // even when the seed passes (run_sweep only keeps failing reports).
-    rtpb::chaos::SeedReport report = rtpb::chaos::run_seed(first_seed, opts);
-    result.seeds_run = 1;
-    result.total_checks = report.oracle_checks;
-    std::cout << report.summary() << "\n";
-    if (opts.telemetry) {
-      std::cout << "telemetry: " << report.spans_started << " spans ("
-                << report.spans_violated << " violated)\n"
-                << report.metrics_json << "\n";
-    }
-    if (report.flight_events > 0) {
-      std::cout << "flight recorder: " << report.flight_events << " events recorded";
-      if (report.postmortem_written) {
-        std::cout << ", post-mortem (" << report.postmortem_reason << ") -> "
-                  << opts.postmortem_path;
+  std::size_t failing = 0;
+  std::uint64_t checks = 0;
+  bool caught = false;  // the sabotage's own oracle fired
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t seed = first_seed + i;
+    if (parallel) {
+      const rtpb::psim::ParallelSeedReport report =
+          rtpb::psim::run_parallel_seed(seed, opts, threads);
+      std::cout << report.summary() << "\n";
+      checks += report.oracle_checks();
+      for (std::size_t s = 0; s < report.shard_reports.size(); ++s) {
+        const SeedReport& r = report.shard_reports[s];
+        if (r.ok()) continue;
+        print_violations(r.violations, "  shard " + std::to_string(s) + " ");
+        std::cout << "  replay: classic harness, seed " << r.seed << "\n" << r.reproducer;
       }
-      std::cout << "\n";
-    }
-    if (report.health_snapshots > 0) {
-      std::cout << "health feed: " << report.health_snapshots << " snapshots -> "
-                << opts.health_jsonl_path << "\n";
-    }
-    if (!report.ok()) {
-      for (const rtpb::chaos::OracleViolation& v : report.violations) {
-        std::cout << "  [" << v.at.to_string() << "] " << v.oracle << ": " << v.detail << "\n";
+      if (!report.ok()) ++failing;
+    } else {
+      const SeedReport report = rtpb::chaos::run_seed(seed, opts);
+      std::cout << report.summary() << "\n";
+      if (single) print_observers(report, opts);
+      checks += report.oracle_checks;
+      if (!report.ok()) {
+        print_violations(report.violations, "  ");
+        std::cout << report.reproducer;
+        ++failing;
       }
-      std::cout << report.reproducer;
-      result.failures.push_back(std::move(report));
+      caught = caught || (mode != nullptr && mode->caught_by(report.violations));
     }
-  } else {
-    result = rtpb::chaos::run_sweep(first_seed, count, opts, &std::cout);
   }
 
   std::cout << "---\n"
-            << result.seeds_run << " seeds, " << result.total_checks
-            << " oracle checks, " << result.failures.size() << " failing seeds\n";
+            << count << " seeds, " << checks << " oracle checks, " << failing
+            << " failing seeds\n";
 
-  if (single && !result.failures.empty()) {
+  if (single && !parallel && failing > 0) {
     std::cout << "reproduce with: --seed " << first_seed << "\n";
   }
-  if (sabotage != "none") {
-    // Self-test: sabotage SHOULD be caught.  Succeed iff it was — and for
-    // split-brain, iff the *specific* fencing oracle fired (the generic
-    // exactly-one-primary catch would mask a cross-epoch-apply gap).
-    bool caught = !result.failures.empty();
-    if (caught && sabotage == "split-brain") {
-      caught = false;
-      for (const rtpb::chaos::SeedReport& rep : result.failures) {
-        for (const rtpb::chaos::OracleViolation& v : rep.violations) {
-          if (v.oracle == "cross-epoch-apply") caught = true;
-        }
-      }
-    }
-    if (caught && sabotage == "no-shedding") {
-      // Same specificity rule: the silent violation must be caught AS a
-      // silent violation, not incidentally by another oracle.
-      caught = false;
-      for (const rtpb::chaos::SeedReport& rep : result.failures) {
-        for (const rtpb::chaos::OracleViolation& v : rep.violations) {
-          if (v.oracle == "no-silent-violation") caught = true;
-        }
-      }
-    }
-    if (caught && sabotage == "torn-write") {
-      // The durability hole must be caught AS a durability hole (the torn
-      // tail also regresses versions, which monotone-versions flags).
-      caught = false;
-      for (const rtpb::chaos::SeedReport& rep : result.failures) {
-        for (const rtpb::chaos::OracleViolation& v : rep.violations) {
-          if (v.oracle == "durable-recovery") caught = true;
-        }
-      }
-    }
+  if (mode != nullptr) {
     if (!caught) {
-      std::cout << "sabotage '" << sabotage << "' was NOT caught — oracle gap!\n";
+      std::cout << "sabotage '" << mode->name << "' was NOT caught by " << mode->oracle
+                << " — oracle gap!\n";
       return 1;
     }
-    std::cout << "sabotage '" << sabotage << "' caught as expected\n";
+    std::cout << "sabotage '" << mode->name << "' caught as expected\n";
     return 0;
   }
-  return result.ok() ? 0 : 1;
+  return failing == 0 ? 0 : 1;
 }

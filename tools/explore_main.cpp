@@ -9,21 +9,20 @@
 //                                         # hardware thread; the output is
 //                                         # the same at every count)
 //   explore_main --sabotage split-brain --emit ce.txt
-//                                         # self-test: fencing off under a
-//                                         # partition MUST yield a
-//                                         # cross-epoch-apply counterexample,
-//                                         # replayable with
-//                                         # chaos_main --replay ce.txt
+//                                         # self-test: MUST yield a
+//                                         # cross-epoch-apply counterexample
+//                                         # (chaos_main --replay ce.txt)
 //
 // Exit status: 0 on a clean exhaustive sweep (or, under --sabotage, when
-// the expected oracle was caught); 1 otherwise.
-#include <cstdlib>
-#include <cstring>
+// the mode's own oracle (chaos/sabotage.hpp) was caught); 1 otherwise.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
+#include "cli.hpp"
 #include "explore/explorer.hpp"
 #include "util/log.hpp"
 
@@ -59,14 +58,31 @@ void usage(const char* argv0) {
       << "  --threads N           trajectory runners (default 0 = one per hardware\n"
       << "                        thread); every count and artifact is the same at\n"
       << "                        every N\n"
-      << "  --sabotage MODE       none | split-brain | no-failover | torn-write\n"
-      << "  --emit FILE           write the first counterexample artifact to FILE;\n"
+      << "  --sabotage MODE       plant a bug (default none); exit 0 iff a\n"
+      << "                        counterexample names the oracle in parentheses:\n";
+  for (const rtpb::chaos::Sabotage& s : rtpb::chaos::kSabotages) {
+    rtpb::explore::ExploreConfig probe;
+    if (rtpb::explore::plant(s, probe)) {
+      std::cerr << "                          " << s.name << " (" << s.oracle << ")\n";
+    }
+  }
+  std::cerr << "  --emit FILE           write the first counterexample artifact to FILE;\n"
       << "                        a flight-recorder autopsy of its replay is\n"
       << "                        attached as FILE.postmortem.jsonl\n"
       << "  --metrics-out FILE    write the final metrics registry snapshot JSON of\n"
       << "                        a default-decisions trajectory after the sweep\n"
       << "  --quiet               suppress progress lines\n";
 }
+
+/// The flag that adds a fault candidate of each kind.
+constexpr std::pair<std::string_view, rtpb::core::FaultKind> kCandidateFlags[] = {
+    {"--crash-primary-at", rtpb::core::FaultKind::kCrashPrimary},
+    {"--crash-backup-at", rtpb::core::FaultKind::kCrashBackup},
+    {"--standby-at", rtpb::core::FaultKind::kAddStandby},
+    {"--partition-at", rtpb::core::FaultKind::kPartitionPrimary},
+    {"--crash-restart-primary-at", rtpb::core::FaultKind::kCrashRestartPrimary},
+    {"--crash-restart-backup-at", rtpb::core::FaultKind::kCrashRestartBackup},
+};
 
 }  // namespace
 
@@ -85,74 +101,54 @@ int main(int argc, char** argv) {
   bool quiet = false;
   unsigned threads = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    auto next_ms = [&] { return rtpb::millis(std::strtoll(next(), nullptr, 10)); };
+  rtpb::cli::Args args(argc, argv);
+  while (args.next()) {
+    const std::string& arg = args.flag();
     if (arg == "--backups") {
-      cfg.backups = std::strtoull(next(), nullptr, 10);
+      cfg.backups = args.number<std::size_t>(1);
     } else if (arg == "--objects") {
-      cfg.objects = std::strtoull(next(), nullptr, 10);
+      cfg.objects = args.number<std::size_t>();
     } else if (arg == "--seed") {
-      cfg.service_seed = std::strtoull(next(), nullptr, 10);
+      cfg.service_seed = args.number<std::uint64_t>();
     } else if (arg == "--horizon-ms") {
-      cfg.bounds.horizon = next_ms();
+      cfg.bounds.horizon = args.millis();
     } else if (arg == "--grace-ms") {
-      cfg.failover_grace = next_ms();
-    } else if (arg == "--crash-primary-at") {
-      cfg.crash_primary_at.push_back(next_ms());
-      default_faults = false;
-    } else if (arg == "--crash-backup-at") {
-      cfg.crash_backup_at.push_back(next_ms());
-      default_faults = false;
-    } else if (arg == "--standby-at") {
-      cfg.add_standby_at.push_back(next_ms());
-      default_faults = false;
-    } else if (arg == "--partition-at") {
-      cfg.partition_at.push_back(next_ms());
-      default_faults = false;
-    } else if (arg == "--crash-restart-primary-at") {
-      cfg.crash_restart_primary_at.push_back(next_ms());
-      default_faults = false;
-    } else if (arg == "--crash-restart-backup-at") {
-      cfg.crash_restart_backup_at.push_back(next_ms());
+      cfg.failover_grace = args.millis();
+    } else if (const auto* c = std::find_if(std::begin(kCandidateFlags), std::end(kCandidateFlags),
+                                            [&](const auto& f) { return f.first == arg; });
+               c != std::end(kCandidateFlags)) {
+      cfg.candidates(c->second)->push_back(args.millis());
       default_faults = false;
     } else if (arg == "--restart-delay-ms") {
-      cfg.restart_delay = next_ms();
+      cfg.restart_delay = args.millis();
     } else if (arg == "--torn-bytes") {
-      cfg.torn_tail_bytes = std::strtoull(next(), nullptr, 10);
+      cfg.torn_tail_bytes = args.number<std::size_t>();
     } else if (arg == "--no-default-faults") {
       default_faults = false;
     } else if (arg == "--faults") {
-      cfg.bounds.fault_budget = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      cfg.bounds.fault_budget = args.number<std::uint32_t>();
     } else if (arg == "--drops") {
-      cfg.bounds.drop_budget = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      cfg.bounds.drop_budget = args.number<std::uint32_t>();
     } else if (arg == "--drop-from-ms") {
-      cfg.bounds.drop_from = rtpb::TimePoint::zero() + next_ms();
+      cfg.bounds.drop_from = rtpb::TimePoint::zero() + args.millis();
     } else if (arg == "--drop-until-ms") {
-      cfg.bounds.drop_until = rtpb::TimePoint::zero() + next_ms();
+      cfg.bounds.drop_until = rtpb::TimePoint::zero() + args.millis();
     } else if (arg == "--max-trajectories") {
-      cfg.bounds.max_trajectories = std::strtoull(next(), nullptr, 10);
+      cfg.bounds.max_trajectories = args.number<std::size_t>();
     } else if (arg == "--max-choices") {
-      cfg.bounds.max_choice_points = std::strtoull(next(), nullptr, 10);
+      cfg.bounds.max_choice_points = args.number<std::size_t>();
     } else if (arg == "--no-prune") {
       cfg.prune_visited = false;
     } else if (arg == "--no-sleep-sets") {
       cfg.sleep_sets = false;
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      threads = args.number<unsigned>();
     } else if (arg == "--sabotage") {
-      sabotage = next();
+      sabotage = args.value();
     } else if (arg == "--emit") {
-      emit_path = next();
+      emit_path = args.value();
     } else if (arg == "--metrics-out") {
-      metrics_out_path = next();
+      metrics_out_path = args.value();
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -178,61 +174,24 @@ int main(int argc, char** argv) {
     cfg.add_standby_at.push_back(rtpb::millis(601));
   }
 
-  std::string expect_oracle;
-  if (sabotage == "split-brain") {
-    // Fencing off under a primary↔successor partition: the deposed primary
-    // keeps feeding epoch-stale updates to the re-recruited second backup.
-    // The exploration MUST find a cross-epoch-apply counterexample.
-    cfg.epoch_fencing = false;
-    cfg.backups = 2;
-    cfg.crash_primary_at.clear();
-    cfg.crash_backup_at.clear();
-    cfg.add_standby_at.clear();
-    cfg.partition_at.assign(1, rtpb::millis(251));
-    cfg.bounds.fault_budget = 1;
-    cfg.bounds.drop_budget = 0;
-    expect_oracle = "cross-epoch-apply";
-  } else if (sabotage == "no-failover") {
-    // Failure detector never declares (same lobotomy as chaos_main's
-    // mode): a crashed primary stays dead and unreplaced, so once the
-    // crash epoch closes the cluster has zero primaries.
-    // exactly-one-primary must catch it.
-    cfg.ping_max_misses = 1000000;
-    cfg.crash_primary_at.assign(1, rtpb::millis(251));
-    cfg.crash_backup_at.clear();
-    cfg.add_standby_at.clear();
-    cfg.partition_at.clear();
-    cfg.bounds.fault_budget = 1;
-    cfg.bounds.drop_budget = 0;
-    expect_oracle = "exactly-one-primary";
-  } else if (sabotage == "torn-write") {
-    // A fired crash-restart loses part of its WAL tail while down: the
-    // recovered image silently misses client-acked versions.  The
-    // durable-recovery oracle (not merely monotone-versions, which also
-    // trips on the rollback) must name the durability hole.
-    cfg.crash_primary_at.clear();
-    cfg.crash_backup_at.clear();
-    cfg.add_standby_at.clear();
-    cfg.partition_at.clear();
-    cfg.crash_restart_backup_at.assign(1, rtpb::millis(251));
-    cfg.torn_tail_bytes = 512;
-    cfg.bounds.fault_budget = 1;
-    cfg.bounds.drop_budget = 0;
-    expect_oracle = "durable-recovery";
-  } else if (sabotage != "none") {
-    std::cerr << "unknown sabotage mode: " << sabotage << "\n";
-    return 2;
+  const rtpb::chaos::Sabotage* mode = nullptr;
+  if (sabotage != "none") {
+    mode = rtpb::chaos::find_sabotage(sabotage);
+    if (mode == nullptr || !rtpb::explore::plant(*mode, cfg)) {
+      std::cerr << "not an explorer sabotage mode: " << sabotage << "\n";
+      return 2;
+    }
   }
 
+  std::size_t candidates = 0;
+  for (const rtpb::core::FaultKind kind : rtpb::explore::kCandidateKinds) {
+    candidates += cfg.candidates(kind)->size();
+  }
   std::cout << "exploring: backups=" << cfg.backups << " objects=" << cfg.objects
             << " fencing=" << (cfg.epoch_fencing ? "on" : "off")
             << " faults<=" << cfg.bounds.fault_budget << " drops<=" << cfg.bounds.drop_budget
             << " horizon=" << cfg.bounds.horizon.millis() << "ms"
-            << " candidates=" << cfg.crash_primary_at.size() + cfg.crash_backup_at.size() +
-                                     cfg.add_standby_at.size() + cfg.partition_at.size() +
-                                     cfg.crash_restart_primary_at.size() +
-                                     cfg.crash_restart_backup_at.size()
-            << "\n";
+            << " candidates=" << candidates << "\n";
 
   const rtpb::explore::ExploreReport report =
       rtpb::explore::explore(cfg, quiet ? nullptr : &std::cout, threads);
@@ -266,13 +225,11 @@ int main(int argc, char** argv) {
     std::cout << "metrics written to " << metrics_out_path << "\n";
   }
 
-  if (!expect_oracle.empty()) {
-    bool caught = false;
-    for (const rtpb::explore::Counterexample& ce : report.counterexamples) {
-      if (ce.oracle == expect_oracle) caught = true;
-    }
-    if (!caught) {
-      std::cout << "sabotage '" << sabotage << "' was NOT caught — oracle or explorer gap!\n";
+  if (mode != nullptr) {
+    if (std::none_of(report.counterexamples.begin(), report.counterexamples.end(),
+                     [&](const auto& ce) { return ce.oracle == mode->oracle; })) {
+      std::cout << "sabotage '" << sabotage << "' was NOT caught by " << mode->oracle
+                << " — oracle or explorer gap!\n";
       return 1;
     }
     std::cout << "sabotage '" << sabotage << "' caught as expected\n";
