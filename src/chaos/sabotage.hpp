@@ -83,9 +83,9 @@ inline constexpr std::array<Sabotage, 5> kSabotages = {{
 
 /// The mode called `name`, or nullptr.
 [[nodiscard]] inline const Sabotage* find_sabotage(std::string_view name) {
-  const auto* it = std::find_if(kSabotages.begin(), kSabotages.end(),
-                                [&](const Sabotage& s) { return s.name == name; });
-  return it == kSabotages.end() ? nullptr : it;
+  const auto it = std::find_if(kSabotages.begin(), kSabotages.end(),
+                               [&](const Sabotage& s) { return s.name == name; });
+  return it == kSabotages.end() ? nullptr : &*it;
 }
 
 }  // namespace rtpb::chaos
