@@ -55,7 +55,7 @@ CellResult run_cell(bool shedding, bool adaptive, std::uint64_t seed) {
   params.config.ping_max_misses = 1000000;
 
   core::RtpbService service(params);
-  service.simulator().trace().enable();
+  service.simulator().telemetry().digest().enable();
   service.start();
 
   CellResult result;
@@ -91,7 +91,7 @@ CellResult run_cell(bool shedding, bool adaptive, std::uint64_t seed) {
   result.restores = service.primary().qos_restores_sent();
   result.incons_ms = service.metrics().total_inconsistency().millis();
   result.intervals = service.metrics().inconsistency_intervals();
-  result.digest = service.simulator().trace().digest();
+  result.digest = service.simulator().telemetry().digest().value();
   return result;
 }
 

@@ -64,7 +64,7 @@ RunOutcome run_at(std::size_t threads) {
   params.group_count = kGroups;
   psim::PartitionedCluster cluster(params);
   for (std::uint32_t g = 0; g < kGroups; ++g) {
-    cluster.service(g).simulator().trace().enable();
+    cluster.service(g).simulator().telemetry().digest().enable();
   }
   cluster.start();
   core::ObjectId next = 1;

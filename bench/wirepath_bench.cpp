@@ -181,7 +181,7 @@ E2eResult run_e2e(std::size_t backups, bool batched, bool flight_recorder = fals
   // The flight recorder's ring is pre-allocated by enable(), before the
   // alloc Scope opens: recording on the hot path must then be alloc-free.
   if (flight_recorder) service.simulator().telemetry().flight_recorder().enable();
-  if (trace) service.simulator().trace().enable();
+  if (trace) service.simulator().telemetry().digest().enable();
   service.start();
   for (core::ObjectId id = 1; id <= 5; ++id) {
     core::ObjectSpec object;
@@ -457,15 +457,16 @@ int main(int argc, char** argv) {
                    off.allocs_per_update, on.allocs_per_update);
       return 1;
     }
-    // The trace digest folds each line in place and stores nothing, so
-    // tracing the same seed must not allocate either.
+    // The trace digest folds each flagged fact's fixed-width record in
+    // place and stores nothing, so tracing the same seed must not allocate
+    // either.
     const E2eResult traced = run_e2e(4, true, /*flight_recorder=*/false, /*trace=*/true);
     std::printf("  trace on      %14.2f allocs/update\n", traced.allocs_per_update);
     metrics.add("e2e_trace_on_allocs_per_update_n4", traced.allocs_per_update);
     if (traced.allocs_per_update > off.allocs_per_update + 0.01) {
       std::fprintf(stderr,
                    "FAIL: enabling the trace cost %.2f -> %.2f allocs/update on the wire "
-                   "path (a trace line must be allocation-free)\n",
+                   "path (a digest fold must be allocation-free)\n",
                    off.allocs_per_update, traced.allocs_per_update);
       return 1;
     }

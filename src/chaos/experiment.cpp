@@ -104,7 +104,7 @@ Experiment::Experiment(std::uint64_t seed, const ChaosOptions& opts)
 Experiment::Experiment(std::uint64_t seed, const ChaosSchedule& schedule,
                        const ChaosOptions& opts)
     : observe_(opts), service_(seed_params(schedule, opts)), plan_(service_) {
-  service_.simulator().trace().enable();
+  service_.simulator().telemetry().digest().enable();
   open();
   const Workload workload = generate_workload(seed, opts);
   admit(workload.objects, workload.constraints);
@@ -187,8 +187,8 @@ void Experiment::finish() {
 SeedReport Experiment::report() {
   SeedReport report;
   const sim::Simulator& sim = service_.simulator();
-  report.trace_digest = sim.trace().digest();
-  report.trace_events = sim.trace().recorded();
+  report.trace_digest = sim.telemetry().digest().value();
+  report.trace_events = sim.telemetry().digest().records();
   report.sim_events = sim.fired_events();
   report.violations = monitor_->violations();
   report.violation_count = monitor_->violation_count();

@@ -36,8 +36,8 @@ namespace rtpb::chaos {
 /// equal on every field (the determinism regression).
 struct SeedReport {
   std::uint64_t seed = 0;
-  std::uint64_t trace_digest = 0;   ///< FNV-1a over the full event trace
-  std::uint64_t trace_events = 0;   ///< events folded into the digest
+  std::uint64_t trace_digest = 0;   ///< the run's telemetry::Digest
+  std::uint64_t trace_events = 0;   ///< facts folded into the digest
   std::uint64_t sim_events = 0;     ///< simulator events fired
 
   std::vector<OracleViolation> violations;  ///< capped; count below is not

@@ -10,6 +10,7 @@ OracleMonitor::OracleMonitor(core::RtpbService& service,
     : service_(service),
       admitted_(std::move(admitted)),
       epochs_(std::move(epochs)),
+      facts_("oracle", nullptr, &service_.simulator().telemetry()),
       watch_(admitted_.size()) {}
 
 void OracleMonitor::start(Duration check_period) {
@@ -43,38 +44,29 @@ bool OracleMonitor::in_disruptive_epoch(TimePoint t) const {
   return false;
 }
 
-void OracleMonitor::report(TimePoint now, const char* oracle, std::string detail,
+std::uint64_t OracleMonitor::violation_count() const {
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(OracleFact::kCheck); ++i) {
+    n += facts_.count(static_cast<OracleFact>(i));
+  }
+  return n;
+}
+
+void OracleMonitor::report(TimePoint now, OracleFact oracle, std::string detail,
                            telemetry::SpanId span) {
-  ++violation_count_;
-  if (violations_.size() < kMaxStored) {
-    violations_.push_back({now, oracle, detail});
-  }
-  auto& sim = service_.simulator();
-  if (sim.telemetry().enabled()) {
-    sim.telemetry().registry().counter(std::string("chaos.violations.") + oracle).add();
-    sim.telemetry().mark_violation(span, oracle, detail);
-  }
-  // Flight-record the violation (with the guilty span) and trip the
-  // post-mortem dump: the recorder's last-N events ending in this record
-  // are exactly the context an operator wants first.
-  telemetry::FlightRecorder& fr = sim.telemetry().flight_recorder();
-  if (fr.enabled()) {
-    telemetry::FlightRecord rec;
-    rec.at = now;
-    rec.span = span == telemetry::kNoSpan ? 0 : span;
-    rec.kind = telemetry::FlightKind::kViolation;
-    rec.label = oracle;
-    fr.record(rec);
-    fr.trigger_dump(std::string("oracle:") + oracle, now);
-  }
-  if (sim.trace().enabled()) {
-    sim.trace().record(now, sim::TraceCategory::kUser, std::string("oracle-violation:") + oracle)
-        << detail;
-  }
+  const char* name = telemetry::kFactSinks<OracleFact>[static_cast<std::size_t>(oracle)].label;
+  if (violations_.size() < kMaxStored) violations_.push_back({now, name, detail});
+  // The violation's flight record (with the guilty span) comes first: the
+  // post-mortem's last-N events ending in it are exactly the context an
+  // operator wants first.
+  facts_.emit(oracle, {.span = span});
+  telemetry::Hub& hub = service_.simulator().telemetry();
+  if (hub.enabled()) hub.mark_violation(span, name, std::move(detail));
+  telemetry::FlightRecorder& fr = hub.flight_recorder();
+  if (fr.enabled()) fr.trigger_dump(std::string("oracle:") + name, now);
 }
 
 void OracleMonitor::check() {
-  ++checks_;
   const TimePoint now = service_.simulator().now();
   const bool in_epoch = in_fault_epoch(now);
 
@@ -82,14 +74,8 @@ void OracleMonitor::check() {
   // last write/apply.
   service_.metrics().poll(now);
 
+  facts_.emit(OracleFact::kCheck, {.value = static_cast<std::int64_t>(violation_count())});
   telemetry::Hub& hub = service_.simulator().telemetry();
-  if (hub.flight_recorder().enabled()) {
-    telemetry::FlightRecord rec;
-    rec.at = now;
-    rec.arg = static_cast<std::int64_t>(violation_count_);
-    rec.kind = telemetry::FlightKind::kOracleCheck;
-    hub.flight_recorder().record(rec);
-  }
   // Feed the SLO monitor at the sampling instant too: the apply path only
   // observes staleness when an update arrives, so a *lost* update's growing
   // staleness would otherwise never be sampled.
@@ -106,7 +92,7 @@ void OracleMonitor::check() {
   if (!in_epoch && primaries != 1) {
     if (!primary_count_reported_) {
       primary_count_reported_ = true;
-      report(now, "exactly-one-primary",
+      report(now, OracleFact::kExactlyOnePrimary,
              std::to_string(primaries) + " live primaries (want exactly 1)");
     }
   } else if (primaries == 1) {
@@ -128,7 +114,7 @@ void OracleMonitor::check() {
 
     // inconsistency-epoch: an interval may only OPEN inside an epoch.
     if (violating && !was && !in_epoch) {
-      report(now, "inconsistency-epoch",
+      report(now, OracleFact::kInconsistencyEpoch,
              "object " + std::to_string(id) +
                  " opened a violation interval outside any declared fault epoch",
              guilty);
@@ -139,7 +125,7 @@ void OracleMonitor::check() {
     if (violating && primary_up && !in_epoch) {
       if (!w.stale_reported) {
         w.stale_reported = true;
-        report(now, "staleness-window",
+        report(now, OracleFact::kStalenessWindow,
                "object " + std::to_string(id) + " out of window (max distance " +
                    std::to_string(service_.metrics().max_distance(id).millis()) + " ms)",
                guilty);
@@ -165,7 +151,7 @@ void OracleMonitor::check() {
         w.silent_samples = 0;
       } else if (++w.silent_samples >= kSilentSampleBudget && !w.silent_reported) {
         w.silent_reported = true;
-        report(now, "no-silent-violation",
+        report(now, OracleFact::kNoSilentViolation,
                "object " + std::to_string(id) +
                    " violated its window with no downgrade notice (distance " +
                    std::to_string(service_.metrics().max_distance(id).millis()) + " ms)",
@@ -184,7 +170,7 @@ void OracleMonitor::check() {
       auto [it, inserted] = last_version_.try_emplace({idx, id}, state->version);
       if (!inserted) {
         if (state->version < it->second) {
-          report(now, "monotone-versions",
+          report(now, OracleFact::kMonotoneVersions,
                  "replica " + std::to_string(idx) + " object " + std::to_string(id) +
                      " went from version " + std::to_string(it->second) + " to " +
                      std::to_string(state->version));
@@ -201,7 +187,7 @@ void OracleMonitor::check() {
   service_.for_each_replica(
       [&cross](const core::ReplicaServer& r) { cross += r.cross_epoch_applies(); });
   if (cross > last_cross_epoch_applies_) {
-    report(now, "cross-epoch-apply",
+    report(now, OracleFact::kCrossEpochApply,
            std::to_string(cross - last_cross_epoch_applies_) +
                " update(s) applied from a deposed epoch");
     last_cross_epoch_applies_ = cross;
@@ -215,7 +201,7 @@ void OracleMonitor::check() {
   service_.for_each_replica(
       [&lost](const core::ReplicaServer& r) { lost += r.recovery_lost_updates(); });
   if (lost > last_recovery_lost_) {
-    report(now, "durable-recovery",
+    report(now, OracleFact::kDurableRecovery,
            std::to_string(lost - last_recovery_lost_) +
                " client-acked update(s) lost across crash recovery");
     last_recovery_lost_ = lost;

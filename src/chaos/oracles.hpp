@@ -37,8 +37,8 @@
 //                        to keep the resulting violations announced).
 //
 // The monitor is passive: it draws no randomness and only reads state, so
-// attaching it cannot change what the simulation does (trace records it
-// emits on violation are themselves deterministic).
+// attaching it cannot change what the simulation does (the violations it
+// folds into the trace digest are themselves deterministic).
 #pragma once
 
 #include <cstdint>
@@ -48,8 +48,49 @@
 
 #include "chaos/schedule.hpp"
 #include "core/service.hpp"
+#include "telemetry/facts.hpp"
 
 namespace rtpb::chaos {
+
+/// What the monitor reports: one violation fact per oracle, then the
+/// periodic sweep.
+enum class OracleFact : std::uint8_t {
+  kStalenessWindow, kInconsistencyEpoch, kExactlyOnePrimary, kMonotoneVersions,
+  kCrossEpochApply, kDurableRecovery, kNoSilentViolation,
+  kCheck,
+  kCount
+};
+
+/// A violation counts on chaos.violations.<oracle>, is flight-recorded
+/// with the oracle as its label and feeds the trace digest; a sweep is
+/// flight-recorded with the violations so far.
+constexpr telemetry::FactSinks<OracleFact> fact_sinks(OracleFact f) {
+  const auto oracle = [](const char* counter, const char* name) {
+    return telemetry::FactSinks<OracleFact>{
+        .counter = counter, .flight = telemetry::FlightKind::kViolation, .label = name,
+        .digest = true};
+  };
+  switch (f) {
+    case OracleFact::kStalenessWindow:
+      return oracle("chaos.violations.staleness-window", "staleness-window");
+    case OracleFact::kInconsistencyEpoch:
+      return oracle("chaos.violations.inconsistency-epoch", "inconsistency-epoch");
+    case OracleFact::kExactlyOnePrimary:
+      return oracle("chaos.violations.exactly-one-primary", "exactly-one-primary");
+    case OracleFact::kMonotoneVersions:
+      return oracle("chaos.violations.monotone-versions", "monotone-versions");
+    case OracleFact::kCrossEpochApply:
+      return oracle("chaos.violations.cross-epoch-apply", "cross-epoch-apply");
+    case OracleFact::kDurableRecovery:
+      return oracle("chaos.violations.durable-recovery", "durable-recovery");
+    case OracleFact::kNoSilentViolation:
+      return oracle("chaos.violations.no-silent-violation", "no-silent-violation");
+    case OracleFact::kCheck:
+      return {.flight = telemetry::FlightKind::kOracleCheck, .arg = telemetry::FactArg::kValue};
+    case OracleFact::kCount: break;
+  }
+  return {};
+}
 
 struct OracleViolation {
   TimePoint at{};
@@ -79,9 +120,9 @@ class OracleMonitor {
     return violations_;
   }
   /// Total violations observed (violations() is capped; this is not).
-  [[nodiscard]] std::uint64_t violation_count() const { return violation_count_; }
-  [[nodiscard]] std::uint64_t checks() const { return checks_; }
-  [[nodiscard]] bool ok() const { return violation_count_ == 0; }
+  [[nodiscard]] std::uint64_t violation_count() const;
+  [[nodiscard]] std::uint64_t checks() const { return facts_.count(OracleFact::kCheck); }
+  [[nodiscard]] bool ok() const { return violation_count() == 0; }
 
   [[nodiscard]] bool in_fault_epoch(TimePoint t) const;
   /// True when an epoch caused by message-breaking faults (loss, crash,
@@ -103,10 +144,11 @@ class OracleMonitor {
   static constexpr Duration kNoticeGrace = millis(500);
 
   void check();
-  /// Record a violation.  `span` (when not kNoSpan and telemetry is on)
-  /// names the guilty update: the newest span of the object that broke the
-  /// invariant, so traces show which update's journey went wrong.
-  void report(TimePoint now, const char* oracle, std::string detail,
+  /// Record a violation of `oracle`, then trip the post-mortem dump.
+  /// `span` (when not kNoSpan and telemetry is on) names the guilty
+  /// update: the newest span of the object that broke the invariant, so
+  /// traces show which update's journey went wrong.
+  void report(TimePoint now, OracleFact oracle, std::string detail,
               telemetry::SpanId span = telemetry::kNoSpan);
 
   core::RtpbService& service_;
@@ -115,8 +157,7 @@ class OracleMonitor {
   std::unique_ptr<sim::PeriodicTimer> timer_;
 
   std::vector<OracleViolation> violations_;
-  std::uint64_t violation_count_ = 0;
-  std::uint64_t checks_ = 0;
+  telemetry::Facts<OracleFact> facts_;  ///< on track "oracle"
 
   /// (replica index, object) → last seen version, for monotonicity.
   std::map<std::pair<std::size_t, core::ObjectId>, std::uint64_t> last_version_;

@@ -668,10 +668,6 @@ void ReplicaServer::promote() {
   // never received a single message before promoting.
   epoch_ = std::max<std::uint64_t>(epoch_, 1) + 1;
   durable_log_meta();  // the minted incarnation must survive a crash
-  if (sim_.trace().enabled()) {
-    sim_.trace().record(sim_.now(), sim::TraceCategory::kService, "promote")
-        << "node" << node() << " epoch" << epoch_;
-  }
   emit(Fact::kPromote, 0, 0, telemetry::kNoSpan, static_cast<std::int64_t>(epoch_));
   emit(Fact::kEpochChange);
   leave_backup();  // the old primary is gone, and the watchdogs with it
@@ -720,10 +716,6 @@ void ReplicaServer::step_down(std::uint64_t new_epoch) {
   RTPB_INFO("rtpb", "primary@node%u deposed: saw epoch %llu > own %llu; stepping down", node(),
             static_cast<unsigned long long>(new_epoch),
             static_cast<unsigned long long>(epoch_));
-  if (sim_.trace().enabled()) {
-    sim_.trace().record(sim_.now(), sim::TraceCategory::kService, "step-down")
-        << "node" << node() << " epoch" << new_epoch;
-  }
   emit(Fact::kStepDown, 0, 0, telemetry::kNoSpan, static_cast<std::int64_t>(new_epoch));
   role_ = Role::kBackup;
   epoch_ = new_epoch;
@@ -1390,10 +1382,6 @@ void ReplicaServer::restart() {
   network_.set_node_up(node(), true);
   cpu_.start(sim_.now());
 
-  if (sim_.trace().enabled()) {
-    sim_.trace().record(sim_.now(), sim::TraceCategory::kService, "restart")
-        << "node" << node() << " epoch" << epoch_ << " objects" << store_.size();
-  }
   const auto wal_records = static_cast<std::int64_t>(rec.wal_records);
   emit(Fact::kWalReplay, 0, 0, telemetry::kNoSpan, wal_records);
   if (rec.wal_torn) emit(Fact::kTornWalTail);

@@ -70,7 +70,8 @@ struct FrontierRecord {
 /// The protocol facts a ReplicaServer reports, each at one
 /// ReplicaServer::emit() call; fact_sinks() says which registry
 /// instrument, Hub event and flight record it feeds besides the total the
-/// server's getters read.
+/// server's getters read.  A promotion, a step-down and a restart feed the
+/// trace digest.
 enum class Fact : std::uint8_t {
   kWrite, kWriteRelease, kWriteStart,  // primary: client write (+ its job history)
   kXmitRelease, kXmitStart,            // primary: update transmission job history
@@ -128,8 +129,9 @@ constexpr telemetry::FactSinks<Fact> fact_sinks(Fact f) {
                                     .duration = true};
     case Fact::kPromote: return {.counter = "core.failovers", .event = "promote",
                                  .flight = FlightKind::kRoleChange, .arg = FactArg::kOne,
-                                 .label = "promote", .gauge = "core.epoch"};
-    case Fact::kStepDown: return {.counter = "core.epoch.step_downs", .event = "step-down"};
+                                 .label = "promote", .gauge = "core.epoch", .digest = true};
+    case Fact::kStepDown: return {.counter = "core.epoch.step_downs", .event = "step-down",
+                                  .digest = true};
     case Fact::kDemoted: return {.flight = FlightKind::kRoleChange, .label = "step-down"};
     case Fact::kEpochChange: return {.flight = FlightKind::kEpoch};
     case Fact::kCrash: return {.flight = FlightKind::kCrash};
@@ -168,7 +170,7 @@ constexpr telemetry::FactSinks<Fact> fact_sinks(Fact f) {
     case Fact::kTornCheckpointTail: return {.counter = "core.store.torn_checkpoint_tails"};
     case Fact::kRestart: return {.counter = "core.store.recoveries", .event = "restart",
                                  .flight = FlightKind::kRoleChange, .arg = FactArg::kValue,
-                                 .label = "restart"};
+                                 .label = "restart", .digest = true};
     case Fact::kLostUpdates: return {.sums = true};
     case Fact::kResyncRequest: return {.counter = "core.store.resync_requests"};
     case Fact::kResyncFull: return {.counter = "core.store.resync_fulls"};

@@ -6,7 +6,9 @@
 // plain PR-1 reproducer in a unit test.
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
+#include <type_traits>
 
 #include "explore/explorer.hpp"
 
@@ -19,6 +21,31 @@ std::string one_line(const std::string& s) {
   std::replace(out.begin(), out.end(), '\n', ' ');
   std::replace(out.begin(), out.end(), '\r', ' ');
   return out;
+}
+
+/// `token` as a T, read whole; a Duration or TimePoint reads as nanoseconds.
+template <typename T>
+bool parse(const std::string& token, T& out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = token;
+    return true;
+  } else if constexpr (std::is_same_v<T, Duration> || std::is_same_v<T, TimePoint>) {
+    std::int64_t ns = 0;
+    const bool ok = parse(token, ns);
+    out = T{ns};
+    return ok;
+  } else {
+    const auto [end, err] = std::from_chars(token.data(), token.data() + token.size(), out);
+    return err == std::errc{} && end == token.data() + token.size();
+  }
+}
+
+/// The rest of `line` into `out...`: false on a missing, malformed or
+/// extra value.
+template <typename... T>
+bool fields(std::istream& line, T&... out) {
+  std::string token;
+  return ((line >> token && parse(token, out)) && ...) && !(line >> token);
 }
 
 }  // namespace
@@ -94,77 +121,66 @@ std::optional<Counterexample> parse_counterexample(const std::string& text) {
     std::istringstream ls(line);
     std::string key;
     ls >> key;
+    bool ok = true;
     if (key == "oracle") {
-      ls >> ce.oracle;
-      have_oracle = !ce.oracle.empty();
+      ok = have_oracle = fields(ls, ce.oracle);
     } else if (key == "detail") {
       std::getline(ls, ce.detail);
       if (!ce.detail.empty() && ce.detail.front() == ' ') ce.detail.erase(0, 1);
     } else if (key == "backups") {
-      ls >> ce.config.backups;
+      ok = fields(ls, ce.config.backups) && ce.config.backups >= 1;
     } else if (key == "objects") {
-      ls >> ce.config.objects;
+      ok = fields(ls, ce.config.objects) && ce.config.objects >= 1;
     } else if (key == "seed") {
-      ls >> ce.config.service_seed;
+      ok = fields(ls, ce.config.service_seed);
     } else if (key == "fencing") {
-      int v = 1;
-      ls >> v;
-      ce.config.epoch_fencing = v != 0;
+      int v = -1;
+      ok = fields(ls, v) && (v == 0 || v == 1);
+      ce.config.epoch_fencing = v == 1;
     } else if (key == "misses") {
-      ls >> ce.config.ping_max_misses;
+      ok = fields(ls, ce.config.ping_max_misses);
     } else if (key == "grace-ns") {
-      std::int64_t ns = 0;
-      ls >> ns;
-      ce.config.failover_grace = Duration{ns};
+      ok = fields(ls, ce.config.failover_grace);
     } else if (key == "horizon-ns") {
-      std::int64_t ns = 0;
-      ls >> ns;
-      ce.config.bounds.horizon = Duration{ns};
+      ok = fields(ls, ce.config.bounds.horizon);
     } else if (key == "max-trajectories") {
-      ls >> ce.config.bounds.max_trajectories;
+      ok = fields(ls, ce.config.bounds.max_trajectories);
     } else if (key == "max-choices") {
-      ls >> ce.config.bounds.max_choice_points;
+      ok = fields(ls, ce.config.bounds.max_choice_points);
     } else if (key == "fault-budget") {
-      ls >> ce.config.bounds.fault_budget;
+      ok = fields(ls, ce.config.bounds.fault_budget);
     } else if (key == "drop-budget") {
-      ls >> ce.config.bounds.drop_budget;
+      ok = fields(ls, ce.config.bounds.drop_budget);
     } else if (key == "drop-from-ns") {
-      std::int64_t ns = 0;
-      ls >> ns;
-      ce.config.bounds.drop_from = TimePoint{ns};
+      ok = fields(ls, ce.config.bounds.drop_from);
     } else if (key == "drop-until-ns") {
-      std::int64_t ns = 0;
-      ls >> ns;
-      ce.config.bounds.drop_until = TimePoint{ns};
+      ok = fields(ls, ce.config.bounds.drop_until);
     } else if (key == "restart-delay-ns") {
-      std::int64_t ns = 0;
-      ls >> ns;
-      ce.config.restart_delay = Duration{ns};
+      ok = fields(ls, ce.config.restart_delay);
     } else if (key == "torn-bytes") {
-      ls >> ce.config.torn_tail_bytes;
+      ok = fields(ls, ce.config.torn_tail_bytes);
     } else if (key == "candidate") {
       std::string label;
-      std::int64_t ns = 0;
-      ls >> label >> ns;
-      const std::optional<core::FaultKind> kind = core::fault_kind_from_name(label);
-      std::vector<Duration>* at = kind ? ce.config.candidates(*kind) : nullptr;
-      if (at == nullptr) return std::nullopt;  // unknown candidate verb: cannot replay faithfully
-      at->push_back(Duration{ns});
+      Duration at{};
+      const std::optional<core::FaultKind> kind =
+          fields(ls, label, at) ? core::fault_kind_from_name(label) : std::nullopt;
+      std::vector<Duration>* list = kind ? ce.config.candidates(*kind) : nullptr;
+      ok = list != nullptr;  // an unknown candidate verb cannot be replayed faithfully
+      if (ok) list->push_back(at);
     } else if (key == "trace") {
-      for (unsigned v = 0; ls >> v;) ce.trace.push_back(static_cast<std::uint16_t>(v));
+      for (std::string token; ok && ls >> token;) ok = parse(token, ce.trace.emplace_back());
     } else if (key == "action") {
       FaultAction a;
       std::string label;
-      std::int64_t ns = 0;
-      ls >> label >> a.a >> a.b >> a.frame >> ns;
+      ok = fields(ls, label, a.a, a.b, a.frame, a.at);
       a.drop = label == "drop-frame";
       const std::optional<core::FaultKind> kind = core::fault_kind_from_name(label);
-      if (!a.drop && !kind) return std::nullopt;  // unknown action: cannot render it
+      ok = ok && (a.drop || kind);  // an unknown action cannot be rendered
       a.kind = kind.value_or(core::FaultKind{});
-      a.at = TimePoint{ns};
       ce.actions.push_back(a);
     }
     // Unknown keys are skipped: forward compatibility over strictness.
+    if (!ok) return std::nullopt;
   }
   if (!versioned || !have_oracle) return std::nullopt;
   return ce;

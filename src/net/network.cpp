@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <string_view>
 
 #include "telemetry/telemetry.hpp"
 #include "util/log.hpp"
@@ -67,12 +66,6 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
   ++link->stats.sent;
 
   telemetry::Hub& hub = sim_.telemetry();
-  // A trace line tagged with this link; the caller streams any more detail.
-  const auto trace_link = [this, src, dst](std::string_view label) {
-    auto line = sim_.trace().record(sim_.now(), sim::TraceCategory::kNet, label);
-    line << "node" << src << "->node" << dst;
-    return line;
-  };
   emit(NetFact::kSend, src, hub.current_span(), src, dst);
 
   if (link->params.mtu > 0 && frame.size() > link->params.mtu) {
@@ -119,7 +112,6 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
   if (burst_kill) {
     ++link->stats.dropped;
     ++link->stats.burst_dropped;
-    if (sim_.trace().enabled()) trace_link("frame-drop") << " burst";
     emit(NetFact::kDropBurst, src, pkt.span, src, dst);
     return true;
   }
@@ -128,7 +120,6 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
     ++link->stats.dropped;
     RTPB_TRACE("net", "drop pkt %llu node%u->node%u (loss)",
                static_cast<unsigned long long>(pkt.seq), src, dst);
-    if (sim_.trace().enabled()) trace_link("frame-drop");
     emit(NetFact::kDropLoss, src, pkt.span, src, dst);
     return true;  // sender cannot tell — fire and forget
   }
@@ -144,11 +135,8 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
                      static_cast<std::int64_t>(pkt.frame.size() - 1)));
     pkt.frame.flip(idx, static_cast<std::uint8_t>(1u << rng_.uniform(0, 7)));
     ++link->stats.corrupted;
-    if (sim_.trace().enabled()) trace_link("frame-corrupt") << " byte " << idx;
     emit(NetFact::kCorrupt, src, pkt.span, src, dst, idx);
   }
-
-  if (sim_.trace().enabled()) trace_link("frame-send") << ' ' << pkt.wire_size() << 'B';
 
   Duration delay = Duration::zero();
   if (link->params.bandwidth_bps > 0) {
@@ -170,7 +158,6 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
       deliver_at += Duration{rng_.uniform(0, faults.reorder_extra.nanos())};
     }
     ++link->stats.reordered;
-    if (sim_.trace().enabled()) trace_link("frame-reorder");
     emit(NetFact::kReorder, src, pkt.span, src, dst);
   } else {
     // Preserve FIFO per direction.
@@ -187,7 +174,6 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
       dup_delay += Duration{rng_.uniform(0, link->params.jitter.nanos() - 1)};
     }
     ++link->stats.duplicated;
-    if (sim_.trace().enabled()) trace_link("frame-dup");
     emit(NetFact::kDuplicate, src, pkt.span, src, dst);
     schedule_delivery(pkt, std::max(deliver_at, sim_.now() + delay + dup_delay));
   }

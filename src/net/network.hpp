@@ -67,7 +67,9 @@ struct LinkStats {
 };
 
 /// What happens to frames on the links.  A drop is one of the four
-/// reasons and also counts as kDrop.
+/// reasons and also counts as kDrop.  A queued frame's fate (enqueue,
+/// corruption, reordering, duplication, a burst or loss drop) feeds the
+/// trace digest.
 enum class NetFact : std::uint8_t {
   kSend, kEnqueue, kDelay, kDeliver, kCorrupt, kReorder, kDuplicate,
   kDrop, kDropMtu, kDropBurst, kDropLoss, kDropNodeDown,
@@ -77,19 +79,20 @@ enum class NetFact : std::uint8_t {
 constexpr telemetry::FactSinks<NetFact> fact_sinks(NetFact f) {
   switch (f) {
     case NetFact::kSend: return {.counter = "net.link.sends"};
-    case NetFact::kEnqueue: return {.event = "net-enqueue"};
+    case NetFact::kEnqueue: return {.event = "net-enqueue", .digest = true};
     case NetFact::kDelay: return {.histogram = "net.link.delay_ms", .duration = true};
     case NetFact::kDeliver: return {.counter = "net.link.delivers", .event = "net-deliver"};
-    case NetFact::kCorrupt: return {.counter = "net.link.corrupted", .event = "net-corrupt"};
-    case NetFact::kReorder: return {.counter = "net.link.reordered"};
-    case NetFact::kDuplicate: return {.counter = "net.link.duplicated"};
+    case NetFact::kCorrupt: return {.counter = "net.link.corrupted", .event = "net-corrupt",
+                                    .digest = true};
+    case NetFact::kReorder: return {.counter = "net.link.reordered", .digest = true};
+    case NetFact::kDuplicate: return {.counter = "net.link.duplicated", .digest = true};
     case NetFact::kDrop: return {.counter = "net.link.drops"};
     case NetFact::kDropMtu: return {.counter = "net.link.drops_mtu", .event = "net-drop",
                                     .also = NetFact::kDrop};
     case NetFact::kDropBurst: return {.counter = "net.link.drops_burst", .event = "net-drop",
-                                      .also = NetFact::kDrop};
+                                      .also = NetFact::kDrop, .digest = true};
     case NetFact::kDropLoss: return {.counter = "net.link.drops_loss", .event = "net-drop",
-                                     .also = NetFact::kDrop};
+                                     .also = NetFact::kDrop, .digest = true};
     case NetFact::kDropNodeDown: return {.counter = "net.link.drops_node_down",
                                          .event = "net-drop", .also = NetFact::kDrop};
     case NetFact::kCount: break;

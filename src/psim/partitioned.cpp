@@ -195,7 +195,7 @@ void PartitionedCluster::finish() {
 std::vector<std::uint64_t> PartitionedCluster::digests() const {
   std::vector<std::uint64_t> out;
   out.reserve(services_.size());
-  for (const auto& s : services_) out.push_back(s->simulator().trace().digest());
+  for (const auto& s : services_) out.push_back(s->simulator().telemetry().digest().value());
   return out;
 }
 

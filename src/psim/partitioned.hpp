@@ -157,8 +157,8 @@ class PartitionedCluster {
   [[nodiscard]] Duration window() const { return window_; }
   /// Common virtual clock (all groups agree between run_for calls).
   [[nodiscard]] TimePoint now() const { return services_.front()->simulator().now(); }
-  /// Per-group trace digests, in group order (recorders must have been
-  /// enabled by the caller before start()).
+  /// Per-group trace digests, in group order (the caller enables each
+  /// group's digest before start()).
   [[nodiscard]] std::vector<std::uint64_t> digests() const;
   [[nodiscard]] const std::vector<core::InterObjectConstraint>& cross_constraints() const {
     return cross_;

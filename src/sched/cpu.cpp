@@ -40,7 +40,6 @@ void render_slice(const telemetry::Hub& hub, const telemetry::Event& e, telemetr
 Cpu::Cpu(sim::Simulator& sim, Policy policy, std::string name)
     : sim_(sim),
       policy_(policy),
-      name_(name),
       facts_(std::move(name), &describe, &sim.telemetry()) {}
 
 Cpu::~Cpu() { stop(); }
@@ -155,7 +154,8 @@ void Cpu::stop() {
 void Cpu::emit(CpuFact f, Task& task, std::uint64_t b, Duration response) {
   telemetry::Hub& hub = sim_.telemetry();
   const telemetry::TextId name = hub.enabled() ? hub.intern(task.tele_name, task.spec.name) : 0;
-  facts_.emit(f, {.a = name, .b = b, .value = response.nanos()});
+  if (task.name_hash == 0) task.name_hash = telemetry::Digest::hash(task.spec.name);
+  facts_.emit(f, {.a = name, .b = b, .c = task.name_hash, .value = response.nanos()});
 }
 
 void Cpu::arm_release(Task& task) {
@@ -171,10 +171,6 @@ void Cpu::on_release(Task& task) {
   job.remaining = task.spec.wcet;
   task.backlog.push_back(job);
   if (task.backlog.size() == 1) heap_push(task);
-  if (sim_.trace().enabled()) {
-    sim_.trace().record(sim_.now(), sim::TraceCategory::kCpu, "job-release")
-        << name_ << ' ' << task.spec.name << " #" << job.index;
-  }
   emit(CpuFact::kRelease, task, job.index);
 
   // Periodic re-arm.
@@ -209,11 +205,6 @@ void Cpu::on_completion() {
   info.deadline_missed = (sim_.now() - job.release) > task.spec.effective_deadline();
 
   task.tracker->record_finish(info.finish);
-  if (sim_.trace().enabled()) {
-    sim_.trace().record(sim_.now(), sim::TraceCategory::kCpu, "job-finish")
-        << name_ << ' ' << task.spec.name << " #" << info.index
-        << (info.deadline_missed ? " MISSED" : "");
-  }
   emit(info.deadline_missed ? CpuFact::kMissedFinish : CpuFact::kFinish, task, info.index,
        info.finish - info.release);
   // Move the callback out rather than copy it (a capturing lambda may live
@@ -379,10 +370,7 @@ void Cpu::dispatch() {
   if (!job.started) {
     job.started = true;
     job.start = sim_.now();
-    if (sim_.trace().enabled()) {
-      sim_.trace().record(sim_.now(), sim::TraceCategory::kCpu, "job-start")
-          << name_ << ' ' << next->spec.name << " #" << job.index;
-    }
+    emit(CpuFact::kStart, *next, job.index);
   }
   running_ = next;
   running_since_ = sim_.now();

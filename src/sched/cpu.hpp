@@ -37,19 +37,26 @@ enum class Policy { kEdf, kRateMonotonic, kDcsSr, kFifo };
 using JobCallback = std::function<void(const JobInfo&)>;
 
 /// What happens to jobs on a CPU.  A job that finishes past its deadline
-/// is a kMissedFinish, which also counts as a kFinish.
-enum class CpuFact : std::uint8_t { kRelease, kFinish, kMissedFinish, kPreempt, kCount };
+/// is a kMissedFinish, which also counts as a kFinish.  A job's release,
+/// first start and finish feed the trace digest; kStart feeds nothing else
+/// (the Hub sees a start as the CPU slice it opens).  A fact's `a` is the
+/// task's interned name, `b` the job index and `c` the hash of the name,
+/// which stands for it in the digest.
+enum class CpuFact : std::uint8_t { kRelease, kFinish, kMissedFinish, kPreempt, kStart, kCount };
 
 constexpr telemetry::FactSinks<CpuFact> fact_sinks(CpuFact f) {
   switch (f) {
-    case CpuFact::kRelease: return {.counter = "sched.releases", .event = "job-release"};
+    case CpuFact::kRelease: return {.counter = "sched.releases", .event = "job-release",
+                                    .digest = true, .text = true};
     case CpuFact::kFinish: return {.counter = "sched.completions", .event = "job-finish",
-                                   .histogram = "sched.response_ms", .duration = true};
+                                   .histogram = "sched.response_ms", .duration = true,
+                                   .digest = true, .text = true};
     case CpuFact::kMissedFinish: return {.counter = "sched.deadline_misses",
                                          .event = "job-finish",
                                          .histogram = "sched.response_ms", .duration = true,
-                                         .also = CpuFact::kFinish};
+                                         .also = CpuFact::kFinish, .digest = true, .text = true};
     case CpuFact::kPreempt: return {.counter = "sched.preemptions", .event = "preempt"};
+    case CpuFact::kStart: return {.digest = true, .text = true};
     case CpuFact::kCount: break;
   }
   return {};
@@ -131,6 +138,7 @@ class Cpu {
     sim::EventHandle release_event;
     std::size_t heap_pos = kNotReady;  ///< index in ready_, kNotReady when backlog is empty
     telemetry::TextId tele_name = 0;   ///< spec.name interned, on first use
+    std::uint64_t name_hash = 0;       ///< spec.name's Digest::hash, on first use
   };
 
   void arm_release(Task& task);
@@ -144,7 +152,8 @@ class Cpu {
   [[nodiscard]] bool higher_priority(const Task& a, const Task& b) const;
   void respecialize();
   /// Report `f` about `task`'s job (or, for a preemption, the task it
-  /// preempts) `b`; `response` is a finished job's response time.
+  /// preempts) `b`; `response` is a finished job's response time.  The
+  /// task's name is interned only while the Hub collects.
   void emit(CpuFact f, Task& task, std::uint64_t b, Duration response = Duration::zero());
 
   // Ready heap.  ready_ is a binary heap over the tasks whose backlog is
@@ -169,7 +178,6 @@ class Cpu {
 
   sim::Simulator& sim_;
   Policy policy_;
-  std::string name_;
   std::map<TaskId, Task> tasks_;  // ordered: deterministic iteration
   std::vector<Task*> ready_;      // binary heap, top = highest priority
   TaskId next_id_ = 1;

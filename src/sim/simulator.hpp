@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "sim/choice.hpp"
-#include "sim/trace.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -177,14 +176,9 @@ class Simulator {
     return policy_ != nullptr ? policy_->decide(ctx, rng) : rng.bernoulli(ctx.probability);
   }
 
-  /// Trace digest; off by default.  Components record via
-  /// `if (sim.trace().enabled()) sim.trace().record(sim.now(), ...) << detail`.
-  TraceRecorder& trace() { return trace_; }
-  [[nodiscard]] const TraceRecorder& trace() const { return trace_; }
-
-  /// Telemetry runtime (metrics registry + causal update spans); disabled
-  /// by default.  Components guard with `if (telemetry().enabled())` —
-  /// same idiom as trace().
+  /// Telemetry runtime (metrics registry, causal update spans and the
+  /// trace digest); disabled by default.  Components report through their
+  /// telemetry::Facts tables.
   telemetry::Hub& telemetry() { return hub_; }
   [[nodiscard]] const telemetry::Hub& telemetry() const { return hub_; }
 
@@ -262,7 +256,6 @@ class Simulator {
   std::vector<EventTag> tags_;  ///< step_with_policy scratch: ready_'s tags
   ChoicePolicy* policy_ = nullptr;
   Rng rng_;
-  TraceRecorder trace_;
   telemetry::Hub hub_;
 };
 

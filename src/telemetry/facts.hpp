@@ -4,13 +4,14 @@
 // Every site that reports is one Facts::emit call.
 //
 // emit always adds to the fact's total, which the component's getters
-// read.  While the Hub collects it also adds to the fact's registry
-// counter, samples its histogram, sets its gauge and records its Hub
-// event on the component's track; while the flight recorder runs it
-// appends the fact's flight record.  Registry instruments and interned
-// names are resolved on first use, so a Hub that never collects costs
-// each fact one total and two branches.  Trace-digest lines
-// (sim::TraceRecorder) are not facts: they stay at their sites.
+// read, and folds a fact the table marks `digest` into the Hub's trace
+// digest while that is enabled, whatever else the Hub does.  While the Hub
+// collects it also adds to the fact's registry counter, samples its
+// histogram, sets its gauge and records its Hub event on the component's
+// track; while the flight recorder runs it appends the fact's flight
+// record.  Registry instruments and interned names are resolved on first
+// use, so a Hub that never collects costs each fact one total and two
+// branches, plus one fold per digest fact.
 #pragma once
 
 #include <array>
@@ -43,6 +44,12 @@ struct FactSinks {
   bool duration = false;
   bool sums = false;          ///< totals and counters add `value`, not 1
   std::optional<F> also{};    ///< a fact this one also counts as
+  /// Fold each occurrence into the trace digest (Digest).  Its span is
+  /// never folded: spans exist only while the Hub collects.
+  bool digest = false;
+  /// `a` is a Hub-interned text, which also exists only while the Hub
+  /// collects, so the digest folds 0 in its place.
+  bool text = false;
 
   /// Whether the fact feeds anything while the Hub collects.
   [[nodiscard]] constexpr bool reports() const {
@@ -71,7 +78,7 @@ struct FactFields {
   std::int64_t value = 0;
   SpanId span = kNoSpan;
   std::uint32_t node = 0;         ///< the host it happened on; 0 = not node-scoped
-  std::optional<TimePoint> at{};  ///< back-dates the Hub event; default now
+  std::optional<TimePoint> at{};  ///< back-dates the event and digest record; default now
 };
 
 /// A component's facts: their totals, and the instruments and names they
@@ -83,9 +90,10 @@ class Facts {
 
   /// Hub events land on track "node<N>/<track>", or on `track` itself for
   /// a fact with no node; `render` formats their detail from the fields,
-  /// with the fact in Event::tag.  Without a hub only the totals count.
+  /// with the fact in Event::tag.  The track also names the digest domain.
+  /// Without a hub only the totals count.
   Facts(std::string track, Renderer render, Hub* hub = nullptr)
-      : track_(std::move(track)), render_(render), hub_(hub) {}
+      : domain_(Digest::hash(track)), track_(std::move(track)), render_(render), hub_(hub) {}
 
   /// Attach the hub.  Ids resolved on first use belong to it, so it is
   /// attached once.
@@ -97,13 +105,18 @@ class Facts {
 
   [[nodiscard]] std::uint64_t count(F f) const { return totals_[index(f)]; }
 
-  /// Report `f`: add to its total, and feed its sinks while they collect.
-  /// Inline, so a fact costs its total and the enabled branches.
+  /// Report `f`: add to its total, fold it into the digest if its table
+  /// says so, and feed its sinks while they collect.  Inline, so a fact
+  /// costs its total and the enabled branches.
   void emit(F f, const FactFields& x = {}) {
     const FactSinks<F>& s = kFactSinks<F>[index(f)];
     const std::uint64_t n = s.sums ? static_cast<std::uint64_t>(x.value) : 1;
     totals_[index(f)] += n;
     if (s.also) totals_[index(*s.also)] += n;
+    if (s.digest && hub_ != nullptr && hub_->digest().enabled()) {
+      hub_->digest().fold(domain_, static_cast<std::uint8_t>(f), x.node, s.text ? 0 : x.a, x.b,
+                          x.c, x.value, x.at ? *x.at : hub_->now());
+    }
     if (hub_ != nullptr && (hub_->enabled() ? s.reports()
                                             : s.flight && hub_->flight_recorder().enabled())) {
       report(f, FactFields(x));  // copied here, so `x` stays in registers on the fast path
@@ -184,6 +197,7 @@ class Facts {
     }
   }
 
+  std::uint64_t domain_;  ///< this component's digest domain
   std::array<std::uint64_t, kCount> totals_{};
   std::array<Counter*, kCount> counters_{};
   std::array<LatencyHistogram*, kCount> histograms_{};

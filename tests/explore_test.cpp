@@ -174,6 +174,25 @@ TEST_F(ExploreTest, ParserRejectsGarbage) {
                                             "oracle staleness-window\n"
                                             "action drop-frame 1 2 3 1000\n")
                   .has_value());
+  // Every value is read whole: a malformed, missing or extra value, or a
+  // scenario with no backup or no object, makes the artifact unreplayable
+  // rather than reading as 0, as "off" or as a shorter trace.
+  const auto with = [](const std::string& line) {
+    return explore::parse_counterexample(
+        "# rtpb-explore counterexample v1\noracle staleness-window\n" + line + "\n");
+  };
+  for (const char* bad : {"backups two", "backups 0", "objects 0", "objects 1 2", "seed 1x",
+                          "fencing x", "fencing 2", "trace 0 x 0", "trace 0 70000",
+                          "misses -1", "horizon-ns", "grace-ns 5ms", "candidate crash-primary",
+                          "action drop-frame 1 2 3", "oracle"}) {
+    EXPECT_FALSE(with(bad).has_value()) << bad;
+  }
+  const auto good = with("trace 0 1 0");
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->trace, (std::vector<std::uint16_t>{0, 1, 0}));
+  for (const char* fine : {"backups 2", "objects 3", "fencing 0", "trace", "grace-ns -5"}) {
+    EXPECT_TRUE(with(fine).has_value()) << fine;
+  }
 }
 
 TEST_F(ExploreTest, ReductionsOnlyPrune_NeverChangeTheVerdict) {

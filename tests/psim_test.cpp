@@ -217,7 +217,7 @@ std::vector<std::uint64_t> run_cluster(std::uint32_t groups, std::size_t threads
                                        Duration duration) {
   PartitionedCluster cluster(cluster_params(groups));
   for (std::uint32_t g = 0; g < groups; ++g) {
-    cluster.service(g).simulator().trace().enable();
+    cluster.service(g).simulator().telemetry().digest().enable();
   }
   cluster.start();
   core::ObjectId next = 1;

@@ -61,12 +61,12 @@ TEST(Recovery, DurabilityIsDigestPure) {
     ServiceParams p = make_params(7);
     p.durable = durable == 1;
     RtpbService service(p);
-    service.simulator().trace().enable();
+    service.simulator().telemetry().digest().enable();
     service.start();
     register_mixed_workload(service);
     service.run_for(seconds(2));
-    digests[durable] = service.simulator().trace().digest();
-    EXPECT_GT(service.simulator().trace().recorded(), 100u);
+    digests[durable] = service.simulator().telemetry().digest().value();
+    EXPECT_GT(service.simulator().telemetry().digest().records(), 100u);
   }
   EXPECT_EQ(digests[0], digests[1]);
 }
@@ -207,7 +207,7 @@ TEST(Recovery, CrashRestartRunsAreDeterministic) {
   std::uint64_t digests[2] = {0, 0};
   for (int run = 0; run < 2; ++run) {
     RtpbService service(make_params(11));
-    service.simulator().trace().enable();
+    service.simulator().telemetry().digest().enable();
     service.start();
     register_mixed_workload(service);
     service.run_for(seconds(1));
@@ -219,7 +219,7 @@ TEST(Recovery, CrashRestartRunsAreDeterministic) {
     service.run_for(seconds(1));
     service.restart_primary();
     service.run_for(seconds(1));
-    digests[run] = service.simulator().trace().digest();
+    digests[run] = service.simulator().telemetry().digest().value();
     EXPECT_EQ(service.primaries_alive(), 1u);
   }
   EXPECT_EQ(digests[0], digests[1]);

@@ -1,197 +1,300 @@
-// Execution tracing: the trace digest's byte contract, plus cross-subsystem
-// event ordering assertions on a live service's telemetry Hub timeline.
-#include "sim/trace.hpp"
-
+// Execution tracing: the trace digest's byte contract and how Facts::emit
+// feeds it, plus cross-subsystem event ordering assertions on a live
+// service's telemetry Hub timeline.  The suite keeps the name of the
+// recorder the digest once lived in.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/rtpb.hpp"
 #include "sched/cpu.hpp"
+#include "telemetry/facts.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace rtpb {
+
+// Two components with one digest fact each, at the same index.
+namespace probe {
+enum class Left : std::uint8_t { kTick, kQuiet, kCount };
+enum class Right : std::uint8_t { kTick, kCount };
+constexpr telemetry::FactSinks<Left> fact_sinks(Left f) {
+  return f == Left::kTick ? telemetry::FactSinks<Left>{.event = "tick", .digest = true}
+                          : telemetry::FactSinks<Left>{.counter = "probe.quiet"};
+}
+constexpr telemetry::FactSinks<Right> fact_sinks(Right) { return {.digest = true}; }
+}  // namespace probe
+
 namespace {
 
 // ---- digest contract ----
-// The digest is FNV-1a over each trace line's bytes: `at` as 8
-// little-endian bytes, the category byte, the label, 0, the detail, 0.
-// reference_fold() spells that layout out independently of the recorder.
+// Each record folds as seven 64-bit words: the domain, the fact shifted
+// above the 32-bit node, then a, b, c, value and the instant.  A word is
+// xored in and multiplied by the FNV-1a prime, then the high half is
+// xored into the low half.  reference_fold() spells that out
+// independently of telemetry::Digest.
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-std::uint64_t reference_fold(std::uint64_t h, TimePoint at, sim::TraceCategory category,
-                             std::string_view label, std::string_view detail) {
-  const auto byte = [&h](std::uint8_t b) { h = (h ^ b) * 0x100000001b3ULL; };
-  const auto ns = static_cast<std::uint64_t>(at.nanos());
-  for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(ns >> (8 * i)));
-  byte(static_cast<std::uint8_t>(category));
-  for (const char c : label) byte(static_cast<std::uint8_t>(c));
-  byte(0);
-  for (const char c : detail) byte(static_cast<std::uint8_t>(c));
-  byte(0);
+struct Record {
+  std::uint64_t domain = 0;
+  std::uint8_t fact = 0;
+  std::uint32_t node = 0;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint64_t c = 0;
+  std::int64_t value = 0;
+  TimePoint at{};
+};
+
+std::uint64_t reference_fold(std::uint64_t h, const Record& r) {
+  const std::uint64_t words[] = {r.domain,
+                                 (std::uint64_t{r.fact} << 32) | r.node,
+                                 r.a,
+                                 r.b,
+                                 r.c,
+                                 static_cast<std::uint64_t>(r.value),
+                                 static_cast<std::uint64_t>(r.at.nanos())};
+  for (const std::uint64_t w : words) {
+    h = (h ^ w) * kFnvPrime;
+    h ^= h >> 32;
+  }
   return h;
 }
 
-// One whole-string trace line through the recorder's public API.
-void record_line(sim::TraceRecorder& trace, TimePoint at, sim::TraceCategory category,
-                 std::string_view label, std::string_view detail) {
-  trace.record(at, category, label) << detail;
+// The FNV-1a hash of a component's track name: its domain.
+std::uint64_t reference_domain(std::string_view name) {
+  std::uint64_t h = kFnvOffset;
+  for (const char ch : name) h = (h ^ static_cast<std::uint8_t>(ch)) * kFnvPrime;
+  return h;
+}
+
+void fold(telemetry::Digest& digest, const Record& r) {
+  digest.fold(r.domain, r.fact, r.node, r.a, r.b, r.c, r.value, r.at);
 }
 
 TEST(TraceRecorder, EmptyDetailFoldsTheReferenceBytes) {
-  sim::TraceRecorder trace;
-  EXPECT_EQ(trace.digest(), kFnvOffset);
-  trace.enable();
-  record_line(trace, TimePoint{1}, sim::TraceCategory::kUser, "marker", "");
-  std::uint64_t want = reference_fold(kFnvOffset, TimePoint{1}, sim::TraceCategory::kUser,
-                                      "marker", "");
-  EXPECT_EQ(trace.digest(), want);
-  record_line(trace, TimePoint{0x0102030405060708}, sim::TraceCategory::kNet, "frame-send",
-              "node1->node2 64B");
-  want = reference_fold(want, TimePoint{0x0102030405060708}, sim::TraceCategory::kNet,
-                        "frame-send", "node1->node2 64B");
-  EXPECT_EQ(trace.digest(), want);
-  EXPECT_EQ(trace.recorded(), 2u);
+  telemetry::Digest digest;
+  EXPECT_EQ(digest.value(), kFnvOffset);
+  digest.enable();
+  const Record zero{};
+  fold(digest, zero);
+  std::uint64_t want = reference_fold(kFnvOffset, zero);
+  EXPECT_EQ(digest.value(), want);
+  const Record full{.domain = 0x1122334455667788,
+                    .fact = 7,
+                    .node = 0xa0b0c0d0,
+                    .a = 1,
+                    .b = UINT64_MAX,
+                    .c = 64,
+                    .value = -2,
+                    .at = TimePoint{0x0102030405060708}};
+  fold(digest, full);
+  want = reference_fold(want, full);
+  EXPECT_EQ(digest.value(), want);
+  EXPECT_EQ(digest.records(), 2u);
 }
 
 TEST(TraceRecorder, FieldBoundaryChangesTheDigest) {
-  sim::TraceRecorder split_late;
-  sim::TraceRecorder split_early;
-  split_late.enable();
-  split_early.enable();
-  record_line(split_late, TimePoint{5}, sim::TraceCategory::kCpu, "ab", "c");
-  record_line(split_early, TimePoint{5}, sim::TraceCategory::kCpu, "a", "bc");
-  EXPECT_NE(split_late.digest(), split_early.digest());
-  EXPECT_EQ(split_late.digest(),
-            reference_fold(kFnvOffset, TimePoint{5}, sim::TraceCategory::kCpu, "ab", "c"));
-  EXPECT_EQ(split_early.digest(),
-            reference_fold(kFnvOffset, TimePoint{5}, sim::TraceCategory::kCpu, "a", "bc"));
+  // Every field has its own fixed width: a value moved to the next field
+  // is a different record.
+  const Record in_a{.a = 5};
+  const Record in_b{.b = 5};
+  const Record in_node{.node = 5};
+  telemetry::Digest da;
+  telemetry::Digest db;
+  telemetry::Digest dn;
+  for (telemetry::Digest* d : {&da, &db, &dn}) d->enable();
+  fold(da, in_a);
+  fold(db, in_b);
+  fold(dn, in_node);
+  EXPECT_NE(da.value(), db.value());
+  EXPECT_NE(da.value(), dn.value());
+  EXPECT_EQ(da.value(), reference_fold(kFnvOffset, in_a));
+  EXPECT_EQ(db.value(), reference_fold(kFnvOffset, in_b));
+  EXPECT_EQ(dn.value(), reference_fold(kFnvOffset, in_node));
+}
+
+TEST(TraceRecorder, TopBitDifferencesDoNotCancel) {
+  // A plain word-wise xor-multiply keeps a top-bit difference in the top
+  // bit forever, so two of them would cancel; the fold-down spreads it.
+  const Record first{.value = 3};
+  const Record second{.b = 9};
+  Record first_flipped = first;
+  Record second_flipped = second;
+  first_flipped.value ^= std::numeric_limits<std::int64_t>::min();
+  second_flipped.b ^= 1ULL << 63;
+  telemetry::Digest plain;
+  telemetry::Digest flipped;
+  plain.enable();
+  flipped.enable();
+  fold(plain, first);
+  fold(plain, second);
+  fold(flipped, first_flipped);
+  fold(flipped, second_flipped);
+  EXPECT_NE(plain.value(), flipped.value());
 }
 
 TEST(TraceRecorder, DigestIsOrderSensitive) {
-  sim::TraceRecorder forward;
-  sim::TraceRecorder backward;
+  const Record start{.fact = 4, .b = 0, .c = 1, .at = TimePoint{1}};
+  const Record send{.fact = 1, .node = 1, .a = 1, .b = 2, .at = TimePoint{1}};
+  telemetry::Digest forward;
+  telemetry::Digest backward;
   forward.enable();
   backward.enable();
-  record_line(forward, TimePoint{1}, sim::TraceCategory::kCpu, "job-start", "tick #0");
-  record_line(forward, TimePoint{1}, sim::TraceCategory::kNet, "frame-send", "node1->node2");
-  record_line(backward, TimePoint{1}, sim::TraceCategory::kNet, "frame-send", "node1->node2");
-  record_line(backward, TimePoint{1}, sim::TraceCategory::kCpu, "job-start", "tick #0");
-  EXPECT_EQ(forward.recorded(), backward.recorded());
-  EXPECT_NE(forward.digest(), backward.digest());
+  fold(forward, start);
+  fold(forward, send);
+  fold(backward, send);
+  fold(backward, start);
+  EXPECT_EQ(forward.records(), backward.records());
+  EXPECT_NE(forward.value(), backward.value());
 }
-
-TEST(TraceRecorder, DisabledRecorderLeavesDigestAndCountUntouched) {
-  sim::TraceRecorder trace;
-  trace.enable();
-  record_line(trace, TimePoint{1}, sim::TraceCategory::kService, "promote", "node2 epoch2");
-  const std::uint64_t before = trace.digest();
-  trace.disable();
-  record_line(trace, TimePoint{2}, sim::TraceCategory::kService, "step-down", "node1 epoch2");
-  EXPECT_EQ(trace.digest(), before);
-  EXPECT_EQ(trace.recorded(), 1u);
-  // Re-enabling resumes the same fold: the skipped line left no trace.
-  trace.enable();
-  record_line(trace, TimePoint{3}, sim::TraceCategory::kUser, "x", "");
-  EXPECT_EQ(trace.digest(),
-            reference_fold(before, TimePoint{3}, sim::TraceCategory::kUser, "x", ""));
-  EXPECT_EQ(trace.recorded(), 2u);
-}
-
-// ---- streamed lines ----
-// Call sites stream a line's detail in pieces; FNV-1a is byte-serial, so
-// the pieces must fold to the digest of the concatenated string.
-
-TEST(TraceRecorder, StreamedIntegersMatchTheWholeString) {
-  sim::TraceRecorder streamed;
-  sim::TraceRecorder whole;
-  streamed.enable();
-  whole.enable();
-  streamed.record(TimePoint{9}, sim::TraceCategory::kNet, "ints")
-      << std::uint64_t{0} << ' ' << 7 << ' ' << UINT64_MAX << " B" << std::size_t{64};
-  record_line(whole, TimePoint{9}, sim::TraceCategory::kNet, "ints",
-              "0 7 " + std::to_string(UINT64_MAX) + " B64");
-  EXPECT_EQ(streamed.digest(), whole.digest());
-  EXPECT_EQ(streamed.recorded(), 1u);
-  EXPECT_EQ(whole.digest(), reference_fold(kFnvOffset, TimePoint{9}, sim::TraceCategory::kNet,
-                                           "ints", "0 7 18446744073709551615 B64"));
-}
-
-TEST(TraceRecorder, LongTaskNameIsNeverTruncated) {
-  const std::string name(300, 'n');
-  sim::TraceRecorder streamed;
-  sim::TraceRecorder clipped;
-  streamed.enable();
-  clipped.enable();
-  streamed.record(TimePoint{4}, sim::TraceCategory::kCpu, "job-start")
-      << "cpu0" << ' ' << name << " #" << std::uint64_t{12};
-  EXPECT_EQ(streamed.digest(), reference_fold(kFnvOffset, TimePoint{4}, sim::TraceCategory::kCpu,
-                                              "job-start", "cpu0 " + name + " #12"));
-  // Every byte of the name counts: one byte fewer is a different line.
-  record_line(clipped, TimePoint{4}, sim::TraceCategory::kCpu, "job-start",
-              "cpu0 " + name.substr(1) + " #12");
-  EXPECT_NE(streamed.digest(), clipped.digest());
-}
-
-TEST(TraceRecorder, MissedSuffixStreamsLikeTheWholeString) {
-  for (const bool missed : {false, true}) {
-    sim::TraceRecorder streamed;
-    sim::TraceRecorder whole;
-    streamed.enable();
-    whole.enable();
-    streamed.record(TimePoint{20}, sim::TraceCategory::kCpu, "job-finish")
-        << "cpu0" << ' ' << "tick" << " #" << std::uint64_t{3} << (missed ? " MISSED" : "");
-    record_line(whole, TimePoint{20}, sim::TraceCategory::kCpu, "job-finish",
-                std::string("cpu0 tick #3") + (missed ? " MISSED" : ""));
-    EXPECT_EQ(streamed.digest(), whole.digest()) << "missed=" << missed;
-  }
-}
-
-// ---- recorder behaviour ----
 
 TEST(TraceRecorder, DisabledByDefaultAndFree) {
-  sim::TraceRecorder trace;
-  EXPECT_FALSE(trace.enabled());
-  trace.record(TimePoint{1}, sim::TraceCategory::kUser, "ignored") << "detail " << 42;
-  EXPECT_EQ(trace.digest(), kFnvOffset);
-  EXPECT_EQ(trace.recorded(), 0u);
+  telemetry::Digest digest;
+  EXPECT_FALSE(digest.enabled());
+  fold(digest, Record{.a = 42, .at = TimePoint{1}});
+  EXPECT_EQ(digest.value(), kFnvOffset);
+  EXPECT_EQ(digest.records(), 0u);
 }
 
 TEST(TraceRecorder, RecordsInOrder) {
-  sim::TraceRecorder trace;
-  trace.enable();
-  trace.record(TimePoint{1}, sim::TraceCategory::kUser, "a");
-  trace.record(TimePoint{2}, sim::TraceCategory::kNet, "b") << "context";
-  ASSERT_EQ(trace.recorded(), 2u);
-  const std::uint64_t first =
-      reference_fold(kFnvOffset, TimePoint{1}, sim::TraceCategory::kUser, "a", "");
-  EXPECT_EQ(trace.digest(),
-            reference_fold(first, TimePoint{2}, sim::TraceCategory::kNet, "b", "context"));
+  telemetry::Digest digest;
+  digest.enable();
+  const Record first{.fact = 1, .at = TimePoint{1}};
+  const Record second{.fact = 2, .c = 9, .at = TimePoint{2}};
+  fold(digest, first);
+  fold(digest, second);
+  ASSERT_EQ(digest.records(), 2u);
+  EXPECT_EQ(digest.value(), reference_fold(reference_fold(kFnvOffset, first), second));
+}
+
+// ---- Facts::emit feeds the digest ----
+
+TEST(TraceRecorder, DisabledRecorderLeavesDigestAndCountUntouched) {
+  // Facts emitted before the digest is enabled leave no trace; enabling it
+  // starts the fold from the empty digest.
+  telemetry::Hub hub;
+  hub.set_clock([] { return TimePoint{3}; });
+  telemetry::Facts<probe::Left> facts("left", nullptr, &hub);
+  facts.emit(probe::Left::kTick, {.a = 1});
+  EXPECT_EQ(hub.digest().value(), kFnvOffset);
+  EXPECT_EQ(hub.digest().records(), 0u);
+  EXPECT_EQ(facts.count(probe::Left::kTick), 1u);  // the total still counts
+  hub.digest().enable();
+  facts.emit(probe::Left::kTick, {.a = 2, .node = 4});
+  EXPECT_EQ(hub.digest().value(),
+            reference_fold(kFnvOffset, {.domain = reference_domain("left"),
+                                        .node = 4,
+                                        .a = 2,
+                                        .at = TimePoint{3}}));
+  EXPECT_EQ(hub.digest().records(), 1u);
+}
+
+TEST(TraceRecorder, DomainSeparatesComponents) {
+  // Equal fact indices of two components fold differently: each folds its
+  // track name's domain.
+  telemetry::Hub left_hub;
+  telemetry::Hub right_hub;
+  telemetry::Facts<probe::Left> left("left", nullptr, &left_hub);
+  telemetry::Facts<probe::Right> right("right", nullptr, &right_hub);
+  left_hub.digest().enable();
+  right_hub.digest().enable();
+  left.emit(probe::Left::kTick, {.b = 7});
+  right.emit(probe::Right::kTick, {.b = 7});
+  EXPECT_NE(left_hub.digest().value(), right_hub.digest().value());
+  EXPECT_EQ(right_hub.digest().value(),
+            reference_fold(kFnvOffset, {.domain = reference_domain("right"), .b = 7}));
+}
+
+TEST(TraceRecorder, OnlyFlaggedFactsFoldAndNeverTheirSpan) {
+  // The digest sees the same records whatever the Hub collects: a fact
+  // without the flag folds nothing, and the span (minted only while the
+  // Hub collects) is left out.
+  std::uint64_t digests[2] = {0, 0};
+  for (int on = 0; on <= 1; ++on) {
+    telemetry::Hub hub;
+    if (on == 1) {
+      hub.enable();
+      hub.flight_recorder().enable();
+    }
+    hub.digest().enable();
+    telemetry::Facts<probe::Left> facts("left", nullptr, &hub);
+    facts.emit(probe::Left::kQuiet, {.a = 5});
+    facts.emit(probe::Left::kTick, {.a = 5, .span = on == 1 ? 99u : telemetry::kNoSpan});
+    EXPECT_EQ(hub.digest().records(), 1u);
+    digests[on] = hub.digest().value();
+  }
+  EXPECT_EQ(digests[0], digests[1]);
+}
+
+TEST(TraceRecorder, CpuDigestIgnoresTheInternedTaskName) {
+  // A CPU fact's `a` is its task's name, interned only while the Hub
+  // collects; the hash of the name in `c` stands for it in the digest.
+  std::uint64_t digests[2] = {0, 0};
+  for (int on = 0; on <= 1; ++on) {
+    sim::Simulator sim;
+    if (on == 1) {
+      sim.telemetry().enable();
+      sim.telemetry().intern("shifts every later interned id");
+    }
+    sim.telemetry().digest().enable();
+    sched::Cpu cpu(sim, sched::Policy::kRateMonotonic);
+    cpu.add_task({.name = "tick", .period = millis(10), .wcet = millis(2)}, nullptr);
+    cpu.start(TimePoint::zero());
+    sim.run_until(TimePoint::zero() + millis(35));
+    // Four jobs, each released, started and finished.
+    EXPECT_EQ(sim.telemetry().digest().records(), 12u);
+    digests[on] = sim.telemetry().digest().value();
+  }
+  EXPECT_EQ(digests[0], digests[1]);
+}
+
+/// The digest of a CPU running one task named `name` for 35 ms.
+std::uint64_t cpu_digest(const std::string& name) {
+  sim::Simulator sim;
+  sim.telemetry().digest().enable();
+  sched::Cpu cpu(sim, sched::Policy::kRateMonotonic);
+  cpu.add_task({.name = name, .period = millis(10), .wcet = millis(2)}, nullptr);
+  cpu.start(TimePoint::zero());
+  sim.run_until(TimePoint::zero() + millis(35));
+  return sim.telemetry().digest().value();
+}
+
+TEST(TraceRecorder, LongTaskNameIsNeverTruncated) {
+  // Every byte of the name counts: one byte fewer is a different task.
+  const std::string name(300, 'n');
+  EXPECT_NE(cpu_digest(name), cpu_digest(name.substr(1)));
+  EXPECT_EQ(cpu_digest(name), cpu_digest(name));
 }
 
 TEST(TraceRecorder, DigestAndRecordedCoverEvictedEvents) {
-  // The digest is the determinism oracle: it must fold over EVERY event
-  // ever recorded.
-  sim::TraceRecorder left;
-  sim::TraceRecorder right;
-  left.enable();
-  right.enable();
-  for (int i = 0; i < 50; ++i) {
-    left.record(TimePoint{i}, sim::TraceCategory::kNet, "ev") << i;
-    right.record(TimePoint{i}, sim::TraceCategory::kNet, "ev") << i;
+  // The digest is the determinism oracle: it must fold over EVERY fact
+  // ever reported, not just the events the Hub's ring still holds.
+  telemetry::Hub left_hub;
+  telemetry::Hub right_hub;
+  for (telemetry::Hub* hub : {&left_hub, &right_hub}) {
+    hub->enable(/*event_capacity=*/4);
+    hub->digest().enable();
   }
-  EXPECT_EQ(left.digest(), right.digest());
-  EXPECT_EQ(left.recorded(), 50u);
-  EXPECT_EQ(right.recorded(), 50u);
+  telemetry::Facts<probe::Left> left("ev", nullptr, &left_hub);
+  telemetry::Facts<probe::Left> right("ev", nullptr, &right_hub);
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    left.emit(probe::Left::kTick, {.a = i, .at = TimePoint{static_cast<std::int64_t>(i)}});
+    right.emit(probe::Left::kTick, {.a = i, .at = TimePoint{static_cast<std::int64_t>(i)}});
+  }
+  EXPECT_EQ(left_hub.digest().value(), right_hub.digest().value());
+  EXPECT_EQ(left_hub.digest().records(), 50u);
+  EXPECT_EQ(left_hub.events().size(), 4u);
 
-  // A single divergent event changes it.
-  left.record(TimePoint{50}, sim::TraceCategory::kNet, "ev") << "fork";
-  right.record(TimePoint{50}, sim::TraceCategory::kNet, "ev") << "FORK";
-  EXPECT_NE(left.digest(), right.digest());
+  // A single divergent fact changes it.
+  left.emit(probe::Left::kTick, {.a = 50});
+  right.emit(probe::Left::kTick, {.a = 51});
+  EXPECT_NE(left_hub.digest().value(), right_hub.digest().value());
 }
 
 // ---- the event timeline lives in the telemetry Hub ----

@@ -178,9 +178,9 @@ int main(int argc, char** argv) {
       count = 1;
       single = true;
     } else if (arg == "--duration-ms") {
-      opts.duration = args.millis();
+      opts.duration = args.millis(1);
     } else if (arg == "--intensity") {
-      opts.intensity = args.number<double>();
+      opts.intensity = args.number<double>(0.0);
     } else if (arg == "--objects") {
       opts.objects = args.number<std::size_t>();
     } else if (arg == "--backups") {

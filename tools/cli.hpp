@@ -4,11 +4,13 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <limits>
 #include <string>
+#include <type_traits>
 
 #include "util/time.hpp"
 
@@ -31,7 +33,8 @@ class Args {
     if (i_ + 1 >= argc_) fail("needs a value");
     return argv_[++i_];
   }
-  /// The value as a T, read whole; exits 2 on anything else or below `min`.
+  /// The value as a T, read whole; exits 2 on anything else, on a value
+  /// below `min` and on an infinite or NaN floating-point value.
   template <typename T>
   T number(T min = std::numeric_limits<T>::lowest()) {
     const char* text = value();
@@ -39,7 +42,14 @@ class Args {
     T n{};
     const auto [stop, err] = std::from_chars(text, end, n);
     if (err != std::errc{} || stop != end) fail(std::string("needs a number, got ").append(text));
-    if (n < min) fail(std::string("must be at least ").append(std::to_string(min)));
+    if constexpr (std::is_floating_point_v<T>) {
+      if (!std::isfinite(n)) fail(std::string("needs a finite number, got ").append(text));
+    }
+    if (n < min) {
+      char shown[32];
+      char* shown_end = std::to_chars(shown, shown + sizeof shown, min).ptr;
+      fail(std::string("must be at least ").append(shown, shown_end));
+    }
     return n;
   }
   Duration millis(std::int64_t min = std::numeric_limits<std::int64_t>::lowest()) {

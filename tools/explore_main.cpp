@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       cfg.service_seed = args.number<std::uint64_t>();
     } else if (arg == "--horizon-ms") {
-      cfg.bounds.horizon = args.millis();
+      cfg.bounds.horizon = args.millis(1);
     } else if (arg == "--grace-ms") {
       cfg.failover_grace = args.millis();
     } else if (const auto* c = std::find_if(std::begin(kCandidateFlags), std::end(kCandidateFlags),
