@@ -44,7 +44,6 @@
 #include "sim/simulator.hpp"
 #include "store/device.hpp"
 #include "store/durable_store.hpp"
-#include "util/log.hpp"
 #include "xkernel/graph.hpp"
 #include "xkernel/message.hpp"
 
@@ -301,16 +300,11 @@ double xkernel_allocs_per_frame() {
 
 /// Allocations per trajectory of an explorer sweep.  A sweep draws no host
 /// randomness and runs on one runner here, so the count is exact on every
-/// host.  Logging is raised to errors as explore_main does, so WARN lines
-/// cost nothing.
+/// host.
 double explore_allocs_per_trajectory(const explore::ExploreConfig& cfg) {
-  Logger& log = Logger::instance();
-  const LogLevel level = log.level();
-  log.set_level(LogLevel::kError);
   Scope scope;
   const std::uint64_t trajectories = explore::explore(cfg, nullptr, 1).trajectories;
   const auto allocs = static_cast<double>(scope.allocations());
-  log.set_level(level);
   return allocs / static_cast<double>(trajectories);
 }
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "telemetry/export.hpp"
-#include "util/log.hpp"
 
 namespace rtpb::chaos {
 
@@ -70,16 +69,16 @@ void apply_torn_tail_sabotage(const ChaosSchedule& schedule, const ChaosOptions&
   }
 }
 
-/// Write one export file with `write`, warning (not failing) when `path`
-/// cannot be opened.  An empty path writes nothing.
+/// Write one export file with `write`, adding `path` to `unwritable` when
+/// it cannot be opened.  An empty path writes nothing.
 template <typename Write>
-void export_to(const std::string& path, const char* what, Write write) {
+void export_to(const std::string& path, std::vector<std::string>& unwritable, Write write) {
   if (path.empty()) return;
   std::ofstream out(path);
   if (out) {
     write(out);
   } else {
-    RTPB_WARN("chaos", "cannot open %s for %s export", path.c_str(), what);
+    unwritable.push_back(path);
   }
 }
 
@@ -158,7 +157,7 @@ void Experiment::arm(std::vector<FaultEpoch> epochs) {
                                                  observe_.health_period);
     health_->start();
   } else {
-    RTPB_WARN("chaos", "cannot open %s for health feed", observe_.health_jsonl_path.c_str());
+    unwritable_.push_back(observe_.health_jsonl_path);
   }
 }
 
@@ -170,17 +169,19 @@ void Experiment::finish() {
   // artifact path always yields something inspectable.
   telemetry::Hub& hub = service_.simulator().telemetry();
   telemetry::FlightRecorder& recorder = hub.flight_recorder();
-  if (recorder.enabled() && !observe_.postmortem_path.empty() && !recorder.dumped()) {
-    recorder.trigger_dump("end-of-run", service_.simulator().now());
+  // A recorder that still has not dumped could not open its path.
+  if (recorder.enabled() && !observe_.postmortem_path.empty() && !recorder.dumped() &&
+      !recorder.trigger_dump("end-of-run", service_.simulator().now())) {
+    unwritable_.push_back(observe_.postmortem_path);
   }
 
   // The service lives only as long as the experiment, so exports happen here.
   if (!observe_.telemetry) return;
-  export_to(observe_.metrics_json_path, "metrics",
+  export_to(observe_.metrics_json_path, unwritable_,
             [&hub](std::ostream& out) { out << hub.registry().to_json() << "\n"; });
-  export_to(observe_.trace_json_path, "trace",
+  export_to(observe_.trace_json_path, unwritable_,
             [&hub](std::ostream& out) { telemetry::write_chrome_trace(hub, out); });
-  export_to(observe_.trace_jsonl_path, "trace",
+  export_to(observe_.trace_jsonl_path, unwritable_,
             [&hub](std::ostream& out) { telemetry::write_jsonl(hub, out); });
 }
 
@@ -221,6 +222,7 @@ SeedReport Experiment::report() {
   report.postmortem_written = recorder.dumped();
   report.postmortem_reason = recorder.dump_reason();
   if (health_ != nullptr) report.health_snapshots = health_->snapshots();
+  report.unwritable = unwritable_;
 
   if (observe_.telemetry) {
     report.spans_started = hub.spans_started();

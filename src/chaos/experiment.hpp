@@ -79,6 +79,9 @@ struct SeedReport {
   bool postmortem_written = false;     ///< a post-mortem artifact was dumped
   std::string postmortem_reason;       ///< trigger that wrote it
   std::uint64_t health_snapshots = 0;  ///< health JSONL lines emitted
+  /// Requested artifact paths (exports, post-mortem, health feed) that
+  /// could not be opened for writing, in the order they were tried.
+  std::vector<std::string> unwritable;
 
   /// Ready-to-paste FaultPlan reproducer (filled when violations > 0).
   std::string reproducer;
@@ -121,6 +124,8 @@ class Experiment {
   [[nodiscard]] core::FaultPlan& plan() { return plan_; }
   [[nodiscard]] OracleMonitor& monitor() { return *monitor_; }
   [[nodiscard]] const std::vector<core::ObjectId>& admitted() const { return admitted_; }
+  /// SeedReport::unwritable so far.
+  [[nodiscard]] const std::vector<std::string>& unwritable() const { return unwritable_; }
 
  private:
   Experiment(std::uint64_t seed, const ChaosSchedule& schedule, const ChaosOptions& opts);
@@ -134,6 +139,7 @@ class Experiment {
   std::optional<OracleMonitor> monitor_;
   std::optional<std::ofstream> health_out_;  ///< opened only for a health feed
   std::unique_ptr<core::HealthFeed> health_;
+  std::vector<std::string> unwritable_;
 };
 
 }  // namespace rtpb::chaos

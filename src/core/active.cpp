@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/log.hpp"
-
 namespace rtpb::core {
 
 ActiveReplicationService::ActiveReplicationService(Params params)

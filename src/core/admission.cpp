@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sched/theory.hpp"
-#include "util/log.hpp"
 
 namespace rtpb::core {
 

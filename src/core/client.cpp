@@ -1,7 +1,5 @@
 #include "core/client.hpp"
 
-#include "util/log.hpp"
-
 namespace rtpb::core {
 
 ClientApp::ClientApp(sim::Simulator& sim, ReplicaServer& home, Rng rng, bool active)
@@ -46,7 +44,6 @@ void ClientApp::activate() {
   home_.store().for_each([this](const ObjectState& state) {
     if (!tasks_.contains(state.spec.id)) start_sensing(state.spec);
   });
-  RTPB_INFO("client", "client app activated with %zu sensing tasks", tasks_.size());
 }
 
 void ClientApp::deactivate() {

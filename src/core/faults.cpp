@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <iterator>
 
-#include "util/log.hpp"
-
 namespace rtpb::core {
 
 namespace {
@@ -175,7 +173,6 @@ void FaultPlan::arm() {
 void FaultPlan::fire(const Action& action) {
   if (action.half == Half::kScript) {
     const Script& script = scripts_[action.index];
-    RTPB_INFO("faults", "firing %s", script.label.c_str());
     fired_.push_back(script.label);
     script.fn();
     return;
@@ -185,7 +182,6 @@ void FaultPlan::fire(const Action& action) {
   const KindInfo& kind = info(e.fault.kind);
   std::string label = e.fault.candidate ? "maybe-" : "";
   label += start ? kind.start : kind.end;
-  RTPB_INFO("faults", "firing %s", label.c_str());
   fired_.push_back(std::move(label));
   if (e.fault.candidate) {
     if (start) e.chosen = decide(e.fault);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/log.hpp"
-
 namespace rtpb::core {
 
 namespace {
@@ -63,13 +61,10 @@ void FailureDetector::on_timeout(std::uint64_t seq, TimePoint sent_at) {
     return;
   }
   ++misses_;
-  RTPB_DEBUG("heartbeat", "ping %llu unanswered (miss %u/%u)",
-             static_cast<unsigned long long>(seq), misses_, params_.max_misses);
   facts_.emit(DetectorFact::kMiss, {.a = seq, .b = misses_, .c = params_.max_misses});
   if (misses_ >= params_.max_misses) {
     peer_dead_ = true;
     timer_.stop();
-    RTPB_INFO("heartbeat", "peer declared dead after %u misses", misses_);
     facts_.emit(DetectorFact::kPeerDead, {.a = misses_});
     on_peer_dead_();
   }

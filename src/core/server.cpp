@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/log.hpp"
-
 namespace rtpb::core {
 
 namespace {
@@ -190,8 +188,6 @@ void ReplicaServer::on_rtt_sample(Duration rtt) {
 }
 
 void ReplicaServer::on_peer_dead(net::NodeId peer) {
-  RTPB_INFO("rtpb", "%s@node%u: heartbeat peer node%u declared dead", role_name(role_), node(),
-            peer);
   if (role_ == Role::kBackup) {
     // A backup's only peer is (its view of) the primary.
     if (successor_) {
@@ -270,7 +266,6 @@ void ReplicaServer::crash() {
   // artifact shows what led up to it (first trigger wins).
   sim_.telemetry().flight_recorder().trigger_dump(
       "crash:node" + std::to_string(node()), sim_.now());
-  RTPB_INFO("rtpb", "%s@node%u crashed", role_name(role_), node());
 }
 
 // ---------------------------------------------------------------------------
@@ -280,12 +275,7 @@ void ReplicaServer::crash() {
 void ReplicaServer::grow_frame_budget(std::size_t payload_bytes) {
   if (payload_bytes <= frame_budget_) return;
   frame_budget_ = payload_bytes;
-  if (link_params_) {
-    const Duration ell = link_params_->delay_bound(frame_budget_);
-    admission_->set_link_delay_bound(ell);
-    RTPB_INFO("rtpb", "frame budget grown to %zu B; admission ℓ now %s", frame_budget_,
-              ell.to_string().c_str());
-  }
+  if (link_params_) admission_->set_link_delay_bound(link_params_->delay_bound(frame_budget_));
 }
 
 AdmissionResult ReplicaServer::register_object(const ObjectSpec& spec) {
@@ -296,11 +286,7 @@ AdmissionResult ReplicaServer::register_object(const ObjectSpec& spec) {
   // bound — bigger for this and subsequent registrations.
   grow_frame_budget(spec.size_bytes);
   AdmissionResult result = admission_->admit(spec);
-  if (!result.ok()) {
-    RTPB_DEBUG("rtpb", "admission rejected object %u: %s", spec.id,
-               admission_error_name(result.code()));
-    return result;
-  }
+  if (!result.ok()) return result;
   if (!durable_log_insert(spec)) return result;  // fail-stopped
   const bool inserted = store_.insert(spec);
   RTPB_ASSERT(inserted);
@@ -309,8 +295,6 @@ AdmissionResult ReplicaServer::register_object(const ObjectSpec& spec) {
   // One periodic update-transmission task per admitted object (§4.3).
   sync_update_tasks();
   if (!peers_.empty()) begin_transfer({spec.id}, peers_, /*delta=*/false);
-  RTPB_INFO("rtpb", "admitted object %u (r=%s)", spec.id,
-            admission_->update_period(spec.id).to_string().c_str());
   return result;
 }
 
@@ -340,7 +324,7 @@ void ReplicaServer::local_write(ObjectId id, std::span<const std::uint8_t> value
   // or backup could observe — sees it.
   if (storage_ != nullptr &&
       !storage_->log_write(id, store_.get(id).version + 1, info.finish, info.finish, value)) {
-    fail_stop("wal-write");
+    fail_stop();
     return;
   }
   const std::uint64_t version = store_.write(id, value, info.finish);
@@ -563,8 +547,6 @@ void ReplicaServer::arm_ack_timeout(ObjectId id, std::uint64_t version) {
       if (acked < version) lagging.push_back(peer);
     }
     if (lagging.empty()) return;
-    RTPB_DEBUG("rtpb", "update %u v%llu unacked by %zu peer(s); retransmitting", id,
-               static_cast<unsigned long long>(version), lagging.size());
     send_update(id, /*retransmission=*/true, nullptr, &lagging);
     arm_ack_timeout(id, version);
   });
@@ -631,8 +613,6 @@ void ReplicaServer::retry_pending_registrations() {
       // heartbeat declaration takes (deferred remove_peer on a primary).
       for (const net::NodeId n : pending.awaiting) {
         emit(Fact::kTransferGiveUp);
-        RTPB_WARN("rtpb", "transfer %llu to node%u unacked after %u attempts; suspecting peer",
-                  static_cast<unsigned long long>(it->first), n, pending.attempts - 1);
         on_peer_dead(n);
       }
       it = primary_.transfers.erase(it);
@@ -688,8 +668,8 @@ void ReplicaServer::promote() {
   store_.for_each([this](const ObjectState& state) {
     const AdmissionResult r = admission_->admit(state.spec);
     if (!r.ok()) {
-      RTPB_WARN("rtpb", "object %u no longer admissible after failover: %s", state.spec.id,
-                admission_error_name(r.code()));
+      emit(Fact::kContractLost, state.spec.id, 0, telemetry::kNoSpan,
+           static_cast<std::int64_t>(r.code()));
     }
   });
   for (const auto& c : replicated_constraints_) (void)admission_->add_constraint(c);
@@ -705,17 +685,12 @@ void ReplicaServer::promote() {
   }
   arm_qos_tick();
 
-  RTPB_INFO("rtpb", "backup promoted to primary at %s (epoch %llu)",
-            sim_.now().to_string().c_str(), static_cast<unsigned long long>(epoch_));
   // Bring up the local (backup) client application via up-call.
   if (hooks_.on_promoted) hooks_.on_promoted();
 }
 
 void ReplicaServer::step_down(std::uint64_t new_epoch) {
   RTPB_EXPECTS(role_ == Role::kPrimary);
-  RTPB_INFO("rtpb", "primary@node%u deposed: saw epoch %llu > own %llu; stepping down", node(),
-            static_cast<unsigned long long>(new_epoch),
-            static_cast<unsigned long long>(epoch_));
   emit(Fact::kStepDown, 0, 0, telemetry::kNoSpan, static_cast<std::int64_t>(new_epoch));
   role_ = Role::kBackup;
   epoch_ = new_epoch;
@@ -755,7 +730,6 @@ void ReplicaServer::follow_new_primary(net::Endpoint new_primary) {
   clear_peers();
   add_peer(new_primary);
   start_heartbeat();
-  RTPB_INFO("rtpb", "backup@node%u now follows primary at node%u", node(), new_primary.node);
 }
 
 // ---------------------------------------------------------------------------
@@ -878,10 +852,6 @@ bool ReplicaServer::renegotiate(ObjectId id, ObjectSpec to, bool downgrade) {
                 : wire::encode(wire::ConstraintRestore{id, to.delta_backup, period, seq, epoch_})};
   for (const net::Endpoint& peer : peers_) send_to(peer, frame);
 
-  RTPB_INFO("rtpb", "QoS %s: object %u window %s -> %s (r=%s, seq %llu)",
-            downgrade ? "downgrade" : "restore", id, from.window().to_string().c_str(),
-            to.window().to_string().c_str(), period.to_string().c_str(),
-            static_cast<unsigned long long>(seq));
   emit(downgrade ? Fact::kQosDowngrade : Fact::kQosRestore, id, 0, telemetry::kNoSpan,
        to.window().nanos());
   return true;
@@ -934,7 +904,7 @@ void ReplicaServer::handle_message(xkernel::Message& msg, const xkernel::MsgAttr
   // values are borrowed from `msg`, so nothing may keep `decoded`.
   auto decoded = wire::decode(msg.contents());
   if (!decoded) {
-    RTPB_WARN("rtpb", "undecodable RTPB message from node%u; dropped", attrs.src.node);
+    emit(Fact::kUndecodable, 0, 0, telemetry::kNoSpan, attrs.src.node);
     return;
   }
   const net::Endpoint from = attrs.src;
@@ -949,9 +919,6 @@ void ReplicaServer::handle_message(xkernel::Message& msg, const xkernel::MsgAttr
     const wire::MsgType type = wire::type_of(*decoded);
     emit(Fact::kEpochReject, 0, msg_epoch, sim_.telemetry().current_span(),
          static_cast<std::int64_t>(type));
-    RTPB_DEBUG("rtpb", "%s from node%u fenced: epoch %llu < %llu", wire::msg_type_name(type),
-               from.node, static_cast<unsigned long long>(msg_epoch),
-               static_cast<unsigned long long>(epoch_));
     if (const auto* ping = std::get_if<wire::Ping>(&*decoded)) {
       send_to(from, wire::encode(wire::PingAck{ping->seq, epoch_}));
     }
@@ -979,12 +946,12 @@ void ReplicaServer::handle_message(xkernel::Message& msg, const xkernel::MsgAttr
   std::visit([&](auto& m) { handle(m, from); }, *decoded);
 }
 
-void ReplicaServer::handle(const wire::ActivePrepare& /*p*/, net::Endpoint /*from*/) {
-  RTPB_WARN("rtpb", "unexpected active-replication message; dropped");
+void ReplicaServer::handle(const wire::ActivePrepare& /*p*/, net::Endpoint from) {
+  emit(Fact::kForeignFrame, 0, 0, telemetry::kNoSpan, from.node);
 }
 
-void ReplicaServer::handle(const wire::ActiveAck& /*a*/, net::Endpoint /*from*/) {
-  RTPB_WARN("rtpb", "unexpected active-replication message; dropped");
+void ReplicaServer::handle(const wire::ActiveAck& /*a*/, net::Endpoint from) {
+  emit(Fact::kForeignFrame, 0, 0, telemetry::kNoSpan, from.node);
 }
 
 void ReplicaServer::handle(const wire::Update& u, net::Endpoint from) {
@@ -1209,9 +1176,6 @@ void ReplicaServer::apply_qos_notice(ObjectId id, std::uint64_t qos_seq, Duratio
   rec.backup.watchdog_period = update_period;
   arm_watchdog(id);
   rec.qos_notice_at = sim_.now();
-  RTPB_INFO("rtpb", "backup@node%u applied QoS %s: object %u window %s (seq %llu)", node(),
-            delta_primary ? "downgrade" : "restore", id, spec.window().to_string().c_str(),
-            static_cast<unsigned long long>(qos_seq));
   emit(delta_primary ? Fact::kDowngradeReceived : Fact::kRestoreReceived, id, 0,
        telemetry::kNoSpan, spec.window().nanos());
 }
@@ -1272,7 +1236,7 @@ wire::StateEntry ReplicaServer::state_entry_for(ObjectId id) const {
 bool ReplicaServer::durable_log_insert(const ObjectSpec& spec) {
   if (storage_ == nullptr) return true;
   if (!storage_->log_insert(spec)) {
-    fail_stop("wal-insert");
+    fail_stop();
     return false;
   }
   emit(Fact::kWalRecord);
@@ -1286,7 +1250,7 @@ bool ReplicaServer::durable_log_update(ObjectId id, std::uint64_t version, TimeP
   // stamps next — so the recovered state matches the in-memory one
   // byte-for-byte.
   if (!storage_->log_write(id, version, sim_.now(), origin_ts, value)) {
-    fail_stop("wal-write");
+    fail_stop();
     return false;
   }
   emit(Fact::kWalRecord);
@@ -1295,7 +1259,7 @@ bool ReplicaServer::durable_log_update(ObjectId id, std::uint64_t version, TimeP
 
 void ReplicaServer::durable_log_meta() {
   if (storage_ == nullptr || crashed_) return;
-  if (!storage_->log_meta(epoch_, next_transfer_id_)) fail_stop("wal-meta");
+  if (!storage_->log_meta(epoch_, next_transfer_id_)) fail_stop();
 }
 
 std::uint64_t ReplicaServer::mint_transfer_id() {
@@ -1310,16 +1274,14 @@ std::uint64_t ReplicaServer::mint_transfer_id() {
 void ReplicaServer::maybe_checkpoint() {
   if (storage_ == nullptr || crashed_ || !storage_->should_checkpoint()) return;
   if (!storage_->checkpoint(store_, epoch_, next_transfer_id_)) {
-    fail_stop("checkpoint");
+    fail_stop();
     return;
   }
   emit(Fact::kCheckpoint);
 }
 
-void ReplicaServer::fail_stop(const char* what) {
+void ReplicaServer::fail_stop() {
   if (crashed_) return;
-  RTPB_WARN("rtpb", "%s@node%u: storage append failed (%s); fail-stop", role_name(role_),
-            node(), what);
   emit(Fact::kFailStop);
   crash();
 }
@@ -1387,18 +1349,13 @@ void ReplicaServer::restart() {
   if (rec.wal_torn) emit(Fact::kTornWalTail);
   if (rec.checkpoint_torn) emit(Fact::kTornCheckpointTail);
   emit(Fact::kRestart, 0, rec.checkpoint_records, telemetry::kNoSpan, wal_records);
-  RTPB_INFO("rtpb",
-            "node%u restarted from durable state: %zu object(s), epoch %llu, "
-            "%zu wal record(s)%s",
-            node(), store_.size(), static_cast<unsigned long long>(epoch_), rec.wal_records,
-            rec.wal_torn ? " (torn tail discarded)" : "");
 }
 
 void ReplicaServer::request_resync() {
   if (crashed_ || role_ != Role::kBackup || peers_.empty()) return;
   const std::uint32_t attempts = incarnation_.resync_attempts;
   if (config_.transfer_retry_limit > 0 && attempts > config_.transfer_retry_limit) {
-    RTPB_WARN("rtpb", "backup@node%u gave up resyncing after %u attempts", node(), attempts - 1);
+    emit(Fact::kResyncGiveUp, 0, 0, telemetry::kNoSpan, attempts - 1);
     incarnation_.resync_pending = false;
     return;
   }
@@ -1453,8 +1410,6 @@ void ReplicaServer::handle(const wire::ResyncRequest& rq, net::Endpoint from) {
   const auto dirty_count = static_cast<std::int64_t>(dirty.size());
   emit(Fact::kDeltaEntries, 0, 0, telemetry::kNoSpan, dirty_count);
   emit(Fact::kResyncDelta, from.node, store_.size(), telemetry::kNoSpan, dirty_count);
-  RTPB_INFO("rtpb", "primary@node%u resyncs node%u incrementally: %zu/%zu object(s) dirty",
-            node(), from.node, dirty.size(), store_.size());
   begin_transfer(std::move(dirty), {from}, /*delta=*/true);
 }
 

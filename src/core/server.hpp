@@ -88,6 +88,10 @@ enum class Fact : std::uint8_t {
   kTornCheckpointTail, kRestart, kLostUpdates,
   kResyncRequest, kResyncFull, kResyncDelta, kDeltaEntries,      // resync
   kSmoothedRtt, kRto, kBackoffLevel, kActiveDowngrades, kOverloaded,  // gauge readings
+  // A replicated spec that failed re-admission at promotion, a frame at
+  // the RTPB port that did not decode or was another protocol's, and a
+  // resync given up.  Appended: a fact's number is folded into the digest.
+  kContractLost, kUndecodable, kForeignFrame, kResyncGiveUp,
   kCount
 };
 
@@ -182,6 +186,10 @@ constexpr telemetry::FactSinks<Fact> fact_sinks(Fact f) {
     case Fact::kBackoffLevel: return {.gauge = "core.degrade.backoff_level"};
     case Fact::kActiveDowngrades: return {.gauge = "core.degrade.active_downgrades"};
     case Fact::kOverloaded: return {.gauge = "core.degrade.overloaded"};
+    case Fact::kContractLost: return {.counter = "core.contracts_lost"};
+    case Fact::kUndecodable: return {.counter = "core.undecodable_frames"};
+    case Fact::kForeignFrame: return {.counter = "core.foreign_frames"};
+    case Fact::kResyncGiveUp: return {.counter = "core.store.resync_give_ups"};
     case Fact::kCount: break;
   }
   return {};
@@ -291,6 +299,8 @@ class ReplicaServer {
   /// Object entries shipped inside kStateDelta frames (O(dirty set), the
   /// incremental-rejoin win the recovery bench asserts).
   [[nodiscard]] std::uint64_t delta_entries_sent() const { return count(Fact::kDeltaEntries); }
+  /// Resyncs abandoned after transfer_retry_limit unanswered requests.
+  [[nodiscard]] std::uint64_t resync_give_ups() const { return count(Fact::kResyncGiveUp); }
 
   // ---- client-facing interface (Mach IPC in the paper; a co-located
   // ---- call here).  Valid only while role() == kPrimary.
@@ -374,6 +384,9 @@ class ReplicaServer {
   /// Times this replica, as primary, stepped down after seeing a higher
   /// epoch (it had been deposed without noticing).
   [[nodiscard]] std::uint64_t step_downs() const { return count(Fact::kStepDown); }
+  /// Replicated specs that failed re-admission when this replica
+  /// promoted: their temporal contract did not survive the failover.
+  [[nodiscard]] std::uint64_t contracts_lost() const { return count(Fact::kContractLost); }
 
   // ---- introspection / stats ----
   /// Update transmissions, retransmissions included.
@@ -394,6 +407,10 @@ class ReplicaServer {
   [[nodiscard]] std::uint64_t retransmit_requests_sent() const { return count(Fact::kNack); }
   [[nodiscard]] std::uint64_t retransmissions_served() const { return count(Fact::kRetransmit); }
   [[nodiscard]] std::uint64_t acks_sent() const { return count(Fact::kAckSent); }
+  /// Frames at the RTPB port that did not decode, and active-replication
+  /// frames (another protocol's) that reached it; both are dropped.
+  [[nodiscard]] std::uint64_t undecodable_frames() const { return count(Fact::kUndecodable); }
+  [[nodiscard]] std::uint64_t foreign_frames() const { return count(Fact::kForeignFrame); }
   /// Per-peer failure detector, or nullptr if none exists for `peer`.
   [[nodiscard]] const FailureDetector* detector(net::NodeId peer) const;
   /// Newest version of `id` acknowledged by `peer` (ack mode; 0 if none).
@@ -663,7 +680,7 @@ class ReplicaServer {
   /// Checkpoint when the WAL grew past the configured record budget.
   void maybe_checkpoint();
   /// A storage append failed: crash this replica (fail-stop discipline).
-  void fail_stop(const char* what);
+  void fail_stop();
   /// One kStateTransfer/kStateDelta entry for `id` from the live store.
   [[nodiscard]] wire::StateEntry state_entry_for(ObjectId id) const;
 

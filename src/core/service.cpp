@@ -1,7 +1,5 @@
 #include "core/service.hpp"
 
-#include "util/log.hpp"
-
 namespace rtpb::core {
 
 namespace {
@@ -242,7 +240,7 @@ ReplicaServer& RtpbService::add_standby() {
     // No live primary to recruit from (failover never settled): the
     // standby comes up orphaned and stays cold.  The service is now
     // primary-less, which monitoring is expected to flag.
-    RTPB_WARN("rtpb", "standby@node%u recruited with no live primary", standby_->node());
+    facts_.emit(ServiceFact::kOrphanStandby, {.a = standby_->node()});
   }
   return *standby_;
 }

@@ -23,12 +23,14 @@
 
 namespace rtpb::core {
 
-/// The facts an RtpbService reports: its start, with the backup count.
-enum class ServiceFact : std::uint8_t { kStart, kCount };
+/// The facts an RtpbService reports: its start, with the backup count,
+/// and a standby recruited while no live primary could take it.
+enum class ServiceFact : std::uint8_t { kStart, kOrphanStandby, kCount };
 
 constexpr telemetry::FactSinks<ServiceFact> fact_sinks(ServiceFact f) {
   switch (f) {
     case ServiceFact::kStart: return {.event = "start", .gauge = "core.service.backups"};
+    case ServiceFact::kOrphanStandby: return {.counter = "core.service.orphan_standbys"};
     case ServiceFact::kCount: break;
   }
   return {};
@@ -97,6 +99,11 @@ class RtpbService {
   /// primary recruit it, and return it.  Models §4.4's "waits to recruit a
   /// new backup".
   ReplicaServer& add_standby();
+  /// Standbys add_standby() brought up with no live primary to recruit
+  /// them: no state transfer reaches them.
+  [[nodiscard]] std::uint64_t orphan_standbys() const {
+    return facts_.count(ServiceFact::kOrphanStandby);
+  }
 
   /// The server currently acting as primary (changes after failover).
   [[nodiscard]] ReplicaServer& acting_primary();

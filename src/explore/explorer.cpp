@@ -437,6 +437,7 @@ TrajectoryResult run(const ExploreConfig& cfg, const std::vector<std::uint16_t>&
 
   TrajectoryResult result = policy.take_result();
   result.violations = experiment.monitor().violations();
+  result.unwritable = experiment.unwritable();
   return result;
 }
 

@@ -193,6 +193,9 @@ struct TrajectoryResult {
   /// commuting delivery).  Read through alternatives().
   std::vector<std::uint16_t> order_alternatives;
   bool choice_bound_hit = false;
+  /// Observer artifact paths that could not be opened
+  /// (chaos::SeedReport::unwritable).
+  std::vector<std::string> unwritable;
   /// The decision sequence actually taken (what to feed back as a trace).
   [[nodiscard]] std::vector<std::uint16_t> decisions() const;
   /// The alternatives of event-order choice `c` of this trajectory (empty

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "telemetry/telemetry.hpp"
-#include "util/log.hpp"
 
 namespace rtpb::net {
 
@@ -60,7 +59,7 @@ Network::DirectedLink* Network::find_link(NodeId src, NodeId dst) {
 bool Network::send(NodeId src, NodeId dst, Frame frame) {
   DirectedLink* link = find_link(src, dst);
   if (link == nullptr) {
-    RTPB_WARN("net", "send node%u->node%u: no link", src, dst);
+    emit(NetFact::kNoLink, src, sim_.telemetry().current_span(), src, dst);
     return false;
   }
   ++link->stats.sent;
@@ -71,8 +70,6 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
   if (link->params.mtu > 0 && frame.size() > link->params.mtu) {
     ++link->stats.mtu_drops;
     ++link->stats.dropped;
-    RTPB_DEBUG("net", "frame of %zu bytes exceeds MTU %zu; dropped", frame.size(),
-               link->params.mtu);
     emit(NetFact::kDropMtu, src, hub.current_span(), src, dst);
     return true;  // like UDP over a real link: silently gone
   }
@@ -118,8 +115,6 @@ bool Network::send(NodeId src, NodeId dst, Frame frame) {
 
   if (decide(sim::ChoiceKind::kFrameLoss, link->params.loss_probability)) {
     ++link->stats.dropped;
-    RTPB_TRACE("net", "drop pkt %llu node%u->node%u (loss)",
-               static_cast<unsigned long long>(pkt.seq), src, dst);
     emit(NetFact::kDropLoss, src, pkt.span, src, dst);
     return true;  // sender cannot tell — fire and forget
   }

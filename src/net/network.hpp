@@ -69,10 +69,10 @@ struct LinkStats {
 /// What happens to frames on the links.  A drop is one of the four
 /// reasons and also counts as kDrop.  A queued frame's fate (enqueue,
 /// corruption, reordering, duplication, a burst or loss drop) feeds the
-/// trace digest.
+/// trace digest.  kNoLink is a send between hosts with no link.
 enum class NetFact : std::uint8_t {
   kSend, kEnqueue, kDelay, kDeliver, kCorrupt, kReorder, kDuplicate,
-  kDrop, kDropMtu, kDropBurst, kDropLoss, kDropNodeDown,
+  kDrop, kDropMtu, kDropBurst, kDropLoss, kDropNodeDown, kNoLink,
   kCount
 };
 
@@ -95,6 +95,7 @@ constexpr telemetry::FactSinks<NetFact> fact_sinks(NetFact f) {
                                      .also = NetFact::kDrop, .digest = true};
     case NetFact::kDropNodeDown: return {.counter = "net.link.drops_node_down",
                                          .event = "net-drop", .also = NetFact::kDrop};
+    case NetFact::kNoLink: return {.counter = "net.link.sends_unlinked"};
     case NetFact::kCount: break;
   }
   return {};
@@ -150,6 +151,8 @@ class Network {
 
   [[nodiscard]] const LinkStats& stats(NodeId a, NodeId b) const;
   [[nodiscard]] std::optional<LinkParams> link_params(NodeId a, NodeId b) const;
+  /// Sends refused because no link joins the two hosts.
+  [[nodiscard]] std::uint64_t unlinked_sends() const { return facts_.count(NetFact::kNoLink); }
 
  private:
   struct DirectedLink {

@@ -44,62 +44,48 @@ DriverStats ParallelDriver::run(TimePoint from, TimePoint to, std::size_t thread
   }
   stats.windows = horizons.size();
 
-  if (threads == 1) {
-    // The sequential build: same windows, same two-phase order within
-    // each window, no worker threads.  Running EVERY partition's
-    // drain+advance before ANY partition's publish keeps the delivery
-    // envelope identical to the threaded path — a record published in
-    // window k is drained in window k+1 by every peer, regardless of
-    // partition order.  Pinned by the digest- and ingest-count tests.
+  // Worker w runs every window over partitions w, w + threads, ...; with
+  // one thread the only worker runs inline, where its one-party barrier
+  // returns at once.  Running EVERY partition's drain+advance before ANY
+  // partition's publish keeps the delivery envelope the same at every
+  // thread count — a record published in window k is drained in window
+  // k+1 by every peer, regardless of partition order.  Pinned by the
+  // digest- and ingest-count tests.
+  SpinBarrier barrier(threads);
+  const auto work = [this, threads, from, &horizons, &barrier](std::size_t w) {
     TimePoint start = from;
     for (const TimePoint h : horizons) {
-      for (PartitionTask* t : tasks_) {
-        t->begin_window(start);
-        t->advance_to(h);
+      // Static round-robin ownership: partition p belongs to worker
+      // p % threads for the whole run, so each simulator is only ever
+      // touched by one thread per window (and the same thread every
+      // window — warm caches, deterministic streams).
+      //
+      // Two barrier-separated phases per window.  Phase 1 drains the
+      // previous window's publishes and advances to the horizon;
+      // phase 2 publishes.  The first barrier stops a publish of
+      // window k racing a peer's drain of window k (which would let a
+      // record cross in the same window it was published, under the
+      // documented [l, 2l] lower bound); the second orders every
+      // publish of window k before every drain of window k+1.
+      for (std::size_t p = w; p < tasks_.size(); p += threads) {
+        tasks_[p]->begin_window(start);
+        tasks_[p]->advance_to(h);
       }
-      for (PartitionTask* t : tasks_) t->end_window(h);
+      barrier.arrive_and_wait();
+      for (std::size_t p = w; p < tasks_.size(); p += threads) tasks_[p]->end_window(h);
+      barrier.arrive_and_wait();
       start = h;
     }
-    stats.wall_ms = wall_now_ms() - t0;
-    return stats;
+  };
+  if (threads == 1) {
+    work(0);
+  } else {
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
+    for (std::size_t w = 0; w < threads; ++w) workers.emplace_back(work, w);
+    for (std::thread& t : workers) t.join();
+    stats.barriers = 2 * stats.windows;
   }
-
-  // The partitions' log clocks live on the thread that built them, so a
-  // worker's log lines are unclocked and no thread reads another's clock.
-  SpinBarrier barrier(threads);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (std::size_t w = 0; w < threads; ++w) {
-    workers.emplace_back([this, w, threads, from, &horizons, &barrier] {
-      TimePoint start = from;
-      for (const TimePoint h : horizons) {
-        // Static round-robin ownership: partition p belongs to worker
-        // p % threads for the whole run, so each simulator is only ever
-        // touched by one thread per window (and the same thread every
-        // window — warm caches, deterministic streams).
-        //
-        // Two barrier-separated phases per window.  Phase 1 drains the
-        // previous window's publishes and advances to the horizon;
-        // phase 2 publishes.  The first barrier stops a publish of
-        // window k racing a peer's drain of window k (which would let a
-        // record cross in the same window it was published, under the
-        // documented [l, 2l] lower bound); the second orders every
-        // publish of window k before every drain of window k+1.
-        for (std::size_t p = w; p < tasks_.size(); p += threads) {
-          tasks_[p]->begin_window(start);
-          tasks_[p]->advance_to(h);
-        }
-        barrier.arrive_and_wait();
-        for (std::size_t p = w; p < tasks_.size(); p += threads) {
-          tasks_[p]->end_window(h);
-        }
-        barrier.arrive_and_wait();
-        start = h;
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  stats.barriers = 2 * stats.windows;
   stats.wall_ms = wall_now_ms() - t0;
   return stats;
 }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/log.hpp"
-
 namespace rtpb::sched {
 
 const char* policy_name(Policy p) {
@@ -52,13 +50,10 @@ TaskId Cpu::add_task(TaskSpec spec, JobCallback on_complete) {
   task.spec = spec;
   task.on_complete = std::move(on_complete);
   task.effective_period = spec.period;
+  task.tracker = PhaseVarianceTracker(spec.period);
   auto [it, inserted] = tasks_.emplace(id, std::move(task));
   RTPB_ASSERT(inserted);
-  if (policy_ == Policy::kDcsSr) {
-    respecialize();
-  } else {
-    it->second.tracker = std::make_unique<PhaseVarianceTracker>(it->second.effective_period);
-  }
+  if (policy_ == Policy::kDcsSr) respecialize();
   if (started_) {
     it->second.next_release = sim_.now() + it->second.spec.phase;
     arm_release(it->second);
@@ -80,7 +75,7 @@ TaskId Cpu::submit_job(std::string name, Duration exec, JobCallback on_complete)
   task.on_complete = std::move(on_complete);
   task.one_shot = true;
   task.effective_period = task.spec.period;
-  task.tracker = std::make_unique<PhaseVarianceTracker>(task.spec.period);
+  task.tracker = PhaseVarianceTracker(task.spec.period);
 
   Job job;
   job.index = 0;
@@ -123,7 +118,7 @@ void Cpu::respecialize() {
   std::size_t i = 0;
   for (auto& [id, task] : tasks_) {
     task.effective_period = spec.periods.empty() ? task.spec.period : spec.periods[i];
-    task.tracker = std::make_unique<PhaseVarianceTracker>(task.effective_period);
+    task.tracker = PhaseVarianceTracker(task.effective_period);
     ++i;
   }
   heap_rebuild();
@@ -204,7 +199,7 @@ void Cpu::on_completion() {
   info.finish = sim_.now();
   info.deadline_missed = (sim_.now() - job.release) > task.spec.effective_deadline();
 
-  task.tracker->record_finish(info.finish);
+  task.tracker.record_finish(info.finish);
   emit(info.deadline_missed ? CpuFact::kMissedFinish : CpuFact::kFinish, task, info.index,
        info.finish - info.release);
   // Move the callback out rather than copy it (a capturing lambda may live
@@ -386,7 +381,7 @@ Duration Cpu::effective_period(TaskId id) const {
 const PhaseVarianceTracker& Cpu::tracker(TaskId id) const {
   auto it = tasks_.find(id);
   RTPB_EXPECTS(it != tasks_.end());
-  return *it->second.tracker;
+  return it->second.tracker;
 }
 
 const TaskSpec& Cpu::spec(TaskId id) const {

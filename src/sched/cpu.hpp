@@ -18,7 +18,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -131,7 +130,7 @@ class Cpu {
     JobCallback on_complete;
     bool one_shot = false;
     Duration effective_period{};
-    std::unique_ptr<PhaseVarianceTracker> tracker;
+    PhaseVarianceTracker tracker{Duration::zero()};
     std::deque<Job> backlog;  ///< released, unfinished jobs (head may be running)
     std::uint64_t next_index = 0;
     TimePoint next_release{};

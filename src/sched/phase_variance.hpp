@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "util/stats.hpp"
 #include "util/time.hpp"
 
 namespace rtpb::sched {
@@ -24,7 +23,6 @@ class PhaseVarianceTracker {
     if (last_finish_) {
       const Duration gap = finish - *last_finish_;
       const Duration vk = (gap - period_).abs();
-      samples_.add(vk.millis());
       if (vk > max_) max_ = vk;
     }
     last_finish_ = finish;
@@ -33,21 +31,11 @@ class PhaseVarianceTracker {
   /// v_i = max_k v_i^k over everything recorded so far.
   [[nodiscard]] Duration phase_variance() const { return max_; }
   [[nodiscard]] Duration period() const { return period_; }
-  [[nodiscard]] const SampleSet& samples() const { return samples_; }
-
-  /// Drop history accumulated before steady state (e.g. the first
-  /// hyperperiod of a DCS schedule) but keep the last finish time so the
-  /// next sample is still a valid gap.
-  void reset_statistics() {
-    samples_.clear();
-    max_ = Duration::zero();
-  }
 
  private:
   Duration period_;
   std::optional<TimePoint> last_finish_;
   Duration max_{};
-  SampleSet samples_;
 };
 
 }  // namespace rtpb::sched

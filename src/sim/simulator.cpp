@@ -1,10 +1,8 @@
 #include "sim/simulator.hpp"
 
-#include "util/log.hpp"
-
 namespace rtpb::sim {
 
-Simulator::Simulator(std::uint64_t seed) : log_clock_(now_), rng_(seed) {
+Simulator::Simulator(std::uint64_t seed) : rng_(seed) {
   hub_.set_clock([this] { return now_; });
 }
 

@@ -27,7 +27,6 @@
 #include "sim/choice.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -241,8 +240,6 @@ class Simulator {
   void pop_head();
 
   TimePoint now_{};
-  /// Stamps the log lines of the thread that built this simulator.
-  LogClock log_clock_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_events_ = 0;
   bool stopped_ = false;

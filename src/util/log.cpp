@@ -2,8 +2,6 @@
 
 #include <cstdarg>
 
-#include "util/assert.hpp"
-
 namespace rtpb {
 
 Logger& Logger::instance() {
@@ -12,10 +10,6 @@ Logger& Logger::instance() {
 }
 
 namespace {
-
-/// The calling thread's newest live LogClock; older ones chain through
-/// displaced_.
-thread_local LogClock* t_clock = nullptr;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -30,42 +24,17 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-LogClock::LogClock(const TimePoint& now) : now_(&now), displaced_(t_clock) { t_clock = this; }
-
-LogClock::~LogClock() {
-  // Unlink this clock wherever it sits: simulators need not die in the
-  // reverse order of their birth.
-  LogClock** link = &t_clock;
-  while (*link != this) {
-    RTPB_ASSERT(*link != nullptr);  // destroyed off the thread that made it
-    link = &(*link)->displaced_;
-  }
-  *link = displaced_;
-}
-
-const TimePoint* LogClock::current() { return t_clock != nullptr ? t_clock->now_ : nullptr; }
-
 void Logger::write(LogLevel level, const char* component, std::string msg) {
   LogRecord record;
   record.level = level;
   record.component = component;
-  if (const TimePoint* now = LogClock::current()) {
-    record.has_time = true;
-    record.time = *now;
-  }
   record.message = std::move(msg);
 
   if (sink_) {
     sink_(record);
     return;
   }
-  if (record.has_time) {
-    std::fprintf(stderr, "[%12.3fms] %s %-10s %s\n", record.time.millis(), level_name(level),
-                 component, record.message.c_str());
-  } else {
-    std::fprintf(stderr, "[        ----] %s %-10s %s\n", level_name(level), component,
-                 record.message.c_str());
-  }
+  std::fprintf(stderr, "%s %-10s %s\n", level_name(level), component, record.message.c_str());
 }
 
 namespace detail {

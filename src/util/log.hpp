@@ -1,8 +1,9 @@
-// Tiny leveled logger.  Components tag their lines; the global threshold
-// makes disabled levels nearly free (an atomic load and a branch).  Each
-// simulator installs a per-thread LogClock so the lines its thread writes
-// carry simulated time.  Output goes to stderr by default; tests (or
-// embedders) can install a sink to capture structured records instead.
+// Tiny leveled logger for the tools' I/O errors (an artifact path that
+// cannot be written).  The library reports what happens to it as typed
+// facts (telemetry/facts.hpp), never as log lines.  The global threshold
+// makes disabled levels nearly free (an atomic load and a branch).  Output
+// goes to stderr by default; tests (or embedders) can install a sink to
+// capture structured records instead.
 #pragma once
 
 #include <atomic>
@@ -10,8 +11,6 @@
 #include <functional>
 #include <string>
 #include <utility>
-
-#include "util/time.hpp"
 
 #if defined(__GNUC__) || defined(__clang__)
 #define RTPB_PRINTF_FORMAT(fmt_index, first_arg) \
@@ -28,8 +27,6 @@ enum class LogLevel : int { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError
 struct LogRecord {
   LogLevel level = LogLevel::kInfo;
   const char* component = "";
-  bool has_time = false;  ///< true iff a LogClock is live on the writing thread
-  TimePoint time{};       ///< simulated time (valid when has_time)
   std::string message;
 };
 
@@ -56,27 +53,6 @@ class Logger {
   std::function<void(const LogRecord&)> sink_;
 };
 
-/// Stamps the log lines its thread writes with the virtual time at `now`
-/// for as long as it lives.  Clocks stack per thread: the newest live one
-/// stamps, and destroying it puts back the one it displaced, so two
-/// simulators on two threads each stamp their own lines and an older
-/// simulator keeps stamping once a newer one is gone.  Clocks may die in
-/// any order, but each on the thread that made it.
-class LogClock {
- public:
-  explicit LogClock(const TimePoint& now);
-  ~LogClock();
-  LogClock(const LogClock&) = delete;
-  LogClock& operator=(const LogClock&) = delete;
-
-  /// The calling thread's stamping time, or nullptr when no clock is live.
-  [[nodiscard]] static const TimePoint* current();
-
- private:
-  const TimePoint* now_;
-  LogClock* displaced_;
-};
-
 namespace detail {
 /// printf-style formatting with no truncation: a stack buffer serves the
 /// common case and longer messages get a second, exactly-sized pass.  The
@@ -93,10 +69,6 @@ RTPB_PRINTF_FORMAT(1, 2) std::string log_format(const char* fmt, ...);
     }                                                                               \
   } while (false)
 
-#define RTPB_TRACE(component, ...) RTPB_LOG(::rtpb::LogLevel::kTrace, component, __VA_ARGS__)
-#define RTPB_DEBUG(component, ...) RTPB_LOG(::rtpb::LogLevel::kDebug, component, __VA_ARGS__)
-#define RTPB_INFO(component, ...) RTPB_LOG(::rtpb::LogLevel::kInfo, component, __VA_ARGS__)
-#define RTPB_WARN(component, ...) RTPB_LOG(::rtpb::LogLevel::kWarn, component, __VA_ARGS__)
 #define RTPB_ERROR(component, ...) RTPB_LOG(::rtpb::LogLevel::kError, component, __VA_ARGS__)
 
 }  // namespace rtpb

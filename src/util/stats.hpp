@@ -64,8 +64,8 @@ class SampleSet {
 };
 
 /// Records half-open time intervals [begin, end) during which a monitored
-/// predicate held (e.g. "backup out of window"), and summarises their
-/// durations.  Tolerates a still-open interval at the end of a run.
+/// predicate held (e.g. "backup out of window"): their count and total
+/// duration.  Tolerates a still-open interval at the end of a run.
 class IntervalRecorder {
  public:
   /// Mark the predicate becoming true at t.  No-op if already open.
@@ -76,15 +76,14 @@ class IntervalRecorder {
   void finish(TimePoint t);
 
   [[nodiscard]] bool is_open() const { return open_; }
-  [[nodiscard]] std::size_t interval_count() const { return durations_.count(); }
+  [[nodiscard]] std::size_t interval_count() const { return count_; }
   [[nodiscard]] Duration total() const { return total_; }
-  [[nodiscard]] const SampleSet& durations() const { return durations_; }
 
  private:
   bool open_ = false;
   TimePoint open_at_{};
   Duration total_{};
-  SampleSet durations_;
+  std::size_t count_ = 0;
 };
 
 }  // namespace rtpb

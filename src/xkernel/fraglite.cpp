@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/bytebuffer.hpp"
-#include "util/log.hpp"
 
 namespace rtpb::xkernel {
 
@@ -137,8 +136,6 @@ void FragLite::demux(Message& msg, MsgAttrs& attrs) {
 void FragLite::expire(const Key& key) {
   auto it = reassembly_.find(key);
   if (it == reassembly_.end()) return;
-  RTPB_DEBUG("fraglite", "reassembly timed out (%zu/%zu fragments)", it->second.received,
-             it->second.fragments.size());
   emit(LayerFact::kFragTimeout, it->second.received, it->second.fragments.size());
   reassembly_.erase(it);
 }

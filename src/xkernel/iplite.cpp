@@ -1,7 +1,6 @@
 #include "xkernel/iplite.hpp"
 
 #include "util/bytebuffer.hpp"
-#include "util/log.hpp"
 
 namespace rtpb::xkernel {
 
@@ -29,7 +28,6 @@ void IpLite::push(Message& msg, const MsgAttrs& attrs) {
 
 void IpLite::demux(Message& msg, MsgAttrs& attrs) {
   if (msg.size() < kHeaderSize) {
-    RTPB_WARN("iplite", "runt packet (%zu bytes); dropped", msg.size());
     emit(LayerFact::kIpRunt);
     return;
   }
@@ -39,7 +37,6 @@ void IpLite::demux(Message& msg, MsgAttrs& attrs) {
   const std::uint8_t proto = r.u8();
   const std::uint32_t length = r.u32();
   if (!r.ok() || length != msg.size()) {
-    RTPB_WARN("iplite", "bad header (len %u vs %zu); dropped", length, msg.size());
     emit(LayerFact::kIpBadHeader);
     return;
   }
@@ -47,7 +44,6 @@ void IpLite::demux(Message& msg, MsgAttrs& attrs) {
   attrs.dst.node = dst;
   auto it = uppers_.find(proto);
   if (it == uppers_.end()) {
-    RTPB_WARN("iplite", "no upper for proto %u; dropped", proto);
     emit(LayerFact::kIpUnknownProto, proto);
     return;
   }

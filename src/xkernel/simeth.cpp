@@ -1,7 +1,5 @@
 #include "xkernel/simeth.hpp"
 
-#include "util/log.hpp"
-
 namespace rtpb::xkernel {
 
 SimEth::SimEth(net::Network& network) : Protocol("simeth"), network_(network) {
@@ -22,7 +20,6 @@ void SimEth::push(Message& msg, const MsgAttrs& attrs) {
 
 void SimEth::demux(Message& msg, MsgAttrs& attrs) {
   if (up_ == nullptr) {
-    RTPB_WARN("simeth", "frame with no upper protocol configured; dropped");
     emit(LayerFact::kEthNoUpper);
     return;
   }

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "util/bytebuffer.hpp"
-#include "util/log.hpp"
 
 namespace rtpb::xkernel {
 
@@ -85,7 +84,6 @@ void UdpLite::demux(Message& msg, MsgAttrs& attrs) {
   // the remaining FRAGLITE header and the body into a fresh copy.
   if (!r.ok() || length != msg.size() ||
       checksum(msg.header_segment(), msg.body_segment()) != csum) {
-    RTPB_WARN("udplite", "checksum/length failure on datagram to port %u", dst_port);
     emit(LayerFact::kUdpChecksum, dst_port);
     return;
   }
@@ -93,7 +91,6 @@ void UdpLite::demux(Message& msg, MsgAttrs& attrs) {
   attrs.dst.port = dst_port;
   auto it = bindings_.find(dst_port);
   if (it == bindings_.end()) {
-    RTPB_DEBUG("udplite", "no listener on port %u; dropped", dst_port);
     emit(LayerFact::kUdpNoListener, dst_port);
     return;
   }

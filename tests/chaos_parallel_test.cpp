@@ -9,7 +9,6 @@
 
 #include "chaos/harness.hpp"
 #include "psim/chaos.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace rtpb::psim {
@@ -29,12 +28,7 @@ std::vector<std::uint64_t> shard_digests(const ParallelSeedReport& report) {
   return out;
 }
 
-class ChaosParallelTest : public ::testing::Test {
- protected:
-  void SetUp() override { Logger::instance().set_level(LogLevel::kError); }
-};
-
-TEST_F(ChaosParallelTest, DigestsAreThreadCountInvariant) {
+TEST(ChaosParallelTest, DigestsAreThreadCountInvariant) {
   // threads == 1 is THE sequential build: the driver runs the identical
   // window schedule inline, spawning no std::thread at all.
   const chaos::ChaosOptions opts = fast_options(3);
@@ -56,7 +50,7 @@ TEST_F(ChaosParallelTest, DigestsAreThreadCountInvariant) {
   EXPECT_EQ(four.frontier_records_ingested, one.frontier_records_ingested);
 }
 
-TEST_F(ChaosParallelTest, RerunAtSameThreadCountIsStable) {
+TEST(ChaosParallelTest, RerunAtSameThreadCountIsStable) {
   const chaos::ChaosOptions opts = fast_options(2);
   const ParallelSeedReport a = run_parallel_seed(5, opts, 2);
   const ParallelSeedReport b = run_parallel_seed(5, opts, 2);
@@ -64,7 +58,7 @@ TEST_F(ChaosParallelTest, RerunAtSameThreadCountIsStable) {
   EXPECT_EQ(a.frontier_records_ingested, b.frontier_records_ingested);
 }
 
-TEST_F(ChaosParallelTest, PerShardDigestMatchesClassicHarness) {
+TEST(ChaosParallelTest, PerShardDigestMatchesClassicHarness) {
   // The strongest purity statement: shard s of a parallel run IS a
   // classic chaos experiment of the derived seed — window chopping,
   // barrier exchange and frontier ingestion leave the trace untouched.
@@ -83,7 +77,7 @@ TEST_F(ChaosParallelTest, PerShardDigestMatchesClassicHarness) {
   }
 }
 
-TEST_F(ChaosParallelTest, PerShardDigestMatchesClassicHarnessUnderCrashRestart) {
+TEST(ChaosParallelTest, PerShardDigestMatchesClassicHarnessUnderCrashRestart) {
   // A crash-restart arc needs durable replicas: a shard must build them
   // exactly as the classic harness does, or its crashed replica never
   // powers up again and the shard diverges from its classic replay.
@@ -108,7 +102,7 @@ TEST_F(ChaosParallelTest, PerShardDigestMatchesClassicHarnessUnderCrashRestart) 
   EXPECT_TRUE(restarted) << "no shard reached a restart";
 }
 
-TEST_F(ChaosParallelTest, ShardSeedsAreStreamDerived) {
+TEST(ChaosParallelTest, ShardSeedsAreStreamDerived) {
   const chaos::ChaosOptions opts = fast_options(2);
   const ParallelSeedReport report = run_parallel_seed(33, opts, 1);
   const std::uint64_t root = derive_stream_seed(33, chaos::kStreamParallel);
@@ -118,7 +112,7 @@ TEST_F(ChaosParallelTest, ShardSeedsAreStreamDerived) {
   EXPECT_NE(report.shard_reports[0].trace_digest, report.shard_reports[1].trace_digest);
 }
 
-TEST_F(ChaosParallelTest, FrontierRecordsActuallyCross) {
+TEST(ChaosParallelTest, FrontierRecordsActuallyCross) {
   chaos::ChaosOptions opts = fast_options(3);
   opts.enable_crashes = false;  // keep every backup applying
   const ParallelSeedReport report = run_parallel_seed(2, opts, 3);
@@ -130,7 +124,7 @@ TEST_F(ChaosParallelTest, FrontierRecordsActuallyCross) {
   EXPECT_LE(report.frontier_records_ingested, report.frontier_records_published * 2);
 }
 
-TEST_F(ChaosParallelTest, ThreadCountAboveShardsClampsAndAgrees) {
+TEST(ChaosParallelTest, ThreadCountAboveShardsClampsAndAgrees) {
   const chaos::ChaosOptions opts = fast_options(2);
   const ParallelSeedReport base = run_parallel_seed(8, opts, 2);
   const ParallelSeedReport over = run_parallel_seed(8, opts, 16);

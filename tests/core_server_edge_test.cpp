@@ -156,6 +156,69 @@ TEST(ServerEdge, DisabledFragmentationStillWorksForSmallObjects) {
   EXPECT_GT(service.backup().read(1)->version, 0u);
 }
 
+/// A service without fragmentation, so a datagram sent to a server's RTPB
+/// port reaches its decoder whole.
+ServiceParams unfragmented_params() {
+  ServiceParams params = make_params();
+  params.config.enable_fragmentation = false;
+  return params;
+}
+
+TEST(ServerEdge, UndecodableFrameAtRtpbPortIsCounted) {
+  RtpbService service(unfragmented_params());
+  service.start();
+  ASSERT_TRUE(service.register_object(make_spec(1)).ok());
+  xkernel::HostStack injector(service.network());
+  service.network().connect(injector.node(), service.backup().node(), net::LinkParams{});
+  // A valid UDPLITE datagram whose payload is no RTPB message.
+  injector.send_datagram(kRtpbPort, service.backup().endpoint(), Bytes(9, 0xEE));
+  service.run_for(millis(100));
+  EXPECT_EQ(service.backup().undecodable_frames(), 1u);
+  EXPECT_EQ(service.primary().undecodable_frames(), 0u);
+  EXPECT_GT(service.backup().read(1)->version, 0u);
+}
+
+TEST(ServerEdge, ActiveReplicationFrameAtRtpbPortIsForeign) {
+  RtpbService service(unfragmented_params());
+  service.start();
+  xkernel::HostStack injector(service.network());
+  service.network().connect(injector.node(), service.backup().node(), net::LinkParams{});
+  injector.send_datagram(kRtpbPort, service.backup().endpoint(),
+                         wire::encode(wire::ActivePrepare{}));
+  injector.send_datagram(kRtpbPort, service.backup().endpoint(),
+                         wire::encode(wire::ActiveAck{}));
+  service.run_for(millis(100));
+  EXPECT_EQ(service.backup().foreign_frames(), 2u);
+  EXPECT_EQ(service.backup().undecodable_frames(), 0u);
+}
+
+TEST(ServerEdge, PromotionCountsASpecItCannotReadmit) {
+  // A QoS notice shrinks object 1's window on the backup below the link
+  // delay bound; the replicated spec then fails re-admission when the
+  // backup promotes, and its temporal contract is lost.
+  RtpbService service(unfragmented_params());
+  service.start();
+  ASSERT_TRUE(service.register_object(make_spec(1)).ok());
+  ASSERT_TRUE(service.register_object(make_spec(2)).ok());
+  service.run_for(millis(500));
+  xkernel::HostStack injector(service.network());
+  service.network().connect(injector.node(), service.backup().node(), net::LinkParams{});
+  injector.send_datagram(kRtpbPort, service.backup().endpoint(),
+                         wire::encode(wire::ConstraintDowngrade{
+                             .object = 1,
+                             .delta_primary = millis(20),
+                             .delta_backup = millis(20) + micros(1),
+                             .update_period = millis(10),
+                             .qos_seq = 1,
+                             .epoch = 0}));
+  service.run_for(millis(100));
+  service.crash_primary();
+  service.run_for(seconds(1));
+  ASSERT_EQ(service.backup().role(), Role::kPrimary);
+  EXPECT_EQ(service.backup().contracts_lost(), 1u);
+  EXPECT_EQ(service.primary().contracts_lost(), 0u);
+}
+
 TEST(ServerEdge, UpdateLossProbabilitySetterBounds) {
   RtpbService service(make_params());
   service.start();

@@ -257,6 +257,21 @@ TEST(RtpbService, RecruitedStandbyReceivesStateAndUpdates) {
   EXPECT_GT(standby.read(1)->version, v1);
 }
 
+TEST(RtpbService, StandbyWithNoLivePrimaryIsOrphaned) {
+  // Both replicas die before the failover settles: the standby has no
+  // live primary to recruit it and stays cold.
+  RtpbService service(make_params());
+  service.start();
+  ASSERT_TRUE(service.register_object(make_spec(1)).ok());
+  service.run_for(seconds(1));
+  service.crash_primary();
+  service.crash_backup();
+  ReplicaServer& standby = service.add_standby();
+  service.run_for(seconds(1));
+  EXPECT_EQ(service.orphan_standbys(), 1u);
+  EXPECT_FALSE(standby.store().contains(1));
+}
+
 TEST(RtpbService, PrimaryCancelsUpdatesWhenBackupDies) {
   RtpbService service(make_params());
   service.start();

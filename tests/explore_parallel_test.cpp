@@ -7,22 +7,9 @@
 #include <vector>
 
 #include "explore/explorer.hpp"
-#include "util/log.hpp"
 
 namespace rtpb {
 namespace {
-
-class ExploreParallel : public ::testing::Test {
- protected:
-  void SetUp() override {
-    saved_level_ = Logger::instance().level();
-    Logger::instance().set_level(LogLevel::kError);
-  }
-  void TearDown() override { Logger::instance().set_level(saved_level_); }
-
- private:
-  LogLevel saved_level_ = LogLevel::kWarn;
-};
 
 /// The repository benchmark's explore_exhaustive scenario: 2 backups,
 /// 2 objects, crash / crash / recruit candidates and a droppable frame.
@@ -57,7 +44,7 @@ void expect_same_report(const explore::ExploreReport& serial,
   }
 }
 
-TEST_F(ExploreParallel, ExhaustiveSweepIsTheSameAtEveryThreadCount) {
+TEST(ExploreParallel, ExhaustiveSweepIsTheSameAtEveryThreadCount) {
   const explore::ExploreConfig cfg = two_backups_two_objects();
   const explore::ExploreReport serial = explore::explore(cfg, nullptr, 1);
   EXPECT_TRUE(serial.ok()) << serial.summary();
@@ -68,7 +55,7 @@ TEST_F(ExploreParallel, ExhaustiveSweepIsTheSameAtEveryThreadCount) {
   }
 }
 
-TEST_F(ExploreParallel, CappedSweepIsTheSameAtEveryThreadCount) {
+TEST(ExploreParallel, CappedSweepIsTheSameAtEveryThreadCount) {
   // Runners speculate past the cap; those results must not be counted.
   explore::ExploreConfig cfg = two_backups_two_objects();
   cfg.bounds.max_trajectories = 150;
@@ -80,7 +67,7 @@ TEST_F(ExploreParallel, CappedSweepIsTheSameAtEveryThreadCount) {
   }
 }
 
-TEST_F(ExploreParallel, SplitBrainCounterexampleIsTheSameAtEveryThreadCount) {
+TEST(ExploreParallel, SplitBrainCounterexampleIsTheSameAtEveryThreadCount) {
   // Runners speculate past the violation, and minimize() runs each greedy
   // round's flips in parallel: the artifact must still be byte-identical.
   explore::ExploreConfig cfg;

@@ -16,18 +16,9 @@
 #include <vector>
 
 #include "explore/explorer.hpp"
-#include "util/log.hpp"
 
 namespace rtpb {
 namespace {
-
-class ExploreTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    // Crash trajectories log WARN storms by design.
-    Logger::instance().set_level(LogLevel::kError);
-  }
-};
 
 /// The acceptance scenario: 2 nodes, 1 object, crash + recruit candidates
 /// and one droppable frame.  Kept in one place so every test explores the
@@ -50,7 +41,7 @@ explore::ExploreConfig split_brain_sabotage() {
   return cfg;
 }
 
-TEST_F(ExploreTest, HealthyTwoNodeSweepIsExhaustiveAndClean) {
+TEST(ExploreTest, HealthyTwoNodeSweepIsExhaustiveAndClean) {
   const explore::ExploreReport report = explore::explore(healthy_two_node());
   EXPECT_TRUE(report.ok()) << report.summary();
   // Exhaustive means exhaustive: nothing capped, nothing truncated.
@@ -62,7 +53,7 @@ TEST_F(ExploreTest, HealthyTwoNodeSweepIsExhaustiveAndClean) {
   EXPECT_GT(report.choice_points, 100u);
 }
 
-TEST_F(ExploreTest, DefaultTrajectoryIsViolationFreeAndReplayable) {
+TEST(ExploreTest, DefaultTrajectoryIsViolationFreeAndReplayable) {
   const explore::ExploreConfig cfg = healthy_two_node();
   const explore::TrajectoryResult a = explore::run_trajectory(cfg, {});
   EXPECT_TRUE(a.violations.empty());
@@ -76,7 +67,7 @@ TEST_F(ExploreTest, DefaultTrajectoryIsViolationFreeAndReplayable) {
   EXPECT_EQ(a.final_hash, b.final_hash);
 }
 
-TEST_F(ExploreTest, BranchReachesItsParentsStatesAlongTheSharedPrefix) {
+TEST(ExploreTest, BranchReachesItsParentsStatesAlongTheSharedPrefix) {
   // explore() skips hashing the replayed prefix because a branch taken at
   // choice point i passes through exactly the parent's states at 0..i.
   const explore::ExploreConfig cfg = healthy_two_node();
@@ -96,7 +87,7 @@ TEST_F(ExploreTest, BranchReachesItsParentsStatesAlongTheSharedPrefix) {
   }
 }
 
-TEST_F(ExploreTest, CrashTrajectoryFailsOverCleanly) {
+TEST(ExploreTest, CrashTrajectoryFailsOverCleanly) {
   // Force the crash-primary candidate (a trace of all-defaults except a 1
   // at its choice point) and check the run stays violation-free: failover
   // + recruit + catch-up inside the declared epoch.
@@ -121,7 +112,7 @@ TEST_F(ExploreTest, CrashTrajectoryFailsOverCleanly) {
   EXPECT_EQ(res.actions[1].kind, core::FaultKind::kAddStandby);
 }
 
-TEST_F(ExploreTest, SplitBrainSabotageYieldsReplayableCounterexample) {
+TEST(ExploreTest, SplitBrainSabotageYieldsReplayableCounterexample) {
   const explore::ExploreReport report = explore::explore(split_brain_sabotage());
   ASSERT_FALSE(report.counterexamples.empty()) << report.summary();
   const explore::Counterexample& ce = report.counterexamples.front();
@@ -133,7 +124,7 @@ TEST_F(ExploreTest, SplitBrainSabotageYieldsReplayableCounterexample) {
   EXPECT_EQ(ce.actions.front().kind, core::FaultKind::kPartitionPrimary);
 }
 
-TEST_F(ExploreTest, CounterexampleTextRoundTripsAndStillReproduces) {
+TEST(ExploreTest, CounterexampleTextRoundTripsAndStillReproduces) {
   explore::ExploreReport report = explore::explore(split_brain_sabotage());
   ASSERT_FALSE(report.counterexamples.empty());
   const explore::Counterexample& ce = report.counterexamples.front();
@@ -154,7 +145,7 @@ TEST_F(ExploreTest, CounterexampleTextRoundTripsAndStillReproduces) {
   EXPECT_NE(ce.fault_plan().find("partition_primary"), std::string::npos);
 }
 
-TEST_F(ExploreTest, ParserRejectsGarbage) {
+TEST(ExploreTest, ParserRejectsGarbage) {
   EXPECT_FALSE(explore::parse_counterexample("").has_value());
   EXPECT_FALSE(explore::parse_counterexample("not a counterexample\n").has_value());
   // Versioned header but no oracle: still not replayable.
@@ -195,7 +186,7 @@ TEST_F(ExploreTest, ParserRejectsGarbage) {
   }
 }
 
-TEST_F(ExploreTest, ReductionsOnlyPrune_NeverChangeTheVerdict) {
+TEST(ExploreTest, ReductionsOnlyPrune_NeverChangeTheVerdict) {
   // With visited-state pruning off, the sweep does strictly more work but
   // must reach the same verdict on the healthy scenario.  (Sleep sets stay
   // on: a 2-node run has no commuting deliveries to reorder anyway.)
@@ -225,10 +216,7 @@ TEST(ExploreSabotageModes, TheExplorerPlantsThreeModes) {
             (std::vector<std::string_view>{"no-failover", "split-brain", "torn-write"}));
 }
 
-class ExploreSabotage : public ::testing::TestWithParam<std::string_view> {
- protected:
-  void SetUp() override { Logger::instance().set_level(LogLevel::kError); }
-};
+class ExploreSabotage : public ::testing::TestWithParam<std::string_view> {};
 
 TEST_P(ExploreSabotage, CounterexampleNamesItsOwnOracle) {
   const chaos::Sabotage& mode = *chaos::find_sabotage(GetParam());

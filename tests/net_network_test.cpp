@@ -58,6 +58,7 @@ TEST(Network, NoLinkMeansNoDelivery) {
   EXPECT_FALSE(network.send(a, c, Bytes{1}));
   sim.run();
   EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(network.unlinked_sends(), 1u);
 }
 
 TEST(Network, FullLossDropsEverything) {

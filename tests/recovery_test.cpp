@@ -71,6 +71,25 @@ TEST(Recovery, DurabilityIsDigestPure) {
   EXPECT_EQ(digests[0], digests[1]);
 }
 
+TEST(Recovery, ResyncGivesUpWhenThePrimaryNeverAnswers) {
+  // The primary stays up but hears nothing from the restarted backup, and
+  // the backup never declares it dead: the backup re-asks until the retry
+  // limit, then gives up.
+  ServiceParams params = make_params();
+  params.config.ping_max_misses = 1000000;
+  RtpbService service(params);
+  service.start();
+  register_mixed_workload(service);
+  service.run_for(seconds(1));
+  service.crash_backup();
+  service.network().set_loss_probability(service.primary().node(), service.backup().node(), 1.0);
+  service.restart_backup(0);
+  service.run_for(seconds(5));
+  EXPECT_EQ(service.backup().resync_give_ups(), 1u);
+  EXPECT_EQ(service.backup().resync_requests_sent(), params.config.transfer_retry_limit + 1);
+  EXPECT_EQ(service.primary().resync_give_ups(), 0u);
+}
+
 TEST(Recovery, BackupRestartResyncsIncrementally) {
   RtpbService service(make_params());
   telemetry::Hub& hub = service.simulator().telemetry();

@@ -4,7 +4,8 @@
 // generated workload, a full RtpbService run, and continuous oracle
 // checking.  Exit status is 0 iff every seed finished with zero oracle
 // violations; every failing seed prints its violations and a
-// ready-to-paste FaultPlan reproducer.
+// ready-to-paste FaultPlan reproducer.  An artifact path that cannot be
+// written is named on stderr and exits 2.
 //
 //   chaos_main --seeds 200                # sweep seeds 0..199
 //   chaos_main --seed 42                  # one seed, verbose
@@ -29,7 +30,6 @@
 #include "cli.hpp"
 #include "explore/explorer.hpp"
 #include "psim/chaos.hpp"
-#include "util/log.hpp"
 
 namespace {
 
@@ -100,8 +100,7 @@ void usage(const char* argv0) {
   for (const rtpb::chaos::Sabotage& s : rtpb::chaos::kSabotages) {
     std::cerr << "                       " << s.name << " (" << s.oracle << ")\n";
   }
-  std::cerr << "  --log-warnings     keep service WARN lines (hidden by default)\n"
-            << "  --telemetry        collect causal spans + metrics (per-seed summary)\n"
+  std::cerr << "  --telemetry        collect causal spans + metrics (per-seed summary)\n"
             << "  --trace-out FILE   write a Chrome trace (Perfetto-loadable) for the\n"
             << "                     last seed run; implies --telemetry\n"
             << "  --jsonl-out FILE   write the JSONL event stream for the last seed run\n"
@@ -117,7 +116,9 @@ void usage(const char* argv0) {
             << "                     rtpb_top)\n"
             << "  --health-period-ms MS  health snapshot period (default 100)\n"
             << "  --replay FILE      replay an explore_main counterexample artifact;\n"
-            << "                     exit 0 iff its oracle violation reproduces\n";
+            << "                     exit 0 iff its oracle violation reproduces\n"
+            << "An artifact FILE that cannot be written is named on stderr and the run\n"
+            << "exits 2.\n";
 }
 
 /// What a single seed's observers collected (a sweep prints only summaries).
@@ -152,7 +153,6 @@ int main(int argc, char** argv) {
   std::size_t count = 16;
   std::size_t threads = 0;  // 0: no --threads flag, the classic path
   bool single = false;
-  bool log_warnings = false;
   ChaosOptions opts;
   std::string sabotage = "none";
   // The first observer flag given, if any: parallel shards attach no
@@ -201,8 +201,6 @@ int main(int argc, char** argv) {
       opts.enable_crash_restart = true;
     } else if (arg == "--sabotage") {
       sabotage = args.value();
-    } else if (arg == "--log-warnings") {
-      log_warnings = true;
     } else if (arg == "--telemetry") {
       opts.telemetry = true;
     } else if (arg == "--trace-out") {
@@ -233,12 +231,6 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 2;
     }
-  }
-
-  // Chaos runs *cause* checksum failures and dead links on purpose; the
-  // per-event WARN stream would drown the per-seed summaries.
-  if (!log_warnings) {
-    rtpb::Logger::instance().set_level(rtpb::LogLevel::kError);
   }
 
   const rtpb::chaos::Sabotage* mode = nullptr;
@@ -274,6 +266,7 @@ int main(int argc, char** argv) {
   std::size_t failing = 0;
   std::uint64_t checks = 0;
   bool caught = false;  // the sabotage's own oracle fired
+  std::vector<std::string> unwritable;
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t seed = first_seed + i;
     if (parallel) {
@@ -299,6 +292,7 @@ int main(int argc, char** argv) {
         ++failing;
       }
       caught = caught || (mode != nullptr && mode->caught_by(report.violations));
+      rtpb::cli::add_unwritable(unwritable, report.unwritable);
     }
   }
 
@@ -309,6 +303,7 @@ int main(int argc, char** argv) {
   if (single && !parallel && failing > 0) {
     std::cout << "reproduce with: --seed " << first_seed << "\n";
   }
+  if (rtpb::cli::report_unwritable("chaos_main", unwritable)) return 2;
   if (mode != nullptr) {
     if (!caught) {
       std::cout << "sabotage '" << mode->name << "' was NOT caught by " << mode->oracle

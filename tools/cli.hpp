@@ -1,8 +1,10 @@
 // Command-line reading shared by chaos_main and explore_main: walks argv
 // flag by flag and parses each number whole, so a malformed value exits 2
-// naming its flag instead of reading as 0 or as its numeric prefix.
+// naming its flag instead of reading as 0 or as its numeric prefix.  An
+// artifact path a run could not write is named the same way.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -11,7 +13,9 @@
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <vector>
 
+#include "util/log.hpp"
 #include "util/time.hpp"
 
 namespace rtpb::cli {
@@ -67,5 +71,19 @@ class Args {
   int i_ = 0;
   std::string flag_;
 };
+
+/// Add the paths of `from` that `to` does not hold yet.
+inline void add_unwritable(std::vector<std::string>& to, const std::vector<std::string>& from) {
+  for (const std::string& path : from) {
+    if (std::find(to.begin(), to.end(), path) == to.end()) to.push_back(path);
+  }
+}
+
+/// Name each artifact path in `paths` on stderr; true if there is any,
+/// and the tool then exits 2.
+inline bool report_unwritable(const char* tool, const std::vector<std::string>& paths) {
+  for (const std::string& path : paths) RTPB_ERROR(tool, "cannot write %s", path.c_str());
+  return !paths.empty();
+}
 
 }  // namespace rtpb::cli

@@ -14,17 +14,19 @@
 //                                         # (chaos_main --replay ce.txt)
 //
 // Exit status: 0 on a clean exhaustive sweep (or, under --sabotage, when
-// the mode's own oracle (chaos/sabotage.hpp) was caught); 1 otherwise.
+// the mode's own oracle (chaos/sabotage.hpp) was caught); 2 if an
+// --emit or --metrics-out file (or the autopsy beside it) cannot be
+// written, naming it on stderr; 1 otherwise.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "cli.hpp"
 #include "explore/explorer.hpp"
-#include "util/log.hpp"
 
 namespace {
 
@@ -71,7 +73,8 @@ void usage(const char* argv0) {
       << "                        attached as FILE.postmortem.jsonl\n"
       << "  --metrics-out FILE    write the final metrics registry snapshot JSON of\n"
       << "                        a default-decisions trajectory after the sweep\n"
-      << "  --quiet               suppress progress lines\n";
+      << "  --quiet               suppress progress lines\n"
+      << "A FILE that cannot be written is named on stderr and the run exits 2.\n";
 }
 
 /// The flag that adds a fault candidate of each kind.
@@ -161,10 +164,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Thousands of service runs: keep per-run WARN noise (crashed links,
-  // dropped frames) out of the sweep output.
-  rtpb::Logger::instance().set_level(rtpb::LogLevel::kError);
-
   // Default candidate set (unless the user named any candidate, or asked
   // for none): a primary crash, a later backup crash, and a standby
   // recruit — all off the 20 ms protocol grids.
@@ -197,12 +196,17 @@ int main(int argc, char** argv) {
       rtpb::explore::explore(cfg, quiet ? nullptr : &std::cout, threads);
   std::cout << report.summary() << "\n";
 
+  std::vector<std::string> unwritable;
   for (const rtpb::explore::Counterexample& ce : report.counterexamples) {
     std::cout << "counterexample: " << ce.oracle << " — " << ce.detail << "\n"
               << "  minimized trace: " << ce.trace.size() << " decisions\n";
     if (!emit_path.empty()) {
       std::ofstream out(emit_path);
       out << ce.to_text();
+      if (!out) {
+        rtpb::cli::add_unwritable(unwritable, {emit_path});
+        continue;
+      }
       std::cout << "  written to " << emit_path << " (replay: chaos_main --replay "
                 << emit_path << ")\n";
       // Autopsy: re-run the minimized trace with the flight recorder on and
@@ -210,8 +214,11 @@ int main(int argc, char** argv) {
       // with observers attached takes the identical trajectory.
       rtpb::chaos::Observers observe;
       observe.postmortem_path = emit_path + ".postmortem.jsonl";
-      (void)rtpb::explore::run_trajectory(ce.config, ce.trace, observe);
-      std::cout << "  post-mortem attached: " << observe.postmortem_path << "\n";
+      const auto autopsy = rtpb::explore::run_trajectory(ce.config, ce.trace, observe);
+      if (autopsy.unwritable.empty()) {
+        std::cout << "  post-mortem attached: " << observe.postmortem_path << "\n";
+      }
+      rtpb::cli::add_unwritable(unwritable, autopsy.unwritable);
     }
   }
 
@@ -221,9 +228,13 @@ int main(int argc, char** argv) {
     rtpb::chaos::Observers observe;
     observe.telemetry = true;
     observe.metrics_json_path = metrics_out_path;
-    (void)rtpb::explore::run_trajectory(cfg, {}, observe);
-    std::cout << "metrics written to " << metrics_out_path << "\n";
+    const auto reference = rtpb::explore::run_trajectory(cfg, {}, observe);
+    if (reference.unwritable.empty()) {
+      std::cout << "metrics written to " << metrics_out_path << "\n";
+    }
+    rtpb::cli::add_unwritable(unwritable, reference.unwritable);
   }
+  if (rtpb::cli::report_unwritable("explore_main", unwritable)) return 2;
 
   if (mode != nullptr) {
     if (std::none_of(report.counterexamples.begin(), report.counterexamples.end(),
