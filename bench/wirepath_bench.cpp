@@ -10,8 +10,9 @@
 //   4. end-to-end RtpbService throughput (updates/sec of wall time) and
 //      allocations/update at N∈{1,4,8} backups, batched and unbatched
 //      (batched N=1 gated in this binary),
-//   5. what observability costs: flight recorder and trace digest on vs
-//      off on the wire path, and telemetry on vs off over one chaos seed
+//   5. what observability costs: the post-mortem ring alone (what
+//      --flight-recorder turns on) and the trace digest on vs off on the
+//      wire path, and telemetry on vs off over one chaos seed
 //      (allocations per Hub event, gated at 0.25; wall-time ratios are too
 //      noisy to gate), and
 //   6. allocations per fired event in the event kernel and per frame
@@ -167,7 +168,7 @@ struct E2eResult {
   double frames_per_update = 0; // < 1 when batching coalesces
 };
 
-E2eResult run_e2e(std::size_t backups, bool batched, bool flight_recorder = false,
+E2eResult run_e2e(std::size_t backups, bool batched, bool postmortem_ring = false,
                   bool trace = false) {
   core::ServiceParams params;
   params.seed = 7;
@@ -177,9 +178,9 @@ E2eResult run_e2e(std::size_t backups, bool batched, bool flight_recorder = fals
   params.config.batch_updates = batched;
 
   core::RtpbService service(params);
-  // The flight recorder's ring is pre-allocated by enable(), before the
+  // The ring alone is allocated whole by enable_postmortem(), before the
   // alloc Scope opens: recording on the hot path must then be alloc-free.
-  if (flight_recorder) service.simulator().telemetry().flight_recorder().enable();
+  if (postmortem_ring) service.simulator().telemetry().enable_postmortem();
   if (trace) service.simulator().telemetry().digest().enable();
   service.start();
   for (core::ObjectId id = 1; id <= 5; ++id) {
@@ -433,28 +434,28 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("\n[5] flight recorder and trace on the wire path (observability must be free)\n");
+  std::printf("\n[5] post-mortem ring and trace on the wire path (observability must be free)\n");
   {
     // Same seed → identical virtual trajectory, so any allocation delta is
-    // the recorder's doing.  The ring is pre-sized in enable(); per-event
-    // record() must not allocate in steady state.
+    // the ring's doing.  The ring alone is allocated whole when it is
+    // enabled; recording an event must not allocate in steady state.
     const E2eResult off = run_e2e(4, true);
-    const E2eResult on = run_e2e(4, true, /*flight_recorder=*/true);
+    const E2eResult on = run_e2e(4, true, /*postmortem_ring=*/true);
     std::printf("  recorder off  %14.2f allocs/update\n", off.allocs_per_update);
     std::printf("  recorder on   %14.2f allocs/update\n", on.allocs_per_update);
     metrics.add("e2e_recorder_off_allocs_per_update_n4", off.allocs_per_update);
     metrics.add("e2e_recorder_on_allocs_per_update_n4", on.allocs_per_update);
     if (on.allocs_per_update > off.allocs_per_update + 0.01) {
       std::fprintf(stderr,
-                   "FAIL: enabling the flight recorder cost %.2f -> %.2f allocs/update "
-                   "on the wire path (record() must be allocation-free)\n",
+                   "FAIL: enabling the post-mortem ring cost %.2f -> %.2f allocs/update "
+                   "on the wire path (Hub::record must be allocation-free)\n",
                    off.allocs_per_update, on.allocs_per_update);
       return 1;
     }
     // The trace digest folds each flagged fact's fixed-width record in
     // place and stores nothing, so tracing the same seed must not allocate
     // either.
-    const E2eResult traced = run_e2e(4, true, /*flight_recorder=*/false, /*trace=*/true);
+    const E2eResult traced = run_e2e(4, true, /*postmortem_ring=*/false, /*trace=*/true);
     std::printf("  trace on      %14.2f allocs/update\n", traced.allocs_per_update);
     metrics.add("e2e_trace_on_allocs_per_update_n4", traced.allocs_per_update);
     if (traced.allocs_per_update > off.allocs_per_update + 0.01) {

@@ -127,10 +127,7 @@ void Experiment::open() {
     hub.slo().enable();
   }
   if (observe_.flight_recorder || !observe_.postmortem_path.empty()) {
-    hub.flight_recorder().enable();
-    if (!observe_.postmortem_path.empty()) {
-      hub.flight_recorder().set_dump_path(observe_.postmortem_path);
-    }
+    hub.enable_postmortem(observe_.postmortem_path);
   }
   service_.start();
 }
@@ -165,13 +162,12 @@ void Experiment::finish() {
   if (health_ != nullptr) health_->stop();
   service_.finish();
 
-  // A clean run never tripped the dump: ship the full ring anyway so the
+  // A clean run never tripped the post-mortem: write it anyway so the
   // artifact path always yields something inspectable.
   telemetry::Hub& hub = service_.simulator().telemetry();
-  telemetry::FlightRecorder& recorder = hub.flight_recorder();
-  // A recorder that still has not dumped could not open its path.
-  if (recorder.enabled() && !observe_.postmortem_path.empty() && !recorder.dumped() &&
-      !recorder.trigger_dump("end-of-run", service_.simulator().now())) {
+  // A post-mortem that still is not written could not open its path.
+  if (!observe_.postmortem_path.empty() && !hub.postmortem_written() &&
+      !hub.trigger_postmortem("end-of-run")) {
     unwritable_.push_back(observe_.postmortem_path);
   }
 
@@ -217,10 +213,9 @@ SeedReport Experiment::report() {
   report.inconsistency_intervals = service_.metrics().inconsistency_intervals();
 
   const telemetry::Hub& hub = sim.telemetry();
-  const telemetry::FlightRecorder& recorder = hub.flight_recorder();
-  report.flight_events = recorder.recorded();
-  report.postmortem_written = recorder.dumped();
-  report.postmortem_reason = recorder.dump_reason();
+  report.flight_events = hub.postmortem_events();
+  report.postmortem_written = hub.postmortem_written();
+  report.postmortem_reason = hub.postmortem_reason();
   if (health_ != nullptr) report.health_snapshots = health_->snapshots();
   report.unwritable = unwritable_;
 

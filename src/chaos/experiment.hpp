@@ -1,7 +1,7 @@
 // One checked run of the replication service: the service, the objects
 // admission accepted, the fault plan, the oracle monitor and the optional
-// health feed, with the observers (telemetry + SLO, flight recorder,
-// post-mortem, health feed, metrics, Chrome and JSONL exports) attached.
+// health feed, with the observers (telemetry + SLO, the post-mortem ring,
+// health feed, metrics, Chrome and JSONL exports) attached.
 //
 // Every checked run is an Experiment: a classic chaos seed (run_seed), one
 // shard of a parallel seed (psim::run_parallel_seed) and one explorer
@@ -9,8 +9,8 @@
 // seed by construction, and a new oracle or observer is wired once.
 //
 // The setup steps run in one fixed order, which every trace digest
-// depends on: enable the trace digest (seed runs only) → hub / flight
-// recorder → start the service → register the workload → add its
+// depends on: enable the trace digest (seed runs only) → hub → post-mortem
+// ring → start the service → register the workload → add its
 // constraints → fill the fault plan (schedule, shard storms, torn tail) →
 // arm it → start the monitor → start the health feed.  The caller then
 // advances the simulator (run_for, psim windows or the explorer's choice
@@ -74,9 +74,10 @@ struct SeedReport {
   std::uint64_t telemetry_events = 0;  ///< Hub events recorded, evicted ones included
   std::string metrics_json;  ///< registry snapshot
 
-  // Flight recorder / health feed (zero / empty unless enabled).
-  std::uint64_t flight_events = 0;     ///< records captured by the ring
-  bool postmortem_written = false;     ///< a post-mortem artifact was dumped
+  // Post-mortem / health feed (zero / empty unless enabled).
+  /// Post-mortem events (facts flagged `postmortem`) and triggers.
+  std::uint64_t flight_events = 0;
+  bool postmortem_written = false;     ///< a post-mortem artifact was written
   std::string postmortem_reason;       ///< trigger that wrote it
   std::uint64_t health_snapshots = 0;  ///< health JSONL lines emitted
   /// Requested artifact paths (exports, post-mortem, health feed) that
@@ -113,8 +114,8 @@ class Experiment {
   /// Arm the plan, start the oracles with the declared `epochs`, then the
   /// health feed.
   void arm(std::vector<FaultEpoch> epochs);
-  /// End the run: stop the health feed, finish the service, dump the
-  /// flight recorder if nothing tripped it and write the exports.
+  /// End the run: stop the health feed, finish the service, write the
+  /// post-mortem if nothing tripped it and write the exports.
   void finish();
   /// The run's outcome; call after finish().  The seed and the
   /// reproducer are the caller's to fill.

@@ -4,13 +4,25 @@
 
 namespace rtpb::chaos {
 
+namespace {
+/// The Hub event renderer of the oracle facts: a violation's interned
+/// detail, or a sweep's count of violations so far.
+void describe(const telemetry::Hub& hub, const telemetry::Event& e, telemetry::Part,
+              std::string& out) {
+  if (static_cast<OracleFact>(e.tag) == OracleFact::kCheck) {
+    return telemetry::append(out, e.d, " violations so far");
+  }
+  out += hub.text(static_cast<telemetry::TextId>(e.a));
+}
+}  // namespace
+
 OracleMonitor::OracleMonitor(core::RtpbService& service,
                              std::vector<core::ObjectId> admitted,
                              std::vector<FaultEpoch> epochs)
     : service_(service),
       admitted_(std::move(admitted)),
       epochs_(std::move(epochs)),
-      facts_("oracle", nullptr, &service_.simulator().telemetry()),
+      facts_("oracle", &describe, &service_.simulator().telemetry()),
       watch_(admitted_.size()) {}
 
 void OracleMonitor::start(Duration check_period) {
@@ -54,16 +66,15 @@ std::uint64_t OracleMonitor::violation_count() const {
 
 void OracleMonitor::report(TimePoint now, OracleFact oracle, std::string detail,
                            telemetry::SpanId span) {
-  const char* name = telemetry::kFactSinks<OracleFact>[static_cast<std::size_t>(oracle)].label;
-  if (violations_.size() < kMaxStored) violations_.push_back({now, name, detail});
-  // The violation's flight record (with the guilty span) comes first: the
-  // post-mortem's last-N events ending in it are exactly the context an
-  // operator wants first.
-  facts_.emit(oracle, {.span = span});
+  const char* name = oracle_name(oracle);
   telemetry::Hub& hub = service_.simulator().telemetry();
-  if (hub.enabled()) hub.mark_violation(span, name, std::move(detail));
-  telemetry::FlightRecorder& fr = hub.flight_recorder();
-  if (fr.enabled()) fr.trigger_dump(std::string("oracle:") + name, now);
+  // The violation's event (with the guilty span) comes first: the
+  // post-mortem's last events ending in it are exactly the context an
+  // operator wants first.
+  facts_.emit(oracle, {.a = hub.ring_on() ? hub.intern(detail) : 0, .span = span});
+  if (violations_.size() < kMaxStored) violations_.push_back({now, name, std::move(detail)});
+  hub.mark_violation(span, name);
+  if (hub.postmortem_on()) hub.trigger_postmortem(std::string("oracle:").append(name));
 }
 
 void OracleMonitor::check() {

@@ -61,35 +61,41 @@ enum class OracleFact : std::uint8_t {
   kCount
 };
 
-/// A violation counts on chaos.violations.<oracle>, is flight-recorded
-/// with the oracle as its label and feeds the trace digest; a sweep is
-/// flight-recorded with the violations so far.
+/// A violation counts on chaos.violations.<oracle>, is the Hub event
+/// violation:<oracle> (its detail an interned text in `a`, its span the
+/// guilty update) and feeds the trace digest; a sweep is the event
+/// oracle-check, its value the violations so far.  Both are post-mortem
+/// events.
 constexpr telemetry::FactSinks<OracleFact> fact_sinks(OracleFact f) {
-  const auto oracle = [](const char* counter, const char* name) {
+  const auto oracle = [](const char* counter, const char* event) {
     return telemetry::FactSinks<OracleFact>{
-        .counter = counter, .flight = telemetry::FlightKind::kViolation, .label = name,
-        .digest = true};
+        .counter = counter, .event = event, .digest = true, .text = true, .postmortem = true};
   };
   switch (f) {
     case OracleFact::kStalenessWindow:
-      return oracle("chaos.violations.staleness-window", "staleness-window");
+      return oracle("chaos.violations.staleness-window", "violation:staleness-window");
     case OracleFact::kInconsistencyEpoch:
-      return oracle("chaos.violations.inconsistency-epoch", "inconsistency-epoch");
+      return oracle("chaos.violations.inconsistency-epoch", "violation:inconsistency-epoch");
     case OracleFact::kExactlyOnePrimary:
-      return oracle("chaos.violations.exactly-one-primary", "exactly-one-primary");
+      return oracle("chaos.violations.exactly-one-primary", "violation:exactly-one-primary");
     case OracleFact::kMonotoneVersions:
-      return oracle("chaos.violations.monotone-versions", "monotone-versions");
+      return oracle("chaos.violations.monotone-versions", "violation:monotone-versions");
     case OracleFact::kCrossEpochApply:
-      return oracle("chaos.violations.cross-epoch-apply", "cross-epoch-apply");
+      return oracle("chaos.violations.cross-epoch-apply", "violation:cross-epoch-apply");
     case OracleFact::kDurableRecovery:
-      return oracle("chaos.violations.durable-recovery", "durable-recovery");
+      return oracle("chaos.violations.durable-recovery", "violation:durable-recovery");
     case OracleFact::kNoSilentViolation:
-      return oracle("chaos.violations.no-silent-violation", "no-silent-violation");
-    case OracleFact::kCheck:
-      return {.flight = telemetry::FlightKind::kOracleCheck, .arg = telemetry::FactArg::kValue};
+      return oracle("chaos.violations.no-silent-violation", "violation:no-silent-violation");
+    case OracleFact::kCheck: return {.event = "oracle-check", .postmortem = true};
     case OracleFact::kCount: break;
   }
   return {};
+}
+
+/// The oracle a violation fact names: its event name after "violation:".
+constexpr const char* oracle_name(OracleFact f) {
+  return telemetry::kFactSinks<OracleFact>[static_cast<std::size_t>(f)].event +
+         sizeof("violation:") - 1;
 }
 
 struct OracleViolation {

@@ -43,11 +43,12 @@ struct Observers {
   /// trace-event JSON / JSONL event stream there.
   std::string trace_json_path;
   std::string trace_jsonl_path;
-  /// Enable the flight recorder (implied by a non-empty postmortem_path).
+  /// Keep the post-mortem (implied by a non-empty postmortem_path): the
+  /// Hub's event ring, alone unless telemetry is on.
   bool flight_recorder = false;
   /// Post-mortem artifact path.  The first oracle violation or crash fault
-  /// dumps the recorder's last-N events there; if the run ends untriggered
-  /// the full ring is dumped with reason "end-of-run".
+  /// writes the ring's last Hub::kPostmortemEvents events there; if the
+  /// run ends untriggered they are written with reason "end-of-run".
   std::string postmortem_path;
   /// When non-empty, a HealthFeed emits per-replica JSONL health snapshots
   /// there every health_period (rendered by tools/rtpb_top).

@@ -6,7 +6,7 @@
 //
 // The feed is a pure *reader*: it draws no randomness and mutates nothing,
 // and its periodic timer carries the observer event tag, so trace digests
-// are byte-identical with the feed on or off.  (Unlike the flight recorder
+// are byte-identical with the feed on or off.  (Unlike the post-mortem ring
 // and SLO monitor it does schedule events, so raw fired-event counts
 // differ — which is why it is a separate opt-in from `--telemetry`.)
 #pragma once

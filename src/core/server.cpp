@@ -26,7 +26,8 @@ void describe(const telemetry::Hub& /*hub*/, const telemetry::Event& e, telemetr
       return append(out, "obj", object, " window ", nanos(value).to_string());
     case Fact::kNack: return append(out, "obj", object, " v", version, " held");
     case Fact::kRetxRequest: return append(out, "obj", object, " v", version, " held by backup");
-    case Fact::kPromote: return append(out, "epoch ", epoch);
+    case Fact::kPromote: case Fact::kDemoted: case Fact::kEpochChange: case Fact::kCrash:
+      return append(out, "epoch ", epoch);
     case Fact::kStepDown: return append(out, "deposed by epoch ", value);
     case Fact::kEpochReject:  // value: the fenced message type; version: its epoch
       return append(out, wire::msg_type_name(static_cast<wire::MsgType>(value)), " epoch ",
@@ -262,10 +263,12 @@ void ReplicaServer::crash() {
   for (auto& [id, rec] : objects_) rec.stop();
   network_.set_node_up(node(), false);
   emit(Fact::kCrash);
-  // A crash fault is one of the post-mortem triggers: dump the ring so the
-  // artifact shows what led up to it (first trigger wins).
-  sim_.telemetry().flight_recorder().trigger_dump(
-      "crash:node" + std::to_string(node()), sim_.now());
+  // A crash fault is one of the post-mortem triggers: the post-mortem
+  // shows what led up to it (first trigger wins).
+  telemetry::Hub& hub = sim_.telemetry();
+  if (hub.postmortem_on()) {
+    hub.trigger_postmortem(std::string("crash:node").append(std::to_string(node())));
+  }
 }
 
 // ---------------------------------------------------------------------------

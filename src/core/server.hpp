@@ -69,9 +69,9 @@ struct FrontierRecord {
 
 /// The protocol facts a ReplicaServer reports, each at one
 /// ReplicaServer::emit() call; fact_sinks() says which registry
-/// instrument, Hub event and flight record it feeds besides the total the
-/// server's getters read.  A promotion, a step-down and a restart feed the
-/// trace digest.
+/// instrument and Hub event it feeds besides the total the server's
+/// getters read, and whether the post-mortem keeps it.  A promotion, a
+/// step-down and a restart feed the trace digest.
 enum class Fact : std::uint8_t {
   kWrite, kWriteRelease, kWriteStart,  // primary: client write (+ its job history)
   kXmitRelease, kXmitStart,            // primary: update transmission job history
@@ -96,8 +96,6 @@ enum class Fact : std::uint8_t {
 };
 
 constexpr telemetry::FactSinks<Fact> fact_sinks(Fact f) {
-  using telemetry::FactArg;
-  using telemetry::FlightKind;
   switch (f) {
     case Fact::kWrite: return {.counter = "core.primary.writes", .event = "write",
                                .histogram = "core.primary.write_response_ms", .duration = true};
@@ -106,53 +104,49 @@ constexpr telemetry::FactSinks<Fact> fact_sinks(Fact f) {
     case Fact::kXmitRelease: return {.event = "xmit-release"};
     case Fact::kXmitStart: return {.event = "xmit-start"};
     case Fact::kUpdateSend: return {.counter = "core.primary.update_sends", .event = "update-send",
-                                    .flight = FlightKind::kUpdateSend};
+                                    .postmortem = true};
     case Fact::kRetransmit: return {.counter = "core.primary.retransmissions",
-                                    .event = "update-retx", .flight = FlightKind::kUpdateSend,
-                                    .arg = FactArg::kOne};
+                                    .event = "update-retx", .postmortem = true};
     case Fact::kLossInjected: return {.counter = "core.primary.loss_injected",
                                       .event = "update-loss-injected"};
     case Fact::kUpdateFrame: return {};
     case Fact::kBatchFrame: return {.counter = "core.primary.batch_frames", .event = "batch-send",
-                                    .flight = FlightKind::kUpdateBatch, .arg = FactArg::kValue,
-                                    .histogram = "core.primary.batch_entries"};
+                                    .histogram = "core.primary.batch_entries",
+                                    .postmortem = true};
     case Fact::kShed: return {.counter = "core.degrade.shed", .event = "update-shed",
-                              .flight = FlightKind::kShed, .arg = FactArg::kValue,
-                              .duration = true};
+                              .duration = true, .postmortem = true};
     case Fact::kRetxRequest: return {.counter = "core.primary.retransmit_requests",
                                      .event = "retx-request"};
     case Fact::kAckReceived: return {.counter = "core.primary.peer_acks", .event = "peer-ack",
-                                     .flight = FlightKind::kAck, .arg = FactArg::kValue};
+                                     .postmortem = true};
     case Fact::kPeerDead: return {.counter = "core.primary.dead_peers", .event = "dead-peer"};
     case Fact::kTransferGiveUp: return {.counter = "core.degrade.transfer_give_ups"};
     case Fact::kQosDowngrade: return {.counter = "core.degrade.downgrades",
-                                      .event = "qos-downgrade", .flight = FlightKind::kQosDowngrade,
-                                      .arg = FactArg::kValue, .duration = true};
+                                      .event = "qos-downgrade", .duration = true,
+                                      .postmortem = true};
     case Fact::kQosRestore: return {.counter = "core.degrade.restores", .event = "qos-restore",
-                                    .flight = FlightKind::kQosRestore, .arg = FactArg::kValue,
-                                    .duration = true};
+                                    .duration = true, .postmortem = true};
     case Fact::kPromote: return {.counter = "core.failovers", .event = "promote",
-                                 .flight = FlightKind::kRoleChange, .arg = FactArg::kOne,
-                                 .label = "promote", .gauge = "core.epoch", .digest = true};
+                                 .gauge = "core.epoch", .digest = true, .postmortem = true};
     case Fact::kStepDown: return {.counter = "core.epoch.step_downs", .event = "step-down",
                                   .digest = true};
-    case Fact::kDemoted: return {.flight = FlightKind::kRoleChange, .label = "step-down"};
-    case Fact::kEpochChange: return {.flight = FlightKind::kEpoch};
-    case Fact::kCrash: return {.flight = FlightKind::kCrash};
+    case Fact::kDemoted: return {.event = "demoted", .postmortem = true};
+    case Fact::kEpochChange: return {.event = "epoch-change", .postmortem = true};
+    case Fact::kCrash: return {.event = "crash", .postmortem = true};
     case Fact::kEpochReject: return {.counter = "core.epoch.rejected", .event = "epoch-reject"};
     case Fact::kUpdateRoleReject: return {.counter = "core.role_rejected",
                                           .event = "update-role-reject"};
     case Fact::kRoleReject: return {.counter = "core.role_rejected"};
     case Fact::kApply: return {.counter = "core.backup.applies", .event = "update-apply",
-                               .flight = FlightKind::kUpdateApply,
-                               .histogram = "core.backup.apply_latency_ms", .duration = true};
+                               .histogram = "core.backup.apply_latency_ms", .duration = true,
+                               .postmortem = true};
     case Fact::kStaleUpdate: return {.counter = "core.backup.stale", .event = "update-stale"};
     case Fact::kUnknownObject: return {.counter = "core.backup.unknown_object",
                                        .event = "update-unknown"};
     case Fact::kCrossEpochApply: return {.counter = "core.epoch.cross_epoch_applies"};
     case Fact::kAckSent: return {};
     case Fact::kNack: return {.counter = "core.backup.nacks", .event = "watchdog-nack",
-                              .flight = FlightKind::kRetransmitReq};
+                              .postmortem = true};
     case Fact::kDowngradeReceived: return {.counter = "core.degrade.downgrades_received",
                                            .event = "qos-downgrade-recv", .duration = true};
     case Fact::kRestoreReceived: return {.counter = "core.degrade.restores_received",
@@ -173,8 +167,7 @@ constexpr telemetry::FactSinks<Fact> fact_sinks(Fact f) {
     case Fact::kTornWalTail: return {.counter = "core.store.torn_wal_tails"};
     case Fact::kTornCheckpointTail: return {.counter = "core.store.torn_checkpoint_tails"};
     case Fact::kRestart: return {.counter = "core.store.recoveries", .event = "restart",
-                                 .flight = FlightKind::kRoleChange, .arg = FactArg::kValue,
-                                 .label = "restart", .digest = true};
+                                 .digest = true, .postmortem = true};
     case Fact::kLostUpdates: return {.sums = true};
     case Fact::kResyncRequest: return {.counter = "core.store.resync_requests"};
     case Fact::kResyncFull: return {.counter = "core.store.resync_fulls"};

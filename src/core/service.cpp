@@ -238,8 +238,10 @@ ReplicaServer& RtpbService::add_standby() {
     new_primary.recruit_backup(standby_->endpoint());
   } else {
     // No live primary to recruit from (failover never settled): the
-    // standby comes up orphaned and stays cold.  The service is now
-    // primary-less, which monitoring is expected to flag.
+    // standby comes up orphaned and no state transfer reaches it.  It
+    // does not stay cold: a standby is a successor by default, so once
+    // its detector declares the dead primary gone it promotes itself
+    // with an empty store (ROADMAP item 1).
     facts_.emit(ServiceFact::kOrphanStandby, {.a = standby_->node()});
   }
   return *standby_;

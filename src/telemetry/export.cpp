@@ -1,5 +1,6 @@
 #include "telemetry/export.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <ostream>
@@ -51,6 +52,16 @@ std::string millis_ts(TimePoint t) {
 
 std::string span_title(const SpanInfo& info) {
   return "obj" + std::to_string(info.object) + " v" + std::to_string(info.version);
+}
+
+void write_event(const Hub& hub, const Event& e, std::ostream& os) {
+  os << "{\"type\":\"event\",\"span\":" << e.span << ",\"ts_ms\":" << millis_ts(e.at)
+     << ",\"node\":" << e.node << ",\"kind\":\"" << event_kind_name(e.kind)
+     << "\",\"track\":\"" << json_escape(hub.track_of(e)) << "\",\"name\":\""
+     << json_escape(hub.name_of(e)) << "\"";
+  const std::string detail = hub.detail_of(e);
+  if (!detail.empty()) os << ",\"detail\":\"" << json_escape(detail) << "\"";
+  os << "}\n";
 }
 
 }  // namespace
@@ -154,15 +165,7 @@ void write_jsonl(const Hub& hub, std::ostream& os) {
     }
     os << "}\n";
   }
-  for (const Event& e : hub.events()) {
-    os << "{\"type\":\"event\",\"span\":" << e.span << ",\"ts_ms\":" << millis_ts(e.at)
-       << ",\"node\":" << e.node << ",\"kind\":\"" << event_kind_name(e.kind)
-       << "\",\"track\":\"" << json_escape(hub.track_of(e)) << "\",\"name\":\""
-       << json_escape(hub.name_of(e)) << "\"";
-    const std::string detail = hub.detail_of(e);
-    if (!detail.empty()) os << ",\"detail\":\"" << json_escape(detail) << "\"";
-    os << "}\n";
-  }
+  for (const Event& e : hub.events()) write_event(hub, e, os);
   // End-of-run registry snapshot, one line per instrument, so downstream
   // tools (trace_inspect) can read final counters without re-deriving them
   // from the event stream.
@@ -175,6 +178,18 @@ void write_jsonl(const Hub& hub, std::ostream& os) {
     std::snprintf(buf, sizeof buf, "%.6g", gauge.value());
     os << "{\"type\":\"gauge\",\"name\":\"" << json_escape(name) << "\",\"value\":" << buf
        << "}\n";
+  }
+}
+
+void write_postmortem(const Hub& hub, std::ostream& os, std::string_view reason) {
+  const EventView events = hub.events();
+  const std::size_t retained = std::min(events.size(), Hub::kPostmortemEvents);
+  os << "{\"type\":\"postmortem\",\"version\":2,\"reason\":\"" << json_escape(reason)
+     << "\",\"at_ms\":" << millis_ts(hub.now()) << ",\"recorded\":" << hub.recorded_events()
+     << ",\"retained\":" << retained << ",\"dropped\":" << hub.recorded_events() - retained
+     << "}\n";
+  for (auto it = EventView::iterator(&hub, events.size() - retained); it != events.end(); ++it) {
+    write_event(hub, *it, os);
   }
 }
 

@@ -9,6 +9,9 @@
 //   write_jsonl         Flat JSONL event stream (one JSON object per line;
 //                       span records first, then events) — the input format
 //                       of tools/trace_inspect.
+//   write_postmortem    The post-mortem: a versioned header, then the ring's
+//                       last Hub::kPostmortemEvents events as write_jsonl's
+//                       event lines, oldest first.
 #pragma once
 
 #include <iosfwd>
@@ -21,10 +24,12 @@ namespace rtpb::telemetry {
 
 void write_chrome_trace(const Hub& hub, std::ostream& os);
 void write_jsonl(const Hub& hub, std::ostream& os);
+/// The post-mortem of a trigger with `reason`, written at the Hub's now().
+void write_postmortem(const Hub& hub, std::ostream& os, std::string_view reason);
 
 /// Append `s` to `out` as the body of a JSON string: quotes, backslashes
 /// and control characters escaped.  Every JSON writer here uses it: the
-/// exporters, the registry's metrics JSON and the post-mortem dump.
+/// exporters and the registry's metrics JSON.
 void json_escape_into(std::string& out, std::string_view s);
 /// json_escape_into a fresh string.
 [[nodiscard]] std::string json_escape(std::string_view s);

@@ -8,10 +8,11 @@
 // digest while that is enabled, whatever else the Hub does.  While the Hub
 // collects it also adds to the fact's registry counter, samples its
 // histogram, sets its gauge and records its Hub event on the component's
-// track; while the flight recorder runs it appends the fact's flight
-// record.  Registry instruments and interned names are resolved on first
-// use, so a Hub that never collects costs each fact one total and two
-// branches, plus one fold per digest fact.
+// track.  A fact the table marks `postmortem` is counted towards the
+// post-mortem while that is on, and records its Hub event even while the
+// Hub's ring runs alone.  Registry instruments and interned names are
+// resolved on first use, so a Hub that never collects costs each fact one
+// total and two branches, plus one fold per digest fact.
 #pragma once
 
 #include <array>
@@ -26,21 +27,14 @@
 
 namespace rtpb::telemetry {
 
-/// What a fact's flight record carries in `arg`.
-enum class FactArg : std::uint8_t { kZero, kOne, kValue };
-
 /// Where one fact of enum F goes besides its total.
 template <typename F>
 struct FactSinks {
   const char* counter = nullptr;    ///< registry counter (facts may share one)
   const char* event = nullptr;      ///< Hub event name (the renderer gives its detail)
-  std::optional<FlightKind> flight{};  ///< flight record kind
-  FactArg arg = FactArg::kZero;     ///< the flight record's arg
-  const char* label = nullptr;      ///< the flight record's label
   const char* histogram = nullptr;  ///< registry histogram sampling `value`
   const char* gauge = nullptr;      ///< registry gauge set to `value`
-  /// `value` is a duration in ns: histograms and gauges take it in ms,
-  /// flight args in whole ms.
+  /// `value` is a duration in ns: histograms and gauges take it in ms.
   bool duration = false;
   bool sums = false;          ///< totals and counters add `value`, not 1
   std::optional<F> also{};    ///< a fact this one also counts as
@@ -50,11 +44,15 @@ struct FactSinks {
   /// `a` is a Hub-interned text, which also exists only while the Hub
   /// collects, so the digest folds 0 in its place.
   bool text = false;
+  /// A post-mortem-class fact: its event is kept while the ring runs
+  /// alone, and each occurrence counts towards the post-mortem.  Such a
+  /// fact names an `event`.
+  bool postmortem = false;
 
   /// Whether the fact feeds anything while the Hub collects.
   [[nodiscard]] constexpr bool reports() const {
-    return counter != nullptr || event != nullptr || flight || histogram != nullptr ||
-           gauge != nullptr || also;
+    return counter != nullptr || event != nullptr || histogram != nullptr || gauge != nullptr ||
+           also;
   }
 };
 
@@ -67,10 +65,8 @@ inline constexpr auto kFactSinks = [] {
 }();
 
 /// One occurrence of a fact.  `a`, `b`, `c` and `value` become the Hub
-/// event's fields `a`..`d`, which the component's renderer reads; a flight
-/// record takes `a`, `b` and `c` as object, version and epoch.  `value` is
-/// also the histogram or gauge sample, a summing fact's increment and the
-/// flight arg.
+/// event's fields `a`..`d`, which the component's renderer reads.  `value`
+/// is also the histogram or gauge sample and a summing fact's increment.
 struct FactFields {
   std::uint64_t a = 0;
   std::uint64_t b = 0;
@@ -117,8 +113,8 @@ class Facts {
       hub_->digest().fold(domain_, static_cast<std::uint8_t>(f), x.node, s.text ? 0 : x.a, x.b,
                           x.c, x.value, x.at ? *x.at : hub_->now());
     }
-    if (hub_ != nullptr && (hub_->enabled() ? s.reports()
-                                            : s.flight && hub_->flight_recorder().enabled())) {
+    if (hub_ != nullptr &&
+        (hub_->enabled() ? s.reports() : s.postmortem && hub_->postmortem_on())) {
       report(f, FactFields(x));  // copied here, so `x` stays in registers on the fast path
     }
   }
@@ -142,10 +138,11 @@ class Facts {
         std::string("node").append(std::to_string(node)).append("/").append(track_));
   }
 
-  /// The registry, Hub event and flight-record sinks of emit(): one out
-  /// of line body per fact, with that fact's table row folded in, so a
-  /// site's fast path stays small and its slow path branches only on the
-  /// Hub's state.
+  /// The registry, Hub event and post-mortem sinks of emit(): one out of
+  /// line body per fact, with that fact's table row folded in, so a site's
+  /// fast path stays small and its slow path branches only on the Hub's
+  /// state.  Only a postmortem fact gets here while the Hub does not
+  /// collect, and then it feeds the ring alone.
   void report(F f, const FactFields& x) {
     static constexpr auto kReports = []<std::size_t... I>(std::index_sequence<I...>) {
       return std::array<void (Facts::*)(const FactFields&), kCount>{
@@ -158,8 +155,8 @@ class Facts {
   [[gnu::noinline]] void report(const FactFields& x) {
     constexpr std::size_t i = index(f);
     constexpr FactSinks<F> s = kFactSinks<F>[i];
+    static_assert(!s.postmortem || s.event != nullptr, "a postmortem fact names an event");
     Hub& hub = *hub_;
-    const auto at = [&] { return x.at ? *x.at : hub.now(); };
     if (hub.enabled()) {
       const std::uint64_t n = s.sums ? static_cast<std::uint64_t>(x.value) : 1;
       Registry& r = hub.registry();
@@ -174,27 +171,21 @@ class Facts {
         r.histogram(histograms_[i], s.histogram).record_ms(sample);
       }
       if constexpr (s.gauge != nullptr) r.gauge(gauges_[i], s.gauge).set(sample);
-      if constexpr (s.event != nullptr) {
-        hub.record({.at = at(),
-                    .span = x.span,
-                    .a = x.a,
-                    .b = x.b,
-                    .c = x.c,
-                    .d = static_cast<std::uint64_t>(x.value),
-                    .render = render_,
-                    .node = x.node,
-                    .track = track(x.node),
-                    .name = hub.intern(names_[i], s.event),
-                    .tag = static_cast<std::uint8_t>(f)});
-      }
     }
-    if constexpr (s.flight.has_value()) {
-      FlightRecorder& fr = hub.flight_recorder();
-      if (!fr.enabled()) return;
-      std::int64_t arg = s.arg == FactArg::kOne ? 1 : 0;
-      if (s.arg == FactArg::kValue) arg = s.duration ? x.value / 1'000'000 : x.value;
-      fr.record({at(), x.span, x.a, x.b, x.c, arg, s.label, x.node, *s.flight});
+    if constexpr (s.event != nullptr) {
+      hub.record({.at = x.at ? *x.at : hub.now(),
+                  .span = x.span,
+                  .a = x.a,
+                  .b = x.b,
+                  .c = x.c,
+                  .d = static_cast<std::uint64_t>(x.value),
+                  .render = render_,
+                  .node = x.node,
+                  .track = track(x.node),
+                  .name = hub.intern(names_[i], s.event),
+                  .tag = static_cast<std::uint8_t>(f)});
     }
+    if constexpr (s.postmortem) hub.count_postmortem_event();
   }
 
   std::uint64_t domain_;  ///< this component's digest domain

@@ -109,12 +109,4 @@ void SloMonitor::export_to(Registry& reg) const {
   }
 }
 
-void SloMonitor::clear() {
-  total_samples_ = 0;
-  total_violations_ = 0;
-  degradation_signals_ = 0;
-  signals_by_kind_.clear();
-  objects_.clear();
-}
-
 }  // namespace rtpb::telemetry

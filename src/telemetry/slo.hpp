@@ -79,7 +79,6 @@ class SloMonitor {
   };
 
   void enable() { enabled_ = true; }
-  void disable() { enabled_ = false; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// One staleness observation for `object`: the backup lagged the primary
@@ -98,9 +97,6 @@ class SloMonitor {
   /// per-object margin gauges, near-miss counters and burn rates.
   /// Call once per run (counters are add-only).
   void export_to(Registry& reg) const;
-
-  /// Forget all accounting; keeps enablement.
-  void clear();
 
  private:
   bool enabled_ = false;

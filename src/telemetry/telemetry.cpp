@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <vector>
 
 #include "telemetry/export.hpp"
@@ -42,15 +43,6 @@ Gauge& Registry::gauge(std::string_view name) { return find_or_create(gauges_, n
 
 LatencyHistogram& Registry::histogram(std::string_view name) {
   return find_or_create(histograms_, name, enabled_);
-}
-
-void Registry::clear() {
-  for (auto& [name, c] : counters_) c.value_ = 0;
-  for (auto& [name, g] : gauges_) g.value_ = 0.0;
-  for (auto& [name, h] : histograms_) {
-    h.samples_.clear();
-    h.sum_ms_ = 0.0;
-  }
 }
 
 namespace {
@@ -144,8 +136,33 @@ void Hub::enable(std::size_t event_capacity, std::size_t span_capacity) {
     chunks_.clear();  // sized for the old capacity
   }
   enabled_ = true;
+  ring_ = true;
   event_capacity_ = event_capacity;
   span_capacity_ = span_capacity;
+}
+
+void Hub::enable_postmortem(std::string path) {
+  postmortem_ = true;
+  postmortem_path_ = std::move(path);
+  if (ring_) return;
+  // The ring alone: allocated whole, so recording never allocates.
+  ring_ = true;
+  event_capacity_ = kPostmortemEvents;
+  for (std::size_t at = 0; at < kPostmortemEvents; at += kChunkEvents) {
+    chunks_.push_back(std::make_unique<Event[]>(kChunkEvents));
+  }
+}
+
+bool Hub::trigger_postmortem(std::string_view reason) {
+  if (!postmortem_) return false;
+  ++postmortem_events_;
+  if (postmortem_written_ || postmortem_path_.empty()) return false;
+  std::ofstream out(postmortem_path_);
+  if (!out) return false;
+  write_postmortem(*this, out, reason);
+  postmortem_written_ = true;
+  postmortem_reason_ = reason;
+  return true;
 }
 
 SpanId Hub::begin_span(std::uint64_t object, std::uint64_t version, std::uint64_t epoch) {
@@ -189,28 +206,18 @@ SpanId Hub::latest_span(std::uint64_t object) const {
   return it == latest_.end() ? kNoSpan : it->second;
 }
 
-void Hub::mark_violation(SpanId span, const std::string& oracle, std::string detail) {
+void Hub::mark_violation(SpanId span, std::string_view oracle) {
   if (!enabled_ || find_span(span) == nullptr) return;  // kNoSpan is never retained
   SpanInfo& info = spans_[span - spans_.front().id];
   if (info.violation.empty()) {
     info.violation = oracle;
     ++spans_violated_;
   }
-  record({.at = now(),
-          .span = span,
-          .a = keep_text(std::move(detail)),
-          .render = &render_text,
-          .track = intern("oracle"),
-          .name = intern("violation:" + oracle)});
 }
 
 // ---------------------------------------------------------------------------
 // Events: interned text, the chunked ring, render-on-demand.
 // ---------------------------------------------------------------------------
-
-void render_text(const Hub& hub, const Event& e, Part /*part*/, std::string& out) {
-  out += hub.kept_text(e.a);
-}
 
 TextId Hub::intern(std::string_view s) {
   if (s.empty()) return 0;
@@ -223,19 +230,8 @@ TextId Hub::intern(std::string_view s) {
   return it->second;
 }
 
-std::uint64_t Hub::keep_text(std::string detail) {
-  const std::uint64_t key = next_kept_++;
-  kept_.emplace(key, std::move(detail));
-  return key;
-}
-
-std::string_view Hub::kept_text(std::uint64_t key) const {
-  auto it = kept_.find(key);
-  return it == kept_.end() ? std::string_view{} : std::string_view{it->second};
-}
-
 void Hub::record(const Event& e) {
-  if (!enabled_) return;
+  if (!ring_) return;
   ++recorded_events_;
   std::size_t at = head_;
   if (size_ < event_capacity_) {
@@ -248,8 +244,6 @@ void Hub::record(const Event& e) {
   } else {
     head_ = head_ + 1 == event_capacity_ ? 0 : head_ + 1;
     ++dropped_events_;
-    const Event& evicted = slot(at);
-    if (evicted.render == &render_text) kept_.erase(evicted.a);
   }
   chunks_[at / kChunkEvents][at % kChunkEvents] = e;
 }
@@ -268,23 +262,6 @@ std::string Hub::detail_of(const Event& e) const {
   std::string out;
   if (e.render != nullptr) e.render(*this, e, Part::kDetail, out);
   return out;
-}
-
-void Hub::clear() {
-  current_ = kNoSpan;
-  spans_started_ = 0;
-  spans_violated_ = 0;
-  recorded_events_ = 0;
-  dropped_events_ = 0;
-  head_ = 0;
-  size_ = 0;
-  kept_.clear();
-  spans_.clear();
-  by_key_.clear();
-  latest_.clear();
-  registry_.clear();
-  recorder_.clear();
-  slo_.clear();
 }
 
 }  // namespace rtpb::telemetry

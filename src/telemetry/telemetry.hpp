@@ -25,6 +25,12 @@
 // copies one record into a chunked ring and builds no string; the text
 // exists only when an exporter or a test asks for it (name_of, detail_of,
 // track_of).
+//
+// The same ring keeps the post-mortem: its last kPostmortemEvents events
+// up to the first trigger (an oracle violation, a crash, the end of a
+// run), written as JSONL when the trigger fires.  The ring can run alone,
+// with no registry instruments, spans or SLO, recording only the facts
+// whose table row is flagged `postmortem` (telemetry/facts.hpp).
 #pragma once
 
 #include <cstddef>
@@ -39,7 +45,6 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/flight_recorder.hpp"
 #include "telemetry/slo.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
@@ -66,7 +71,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
-  friend class Registry;  // clear() zeroes in place
   const bool* enabled_;
   std::uint64_t value_ = 0;
 };
@@ -80,7 +84,6 @@ class Gauge {
   [[nodiscard]] double value() const { return value_; }
 
  private:
-  friend class Registry;
   const bool* enabled_;
   double value_ = 0.0;
 };
@@ -105,7 +108,6 @@ class LatencyHistogram {
   }
 
  private:
-  friend class Registry;
   const bool* enabled_;
   SampleSet samples_;
   double sum_ms_ = 0.0;
@@ -153,11 +155,6 @@ class Registry {
   /// Nested JSON of every instrument, dots becoming object levels.
   [[nodiscard]] std::string to_json() const;
 
-  /// Zero every instrument in place: counters and gauges to 0, histogram
-  /// samples dropped.  Instruments are never destroyed, so references
-  /// handed out earlier stay valid.
-  void clear();
-
  private:
   const bool* enabled_;
   Map<Counter> counters_;
@@ -179,7 +176,7 @@ enum class EventKind : std::uint8_t {
 
 /// Id of a string interned in a Hub: a track ("node1/udplite") or an event
 /// name ("udp-push").  0 is the empty string.  Ids stay valid for the
-/// Hub's lifetime, across clear().
+/// Hub's lifetime.
 using TextId = std::uint32_t;
 /// Event::name of an event whose name its renderer produces (a CPU slice
 /// is named "<task> #<index>").
@@ -225,10 +222,6 @@ void append(std::string& out, const Parts&... parts) {
   };
   (one(parts), ...);
 }
-
-/// Renderer of a free-text detail: field `a` is the key Hub::keep_text
-/// returned.  The text is dropped when the ring evicts the event.
-void render_text(const Hub& hub, const Event& e, Part part, std::string& out);
 
 /// The retained events, oldest first.  A view: it stays valid while the
 /// Hub lives, and sees events recorded after it was taken.
@@ -282,7 +275,7 @@ struct SpanInfo {
 /// whatever the Hub's state).  Two runs of a seeded simulation are
 /// behaviourally identical iff their digests match, which is what the
 /// chaos harness and the explorer assert for reproducibility.  Off by
-/// default; Hub::clear() leaves it alone.
+/// default.
 class Digest {
  public:
   /// FNV-1a's offset basis: the digest of no records.
@@ -348,8 +341,35 @@ class Hub {
   /// counted in dropped_events()).  The event capacity can change only
   /// while no events are retained.
   void enable(std::size_t event_capacity = 1u << 18, std::size_t span_capacity = 1u << 16);
-  void disable() { enabled_ = false; }
   [[nodiscard]] bool enabled() const { return enabled_; }
+
+  // ---- post-mortem ----
+  /// Events a post-mortem holds, and the ring's capacity when it runs alone.
+  static constexpr std::size_t kPostmortemEvents = 8192;
+  /// Keep a post-mortem: count its events and triggers, and write the
+  /// ring's last kPostmortemEvents events to `path` (empty: write
+  /// nothing) at the first trigger.  On a Hub that does not collect, this
+  /// runs the ring alone: kPostmortemEvents events, allocated here, fed
+  /// only by the facts flagged `postmortem`.
+  void enable_postmortem(std::string path = {});
+  [[nodiscard]] bool postmortem_on() const { return postmortem_; }
+  /// Whether record() keeps events: the Hub collects or the ring runs alone.
+  [[nodiscard]] bool ring_on() const { return ring_; }
+  /// Count one post-mortem-class event (Facts::emit does, for a fact
+  /// flagged `postmortem`).  No-op unless the post-mortem is on.
+  void count_postmortem_event() {
+    if (postmortem_) ++postmortem_events_;
+  }
+  /// A post-mortem trigger: counted, and the first one writes the
+  /// post-mortem with `reason` in its header.  Returns true if this call
+  /// wrote it; false if the post-mortem is off, already written, has no
+  /// path or its path could not be opened.
+  bool trigger_postmortem(std::string_view reason);
+  /// Post-mortem-class events and triggers counted so far.
+  [[nodiscard]] std::uint64_t postmortem_events() const { return postmortem_events_; }
+  [[nodiscard]] bool postmortem_written() const { return postmortem_written_; }
+  /// Reason of the trigger that wrote the post-mortem; empty if none did.
+  [[nodiscard]] const std::string& postmortem_reason() const { return postmortem_reason_; }
 
   /// Timestamp source for events recorded without an explicit time; the
   /// simulator installs its virtual clock here.
@@ -359,18 +379,12 @@ class Hub {
   [[nodiscard]] Registry& registry() { return registry_; }
   [[nodiscard]] const Registry& registry() const { return registry_; }
 
-  /// Flight recorder: a fixed-capacity ring of compact binary events,
-  /// enabled independently of the metrics/span machinery (it costs nothing
-  /// in steady state, so chaos runs keep it on even with telemetry off).
-  [[nodiscard]] FlightRecorder& flight_recorder() { return recorder_; }
-  [[nodiscard]] const FlightRecorder& flight_recorder() const { return recorder_; }
-
   /// Temporal-slack SLO monitor (margin vs the negotiated window δ);
   /// enabled independently, exported as core.slo.* via export_to().
   [[nodiscard]] SloMonitor& slo() { return slo_; }
   [[nodiscard]] const SloMonitor& slo() const { return slo_; }
 
-  /// The run's trace digest, enabled independently like the recorder.
+  /// The run's trace digest, enabled independently.
   [[nodiscard]] Digest& digest() { return digest_; }
   [[nodiscard]] const Digest& digest() const { return digest_; }
 
@@ -383,9 +397,9 @@ class Hub {
   [[nodiscard]] SpanId span_for(std::uint64_t object, std::uint64_t version) const;
   /// The most recently minted span for `object`; kNoSpan if none or disabled.
   [[nodiscard]] SpanId latest_span(std::uint64_t object) const;
-  /// Blame `span` for an oracle violation: flags the SpanInfo and records a
-  /// violation event attached to it.
-  void mark_violation(SpanId span, const std::string& oracle, std::string detail = {});
+  /// Blame `span` for an oracle violation: flags its SpanInfo with
+  /// `oracle` (the violation's event is the oracle's own fact).
+  void mark_violation(SpanId span, std::string_view oracle);
 
   /// The retained spans, oldest (lowest id) first.
   [[nodiscard]] const std::deque<SpanInfo>& spans() const { return spans_; }
@@ -411,16 +425,11 @@ class Hub {
   [[nodiscard]] std::string_view text(TextId id) const {
     return id == 0 ? std::string_view{} : std::string_view{*texts_[id - 1]};
   }
-  /// Keep `detail` for one free-text event: record it with render_text
-  /// and the returned key in field `a`.  Call only while enabled.
-  std::uint64_t keep_text(std::string detail);
-  [[nodiscard]] std::string_view kept_text(std::uint64_t key) const;
-  /// Free texts currently kept (one per retained free-text event).
-  [[nodiscard]] std::size_t kept_texts() const { return kept_.size(); }
 
   // ---- events ----
   /// Copy `e` into the ring, overwriting the oldest event once the ring
   /// holds event_capacity events.  Allocates only to add a ring chunk.
+  /// No-op unless ring_on().
   void record(const Event& e);
 
   [[nodiscard]] EventView events() const { return EventView(*this); }
@@ -431,10 +440,6 @@ class Hub {
   [[nodiscard]] std::string name_of(const Event& e) const;
   [[nodiscard]] std::string detail_of(const Event& e) const;
   [[nodiscard]] std::string_view track_of(const Event& e) const { return text(e.track); }
-
-  /// Forget all spans, events, instrument values, flight-recorder rings and
-  /// SLO accounting (not enabled state, nor the digest).
-  void clear();
 
  private:
   friend class ScopedSpan;
@@ -452,9 +457,12 @@ class Hub {
   }
 
   bool enabled_ = false;
+  bool ring_ = false;
+  bool postmortem_ = false;
+  bool postmortem_written_ = false;
+  std::uint64_t postmortem_events_ = 0;
   std::function<TimePoint()> clock_;
   Registry registry_;
-  FlightRecorder recorder_;
   SloMonitor slo_;
   Digest digest_;
 
@@ -471,12 +479,12 @@ class Hub {
   std::size_t head_ = 0;                          ///< ring slot of the oldest event
   std::size_t size_ = 0;                          ///< retained events
 
+  std::string postmortem_path_;
+  std::string postmortem_reason_;
+
   /// Interned strings: the map owns them, ids index `texts_` (id - 1).
   std::map<std::string, TextId, std::less<>> text_ids_;
   std::vector<const std::string*> texts_;
-  /// Free-text details of retained events, by keep_text() key.
-  std::map<std::uint64_t, std::string> kept_;
-  std::uint64_t next_kept_ = 1;
 
   /// Retained spans in id order.  Ids are minted consecutively and evicted
   /// oldest first, so span `id` sits at index id - spans_.front().id.

@@ -259,7 +259,8 @@ TEST(RtpbService, RecruitedStandbyReceivesStateAndUpdates) {
 
 TEST(RtpbService, StandbyWithNoLivePrimaryIsOrphaned) {
   // Both replicas die before the failover settles: the standby has no
-  // live primary to recruit it and stays cold.
+  // live primary to recruit it, so no state reaches it.  (It then
+  // promotes itself with an empty store; ROADMAP item 1 owns that.)
   RtpbService service(make_params());
   service.start();
   ASSERT_TRUE(service.register_object(make_spec(1)).ok());

@@ -242,11 +242,11 @@ TEST(PartitionedCluster, DigestsAreThreadCountInvariant) {
   EXPECT_NE(one[0], one[1]);
 }
 
-/// What one group's Hub and flight recorder hold after a run.
+/// What one group's Hub holds after a run, and its post-mortem count.
 struct GroupTelemetry {
   std::string metrics;
   std::uint64_t events = 0;
-  std::uint64_t flight_records = 0;
+  std::uint64_t postmortem_events = 0;
 };
 
 std::vector<GroupTelemetry> run_observed_cluster(std::size_t threads) {
@@ -255,7 +255,7 @@ std::vector<GroupTelemetry> run_observed_cluster(std::size_t threads) {
   for (std::uint32_t g = 0; g < kGroups; ++g) {
     telemetry::Hub& hub = cluster.service(g).simulator().telemetry();
     hub.enable();
-    hub.flight_recorder().enable();
+    hub.enable_postmortem();
   }
   cluster.start();
   core::ObjectId next = 1;
@@ -269,8 +269,7 @@ std::vector<GroupTelemetry> run_observed_cluster(std::size_t threads) {
   std::vector<GroupTelemetry> out;
   for (std::uint32_t g = 0; g < kGroups; ++g) {
     const telemetry::Hub& hub = cluster.service(g).simulator().telemetry();
-    out.push_back({hub.registry().to_json(), hub.recorded_events(),
-                   hub.flight_recorder().recorded()});
+    out.push_back({hub.registry().to_json(), hub.recorded_events(), hub.postmortem_events()});
   }
   return out;
 }
@@ -279,17 +278,17 @@ TEST(PartitionedCluster, TelemetryOnEveryGroupIsThreadConfined) {
   // A Hub takes no locks: it is fed only by its own group's simulator,
   // which the driver pins to one worker for the whole run.  Under TSan a
   // Hub written from two workers would race; here every group's metrics,
-  // event count and flight-recorder count must also not depend on how
-  // many workers ran the groups.
+  // event count and post-mortem count must also not depend on how many
+  // workers ran the groups.
   const std::vector<GroupTelemetry> one = run_observed_cluster(1);
   const std::vector<GroupTelemetry> two = run_observed_cluster(2);
   ASSERT_EQ(two.size(), one.size());
   for (std::size_t g = 0; g < one.size(); ++g) {
     EXPECT_EQ(two[g].metrics, one[g].metrics) << "group " << g;
     EXPECT_EQ(two[g].events, one[g].events) << "group " << g;
-    EXPECT_EQ(two[g].flight_records, one[g].flight_records) << "group " << g;
+    EXPECT_EQ(two[g].postmortem_events, one[g].postmortem_events) << "group " << g;
     EXPECT_GT(one[g].events, 0u) << "group " << g;
-    EXPECT_GT(one[g].flight_records, 0u) << "group " << g;
+    EXPECT_GT(one[g].postmortem_events, 0u) << "group " << g;
   }
 }
 

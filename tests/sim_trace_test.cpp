@@ -22,7 +22,8 @@ namespace probe {
 enum class Left : std::uint8_t { kTick, kQuiet, kCount };
 enum class Right : std::uint8_t { kTick, kCount };
 constexpr telemetry::FactSinks<Left> fact_sinks(Left f) {
-  return f == Left::kTick ? telemetry::FactSinks<Left>{.event = "tick", .digest = true}
+  return f == Left::kTick ? telemetry::FactSinks<Left>{.event = "tick", .digest = true,
+                                                        .postmortem = true}
                           : telemetry::FactSinks<Left>{.counter = "probe.quiet"};
 }
 constexpr telemetry::FactSinks<Right> fact_sinks(Right) { return {.digest = true}; }
@@ -212,24 +213,25 @@ TEST(TraceRecorder, DomainSeparatesComponents) {
 }
 
 TEST(TraceRecorder, OnlyFlaggedFactsFoldAndNeverTheirSpan) {
-  // The digest sees the same records whatever the Hub collects: a fact
-  // without the flag folds nothing, and the span (minted only while the
-  // Hub collects) is left out.
-  std::uint64_t digests[2] = {0, 0};
-  for (int on = 0; on <= 1; ++on) {
+  // The digest sees the same records whatever the Hub collects (nothing,
+  // the post-mortem ring alone, or everything): a fact without the flag
+  // folds nothing, and the span (minted only while the Hub collects) is
+  // left out.
+  std::uint64_t digests[3] = {0, 0, 0};
+  for (int mode = 0; mode <= 2; ++mode) {
     telemetry::Hub hub;
-    if (on == 1) {
-      hub.enable();
-      hub.flight_recorder().enable();
-    }
+    if (mode == 2) hub.enable();
+    if (mode >= 1) hub.enable_postmortem();
     hub.digest().enable();
     telemetry::Facts<probe::Left> facts("left", nullptr, &hub);
     facts.emit(probe::Left::kQuiet, {.a = 5});
-    facts.emit(probe::Left::kTick, {.a = 5, .span = on == 1 ? 99u : telemetry::kNoSpan});
+    facts.emit(probe::Left::kTick, {.a = 5, .span = mode == 2 ? 99u : telemetry::kNoSpan});
     EXPECT_EQ(hub.digest().records(), 1u);
-    digests[on] = hub.digest().value();
+    EXPECT_EQ(hub.events().size(), mode == 0 ? 0u : 1u);
+    digests[mode] = hub.digest().value();
   }
   EXPECT_EQ(digests[0], digests[1]);
+  EXPECT_EQ(digests[0], digests[2]);
 }
 
 TEST(TraceRecorder, CpuDigestIgnoresTheInternedTaskName) {

@@ -36,6 +36,12 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+/// Renders the detail an event carries as an interned text in `a`.
+void render_interned(const telemetry::Hub& hub, const telemetry::Event& e, telemetry::Part,
+                     std::string& out) {
+  out += hub.text(static_cast<telemetry::TextId>(e.a));
+}
+
 struct Exports {
   std::string jsonl;
   std::string chrome;
@@ -133,8 +139,16 @@ Exports run_scenario() {
 
   sim.run_until(TimePoint::zero() + millis(60));
   EXPECT_EQ(reassembled, 700u);
-  // A free-text detail, blamed on the span.
-  hub.mark_violation(hub.span_for(1, 1), "pin-oracle", "free \"text\"");
+  // A violation blamed on the span, with a free-text detail the way an
+  // oracle reports one: interned, and rendered from field `a`.
+  const telemetry::SpanId guilty = hub.span_for(1, 1);
+  hub.mark_violation(guilty, "pin-oracle");
+  hub.record({.at = hub.now(),
+              .span = guilty,
+              .a = hub.intern("free \"text\""),
+              .render = &render_interned,
+              .track = hub.intern("oracle"),
+              .name = hub.intern("violation:pin-oracle")});
   return exports_of(hub);
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -17,19 +19,25 @@
 #include "chaos/harness.hpp"
 #include "core/rtpb.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/facts.hpp"
 
 namespace rtpb::telemetry {
 namespace {
 
-/// Records an event the way the free-text sites do: interned track and
-/// name, the detail kept in the Hub's side store.
+/// Renders the detail an event carries as an interned text in `a`.
+void render_interned(const Hub& hub, const Event& e, Part /*part*/, std::string& out) {
+  out += hub.text(static_cast<TextId>(e.a));
+}
+
+/// Records an event with interned track and name, and its detail as an
+/// interned text.
 void record(Hub& hub, SpanId span, std::uint32_t node, EventKind kind, std::string_view track,
-            std::string_view name, std::string detail = {}) {
+            std::string_view name, std::string_view detail = {}) {
   const bool has_detail = !detail.empty();
   hub.record({.at = hub.now(),
               .span = span,
-              .a = has_detail ? hub.keep_text(std::move(detail)) : 0,
-              .render = has_detail ? &render_text : nullptr,
+              .a = hub.intern(detail),
+              .render = has_detail ? &render_interned : nullptr,
               .node = node,
               .track = hub.intern(track),
               .name = hub.intern(name),
@@ -60,28 +68,6 @@ TEST(TelemetryRegistry, SameNameReturnsSameInstrument) {
   a.add(2);
   b.add(3);
   EXPECT_EQ(hub.registry().counter("core.primary.writes").value(), 5u);
-}
-
-TEST(TelemetryRegistry, ClearZeroesHeldInstrumentsInPlace) {
-  Hub hub;
-  hub.enable();
-  Counter& c = hub.registry().counter("core.primary.writes");
-  Gauge& g = hub.registry().gauge("core.epoch");
-  LatencyHistogram& h = hub.registry().histogram("core.backup.apply_latency_ms");
-  c.add(4);
-  g.set(2.0);
-  h.record_ms(1.0);
-  hub.clear();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0.0);
-  EXPECT_TRUE(h.samples().empty());
-  // The held references still name the registry's instruments.
-  c.add(3);
-  g.set(5.0);
-  h.record_ms(2.0);
-  EXPECT_EQ(hub.registry().counter("core.primary.writes").value(), 3u);
-  EXPECT_EQ(hub.registry().gauge("core.epoch").value(), 5.0);
-  EXPECT_EQ(hub.registry().histogram("core.backup.apply_latency_ms").samples().count(), 1u);
 }
 
 TEST(TelemetryRegistry, QuantileReadsDoNotMoveTheMean) {
@@ -173,18 +159,15 @@ TEST(TelemetryHub, MarkViolationFlagsSpanOnce) {
   Hub hub;
   hub.enable();
   const SpanId s = hub.begin_span(3, 4);
-  hub.mark_violation(s, "staleness-window", "out of window");
-  hub.mark_violation(s, "staleness-window", "still out");  // same span again
+  hub.mark_violation(s, "staleness-window");
+  hub.mark_violation(s, "no-silent-violation");  // same span again
   EXPECT_EQ(hub.spans_violated(), 1u);
   ASSERT_NE(hub.find_span(s), nullptr);
   EXPECT_EQ(hub.find_span(s)->violation, "staleness-window");
-  // The violation also lands as an event attached to the span.
-  ASSERT_FALSE(hub.events().empty());
-  EXPECT_EQ(hub.events().back().span, s);
-  EXPECT_EQ(hub.name_of(hub.events().back()), "violation:staleness-window");
-  EXPECT_EQ(hub.detail_of(hub.events().back()), "still out");
+  // The flag is all: the violation's event is the oracle's own fact.
+  EXPECT_TRUE(hub.events().empty());
 
-  hub.mark_violation(kNoSpan, "oracle", "unattributed");  // must not crash
+  hub.mark_violation(kNoSpan, "oracle");  // must not crash
   EXPECT_EQ(hub.spans_violated(), 1u);
 }
 
@@ -264,22 +247,6 @@ TEST(TelemetryHub, RingSpansChunks) {
   for (const Event& e : hub.events()) EXPECT_EQ(e.a, want++);
 }
 
-TEST(TelemetryHub, EvictedFreeTextLeavesTheSideStore) {
-  Hub hub;
-  hub.enable(/*event_capacity=*/2, /*span_capacity=*/16);
-  record(hub, kNoSpan, 0, EventKind::kInstant, "t", "x", "first");
-  record(hub, kNoSpan, 0, EventKind::kInstant, "t", "y", "second");
-  EXPECT_EQ(hub.kept_texts(), 2u);
-  record(hub, kNoSpan, 0, EventKind::kInstant, "t", "z");  // no free text; evicts "first"
-  EXPECT_EQ(hub.kept_texts(), 1u);
-  EXPECT_EQ(hub.detail_of(hub.events().front()), "second");
-  record(hub, kNoSpan, 0, EventKind::kInstant, "t", "w", "third");  // evicts "second"
-  EXPECT_EQ(hub.kept_texts(), 1u);
-  EXPECT_EQ(hub.detail_of(hub.events().back()), "third");
-  hub.clear();
-  EXPECT_EQ(hub.kept_texts(), 0u);
-}
-
 TEST(TelemetryHub, InternedIdsSurviveClear) {
   Hub hub;
   hub.enable();
@@ -288,7 +255,6 @@ TEST(TelemetryHub, InternedIdsSurviveClear) {
   EXPECT_NE(track, name);
   EXPECT_EQ(hub.intern("node1/net"), track);
   EXPECT_EQ(hub.intern(""), 0u);
-  hub.clear();
   EXPECT_EQ(hub.text(track), "node1/net");
   EXPECT_EQ(hub.text(name), "net-deliver");
   EXPECT_EQ(hub.intern("net-deliver"), name);
@@ -297,18 +263,73 @@ TEST(TelemetryHub, InternedIdsSurviveClear) {
   EXPECT_EQ(hub.name_of(hub.events().front()), "net-deliver");
 }
 
-TEST(TelemetryHub, ClearForgetsDataButStaysEnabled) {
+// ---------------------------------------------------------------------------
+// Post-mortem.
+// ---------------------------------------------------------------------------
+
+/// Two facts, one of them kept by the post-mortem.
+enum class Probe : std::uint8_t { kLoud, kKept, kCount };
+
+constexpr FactSinks<Probe> fact_sinks(Probe f) {
+  switch (f) {
+    case Probe::kLoud: return {.counter = "probe.loud", .event = "loud"};
+    case Probe::kKept: return {.counter = "probe.kept", .event = "kept", .postmortem = true};
+    case Probe::kCount: break;
+  }
+  return {};
+}
+
+TEST(TelemetryHub, RingAloneKeepsOnlyPostmortemFacts) {
+  Hub hub;
+  hub.enable_postmortem();
+  EXPECT_FALSE(hub.enabled());
+  EXPECT_TRUE(hub.ring_on());
+  Facts<Probe> facts("probe", nullptr, &hub);
+  facts.emit(Probe::kLoud, {.a = 1});
+  facts.emit(Probe::kKept, {.a = 2});
+  EXPECT_EQ(facts.count(Probe::kLoud), 1u);
+  EXPECT_EQ(facts.count(Probe::kKept), 1u);
+  // The kept fact is the ring's one event; no span, no instrument.
+  ASSERT_EQ(hub.events().size(), 1u);
+  EXPECT_EQ(hub.name_of(hub.events().front()), "kept");
+  EXPECT_EQ(hub.track_of(hub.events().front()), "probe");
+  EXPECT_EQ(hub.begin_span(1, 1), kNoSpan);
+  EXPECT_TRUE(hub.registry().counters().empty());
+  // Triggers count as post-mortem events too; with no path none writes.
+  EXPECT_EQ(hub.postmortem_events(), 1u);
+  EXPECT_FALSE(hub.trigger_postmortem("end-of-run"));
+  EXPECT_EQ(hub.postmortem_events(), 2u);
+  EXPECT_FALSE(hub.postmortem_written());
+}
+
+TEST(TelemetryHub, PostmortemIsTheLastWindowUpToTheFirstTrigger) {
+  const std::string path = ::testing::TempDir() + "pm_window.jsonl";
+  std::remove(path.c_str());
   Hub hub;
   hub.enable();
-  hub.begin_span(1, 1);
-  record(hub, kNoSpan, 0, EventKind::kInstant, "t", "x");
-  hub.registry().counter("a.b").add();
-  hub.clear();
-  EXPECT_TRUE(hub.enabled());
-  EXPECT_TRUE(hub.events().empty());
-  EXPECT_TRUE(hub.spans().empty());
-  EXPECT_EQ(hub.registry().counter("a.b").value(), 0u);
-  EXPECT_NE(hub.begin_span(1, 2), kNoSpan);
+  hub.enable_postmortem(path);
+  const TextId track = hub.intern("t");
+  const std::size_t extra = 100;
+  for (std::size_t i = 0; i + 1 < Hub::kPostmortemEvents + extra; ++i) {
+    hub.record({.a = i, .track = track, .name = hub.intern("e")});
+  }
+  hub.record({.track = track, .name = hub.intern("last")});
+  EXPECT_TRUE(hub.trigger_postmortem("first"));
+  hub.record({.track = track, .name = hub.intern("after")});
+  EXPECT_FALSE(hub.trigger_postmortem("second"));  // the first trigger wins
+  EXPECT_EQ(hub.postmortem_reason(), "first");
+  EXPECT_EQ(hub.postmortem_events(), 2u);
+
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::remove(path.c_str());
+  ASSERT_EQ(lines.size(), Hub::kPostmortemEvents + 1);
+  EXPECT_EQ(lines.front(),
+            "{\"type\":\"postmortem\",\"version\":2,\"reason\":\"first\",\"at_ms\":0.000000,"
+            "\"recorded\":8292,\"retained\":8192,\"dropped\":100}");
+  EXPECT_NE(lines[1].find("\"name\":\"e\""), std::string::npos) << lines[1];
+  EXPECT_NE(lines.back().find("\"name\":\"last\""), std::string::npos) << lines.back();
 }
 
 // ---------------------------------------------------------------------------

@@ -107,11 +107,12 @@ void usage(const char* argv0) {
             << "                     (input of trace_inspect); implies --telemetry\n"
             << "  --metrics-out FILE write the final metrics registry snapshot JSON;\n"
             << "                     implies --telemetry\n"
-            << "  --flight-recorder  keep the in-memory flight recorder on (events\n"
-            << "                     ride the ring even if nothing is dumped)\n"
-            << "  --postmortem FILE  dump a post-mortem artifact of the last-N flight\n"
-            << "                     events on the first oracle violation or crash\n"
-            << "                     fault (end-of-run otherwise); implies the recorder\n"
+            << "  --flight-recorder  keep the post-mortem ring on: the telemetry event\n"
+            << "                     ring (8192 events and no metrics or spans unless\n"
+            << "                     --telemetry), counting its events\n"
+            << "  --postmortem FILE  write the ring's last 8192 events to FILE on the\n"
+            << "                     first oracle violation or crash fault (end-of-run\n"
+            << "                     otherwise); implies --flight-recorder\n"
             << "  --health-out FILE  emit per-replica JSONL health snapshots (input of\n"
             << "                     rtpb_top)\n"
             << "  --health-period-ms MS  health snapshot period (default 100)\n"

@@ -69,7 +69,7 @@ void usage(const char* argv0) {
     }
   }
   std::cerr << "  --emit FILE           write the first counterexample artifact to FILE;\n"
-      << "                        a flight-recorder autopsy of its replay is\n"
+      << "                        a post-mortem autopsy of its replay is\n"
       << "                        attached as FILE.postmortem.jsonl\n"
       << "  --metrics-out FILE    write the final metrics registry snapshot JSON of\n"
       << "                        a default-decisions trajectory after the sweep\n"
@@ -209,8 +209,8 @@ int main(int argc, char** argv) {
       }
       std::cout << "  written to " << emit_path << " (replay: chaos_main --replay "
                 << emit_path << ")\n";
-      // Autopsy: re-run the minimized trace with the flight recorder on and
-      // attach the resulting post-mortem next to the artifact.  Replaying
+      // Autopsy: re-run the minimized trace with the post-mortem ring on
+      // and attach the resulting post-mortem next to the artifact.  Replaying
       // with observers attached takes the identical trajectory.
       rtpb::chaos::Observers observe;
       observe.postmortem_path = emit_path + ".postmortem.jsonl";

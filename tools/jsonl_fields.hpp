@@ -1,6 +1,7 @@
 // Field extraction over the repository's own JSONL: the flat
-// one-object-per-line JSON that telemetry::write_jsonl, the flight
-// recorder and core::HealthFeed emit, not arbitrary JSON.  Shared by
+// one-object-per-line JSON that telemetry::write_jsonl,
+// telemetry::write_postmortem and core::HealthFeed emit, not arbitrary
+// JSON.  Shared by
 // trace_inspect and rtpb_top.
 //
 // Each getter looks for `"key":` at or after `from`, parses the value
@@ -28,14 +29,6 @@ inline bool get_u64(const std::string& line, const char* key, std::uint64_t& out
   const std::size_t at = find_key(line, key, from);
   if (at == std::string::npos) return false;
   out = std::strtoull(line.c_str() + at, nullptr, 10);
-  return true;
-}
-
-inline bool get_i64(const std::string& line, const char* key, std::int64_t& out,
-                    std::size_t from = 0) {
-  const std::size_t at = find_key(line, key, from);
-  if (at == std::string::npos) return false;
-  out = std::strtoll(line.c_str() + at, nullptr, 10);
   return true;
 }
 

@@ -16,12 +16,13 @@
 //
 //   trace_inspect trace.jsonl
 //   trace_inspect trace.jsonl --worst 5 --hops 24
-//   trace_inspect postmortem.jsonl        # flight-recorder artifact
+//   trace_inspect postmortem.jsonl        # post-mortem artifact
 //
-// Flight-recorder post-mortem artifacts ({"type":"postmortem",...} from
-// chaos_main --postmortem or explore_main --emit) are detected and rendered
-// as an annotated timeline instead.  Empty or unparseable input exits
-// non-zero with a diagnostic rather than printing empty sections.
+// Post-mortem artifacts (a {"type":"postmortem",...} header, then the
+// ring's last events as the same event lines, from chaos_main --postmortem
+// or explore_main --emit) are detected and rendered as an annotated
+// timeline instead.  Empty or unparseable input exits non-zero with a
+// diagnostic rather than printing empty sections.
 //
 // The parser is deliberately minimal: it understands exactly the flat
 // one-object-per-line JSON that write_jsonl emits, not arbitrary JSON.
@@ -41,13 +42,14 @@
 namespace {
 
 using rtpb::tools::get_double;
-using rtpb::tools::get_i64;
 using rtpb::tools::get_string;
 using rtpb::tools::get_u64;
 
 struct Event {
   double ts_ms = 0.0;
+  std::uint64_t span = 0;
   std::uint64_t node = 0;
+  std::string kind;  ///< "i" instant, "B"/"E" a CPU slice's begin/end
   std::string track;
   std::string name;
   std::string detail;
@@ -62,7 +64,7 @@ struct Span {
   std::vector<Event> events;
 };
 
-/// Flight-recorder post-mortem artifact (header + "fr" records).
+/// Post-mortem artifact header (its event lines follow it).
 struct PostmortemHeader {
   bool present = false;
   std::string reason;
@@ -70,19 +72,7 @@ struct PostmortemHeader {
   std::uint64_t version = 0;
   std::uint64_t recorded = 0;
   std::uint64_t retained = 0;
-  std::uint64_t overwritten = 0;
-};
-
-struct FlightEvent {
-  double ts_ms = 0.0;
-  std::uint64_t node = 0;
-  std::uint64_t object = 0;
-  std::uint64_t version = 0;
-  std::uint64_t epoch = 0;
-  std::uint64_t span = 0;
-  std::int64_t arg = 0;
-  std::string kind;
-  std::string label;
+  std::uint64_t dropped = 0;
 };
 
 // --- reporting -----------------------------------------------------------
@@ -157,7 +147,7 @@ int main(int argc, char** argv) {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   PostmortemHeader postmortem;
-  std::vector<FlightEvent> flight;
+  std::vector<Event> timeline;  ///< a post-mortem's events, in order
   std::uint64_t lines_seen = 0;
   std::uint64_t lines_parsed = 0;
 
@@ -167,8 +157,8 @@ int main(int argc, char** argv) {
     ++lines_seen;
     std::string type;
     if (!get_string(line, "type", type)) continue;
-    if (type != "postmortem" && type != "fr" && type != "meta" && type != "span" &&
-        type != "event" && type != "counter" && type != "gauge") {
+    if (type != "postmortem" && type != "meta" && type != "span" && type != "event" &&
+        type != "counter" && type != "gauge") {
       continue;  // someone else's JSONL (e.g. a health feed) — not ours
     }
     ++lines_parsed;
@@ -179,19 +169,7 @@ int main(int argc, char** argv) {
       get_u64(line, "version", postmortem.version);
       get_u64(line, "recorded", postmortem.recorded);
       get_u64(line, "retained", postmortem.retained);
-      get_u64(line, "overwritten", postmortem.overwritten);
-    } else if (type == "fr") {
-      FlightEvent e;
-      get_double(line, "ts_ms", e.ts_ms);
-      get_u64(line, "node", e.node);
-      get_u64(line, "object", e.object);
-      get_u64(line, "version", e.version);
-      get_u64(line, "epoch", e.epoch);
-      get_u64(line, "span", e.span);
-      get_i64(line, "arg", e.arg);
-      get_string(line, "kind", e.kind);
-      get_string(line, "label", e.label);
-      flight.push_back(std::move(e));
+      get_u64(line, "dropped", postmortem.dropped);
     } else if (type == "meta") {
       get_u64(line, "spans_started", meta_spans);
       get_u64(line, "spans_violated", meta_violated);
@@ -206,19 +184,21 @@ int main(int argc, char** argv) {
       get_string(line, "violation", s.violation);
       spans.emplace(s.id, std::move(s));
     } else if (type == "event") {
-      std::uint64_t id = 0;
-      get_u64(line, "span", id);
-      if (id == 0) {
-        ++unattributed;
-        continue;
-      }
       Event e;
+      get_u64(line, "span", e.span);
       get_double(line, "ts_ms", e.ts_ms);
       get_u64(line, "node", e.node);
+      get_string(line, "kind", e.kind);
       get_string(line, "track", e.track);
       get_string(line, "name", e.name);
       get_string(line, "detail", e.detail);
-      spans[id].events.push_back(std::move(e));
+      if (postmortem.present) {
+        timeline.push_back(std::move(e));
+      } else if (e.span == 0) {
+        ++unattributed;
+      } else {
+        spans[e.span].events.push_back(std::move(e));
+      }
     } else if (type == "counter") {
       std::string name;
       std::uint64_t value = 0;
@@ -249,39 +229,31 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (postmortem.present || !flight.empty()) {
-    // Post-mortem artifact: render the flight-recorder ring, newest last,
-    // flagging the records that trip dumps (violations, crashes, triggers).
+  if (postmortem.present) {
+    // Post-mortem artifact: render the ring's window, newest last,
+    // flagging the events that trip a post-mortem (violations, crashes).
     std::printf("post-mortem: %s\n", path.c_str());
-    if (postmortem.present) {
-      std::printf("reason: %s  (format v%llu, dumped at %.3f ms)\n",
-                  postmortem.reason.c_str(),
-                  static_cast<unsigned long long>(postmortem.version), postmortem.at_ms);
-      std::printf("events: %llu recorded, %llu retained, %llu overwritten\n",
-                  static_cast<unsigned long long>(postmortem.recorded),
-                  static_cast<unsigned long long>(postmortem.retained),
-                  static_cast<unsigned long long>(postmortem.overwritten));
-    }
-    std::map<std::string, std::size_t> by_kind;
-    for (const FlightEvent& e : flight) ++by_kind[e.kind];
-    std::printf("\nevent mix (%zu events)\n", flight.size());
-    for (const auto& [kind, n] : by_kind) std::printf("  %6zu  %s\n", n, kind.c_str());
+    std::printf("reason: %s  (format v%llu, written at %.3f ms)\n", postmortem.reason.c_str(),
+                static_cast<unsigned long long>(postmortem.version), postmortem.at_ms);
+    std::printf("events: %llu recorded, %llu retained, %llu before the window\n",
+                static_cast<unsigned long long>(postmortem.recorded),
+                static_cast<unsigned long long>(postmortem.retained),
+                static_cast<unsigned long long>(postmortem.dropped));
+    std::map<std::string, std::size_t> by_name;
+    // A CPU slice is named after its job, so slices count as one entry.
+    for (const Event& e : timeline) ++by_name[e.kind == "i" ? e.name : "(cpu slice)"];
+    std::printf("\nevent mix (%zu events)\n", timeline.size());
+    for (const auto& [name, n] : by_name) std::printf("  %6zu  %s\n", n, name.c_str());
     std::printf("\ntimeline (oldest first)\n");
-    for (const FlightEvent& e : flight) {
-      const bool hot = e.kind == "violation" || e.kind == "crash" || e.kind == "trigger";
-      std::string detail;
-      if (e.object != 0) detail += " obj" + std::to_string(e.object);
-      if (e.version != 0) detail += " v" + std::to_string(e.version);
-      if (e.epoch != 0) detail += " epoch " + std::to_string(e.epoch);
-      if (e.span != 0) detail += " span " + std::to_string(e.span);
-      if (e.arg != 0) detail += " arg " + std::to_string(e.arg);
-      if (!e.label.empty()) detail += " [" + e.label + "]";
-      std::printf("  %s %12.3f ms  node%llu  %-16s%s\n", hot ? "**" : "  ", e.ts_ms,
-                  static_cast<unsigned long long>(e.node), e.kind.c_str(), detail.c_str());
+    for (const Event& e : timeline) {
+      const bool hot = e.name.rfind("violation:", 0) == 0 || e.name == "crash";
+      std::string detail = e.detail;
+      if (e.span != 0) detail.append(" [span ").append(std::to_string(e.span)).append("]");
+      std::printf("  %s %12.3f ms  node%llu  %-18s %-16s %s\n", hot ? "**" : "  ", e.ts_ms,
+                  static_cast<unsigned long long>(e.node), e.track.c_str(), e.name.c_str(),
+                  detail.c_str());
     }
-    if (postmortem.present && flight.empty()) {
-      std::printf("  (no events retained)\n");
-    }
+    if (timeline.empty()) std::printf("  (no events retained)\n");
     return 0;
   }
 
