@@ -150,7 +150,7 @@ class OracleMonitor {
   static constexpr Duration kNoticeGrace = millis(500);
 
   void check();
-  /// Record a violation of `oracle`, then trip the post-mortem dump.
+  /// Record a violation of `oracle`, then trigger the post-mortem.
   /// `span` (when not kNoSpan and telemetry is on) names the guilty
   /// update: the newest span of the object that broke the invariant, so
   /// traces show which update's journey went wrong.
