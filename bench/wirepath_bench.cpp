@@ -504,8 +504,8 @@ int main(int argc, char** argv) {
   // 10% over the recorded counts: a copy of every object state per hash, a
   // re-hashed replay prefix or (on the wide sweep) a copy of every hashed
   // tie's event tags lands above them.
-  constexpr double kMaxExploreAllocsPerTrajectory = 1106;
-  constexpr double kMaxExploreWideAllocsPerTrajectory = 1937;
+  constexpr double kMaxExploreAllocsPerTrajectory = 1082;
+  constexpr double kMaxExploreWideAllocsPerTrajectory = 1885;
   if (per_trajectory > kMaxExploreAllocsPerTrajectory ||
       per_wide_trajectory > kMaxExploreWideAllocsPerTrajectory) {
     std::fprintf(stderr,

@@ -24,21 +24,19 @@ void Metrics::ObjectTrack::refresh(TimePoint now) {
 }
 
 void Metrics::on_primary_write(ObjectId id, TimePoint ts) {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) return;
-  ObjectTrack& t = it->second;
-  t.primary_ts = std::max(t.primary_ts, ts);
-  t.primary_written = true;
-  t.refresh(ts);
+  ObjectTrack* t = objects_.find(id);
+  if (t == nullptr) return;
+  t->primary_ts = std::max(t->primary_ts, ts);
+  t->primary_written = true;
+  t->refresh(ts);
 }
 
 void Metrics::on_backup_apply(ObjectId id, TimePoint origin_ts, TimePoint now) {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) return;
-  ObjectTrack& t = it->second;
-  t.backup_origin_ts = std::max(t.backup_origin_ts, origin_ts);
-  t.backup_applied = true;
-  t.refresh(now);
+  ObjectTrack* t = objects_.find(id);
+  if (t == nullptr) return;
+  t->backup_origin_ts = std::max(t->backup_origin_ts, origin_ts);
+  t->backup_applied = true;
+  t->refresh(now);
 }
 
 void Metrics::poll(TimePoint now) {
@@ -113,30 +111,28 @@ std::uint64_t Metrics::inconsistency_intervals() const {
   return n;
 }
 
+const Metrics::ObjectTrack& Metrics::track(ObjectId id) const {
+  const ObjectTrack* t = objects_.find(id);
+  RTPB_EXPECTS(t != nullptr);
+  return *t;
+}
+
 Duration Metrics::max_distance(ObjectId id) const {
-  auto it = objects_.find(id);
-  RTPB_EXPECTS(it != objects_.end());
-  return it->second.max_distance;
+  return track(id).max_distance;
 }
 
 bool Metrics::in_violation(ObjectId id) const {
-  auto it = objects_.find(id);
-  RTPB_EXPECTS(it != objects_.end());
-  return it->second.inconsistency.is_open();
+  return track(id).inconsistency.is_open();
 }
 
 Duration Metrics::current_distance(ObjectId id) const {
-  auto it = objects_.find(id);
-  RTPB_EXPECTS(it != objects_.end());
-  const ObjectTrack& t = it->second;
+  const ObjectTrack& t = track(id);
   if (!t.primary_written || !t.backup_applied) return Duration::zero();
   return t.primary_ts - t.backup_origin_ts;
 }
 
 Duration Metrics::window_of(ObjectId id) const {
-  auto it = objects_.find(id);
-  RTPB_EXPECTS(it != objects_.end());
-  return it->second.window;
+  return track(id).window;
 }
 
 }  // namespace rtpb::core

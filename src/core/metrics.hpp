@@ -19,9 +19,8 @@
 // exactly the paper's description.
 #pragma once
 
-#include <map>
-
 #include "core/types.hpp"
+#include "util/id_table.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
 
@@ -93,9 +92,10 @@ class Metrics {
     IntervalRecorder inconsistency;
     void refresh(TimePoint now);
   };
+  [[nodiscard]] const ObjectTrack& track(ObjectId id) const;
 
   SampleSet response_times_;
-  std::map<ObjectId, ObjectTrack> objects_;
+  IdTable<ObjectId, ObjectTrack> objects_;
 };
 
 }  // namespace rtpb::core

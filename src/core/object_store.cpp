@@ -21,16 +21,16 @@ bool ObjectStore::insert(const ObjectSpec& spec) {
   RTPB_EXPECTS(spec.id != kInvalidObject);
   ObjectState state;
   state.spec = spec;
-  return objects_.emplace(spec.id, std::move(state)).second;
+  return objects_.insert(spec.id, std::move(state)).second;
 }
 
-bool ObjectStore::erase(ObjectId id) { return objects_.erase(id) > 0; }
+bool ObjectStore::erase(ObjectId id) { return objects_.erase(id); }
 
 std::uint64_t ObjectStore::write(ObjectId id, std::span<const std::uint8_t> value,
                                  TimePoint now) {
-  auto it = objects_.find(id);
-  RTPB_EXPECTS(it != objects_.end());
-  ObjectState& s = it->second;
+  ObjectState* held = objects_.find(id);
+  RTPB_EXPECTS(held != nullptr);
+  ObjectState& s = *held;
   RTPB_EXPECTS(!overlaps(value, s.value));
   s.value.assign(value.begin(), value.end());
   ++s.version;
@@ -40,18 +40,18 @@ std::uint64_t ObjectStore::write(ObjectId id, std::span<const std::uint8_t> valu
 }
 
 bool ObjectStore::update_spec(ObjectId id, const ObjectSpec& spec) {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) return false;
+  ObjectState* s = objects_.find(id);
+  if (s == nullptr) return false;
   RTPB_EXPECTS(spec.id == id);
-  it->second.spec = spec;
+  s->spec = spec;
   return true;
 }
 
 bool ObjectStore::apply(ObjectId id, std::uint64_t version, TimePoint origin_ts,
                         std::span<const std::uint8_t> value, TimePoint now) {
-  auto it = objects_.find(id);
-  RTPB_EXPECTS(it != objects_.end());
-  ObjectState& s = it->second;
+  ObjectState* held = objects_.find(id);
+  RTPB_EXPECTS(held != nullptr);
+  ObjectState& s = *held;
   if (version <= s.version) return false;  // stale or duplicate
   RTPB_EXPECTS(!overlaps(value, s.value));
   s.value.assign(value.begin(), value.end());
@@ -62,9 +62,9 @@ bool ObjectStore::apply(ObjectId id, std::uint64_t version, TimePoint origin_ts,
 }
 
 const ObjectState& ObjectStore::get(ObjectId id) const {
-  auto it = objects_.find(id);
-  RTPB_EXPECTS(it != objects_.end());
-  return it->second;
+  const ObjectState* s = objects_.find(id);
+  RTPB_EXPECTS(s != nullptr);
+  return *s;
 }
 
 std::optional<ObjectState> ObjectStore::find(ObjectId id) const {
@@ -72,10 +72,7 @@ std::optional<ObjectState> ObjectStore::find(ObjectId id) const {
   return std::nullopt;
 }
 
-const ObjectState* ObjectStore::peek(ObjectId id) const {
-  auto it = objects_.find(id);
-  return it == objects_.end() ? nullptr : &it->second;
-}
+const ObjectState* ObjectStore::peek(ObjectId id) const { return objects_.find(id); }
 
 std::vector<ObjectId> ObjectStore::ids() const {
   std::vector<ObjectId> out;

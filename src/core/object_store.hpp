@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <tuple>
@@ -13,6 +12,7 @@
 
 #include "core/types.hpp"
 #include "util/bytebuffer.hpp"
+#include "util/id_table.hpp"
 #include "util/time.hpp"
 
 namespace rtpb::core {
@@ -62,7 +62,9 @@ class ObjectStore {
   /// A snapshot copy (spec and value bytes), unaffected by later writes.
   [[nodiscard]] std::optional<ObjectState> find(ObjectId id) const;
   /// The held state in place, or nullptr: no copy.  Valid until the next
-  /// insert, erase or restore of this id.
+  /// insert, erase or restore of any id (each may move every held state).
+  /// Value bytes borrowed from it (`Payload::borrow`) outlive such a move:
+  /// a moved value keeps its buffer.
   [[nodiscard]] const ObjectState* peek(ObjectId id) const;
 
   /// Iterate deterministically (ascending id).
@@ -79,7 +81,7 @@ class ObjectStore {
   void restore(const ObjectState& state) { objects_[state.spec.id] = state; }
 
  private:
-  std::map<ObjectId, ObjectState> objects_;
+  IdTable<ObjectId, ObjectState> objects_;
 };
 
 }  // namespace rtpb::core

@@ -780,9 +780,12 @@ void ReplicaServer::qos_tick() {
   // backup has genuinely caught back up into the original window.
   const Duration hold = std::max(config_.degrade_restore_hold, config_.ping_period);
   std::size_t active = 0;
-  for (auto& [id, rec] : objects_) {
-    if (!rec.primary.downgrade) continue;
-    const QosState& qos = *rec.primary.downgrade;
+  restoring_.clear();
+  for (const auto& [id, rec] : objects_) {
+    if (rec.primary.downgrade) restoring_.push_back(id);
+  }
+  for (const ObjectId id : restoring_) {
+    const QosState& qos = *record(id).primary.downgrade;
     const bool calm = !degrade_->overloaded(now) && degrade_->calm_for(now) >= hold;
     const bool aged = now - qos.since >= hold;
     const bool caught_up =
@@ -862,8 +865,8 @@ bool ReplicaServer::renegotiate(ObjectId id, ObjectSpec to, bool downgrade) {
 
 const ReplicaServer::ObjectRecord& ReplicaServer::record(ObjectId id) const {
   static const ObjectRecord kNone;
-  const auto it = objects_.find(id);
-  return it != objects_.end() ? it->second : kNone;
+  const ObjectRecord* rec = objects_.find(id);
+  return rec != nullptr ? *rec : kNone;
 }
 
 bool ReplicaServer::qos_downgrade_active(ObjectId id) const {
@@ -1203,9 +1206,9 @@ TimePoint ReplicaServer::peer_frontier(std::uint32_t shard) const {
 
 void ReplicaServer::arm_watchdog(ObjectId id) {
   if (role_ != Role::kBackup) return;
-  auto it = objects_.find(id);
-  if (it == objects_.end() || it->second.backup.watchdog_period <= Duration::zero()) return;
-  ObjectRecord::Backup& b = it->second.backup;
+  ObjectRecord* rec = objects_.find(id);
+  if (rec == nullptr || rec->backup.watchdog_period <= Duration::zero()) return;
+  ObjectRecord::Backup& b = rec->backup;
   b.watchdog.cancel();
   // crash() and leave_backup() cancel it, so it fires only on a live backup.
   b.watchdog = sim_.schedule_after(b.watchdog_period * config_.watchdog_factor, [this, id] {

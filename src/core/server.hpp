@@ -695,8 +695,10 @@ class ReplicaServer {
   sched::Cpu cpu_;
   /// Replaced wholesale by restart() from the recovered image.
   ObjectStore store_;
-  /// One record per object ever seen, in ascending id order.
-  std::map<ObjectId, ObjectRecord> objects_;
+  /// One record per object ever seen, in ascending id order.  Records
+  /// are created on first use, so an insert can come from deep inside a
+  /// call: hold no ObjectRecord& across one that may add a record.
+  IdTable<ObjectId, ObjectRecord> objects_;
   /// Built at start(); promote() rebuilds it from the replicated specs.
   std::unique_ptr<AdmissionController> admission_;
   Hooks hooks_;
@@ -717,6 +719,10 @@ class ReplicaServer {
   /// between flushes: its entries borrow values from store_.
   wire::UpdateBatch batch_;
   std::vector<std::pair<Duration, ObjectId>> by_slack_;
+  /// Reused by qos_tick()'s restore pass, which walks the downgraded ids
+  /// rather than objects_: a restore re-syncs the update tasks, and that
+  /// can add records.
+  std::vector<ObjectId> restoring_;
   /// Persisted with the epoch; restart() reloads both.
   std::uint64_t next_transfer_id_ = 1;
   store::DurableStore* storage_ = nullptr;  ///< null = in-memory replica

@@ -46,17 +46,20 @@ TaskId Cpu::add_task(TaskSpec spec, JobCallback on_complete) {
   RTPB_EXPECTS(spec.valid());
   const TaskId id = next_id_++;
   spec.id = id;
-  Task task;
-  task.spec = spec;
-  task.on_complete = std::move(on_complete);
-  task.effective_period = spec.period;
-  task.tracker = PhaseVarianceTracker(spec.period);
-  auto [it, inserted] = tasks_.emplace(id, std::move(task));
+  // Built in place: moving a Task would move its backlog, and a moved
+  // std::deque allocates a fresh empty one for the source.
+  auto task = std::make_unique<Task>();
+  Task& added = *task;
+  added.spec = spec;
+  added.on_complete = std::move(on_complete);
+  added.effective_period = spec.period;
+  added.tracker = PhaseVarianceTracker(spec.period);
+  const bool inserted = tasks_.insert(id, std::move(task)).second;
   RTPB_ASSERT(inserted);
   if (policy_ == Policy::kDcsSr) respecialize();
   if (started_) {
-    it->second.next_release = sim_.now() + it->second.spec.phase;
-    arm_release(it->second);
+    added.next_release = sim_.now() + added.spec.phase;
+    arm_release(added);
   }
   return id;
 }
@@ -65,35 +68,36 @@ TaskId Cpu::submit_job(std::string name, Duration exec, JobCallback on_complete)
   RTPB_EXPECTS(started_);
   RTPB_EXPECTS(exec > Duration::zero());
   const TaskId id = next_id_++;
-  Task task;
-  task.spec.id = id;
-  task.spec.name = std::move(name);
+  auto task = std::make_unique<Task>();  // in place, as in add_task()
+  Task& added = *task;
+  added.spec.id = id;
+  added.spec.name = std::move(name);
   // An effectively-infinite period puts the job at background priority
   // under every fixed-priority policy and gives EDF a far-future deadline.
-  task.spec.period = seconds(1'000'000);
-  task.spec.wcet = exec;
-  task.on_complete = std::move(on_complete);
-  task.one_shot = true;
-  task.effective_period = task.spec.period;
-  task.tracker = PhaseVarianceTracker(task.spec.period);
+  added.spec.period = seconds(1'000'000);
+  added.spec.wcet = exec;
+  added.on_complete = std::move(on_complete);
+  added.one_shot = true;
+  added.effective_period = added.spec.period;
+  added.tracker = PhaseVarianceTracker(added.spec.period);
 
   Job job;
   job.index = 0;
   job.release = sim_.now();
   job.remaining = exec;
-  task.backlog.push_back(job);
+  added.backlog.push_back(job);
 
-  auto [it, inserted] = tasks_.emplace(id, std::move(task));
+  const bool inserted = tasks_.insert(id, std::move(task)).second;
   RTPB_ASSERT(inserted);
-  heap_push(it->second);
+  heap_push(added);
   dispatch();
   return id;
 }
 
 void Cpu::remove_task(TaskId id) {
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) return;
-  Task& task = it->second;
+  std::unique_ptr<Task>* held = tasks_.find(id);
+  if (held == nullptr) return;
+  Task& task = **held;
   task.release_event.cancel();
   if (running_ == &task) {
     // Abort the running job: charge busy time up to now, no callback.
@@ -102,7 +106,7 @@ void Cpu::remove_task(TaskId id) {
     running_ = nullptr;
   }
   if (task.heap_pos != kNotReady) heap_erase(task);
-  tasks_.erase(it);
+  tasks_.erase(id);
   if (policy_ == Policy::kDcsSr) respecialize();
   if (started_) dispatch();
 }
@@ -113,12 +117,12 @@ void Cpu::respecialize() {
   // reference period changed.
   TaskSet set;
   set.reserve(tasks_.size());
-  for (const auto& [id, task] : tasks_) set.push_back(task.spec);
+  for (const auto& [id, task] : tasks_) set.push_back(task->spec);
   const DcsSpecialization spec = dcs_specialize(set);
   std::size_t i = 0;
   for (auto& [id, task] : tasks_) {
-    task.effective_period = spec.periods.empty() ? task.spec.period : spec.periods[i];
-    task.tracker = PhaseVarianceTracker(task.effective_period);
+    task->effective_period = spec.periods.empty() ? task->spec.period : spec.periods[i];
+    task->tracker = PhaseVarianceTracker(task->effective_period);
     ++i;
   }
   heap_rebuild();
@@ -130,14 +134,14 @@ void Cpu::start(TimePoint at) {
   started_ = true;
   started_at_ = at;
   for (auto& [id, task] : tasks_) {
-    task.next_release = at + task.spec.phase;
-    arm_release(task);
+    task->next_release = at + task->spec.phase;
+    arm_release(*task);
   }
 }
 
 void Cpu::stop() {
   if (!started_) return;
-  for (auto& [id, task] : tasks_) task.release_event.cancel();
+  for (auto& [id, task] : tasks_) task->release_event.cancel();
   if (running_ != nullptr) {
     completion_event_.cancel();
     busy_time_ += sim_.now() - running_since_;
@@ -212,8 +216,9 @@ void Cpu::on_completion() {
   if (on_complete) {
     on_complete(info);
     if (!retire) {
-      auto again = tasks_.find(info.task);
-      if (again != tasks_.end()) again->second.on_complete = std::move(on_complete);
+      if (std::unique_ptr<Task>* again = tasks_.find(info.task)) {
+        (*again)->on_complete = std::move(on_complete);
+      }
     }
   }
 
@@ -299,8 +304,8 @@ void Cpu::heap_erase(Task& task) {
 void Cpu::heap_rebuild() {
   ready_.clear();
   for (auto& [id, task] : tasks_) {
-    task.heap_pos = kNotReady;
-    if (!task.backlog.empty()) heap_push(task);
+    task->heap_pos = kNotReady;
+    if (!task->backlog.empty()) heap_push(*task);
   }
 }
 
@@ -372,28 +377,28 @@ void Cpu::dispatch() {
   completion_event_ = sim_.schedule_after(job.remaining, [this] { on_completion(); });
 }
 
+const Cpu::Task& Cpu::task_of(TaskId id) const {
+  const std::unique_ptr<Task>* held = tasks_.find(id);
+  RTPB_EXPECTS(held != nullptr);
+  return **held;
+}
+
 Duration Cpu::effective_period(TaskId id) const {
-  auto it = tasks_.find(id);
-  RTPB_EXPECTS(it != tasks_.end());
-  return it->second.effective_period;
+  return task_of(id).effective_period;
 }
 
 const PhaseVarianceTracker& Cpu::tracker(TaskId id) const {
-  auto it = tasks_.find(id);
-  RTPB_EXPECTS(it != tasks_.end());
-  return it->second.tracker;
+  return task_of(id).tracker;
 }
 
 const TaskSpec& Cpu::spec(TaskId id) const {
-  auto it = tasks_.find(id);
-  RTPB_EXPECTS(it != tasks_.end());
-  return it->second.spec;
+  return task_of(id).spec;
 }
 
 double Cpu::offered_utilization() const {
   double u = 0.0;
   for (const auto& [id, task] : tasks_) {
-    u += task.spec.wcet.ratio(task.effective_period);
+    u += task->spec.wcet.ratio(task->effective_period);
   }
   return u;
 }

@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +26,7 @@
 #include "sched/task.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/facts.hpp"
+#include "util/id_table.hpp"
 
 namespace rtpb::sched {
 
@@ -140,6 +141,7 @@ class Cpu {
     std::uint64_t name_hash = 0;       ///< spec.name's Digest::hash, on first use
   };
 
+  [[nodiscard]] const Task& task_of(TaskId id) const;
   void arm_release(Task& task);
   void on_release(Task& task);
   void on_completion();
@@ -164,8 +166,9 @@ class Cpu {
   // those places updates the heap: on_release (empty -> one job: push),
   // submit_job (push), on_completion (pop_front: erase if now empty, else
   // re-sift), remove_task (erase) and respecialize (every DCS period
-  // moves: rebuild).  Task pointers stay valid because std::map nodes
-  // never move.
+  // moves: rebuild).  Task pointers stay valid because each Task is its
+  // own allocation: an insert into or erase from tasks_ moves only the
+  // owning pointers.
   void heap_push(Task& task);
   void heap_erase(Task& task);
   /// Restore heap order around position `pos` after its key changed.
@@ -177,8 +180,8 @@ class Cpu {
 
   sim::Simulator& sim_;
   Policy policy_;
-  std::map<TaskId, Task> tasks_;  // ordered: deterministic iteration
-  std::vector<Task*> ready_;      // binary heap, top = highest priority
+  IdTable<TaskId, std::unique_ptr<Task>> tasks_;  // ordered: deterministic iteration
+  std::vector<Task*> ready_;  // binary heap, top = highest priority
   TaskId next_id_ = 1;
   bool started_ = false;
   TimePoint started_at_{};

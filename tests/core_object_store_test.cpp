@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace rtpb::core {
 namespace {
 
@@ -117,6 +119,31 @@ TEST(ObjectStore, ForEachIteratesInIdOrder) {
   store.for_each([&](const ObjectState& s) { seen.push_back(s.spec.id); });
   EXPECT_EQ(seen, (std::vector<ObjectId>{1, 2, 3}));
   EXPECT_EQ(store.ids(), seen);
+}
+
+TEST(ObjectStore, IdsStayAscendingAndValuesKeepTheirBuffersAcrossMoves) {
+  ObjectStore store;
+  for (const ObjectId id : {5u, 1u, 3u}) store.insert(spec(id));
+  std::vector<ObjectId> seen;
+  store.for_each([&](const ObjectState& s) { seen.push_back(s.spec.id); });
+  EXPECT_EQ(seen, (std::vector<ObjectId>{1, 3, 5}));
+  EXPECT_EQ(store.ids(), seen);
+
+  // Inserts in front of and erases before object 3 move its state (past
+  // the scan limit the index is rebuilt too), but a moved value keeps its
+  // buffer: bytes borrowed from it stay valid.
+  store.write(3, Bytes(64, 0xAB), TimePoint{100});
+  const std::uint8_t* borrowed = store.get(3).value.data();
+  for (ObjectId id = 40; id > 5; --id) store.insert(spec(id));
+  store.insert(spec(0));
+  store.erase(1);
+  EXPECT_EQ(store.get(3).value.data(), borrowed);
+  EXPECT_EQ(store.get(3).value, Bytes(64, 0xAB));
+  const std::vector<ObjectId> ids = store.ids();
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  EXPECT_EQ(ids.size(), 38u);
+  EXPECT_EQ(ids.front(), 0u);
+  EXPECT_EQ(ids[1], 3u);
 }
 
 TEST(ObjectSpec, WindowIsDeltaDifference) {

@@ -1,4 +1,5 @@
-// Command-line reading shared by chaos_main and explore_main: walks argv
+// Command-line reading shared by the tools (chaos_main, explore_main,
+// trace_inspect, rtpb_top): walks argv
 // flag by flag and parses each number whole, so a malformed value exits 2
 // naming its flag instead of reading as 0 or as its numeric prefix.  An
 // artifact path a run could not write is named the same way.

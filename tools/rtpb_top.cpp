@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli.hpp"
 #include "jsonl_fields.hpp"
 
 namespace {
@@ -174,16 +175,13 @@ int main(int argc, char** argv) {
   bool follow = false;
   double at_ms = -1.0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+  rtpb::cli::Args args(argc, argv);
+  while (args.next()) {
+    const std::string& arg = args.flag();
     if (arg == "--follow") {
       follow = true;
     } else if (arg == "--at-ms") {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        return 2;
-      }
-      at_ms = std::strtod(argv[++i], nullptr);
+      at_ms = args.number<double>(0.0);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;

@@ -29,13 +29,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "jsonl_fields.hpp"
 #include "util/stats.hpp"
 
@@ -104,19 +104,13 @@ int main(int argc, char** argv) {
   std::size_t worst_k = 3;
   std::size_t hop_limit = 20;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  rtpb::cli::Args args(argc, argv);
+  while (args.next()) {
+    const std::string& arg = args.flag();
     if (arg == "--worst") {
-      worst_k = std::strtoull(next(), nullptr, 10);
+      worst_k = args.number<std::size_t>();
     } else if (arg == "--hops") {
-      hop_limit = std::strtoull(next(), nullptr, 10);
+      hop_limit = args.number<std::size_t>();
     } else if (arg == "--help" || arg == "-h") {
       std::cerr << "usage: " << argv[0] << " TRACE.jsonl [--worst K] [--hops N]\n";
       return 0;
