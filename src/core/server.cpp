@@ -154,7 +154,7 @@ void ReplicaServer::ensure_detector(net::Endpoint peer) {
   ps.detector = std::make_unique<FailureDetector>(
       sim_, params,
       [this, peer](std::uint64_t seq) {
-        send_to(peer, wire::encode(wire::Ping{seq, epoch_}));
+        send_to(peer, encode(wire::Ping{seq, epoch_}));
       },
       [this, dead = peer.node] { on_peer_dead(dead); });
   ps.detector->set_rtt_callback([this](Duration rtt) { on_rtt_sample(rtt); });
@@ -440,7 +440,7 @@ void ReplicaServer::send_update(ObjectId id, bool retransmission, const sched::J
     u.epoch = epoch_;
     emit(Fact::kUpdateFrame);
     // Encode once; each peer's copy shares the body buffer.
-    xkernel::Message frame{wire::encode(u)};
+    xkernel::Message frame{encode(u)};
     const std::vector<net::Endpoint>& dst = targets != nullptr ? *targets : peers_;
     for (const net::Endpoint& peer : dst) send_to(peer, frame);
   }
@@ -456,7 +456,7 @@ void ReplicaServer::flush_staged_updates() {
   if (config_.degradation_enabled) shed_staged_updates();
   // Entries borrow their values from the store; the batch is encoded and
   // emptied before anything can write the store again.
-  std::vector<wire::UpdateBatchEntry>& entries = batch_.entries;
+  codec::Sequence<wire::UpdateBatchEntry>& entries = batch_.entries;
   entries.clear();
   for (ObjectId id : primary_.staged) {
     if (!store_.contains(id)) continue;  // deregistered inside the window
@@ -473,11 +473,12 @@ void ReplicaServer::flush_staged_updates() {
   // span: the first coalesced update stands in for the frame (its span
   // threads write → udp-push → net-deliver → apply; siblings still get
   // their own apply events at the backup).
-  const telemetry::SpanId span = hub.span_for(entries.front().object, entries.front().version);
+  const wire::UpdateBatchEntry first = *entries.begin();
+  const telemetry::SpanId span = hub.span_for(first.object, first.version);
   telemetry::ScopedSpan span_scope(hub, span);
-  emit(Fact::kBatchFrame, entries.front().object, entries.front().version, span,
+  emit(Fact::kBatchFrame, first.object, first.version, span,
        static_cast<std::int64_t>(entries.size()));
-  xkernel::Message frame{wire::encode(batch_)};
+  xkernel::Message frame{encode(batch_)};
   entries.clear();
   for (const net::Endpoint& peer : peers_) send_to(peer, frame);
 }
@@ -587,10 +588,10 @@ void ReplicaServer::send_transfer(std::uint64_t transfer_id, const PendingTransf
     if (store_.contains(id)) entries.push_back(state_entry_for(id));
   }
   xkernel::Message frame{
-      pending.delta ? wire::encode(wire::StateDelta{transfer_id, std::move(entries),
-                                                    replicated_constraints_, epoch_})
-                    : wire::encode(wire::StateTransfer{transfer_id, std::move(entries),
-                                                       replicated_constraints_, epoch_})};
+      pending.delta ? encode(wire::StateDelta{transfer_id, std::move(entries),
+                                              replicated_constraints_, epoch_})
+                    : encode(wire::StateTransfer{transfer_id, std::move(entries),
+                                                 replicated_constraints_, epoch_})};
   for (const net::Endpoint& peer : peers_) {
     if (pending.awaiting.contains(peer.node)) send_to(peer, frame);
   }
@@ -853,9 +854,9 @@ bool ReplicaServer::renegotiate(ObjectId id, ObjectSpec to, bool downgrade) {
 
   const Duration period = admission_->update_period(id);
   xkernel::Message frame{
-      downgrade ? wire::encode(wire::ConstraintDowngrade{id, to.delta_primary, to.delta_backup,
-                                                         period, seq, epoch_})
-                : wire::encode(wire::ConstraintRestore{id, to.delta_backup, period, seq, epoch_})};
+      downgrade ? encode(wire::ConstraintDowngrade{id, to.delta_primary, to.delta_backup,
+                                                   period, seq, epoch_})
+                : encode(wire::ConstraintRestore{id, to.delta_backup, period, seq, epoch_})};
   for (const net::Endpoint& peer : peers_) send_to(peer, frame);
 
   emit(downgrade ? Fact::kQosDowngrade : Fact::kQosRestore, id, 0, telemetry::kNoSpan,
@@ -887,10 +888,6 @@ void ReplicaServer::recruit_backup(net::Endpoint new_backup) {
 // ---------------------------------------------------------------------------
 // Message handling.
 // ---------------------------------------------------------------------------
-
-void ReplicaServer::send_to(net::Endpoint to, Bytes payload) {
-  send_to(to, xkernel::Message{std::move(payload)});
-}
 
 void ReplicaServer::send_to(net::Endpoint to, xkernel::Message msg) {
   if (crashed_) return;
@@ -926,7 +923,7 @@ void ReplicaServer::handle_message(xkernel::Message& msg, const xkernel::MsgAttr
     emit(Fact::kEpochReject, 0, msg_epoch, sim_.telemetry().current_span(),
          static_cast<std::int64_t>(type));
     if (const auto* ping = std::get_if<wire::Ping>(&*decoded)) {
-      send_to(from, wire::encode(wire::PingAck{ping->seq, epoch_}));
+      send_to(from, encode(wire::PingAck{ping->seq, epoch_}));
     }
     return;
   }
@@ -992,7 +989,7 @@ void ReplicaServer::handle(const wire::Update& u, net::Endpoint from) {
   arm_watchdog(u.object);
   if (config_.ack_every_update) {
     emit(Fact::kAckSent);
-    send_to(from, wire::encode(wire::UpdateAck{u.object, u.version, epoch_}));
+    send_to(from, encode(wire::UpdateAck{u.object, u.version, epoch_}));
   }
   maybe_checkpoint();
 }
@@ -1057,7 +1054,7 @@ void ReplicaServer::handle(const wire::RetransmitRequest& r,
 }
 
 void ReplicaServer::handle(const wire::Ping& p, net::Endpoint from) {
-  send_to(from, wire::encode(wire::PingAck{p.seq, epoch_}));
+  send_to(from, encode(wire::PingAck{p.seq, epoch_}));
 }
 
 void ReplicaServer::handle(const wire::PingAck& p, net::Endpoint from) {
@@ -1129,7 +1126,7 @@ void ReplicaServer::apply_transfer(std::uint64_t transfer_id,
   incarnation_.resync_retry.cancel();
   // Always ack — even a stale transfer id — so the sender's retry loop
   // terminates.
-  send_to(from, wire::encode(wire::StateTransferAck{transfer_id, epoch_}));
+  send_to(from, encode(wire::StateTransferAck{transfer_id, epoch_}));
   maybe_checkpoint();
 }
 
@@ -1218,7 +1215,7 @@ void ReplicaServer::arm_watchdog(ObjectId id) {
     // the update whose absence tripped the watchdog.
     emit(Fact::kNack, id, state->version, sim_.telemetry().latest_span(id));
     if (!peers_.empty()) {
-      send_to(peers_.front(), wire::encode(wire::RetransmitRequest{id, state->version, epoch_}));
+      send_to(peers_.front(), encode(wire::RetransmitRequest{id, state->version, epoch_}));
     }
     arm_watchdog(id);
   });
@@ -1375,7 +1372,7 @@ void ReplicaServer::request_resync() {
   emit(Fact::kResyncRequest);
   ++incarnation_.resync_attempts;
   incarnation_.resync_pending = true;
-  send_to(peers_.front(), wire::encode(rq));
+  send_to(peers_.front(), encode(rq));
   // Re-ask until a kStateDelta or full kStateTransfer lands.
   incarnation_.resync_retry.cancel();
   incarnation_.resync_retry = sim_.schedule_after(config_.ping_period * 2, [this] {

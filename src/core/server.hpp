@@ -577,7 +577,13 @@ class ReplicaServer {
   void handle(const wire::ActivePrepare& p, net::Endpoint from);
   void handle(const wire::ActiveAck& a, net::Endpoint from);
 
-  void send_to(net::Endpoint to, Bytes payload);
+  /// `m` encoded into a body recycled through the simulator's BodyPool:
+  /// every message a replica sends is encoded here, so steady traffic
+  /// allocates no frame bodies.
+  template <wire::Message M>
+  [[nodiscard]] xkernel::Message encode(const M& m) {
+    return xkernel::Message{wire::encode(sim_.body_pool(), m)};
+  }
   /// Fan-out building block: the message is taken by value, so sending one
   /// encoded frame to N peers passes N copies that all share the same body
   /// buffer — only the per-peer protocol headers are materialised.

@@ -8,6 +8,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <tuple>
@@ -18,6 +19,7 @@
 #include "core/types.hpp"
 #include "util/bytebuffer.hpp"
 #include "util/codec.hpp"
+#include "util/frame.hpp"
 #include "util/time.hpp"
 
 namespace rtpb::core::wire {
@@ -105,12 +107,14 @@ struct UpdateBatchEntry {
 ///
 /// Update values are a Payload: the sender borrows them from its store
 /// for the length of one encode, and decode() borrows them from the frame,
-/// so each value is copied once per hop, from frame to store.  A decoded
-/// Update or UpdateBatch is therefore valid only while its frame is, and
-/// nothing may keep one past the handler that decoded it.
+/// so each value is copied once per hop, from frame to store.  The entries
+/// are a codec::Sequence: decode() checks them all but copies none out,
+/// and iterating decodes each from the frame in turn.  A decoded Update or
+/// UpdateBatch is therefore valid only while its frame is, and nothing may
+/// keep one past the handler that decoded it.
 struct UpdateBatch {
   static constexpr MsgType kType = MsgType::kUpdateBatch;
-  std::vector<UpdateBatchEntry> entries;
+  codec::Sequence<UpdateBatchEntry> entries;
   std::uint64_t epoch = 0;
   template <class S> static auto tie(S& s) { return std::tie(s.entries, s.epoch); }
 };
@@ -273,14 +277,35 @@ template <Message M>
 }
 
 /// Encoding: the 1-byte type tag, then the message's fields in tie()
-/// order (util/codec.hpp).  The writer reserves the exact frame size up
-/// front, so encoding a frame costs exactly one allocation.
+/// order (util/codec.hpp), written over `out`'s contents.  The writer
+/// reserves the exact frame size up front, so this allocates only when
+/// `out` has never held a frame this large.
 template <Message M>
-[[nodiscard]] Bytes encode(const M& m) {
-  ByteWriter w(encoded_size(m));
+void encode_into(Bytes& out, const M& m) {
+  ByteWriter w(std::move(out), encoded_size(m));
   w.u8(static_cast<std::uint8_t>(M::kType));
   codec::put(w, m);
-  return std::move(w).take();
+  out = std::move(w).take();
+}
+
+/// The encoding as a fresh buffer (one allocation).
+template <Message M>
+[[nodiscard]] Bytes encode(const M& m) {
+  Bytes out;
+  encode_into(out, m);
+  return out;
+}
+
+/// The encoding as a frame whose body comes from `pool`: once the pool
+/// holds a free body large enough, encoding allocates nothing.  The send
+/// paths encode through here; the body returns to the pool when the last
+/// frame sharing it is dropped.
+template <Message M>
+[[nodiscard]] Frame encode(BodyPool& pool, const M& m) {
+  std::shared_ptr<Bytes> body = pool.acquire(encoded_size(m));
+  encode_into(*body, m);
+  const std::size_t length = body->size();
+  return Frame{SharedView{std::move(body), 0, length}};
 }
 
 /// A decoded message: exactly one of the message structs.

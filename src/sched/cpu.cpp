@@ -46,8 +46,8 @@ TaskId Cpu::add_task(TaskSpec spec, JobCallback on_complete) {
   RTPB_EXPECTS(spec.valid());
   const TaskId id = next_id_++;
   spec.id = id;
-  // Built in place: moving a Task would move its backlog, and a moved
-  // std::deque allocates a fresh empty one for the source.
+  // Built in place: a Task is not movable (its backlog holds jobs
+  // inline).
   auto task = std::make_unique<Task>();
   Task& added = *task;
   added.spec = spec;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -27,6 +26,7 @@
 #include "sim/simulator.hpp"
 #include "telemetry/facts.hpp"
 #include "util/id_table.hpp"
+#include "util/inline_ring.hpp"
 
 namespace rtpb::sched {
 
@@ -125,6 +125,9 @@ class Cpu {
   };
 
   static constexpr std::size_t kNotReady = static_cast<std::size_t>(-1);
+  /// Jobs a task's backlog holds in place: one running job plus a few
+  /// released behind it before the backlog needs a heap buffer.
+  static constexpr std::size_t kInlineJobs = 4;
 
   struct Task {
     TaskSpec spec;
@@ -132,7 +135,10 @@ class Cpu {
     bool one_shot = false;
     Duration effective_period{};
     PhaseVarianceTracker tracker{Duration::zero()};
-    std::deque<Job> backlog;  ///< released, unfinished jobs (head may be running)
+    /// Released, unfinished jobs, oldest first (the head may be running).
+    /// Inline: a task whose backlog never outgrows kInlineJobs allocates
+    /// nothing for it, and one that did keeps the grown buffer.
+    InlineRing<Job, kInlineJobs> backlog;
     std::uint64_t next_index = 0;
     TimePoint next_release{};
     sim::EventHandle release_event;

@@ -57,7 +57,10 @@ bool Simulator::step() {
   while (!queue_.empty()) {
     const QueueEntry entry = queue_.top();
     queue_.pop();
-    if (!live(entry)) continue;
+    if (!live(entry)) {
+      ++cancelled_pops_;
+      continue;
+    }
     fire(entry);
     return true;
   }
@@ -79,14 +82,21 @@ bool Simulator::step_with_policy() {
   // the last step carry larger seqs, so ready_ stays in seq order and is
   // exactly the tie set popping the heap afresh would gather.  A policy
   // that always returns 0 therefore reproduces the FIFO tie-break.
-  std::erase_if(ready_, [this](const QueueEntry& e) { return !live(e); });
+  cancelled_pops_ += std::erase_if(ready_, [this](const QueueEntry& e) { return !live(e); });
   if (ready_.empty()) {
-    while (!queue_.empty() && !live(queue_.top())) queue_.pop();
+    while (!queue_.empty() && !live(queue_.top())) {
+      queue_.pop();
+      ++cancelled_pops_;
+    }
     if (queue_.empty()) return false;
   }
   const TimePoint at = ready_.empty() ? queue_.top().at : ready_.front().at;
   while (!queue_.empty() && queue_.top().at == at) {
-    if (live(queue_.top())) ready_.push_back(queue_.top());
+    if (live(queue_.top())) {
+      ready_.push_back(queue_.top());
+    } else {
+      ++cancelled_pops_;
+    }
     queue_.pop();
   }
   std::size_t pick = 0;
@@ -124,6 +134,7 @@ void Simulator::run_until(TimePoint deadline) {
     // Drop cancelled entries without advancing the clock.
     if (!live(*next)) {
       pop_head();
+      ++cancelled_pops_;
       continue;
     }
     if (next->at > deadline) break;

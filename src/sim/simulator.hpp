@@ -27,6 +27,7 @@
 #include "sim/choice.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
+#include "util/frame.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -156,6 +157,11 @@ class Simulator {
   /// hashes this count into its state hash.
   [[nodiscard]] std::size_t pending_events() const { return queue_.size() + ready_.size(); }
   [[nodiscard]] std::uint64_t fired_events() const { return fired_events_; }
+  /// Cancelled entries popped (or pruned from the held tie set) so far:
+  /// every entry the queue gives up is either fired or one of these, so
+  /// cancelled_pops() / (fired_events() + cancelled_pops()) is the share
+  /// of the queue's work that lazy deletion wastes.
+  [[nodiscard]] std::uint64_t cancelled_pops() const { return cancelled_pops_; }
 
   /// Root RNG for the run; components should fork() their own streams.
   Rng& rng() { return rng_; }
@@ -180,6 +186,10 @@ class Simulator {
   /// telemetry::Facts tables.
   telemetry::Hub& telemetry() { return hub_; }
   [[nodiscard]] const telemetry::Hub& telemetry() const { return hub_; }
+
+  /// Recycled bodies for the frames this run's senders encode (see
+  /// util/frame.hpp).  Like the Hub, it belongs to this event loop alone.
+  BodyPool& body_pool() { return bodies_; }
 
  private:
   friend class EventHandle;
@@ -242,6 +252,7 @@ class Simulator {
   TimePoint now_{};
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_events_ = 0;
+  std::uint64_t cancelled_pops_ = 0;
   bool stopped_ = false;
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::vector<std::uint32_t> free_slots_;
@@ -254,6 +265,7 @@ class Simulator {
   ChoicePolicy* policy_ = nullptr;
   Rng rng_;
   telemetry::Hub hub_;
+  BodyPool bodies_;
 };
 
 template <typename F>

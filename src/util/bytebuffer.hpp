@@ -10,6 +10,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -91,6 +92,13 @@ class ByteWriter {
  public:
   ByteWriter() = default;
   explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
+  /// Write into `buf`'s storage: its contents are dropped and its capacity
+  /// kept (grown to `reserve` if short), so a buffer handed back and forth
+  /// through take() stops allocating once it has held its largest frame.
+  ByteWriter(Bytes buf, std::size_t reserve) : buf_(std::move(buf)) {
+    buf_.clear();
+    buf_.reserve(reserve);
+  }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { append_be(v); }
@@ -218,6 +226,8 @@ class ByteReader {
 
   [[nodiscard]] bool ok() const { return !failed_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+  /// The unread input.
+  [[nodiscard]] std::span<const std::uint8_t> rest() const { return data_.subspan(pos_); }
   [[nodiscard]] bool at_end() const { return pos_ == data_.size(); }
 
  private:

@@ -8,15 +8,18 @@
 // header bytes in a small inline array filled back to front, so pushing a
 // protocol header, handing the frame to the network and rebuilding a
 // message over it on delivery copy at most kHeaderCapacity bytes and one
-// reference count — never the body.
+// reference count — never the body.  A BodyPool recycles the bodies of the
+// frames a sender encodes, so a steady stream of them allocates nothing.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/bytebuffer.hpp"
@@ -36,6 +39,65 @@ struct SharedView {
     return buf ? std::span<const std::uint8_t>{buf->data() + offset, length}
                : std::span<const std::uint8_t>{};
   }
+};
+
+/// Recycled frame bodies.  acquire(size) hands out an empty body with room
+/// for `size` bytes that no frame shares any more, for an encoder to fill
+/// and then share read-only.  The pool keeps one reference to each body
+/// it made, so a body is free exactly when that reference is the last
+/// one: it goes back to the pool when the last frame sharing it is
+/// dropped, and never sooner.
+///
+/// The pool starts empty and grows on demand to kMaxBodies; past that
+/// (more bodies in flight at once), acquire() makes a body the pool does
+/// not keep.  It prefers a free body that already has room; a free body
+/// that is too small grows to a power of two (at least kMinCapacity), so
+/// a body grows a few times at most and a steady stream of frames
+/// allocates nothing.  A body that grew past kMaxKeptCapacity (a large
+/// state transfer) gives its buffer back when a smaller frame reuses it.
+/// A body outlives the pool safely.  Not thread-safe: one pool belongs to
+/// one simulator's event loop.
+class BodyPool {
+ public:
+  static constexpr std::size_t kMaxBodies = 64;
+  static constexpr std::size_t kMinCapacity = 256;
+  static constexpr std::size_t kMaxKeptCapacity = 64 * 1024;
+
+  [[nodiscard]] std::shared_ptr<Bytes> acquire(std::size_t size) {
+    // Round robin from the last hand-out: bodies tend to be dropped in
+    // the order they were sent, so the next one is usually free.
+    std::shared_ptr<Bytes>* too_small = nullptr;
+    for (std::size_t n = bodies_.size(); n > 0; --n) {
+      if (++next_ == bodies_.size()) next_ = 0;
+      std::shared_ptr<Bytes>& body = bodies_[next_];
+      if (body.use_count() != 1) continue;
+      if (body->capacity() >= size) return prepared(body, size);
+      if (too_small == nullptr) too_small = &body;
+    }
+    if (too_small != nullptr) return prepared(*too_small, size);
+    auto fresh = std::make_shared<Bytes>();
+    if (bodies_.size() < kMaxBodies) {
+      if (bodies_.empty()) bodies_.reserve(kMaxBodies);
+      next_ = bodies_.size();
+      bodies_.push_back(fresh);
+    }
+    return prepared(fresh, size);
+  }
+
+  /// Bodies the pool keeps, free or in use.
+  [[nodiscard]] std::size_t size() const { return bodies_.size(); }
+
+ private:
+  /// `body` emptied, with room for `size` bytes.
+  static std::shared_ptr<Bytes> prepared(const std::shared_ptr<Bytes>& body, std::size_t size) {
+    if (body->capacity() > kMaxKeptCapacity && size <= kMaxKeptCapacity) Bytes{}.swap(*body);
+    body->clear();
+    if (body->capacity() < size) body->reserve(std::bit_ceil(std::max(size, kMinCapacity)));
+    return body;
+  }
+
+  std::vector<std::shared_ptr<Bytes>> bodies_;
+  std::size_t next_ = 0;  ///< index of the body handed out last
 };
 
 class Frame {

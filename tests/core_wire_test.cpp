@@ -337,7 +337,7 @@ TEST(Wire, DecodedUpdateValuesPointIntoTheFrame) {
   const Bytes batch = encode(sample_batch());
   const auto b = decode(batch);
   ASSERT_NE(decoded_as<UpdateBatch>(b), nullptr);
-  const std::vector<UpdateBatchEntry>& entries = decoded_as<UpdateBatch>(b)->entries;
+  const codec::Sequence<UpdateBatchEntry>& entries = decoded_as<UpdateBatch>(b)->entries;
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_TRUE(inside(entries[0].value.bytes(), batch));
   EXPECT_TRUE(entries[1].value.bytes().empty());

@@ -9,6 +9,7 @@
 // shows up here, under whichever policy it affects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -119,6 +120,48 @@ TEST(CpuJobStream, DcsSrIsPinned) {
 
 TEST(CpuJobStream, FifoIsPinned) {
   EXPECT_EQ(job_stream_digest(Policy::kFifo), 0x8e1928f8483f4e1cULL);
+}
+
+/// One task's backlog outgrows its inline room.  Under FIFO a 64 ms job
+/// released every 100 ms holds the CPU while a 1 ms task releases behind
+/// it, so that task's backlog passes 64 jobs, wraps around its buffer as
+/// it drains and refills, and empties before the next burst.  Jobs must
+/// leave in release order, and the whole job stream (every job's release,
+/// start and finish) and the response times are pinned.
+TEST(CpuJobStream, BacklogPastItsInlineRoomKeepsFifoOrder) {
+  sim::Simulator sim;
+  Cpu cpu(sim, Policy::kFifo);
+  TaskSpec hog;
+  hog.period = millis(100);
+  hog.wcet = millis(64);
+  TaskSpec fast;
+  fast.period = millis(1);
+  fast.wcet = micros(200);
+  Fnv fnv;
+  std::uint64_t fast_jobs = 0;
+  Duration longest{};
+  Duration total_response{};
+  std::uint64_t empty_after_a_burst = 0;  // fast jobs that found no backlog
+  (void)cpu.add_task(hog, [&](const JobInfo& j) { fnv.mix(j); });
+  (void)cpu.add_task(fast, [&](const JobInfo& j) {
+    fnv.mix(j);
+    EXPECT_EQ(j.index, fast_jobs) << "out of release order";
+    ++fast_jobs;
+    const Duration response = j.finish - j.release;
+    longest = std::max(longest, response);
+    total_response += response;
+    if (longest >= millis(64) && response == fast.wcet) ++empty_after_a_burst;
+  });
+  cpu.start(TimePoint::zero());
+  sim.run_until(TimePoint::zero() + seconds(1));
+
+  // A job that waited 64 ms had 64 jobs released behind it.
+  EXPECT_GE(longest, millis(64));
+  EXPECT_GT(empty_after_a_burst, 0u);
+  EXPECT_EQ(fast_jobs, 1000u);
+  EXPECT_EQ(longest, micros(64'200));
+  EXPECT_EQ(total_response, millis(26'120));
+  EXPECT_EQ(fnv.h, 0x48188cead1e434acULL);
 }
 
 }  // namespace

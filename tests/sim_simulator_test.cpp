@@ -602,6 +602,45 @@ TEST(Simulator, NextEventTimeSeesTiesAPolicyHasNotPicked) {
   EXPECT_EQ(seen, (std::vector<TimePoint>{TimePoint{10}, TimePoint{10}, TimePoint{20}}));
 }
 
+/// A backup's watchdog pattern: each of 100 hops, 1 µs apart, cancels the
+/// pending 5 µs watchdog and arms a new one, so every hop but the first
+/// leaves one cancelled entry in the queue.
+struct RearmLoop {
+  Simulator& sim;
+  EventHandle watchdog;
+  int hops = 0;
+  void hop() {
+    watchdog.cancel();
+    watchdog = sim.schedule_after(Duration{5'000}, [] {});
+    if (++hops < 100) sim.schedule_after(Duration{1'000}, [this] { hop(); });
+  }
+};
+
+TEST(Simulator, CancelledPopsCountsEachCancelledEntryOnceOnEveryPath) {
+  PickLastPolicy policy;
+  for (const bool with_policy : {false, true}) {
+    for (const bool windowed : {false, true}) {
+      Simulator sim;
+      if (with_policy) sim.set_choice_policy(&policy);
+      RearmLoop loop{sim, {}, 0};
+      sim.schedule_at(TimePoint{0}, [&loop] { loop.hop(); });
+      sim.run_until(TimePoint{2'500});
+      // Hops at 0, 1 and 2 µs: the first two watchdogs are cancelled but
+      // still queued, and the count leaves pending_events() alone.
+      EXPECT_EQ(sim.pending_events(), 4u);
+      EXPECT_EQ(sim.cancelled_pops(), 0u);
+      if (windowed) {
+        for (std::int64_t t = 2'500; t <= 120'000; t += 700) sim.run_until(TimePoint{t});
+      } else {
+        sim.run();
+      }
+      EXPECT_EQ(sim.pending_events(), 0u);
+      EXPECT_EQ(sim.fired_events(), 101u);  // 100 hops and the last watchdog
+      EXPECT_EQ(sim.cancelled_pops(), 99u) << "policy " << with_policy << " windowed " << windowed;
+    }
+  }
+}
+
 TEST(Simulator, StopInsideATieSetThenRunUntilResumes) {
   PickLastPolicy policy;
   Simulator sim;
